@@ -151,19 +151,19 @@ class InfinitesimalAction:
 
 def linear_action_fields(rep_mats, variables) -> list:
     """lam(X)(x) = X.x as linear-coefficient vector fields (d/dt exp(tX)x at 0)."""
-    base = MultiPoly.zero(variables)
-    gens = [base + MultiPoly.variable(base.vars, v.name) for v in base.vars]
+    vs = MultiPoly.zero(variables).vars
+    gens = [MultiPoly.variable(vs, v.name) for v in vs]
     fields = []
     for a in range(len(rep_mats)):
         comps = []
         M = linalg.mat(rep_mats[a])
         for i in range(len(gens)):
-            acc = MultiPoly.zero(base.vars)
+            acc = MultiPoly.zero(vs)
             for j in range(len(gens)):
                 if not M[i][j].is_zero():
                     acc = acc + gens[j].scale(M[i][j])
             comps.append(acc)
-        fields.append(PolyVectorField(base.vars, tuple(comps)))
+        fields.append(PolyVectorField(vs, tuple(comps)))
     return fields
 
 
@@ -432,7 +432,7 @@ def solve_h_certificate(l1, l2, l3, c) -> HCertificate:
     names = ("a1", "a2", "a3", "a4", "x1", "x2")
     a1, a2, a3, a4, x1, x2 = generators(*names)
     h = quadratic_h(l1, l2, l3, cc, variables=("x1", "x2"))
-    h_full = MultiPoly.zero(a1.vars) + h
+    h_full = h.over(a1.vars)
     gx1 = a1 * x1 + a2 * x2
     gx2 = a3 * x1 + a4 * x2
     quarter = Q("1/4")
@@ -603,7 +603,7 @@ def _rational_roots(A: Fraction, B: Fraction, C: Fraction) -> list:
 
 def xi_f(a: LinearPoissonAction, f: MultiPoly) -> list:
     """Components of the covector field xi_f: <xi_f(p), e_i> = lam(e_i)(f)(p)."""
-    f = MultiPoly.zero(a.bivector.vars) + f
+    f = f.over(a.bivector.vars)
     return [fld.apply(f) for fld in a.fields()]
 
 
@@ -631,9 +631,8 @@ def check_action_bracket_identity(a: LinearPoissonAction, dual_algebra: LieAlgeb
     """lam(X)({f,g}) = {lam(X)f, g} + {f, lam(X)g} + <X, [xi_f, xi_g]_*>,
     verified as a polynomial identity for each basis X."""
     pi = a.bivector
-    base = MultiPoly.zero(pi.vars)
-    f = base + f
-    g = base + g
+    f = f.over(pi.vars)
+    g = g.over(pi.vars)
     xf = xi_f(a, f)
     xg = xi_f(a, g)
     n = a.algebra.dim
@@ -729,8 +728,19 @@ def identity_momentum_map(L: LieAlgebra, pi: PolyBivector, shift=None) -> Moment
         p = MultiPoly.variable(pi.vars, v.name)
         if shift is not None:
             p = p + MultiPoly.constant(pi.vars, shift[i])
-        comps.append(MultiPoly.zero(pi.vars) + p)
+        comps.append(p)
     return MomentumMap(L, comps)
+
+
+def _field_vs_hamiltonian(pi: PolyBivector, fld: PolyVectorField, comp: NumericField,
+                          pf) -> list:
+    """Component pairs (lam^k, X_comp^k) of a generator field and the
+    Hamiltonian field of ``comp`` at a float point, by finite differences."""
+    mflt = pi.eval_matrix_float(pf)
+    grad = comp.gradient(pf)
+    sharp = [sum(grad[j] * mflt[j][k] for j in range(pi.n)) for k in range(pi.n)]
+    assign = {v.name: x for v, x in zip(pi.vars, pf)}
+    return [(complex(c.eval(assign)).real, sv) for c, sv in zip(fld.comps, sharp)]
 
 
 @dataclass
@@ -772,15 +782,10 @@ def momentum_check(a: LinearPoissonAction, m: MomentumMap, points=None,
     residuals = []
     for p in points:
         pf = [float(x) for x in p]
-        mflt = pi.eval_matrix_float(pf)
-        for i, fld in enumerate(a.fields()):
-            lam_v = [complex(c.eval({vv.name: x for vv, x in zip(pi.vars, pf)})).real
-                     for c in fld.comps]
-            comp = m.components[i]
-            grad = comp.gradient(pf) if isinstance(comp, NumericField) else \
-                NumericField.from_poly(comp).gradient(pf)
-            sharp = [sum(grad[j] * mflt[j][k] for j in range(pi.n)) for k in range(pi.n)]
-            r = max(abs(lv - sv) for lv, sv in zip(lam_v, sharp))
+        for fld, comp in zip(a.fields(), m.components):
+            if not isinstance(comp, NumericField):
+                comp = NumericField.from_poly(comp)
+            r = max(abs(lv - sv) for lv, sv in _field_vs_hamiltonian(pi, fld, comp, pf))
             worst = max(worst, float(r))
     residuals.append({"max_residual": worst})
     return MomentumReport(passed=bool(worst < tol), mode="numeric", residuals=residuals,
@@ -812,42 +817,18 @@ def solve_momentum_normalization(a: LinearPoissonAction, family, points,
     pi = a.bivector
     fld = a.fields()[0]
 
-    def residual_at(s, p):
-        pf = [float(x) for x in p]
-        mflt = pi.eval_matrix_float(pf)
-        comp = family(s)
-        grad = comp.gradient(pf)
-        sharp = [sum(grad[j] * mflt[j][k] for j in range(pi.n)) for k in range(pi.n)]
-        lam_v = [complex(c.eval({vv.name: x for vv, x in zip(pi.vars, pf)})).real
-                 for c in fld.comps]
-        return max(abs(lv - sv) for lv, sv in zip(lam_v, sharp))
+    def pairs(s, p):
+        return _field_vs_hamiltonian(pi, fld, family(s), [float(x) for x in p])
+
+    def signed(s):
+        # first nonzero component difference at the first sample, signed
+        return next((lv - sv for lv, sv in pairs(s, points[0]) if abs(lv) + abs(sv) > 1e-14), 0.0)
 
     # the residual is affine in s: solve on the first sample by secant
-    p0 = points[0]
-    r0 = residual_at(0.0, p0)
-    r1 = residual_at(1.0, p0)
-
-    def signed(s, p):
-        pf = [float(x) for x in p]
-        mflt = pi.eval_matrix_float(pf)
-        comp = family(s)
-        grad = comp.gradient(pf)
-        sharp = [sum(grad[j] * mflt[j][k] for j in range(pi.n)) for k in range(pi.n)]
-        lam_v = [complex(c.eval({vv.name: x for vv, x in zip(pi.vars, pf)})).real
-                 for c in fld.comps]
-        # first nonzero component difference, signed
-        for lv, sv in zip(lam_v, sharp):
-            if abs(lv) + abs(sv) > 1e-14:
-                return lv - sv
-        return 0.0
-
-    s0 = signed(0.0, p0)
-    s1 = signed(1.0, p0)
-    if abs(s1 - s0) < 1e-14:
-        best = 0.0
-    else:
-        best = float(s0 / (s0 - s1))
-    worst = max(float(residual_at(best, p)) for p in points)
+    s0 = signed(0.0)
+    s1 = signed(1.0)
+    best = 0.0 if abs(s1 - s0) < 1e-14 else float(s0 / (s0 - s1))
+    worst = max(float(max(abs(lv - sv) for lv, sv in pairs(best, p))) for p in points)
     return NormalizationReport(
         family="fitted", solved_constant=best, max_residual=worst,
         consistent=bool(worst < tol),
@@ -893,12 +874,11 @@ def gamma(a: LinearPoissonAction, m: MomentumMap) -> GammaCochain:
         raise ValueError("the obstruction cochain needs polynomial components")
     L = a.algebra
     pi = a.bivector
+    e = linalg.identity(L.dim)
     entries = {}
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
-            ei = [ONE if t == i else ZERO for t in range(L.dim)]
-            ej = [ONE if t == j else ZERO for t in range(L.dim)]
-            route_b = m.of_vector(L.bracket(ei, ej)) - bracket_fn(pi, m.components[i], m.components[j])
+            route_b = m.of_vector(L.bracket(e[i], e[j])) - bracket_fn(pi, m.components[i], m.components[j])
             # independent route: pull back the dual-space pairing and use the
             # anchor-and-pair form of the plane bracket
             pullback = m.of_vector(L.basis_bracket(i, j))
@@ -949,25 +929,20 @@ def gamma_cocycle_residuals(a: LinearPoissonAction, G: GammaCochain,
     with the plane brackets; both must agree)."""
     L = a.algebra
     pi = a.bivector
+    e = linalg.identity(L.dim)
     out = []
     for i, j, k in itertools.combinations(range(L.dim), 3):
         acc = None
         for (x, y, z) in ((i, j, k), (j, k, i), (k, i, j)):
-            ex = [ONE if t == x else ZERO for t in range(L.dim)]
-            ey = [ONE if t == y else ZERO for t in range(L.dim)]
-            ez = [ONE if t == z else ZERO for t in range(L.dim)]
-            bxy = L.bracket(ex, ey)
-            term = -G.of_vectors(bxy, ez)
+            bxy = L.bracket(e[x], e[y])
+            term = -G.of_vectors(bxy, e[z])
             acc = term if acc is None else acc + term
         if m is not None:
             acc2 = None
             for (x, y, z) in ((i, j, k), (j, k, i), (k, i, j)):
-                ex = [ONE if t == x else ZERO for t in range(L.dim)]
-                ey = [ONE if t == y else ZERO for t in range(L.dim)]
-                ez = [ONE if t == z else ZERO for t in range(L.dim)]
-                bxy = L.bracket(ex, ey)
+                bxy = L.bracket(e[x], e[y])
                 t2 = bracket_fn(pi, m.of_vector(bxy), m.components[z]) - m.of_vector(
-                    L.bracket(bxy, ez)
+                    L.bracket(bxy, e[z])
                 )
                 acc2 = t2 if acc2 is None else acc2 + t2
             if not (acc - acc2).is_zero():

@@ -26,7 +26,7 @@ from . import linalg
 from .lie import LieAlgebra
 from .poisson import PolyBivector, jacobi_check
 from .poly import ANGULAR, MultiPoly, Var
-from .scalars import GaussianRational, Q, ZERO, ONE
+from .scalars import GaussianRational, Q, ZERO, coeff_from_json
 
 
 # -- constant-coefficient multivectors on a Lie algebra ---------------------------
@@ -43,9 +43,10 @@ class AlgMultiVector:
             c = GaussianRational.coerce(c)
             if c.is_zero():
                 continue
-            key, sign = _sort_sign(tuple(idx))
-            if key is None:
+            res = linalg.sort_with_sign(idx)
+            if res is None:
                 continue
+            key, sign = res
             val = c if sign == 1 else -c
             clean[key] = clean.get(key, ZERO) + val
             if clean[key].is_zero():
@@ -56,9 +57,10 @@ class AlgMultiVector:
         return not self.comps
 
     def component(self, *idx) -> GaussianRational:
-        key, sign = _sort_sign(tuple(idx))
-        if key is None:
+        res = linalg.sort_with_sign(idx)
+        if res is None:
             return ZERO
+        key, sign = res
         c = self.comps.get(key, ZERO)
         return c if sign == 1 else -c
 
@@ -103,20 +105,6 @@ class AlgMultiVector:
         )
 
     __repr__ = __str__
-
-
-def _sort_sign(indices):
-    idx = list(indices)
-    if len(set(idx)) != len(idx):
-        return None, 0
-    sign = 1
-    for a in range(1, len(idx)):
-        b = a
-        while b > 0 and idx[b - 1] > idx[b]:
-            idx[b - 1], idx[b] = idx[b], idx[b - 1]
-            sign = -sign
-            b -= 1
-    return tuple(idx), sign
 
 
 def ad_multivector(L: LieAlgebra, X, T: AlgMultiVector) -> AlgMultiVector:
@@ -216,14 +204,8 @@ class RMatrix:
 
     @staticmethod
     def from_json(algebra: LieAlgebra, d: dict) -> "RMatrix":
-        rows = [[_entry(c) for c in row] for row in d["lambda"]]
+        rows = [[coeff_from_json(c) for c in row] for row in d["lambda"]]
         return RMatrix(algebra, rows)
-
-
-def _entry(x):
-    if isinstance(x, dict):
-        return GaussianRational.from_json(x)
-    return GaussianRational.coerce(x)
 
 
 def delta_from_r(r: RMatrix, X) -> AlgMultiVector:
@@ -252,8 +234,7 @@ def schouten_wedge_bracket(r: RMatrix) -> InvarianceReport:
     w = r.wedge()
     sq = alg_schouten(L, w, w)
     residuals = []
-    for i in range(L.dim):
-        X = [ONE if t == i else ZERO for t in range(L.dim)]
+    for i, X in enumerate(linalg.identity(L.dim)):
         res = ad_multivector(L, X, sq)
         if not res.is_zero():
             residuals.append((i, res))
@@ -266,8 +247,7 @@ def _coad_plus(L: LieAlgebra, X, mu) -> list:
     Xc = [GaussianRational.coerce(x) for x in X]
     muc = [GaussianRational.coerce(m) for m in mu]
     out = []
-    for j in range(L.dim):
-        ej = [ONE if t == j else ZERO for t in range(L.dim)]
+    for ej in linalg.identity(L.dim):
         br = L.bracket(Xc, ej)
         out.append(sum((muc[k] * br[k] for k in range(L.dim)), ZERO))
     return out
@@ -284,12 +264,11 @@ def dual_bracket_from_r(r: RMatrix, xi, eta) -> list:
 def dual_algebra_from_r(r: RMatrix) -> LieAlgebra:
     """The dual Lie algebra on g* with brackets from the r-matrix."""
     n = r.algebra.dim
+    e = linalg.identity(n)
     brackets = {}
     for i in range(n):
         for j in range(i + 1, n):
-            ei = [ONE if t == i else ZERO for t in range(n)]
-            ej = [ONE if t == j else ZERO for t in range(n)]
-            vec = dual_bracket_from_r(r, ei, ej)
+            vec = dual_bracket_from_r(r, e[i], e[j])
             if any(vec):
                 brackets[(i, j)] = vec
     basis = tuple(b + "*" for b in r.algebra.basis)
@@ -304,16 +283,14 @@ def delta_duality_residuals(r: RMatrix) -> list:
     """
     L = r.algebra
     n = L.dim
+    e = linalg.identity(n)
     out = []
     for i in range(n):
         for j in range(n):
-            ei = [ONE if t == i else ZERO for t in range(n)]
-            ej = [ONE if t == j else ZERO for t in range(n)]
-            br = dual_bracket_from_r(r, ei, ej)
+            br = dual_bracket_from_r(r, e[i], e[j])
             for k in range(n):
-                ek = [ONE if t == k else ZERO for t in range(n)]
                 lhs = br[k]
-                rhs = delta_from_r(r, ek).pair([ei, ej])
+                rhs = delta_from_r(r, e[k]).pair([e[i], e[j]])
                 if lhs != rhs:
                     out.append((i, j, k, lhs - rhs))
     return out
@@ -380,16 +357,15 @@ def validate_bialgebra(b: LieBialgebra) -> BialgebraReport:
     jd = b.dual.check_jacobi().ok
     residuals = []
     n = L.dim
+    e = linalg.identity(n)
     for i in range(n):
         for j in range(i + 1, n):
-            ei = [ONE if t == i else ZERO for t in range(n)]
-            ej = [ONE if t == j else ZERO for t in range(n)]
             lhs = AlgMultiVector(n, 2, {})
             vec = L.basis_bracket(i, j)
             for k in range(n):
                 if not vec[k].is_zero():
                     lhs = lhs + b.delta(k).scale(vec[k])
-            rhs = ad_multivector(L, ei, b.delta(j)) - ad_multivector(L, ej, b.delta(i))
+            rhs = ad_multivector(L, e[i], b.delta(j)) - ad_multivector(L, e[j], b.delta(i))
             diff = lhs - rhs
             if not diff.is_zero():
                 residuals.append(((i, j), diff))

@@ -17,17 +17,11 @@ from .bialgebra import AbelianPLStructure, RMatrix
 from .lie import LieAlgebra
 from .poisson import PolyBivector
 from .poly import MultiPoly
-from .scalars import GaussianRational
+from .scalars import coeff_from_json
 
 
 class SchemaError(Exception):
     pass
-
-
-def _coerce_entry(x):
-    if isinstance(x, dict):
-        return GaussianRational.from_json(x)
-    return GaussianRational.coerce(x)
 
 
 @dataclass
@@ -92,17 +86,21 @@ def parse_bundle(raw: dict) -> ProblemBundle:
             raise SchemaError(f"abelian structure {name!r}: {e}") from e
 
     for name, entry in raw.get("actions", {}).items():
-        b.actions[name] = _parse_action(b, name, entry)
+        try:
+            b.actions[name] = _parse_action(b, name, entry)
+        except (KeyError, ValueError) as e:
+            raise SchemaError(f"action {name!r}: {e}") from e
 
     for name, entry in raw.get("momentum_maps", {}).items():
         ref = entry.get("action")
         if ref not in b.actions:
             raise SchemaError(f"momentum map {name!r} references unknown action {ref!r}")
         act = b.actions[ref]
-        comps = []
-        for cj in entry.get("components", []):
-            p = MultiPoly.from_json(cj)
-            comps.append(MultiPoly.zero(act.bivector.vars) + p)
+        try:
+            comps = [MultiPoly.from_json(cj).over(act.bivector.vars)
+                     for cj in entry.get("components", [])]
+        except (KeyError, ValueError) as e:
+            raise SchemaError(f"momentum map {name!r}: {e}") from e
         if len(comps) != act.algebra.dim:
             raise SchemaError(
                 f"momentum map {name!r}: need {act.algebra.dim} components"
@@ -113,9 +111,12 @@ def parse_bundle(raw: dict) -> ProblemBundle:
         if bname not in b.bivectors:
             raise SchemaError(f"casimirs reference unknown bivector {bname!r}")
         piv = b.bivectors[bname]
-        b.casimirs[bname] = {
-            k: MultiPoly.zero(piv.vars) + MultiPoly.from_json(v) for k, v in entries.items()
-        }
+        try:
+            b.casimirs[bname] = {
+                k: MultiPoly.from_json(v).over(piv.vars) for k, v in entries.items()
+            }
+        except (KeyError, ValueError) as e:
+            raise SchemaError(f"casimirs of {bname!r}: {e}") from e
 
     if "flow" in raw:
         entry = raw["flow"]
@@ -129,7 +130,7 @@ def parse_bundle(raw: dict) -> ProblemBundle:
 def _parse_abelian(entry: dict) -> AbelianPLStructure:
     if "example" in entry:
         kind = entry["example"]
-        coeffs = [_coerce_entry(x) for x in entry.get("coefficients", [1, 1, 1])]
+        coeffs = [coeff_from_json(x) for x in entry.get("coefficients", [1, 1, 1])]
         if kind == "torus2_line":
             return AbelianPLStructure.torus2_line_example(*coeffs)
         if kind == "torus2_line_linear":
@@ -139,7 +140,7 @@ def _parse_abelian(entry: dict) -> AbelianPLStructure:
     n = int(entry["n"])
     constants = {}
     for entry in entry.get("constants", []):
-        constants[(int(entry["i"]), int(entry["j"]), int(entry["k"]))] = _coerce_entry(
+        constants[(int(entry["i"]), int(entry["j"]), int(entry["k"]))] = coeff_from_json(
             entry["c"]
         )
     return AbelianPLStructure.from_constants(m, n, constants)
@@ -165,18 +166,18 @@ def _parse_action(b: ProblemBundle, name: str, entry: dict):
     if kind == "coadjoint-dressing":
         if "defining" not in entry:
             raise SchemaError(f"action {name!r}: coadjoint-dressing needs defining matrices")
-        defining = [[[_coerce_entry(x) for x in row] for row in m] for m in entry["defining"]]
+        defining = [[[coeff_from_json(x) for x in row] for row in m] for m in entry["defining"]]
         act = action_mod.coadjoint_dressing_bundle(L, defining)
         act.rmatrix = rmat
         return act
     if "representation" not in entry:
         raise SchemaError(f"action {name!r}: natural actions need representation matrices")
-    rep = [[[_coerce_entry(x) for x in row] for row in m] for m in entry["representation"]]
+    rep = [[[coeff_from_json(x) for x in row] for row in m] for m in entry["representation"]]
     if len(rep) != L.dim:
         raise SchemaError(f"action {name!r}: need one matrix per basis element")
     defining = rep
     if "defining" in entry:
-        defining = [[[_coerce_entry(x) for x in row] for row in m] for m in entry["defining"]]
+        defining = [[[coeff_from_json(x) for x in row] for row in m] for m in entry["defining"]]
     return action_mod.LinearPoissonAction(
         algebra=L,
         rep_mats=rep,

@@ -18,18 +18,16 @@ from fractions import Fraction
 from . import action as A
 from . import bialgebra as B
 from . import lie as lie_mod
+from . import linalg
 from . import poisson as P
 from .bundles import ProblemBundle, SchemaError, load_bundle
 from .poly import MultiPoly, NumericField
-from .scalars import Q
 
 
 def _check(name: str, payload: dict, skipped: bool = False) -> dict:
     out = {"check": name}
     if skipped:
         out["skipped"] = True
-        out.update(payload)
-        return out
     out.update(payload)
     return out
 
@@ -63,6 +61,21 @@ def _emit(reports: list, stream, timings=None, suite=None) -> int:
     }
     stream.write(json.dumps(summary, sort_keys=True, default=_json_default) + "\n")
     return 1 if failed else 0
+
+
+def _sample_count(args, default: int) -> int:
+    """``--samples``, or ``default`` when it is not given; at least 1."""
+    count = default if args.samples is None else args.samples
+    if count < 1:
+        raise SchemaError(f"sample count must be >= 1, got {count}")
+    return count
+
+
+def _fraction(text: str, option: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise SchemaError(f"{option}: {text!r} is not an exact rational") from None
 
 
 def _sample_points(dim: int, count: int, seed: int, scale: int = 6, denom_power: int = 2):
@@ -126,7 +139,7 @@ def run_check_poisson(bundle: ProblemBundle, args) -> list:
 
 def run_stratify(bundle: ProblemBundle, args) -> list:
     seed = bundle.require_seed(args.seed)
-    count = args.samples or int(bundle.sampler.get("count", 100))
+    count = _sample_count(args, int(bundle.sampler.get("count", 100)))
     cfg = P.StratifyConfig(
         count=count,
         seed=seed,
@@ -148,14 +161,16 @@ def run_flow(bundle: ProblemBundle, args, out_stream) -> list:
         raise SchemaError("bundle has no flow section")
     entry = bundle.flow
     pi = bundle.bivectors[entry["bivector"]]
-    f = MultiPoly.zero(pi.vars) + MultiPoly.from_json(entry["hamiltonian"])
+    f = MultiPoly.from_json(entry["hamiltonian"]).over(pi.vars)
     dt = float(args.dt if args.dt is not None else entry.get("dt", 1e-3))
     steps = int(args.steps if args.steps is not None else entry.get("steps", 1000))
     if dt <= 0:
         raise SchemaError("dt must be positive")
+    if steps < 1:
+        raise SchemaError(f"steps must be >= 1, got {steps}")
     x0 = [float(Fraction(str(v))) for v in entry["x0"]]
     casimirs = {
-        k: MultiPoly.zero(pi.vars) + MultiPoly.from_json(v)
+        k: MultiPoly.from_json(v).over(pi.vars)
         for k, v in entry.get("casimirs", {}).items()
     }
     bound = float(entry.get("divergence_bound", 1e9))
@@ -183,7 +198,7 @@ def run_flow(bundle: ProblemBundle, args, out_stream) -> list:
 
 def run_check_action(bundle: ProblemBundle, args) -> list:
     seed = bundle.require_seed(args.seed)
-    count = args.samples or int(bundle.sampler.get("count", 50))
+    count = _sample_count(args, int(bundle.sampler.get("count", 50)))
     reports = []
     for name, act in sorted(bundle.actions.items()):
         if act.defining_mats and len(act.defining_mats[0]) == 2:
@@ -191,7 +206,7 @@ def run_check_action(bundle: ProblemBundle, args) -> list:
         else:
             # no exact sampler for this group: check at the unit only
             size = len(act.defining_mats[0]) if act.defining_mats else act.target_dim
-            gs = [[[1 if i == j else 0 for j in range(size)] for i in range(size)]]
+            gs = [linalg.identity(size)]
         pts = _sample_points(act.target_dim, count, seed + 1)
         samples = list(zip(gs, pts[: len(gs)]))
         try:
@@ -210,7 +225,7 @@ def run_check_action(bundle: ProblemBundle, args) -> list:
 
 def run_momentum(bundle: ProblemBundle, args) -> list:
     seed = bundle.require_seed(args.seed)
-    count = args.samples or int(bundle.sampler.get("count", 20))
+    count = _sample_count(args, int(bundle.sampler.get("count", 20)))
     reports = []
     for name, (aref, m) in sorted(bundle.momentum_maps.items()):
         act = bundle.actions[aref]
@@ -243,30 +258,34 @@ def run_plane_pipeline(args) -> list:
     lam = args.lam
     if lam is None:
         raise SchemaError("example51 requires --lambda l1,l2,l3")
-    l1, l2, l3 = (Fraction(s) for s in lam.split(","))
-    c = Fraction(args.c if args.c is not None else "1")
+    parts = lam.split(",")
+    if len(parts) != 3:
+        raise SchemaError(f"--lambda needs three values l1,l2,l3, got {lam!r}")
+    l1, l2, l3 = (_fraction(s, "--lambda") for s in parts)
+    c = _fraction(args.c if args.c is not None else "1", "--c")
     seed = args.seed if args.seed is not None else 0
-    count = args.samples or 100
+    count = _sample_count(args, 100)
     reports = []
 
     L = lie_mod.sl2()
     r = B.RMatrix.sl2_family(L, l1, l2, l3)
     dual = B.dual_algebra_from_r(r)
-    e = lambda i: [Q(1) if t == i else Q(0) for t in range(3)]
+    e = linalg.identity(3)
     brackets = {
-        "[e1*,e2*]*": [str(t) for t in B.dual_bracket_from_r(r, e(0), e(1))],
-        "[e2*,e3*]*": [str(t) for t in B.dual_bracket_from_r(r, e(1), e(2))],
-        "[e3*,e1*]*": [str(t) for t in B.dual_bracket_from_r(r, e(2), e(0))],
+        "[e1*,e2*]*": [str(t) for t in B.dual_bracket_from_r(r, e[0], e[1])],
+        "[e2*,e3*]*": [str(t) for t in B.dual_bracket_from_r(r, e[1], e[2])],
+        "[e3*,e1*]*": [str(t) for t in B.dual_bracket_from_r(r, e[2], e[0])],
     }
     dres = B.delta_duality_residuals(r)
+    dual_jacobi = dual.check_jacobi().ok
     reports.append(
         _check(
             "example51:dual-brackets",
             {
-                "passed": dual.check_jacobi().ok and not dres,
+                "passed": dual_jacobi and not dres,
                 "mode": "symbolic",
                 "brackets": brackets,
-                "dual_jacobi": dual.check_jacobi().ok,
+                "dual_jacobi": dual_jacobi,
             },
         )
     )
@@ -313,14 +332,14 @@ def run_plane_pipeline(args) -> list:
         )
     )
 
-    preserved = A.check_structure_preserved(
-        A.LinearPoissonAction(
-            lie_mod.abelian(1),
-            [act.rep_mats[0]],
-            act.bivector,
-            defining_mats=[act.defining_mats[0]],
-        )
+    # the diagonal one-parameter subgroup, generated by e1
+    sub = A.LinearPoissonAction(
+        lie_mod.abelian(1),
+        [act.rep_mats[0]],
+        act.bivector,
+        defining_mats=[act.defining_mats[0]],
     )
+    preserved = A.check_structure_preserved(sub)
     analytic = (l1 == 0 and l3 == 0)
     reports.append(
         _check(
@@ -338,12 +357,6 @@ def run_plane_pipeline(args) -> list:
         import math
         import random as _random
 
-        sub = A.LinearPoissonAction(
-            lie_mod.abelian(1),
-            [act.rep_mats[0]],
-            act.bivector,
-            defining_mats=[act.defining_mats[0]],
-        )
         rng = _random.Random(seed + 3)
         cf, l2f = float(c), float(l2)
         mh_pts = []

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from . import linalg
-from .scalars import GaussianRational, Q, ZERO, ONE
+from .scalars import GaussianRational, Q, ZERO, coeff_from_json
 
 TRIVIAL = "trivial"
 ADJOINT = "adjoint"
@@ -95,10 +95,10 @@ class LieAlgebra:
 
     def jacobiator(self, i: int, j: int, k: int) -> list:
         """[[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]."""
-        e = lambda idx: [ONE if t == idx else ZERO for t in range(self.dim)]
-        s1 = self.bracket(self.basis_bracket(i, j), e(k))
-        s2 = self.bracket(self.basis_bracket(j, k), e(i))
-        s3 = self.bracket(self.basis_bracket(k, i), e(j))
+        e = linalg.identity(self.dim)
+        s1 = self.bracket(self.basis_bracket(i, j), e[k])
+        s2 = self.bracket(self.basis_bracket(j, k), e[i])
+        s3 = self.bracket(self.basis_bracket(k, i), e[j])
         return [a + b + c for a, b, c in zip(s1, s2, s3)]
 
     def check_jacobi(self) -> "JacobiReport":
@@ -127,15 +127,9 @@ class LieAlgebra:
         dim = int(d["dim"])
         brackets = {}
         for b in d.get("brackets", []):
-            vec = [_coeff_from_json(x) for x in b["result"]]
+            vec = [coeff_from_json(x) for x in b["result"]]
             brackets[(int(b["i"]), int(b["j"]))] = vec
         return LieAlgebra(dim, brackets, basis=d.get("basis"))
-
-
-def _coeff_from_json(x) -> GaussianRational:
-    if isinstance(x, dict):
-        return GaussianRational.from_json(x)
-    return GaussianRational.coerce(x)
 
 
 @dataclass
@@ -288,31 +282,6 @@ class CochainComplexSlice:
     codomain_basis: list
 
 
-def _signed_lookup(I: tuple, K: tuple):
-    """Sign of the permutation sorting K into I, or None if K != I as sets."""
-    if len(set(K)) != len(K):
-        return None
-    order = sorted(range(len(K)), key=lambda t: K[t])
-    sorted_K = tuple(K[t] for t in order)
-    if sorted_K != I:
-        return None
-    # parity of the sorting permutation
-    sign = 1
-    seen = [False] * len(order)
-    for s in range(len(order)):
-        if seen[s]:
-            continue
-        length = 0
-        t = s
-        while not seen[t]:
-            seen[t] = True
-            t = order[t]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def ce_differential(L: LieAlgebra, M: LieModule, p: int) -> CochainComplexSlice:
     """Standard Lie algebra cohomology differential in the induced basis."""
     n = L.dim
@@ -327,27 +296,25 @@ def ce_differential(L: LieAlgebra, M: LieModule, p: int) -> CochainComplexSlice:
     rows = len(cod) * dimV
     cols = len(dom) * dimV
     matrix = linalg.zeros(rows, cols)
+    basis = linalg.identity(dimV)
+
+    def c_eval(I: tuple, K: tuple):
+        """Sign of e_I^* on the wedge e_K, or None unless K reorders I."""
+        hit = linalg.sort_with_sign(K)
+        return hit[1] if hit is not None and hit[0] == I else None
 
     for ci, I in enumerate(dom):
         for v in range(dimV):
             # evaluate d(c) for c = e_I^* (x) basis-vector v on each (p+1)-tuple J
-            vvec = [ONE if t == v else ZERO for t in range(dimV)]
-
-            def c_eval(K: tuple):
-                sign = _signed_lookup(I, K)
-                if sign is None:
-                    return None
-                return sign, vvec
-
+            vec = basis[v]
             for ri, J in enumerate(cod):
                 acc = [ZERO] * dimV
                 # module action part
                 for a in range(p + 1):
                     rest = J[:a] + J[a + 1:]
-                    hit = c_eval(rest)
-                    if hit is None:
+                    sign = c_eval(I, rest)
+                    if sign is None:
                         continue
-                    sign, vec = hit
                     acted = M.act(J[a], vec)
                     s = Q((-1) ** a * sign)
                     acc = [x + s * y for x, y in zip(acc, acted)]
@@ -361,10 +328,9 @@ def ce_differential(L: LieAlgebra, M: LieModule, p: int) -> CochainComplexSlice:
                         for k in range(n):
                             if br[k].is_zero():
                                 continue
-                            hit = c_eval((k,) + rest)
-                            if hit is None:
+                            sign = c_eval(I, (k,) + rest)
+                            if sign is None:
                                 continue
-                            sign, vec = hit
                             s = Q((-1) ** (a + b) * sign) * br[k]
                             acc = [x + s * y for x, y in zip(acc, vec)]
                 for w in range(dimV):

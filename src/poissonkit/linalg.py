@@ -12,6 +12,23 @@ from math import gcd
 from .scalars import GaussianRational, ZERO, ONE
 
 
+def sort_with_sign(indices):
+    """Sort an index tuple, returning (sorted tuple, sign of the sorting
+    permutation), or None if an index repeats (the wedge vanishes)."""
+    idx = list(indices)
+    if len(set(idx)) != len(idx):
+        return None
+    sign = 1
+    # insertion sort, counting transpositions
+    for a in range(1, len(idx)):
+        b = a
+        while b > 0 and idx[b - 1] > idx[b]:
+            idx[b - 1], idx[b] = idx[b], idx[b - 1]
+            sign = -sign
+            b -= 1
+    return tuple(idx), sign
+
+
 def mat(rows) -> list:
     return [[GaussianRational.coerce(x) for x in row] for row in rows]
 

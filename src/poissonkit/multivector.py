@@ -14,25 +14,9 @@ vector-field brackets of the forms [f d_i, g d_j] are ever needed.
 
 from __future__ import annotations
 
+from .linalg import sort_with_sign
 from .poly import MultiPoly, Var
 from .scalars import Q
-
-
-def _sort_with_sign(indices):
-    """Sort an index tuple, returning (sorted tuple, permutation sign) or None
-    if an index repeats (the wedge vanishes)."""
-    idx = list(indices)
-    if len(set(idx)) != len(idx):
-        return None
-    sign = 1
-    # insertion sort, counting transpositions
-    for a in range(1, len(idx)):
-        b = a
-        while b > 0 and idx[b - 1] > idx[b]:
-            idx[b - 1], idx[b] = idx[b], idx[b - 1]
-            sign = -sign
-            b -= 1
-    return tuple(idx), sign
 
 
 class PolyMultiVector:
@@ -46,7 +30,7 @@ class PolyMultiVector:
         for idx, poly in (comps or {}).items():
             if poly.is_zero():
                 continue
-            res = _sort_with_sign(tuple(idx))
+            res = sort_with_sign(tuple(idx))
             if res is None:
                 continue
             key, sign = res
@@ -67,7 +51,7 @@ class PolyMultiVector:
         return not self.comps
 
     def component(self, *idx) -> MultiPoly:
-        res = _sort_with_sign(idx)
+        res = sort_with_sign(idx)
         if res is None:
             return MultiPoly.zero(self.vars)
         key, sign = res
@@ -135,7 +119,7 @@ def schouten(A: PolyMultiVector, B: PolyMultiVector) -> PolyMultiVector:
     variables = A.vars
     names = [v.name for v in variables]
     out_deg = A.degree + B.degree - 1
-    acc = PolyMultiVector(variables, out_deg, {})
+    acc = {}  # sorted index tuple -> coefficient, zero sums dropped
 
     def factors(mv, key):
         """Vector-field factor list for one component: first factor carries
@@ -181,14 +165,18 @@ def schouten(A: PolyMultiVector, B: PolyMultiVector) -> PolyMultiVector:
                         if cf is not None:
                             coeff_rest = cf if coeff_rest is None else coeff_rest * cf
                     for poly, lead in bracket_terms:
-                        res = _sort_with_sign((lead, *rest_idx))
+                        res = sort_with_sign((lead, *rest_idx))
                         if res is None:
                             continue
                         key, perm_sign = res
                         total = poly if coeff_rest is None else poly * coeff_rest
                         total = total.scale(Q(sign * perm_sign))
-                        acc = acc + PolyMultiVector(variables, out_deg, {key: total})
-    return acc
+                        if key in acc:
+                            total = acc[key] + total
+                        acc[key] = total
+                        if total.is_zero():
+                            del acc[key]
+    return PolyMultiVector(variables, out_deg, acc)
 
 
 def lie_bracket_fields(variables, V, W) -> list:

@@ -20,15 +20,8 @@ from fractions import Fraction
 from . import linalg
 from .lie import LieAlgebra
 from .multivector import PolyMultiVector, from_vector_field, schouten
-from .poly import AFFINE, MultiPoly, NumericField, Var
+from .poly import AFFINE, MultiPoly, NumericField, Var, _as_vars
 from .scalars import GaussianRational, ZERO
-
-
-def _as_affine_vars(variables):
-    from .poly import _as_vars
-
-    # angular coordinates are allowed too (torus factors)
-    return _as_vars(variables)
 
 
 @dataclass
@@ -39,7 +32,7 @@ class PolyVectorField:
     comps: tuple
 
     def __post_init__(self):
-        self.vars = _as_affine_vars(self.vars)
+        self.vars = _as_vars(self.vars)
         if len(self.comps) != len(self.vars):
             raise ValueError("component count must equal the dimension")
         self.comps = tuple(self.comps)
@@ -89,7 +82,7 @@ class PolyOneForm:
     comps: tuple
 
     def __post_init__(self):
-        self.vars = _as_affine_vars(self.vars)
+        self.vars = _as_vars(self.vars)
         if len(self.comps) != len(self.vars):
             raise ValueError("component count must equal the dimension")
         self.comps = tuple(self.comps)
@@ -113,9 +106,8 @@ class PolyOneForm:
 
 def differential(f: MultiPoly, variables=None) -> PolyOneForm:
     """The exact one-form df."""
-    vs = _as_affine_vars(variables if variables is not None else f.vars)
-    base = MultiPoly.zero(vs)
-    aligned = (base + f)
+    vs = _as_vars(variables if variables is not None else f.vars)
+    aligned = f.over(vs)
     return PolyOneForm(vs, tuple(aligned.partial(v.name) for v in vs))
 
 
@@ -144,7 +136,7 @@ class PolyBivector:
     def __init__(self, variables, entries: dict):
         """``entries`` maps ``(i, j)`` with ``i < j`` to the component
         polynomial ``pi^{ij}``; the opposite orientation is implied."""
-        self.vars = _as_affine_vars(variables)
+        self.vars = _as_vars(variables)
         self.n = len(self.vars)
         clean = {}
         for (i, j), p in entries.items():
@@ -157,12 +149,13 @@ class PolyBivector:
                 p = -p
             if p.is_zero():
                 continue
-            base = MultiPoly.zero(self.vars)
-            aligned = base + p
+            aligned = p.over(self.vars)
             if len(aligned.vars) != len(self.vars):
                 raise ValueError("component polynomial uses variables outside the chart")
-            clean[(i, j)] = clean.get((i, j), base) + aligned
-            if clean[(i, j)].is_zero():
+            if (i, j) in clean:
+                aligned = clean[(i, j)] + aligned
+            clean[(i, j)] = aligned
+            if aligned.is_zero():
                 del clean[(i, j)]
         self.entries = clean
 
@@ -268,12 +261,10 @@ class PolyBivector:
             vs = tuple((v["name"], v.get("kind", AFFINE)) for v in d["vars"])
         else:
             vs = tuple(f"x{i+1}" for i in range(n))
-        variables = _as_affine_vars(vs)
+        variables = _as_vars(vs)
         entries = {}
         for e in d.get("entries", []):
-            p = MultiPoly.from_json(e["poly"])
-            p = MultiPoly.zero(variables) + p
-            entries[(int(e["i"]), int(e["j"]))] = p
+            entries[(int(e["i"]), int(e["j"]))] = MultiPoly.from_json(e["poly"])
         return PolyBivector(variables, entries)
 
     def __str__(self):
@@ -296,9 +287,8 @@ def bracket_fn(pi: PolyBivector, f: MultiPoly, g: MultiPoly) -> MultiPoly:
     if isinstance(f, NumericField) or isinstance(g, NumericField):
         raise TypeError("numeric-only fields have no symbolic bracket; "
                         "use bracket_fn_at for pointwise evaluation")
-    base = MultiPoly.zero(pi.vars)
-    f = base + f
-    g = base + g
+    f = f.over(pi.vars)
+    g = g.over(pi.vars)
     acc = MultiPoly.zero(pi.vars)
     names = [v.name for v in pi.vars]
     df = [f.partial(n) for n in names]
@@ -325,7 +315,7 @@ def bracket_fn_at(pi: PolyBivector, f, g, point) -> float:
 
 def hamiltonian_field(pi: PolyBivector, f: MultiPoly) -> PolyVectorField:
     """X_f = sharp(df) = {f, .}."""
-    f = MultiPoly.zero(pi.vars) + f
+    f = f.over(pi.vars)
     return pi.sharp(differential(f, pi.vars))
 
 
@@ -338,7 +328,7 @@ def lie_poisson(L: LieAlgebra, names=None) -> PolyBivector:
     """Linear bivector on the dual space: pi^{ij}(mu) = sum_k C^k_{ij} mu_k."""
     n = L.dim
     vs = tuple(names) if names else tuple(f"mu{i+1}" for i in range(n))
-    variables = _as_affine_vars(vs)
+    variables = _as_vars(vs)
     entries = {}
     for i in range(n):
         for j in range(i + 1, n):
@@ -631,9 +621,7 @@ def stratify_sample(pi: PolyBivector, config: StratifyConfig) -> StratificationR
 
 
 def _compile_float(poly: MultiPoly, names):
-    # re-express over the full coordinate list first
-    base = MultiPoly.zero([Var(n) for n in names])
-    aligned = base + poly
+    aligned = poly.over([Var(n) for n in names])
     if len(aligned.vars) != len(names):
         raise ValueError("polynomial involves variables outside the coordinate system")
     terms = []
@@ -707,9 +695,9 @@ def hamiltonian_flow(pi: PolyBivector, f: MultiPoly, x0, dt: float, steps: int,
     names = [v.name for v in pi.vars]
     field_exact = hamiltonian_field(pi, f)
     comp_fns = [_compile_float(c, names) for c in field_exact.comps]
-    f_fn = _compile_float(MultiPoly.zero(pi.vars) + f, names)
+    f_fn = _compile_float(f, names)
     casimirs = casimirs or {}
-    cas_fns = {k: _compile_float(MultiPoly.zero(pi.vars) + v, names) for k, v in casimirs.items()}
+    cas_fns = {k: _compile_float(v, names) for k, v in casimirs.items()}
 
     def rhs(x):
         return np.array([fn(x) for fn in comp_fns])

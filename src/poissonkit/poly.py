@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .scalars import GaussianRational, Q, ZERO, ONE, I
+from .scalars import GaussianRational, Q, ZERO, ONE, I, coeff_from_json
 
 AFFINE = "affine"
 ANGULAR = "angular"
@@ -141,6 +141,11 @@ class MultiPoly:
                 names[v.name] = v
         merged = tuple(merged)
         return self._reindex(merged), other._reindex(merged)
+
+    def over(self, variables) -> "MultiPoly":
+        """This polynomial on the chart ``variables``, followed by any of its
+        own variables the chart lacks (the merged order of :meth:`align`)."""
+        return MultiPoly.zero(variables).align(self)[1]
 
     def _reindex(self, merged) -> "MultiPoly":
         if merged == self.vars:
@@ -383,9 +388,7 @@ class MultiPoly:
     @staticmethod
     def from_json(d: dict) -> "MultiPoly":
         variables = [(v["name"], v.get("kind", AFFINE)) for v in d["vars"]]
-        terms = {
-            tuple(t["exp"]): GaussianRational.from_json(t["coeff"]) for t in d["terms"]
-        }
+        terms = {tuple(t["exp"]): coeff_from_json(t["coeff"]) for t in d["terms"]}
         return MultiPoly(variables, terms)
 
     # -- rendering ---------------------------------------------------------

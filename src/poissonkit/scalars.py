@@ -11,6 +11,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+def _json_int(x) -> int:
+    if isinstance(x, float):
+        raise ValueError(f"{x!r} is not an exact integer")
+    return int(x)
+
+
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -145,8 +151,8 @@ class GaussianRational:
 
     @staticmethod
     def from_json(d: dict) -> "GaussianRational":
-        re = Fraction(int(d["num"]), int(d.get("den", 1)))
-        im = Fraction(int(d.get("im_num", 0)), int(d.get("im_den", 1)))
+        re = Fraction(_json_int(d["num"]), _json_int(d.get("den", 1)))
+        im = Fraction(_json_int(d.get("im_num", 0)), _json_int(d.get("im_den", 1)))
         return GaussianRational(re, im)
 
     def __repr__(self):
@@ -169,3 +175,15 @@ I = GaussianRational(0, 1)
 def Q(re, im=0) -> GaussianRational:
     """Shorthand constructor; accepts ints, strings like ``"2/3"``, Fractions."""
     return GaussianRational(re, im)
+
+
+def coeff_from_json(x) -> GaussianRational:
+    """A coefficient as JSON writes it: an integer, a rational string such as
+    ``"2/3"`` or a ``{"num", "den", "im_num", "im_den"}`` object.  A float or
+    any other non-exact value raises ``ValueError``."""
+    if isinstance(x, dict):
+        return GaussianRational.from_json(x)
+    try:
+        return GaussianRational.coerce(x)
+    except TypeError:
+        raise ValueError(f"coefficient {x!r} is not an exact rational") from None

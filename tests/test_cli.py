@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,8 @@ SL2_JSON = {
         {"i": 0, "j": 2, "result": [0, 1, 0]},
     ],
 }
+
+SAMPLE = Path(__file__).resolve().parent.parent / "demos" / "bundles" / "sample.json"
 
 PLANE_VARS = [{"name": "x1", "kind": "affine"}, {"name": "x2", "kind": "affine"}]
 
@@ -272,3 +275,46 @@ def test_console_script_entrypoint():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip().splitlines()[-1].startswith('{"summary"')
+
+
+def _assert_schema_error(argv, capsys):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("schema error: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-action", "--samples", "-3"],
+    ["momentum", "--samples", "-3"],
+    ["check-action", "--samples", "0"],
+    ["stratify", "--samples", "-3"],
+    ["flow", "--steps", "0"],
+    ["example51", "--lambda", "1,2"],
+    ["example51", "--lambda", "0,2,0", "--c", "abc"],
+])
+def test_invalid_arguments_exit_2(argv, capsys):
+    if argv[0] != "example51":
+        argv = argv + ["--bundle", str(SAMPLE)]
+    _assert_schema_error(argv, capsys)
+
+
+def _float_rmatrix_entry(raw):
+    raw["rmatrices"]["hyperbola"]["lambda"][1][2] = 1.5
+
+
+def _unknown_variable_kind(raw):
+    raw["momentum_maps"]["shifted_identity"]["components"][0]["vars"][0]["kind"] = "weird"
+
+
+@pytest.mark.parametrize("subcommand, edit", [
+    ("check-bialgebra", _float_rmatrix_entry),
+    ("momentum", _unknown_variable_kind),
+])
+def test_bundle_schema_errors_exit_2(subcommand, edit, tmp_path, capsys):
+    raw = json.loads(SAMPLE.read_text())
+    edit(raw)
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(raw))
+    _assert_schema_error([subcommand, "--bundle", str(path)], capsys)
