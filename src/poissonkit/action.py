@@ -456,7 +456,8 @@ def solve_h_certificate(l1, l2, l3, c) -> HCertificate:
 
 
 def numeric_h_residual(l1, l2, l3, c, count: int = 1000, seed: int = 0) -> float:
-    """Max float residual of the cocycle identity over exact group samples."""
+    """Max float residual of the cocycle identity over exact group samples,
+    each relative to the size of its terms, max(1, |h(gx)|, |h(x)|)."""
     h = quadratic_h(l1, l2, l3, c)
 
     def h_at(p):
@@ -472,14 +473,15 @@ def numeric_h_residual(l1, l2, l3, c, count: int = 1000, seed: int = 0) -> float
         xf = [float(Fraction(rng.randint(-6, 6), rng.randint(1, 4))) for _ in range(2)]
         gm = [[float(t.re) for t in row] for row in g]
         gx = [gm[0][0] * xf[0] + gm[0][1] * xf[1], gm[1][0] * xf[0] + gm[1][1] * xf[1]]
-        lhs = h_at(gx) - h_at(xf)
+        h_gx, h_x = h_at(gx), h_at(xf)
+        lhs = h_gx - h_x
         A1, A2, A3, A4 = gm[0][0], gm[0][1], gm[1][0], gm[1][1]
         rhs = 0.25 * (
             (lp * A1 * A1 - lm * A3 * A3 - 2 * l2f * A1 * A3 - lp) * xf[0] ** 2
             + (lp * A2 * A2 - lm * A4 * A4 - 2 * l2f * A2 * A4 + lm) * xf[1] ** 2
             + (2 * lp * A1 * A2 - 2 * lm * A3 * A4 - 4 * l2f * A2 * A3) * xf[0] * xf[1]
         )
-        worst = max(worst, abs(lhs - rhs))
+        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(h_gx), abs(h_x)))
     return worst
 
 

@@ -71,6 +71,21 @@ def test_h_certificates(rng):
     assert A.numeric_h_residual(0, 2, 0, 1, count=100, seed=1) < 1e-12
 
 
+# seeds on which an absolute 1e-12 bound failed: float terms reach about 1e5
+@pytest.mark.parametrize("lam, seed", [
+    ((1, 2, 5), 0), ((1, 2, 5), 2), ((1, 2, 5), 27), ((1, 2, 5), 124),
+    ((0, 2, 0), 0), ((0, 2, 0), 64), ((0, 2, 0), 238),
+])
+def test_numeric_h_residual_is_relative(lam, seed):
+    assert A.numeric_h_residual(*lam, 1, count=200, seed=seed) < 1e-12
+
+
+def test_numeric_h_residual_rejects_a_wrong_h(monkeypatch):
+    right = A.quadratic_h
+    monkeypatch.setattr(A, "quadratic_h", lambda l1, l2, l3, c, **kw: right(l1 + 1, l2, l3, c, **kw))
+    assert A.numeric_h_residual(1, 2, 5, 1, count=200, seed=0) > 1e-3
+
+
 def test_structure_preserved():
     act = A.sl2_plane_action(0, 2, 0, 1)
     rep = A.check_structure_preserved(act)
