@@ -27,7 +27,7 @@ from .poisson import (
     lie_derivative_bivector,
     lie_poisson,
 )
-from .poly import MultiPoly, NumericField, generators, sl2_relation_ideal
+from .poly import MultiPoly, NumericField, _as_vars, generators, sl2_relation_ideal
 from .scalars import GaussianRational, Q, ZERO, ONE
 
 POINTWISE_TOL = 1e-6
@@ -151,7 +151,7 @@ class InfinitesimalAction:
 
 def linear_action_fields(rep_mats, variables) -> list:
     """lam(X)(x) = X.x as linear-coefficient vector fields (d/dt exp(tX)x at 0)."""
-    vs = MultiPoly.zero(variables).vars
+    vs = _as_vars(variables)
     gens = [MultiPoly.variable(vs, v.name) for v in vs]
     fields = []
     for a in range(len(rep_mats)):

@@ -318,3 +318,25 @@ def test_bundle_schema_errors_exit_2(subcommand, edit, tmp_path, capsys):
     path = tmp_path / "bundle.json"
     path.write_text(json.dumps(raw))
     _assert_schema_error([subcommand, "--bundle", str(path)], capsys)
+
+
+def test_check_action_on_a_3x3_group_checks_the_unit(tmp_path):
+    # no exact sampler for 3x3 groups: the Poisson-action check runs at the
+    # identity matrix only, which must reach the coadjoint lift as exact scalars
+    mu = [{"name": f"mu{i}", "kind": "affine"} for i in (1, 2, 3)]
+    mu3 = {"vars": mu, "terms": [{"exp": [0, 0, 1], "coeff": {"num": "1", "den": "1"}}]}
+    b = {
+        "sampler": {"seed": 1, "count": 3},
+        "algebras": {"h3": {"dim": 3, "brackets": [{"i": 0, "j": 1, "result": [0, 0, 1]}]}},
+        "bivectors": {"lp": {"dim": 3, "vars": mu, "entries": [{"i": 0, "j": 1, "poly": mu3}]}},
+        "actions": {"dress": {
+            "algebra": "h3", "bivector": "lp", "kind": "coadjoint-dressing",
+            "defining": [[[0, 1, 0], [0, 0, 0], [0, 0, 0]],
+                         [[0, 0, 0], [0, 0, 1], [0, 0, 0]],
+                         [[0, 0, 1], [0, 0, 0], [0, 0, 0]]],
+        }},
+    }
+    code, out = run_cli(["check-action"], b, tmp_path)
+    assert code == 0
+    checks = {l["check"]: l for l in map(json.loads, out.strip().splitlines()) if "check" in l}
+    assert checks["check-action:dress:poisson-action"]["samples"] == 1
