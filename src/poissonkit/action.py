@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -167,15 +167,6 @@ def linear_action_fields(rep_mats, variables) -> list:
     return fields
 
 
-def infinitesimal_from_linear(L: LieAlgebra, rep_mats, variables) -> InfinitesimalAction:
-    """The infinitesimal action of a matrix representation.
-
-    For a faithful matrix representation acting by x -> g x this is an
-    anti-homomorphism into vector fields: lam([X,Y]) = -[lam(X), lam(Y)].
-    """
-    return InfinitesimalAction(L, linear_action_fields(rep_mats, variables))
-
-
 def dressing_generator_matrices(L: LieAlgebra) -> list:
     """Generators of the dressing vector fields on the dual space of a group
     with zero Poisson structure: d(X) = X_{<mu, X>} for the linear bivector,
@@ -241,6 +232,10 @@ class LinearPoissonAction:
 
     def field_values(self, point) -> list:
         return [f.eval_exact(point) for f in self.fields()]
+
+    def isotropy(self, point) -> list:
+        """Basis of the isotropy subalgebra {X : lam(X)(p) = 0} at a point."""
+        return linalg.nullspace(linalg.transpose(self.field_values(point)))
 
     def act(self, g, point) -> list:
         G = self.lift(g)
@@ -559,8 +554,6 @@ def find_rank_drop_witness(l1, l2, l3, c):
     def h_at(x1v, x2v):
         return GaussianRational.coerce(h.eval({"x1": x1v, "x2": x2v}))
 
-    import math
-
     l1f, l2f, l3f, cf = (Fraction(v) for v in (l1, l2, l3, c))
     # lines x1 = 1 and x2 = 1: rational roots of the restricted quadratic
     for fixed in ("x1", "x2"):
@@ -607,12 +600,6 @@ def xi_f(a: LinearPoissonAction, f: MultiPoly) -> list:
     """Components of the covector field xi_f: <xi_f(p), e_i> = lam(e_i)(f)(p)."""
     f = f.over(a.bivector.vars)
     return [fld.apply(f) for fld in a.fields()]
-
-
-def xi_f_at(a: LinearPoissonAction, f: MultiPoly, point) -> list:
-    """The covector xi_f(p) as an exact dual vector."""
-    assign = {v.name: GaussianRational.coerce(x) for v, x in zip(a.bivector.vars, point)}
-    return [GaussianRational.coerce(c.eval(assign)) for c in xi_f(a, f)]
 
 
 @dataclass
@@ -683,12 +670,8 @@ def isotropy_and_annihilator(a: LinearPoissonAction, point,
                              dual_algebra: LieAlgebra) -> IsotropyReport:
     """Exact isotropy subalgebra at a point, its annihilator, and whether the
     annihilator is abelian for the supplied dual bracket."""
-    vals = a.field_values(point)   # one target vector per basis element
-    nP = a.target_dim
-    n = a.algebra.dim
-    A = [[vals[i][row] for i in range(n)] for row in range(nP)]
-    iso = linalg.nullspace(A)
-    ann = linalg.annihilator(iso, n)
+    iso = a.isotropy(point)
+    ann = linalg.annihilator(iso, a.algebra.dim)
     abelian_ok = True
     for u, v in itertools.combinations(ann, 2):
         if any(dual_algebra.bracket(u, v)):
@@ -1148,7 +1131,7 @@ def momentum_kernel_image(a: LinearPoissonAction, m: MomentumMap, point) -> Kern
 
     # symplectic orthogonal of the orbit: v with omega(lam(e_i)(p), v) = 0,
     # expressed through covectors beta_i solving pi^T beta = lam(e_i)(p)
-    orbit = [v for v in a.field_values(point)]
+    orbit = a.field_values(point)
     piT = linalg.transpose(M)
     covs = []
     for v in orbit:
@@ -1160,10 +1143,7 @@ def momentum_kernel_image(a: LinearPoissonAction, m: MomentumMap, point) -> Kern
         covs.append(beta)
     orthogonal = linalg.nullspace(covs) if covs else [list(r) for r in linalg.identity(pi.n)]
 
-    nA = a.algebra.dim
-    A = [[orbit[i][row] for i in range(nA)] for row in range(pi.n)]
-    iso = linalg.nullspace(A)
-    ann = linalg.annihilator(iso, nA)
+    ann = linalg.annihilator(a.isotropy(point), a.algebra.dim)
 
     return KernelImageReport(
         kernel_basis=kernel,
@@ -1215,10 +1195,7 @@ def check_commutator_inclusion(a: LinearPoissonAction, m: MomentumMap, point,
     pi = a.bivector
     u = m.eval_exact(pi.vars, point)
     gu = _coadjoint_isotropy(L, u)
-
-    vals = a.field_values(point)
-    A = [[vals[i][row] for i in range(L.dim)] for row in range(pi.n)]
-    gp = linalg.nullspace(A)
+    gp = a.isotropy(point)
 
     ok = True
     for X, Y in itertools.combinations(gu, 2):

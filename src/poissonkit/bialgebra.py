@@ -638,8 +638,6 @@ def check_log_coordinate_identity(L: LieAlgebra, sample_points=None, seed: int =
     are the structure-constant Jacobi sums, so it vanishes at all samples iff
     the constants satisfy the Jacobi identity.
     """
-    import math as _math
-
     n = L.dim
     C = [[[float(L.structure_constant(i, j, k).re) for k in range(n)] for j in range(n)] for i in range(n)]
     rng = random.Random(seed)
@@ -652,7 +650,7 @@ def check_log_coordinate_identity(L: LieAlgebra, sample_points=None, seed: int =
         zf = [float(x) for x in z]
         if any(v <= 0 for v in zf):
             raise ValueError("sample coordinates must be positive (logarithms)")
-        ln = [_math.log(v) for v in zf]
+        ln = [math.log(v) for v in zf]
         for rho, delta, gamma in itertools.permutations(range(n), 3):
             acc = 0.0
             for (r, d, g) in ((rho, delta, gamma), (delta, gamma, rho), (gamma, rho, delta)):
@@ -679,13 +677,11 @@ def multiplicative_log_bivector_jacobiator(L: LieAlgebra, z) -> float:
     """Max |Jacobiator| component of the bivector pi^{ij}(z) = sum_k C^k_{ij}
     z_i z_j ln z_k at a positive point, via the closed-form derivatives.
     Provides the independent sampling oracle for :func:`check_log_coordinate_identity`."""
-    import math as _math
-
     n = L.dim
     zf = [float(x) for x in z]
     if any(v <= 0 for v in zf):
         raise ValueError("coordinates must be positive")
-    ln = [_math.log(v) for v in zf]
+    ln = [math.log(v) for v in zf]
 
     def C(i, j, k):
         return float(L.structure_constant(i, j, k).re)

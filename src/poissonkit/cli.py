@@ -38,18 +38,28 @@ def _json_default(o):
     return str(o)
 
 
-def _emit(reports: list, stream, timings=None, suite=None) -> int:
-    """Print reports sorted by check name plus a trailing summary; return the
-    exit code implied by pass/fail states."""
+def _emit(checks, stream, timings: bool = False, suite=None) -> int:
+    """Run a suite's checks, print them sorted by check name plus a trailing
+    summary, and return the exit code implied by pass/fail states.
+
+    ``checks`` yields each report as soon as it is computed; with ``timings``
+    each one is stamped with the wall time since the previous one (the first
+    since the suite started).
+    """
+    reports = []
+    last = time.perf_counter()
+    for r in checks:
+        if timings:
+            now = time.perf_counter()
+            r["wall_ms"] = round((now - last) * 1000, 3)
+            last = now
+        reports.append(r)
     if suite:
         reports = [r for r in reports if suite in r["check"]]
     reports = sorted(reports, key=lambda r: r["check"])
     failed = [r["check"] for r in reports if not r.get("skipped") and not r.get("passed")]
     skipped = [r["check"] for r in reports if r.get("skipped")]
     for r in reports:
-        if timings is not None and r["check"] in timings:
-            r = dict(r)
-            r["wall_ms"] = timings[r["check"]]
         stream.write(json.dumps(r, sort_keys=True, default=_json_default) + "\n")
     summary = {
         "summary": {
@@ -89,26 +99,24 @@ def _sample_points(dim: int, count: int, seed: int, scale: int = 6, denom_power:
 
 
 # -- suites -------------------------------------------------------------------------
+# Each runner is a generator that yields its checks in the order it computes them.
 
 
-def run_check_lie(bundle: ProblemBundle, args) -> list:
-    reports = []
+def run_check_lie(bundle: ProblemBundle, args):
     for name, L in sorted(bundle.algebras.items()):
         rep = L.check_jacobi()
-        reports.append(_check(f"check-lie:{name}", rep.to_json()))
-    return reports
+        yield _check(f"check-lie:{name}", rep.to_json())
 
 
-def run_check_bialgebra(bundle: ProblemBundle, args) -> list:
-    reports = []
+def run_check_bialgebra(bundle: ProblemBundle, args):
     for name, (_, r) in sorted(bundle.rmatrices.items()):
         inv = B.schouten_wedge_bracket(r)
-        reports.append(_check(f"check-bialgebra:{name}:r-matrix-invariance", inv.to_json()))
+        yield _check(f"check-bialgebra:{name}:r-matrix-invariance", inv.to_json())
         bi = B.LieBialgebra.from_r_matrix(r)
         rep = B.validate_bialgebra(bi)
-        reports.append(_check(f"check-bialgebra:{name}:bialgebra", rep.to_json()))
+        yield _check(f"check-bialgebra:{name}:bialgebra", rep.to_json())
         dres = B.delta_duality_residuals(r)
-        reports.append(
+        yield (
             _check(
                 f"check-bialgebra:{name}:delta-duality",
                 {"passed": not dres, "mode": "symbolic",
@@ -117,27 +125,24 @@ def run_check_bialgebra(bundle: ProblemBundle, args) -> list:
         )
     for name, s in sorted(bundle.abelian_structures.items()):
         rep = B.abelian_pl_check(s)
-        reports.append(_check(f"check-bialgebra:{name}:abelian-multiplicative", rep.to_json()))
-    return reports
+        yield _check(f"check-bialgebra:{name}:abelian-multiplicative", rep.to_json())
 
 
-def run_check_poisson(bundle: ProblemBundle, args) -> list:
-    reports = []
+def run_check_poisson(bundle: ProblemBundle, args):
     for name, pi in sorted(bundle.bivectors.items()):
         rep = P.jacobi_check(pi)
-        reports.append(_check(f"check-poisson:{name}:jacobi", rep.to_json()))
+        yield _check(f"check-poisson:{name}:jacobi", rep.to_json())
         for cname, f in sorted(bundle.casimirs.get(name, {}).items()):
             ok = P.casimir_check(pi, f)
-            reports.append(
+            yield (
                 _check(
                     f"check-poisson:{name}:casimir:{cname}",
                     {"passed": ok, "mode": "symbolic"},
                 )
             )
-    return reports
 
 
-def run_stratify(bundle: ProblemBundle, args) -> list:
+def run_stratify(bundle: ProblemBundle, args):
     seed = bundle.require_seed(args.seed)
     count = _sample_count(args, int(bundle.sampler.get("count", 100)))
     cfg = P.StratifyConfig(
@@ -146,17 +151,15 @@ def run_stratify(bundle: ProblemBundle, args) -> list:
         scale=int(bundle.sampler.get("scale", 8)),
         denom_power=int(bundle.sampler.get("denom_power", 3)),
     )
-    reports = []
     for name, pi in sorted(bundle.bivectors.items()):
         rep = P.stratify_sample(pi, cfg)
         payload = rep.to_json()
         payload["passed"] = rep.minor_consistency
         payload["mode"] = "symbolic"
-        reports.append(_check(f"stratify:{name}", payload))
-    return reports
+        yield _check(f"stratify:{name}", payload)
 
 
-def run_flow(bundle: ProblemBundle, args, out_stream) -> list:
+def run_flow(bundle: ProblemBundle, args, out_stream):
     if bundle.flow is None:
         raise SchemaError("bundle has no flow section")
     entry = bundle.flow
@@ -181,80 +184,75 @@ def run_flow(bundle: ProblemBundle, args, out_stream) -> list:
     out_stream.write("# " + json.dumps(traj.summary(), sort_keys=True, default=_json_default) + "\n")
     tol = float(entry.get("drift_tolerance", 1e-8))
     drifts = [traj.f_drift] + list(traj.casimir_drift.values())
-    return [
-        _check(
-            "flow:conservation",
-            {
-                "passed": (max(drifts) < tol) and not traj.truncated,
-                "mode": "numeric",
-                "f_drift": traj.f_drift,
-                "casimir_drift": traj.casimir_drift,
-                "truncated": traj.truncated,
-                "tolerance": tol,
-            },
-        )
-    ]
+    yield _check(
+        "flow:conservation",
+        {
+            "passed": (max(drifts) < tol) and not traj.truncated,
+            "mode": "numeric",
+            "f_drift": traj.f_drift,
+            "casimir_drift": traj.casimir_drift,
+            "truncated": traj.truncated,
+            "tolerance": tol,
+        },
+    )
 
 
-def run_check_action(bundle: ProblemBundle, args) -> list:
+def run_check_action(bundle: ProblemBundle, args):
     seed = bundle.require_seed(args.seed)
     count = _sample_count(args, int(bundle.sampler.get("count", 50)))
-    reports = []
     for name, act in sorted(bundle.actions.items()):
         if act.defining_mats and len(act.defining_mats[0]) == 2:
             gs = A.sl2_rational_samples(count, seed=seed)
+            degraded = {}
         else:
             # no exact sampler for this group: check at the unit only
             size = len(act.defining_mats[0]) if act.defining_mats else act.target_dim
             gs = [linalg.identity(size)]
+            degraded = {"mode": "degraded",
+                        "reason": "no 2x2 defining matrices; checked at the identity only"}
         pts = _sample_points(act.target_dim, count, seed + 1)
         samples = list(zip(gs, pts[: len(gs)]))
         try:
-            rep = A.check_poisson_action(act, samples)
-            reports.append(_check(f"check-action:{name}:poisson-action", rep.to_json()))
+            payload = A.check_poisson_action(act, samples).to_json()
         except ValueError as e:
-            reports.append(
-                _check(f"check-action:{name}:poisson-action", {"passed": False, "error": str(e)})
-            )
+            payload = {"passed": False, "error": str(e)}
+        yield _check(f"check-action:{name}:poisson-action", {**payload, **degraded})
         pres = A.check_structure_preserved(act)
-        reports.append(_check(f"check-action:{name}:structure-preserved", pres.to_json()))
+        yield _check(f"check-action:{name}:structure-preserved", pres.to_json())
         tang = A.tangential_check(act, pts)
-        reports.append(_check(f"check-action:{name}:tangential", tang.to_json()))
-    return reports
+        yield _check(f"check-action:{name}:tangential", tang.to_json())
 
 
-def run_momentum(bundle: ProblemBundle, args) -> list:
+def run_momentum(bundle: ProblemBundle, args):
     seed = bundle.require_seed(args.seed)
     count = _sample_count(args, int(bundle.sampler.get("count", 20)))
-    reports = []
     for name, (aref, m) in sorted(bundle.momentum_maps.items()):
         act = bundle.actions[aref]
         rep = A.momentum_check(act, m)
-        reports.append(_check(f"momentum:{name}:hamiltonian-condition", rep.to_json()))
+        yield _check(f"momentum:{name}:hamiltonian-condition", rep.to_json())
         try:
             G = A.gamma(act, m)
             chk = A.gamma_checks(act, G, m)
-            reports.append(_check(f"momentum:{name}:obstruction", chk.to_json()))
+            yield _check(f"momentum:{name}:obstruction", chk.to_json())
         except (ValueError, AssertionError) as e:
-            reports.append(_check(f"momentum:{name}:obstruction", {"passed": False, "error": str(e)}))
+            yield _check(f"momentum:{name}:obstruction", {"passed": False, "error": str(e)})
         if act.defining_mats is not None and len(act.defining_mats[0]) == 2:
             gs = A.sl2_rational_samples(count, seed=seed)
             pts = _sample_points(act.target_dim, count, seed + 2, scale=3)
             triples = [(gs[i], gs[(i + 1) % len(gs)], pts[i]) for i in range(min(len(gs), len(pts)))]
             prep = A.psi_cocycle_check(act, m, triples)
-            reports.append(_check(f"momentum:{name}:psi-cocycle", prep.to_json()))
+            yield _check(f"momentum:{name}:psi-cocycle", prep.to_json())
         else:
-            reports.append(
+            yield (
                 _check(
                     f"momentum:{name}:psi-cocycle",
                     {"reason": "no 2x2 defining matrices; group sampling undefined"},
                     skipped=True,
                 )
             )
-    return reports
 
 
-def run_plane_pipeline(args) -> list:
+def run_plane_pipeline(args):
     lam = args.lam
     if lam is None:
         raise SchemaError("example51 requires --lambda l1,l2,l3")
@@ -265,7 +263,6 @@ def run_plane_pipeline(args) -> list:
     c = _fraction(args.c if args.c is not None else "1", "--c")
     seed = args.seed if args.seed is not None else 0
     count = _sample_count(args, 100)
-    reports = []
 
     L = lie_mod.sl2()
     r = B.RMatrix.sl2_family(L, l1, l2, l3)
@@ -278,7 +275,7 @@ def run_plane_pipeline(args) -> list:
     }
     dres = B.delta_duality_residuals(r)
     dual_jacobi = dual.check_jacobi().ok
-    reports.append(
+    yield (
         _check(
             "example51:dual-brackets",
             {
@@ -291,9 +288,9 @@ def run_plane_pipeline(args) -> list:
     )
 
     cert = A.solve_h_certificate(l1, l2, l3, c)
-    reports.append(_check("example51:h-certificate", cert.to_json()))
+    yield _check("example51:h-certificate", cert.to_json())
     res_numeric = A.numeric_h_residual(l1, l2, l3, c, count=max(count, 200), seed=seed)
-    reports.append(
+    yield (
         _check(
             "example51:h-numeric",
             {"passed": res_numeric < 1e-12, "mode": "numeric", "max_residual": res_numeric},
@@ -304,7 +301,7 @@ def run_plane_pipeline(args) -> list:
     gs = A.sl2_rational_samples(count, seed=seed)
     pts = _sample_points(2, count, seed + 1)
     rep = A.check_poisson_action(act, list(zip(gs, pts)))
-    reports.append(_check("example51:poisson-action", rep.to_json()))
+    yield _check("example51:poisson-action", rep.to_json())
 
     predicate = A.tangential_coefficient_predicate(l1, l2, l3, c)
     tang = A.tangential_check(act, pts)
@@ -318,7 +315,7 @@ def run_plane_pipeline(args) -> list:
         # the predicate rules the action out; consistency means either a
         # sampled failure or an exhibited rank-drop witness with a moving orbit
         consistent = (not tang.passed) or witness_fails or witness is None
-    reports.append(
+    yield (
         _check(
             "example51:tangential-consistency",
             {
@@ -341,7 +338,7 @@ def run_plane_pipeline(args) -> list:
     )
     preserved = A.check_structure_preserved(sub)
     analytic = (l1 == 0 and l3 == 0)
-    reports.append(
+    yield (
         _check(
             "example51:h-subgroup-preserved",
             {
@@ -380,16 +377,25 @@ def run_plane_pipeline(args) -> list:
         payload["power_family_consistent"] = pow_norm.consistent
         payload["power_family_max_residual"] = pow_norm.max_residual
         payload["passed"] = norm.consistent and not pow_norm.consistent
-        reports.append(_check("example51:h-subgroup-momentum", payload))
+        yield _check("example51:h-subgroup-momentum", payload)
     else:
-        reports.append(
+        yield (
             _check(
                 "example51:h-subgroup-momentum",
                 {"reason": "no momentum map family for these coefficients"},
                 skipped=True,
             )
         )
-    return reports
+
+
+BUNDLE_RUNNERS = {
+    "check-lie": run_check_lie,
+    "check-bialgebra": run_check_bialgebra,
+    "check-poisson": run_check_poisson,
+    "stratify": run_stratify,
+    "check-action": run_check_action,
+    "momentum": run_momentum,
+}
 
 
 # -- entry point ---------------------------------------------------------------------
@@ -413,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, default=None)
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--out", help="output path for CSV/report data")
-    p.add_argument("--timings", action="store_true", help="attach wall-clock times")
+    p.add_argument("--timings", action="store_true", help="attach per-check wall-clock times")
     return p
 
 
@@ -423,32 +429,18 @@ def main(argv=None) -> int:
     close_out = False
     try:
         if args.subcommand == "example51":
-            reports = run_plane_pipeline(args)
-            return _emit(reports, sys.stdout, suite=args.suite)
-        if not args.bundle:
+            checks = run_plane_pipeline(args)
+        elif not args.bundle:
             raise SchemaError(f"{args.subcommand} requires --bundle PATH")
-        bundle = load_bundle(args.bundle)
-        if args.subcommand == "flow":
+        elif args.subcommand == "flow":
+            bundle = load_bundle(args.bundle)
             if args.out:
                 out = open(args.out, "w")
                 close_out = True
-            reports = run_flow(bundle, args, out)
-            return _emit(reports, sys.stdout, suite=args.suite)
-        runner = {
-            "check-lie": run_check_lie,
-            "check-bialgebra": run_check_bialgebra,
-            "check-poisson": run_check_poisson,
-            "stratify": run_stratify,
-            "check-action": run_check_action,
-            "momentum": run_momentum,
-        }[args.subcommand]
-        if args.timings:
-            t0 = time.monotonic()
-            reports = runner(bundle, args)
-            timings = {r["check"]: round((time.monotonic() - t0) * 1000, 3) for r in reports}
-            return _emit(reports, sys.stdout, timings=timings, suite=args.suite)
-        reports = runner(bundle, args)
-        return _emit(reports, sys.stdout, suite=args.suite)
+            checks = run_flow(bundle, args, out)
+        else:
+            checks = BUNDLE_RUNNERS[args.subcommand](load_bundle(args.bundle), args)
+        return _emit(checks, sys.stdout, timings=args.timings, suite=args.suite)
     except SchemaError as e:
         sys.stderr.write(f"schema error: {e}\n")
         return 2

@@ -206,16 +206,6 @@ class LieModule:
     def act(self, i: int, v) -> list:
         return linalg.mat_vec(self.mats[i], v)
 
-    def act_by(self, X, v) -> list:
-        out = [ZERO] * self.dim
-        for i, xi in enumerate(X):
-            c = GaussianRational.coerce(xi)
-            if c.is_zero():
-                continue
-            av = self.act(i, v)
-            out = [o + c * a for o, a in zip(out, av)]
-        return out
-
     def check_axiom(self) -> "ModuleReport":
         """rho([X,Y]) = rho(X)rho(Y) - rho(Y)rho(X) on all basis pairs."""
         bad = []

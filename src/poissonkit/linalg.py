@@ -1,13 +1,11 @@
 """Exact linear algebra over Gaussian rationals.
 
-Matrices are lists of lists of :class:`GaussianRational`.  Rank uses a
-fraction-free Bareiss elimination after clearing denominators; kernels,
-solves and inverses use ordinary field elimination (all exact).
+Matrices are lists of lists of :class:`GaussianRational`.  One Gauss-Jordan
+elimination, :func:`rref`, answers rank, kernel, solve, inverse and span
+questions; :func:`det` keeps a separate fraction-free (Bareiss) elimination.
 """
 
 from __future__ import annotations
-
-from math import gcd
 
 from .scalars import GaussianRational, ZERO, ONE
 
@@ -77,58 +75,9 @@ def is_zero_mat(a) -> bool:
     return all(x.is_zero() for row in a for x in row)
 
 
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
-
-
-def _clear_denominators(row) -> list:
-    """Scale a row by the LCM of all coefficient denominators (rank-invariant)."""
-    l = 1
-    for x in row:
-        l = _lcm(l, x.re.denominator)
-        l = _lcm(l, x.im.denominator)
-    if l == 1:
-        return list(row)
-    s = GaussianRational(l)
-    return [x * s for x in row]
-
-
 def rank(matrix) -> int:
-    """Exact rank by fraction-free (Bareiss) elimination with full pivoting."""
-    if not matrix or not matrix[0]:
-        return 0
-    m = [_clear_denominators(row) for row in matrix]
-    nrows, ncols = len(m), len(m[0])
-    prev = ONE
-    r = 0
-    c = 0
-    while r < nrows and c < ncols:
-        # find a pivot anywhere in the remaining block
-        pivot = None
-        for i in range(r, nrows):
-            for j in range(c, ncols):
-                if not m[i][j].is_zero():
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
-        if pivot is None:
-            break
-        pi, pj = pivot
-        if pi != r:
-            m[r], m[pi] = m[pi], m[r]
-        if pj != c:
-            for row in m:
-                row[c], row[pj] = row[pj], row[c]
-        piv = m[r][c]
-        for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
-                m[i][j] = (m[i][j] * piv - m[i][c] * m[r][j]) / prev
-            m[i][c] = ZERO
-        prev = piv
-        r += 1
-        c += 1
-    return r
+    """Exact rank: the number of pivots of :func:`rref`."""
+    return len(rref(matrix)[1])
 
 
 def rref(matrix):
@@ -204,7 +153,14 @@ def inverse(matrix):
 
 
 def det(matrix) -> GaussianRational:
-    """Exact determinant via fraction-free elimination."""
+    """Exact determinant via fraction-free (Bareiss) elimination.
+
+    Deliberately not built on :func:`rref`: ``poisson.r_k`` reads its minors
+    from here, and the rank-vs-minors cross-checks (``stratify``'s
+    ``minor_consistency``, acceptance test A7) compare them with
+    :func:`rank`, so a pivoting bug in one elimination cannot agree with
+    itself.
+    """
     n = len(matrix)
     if n == 0:
         return ONE
@@ -231,29 +187,23 @@ def det(matrix) -> GaussianRational:
     return d if sign == 1 else -d
 
 
-def span_rank(vectors) -> int:
-    if not vectors:
-        return 0
-    return rank(list(vectors))
-
-
 def in_span(vectors, v) -> bool:
     """Exact membership of ``v`` in the span of ``vectors``."""
     if all(GaussianRational.coerce(x).is_zero() for x in v):
         return True
     if not vectors:
         return False
-    base = span_rank(vectors)
-    return span_rank(list(vectors) + [list(v)]) == base
+    base = rank(vectors)
+    return rank(list(vectors) + [list(v)]) == base
 
 
 def subspace_equal(basis_a, basis_b) -> bool:
     """Exact equality of spans."""
-    ra = span_rank(basis_a)
-    rb = span_rank(basis_b)
+    ra = rank(basis_a)
+    rb = rank(basis_b)
     if ra != rb:
         return False
-    return span_rank(list(basis_a) + list(basis_b)) == ra
+    return rank(list(basis_a) + list(basis_b)) == ra
 
 
 def annihilator(vectors, dim: int) -> list:

@@ -88,11 +88,6 @@ class PolyMultiVector:
             and (self - other).is_zero()
         )
 
-    def pair_covectors(self, covectors) -> MultiPoly:
-        """Evaluate on constant basis covectors given as index list, e.g.
-        T.pair_covectors((a, b, c)) = fully skew component T^{abc}."""
-        return self.component(*covectors)
-
     def __str__(self):
         if not self.comps:
             return "0"

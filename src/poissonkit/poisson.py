@@ -21,7 +21,7 @@ from . import linalg
 from .lie import LieAlgebra
 from .multivector import PolyMultiVector, from_vector_field, schouten
 from .poly import AFFINE, MultiPoly, NumericField, Var, _as_vars
-from .scalars import GaussianRational, ZERO
+from .scalars import GaussianRational
 
 
 @dataclass
@@ -234,14 +234,6 @@ class PolyBivector:
         """pi(alpha, beta) = <sharp(alpha), beta>."""
         return self.sharp(alpha).pair(beta)
 
-    def pair_values(self, T_matrix, alpha_vals, beta_vals):
-        """Pair a constant skew matrix with covector values (exact)."""
-        acc = ZERO
-        for i in range(self.n):
-            for j in range(self.n):
-                acc = acc + T_matrix[i][j] * alpha_vals[i] * beta_vals[j]
-        return acc
-
     # -- serialization ------------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -285,8 +277,7 @@ class PolyBivector:
 def bracket_fn(pi: PolyBivector, f: MultiPoly, g: MultiPoly) -> MultiPoly:
     """{f, g} = sum_{i<j} pi^{ij} (d_i f d_j g - d_j f d_i g)."""
     if isinstance(f, NumericField) or isinstance(g, NumericField):
-        raise TypeError("numeric-only fields have no symbolic bracket; "
-                        "use bracket_fn_at for pointwise evaluation")
+        raise TypeError("numeric-only fields have no symbolic bracket")
     f = f.over(pi.vars)
     g = g.over(pi.vars)
     acc = MultiPoly.zero(pi.vars)
@@ -295,21 +286,6 @@ def bracket_fn(pi: PolyBivector, f: MultiPoly, g: MultiPoly) -> MultiPoly:
     dg = [g.partial(n) for n in names]
     for (i, j), p in pi.entries.items():
         acc = acc + p * (df[i] * dg[j] - df[j] * dg[i])
-    return acc
-
-
-def bracket_fn_at(pi: PolyBivector, f, g, point) -> float:
-    """Pointwise bracket for numeric scalar fields (finite differences)."""
-    pf = [float(x) for x in point]
-    fa = f if isinstance(f, NumericField) else NumericField.from_poly(f)
-    ga = g if isinstance(g, NumericField) else NumericField.from_poly(g)
-    df = fa.gradient(pf)
-    dg = ga.gradient(pf)
-    m = pi.eval_matrix_float(pf)
-    acc = 0.0
-    for i in range(pi.n):
-        for j in range(pi.n):
-            acc += m[i, j] * df[i] * dg[j]
     return acc
 
 

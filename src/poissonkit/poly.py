@@ -14,9 +14,9 @@ tori and vector spaces; general symbolic transcendentals are out of scope.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
-from .scalars import GaussianRational, Q, ZERO, ONE, I, coeff_from_json
+from .scalars import GaussianRational, Q, ZERO, ONE, coeff_from_json
 
 AFFINE = "affine"
 ANGULAR = "angular"
@@ -265,15 +265,6 @@ class MultiPoly:
                 terms[key] = s
         return MultiPoly(self.vars, terms)
 
-    def total_degree(self) -> int:
-        """Max over terms of the sum of affine exponents plus |angular| exponents."""
-        if not self.terms:
-            return 0
-        return max(
-            sum(abs(e) for e in exp)
-            for exp in self.terms
-        )
-
     def affine_degree(self) -> int:
         if not self.terms:
             return 0
@@ -325,10 +316,6 @@ class MultiPoly:
             acc = acc + term
         return acc
 
-    def eval_float(self, point: Sequence[float]) -> complex:
-        """Evaluate at a coordinate tuple ordered like ``self.vars`` (floats)."""
-        return self.eval({v.name: point[i] for i, v in enumerate(self.vars)})
-
     # -- substitutions -------------------------------------------------------
 
     def group_translate(self, suffix: str = "__b") -> "MultiPoly":
@@ -359,20 +346,6 @@ class MultiPoly:
                     term = term * base ** e
             out = out + term
         return out
-
-    def restrict_vars(self, names: Iterable[str]) -> "MultiPoly":
-        """Project onto a sub-list of variables; fails if others occur."""
-        keep = list(names)
-        drop = [i for i, v in enumerate(self.vars) if v.name not in keep]
-        for exp in self.terms:
-            if any(exp[i] for i in drop):
-                raise ValueError("polynomial involves dropped variables")
-        newvars = tuple(v for v in self.vars if v.name in keep)
-        pos = {v.name: i for i, v in enumerate(self.vars)}
-        terms = {
-            tuple(exp[pos[v.name]] for v in newvars): c for exp, c in self.terms.items()
-        }
-        return MultiPoly(newvars, terms)
 
     # -- serialization ---------------------------------------------------------
 
@@ -485,10 +458,6 @@ class RelationIdeal:
             factor = MultiPoly.monomial(current.vars, shift, c / lc)
             # p := p - factor * (lead + tail); the head term cancels exactly.
             current = current - factor * MultiPoly.monomial(current.vars, lead, lc) - factor * tail
-
-    def contains(self, p: MultiPoly) -> bool:
-        return self.reduce(p).is_zero()
-
 
 def sl2_relation_ideal(names=("a1", "a2", "a3", "a4")) -> RelationIdeal:
     """The determinant-one relation a1*a4 - a2*a3 - 1 on 2x2 group entries."""

@@ -55,9 +55,6 @@ class GaussianRational:
     def is_zero(self) -> bool:
         return not self.re and not self.im
 
-    def is_real(self) -> bool:
-        return not self.im
-
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
 
@@ -136,11 +133,6 @@ class GaussianRational:
 
     def to_complex(self) -> complex:
         return complex(float(self.re), float(self.im))
-
-    def to_float(self) -> float:
-        if self.im:
-            raise ValueError(f"{self} is not real")
-        return float(self.re)
 
     def to_json(self) -> dict:
         out = {"num": str(self.re.numerator), "den": str(self.re.denominator)}

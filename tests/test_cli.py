@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -339,4 +340,23 @@ def test_check_action_on_a_3x3_group_checks_the_unit(tmp_path):
     code, out = run_cli(["check-action"], b, tmp_path)
     assert code == 0
     checks = {l["check"]: l for l in map(json.loads, out.strip().splitlines()) if "check" in l}
-    assert checks["check-action:dress:poisson-action"]["samples"] == 1
+    unit = checks["check-action:dress:poisson-action"]
+    assert unit["samples"] == 1
+    assert unit["mode"] == "degraded" and "identity" in unit["reason"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-bialgebra", "--bundle", str(SAMPLE)],
+    ["example51", "--lambda", "0,2,0", "--c", "1", "--samples", "15"],
+    ["flow", "--bundle", str(SAMPLE), "--steps", "200"],
+])
+def test_timings_are_per_check(argv, tmp_path):
+    if argv[0] == "flow":
+        argv = argv + ["--out", str(tmp_path / "traj.csv")]
+    start = time.perf_counter()
+    code, out = run_cli(argv + ["--timings"])
+    total_ms = (time.perf_counter() - start) * 1000
+    assert code in (0, 1)    # the sample bundle fails one bialgebra check by design
+    checks = [l for l in map(json.loads, out.strip().splitlines()) if "check" in l]
+    assert checks and all("wall_ms" in l for l in checks)
+    assert sum(l["wall_ms"] for l in checks) <= total_ms

@@ -1,5 +1,8 @@
+import itertools
 import random
 from fractions import Fraction
+
+import pytest
 
 from poissonkit import linalg
 from poissonkit.scalars import GaussianRational, Q, ZERO, ONE
@@ -21,12 +24,51 @@ def test_rank_known():
     assert linalg.rank(skew) == 2
 
 
-def test_rank_matches_rref(rng=random.Random(3)):
-    for _ in range(30):
-        n, m = rng.randint(1, 5), rng.randint(1, 5)
-        M = rand_matrix(rng, n, m)
-        _, pivots = linalg.rref(M)
-        assert linalg.rank(M) == len(pivots)
+def rand_entry(rng, gaussian, bound=3):
+    re = Fraction(rng.randint(-bound, bound), rng.randint(1, 3))
+    im = Fraction(rng.randint(-bound, bound), rng.randint(1, 3)) if gaussian else 0
+    return GaussianRational(re, im)
+
+
+def low_rank_matrices(rng, count):
+    """Products B.C with inner dimension 0-3, so rank deficiency really occurs;
+    half of them have Gaussian-rational entries."""
+    for trial in range(count):
+        gaussian = trial % 2 == 1
+        n, k, m = rng.randint(1, 5), rng.randint(0, 3), rng.randint(1, 5)
+        B = [[rand_entry(rng, gaussian) for _ in range(k)] for _ in range(n)]
+        C = [[rand_entry(rng, gaussian) for _ in range(m)] for _ in range(k)]
+        yield [[sum((B[i][t] * C[t][j] for t in range(k)), ZERO) for j in range(m)]
+               for i in range(n)]
+
+
+def largest_nonzero_minor(M) -> int:
+    """The largest k with a nonzero k x k minor, each minor by Bareiss ``det``."""
+    n, m = len(M), len(M[0])
+    for k in range(min(n, m), 0, -1):
+        for rows in itertools.combinations(range(n), k):
+            for cols in itertools.combinations(range(m), k):
+                if not linalg.det([[M[r][c] for c in cols] for r in rows]).is_zero():
+                    return k
+    return 0
+
+
+def test_rank_matches_largest_nonzero_minor(rng=random.Random(3)):
+    ranks = set()
+    for M in low_rank_matrices(rng, 60):
+        r = linalg.rank(M)
+        assert r == largest_nonzero_minor(M)
+        ranks.add((r, min(len(M), len(M[0]))))
+    assert any(r < full for r, full in ranks) and any(0 < r == full for r, full in ranks)
+
+
+def test_rank_matches_sympy(rng=random.Random(6)):
+    sympy = pytest.importorskip("sympy")
+
+    for M in low_rank_matrices(rng, 40):
+        S = sympy.Matrix([[sympy.Rational(x.re) + sympy.I * sympy.Rational(x.im) for x in row]
+                          for row in M])
+        assert linalg.rank(M) == S.rank()
 
 
 def test_nullspace_and_solve(rng=random.Random(4)):
