@@ -4,12 +4,14 @@ emits machine-readable JSON-lines reports.
 Exit codes: 0 all selected checks pass, 1 at least one check failed,
 2 usage or schema error.  Reports are canonically ordered (sorted by check
 name) and contain no timestamps unless ``--timings`` is given, so identical
-bundle + seed produce byte-identical output.
+bundle + seed produce byte-identical output.  The report goes to stdout, or
+to ``--out PATH`` (for ``flow``, ``--out`` takes the CSV trajectory instead).
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 import time
@@ -38,7 +40,13 @@ def _json_default(o):
     return str(o)
 
 
-def _emit(checks, stream, timings: bool = False, suite=None) -> int:
+def _wanted(args, name: str) -> bool:
+    """Whether ``--suite`` selects the check ``name``; runners ask before
+    computing the check, so a filtered-out check costs nothing."""
+    return not args.suite or args.suite in name
+
+
+def _emit(checks, stream, timings: bool = False) -> int:
     """Run a suite's checks, print them sorted by check name plus a trailing
     summary, and return the exit code implied by pass/fail states.
 
@@ -54,8 +62,6 @@ def _emit(checks, stream, timings: bool = False, suite=None) -> int:
             r["wall_ms"] = round((now - last) * 1000, 3)
             last = now
         reports.append(r)
-    if suite:
-        reports = [r for r in reports if suite in r["check"]]
     reports = sorted(reports, key=lambda r: r["check"])
     failed = [r["check"] for r in reports if not r.get("skipped") and not r.get("passed")]
     skipped = [r["check"] for r in reports if r.get("skipped")]
@@ -88,6 +94,13 @@ def _fraction(text: str, option: str) -> Fraction:
         raise SchemaError(f"{option}: {text!r} is not an exact rational") from None
 
 
+def _open_out(path: str):
+    try:
+        return open(path, "w")
+    except OSError as e:
+        raise SchemaError(f"cannot write --out {path}: {e.strerror}") from None
+
+
 def _sample_points(dim: int, count: int, seed: int, scale: int = 6, denom_power: int = 2):
     import random
 
@@ -99,47 +112,52 @@ def _sample_points(dim: int, count: int, seed: int, scale: int = 6, denom_power:
 
 
 # -- suites -------------------------------------------------------------------------
-# Each runner is a generator that yields its checks in the order it computes them.
+# Each runner is a generator that yields its checks in the order it computes them,
+# and computes only the checks that ``_wanted`` selects.
 
 
 def run_check_lie(bundle: ProblemBundle, args):
     for name, L in sorted(bundle.algebras.items()):
-        rep = L.check_jacobi()
-        yield _check(f"check-lie:{name}", rep.to_json())
+        if _wanted(args, f"check-lie:{name}"):
+            yield _check(f"check-lie:{name}", L.check_jacobi().to_json())
 
 
 def run_check_bialgebra(bundle: ProblemBundle, args):
     for name, (_, r) in sorted(bundle.rmatrices.items()):
-        inv = B.schouten_wedge_bracket(r)
-        yield _check(f"check-bialgebra:{name}:r-matrix-invariance", inv.to_json())
-        bi = B.LieBialgebra.from_r_matrix(r)
-        rep = B.validate_bialgebra(bi)
-        yield _check(f"check-bialgebra:{name}:bialgebra", rep.to_json())
-        dres = B.delta_duality_residuals(r)
-        yield (
-            _check(
-                f"check-bialgebra:{name}:delta-duality",
-                {"passed": not dres, "mode": "symbolic",
-                 "violations": [[i, j, k, str(t)] for i, j, k, t in dres]},
+        if _wanted(args, f"check-bialgebra:{name}:r-matrix-invariance"):
+            inv = B.schouten_wedge_bracket(r)
+            yield _check(f"check-bialgebra:{name}:r-matrix-invariance", inv.to_json())
+        if _wanted(args, f"check-bialgebra:{name}:bialgebra"):
+            rep = B.validate_bialgebra(B.LieBialgebra.from_r_matrix(r))
+            yield _check(f"check-bialgebra:{name}:bialgebra", rep.to_json())
+        if _wanted(args, f"check-bialgebra:{name}:delta-duality"):
+            dres = B.delta_duality_residuals(r)
+            yield (
+                _check(
+                    f"check-bialgebra:{name}:delta-duality",
+                    {"passed": not dres, "mode": "symbolic",
+                     "violations": [[i, j, k, str(t)] for i, j, k, t in dres]},
+                )
             )
-        )
     for name, s in sorted(bundle.abelian_structures.items()):
-        rep = B.abelian_pl_check(s)
-        yield _check(f"check-bialgebra:{name}:abelian-multiplicative", rep.to_json())
+        if _wanted(args, f"check-bialgebra:{name}:abelian-multiplicative"):
+            rep = B.abelian_pl_check(s)
+            yield _check(f"check-bialgebra:{name}:abelian-multiplicative", rep.to_json())
 
 
 def run_check_poisson(bundle: ProblemBundle, args):
     for name, pi in sorted(bundle.bivectors.items()):
-        rep = P.jacobi_check(pi)
-        yield _check(f"check-poisson:{name}:jacobi", rep.to_json())
+        if _wanted(args, f"check-poisson:{name}:jacobi"):
+            yield _check(f"check-poisson:{name}:jacobi", P.jacobi_check(pi).to_json())
         for cname, f in sorted(bundle.casimirs.get(name, {}).items()):
-            ok = P.casimir_check(pi, f)
-            yield (
-                _check(
-                    f"check-poisson:{name}:casimir:{cname}",
-                    {"passed": ok, "mode": "symbolic"},
+            if _wanted(args, f"check-poisson:{name}:casimir:{cname}"):
+                ok = P.casimir_check(pi, f)
+                yield (
+                    _check(
+                        f"check-poisson:{name}:casimir:{cname}",
+                        {"passed": ok, "mode": "symbolic"},
+                    )
                 )
-            )
 
 
 def run_stratify(bundle: ProblemBundle, args):
@@ -152,6 +170,8 @@ def run_stratify(bundle: ProblemBundle, args):
         denom_power=int(bundle.sampler.get("denom_power", 3)),
     )
     for name, pi in sorted(bundle.bivectors.items()):
+        if not _wanted(args, f"stratify:{name}"):
+            continue
         rep = P.stratify_sample(pi, cfg)
         payload = rep.to_json()
         payload["passed"] = rep.minor_consistency
@@ -182,6 +202,8 @@ def run_flow(bundle: ProblemBundle, args, out_stream):
     for row in rows:
         out_stream.write(",".join(str(c) for c in row) + "\n")
     out_stream.write("# " + json.dumps(traj.summary(), sort_keys=True, default=_json_default) + "\n")
+    if not _wanted(args, "flow:conservation"):
+        return
     tol = float(entry.get("drift_tolerance", 1e-8))
     drifts = [traj.f_drift] + list(traj.casimir_drift.values())
     yield _check(
@@ -201,26 +223,29 @@ def run_check_action(bundle: ProblemBundle, args):
     seed = bundle.require_seed(args.seed)
     count = _sample_count(args, int(bundle.sampler.get("count", 50)))
     for name, act in sorted(bundle.actions.items()):
-        if act.defining_mats and len(act.defining_mats[0]) == 2:
-            gs = A.sl2_rational_samples(count, seed=seed)
-            degraded = {}
-        else:
-            # no exact sampler for this group: check at the unit only
-            size = len(act.defining_mats[0]) if act.defining_mats else act.target_dim
-            gs = [linalg.identity(size)]
-            degraded = {"mode": "degraded",
-                        "reason": "no 2x2 defining matrices; checked at the identity only"}
         pts = _sample_points(act.target_dim, count, seed + 1)
-        samples = list(zip(gs, pts[: len(gs)]))
-        try:
-            payload = A.check_poisson_action(act, samples).to_json()
-        except ValueError as e:
-            payload = {"passed": False, "error": str(e)}
-        yield _check(f"check-action:{name}:poisson-action", {**payload, **degraded})
-        pres = A.check_structure_preserved(act)
-        yield _check(f"check-action:{name}:structure-preserved", pres.to_json())
-        tang = A.tangential_check(act, pts)
-        yield _check(f"check-action:{name}:tangential", tang.to_json())
+        if _wanted(args, f"check-action:{name}:poisson-action"):
+            if act.defining_mats and len(act.defining_mats[0]) == 2:
+                gs = A.sl2_rational_samples(count, seed=seed)
+                degraded = {}
+            else:
+                # no exact sampler for this group: check at the unit only
+                size = len(act.defining_mats[0]) if act.defining_mats else act.target_dim
+                gs = [linalg.identity(size)]
+                degraded = {"mode": "degraded",
+                            "reason": "no 2x2 defining matrices; checked at the identity only"}
+            samples = list(zip(gs, pts[: len(gs)]))
+            try:
+                payload = A.check_poisson_action(act, samples).to_json()
+            except ValueError as e:
+                payload = {"passed": False, "error": str(e)}
+            yield _check(f"check-action:{name}:poisson-action", {**payload, **degraded})
+        if _wanted(args, f"check-action:{name}:structure-preserved"):
+            pres = A.check_structure_preserved(act)
+            yield _check(f"check-action:{name}:structure-preserved", pres.to_json())
+        if _wanted(args, f"check-action:{name}:tangential"):
+            tang = A.tangential_check(act, pts)
+            yield _check(f"check-action:{name}:tangential", tang.to_json())
 
 
 def run_momentum(bundle: ProblemBundle, args):
@@ -228,14 +253,18 @@ def run_momentum(bundle: ProblemBundle, args):
     count = _sample_count(args, int(bundle.sampler.get("count", 20)))
     for name, (aref, m) in sorted(bundle.momentum_maps.items()):
         act = bundle.actions[aref]
-        rep = A.momentum_check(act, m)
-        yield _check(f"momentum:{name}:hamiltonian-condition", rep.to_json())
-        try:
-            G = A.gamma(act, m)
-            chk = A.gamma_checks(act, G, m)
-            yield _check(f"momentum:{name}:obstruction", chk.to_json())
-        except (ValueError, AssertionError) as e:
-            yield _check(f"momentum:{name}:obstruction", {"passed": False, "error": str(e)})
+        if _wanted(args, f"momentum:{name}:hamiltonian-condition"):
+            rep = A.momentum_check(act, m)
+            yield _check(f"momentum:{name}:hamiltonian-condition", rep.to_json())
+        if _wanted(args, f"momentum:{name}:obstruction"):
+            try:
+                G = A.gamma(act, m)
+                chk = A.gamma_checks(act, G, m)
+                yield _check(f"momentum:{name}:obstruction", chk.to_json())
+            except (ValueError, AssertionError) as e:
+                yield _check(f"momentum:{name}:obstruction", {"passed": False, "error": str(e)})
+        if not _wanted(args, f"momentum:{name}:psi-cocycle"):
+            continue
         if act.defining_mats is not None and len(act.defining_mats[0]) == 2:
             gs = A.sl2_rational_samples(count, seed=seed)
             pts = _sample_points(act.target_dim, count, seed + 2, scale=3)
@@ -264,70 +293,73 @@ def run_plane_pipeline(args):
     seed = args.seed if args.seed is not None else 0
     count = _sample_count(args, 100)
 
-    L = lie_mod.sl2()
-    r = B.RMatrix.sl2_family(L, l1, l2, l3)
-    dual = B.dual_algebra_from_r(r)
-    e = linalg.identity(3)
-    brackets = {
-        "[e1*,e2*]*": [str(t) for t in B.dual_bracket_from_r(r, e[0], e[1])],
-        "[e2*,e3*]*": [str(t) for t in B.dual_bracket_from_r(r, e[1], e[2])],
-        "[e3*,e1*]*": [str(t) for t in B.dual_bracket_from_r(r, e[2], e[0])],
-    }
-    dres = B.delta_duality_residuals(r)
-    dual_jacobi = dual.check_jacobi().ok
-    yield (
-        _check(
-            "example51:dual-brackets",
-            {
-                "passed": dual_jacobi and not dres,
-                "mode": "symbolic",
-                "brackets": brackets,
-                "dual_jacobi": dual_jacobi,
-            },
+    if _wanted(args, "example51:dual-brackets"):
+        r = B.RMatrix.sl2_family(lie_mod.sl2(), l1, l2, l3)
+        e = linalg.identity(3)
+        brackets = {
+            "[e1*,e2*]*": [str(t) for t in B.dual_bracket_from_r(r, e[0], e[1])],
+            "[e2*,e3*]*": [str(t) for t in B.dual_bracket_from_r(r, e[1], e[2])],
+            "[e3*,e1*]*": [str(t) for t in B.dual_bracket_from_r(r, e[2], e[0])],
+        }
+        dres = B.delta_duality_residuals(r)
+        dual_jacobi = B.dual_algebra_from_r(r).check_jacobi().ok
+        yield (
+            _check(
+                "example51:dual-brackets",
+                {
+                    "passed": dual_jacobi and not dres,
+                    "mode": "symbolic",
+                    "brackets": brackets,
+                    "dual_jacobi": dual_jacobi,
+                },
+            )
         )
-    )
 
-    cert = A.solve_h_certificate(l1, l2, l3, c)
-    yield _check("example51:h-certificate", cert.to_json())
-    res_numeric = A.numeric_h_residual(l1, l2, l3, c, count=max(count, 200), seed=seed)
-    yield (
-        _check(
-            "example51:h-numeric",
-            {"passed": res_numeric < 1e-12, "mode": "numeric", "max_residual": res_numeric},
+    if _wanted(args, "example51:h-certificate"):
+        cert = A.solve_h_certificate(l1, l2, l3, c)
+        yield _check("example51:h-certificate", cert.to_json())
+    if _wanted(args, "example51:h-numeric"):
+        res_numeric = A.numeric_h_residual(l1, l2, l3, c, count=max(count, 200), seed=seed)
+        yield (
+            _check(
+                "example51:h-numeric",
+                {"passed": res_numeric < 1e-12, "mode": "numeric", "max_residual": res_numeric},
+            )
         )
-    )
 
     act = A.sl2_plane_action(l1, l2, l3, c)
-    gs = A.sl2_rational_samples(count, seed=seed)
     pts = _sample_points(2, count, seed + 1)
-    rep = A.check_poisson_action(act, list(zip(gs, pts)))
-    yield _check("example51:poisson-action", rep.to_json())
+    if _wanted(args, "example51:poisson-action"):
+        gs = A.sl2_rational_samples(count, seed=seed)
+        rep = A.check_poisson_action(act, list(zip(gs, pts)))
+        yield _check("example51:poisson-action", rep.to_json())
 
-    predicate = A.tangential_coefficient_predicate(l1, l2, l3, c)
-    tang = A.tangential_check(act, pts)
-    witness = None if predicate else A.find_rank_drop_witness(l1, l2, l3, c)
-    witness_fails = False
-    if witness is not None:
-        witness_fails = not A.tangential_check(act, [witness]).passed
-    if predicate:
-        consistent = tang.passed
-    else:
-        # the predicate rules the action out; consistency means either a
-        # sampled failure or an exhibited rank-drop witness with a moving orbit
-        consistent = (not tang.passed) or witness_fails or witness is None
-    yield (
-        _check(
-            "example51:tangential-consistency",
-            {
-                "passed": consistent,
-                "mode": "symbolic",
-                "coefficient_predicate": predicate,
-                "sampled_all_tangential": tang.passed,
-                "witness": [str(t) for t in witness] if witness else None,
-                "witness_non_tangential": witness_fails,
-            },
+    if _wanted(args, "example51:tangential-consistency"):
+        predicate = A.tangential_coefficient_predicate(l1, l2, l3, c)
+        tang = A.tangential_check(act, pts)
+        witness = None if predicate else A.find_rank_drop_witness(l1, l2, l3, c)
+        witness_fails = False
+        if witness is not None:
+            witness_fails = not A.tangential_check(act, [witness]).passed
+        if predicate:
+            consistent = tang.passed
+        else:
+            # the predicate rules the action out; consistency means either a
+            # sampled failure or an exhibited rank-drop witness with a moving orbit
+            consistent = (not tang.passed) or witness_fails or witness is None
+        yield (
+            _check(
+                "example51:tangential-consistency",
+                {
+                    "passed": consistent,
+                    "mode": "symbolic",
+                    "coefficient_predicate": predicate,
+                    "sampled_all_tangential": tang.passed,
+                    "witness": [str(t) for t in witness] if witness else None,
+                    "witness_non_tangential": witness_fails,
+                },
+            )
         )
-    )
 
     # the diagonal one-parameter subgroup, generated by e1
     sub = A.LinearPoissonAction(
@@ -336,20 +368,23 @@ def run_plane_pipeline(args):
         act.bivector,
         defining_mats=[act.defining_mats[0]],
     )
-    preserved = A.check_structure_preserved(sub)
     analytic = (l1 == 0 and l3 == 0)
-    yield (
-        _check(
-            "example51:h-subgroup-preserved",
-            {
-                "passed": preserved.passed == analytic,
-                "mode": "symbolic",
-                "preserved": preserved.passed,
-                "expected_from_coefficients": analytic,
-            },
+    if _wanted(args, "example51:h-subgroup-preserved"):
+        preserved = A.check_structure_preserved(sub)
+        yield (
+            _check(
+                "example51:h-subgroup-preserved",
+                {
+                    "passed": preserved.passed == analytic,
+                    "mode": "symbolic",
+                    "preserved": preserved.passed,
+                    "expected_from_coefficients": analytic,
+                },
+            )
         )
-    )
 
+    if not _wanted(args, "example51:h-subgroup-momentum"):
+        return
     if analytic and l2 != 0:
         import math
         import random as _random
@@ -418,15 +453,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", help="constant term of the quadratic component")
     p.add_argument("--dt", type=float, default=None)
     p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--out", help="output path for CSV/report data")
+    p.add_argument("--out", help="write the report (for flow: the CSV trajectory) to this path")
     p.add_argument("--timings", action="store_true", help="attach per-check wall-clock times")
     return p
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    out = sys.stdout
-    close_out = False
+    csv = None
     try:
         if args.subcommand == "example51":
             checks = run_plane_pipeline(args)
@@ -435,18 +469,24 @@ def main(argv=None) -> int:
         elif args.subcommand == "flow":
             bundle = load_bundle(args.bundle)
             if args.out:
-                out = open(args.out, "w")
-                close_out = True
-            checks = run_flow(bundle, args, out)
+                csv = _open_out(args.out)
+            checks = run_flow(bundle, args, csv or sys.stdout)
         else:
             checks = BUNDLE_RUNNERS[args.subcommand](load_bundle(args.bundle), args)
-        return _emit(checks, sys.stdout, timings=args.timings, suite=args.suite)
+        report = io.StringIO()
+        code = _emit(checks, report, timings=args.timings)
+        if args.out and csv is None:
+            with _open_out(args.out) as fh:
+                fh.write(report.getvalue())
+        else:
+            sys.stdout.write(report.getvalue())
+        return code
     except SchemaError as e:
         sys.stderr.write(f"schema error: {e}\n")
         return 2
     finally:
-        if close_out:
-            out.close()
+        if csv is not None:
+            csv.close()
 
 
 if __name__ == "__main__":

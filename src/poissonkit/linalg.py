@@ -2,10 +2,16 @@
 
 Matrices are lists of lists of :class:`GaussianRational`.  One Gauss-Jordan
 elimination, :func:`rref`, answers rank, kernel, solve, inverse and span
-questions; :func:`det` keeps a separate fraction-free (Bareiss) elimination.
+questions; :func:`det` keeps a separate fraction-free (Bareiss) elimination,
+and :func:`minor_sums` reads every sum of squared minors from one
+characteristic polynomial over the Gaussian integers, with neither.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .scalars import GaussianRational, ZERO, ONE
 
@@ -155,11 +161,9 @@ def inverse(matrix):
 def det(matrix) -> GaussianRational:
     """Exact determinant via fraction-free (Bareiss) elimination.
 
-    Deliberately not built on :func:`rref`: ``poisson.r_k`` reads its minors
-    from here, and the rank-vs-minors cross-checks (``stratify``'s
-    ``minor_consistency``, acceptance test A7) compare them with
-    :func:`rank`, so a pivoting bug in one elimination cannot agree with
-    itself.
+    Public API, and deliberately not built on :func:`rref`, so the tests can
+    use it as a rank oracle independent of :func:`rank`.  ``poisson.r_k``
+    does not call it: the minor sums come from :func:`minor_sums`.
     """
     n = len(matrix)
     if n == 0:
@@ -185,6 +189,50 @@ def det(matrix) -> GaussianRational:
         prev = m[k][k]
     d = m[n - 1][n - 1]
     return d if sign == 1 else -d
+
+
+def _dot(a, b) -> int:
+    return sum(map(mul, a, b))
+
+
+def minor_sums(matrix) -> list:
+    """``[r_0, ..., r_n]`` for an n x n ``matrix``, where ``r_k`` is the sum of
+    ``|minor|^2`` over all k x k minors, as exact ``Fraction`` values.
+
+    By Cauchy-Binet, ``r_k(A) = e_k(A A^H)``: the k-th elementary symmetric
+    function of the eigenvalues of the Hermitian matrix ``A A^H``, i.e.
+    ``(-1)^k`` times a coefficient of its characteristic polynomial.  With
+    ``d`` the common denominator of ``A`` and ``M = d A = P + iQ`` over the
+    Gaussian integers, ``H = M M^H = (P P^T + Q Q^T) + i(Q P^T - P Q^T)`` has
+    an integer characteristic polynomial, which Faddeev-LeVerrier computes in
+    O(n^4) integer operations; ``r_k = e_k(H) / d^(2k)``.  Independent of
+    :func:`rank`, :func:`rref` and :func:`det`, so the rank-vs-minors
+    cross-checks compare two different computations.
+    """
+    n = len(matrix)
+    d = lcm(*(x.re.denominator for row in matrix for x in row),
+            *(x.im.denominator for row in matrix for x in row))
+    p = [[int(x.re * d) for x in row] for row in matrix]
+    q = [[int(x.im * d) for x in row] for row in matrix]
+    hr = [[_dot(pa, pb) + _dot(qa, qb) for pb, qb in zip(p, q)] for pa, qa in zip(p, q)]
+    hi = [[_dot(qa, pb) - _dot(pa, qb) for pb, qb in zip(p, q)] for pa, qa in zip(p, q)]
+    # Faddeev-LeVerrier: N_1 = I, c_k = -tr(H N_k) / k, N_(k+1) = H N_k + c_k I;
+    # det(t I - H) = sum_k c_k t^(n-k) and e_k(H) = (-1)^k c_k.
+    nr = [[int(i == j) for j in range(n)] for i in range(n)]
+    ni = [[0] * n for _ in range(n)]
+    sums = [Fraction(1)]
+    for k in range(1, n + 1):
+        cr, ci = list(zip(*nr)), list(zip(*ni))
+        nr = [[_dot(a, x) - _dot(b, y) for x, y in zip(cr, ci)] for a, b in zip(hr, hi)]
+        ni = [[_dot(a, y) + _dot(b, x) for x, y in zip(cr, ci)] for a, b in zip(hr, hi)]
+        tr = sum(nr[i][i] for i in range(n))
+        if tr % k or sum(ni[i][i] for i in range(n)):
+            raise ArithmeticError(f"Faddeev-LeVerrier step {k} is not exact over Z[i]")
+        c = -tr // k
+        sums.append(Fraction(c if k % 2 == 0 else -c, d ** (2 * k)))
+        for i in range(n):
+            nr[i][i] += c
+    return sums
 
 
 def in_span(vectors, v) -> bool:

@@ -498,22 +498,13 @@ def r_k(pi: PolyBivector, point, k: int) -> Fraction:
     """Sum of squared moduli of all k x k minors of pi(point), exactly."""
     if not 1 <= k <= pi.n:
         raise ValueError(f"minor order {k} out of range 1..{pi.n}")
-    m = pi.eval_matrix(point)
-    total = Fraction(0)
-    for rows in itertools.combinations(range(pi.n), k):
-        for cols in itertools.combinations(range(pi.n), k):
-            sub = [[m[r][c] for c in cols] for r in rows]
-            total += linalg.det(sub).abs2()
-    return total
+    return linalg.minor_sums(pi.eval_matrix(point))[k]
 
 
 def max_rank_from_minors(pi: PolyBivector, point) -> int:
     """max{2k : r_{2k}(point) != 0}, an independent route to the rank."""
-    best = 0
-    for k in range(1, pi.n // 2 + 1):
-        if r_k(pi, point, 2 * k) != 0:
-            best = 2 * k
-    return best
+    sums = linalg.minor_sums(pi.eval_matrix(point))
+    return max(k for k in range(0, pi.n + 1, 2) if sums[k])
 
 
 @dataclass

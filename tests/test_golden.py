@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from poissonkit import cli
+from poissonkit import action, cli
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -58,6 +58,66 @@ def test_golden_report(name):
     expected_codes = json.loads((GOLDEN / "exit_codes.json").read_text())
     assert code == expected_codes[name]
     assert stdout == _read_stdout(name)
+
+
+def _filtered(name: str, suite: str):
+    """The golden exit code and stdout of case ``name`` as ``--suite suite``
+    must give them: only the matching checks, and a summary of those."""
+    lines, reports = [], []
+    for line in _read_stdout(name).decode().splitlines(keepends=True):
+        if not line.startswith("{"):
+            lines.append(line)                       # flow's CSV trajectory
+        elif suite in json.loads(line).get("check", ""):
+            reports.append(json.loads(line))
+    failed = [r["check"] for r in reports if not r.get("skipped") and not r.get("passed")]
+    skipped = [r["check"] for r in reports if r.get("skipped")]
+    summary = {"summary": {"checks": len(reports), "failed": failed, "skipped": skipped,
+                           "passed": len(reports) - len(failed) - len(skipped)}}
+    lines += [json.dumps(r, sort_keys=True) + "\n" for r in reports + [summary]]
+    return (1 if failed else 0), "".join(lines).encode()
+
+
+@pytest.mark.parametrize("name, suite", [
+    ("check-action", "tangential"),
+    ("check-action", "plane_action:structure"),
+    ("check-bialgebra", "torus"),
+    ("check-bialgebra", "hyperbola"),
+    ("check-lie", "no-such-check"),
+    ("check-poisson", "casimir"),
+    ("stratify", "plane"),
+    ("flow", "no-such-check"),
+    ("momentum", "obstruction"),
+    ("example51-0,2,0", "momentum"),
+    ("example51-1,2,5", "h-subgroup"),
+])
+def test_suite_selects_golden_checks(name, suite):
+    assert _run(CASES[name] + ["--suite", suite]) == _filtered(name, suite)
+
+
+def test_suite_skips_unselected_checks_before_computing(monkeypatch):
+    def fail(*args):
+        raise AssertionError("check_poisson_action ran for a filtered-out check")
+
+    monkeypatch.setattr(action, "check_poisson_action", fail)
+    assert _run(CASES["check-action"] + ["--suite", "tangential"]) == \
+        _filtered("check-action", "tangential")
+
+
+@pytest.mark.parametrize("name", ["check-lie", "example51-0,2,0"])
+def test_out_writes_the_golden_report(name, tmp_path):
+    path = tmp_path / "report.jsonl"
+    code, stdout = _run(CASES[name] + ["--out", str(path)])
+    assert code == json.loads((GOLDEN / "exit_codes.json").read_text())[name]
+    assert stdout == b""
+    assert path.read_bytes() == _read_stdout(name)
+
+
+def test_out_to_an_unwritable_path_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing-dir" / "report.jsonl"
+    assert cli.main(CASES["check-lie"] + ["--out", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("schema error: cannot write --out")
+    assert not path.exists()
 
 
 def _regenerate():

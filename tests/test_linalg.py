@@ -24,9 +24,9 @@ def test_rank_known():
     assert linalg.rank(skew) == 2
 
 
-def rand_entry(rng, gaussian, bound=3):
-    re = Fraction(rng.randint(-bound, bound), rng.randint(1, 3))
-    im = Fraction(rng.randint(-bound, bound), rng.randint(1, 3)) if gaussian else 0
+def rand_entry(rng, gaussian, bound=3, den=3):
+    re = Fraction(rng.randint(-bound, bound), rng.randint(1, den))
+    im = Fraction(rng.randint(-bound, bound), rng.randint(1, den)) if gaussian else 0
     return GaussianRational(re, im)
 
 
@@ -120,3 +120,59 @@ def test_subspace_ops():
     ann = linalg.annihilator([[ONE, ONE]], 2)
     assert len(ann) == 1 and ann[0][0] == -ann[0][1]
     assert len(linalg.annihilator([], 3)) == 3
+
+
+def _brute_minor_sum(m, k) -> Fraction:
+    """Sum of |minor|^2 over all k x k minors of the square ``m``, each minor by
+    Bareiss ``det``: the C(n, k)^2 enumeration that ``minor_sums`` replaces."""
+    n = len(m)
+    total = Fraction(0)
+    for rows in itertools.combinations(range(n), k):
+        for cols in itertools.combinations(range(n), k):
+            total += linalg.det([[m[r][c] for c in cols] for r in rows]).abs2()
+    return total
+
+
+def square_matrices(rng, count, n_max=6):
+    """Square matrices with n cycling through 1..n_max and Gaussian-rational
+    entries whose parts have denominators up to 4; every third is a product
+    B.C with inner dimension 0-3, so rank deficiency really occurs."""
+    for trial in range(count):
+        n = trial % n_max + 1
+        if trial % 3 == 2:
+            k = rng.randint(0, 3)
+            B = [[rand_entry(rng, True, den=4) for _ in range(k)] for _ in range(n)]
+            C = [[rand_entry(rng, True, den=4) for _ in range(n)] for _ in range(k)]
+            yield [[sum((B[i][t] * C[t][j] for t in range(k)), ZERO) for j in range(n)]
+                   for i in range(n)]
+        else:
+            yield [[rand_entry(rng, True, den=4) for _ in range(n)] for _ in range(n)]
+
+
+def test_minor_sums_match_brute_force(rng=random.Random(8)):
+    singular = regular = 0
+    for m in square_matrices(rng, 60):
+        sums = linalg.minor_sums(m)
+        assert len(sums) == len(m) + 1
+        for k, r in enumerate(sums):
+            assert r == _brute_minor_sum(m, k), (len(m), k)
+        singular += sums[-1] == 0
+        regular += sums[-1] != 0
+    assert singular and regular
+
+
+def test_minor_sums_at_n_8(rng=random.Random(9)):
+    m = [[rand_entry(rng, True, den=4) for _ in range(8)] for _ in range(8)]
+    sums = linalg.minor_sums(m)
+    assert sums[2] == _brute_minor_sum(m, 2)
+    assert sums[8] == linalg.det(m).abs2() != 0
+
+
+def test_minor_sums_use_no_elimination(monkeypatch, rng=random.Random(10)):
+    m = [[rand_entry(rng, True, den=4) for _ in range(4)] for _ in range(4)]
+    expected = [_brute_minor_sum(m, k) for k in range(5)]
+    for name in ("rank", "rref", "det"):
+        monkeypatch.setattr(linalg, name,
+                            lambda *a, name=name: pytest.fail(f"minor_sums called {name}"))
+    assert linalg.minor_sums(m) == expected
+    assert linalg.minor_sums([]) == [1]

@@ -258,6 +258,29 @@ def test_stratify(sl2_lp):
     assert 0 in rep3.histogram and 2 in rep3.histogram
 
 
+def test_stratify_at_n_8():
+    rep = stratify_sample(PolyBivector.constant_symplectic(8), StratifyConfig(count=10, seed=1))
+    assert rep.histogram == {8: 10} and rep.minor_consistency
+
+    # log-canonical x_i x_j q_ij d_i^d_j: Poisson for every constant q, of rank
+    # 8 off the coordinate hyperplanes and lower on them
+    x = generators(*(f"x{i+1}" for i in range(8)))
+    pi = PolyBivector(x[0].vars, {(i, j): x[i] * x[j] * ((i + 2 * j) % 5 - 2)
+                                  for i in range(8) for j in range(i + 1, 8)})
+    cfg = StratifyConfig(count=30, seed=4, scale=2, denom_power=1)
+    rep = stratify_sample(pi, cfg)
+    assert rep.minor_consistency
+    rng = random.Random(cfg.seed)
+    points = [[Fraction(rng.randint(-cfg.scale, cfg.scale), 2 ** rng.randint(0, cfg.denom_power))
+               for _ in range(8)] for _ in range(cfg.count)]
+    expected: dict = {}
+    for p in points:
+        r = rank_at(pi, p)
+        expected[r] = expected.get(r, 0) + 1
+    assert rep.histogram == expected
+    assert 8 in expected and len(expected) > 1
+
+
 def test_casimir(sl2_lp, plane):
     mu = [MultiPoly.variable(sl2_lp.vars, v.name) for v in sl2_lp.vars]
     K = mu[0] ** 2 - mu[1] ** 2 + mu[2] ** 2
