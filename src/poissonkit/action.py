@@ -10,6 +10,7 @@ defining matrices of the algebra used for exact adjoint/coadjoint matrices.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -214,6 +215,10 @@ class LinearPoissonAction:
             self.lift_generators = self.rep_mats
         else:
             self.lift_generators = [linalg.mat(m) for m in self.lift_generators]
+        n = self.target_dim
+        for m in self.rep_mats + self.lift_generators:
+            if len(m) != n or any(len(row) != n for row in m):
+                raise ValueError(f"action matrices must be {n}x{n}, the target dimension")
         if self.membership is None:
             self.membership = lambda g: True
         self._fields = None
@@ -583,8 +588,6 @@ def _rational_roots(A: Fraction, B: Fraction, C: Fraction) -> list:
     if disc < 0:
         return []
     num, den = disc.numerator, disc.denominator
-    import math
-
     rn = math.isqrt(num)
     rd = math.isqrt(den)
     if rn * rn != num or rd * rd != den:

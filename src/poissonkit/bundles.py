@@ -55,16 +55,31 @@ def load_bundle(path: str) -> ProblemBundle:
     return parse_bundle(raw)
 
 
+def _object(x, what: str) -> dict:
+    if not isinstance(x, dict):
+        raise SchemaError(f"{what} must be a JSON object")
+    return x
+
+
+def _entries(raw: dict, section: str):
+    """The (name, entry) pairs of one bundle section; every entry an object."""
+    items = _object(raw.get(section, {}), section).items()
+    for name, entry in items:
+        _object(entry, f"{section} entry {name!r}")
+    return items
+
+
 def parse_bundle(raw: dict) -> ProblemBundle:
+    _object(raw, "bundle")
     b = ProblemBundle()
-    b.sampler = dict(raw.get("sampler", {}))
-    for name, entry in raw.get("algebras", {}).items():
+    b.sampler = dict(_object(raw.get("sampler", {}), "sampler"))
+    for name, entry in _entries(raw, "algebras"):
         try:
             b.algebras[name] = LieAlgebra.from_json(entry)
         except (KeyError, ValueError) as e:
             raise SchemaError(f"algebra {name!r}: {e}") from e
 
-    for name, entry in raw.get("rmatrices", {}).items():
+    for name, entry in _entries(raw, "rmatrices"):
         ref = entry.get("algebra")
         if ref not in b.algebras:
             raise SchemaError(f"r-matrix {name!r} references unknown algebra {ref!r}")
@@ -73,25 +88,25 @@ def parse_bundle(raw: dict) -> ProblemBundle:
         except (KeyError, ValueError) as e:
             raise SchemaError(f"r-matrix {name!r}: {e}") from e
 
-    for name, entry in raw.get("bivectors", {}).items():
+    for name, entry in _entries(raw, "bivectors"):
         try:
             b.bivectors[name] = PolyBivector.from_json(entry)
         except (KeyError, ValueError) as e:
             raise SchemaError(f"bivector {name!r}: {e}") from e
 
-    for name, entry in raw.get("abelian_structures", {}).items():
+    for name, entry in _entries(raw, "abelian_structures"):
         try:
             b.abelian_structures[name] = _parse_abelian(entry)
         except (KeyError, ValueError) as e:
             raise SchemaError(f"abelian structure {name!r}: {e}") from e
 
-    for name, entry in raw.get("actions", {}).items():
+    for name, entry in _entries(raw, "actions"):
         try:
             b.actions[name] = _parse_action(b, name, entry)
         except (KeyError, ValueError) as e:
             raise SchemaError(f"action {name!r}: {e}") from e
 
-    for name, entry in raw.get("momentum_maps", {}).items():
+    for name, entry in _entries(raw, "momentum_maps"):
         ref = entry.get("action")
         if ref not in b.actions:
             raise SchemaError(f"momentum map {name!r} references unknown action {ref!r}")
@@ -107,7 +122,7 @@ def parse_bundle(raw: dict) -> ProblemBundle:
             )
         b.momentum_maps[name] = (ref, action_mod.MomentumMap(act.algebra, comps))
 
-    for bname, entries in raw.get("casimirs", {}).items():
+    for bname, entries in _entries(raw, "casimirs"):
         if bname not in b.bivectors:
             raise SchemaError(f"casimirs reference unknown bivector {bname!r}")
         piv = b.bivectors[bname]
@@ -119,7 +134,7 @@ def parse_bundle(raw: dict) -> ProblemBundle:
             raise SchemaError(f"casimirs of {bname!r}: {e}") from e
 
     if "flow" in raw:
-        entry = raw["flow"]
+        entry = _object(raw["flow"], "flow")
         ref = entry.get("bivector")
         if ref not in b.bivectors:
             raise SchemaError(f"flow references unknown bivector {ref!r}")

@@ -13,6 +13,8 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
+import random
 import sys
 import time
 from fractions import Fraction
@@ -102,8 +104,6 @@ def _open_out(path: str):
 
 
 def _sample_points(dim: int, count: int, seed: int, scale: int = 6, denom_power: int = 2):
-    import random
-
     rng = random.Random(seed)
     return [
         [Fraction(rng.randint(-scale, scale), 2 ** rng.randint(0, denom_power)) for _ in range(dim)]
@@ -386,10 +386,7 @@ def run_plane_pipeline(args):
     if not _wanted(args, "example51:h-subgroup-momentum"):
         return
     if analytic and l2 != 0:
-        import math
-        import random as _random
-
-        rng = _random.Random(seed + 3)
+        rng = random.Random(seed + 3)
         cf, l2f = float(c), float(l2)
         mh_pts = []
         while len(mh_pts) < count:

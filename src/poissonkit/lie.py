@@ -11,6 +11,7 @@ Conventions fixed here and relied on throughout the package:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from . import linalg
@@ -37,6 +38,8 @@ class LieAlgebra:
             raise ValueError("basis names do not match dimension")
         table = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
         for (i, j), vec in brackets.items():
+            if not (0 <= i < dim and 0 <= j < dim):
+                raise ValueError(f"bracket index ({i}, {j}) out of range for dimension {dim}")
             if i == j:
                 if any(GaussianRational.coerce(x) for x in vec):
                     raise ValueError("[e_i, e_i] must vanish")
@@ -202,12 +205,19 @@ class LieModule:
             if len(m) != self.dim or any(len(r) != self.dim for r in m):
                 raise ValueError("action matrices must be square of equal size")
         self.kind = kind
+        self._report = None
 
     def act(self, i: int, v) -> list:
         return linalg.mat_vec(self.mats[i], v)
 
     def check_axiom(self) -> "ModuleReport":
-        """rho([X,Y]) = rho(X)rho(Y) - rho(Y)rho(X) on all basis pairs."""
+        """rho([X,Y]) = rho(X)rho(Y) - rho(Y)rho(X) on all basis pairs.
+
+        Evaluated on the first call only: the matrices are not mutated after
+        construction, so later calls return the same report.
+        """
+        if self._report is not None:
+            return self._report
         bad = []
         L = self.algebra
         for i in range(L.dim):
@@ -225,7 +235,8 @@ class LieModule:
                         )
                 if not linalg.mat_eq(comm, expect):
                     bad.append((i, j))
-        return ModuleReport(ok=not bad, failing_pairs=bad)
+        self._report = ModuleReport(ok=not bad, failing_pairs=bad)
+        return self._report
 
 
 @dataclass
@@ -273,7 +284,13 @@ class CochainComplexSlice:
 
 
 def ce_differential(L: LieAlgebra, M: LieModule, p: int) -> CochainComplexSlice:
-    """Standard Lie algebra cohomology differential in the induced basis."""
+    """Standard Lie algebra cohomology differential in the induced basis.
+
+    Each (p+1)-set J is walked once, and each term of
+    ``(dc)(e_J) = sum_a (-1)^a rho(e_{J_a}) c(e_{J-a})
+    + sum_{a<b} (-1)^{a+b} c([e_{J_a}, e_{J_b}] ^ e_{J-a-b})``
+    is written into the column block of the p-set that ``c`` is evaluated on.
+    """
     n = L.dim
     if not 0 <= p <= n:
         raise ValueError(f"degree {p} out of range 0..{n}")
@@ -283,49 +300,28 @@ def ce_differential(L: LieAlgebra, M: LieModule, p: int) -> CochainComplexSlice:
     dimV = M.dim
     dom = list(itertools.combinations(range(n), p))
     cod = list(itertools.combinations(range(n), p + 1))
-    rows = len(cod) * dimV
-    cols = len(dom) * dimV
-    matrix = linalg.zeros(rows, cols)
-    basis = linalg.identity(dimV)
+    col = {I: ci * dimV for ci, I in enumerate(dom)}
+    matrix = linalg.zeros(len(cod) * dimV, len(dom) * dimV)
 
-    def c_eval(I: tuple, K: tuple):
-        """Sign of e_I^* on the wedge e_K, or None unless K reorders I."""
-        hit = linalg.sort_with_sign(K)
-        return hit[1] if hit is not None and hit[0] == I else None
-
-    for ci, I in enumerate(dom):
-        for v in range(dimV):
-            # evaluate d(c) for c = e_I^* (x) basis-vector v on each (p+1)-tuple J
-            vec = basis[v]
-            for ri, J in enumerate(cod):
-                acc = [ZERO] * dimV
-                # module action part
-                for a in range(p + 1):
-                    rest = J[:a] + J[a + 1:]
-                    sign = c_eval(I, rest)
-                    if sign is None:
-                        continue
-                    acted = M.act(J[a], vec)
-                    s = Q((-1) ** a * sign)
-                    acc = [x + s * y for x, y in zip(acc, acted)]
-                # bracket insertion part
-                for a in range(p + 1):
-                    for b in range(a + 1, p + 1):
-                        br = L.basis_bracket(J[a], J[b])
-                        rest = tuple(
-                            J[t] for t in range(p + 1) if t != a and t != b
-                        )
-                        for k in range(n):
-                            if br[k].is_zero():
-                                continue
-                            sign = c_eval(I, (k,) + rest)
-                            if sign is None:
-                                continue
-                            s = Q((-1) ** (a + b) * sign) * br[k]
-                            acc = [x + s * y for x, y in zip(acc, vec)]
-                for w in range(dimV):
-                    if not acc[w].is_zero():
-                        matrix[ri * dimV + w][ci * dimV + v] = acc[w]
+    for ri, J in enumerate(cod):
+        rows = matrix[ri * dimV:(ri + 1) * dimV]
+        # module action part: rho(e_{J_a}) fills the block of J minus J_a
+        for a in range(p + 1):
+            c0, s = col[J[:a] + J[a + 1:]], Q((-1) ** a)
+            for row, rho_row in zip(rows, M.mats[J[a]]):
+                for v, x in enumerate(rho_row):
+                    if not x.is_zero():
+                        row[c0 + v] += s * x
+        # bracket insertion part: a multiple of the identity on the module
+        for a, b in itertools.combinations(range(p + 1), 2):
+            rest = J[:a] + J[a + 1:b] + J[b + 1:]
+            for k, c in enumerate(L.basis_bracket(J[a], J[b])):
+                if c.is_zero() or k in rest:
+                    continue
+                I, sign = linalg.sort_with_sign((k,) + rest)
+                c0, s = col[I], Q((-1) ** (a + b) * sign) * c
+                for w, row in enumerate(rows):
+                    row[c0 + w] += s
 
     return CochainComplexSlice(degree=p, matrix=matrix, domain_basis=dom, codomain_basis=cod)
 
@@ -335,8 +331,6 @@ def cohomology_dim(L: LieAlgebra, M: LieModule, p: int) -> int:
     n = L.dim
     if not 0 <= p <= n:
         raise ValueError(f"degree {p} out of range 0..{n}")
-    import math
-
     dimCp = math.comb(n, p) * M.dim
     rank_dp = linalg.rank(ce_differential(L, M, p).matrix) if p < n else 0
     rank_prev = linalg.rank(ce_differential(L, M, p - 1).matrix) if p > 0 else 0

@@ -140,6 +140,8 @@ class PolyBivector:
         self.n = len(self.vars)
         clean = {}
         for (i, j), p in entries.items():
+            if not (0 <= i < self.n and 0 <= j < self.n):
+                raise ValueError(f"entry ({i}, {j}) out of range for dimension {self.n}")
             if i == j:
                 if not p.is_zero():
                     raise ValueError("diagonal bivector components must vanish")

@@ -98,6 +98,20 @@ def test_structure_preserved():
     assert A.check_structure_preserved(zero).passed
 
 
+def test_action_matrices_must_match_the_target_dimension():
+    plane = PolyBivector.zero(("x1", "x2"))
+    padded = [[row + [ZERO] for row in m] + [[ZERO] * 3] for m in lie.sl2_defining_matrices()]
+    with pytest.raises(ValueError, match="2x2"):
+        A.LinearPoissonAction(lie.sl2(), padded, plane)
+    with pytest.raises(ValueError, match="2x2"):
+        A.LinearPoissonAction(lie.sl2(), lie.sl2_defining_matrices(), plane,
+                              lift_generators=padded)
+    ragged = lie.sl2_defining_matrices()
+    ragged[1] = [ragged[1][0], ragged[1][1] + [ZERO]]
+    with pytest.raises(ValueError, match="2x2"):
+        A.LinearPoissonAction(lie.sl2(), ragged, plane)
+
+
 def test_action_bracket_identity(rng):
     lam = (Fraction(1, 2), Fraction(-2, 3), Fraction(3))
     act = A.sl2_plane_action(*lam, Fraction(1))

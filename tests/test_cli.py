@@ -309,15 +309,44 @@ def _unknown_variable_kind(raw):
     raw["momentum_maps"]["shifted_identity"]["components"][0]["vars"][0]["kind"] = "weird"
 
 
+def _bracket_index_past_dim(raw):
+    raw["algebras"]["sl2"]["brackets"][0]["j"] = 3
+
+
+def _bivector_index_past_dim(raw):
+    raw["bivectors"]["plane"]["entries"][0]["j"] = 4
+
+
+def _top_level_list(raw):
+    return [1, 2]
+
+
+def _algebra_entry_list(raw):
+    raw["algebras"]["sl2"] = [3]
+
+
+def _action_matrices_padded_to_3x3(raw):
+    raw["actions"]["plane_action"]["representation"] = [
+        [row + [0] for row in m] + [[0, 0, 0]]
+        for m in raw["actions"]["plane_action"]["representation"]
+    ]
+
+
 @pytest.mark.parametrize("subcommand, edit", [
     ("check-bialgebra", _float_rmatrix_entry),
     ("momentum", _unknown_variable_kind),
+    ("check-lie", _bracket_index_past_dim),
+    ("check-poisson", _bivector_index_past_dim),
+    ("stratify", _bivector_index_past_dim),
+    ("check-lie", _top_level_list),
+    ("check-lie", _algebra_entry_list),
+    ("check-action", _action_matrices_padded_to_3x3),
 ])
 def test_bundle_schema_errors_exit_2(subcommand, edit, tmp_path, capsys):
     raw = json.loads(SAMPLE.read_text())
-    edit(raw)
+    edited = edit(raw)
     path = tmp_path / "bundle.json"
-    path.write_text(json.dumps(raw))
+    path.write_text(json.dumps(raw if edited is None else edited))
     _assert_schema_error([subcommand, "--bundle", str(path)], capsys)
 
 

@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import pytest
 
 from poissonkit import lie, linalg
 from poissonkit.lie import (
+    CochainComplexSlice,
     LieAlgebra,
     abelian,
     ce_differential,
@@ -74,8 +76,11 @@ def test_representations(sl2):
 def test_invalid_module_rejected(sl2):
     bad = lie.LieModule(sl2, [linalg.identity(2) for _ in range(3)])
     assert not bad.check_axiom().ok
-    with pytest.raises(ValueError):
-        ce_differential(sl2, bad, 1)
+    for _ in range(2):      # the cached verdict rejects later calls too
+        for p in range(sl2.dim + 1):
+            with pytest.raises(ValueError, match="invalid module"):
+                ce_differential(sl2, bad, p)
+    assert bad.check_axiom().failing_pairs == [(0, 1), (0, 2), (1, 2)]
 
 
 def test_ce_differential_examples(sl2):
@@ -146,6 +151,126 @@ def test_cohomology_dims_more():
     triv = representation(L, "trivial")
     assert cohomology_dim(L, triv, 0) == 1
     assert cohomology_dim(L, triv, 3) == 1
+
+
+def _dense_ce_differential(L, M, p):
+    """Reference builder: evaluate d(e_I^* (x) v) on every (p+1)-set J by
+    asking, for each term, whether its index tuple reorders I."""
+    n, dimV = L.dim, M.dim
+    dom = list(itertools.combinations(range(n), p))
+    cod = list(itertools.combinations(range(n), p + 1))
+    matrix = linalg.zeros(len(cod) * dimV, len(dom) * dimV)
+    basis = linalg.identity(dimV)
+
+    def c_eval(I, K):
+        """Sign of e_I^* on the wedge e_K, or None unless K reorders I."""
+        hit = linalg.sort_with_sign(K)
+        return hit[1] if hit is not None and hit[0] == I else None
+
+    for ci, I in enumerate(dom):
+        for v in range(dimV):
+            vec = basis[v]
+            for ri, J in enumerate(cod):
+                acc = [ZERO] * dimV
+                for a in range(p + 1):
+                    sign = c_eval(I, J[:a] + J[a + 1:])
+                    if sign is None:
+                        continue
+                    s = Q((-1) ** a * sign)
+                    acc = [x + s * y for x, y in zip(acc, M.act(J[a], vec))]
+                for a in range(p + 1):
+                    for b in range(a + 1, p + 1):
+                        br = L.basis_bracket(J[a], J[b])
+                        rest = tuple(J[t] for t in range(p + 1) if t != a and t != b)
+                        for k in range(n):
+                            if br[k].is_zero():
+                                continue
+                            sign = c_eval(I, (k,) + rest)
+                            if sign is None:
+                                continue
+                            s = Q((-1) ** (a + b) * sign) * br[k]
+                            acc = [x + s * y for x, y in zip(acc, vec)]
+                for w in range(dimV):
+                    if not acc[w].is_zero():
+                        matrix[ri * dimV + w][ci * dimV + v] = acc[w]
+    return CochainComplexSlice(degree=p, matrix=matrix, domain_basis=dom, codomain_basis=cod)
+
+
+SL2_BRACKETS = {(0, 1): [0, 0, 1], (1, 2): [1, 0, 0], (0, 2): [0, 1, 0]}
+
+
+def direct_sum(*parts):
+    """Direct sum of algebras given as (dim, brackets) pairs."""
+    n = sum(d for d, _ in parts)
+    brackets, shift = {}, 0
+    for d, br in parts:
+        for (i, j), vec in br.items():
+            brackets[(i + shift, j + shift)] = [0] * shift + vec + [0] * (n - shift - d)
+        shift += d
+    return LieAlgebra(n, brackets)
+
+
+def gl2():
+    return direct_sum((3, SL2_BRACKETS), (1, {}))
+
+
+def sl2_sl2():
+    return direct_sum((3, SL2_BRACKETS), (3, SL2_BRACKETS))
+
+
+def book3():
+    """Non-unimodular: [e1,e2]=e2, [e1,e3]=e3, so several terms of one
+    (p+1)-set land on the same p-set and must add up."""
+    return LieAlgebra(3, {(0, 1): [0, 1, 0], (0, 2): [0, 0, 1]})
+
+
+@pytest.mark.parametrize("algebra_fn,max_degree", [
+    (sl2, None), (so3, None), (heisenberg3, None), (filiform4, None),
+    (lambda: abelian(3), None), (gl2, None), (sl2_sl2, 2), (book3, None),
+])
+def test_ce_differential_matches_dense_builder(algebra_fn, max_degree):
+    L = algebra_fn()
+    top = L.dim if max_degree is None else max_degree
+    for kind in ("trivial", "adjoint", "coadjoint"):
+        M = representation(L, kind)
+        for p in range(top + 1):
+            fast, dense = ce_differential(L, M, p), _dense_ce_differential(L, M, p)
+            assert fast.matrix == dense.matrix, (kind, p)
+            assert fast.domain_basis == dense.domain_basis
+            assert fast.codomain_basis == dense.codomain_basis
+
+
+def test_module_axiom_evaluated_once_per_module(monkeypatch):
+    calls = []
+    real = linalg.mat_eq
+    monkeypatch.setattr(linalg, "mat_eq", lambda a, b: calls.append(1) or real(a, b))
+    L = sl2()
+    M = representation(L, "adjoint")
+    for p in range(L.dim + 1):
+        ce_differential(L, M, p)
+        cohomology_dim(L, M, p)
+    assert M.check_axiom().ok
+    assert len(calls) == math.comb(L.dim, 2)    # one comparison per basis pair, once
+
+
+def _sympy_rank(sympy, matrix):
+    if not matrix:
+        return 0
+    return sympy.Matrix([[sympy.Rational(x.re) + sympy.I * sympy.Rational(x.im) for x in row]
+                         for row in matrix]).rank()
+
+
+@pytest.mark.parametrize("algebra_fn", [sl2, heisenberg3, filiform4])
+def test_cohomology_dims_match_sympy_ranks(algebra_fn):
+    sympy = pytest.importorskip("sympy")
+    L = algebra_fn()
+    n = L.dim
+    for kind in ("trivial", "adjoint", "coadjoint"):
+        M = representation(L, kind)
+        ranks = [_sympy_rank(sympy, ce_differential(L, M, p).matrix) for p in range(n + 1)]
+        for p in range(n + 1):
+            expect = math.comb(n, p) * M.dim - ranks[p] - (ranks[p - 1] if p else 0)
+            assert cohomology_dim(L, M, p) == expect, (kind, p)
 
 
 @pytest.mark.parametrize("algebra_fn,kind", [
