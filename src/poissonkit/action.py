@@ -3,8 +3,10 @@ obstruction cocycles, restricted to groups with zero Poisson structure for
 all momentum machinery (the dual group is then the dual vector space).
 
 Group-level data lives in :class:`LinearPoissonAction`: the infinitesimal
-generators acting on the target, an exact lift ``g -> n x n matrix``, and the
-defining matrices of the algebra used for exact adjoint/coadjoint matrices.
+generators acting on the target (their field values are matrix-vector
+products), an exact lift ``g -> n x n matrix``, and the defining matrices of
+the algebra, from which :func:`coadjoint_matrix` reads the exact coadjoint
+matrix with one inversion and one elimination.
 """
 
 from __future__ import annotations
@@ -35,19 +37,12 @@ POINTWISE_TOL = 1e-6
 SUBSPACE_TOL = 1e-8
 
 
-# -- exact 2x2 group helpers ------------------------------------------------------
+# -- exact group helpers ----------------------------------------------------------
 
 
 def sl2_membership(g) -> bool:
     m = linalg.mat(g)
     return (m[0][0] * m[1][1] - m[0][1] * m[1][0]) == ONE
-
-
-def sl2_inverse(g):
-    m = linalg.mat(g)
-    if not sl2_membership(m):
-        raise ValueError("matrix is not in the determinant-one group")
-    return [[m[1][1], -m[0][1]], [-m[1][0], m[0][0]]]
 
 
 def sl2_rational_samples(count: int, seed: int = 0) -> list:
@@ -67,87 +62,41 @@ def sl2_rational_samples(count: int, seed: int = 0) -> list:
     return out
 
 
-def matrix_coords(defining_mats, M) -> list:
-    """Coordinates of a matrix in the span of the defining basis matrices."""
-    rows = []
-    rhs = []
-    d = len(M)
-    for a in range(d):
-        for b in range(d):
-            rows.append([defining_mats[k][a][b] for k in range(len(defining_mats))])
-            rhs.append(M[a][b])
-    sol = linalg.solve(rows, rhs)
-    if sol is None:
-        raise ValueError("matrix does not lie in the algebra span")
-    return sol
-
-
-def adjoint_matrix(defining_mats, g) -> list:
-    """Matrix of Ad_g = g . g^{-1} in the defining basis (exact)."""
-    ginv = sl2_inverse(g) if len(g) == 2 else linalg.inverse(g)
-    n = len(defining_mats)
-    cols = []
-    for i in range(n):
-        M = linalg.mat_mul(linalg.mat_mul(linalg.mat(g), defining_mats[i]), ginv)
-        cols.append(matrix_coords(defining_mats, M))
-    return [[cols[j][k] for j in range(n)] for k in range(n)]
+def exact_group_samples(a: LinearPoissonAction, count: int, seed: int):
+    """Exact group samples for the action, or None when there is no exact
+    sampler: only groups with 2x2 defining matrices are sampled."""
+    if a.defining_mats and len(a.defining_mats[0]) == 2:
+        return sl2_rational_samples(count, seed=seed)
+    return None
 
 
 def coadjoint_matrix(defining_mats, g) -> list:
     """Matrix of Ad*_{g^{-1}}, i.e. <Coad_g mu, Y> = <mu, Ad_{g^{-1}} Y>.
 
-    This is the left action on the dual space; its infinitesimal generator is
-    the module-valid coadjoint representation."""
-    ginv = sl2_inverse(g) if len(g) == 2 else linalg.inverse(g)
-    return linalg.transpose(adjoint_matrix(defining_mats, ginv))
+    Row i holds the coordinates of g^{-1} D_i g in the defining basis D; all n
+    conjugates are read from one elimination of the basis system, and free
+    coordinates are 0.  This is the left action on the dual space; its
+    infinitesimal generator is the module-valid coadjoint representation."""
+    g = linalg.mat(g)
+    ginv = linalg.inverse(g)
+    if ginv is None:
+        raise ValueError("group matrix is singular")
+    basis = [linalg.mat(m) for m in defining_mats]
+    n, d = len(basis), len(g)
+    conj = [linalg.mat_mul(linalg.mat_mul(ginv, m), g) for m in basis]
+    red, pivots = linalg.rref(
+        [[m[a][b] for m in basis + conj] for a in range(d) for b in range(d)]
+    )
+    if pivots and pivots[-1] >= n:
+        raise ValueError("matrix does not lie in the algebra span")
+    co = linalg.zeros(n, n)
+    for r, pc in enumerate(pivots):
+        for i in range(n):
+            co[i][pc] = red[r][n + i]
+    return co
 
 
 # -- infinitesimal actions -----------------------------------------------------------
-
-
-@dataclass
-class InfinitesimalAction:
-    algebra: LieAlgebra
-    fields: list  # PolyVectorField per basis element
-
-    def of_vector(self, X) -> PolyVectorField:
-        acc = None
-        for xi, f in zip(X, self.fields):
-            c = GaussianRational.coerce(xi)
-            term = f.scale(c)
-            acc = term if acc is None else acc + term
-        return acc
-
-    def homomorphism_sign(self):
-        """The global sign eps with lam([X,Y]) = eps [lam(X), lam(Y)], or None.
-
-        Returns 'abelian' when all brackets vanish so both signs fit.
-        """
-        from .multivector import lie_bracket_fields
-
-        L = self.algebra
-        seen = set()
-        for i in range(L.dim):
-            for j in range(i + 1, L.dim):
-                lhs = self.of_vector(L.basis_bracket(i, j))
-                vs = self.fields[i].vars
-                jlb = lie_bracket_fields(
-                    vs, list(self.fields[i].comps), list(self.fields[j].comps)
-                )
-                rhs = PolyVectorField(vs, tuple(jlb))
-                if lhs.is_zero() and rhs.is_zero():
-                    continue
-                if (lhs - rhs).is_zero():
-                    seen.add(1)
-                elif (lhs + rhs).is_zero():
-                    seen.add(-1)
-                else:
-                    return None
-        if not seen:
-            return "abelian"
-        if len(seen) > 1:
-            return None
-        return seen.pop()
 
 
 def linear_action_fields(rep_mats, variables) -> list:
@@ -232,11 +181,41 @@ class LinearPoissonAction:
             self._fields = linear_action_fields(self.rep_mats, self.bivector.vars)
         return self._fields
 
-    def infinitesimal(self) -> InfinitesimalAction:
-        return InfinitesimalAction(self.algebra, self.fields())
+    def homomorphism_sign(self):
+        """The global sign eps with lam([X,Y]) = eps [lam(X), lam(Y)], or None.
+
+        Returns 'abelian' when all brackets vanish so both signs fit.
+        """
+        from .multivector import lie_bracket_fields
+
+        L, fields = self.algebra, self.fields()
+        seen = set()
+        for i, j in itertools.combinations(range(L.dim), 2):
+            lhs = fields[i].scale(ZERO)
+            for c, f in zip(L.basis_bracket(i, j), fields):
+                lhs = lhs + f.scale(c)
+            vs = fields[i].vars
+            rhs = PolyVectorField(
+                vs, tuple(lie_bracket_fields(vs, list(fields[i].comps), list(fields[j].comps)))
+            )
+            if lhs.is_zero() and rhs.is_zero():
+                continue
+            if (lhs - rhs).is_zero():
+                seen.add(1)
+            elif (lhs + rhs).is_zero():
+                seen.add(-1)
+            else:
+                return None
+        if not seen:
+            return "abelian"
+        if len(seen) > 1:
+            return None
+        return seen.pop()
 
     def field_values(self, point) -> list:
-        return [f.eval_exact(point) for f in self.fields()]
+        """lam(e_a)(p) = rep_mats[a] . p for every generator."""
+        p = [GaussianRational.coerce(x) for x in point]
+        return [linalg.mat_vec(m, p) for m in self.rep_mats]
 
     def isotropy(self, point) -> list:
         """Basis of the isotropy subalgebra {X : lam(X)(p) = 0} at a point."""
@@ -278,7 +257,6 @@ def sl2_plane_action(l1, l2, l3, c) -> LinearPoissonAction:
         bivector=pi,
         rmatrix=lam,
         defining_mats=mats,
-        lift=lambda g: linalg.mat(g),
         membership=sl2_membership,
     )
 
@@ -295,7 +273,6 @@ def diagonal_subgroup_action(c) -> LinearPoissonAction:
         rep_mats=[e1],
         bivector=pi,
         defining_mats=[e1],
-        membership=lambda g: True,
     )
 
 
@@ -323,14 +300,15 @@ def coadjoint_dressing_bundle(L: LieAlgebra, defining_mats) -> LinearPoissonActi
     pi = lie_poisson(L)
     gen = dressing_generator_matrices(L)
     neg = [[[-x for x in row] for row in m] for m in gen]
+    mats = [linalg.mat(m) for m in defining_mats]
     return LinearPoissonAction(
         algebra=L,
         rep_mats=gen,
         bivector=pi,
-        defining_mats=[linalg.mat(m) for m in defining_mats],
-        lift=lambda g: coadjoint_matrix(defining_mats, g),
+        defining_mats=mats,
+        lift=lambda g: coadjoint_matrix(mats, g),
         lift_generators=neg,
-        membership=sl2_membership if len(defining_mats[0]) == 2 else (lambda g: True),
+        membership=sl2_membership if len(mats[0]) == 2 else None,
     )
 
 
@@ -1032,7 +1010,6 @@ def psi_cocycle_check(a: LinearPoissonAction, m: MomentumMap, triples) -> PsiCoc
     violations = []
     for g, h, x in triples:
         gh = linalg.mat_mul(linalg.mat(g), linalg.mat(h))
-        hx = a.act(h, x)
         lhs = sigma(a, m, gh, x)
         t1 = sigma(a, m, g, x)
         co = coadjoint_matrix(a.defining_mats, g)
@@ -1048,25 +1025,10 @@ def psi_cocycle_check(a: LinearPoissonAction, m: MomentumMap, triples) -> PsiCoc
     if triples:
         g = triples[0][0]
         co = coadjoint_matrix(a.defining_mats, g)
-        names = a.bivector.vars
-        base_pt = [MultiPoly.variable(names, v.name) for v in names]
-        gx_sym = []
-        G = a.lift(g)
-        for i in range(a.target_dim):
-            acc = MultiPoly.zero(names)
-            for j in range(a.target_dim):
-                if not G[i][j].is_zero():
-                    acc = acc + base_pt[j].scale(G[i][j])
-            gx_sym.append(acc)
+        gx_sym = linear_action_fields([a.lift(g)], a.bivector.vars)[0].comps
         for k in range(a.algebra.dim):
-            mk = m.components[k]
             # m_k(gx) symbolically: components are polynomials in mu
-            m_gx = _substitute_linear(mk, gx_sym)
-            pushed = MultiPoly.zero(names)
-            for t in range(a.algebra.dim):
-                if not co[k][t].is_zero():
-                    pushed = pushed + m.components[t].scale(co[k][t])
-            comp = m_gx - pushed
+            comp = _substitute_linear(m.components[k], gx_sym) - m.of_vector(co[k])
             if not casimir_check(a.bivector, comp):
                 cas_ok = False
     return PsiCocycleReport(
@@ -1076,15 +1038,13 @@ def psi_cocycle_check(a: LinearPoissonAction, m: MomentumMap, triples) -> PsiCoc
 
 
 def _substitute_linear(p: MultiPoly, images: list) -> MultiPoly:
-    """Substitute each variable by the given polynomial (exact composition)."""
+    """Substitute the i-th variable by ``images[i]`` (exact composition)."""
     out = MultiPoly.zero(images[0].vars)
-    names = p.var_names()
     for exp, c in p.terms.items():
         term = MultiPoly.constant(images[0].vars, c)
-        for e, nm in zip(exp, names):
+        for e, img in zip(exp, images):
             if e:
-                idx = [v.name for v in p.vars].index(nm)
-                term = term * images[idx] ** e
+                term = term * img ** e
         out = out + term
     return out
 

@@ -225,10 +225,9 @@ def run_check_action(bundle: ProblemBundle, args):
     for name, act in sorted(bundle.actions.items()):
         pts = _sample_points(act.target_dim, count, seed + 1)
         if _wanted(args, f"check-action:{name}:poisson-action"):
-            if act.defining_mats and len(act.defining_mats[0]) == 2:
-                gs = A.sl2_rational_samples(count, seed=seed)
-                degraded = {}
-            else:
+            gs = A.exact_group_samples(act, count, seed=seed)
+            degraded = {}
+            if gs is None:
                 # no exact sampler for this group: check at the unit only
                 size = len(act.defining_mats[0]) if act.defining_mats else act.target_dim
                 gs = [linalg.identity(size)]
@@ -265,8 +264,8 @@ def run_momentum(bundle: ProblemBundle, args):
                 yield _check(f"momentum:{name}:obstruction", {"passed": False, "error": str(e)})
         if not _wanted(args, f"momentum:{name}:psi-cocycle"):
             continue
-        if act.defining_mats is not None and len(act.defining_mats[0]) == 2:
-            gs = A.sl2_rational_samples(count, seed=seed)
+        gs = A.exact_group_samples(act, count, seed=seed)
+        if gs is not None:
             pts = _sample_points(act.target_dim, count, seed + 2, scale=3)
             triples = [(gs[i], gs[(i + 1) % len(gs)], pts[i]) for i in range(min(len(gs), len(pts)))]
             prep = A.psi_cocycle_check(act, m, triples)

@@ -50,10 +50,6 @@ class PolyVectorField:
             acc = acc + c * a
         return acc
 
-    def eval_exact(self, point) -> list:
-        assign = _assign(self.vars, point)
-        return [GaussianRational.coerce(c.eval(assign)) for c in self.comps]
-
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.comps)
 

@@ -9,7 +9,7 @@ from poissonkit import lie, linalg
 from poissonkit.bialgebra import RMatrix, dual_algebra_from_r
 from poissonkit.poisson import PolyBivector
 from poissonkit.poly import MultiPoly, NumericField, generators
-from poissonkit.scalars import Q, ZERO, ONE
+from poissonkit.scalars import GaussianRational, Q, ZERO, ONE
 
 
 def plane_points(rng, count, scale=5):
@@ -32,11 +32,11 @@ def test_printed_infinitesimal_fields():
 
 def test_homomorphism_sign():
     act = A.sl2_plane_action(1, 2, 3, 0)
-    assert act.infinitesimal().homomorphism_sign() == -1
+    assert act.homomorphism_sign() == -1
     bun = A.coadjoint_dressing_bundle(lie.sl2(), lie.sl2_defining_matrices())
-    assert bun.infinitesimal().homomorphism_sign() == 1
+    assert bun.homomorphism_sign() == 1
     rot = A.rotation_plane_action()
-    assert rot.infinitesimal().homomorphism_sign() == "abelian"
+    assert rot.homomorphism_sign() == "abelian"
 
 
 def test_check_poisson_action(rng):
@@ -324,3 +324,133 @@ def test_coadjoint_lift_preserves_linear_bivector(rng):
     gs = A.sl2_rational_samples(25, seed=6)
     pts = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)] for _ in gs]
     assert A.check_poisson_action(bun, list(zip(gs, pts))).passed
+
+
+def _adjoint_matrix(defining_mats, g):
+    """Ad_g = g . g^{-1} column by column: invert g, then solve the basis
+    system once per conjugate (the route before the single elimination)."""
+    g = linalg.mat(g)
+    ginv = linalg.inverse(g)
+    d = len(g)
+    rows = [[m[a][b] for m in defining_mats] for a in range(d) for b in range(d)]
+    cols = []
+    for D in defining_mats:
+        M = linalg.mat_mul(linalg.mat_mul(g, D), ginv)
+        sol = linalg.solve(rows, [M[a][b] for a in range(d) for b in range(d)])
+        assert sol is not None
+        cols.append(sol)
+    n = len(defining_mats)
+    return [[cols[j][k] for j in range(n)] for k in range(n)]
+
+
+def _coadjoint_two_inversions(defining_mats, g):
+    return linalg.transpose(_adjoint_matrix(defining_mats, linalg.inverse(linalg.mat(g))))
+
+
+def _upper_triangular_samples(rng, count):
+    out = []
+    for _ in range(count):
+        a, b, d = (Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3))
+        out.append([[a or Fraction(2), b], [Fraction(0), d or Fraction(-1)]])
+    return out
+
+
+def _unipotent3_samples(rng, count):
+    out = []
+    for _ in range(count):
+        a, b, c = (Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3))
+        out.append([[1, a, c], [0, 1, b], [0, 0, 1]])
+    return out
+
+
+E12_3 = [[0, 1, 0], [0, 0, 0], [0, 0, 0]]
+E23_3 = [[0, 0, 0], [0, 0, 1], [0, 0, 0]]
+E13_3 = [[0, 0, 1], [0, 0, 0], [0, 0, 0]]
+HEIS_2X2 = [[[0, 1], [0, 0]], [[0, 0], [0, 1]], [[0, 0], [0, 0]]]
+
+
+@pytest.mark.parametrize("case", ["sl2", "heisenberg-with-zero", "unipotent-3x3"])
+def test_coadjoint_matrix_matches_the_two_inversion_route(case):
+    rng = random.Random(17)
+    if case == "sl2":
+        mats, gs = lie.sl2_defining_matrices(), A.sl2_rational_samples(20, seed=5)
+    elif case == "heisenberg-with-zero":
+        mats, gs = HEIS_2X2, _upper_triangular_samples(rng, 20)
+    else:
+        mats, gs = [E12_3, E23_3, E13_3], _unipotent3_samples(rng, 20)
+    mats = [linalg.mat(m) for m in mats]
+    for g in gs:
+        co = A.coadjoint_matrix(mats, g)
+        assert linalg.mat_eq(co, _coadjoint_two_inversions(mats, g))
+    if case == "heisenberg-with-zero":
+        # the zero defining matrix leaves its coordinate free: it stays 0
+        assert all(row[2].is_zero() for row in A.coadjoint_matrix(mats, gs[0]))
+
+
+def test_coadjoint_matrix_rejects_singular_and_out_of_span_matrices():
+    with pytest.raises(ValueError, match="singular"):
+        A.coadjoint_matrix(lie.sl2_defining_matrices(), [[1, 2], [2, 4]])
+    with pytest.raises(ValueError, match="singular"):
+        A.coadjoint_matrix([E12_3, E23_3, E13_3], [[1, 0, 0], [0, 0, 0], [0, 0, 1]])
+    # a lower-triangular g moves e12 out of the upper-triangular span
+    with pytest.raises(ValueError, match="span"):
+        A.coadjoint_matrix(HEIS_2X2, [[1, 0], [1, 1]])
+
+
+def _so3_on_r3() -> A.LinearPoissonAction:
+    e = [[[0, 0, 0], [0, 0, -1], [0, 1, 0]],
+         [[0, 0, 1], [0, 0, 0], [-1, 0, 0]],
+         [[0, -1, 0], [1, 0, 0], [0, 0, 0]]]
+    return A.LinearPoissonAction(lie.so3(), e, PolyBivector.zero(("u", "v", "w")))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: A.sl2_plane_action(Fraction(1, 2), -2, 3, 1),
+    lambda: A.coadjoint_dressing_bundle(lie.sl2(), lie.sl2_defining_matrices()),
+    A.rotation_plane_action,
+    lambda: A.coadjoint_dressing_bundle(lie.heisenberg3(), [E12_3, E23_3, E13_3]),
+    _so3_on_r3,
+], ids=["plane", "dressing", "rotation", "heisenberg-3x3", "so3-on-r3"])
+def test_field_values_match_polynomial_evaluation(make, rng):
+    from conftest import rand_point
+
+    act = make()
+    pts = [rand_point(rng, act.target_dim) for _ in range(15)]
+    pts += [[0] * act.target_dim, [1] + [0] * (act.target_dim - 1)]
+    for p in pts:
+        assign = {v.name: Q(x) for v, x in zip(act.bivector.vars, p)}
+        by_poly = [[GaussianRational.coerce(c.eval(assign)) for c in f.comps]
+                   for f in act.fields()]
+        assert act.field_values(p) == by_poly
+
+
+def test_dressing_action_from_fraction_entries(rng):
+    L = lie.sl2()
+    exact = A.coadjoint_dressing_bundle(L, lie.sl2_defining_matrices())
+    plain = [[[x.re for x in row] for row in m] for m in lie.sl2_defining_matrices()]
+    assert all(isinstance(x, Fraction) for m in plain for row in m for x in row)
+    frac = A.coadjoint_dressing_bundle(L, plain)
+    gs = A.sl2_rational_samples(8, seed=2)
+    pts = [[Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(3)] for _ in gs]
+    samples = list(zip(gs, pts))
+    assert (A.check_poisson_action(frac, samples).to_json()
+            == A.check_poisson_action(exact, samples).to_json())
+    m_sh = A.identity_momentum_map(L, exact.bivector, shift=[Q(1), Q(2), Q(0)])
+    for g, x in samples:
+        assert A.sigma(frac, m_sh, g, x) == A.sigma(exact, m_sh, g, x)
+    triples = [(gs[i], gs[(i + 1) % 8], pts[i]) for i in range(8)]
+    assert (A.psi_cocycle_check(frac, m_sh, triples).to_json()
+            == A.psi_cocycle_check(exact, m_sh, triples).to_json())
+
+
+def test_psi_cocycle_reports_a_non_equivariant_momentum_map(rng):
+    L = lie.sl2()
+    bun = A.coadjoint_dressing_bundle(L, lie.sl2_defining_matrices())
+    mu1, mu2, mu3 = A.identity_momentum_map(L, bun.bivector).components
+    m_bad = A.MomentumMap(L, [mu1 + mu2 * mu2, mu2, mu3])
+    gs = A.sl2_rational_samples(10, seed=3)
+    pts = [[Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(3)] for _ in gs]
+    triples = [(gs[i], gs[(i + 3) % 10], pts[i]) for i in range(10)]
+    rep = A.psi_cocycle_check(bun, m_bad, triples)
+    assert rep.max_violations and not rep.casimir_ok
+    assert rep.to_json()["passed"] is False
