@@ -62,10 +62,19 @@ def sl2_rational_samples(count: int, seed: int = 0) -> list:
     return out
 
 
+def spans_sl2(defining_mats) -> bool:
+    """True iff the defining matrices are 2x2 and span sl(2): only such groups
+    get the exact sampler and the determinant-one membership test."""
+    mats = [linalg.mat(m) for m in defining_mats or []]
+    if not all(len(m) == 2 and len(m[0]) == 2 and (m[0][0] + m[1][1]).is_zero() for m in mats):
+        return False
+    return linalg.rank([[m[0][0], m[0][1], m[1][0]] for m in mats]) == 3
+
+
 def exact_group_samples(a: LinearPoissonAction, count: int, seed: int):
     """Exact group samples for the action, or None when there is no exact
-    sampler: only groups with 2x2 defining matrices are sampled."""
-    if a.defining_mats and len(a.defining_mats[0]) == 2:
+    sampler (see :func:`spans_sl2`)."""
+    if spans_sl2(a.defining_mats):
         return sl2_rational_samples(count, seed=seed)
     return None
 
@@ -158,14 +167,16 @@ class LinearPoissonAction:
         self.rep_mats = [linalg.mat(m) for m in self.rep_mats]
         if len(self.rep_mats) != self.algebra.dim:
             raise ValueError("one generator matrix per basis element required")
-        if self.lift is None:
-            self.lift = lambda g: linalg.mat(g)
         if self.lift_generators is None:
             self.lift_generators = self.rep_mats
         else:
             self.lift_generators = [linalg.mat(m) for m in self.lift_generators]
         n = self.target_dim
-        for m in self.rep_mats + self.lift_generators:
+        square = self.rep_mats + self.lift_generators
+        if self.lift is None:       # the group matrix acts on the target itself
+            self.lift = linalg.mat
+            square = square + list(self.defining_mats or [])
+        for m in square:
             if len(m) != n or any(len(row) != n for row in m):
                 raise ValueError(f"action matrices must be {n}x{n}, the target dimension")
         if self.membership is None:
@@ -220,10 +231,6 @@ class LinearPoissonAction:
     def isotropy(self, point) -> list:
         """Basis of the isotropy subalgebra {X : lam(X)(p) = 0} at a point."""
         return linalg.nullspace(linalg.transpose(self.field_values(point)))
-
-    def act(self, g, point) -> list:
-        G = self.lift(g)
-        return linalg.mat_vec(G, [GaussianRational.coerce(x) for x in point])
 
 
 # -- worked bundles ---------------------------------------------------------------------
@@ -308,7 +315,7 @@ def coadjoint_dressing_bundle(L: LieAlgebra, defining_mats) -> LinearPoissonActi
         defining_mats=mats,
         lift=lambda g: coadjoint_matrix(mats, g),
         lift_generators=neg,
-        membership=sl2_membership if len(mats[0]) == 2 else None,
+        membership=sl2_membership if spans_sl2(mats) else None,
     )
 
 
@@ -972,19 +979,26 @@ def gamma_checks(a: LinearPoissonAction, G: GammaCochain,
 # -- the group cocycle ------------------------------------------------------------------------
 
 
-def sigma(a: LinearPoissonAction, m: MomentumMap, g, x) -> list:
-    """Sigma(g, x) = m(g x) - Coad_g m(x) in the dual space (exact)."""
+def _group_maps(a: LinearPoissonAction, g) -> tuple:
+    """(lift(g), Coad_g) for a group element that passes the membership test."""
     if a.defining_mats is None:
         raise ValueError("group-level maps require the defining matrices")
     if not a.membership(g):
         raise ValueError("matrix fails the group relation")
+    return a.lift(g), coadjoint_matrix(a.defining_mats, g)
+
+
+def _sigma(a: LinearPoissonAction, m: MomentumMap, maps: tuple, xv, m_x) -> list:
+    lifted, co = maps
+    m_gx = m.eval_exact(a.bivector.vars, linalg.mat_vec(lifted, xv))
+    return [u - v for u, v in zip(m_gx, linalg.mat_vec(co, m_x))]
+
+
+def sigma(a: LinearPoissonAction, m: MomentumMap, g, x) -> list:
+    """Sigma(g, x) = m(g x) - Coad_g m(x) in the dual space (exact)."""
+    maps = _group_maps(a, g)
     xv = [GaussianRational.coerce(t) for t in x]
-    gx = a.act(g, xv)
-    m_gx = m.eval_exact(a.bivector.vars, gx)
-    m_x = m.eval_exact(a.bivector.vars, xv)
-    co = coadjoint_matrix(a.defining_mats, g)
-    pushed = linalg.mat_vec(co, m_x)
-    return [u - v for u, v in zip(m_gx, pushed)]
+    return _sigma(a, m, maps, xv, m.eval_exact(a.bivector.vars, xv))
 
 
 @dataclass
@@ -1006,14 +1020,18 @@ class PsiCocycleReport:
 
 def psi_cocycle_check(a: LinearPoissonAction, m: MomentumMap, triples) -> PsiCocycleReport:
     """Psi(gh) = Psi(g) + Ad*_{g^{-1}} Psi(h) exactly at sampled (g, h, x),
-    plus the Casimir property of the components of Sigma(g, .)."""
-    violations = []
+    plus the Casimir property of the components of Sigma(g, .).  Each triple
+    evaluates m(x) once and the lift and Coad of g, h and gh once each."""
+    violations, first = [], None
     for g, h, x in triples:
         gh = linalg.mat_mul(linalg.mat(g), linalg.mat(h))
-        lhs = sigma(a, m, gh, x)
-        t1 = sigma(a, m, g, x)
-        co = coadjoint_matrix(a.defining_mats, g)
-        t2 = linalg.mat_vec(co, sigma(a, m, h, x))
+        at_gh, at_g, at_h = (_group_maps(a, k) for k in (gh, g, h))
+        first = first or at_g
+        xv = [GaussianRational.coerce(t) for t in x]
+        m_x = m.eval_exact(a.bivector.vars, xv)
+        lhs = _sigma(a, m, at_gh, xv, m_x)
+        t1 = _sigma(a, m, at_g, xv, m_x)
+        t2 = linalg.mat_vec(at_g[1], _sigma(a, m, at_h, xv, m_x))
         res = [u - v - w for u, v, w in zip(lhs, t1, t2)]
         if any(res):
             violations.append(
@@ -1022,10 +1040,9 @@ def psi_cocycle_check(a: LinearPoissonAction, m: MomentumMap, triples) -> PsiCoc
     # Casimir property of <Sigma(g, .), Y>: symbolic when components are
     # polynomial in the base point
     cas_ok = True
-    if triples:
-        g = triples[0][0]
-        co = coadjoint_matrix(a.defining_mats, g)
-        gx_sym = linear_action_fields([a.lift(g)], a.bivector.vars)[0].comps
+    if first:
+        lifted, co = first
+        gx_sym = linear_action_fields([lifted], a.bivector.vars)[0].comps
         for k in range(a.algebra.dim):
             # m_k(gx) symbolically: components are polynomials in mu
             comp = _substitute_linear(m.components[k], gx_sym) - m.of_vector(co[k])

@@ -24,6 +24,7 @@ from fractions import Fraction
 
 from . import linalg
 from .lie import LieAlgebra
+from .multivector import PolyMultiVector
 from .poisson import PolyBivector, jacobi_check
 from .poly import ANGULAR, MultiPoly, Var
 from .scalars import GaussianRational, Q, ZERO, coeff_from_json
@@ -32,56 +33,21 @@ from .scalars import GaussianRational, Q, ZERO, coeff_from_json
 # -- constant-coefficient multivectors on a Lie algebra ---------------------------
 
 
-class AlgMultiVector:
-    """An element of Lambda^p g, stored as {sorted index tuple: scalar}."""
+class AlgMultiVector(PolyMultiVector):
+    """An element of Lambda^p g: scalar components on frames e1∧e2."""
 
     def __init__(self, dim: int, degree: int, comps=None):
         self.dim = dim
         self.degree = degree
-        clean = {}
-        for idx, c in (comps or {}).items():
-            c = GaussianRational.coerce(c)
-            if c.is_zero():
-                continue
-            res = linalg.sort_with_sign(idx)
-            if res is None:
-                continue
-            key, sign = res
-            val = c if sign == 1 else -c
-            clean[key] = clean.get(key, ZERO) + val
-            if clean[key].is_zero():
-                del clean[key]
-        self.comps = clean
+        self.comps = self._collect(
+            {idx: GaussianRational.coerce(c) for idx, c in (comps or {}).items()}
+        )
 
-    def is_zero(self):
-        return not self.comps
+    def _zero(self):
+        return ZERO
 
-    def component(self, *idx) -> GaussianRational:
-        res = linalg.sort_with_sign(idx)
-        if res is None:
-            return ZERO
-        key, sign = res
-        c = self.comps.get(key, ZERO)
-        return c if sign == 1 else -c
-
-    def __add__(self, other):
-        comps = dict(self.comps)
-        for k, c in other.comps.items():
-            comps[k] = comps.get(k, ZERO) + c
-        return AlgMultiVector(self.dim, self.degree, comps)
-
-    def __neg__(self):
-        return AlgMultiVector(self.dim, self.degree, {k: -c for k, c in self.comps.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, s):
-        s = GaussianRational.coerce(s)
-        return AlgMultiVector(self.dim, self.degree, {k: s * c for k, c in self.comps.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, AlgMultiVector) and (self - other).is_zero()
+    def _frame(self, key) -> str:
+        return "e" + "∧e".join(str(i + 1) for i in key)
 
     def pair(self, covectors) -> GaussianRational:
         """Full-contraction pairing with p covectors: sum over all index
@@ -97,20 +63,11 @@ class AlgMultiVector:
             acc = acc + term
         return acc
 
-    def __str__(self):
-        if not self.comps:
-            return "0"
-        return " + ".join(
-            f"({c}) e{'∧e'.join(str(i + 1) for i in k)}" for k, c in sorted(self.comps.items())
-        )
-
-    __repr__ = __str__
-
 
 def ad_multivector(L: LieAlgebra, X, T: AlgMultiVector) -> AlgMultiVector:
     """Leibniz extension of ad_X to Lambda^p g."""
     Xc = [GaussianRational.coerce(x) for x in X]
-    out = AlgMultiVector(L.dim, T.degree, {})
+    comps = {}
     for key, c in T.comps.items():
         for pos, idx in enumerate(key):
             # replace slot `pos` by [X, e_idx]
@@ -124,14 +81,13 @@ def ad_multivector(L: LieAlgebra, X, T: AlgMultiVector) -> AlgMultiVector:
                 if br[k].is_zero():
                     continue
                 new_idx = key[:pos] + (k,) + key[pos + 1:]
-                out = out + AlgMultiVector(L.dim, T.degree, {new_idx: c * br[k]})
-    return out
+                comps[new_idx] = comps.get(new_idx, ZERO) + c * br[k]
+    return AlgMultiVector(L.dim, T.degree, comps)
 
 
 def alg_schouten(L: LieAlgebra, A: AlgMultiVector, B: AlgMultiVector) -> AlgMultiVector:
     """Algebraic Schouten bracket on Lambda g (constant coefficients)."""
-    out_deg = A.degree + B.degree - 1
-    out = AlgMultiVector(L.dim, out_deg, {})
+    comps = {}
     for ka, ca in A.comps.items():
         for kb, cb in B.comps.items():
             for s, ia in enumerate(ka):
@@ -144,10 +100,9 @@ def alg_schouten(L: LieAlgebra, A: AlgMultiVector, B: AlgMultiVector) -> AlgMult
                     for k in range(L.dim):
                         if br[k].is_zero():
                             continue
-                        out = out + AlgMultiVector(
-                            L.dim, out_deg, {(k,) + rest: ca * cb * br[k] * Q(sign)}
-                        )
-    return out
+                        idx = (k,) + rest
+                        comps[idx] = comps.get(idx, ZERO) + ca * cb * br[k] * Q(sign)
+    return AlgMultiVector(L.dim, A.degree + B.degree - 1, comps)
 
 
 # -- r-matrices ---------------------------------------------------------------------
@@ -185,13 +140,10 @@ class RMatrix:
         return cls.from_wedge_coeffs(algebra, {(0, 1): l1, (1, 2): l2, (2, 0): l3})
 
     def wedge(self) -> AlgMultiVector:
-        comps = {}
         n = self.algebra.dim
-        for i in range(n):
-            for j in range(i + 1, n):
-                if not self.matrix[i][j].is_zero():
-                    comps[(i, j)] = self.matrix[i][j]
-        return AlgMultiVector(n, 2, comps)
+        return AlgMultiVector(
+            n, 2, {(i, j): self.matrix[i][j] for i in range(n) for j in range(i + 1, n)}
+        )
 
     def contract(self, xi) -> list:
         """(Lam xi)^i = sum_j Lam^{ij} xi_j."""
@@ -316,13 +268,8 @@ class LieBialgebra:
         """delta(e_k) in Lambda^2 g, dual to the bracket on g*:
         delta(e_k)^{ij} = <e_k, [e_i*, e_j*]_*>."""
         n = self.primal.dim
-        comps = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                c = self.dual.structure_constant(i, j, k)
-                if not c.is_zero():
-                    comps[(i, j)] = c
-        return AlgMultiVector(n, 2, comps)
+        return AlgMultiVector(n, 2, {(i, j): self.dual.structure_constant(i, j, k)
+                                     for i in range(n) for j in range(i + 1, n)})
 
 
 @dataclass
@@ -418,8 +365,7 @@ class AbelianPLStructure:
                     c = GaussianRational.coerce(constants.get((i, j, k), 0))
                     if not c.is_zero():
                         acc = acc + MultiPoly.variable(variables, variables[k].name).scale(c)
-                if not acc.is_zero():
-                    entries[(i, j)] = acc
+                entries[(i, j)] = acc
         norm = {}
         for (i, j, k), c in constants.items():
             c = GaussianRational.coerce(c)
@@ -513,7 +459,7 @@ def abelian_pl_check(s: AbelianPLStructure) -> AbelianPLReport:
     for v in pi.vars:
         unit[v.name] = Q(1) if v.kind == ANGULAR else Q(0)
     unit_ok = all(
-        GaussianRational.coerce(p.eval(unit)).is_zero() for p in pi.entries.values()
+        GaussianRational.coerce(p.eval(unit)).is_zero() for p in pi.comps.values()
     )
 
     # zero block / linearity: components must be linear in the coordinates
@@ -528,7 +474,7 @@ def abelian_pl_check(s: AbelianPLStructure) -> AbelianPLReport:
         zero_block = not violations
     else:
         zero_block = True
-        for (i, j), p in pi.entries.items():
+        for (i, j), p in pi.comps.items():
             if p.depends_on_angular():
                 violations.append([i, j, -1])
                 zero_block = False
@@ -568,7 +514,7 @@ def abelian_pl_check(s: AbelianPLStructure) -> AbelianPLReport:
     # additive multiplicativity: pi(u*v) = pi(u) + pi(v) with the group law
     # acting per coordinate kind (angles add, i.e. units multiply).
     mult_viol = []
-    for (i, j), p in sorted(pi.entries.items()):
+    for (i, j), p in sorted(pi.comps.items()):
         lhs = p.group_translate()
         primed = _rename_primed(p)
         res = lhs - p - primed

@@ -232,7 +232,7 @@ def run_check_action(bundle: ProblemBundle, args):
                 size = len(act.defining_mats[0]) if act.defining_mats else act.target_dim
                 gs = [linalg.identity(size)]
                 degraded = {"mode": "degraded",
-                            "reason": "no 2x2 defining matrices; checked at the identity only"}
+                            "reason": "defining matrices do not span sl(2); checked at the identity only"}
             samples = list(zip(gs, pts[: len(gs)]))
             try:
                 payload = A.check_poisson_action(act, samples).to_json()
@@ -274,7 +274,7 @@ def run_momentum(bundle: ProblemBundle, args):
             yield (
                 _check(
                     f"momentum:{name}:psi-cocycle",
-                    {"reason": "no 2x2 defining matrices; group sampling undefined"},
+                    {"reason": "defining matrices do not span sl(2); group sampling undefined"},
                     skipped=True,
                 )
             )

@@ -1,7 +1,8 @@
-"""Polynomial multivector fields on affine space and their Schouten bracket.
+"""Alternating tensors on sorted index tuples, and the Schouten bracket of
+polynomial multivector fields on affine space.
 
-A degree-p multivector is stored sparsely as a map from strictly increasing
-index tuples ``(i1 < ... < ip)`` to polynomial coefficients.  The
+A degree-p tensor is stored sparsely as a map from strictly increasing
+index tuples ``(i1 < ... < ip)`` to nonzero coefficients.  The
 Schouten-Nijenhuis bracket is computed term by term from the classical
 formula on decomposables,
 
@@ -14,72 +15,92 @@ vector-field brackets of the forms [f d_i, g d_j] are ever needed.
 
 from __future__ import annotations
 
+import copy
+
 from .linalg import sort_with_sign
-from .poly import MultiPoly, Var
+from .poly import MultiPoly, Var, _as_vars
 from .scalars import Q
 
 
 class PolyMultiVector:
-    """A homogeneous polynomial multivector field."""
+    """A homogeneous alternating tensor; here a polynomial multivector field.
+
+    This class owns how every alternating tensor of the package is keyed,
+    signed, summed and printed.  Subclasses change the coefficients through
+    their constructor and the frame label through :meth:`_frame`.
+    """
 
     def __init__(self, variables, degree: int, comps=None):
-        self.vars = tuple(v if isinstance(v, Var) else Var(v) for v in variables)
+        self.vars = _as_vars(variables)
         self.n = len(self.vars)
         self.degree = int(degree)
+        self.comps = self._collect(comps)
+
+    def _collect(self, comps) -> dict:
+        """``{index tuple: coefficient}`` on sorted keys: each coefficient
+        takes the sign of its sorting permutation, keys that sort alike are
+        summed, and repeated indices and zero sums are dropped."""
         clean = {}
-        for idx, poly in (comps or {}).items():
-            if poly.is_zero():
-                continue
+        for idx, c in (comps or {}).items():
             res = sort_with_sign(tuple(idx))
-            if res is None:
+            if res is None or c.is_zero():
                 continue
             key, sign = res
             if len(key) != self.degree:
                 raise ValueError("component index arity does not match degree")
-            p = poly if sign == 1 else -poly
+            c = c if sign == 1 else -c
             if key in clean:
-                clean[key] = clean[key] + p
-                if clean[key].is_zero():
+                c = clean[key] + c
+                if c.is_zero():
                     del clean[key]
-            else:
-                clean[key] = p
-        self.comps = clean
+                    continue
+            clean[key] = c
+        return clean
+
+    def _like(self, comps):
+        """A tensor of this type, space and degree with components ``comps``."""
+        out = copy.copy(self)
+        out.comps = self._collect(comps)
+        return out
+
+    def _zero(self):
+        return MultiPoly.zero(self.vars)
+
+    def _frame(self, key) -> str:
+        return "^".join(f"d_{self.vars[i].name}" for i in key)
 
     # -- basics ------------------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.comps
 
-    def component(self, *idx) -> MultiPoly:
+    def component(self, *idx):
+        """The coefficient of the frame ``idx`` in any index order."""
+        c = self.comps.get(idx)
+        if c is not None:
+            return c
         res = sort_with_sign(idx)
-        if res is None:
-            return MultiPoly.zero(self.vars)
-        key, sign = res
-        p = self.comps.get(key)
-        if p is None:
-            return MultiPoly.zero(self.vars)
-        return p if sign == 1 else -p
+        c = None if res is None else self.comps.get(res[0])
+        if c is None:
+            return self._zero()
+        return c if res[1] == 1 else -c
 
     def __add__(self, other):
         if self.degree != other.degree:
             raise ValueError("cannot add multivectors of different degree")
         comps = dict(self.comps)
-        for k, p in other.comps.items():
-            comps[k] = comps[k] + p if k in comps else p
-        return PolyMultiVector(self.vars, self.degree, comps)
+        for k, c in other.comps.items():
+            comps[k] = comps[k] + c if k in comps else c
+        return self._like(comps)
 
     def __neg__(self):
-        return PolyMultiVector(
-            self.vars, self.degree, {k: -p for k, p in self.comps.items()}
-        )
+        return self._like({k: -c for k, c in self.comps.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, s):
-        return PolyMultiVector(
-            self.vars, self.degree, {k: p.scale(s) for k, p in self.comps.items()}
-        )
+        return self._like({k: c * s for k, c in self.comps.items()})
 
     def __eq__(self, other):
         return (
@@ -91,11 +112,7 @@ class PolyMultiVector:
     def __str__(self):
         if not self.comps:
             return "0"
-        parts = []
-        for key in sorted(self.comps):
-            frame = "^".join(f"d_{self.vars[i].name}" for i in key)
-            parts.append(f"({self.comps[key]}) {frame}")
-        return " + ".join(parts)
+        return " + ".join(f"({c}) {self._frame(k)}" for k, c in sorted(self.comps.items()))
 
     __repr__ = __str__
 

@@ -126,36 +126,26 @@ def lie_derivative_one_form(V: PolyVectorField, alpha: PolyOneForm) -> PolyOneFo
     return PolyOneForm(V.vars, tuple(out))
 
 
-class PolyBivector:
-    """A skew matrix of polynomial components on affine space."""
+class PolyBivector(PolyMultiVector):
+    """A polynomial bivector field on affine space: a degree-2
+    :class:`PolyMultiVector` whose components come from outside input."""
 
     def __init__(self, variables, entries: dict):
-        """``entries`` maps ``(i, j)`` with ``i < j`` to the component
-        polynomial ``pi^{ij}``; the opposite orientation is implied."""
-        self.vars = _as_vars(variables)
-        self.n = len(self.vars)
-        clean = {}
+        """``entries`` maps ``(i, j)`` to the component polynomial ``pi^{ij}``;
+        a key ``(j, i)`` stands for ``-pi^{ij}`` and keys that sort alike add up."""
+        vs = _as_vars(variables)
+        comps = {}
         for (i, j), p in entries.items():
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ValueError(f"entry ({i}, {j}) out of range for dimension {self.n}")
-            if i == j:
-                if not p.is_zero():
-                    raise ValueError("diagonal bivector components must vanish")
-                continue
-            if i > j:
-                i, j = j, i
-                p = -p
-            if p.is_zero():
-                continue
-            aligned = p.over(self.vars)
-            if len(aligned.vars) != len(self.vars):
-                raise ValueError("component polynomial uses variables outside the chart")
-            if (i, j) in clean:
-                aligned = clean[(i, j)] + aligned
-            clean[(i, j)] = aligned
-            if aligned.is_zero():
-                del clean[(i, j)]
-        self.entries = clean
+            if not (0 <= i < len(vs) and 0 <= j < len(vs)):
+                raise ValueError(f"entry ({i}, {j}) out of range for dimension {len(vs)}")
+            if i == j and not p.is_zero():
+                raise ValueError("diagonal bivector components must vanish")
+            if not p.is_zero():
+                p = p.over(vs)
+                if len(p.vars) != len(vs):
+                    raise ValueError("component polynomial uses variables outside the chart")
+            comps[(i, j)] = p
+        super().__init__(vs, 2, comps)
 
     # -- constructors -------------------------------------------------------
 
@@ -176,23 +166,11 @@ class PolyBivector:
 
     # -- access --------------------------------------------------------------
 
-    def entry(self, i: int, j: int) -> MultiPoly:
-        if i == j:
-            return MultiPoly.zero(self.vars)
-        if i < j:
-            p = self.entries.get((i, j))
-            return p if p is not None else MultiPoly.zero(self.vars)
-        p = self.entries.get((j, i))
-        return -p if p is not None else MultiPoly.zero(self.vars)
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
     def eval_matrix(self, point) -> list:
         """Exact skew matrix of values at a rational point."""
         assign = _assign(self.vars, point)
         m = linalg.zeros(self.n, self.n)
-        for (i, j), p in self.entries.items():
+        for (i, j), p in self.comps.items():
             val = GaussianRational.coerce(p.eval(assign))
             m[i][j] = val
             m[j][i] = -val
@@ -202,15 +180,12 @@ class PolyBivector:
         import numpy as np
 
         m = np.zeros((self.n, self.n))
-        for (i, j), p in self.entries.items():
+        for (i, j), p in self.comps.items():
             val = p.eval({v.name: float(x) for v, x in zip(self.vars, point)})
             val = val.real if isinstance(val, complex) else float(val)
             m[i, j] = val
             m[j, i] = -val
         return m
-
-    def as_multivector(self) -> PolyMultiVector:
-        return PolyMultiVector(self.vars, 2, dict(self.entries))
 
     # -- core maps -------------------------------------------------------------
 
@@ -222,7 +197,7 @@ class PolyBivector:
         for i in range(self.n):
             acc = MultiPoly.zero(self.vars)
             for j in range(self.n):
-                pij = self.entry(j, i)
+                pij = self.component(j, i)
                 if not pij.is_zero():
                     acc = acc + alpha.comps[j] * pij
             comps.append(acc)
@@ -240,7 +215,7 @@ class PolyBivector:
             "vars": [{"name": v.name, "kind": v.kind} for v in self.vars],
             "entries": [
                 {"i": i, "j": j, "poly": p.to_json()}
-                for (i, j), p in sorted(self.entries.items())
+                for (i, j), p in sorted(self.comps.items())
             ],
         }
 
@@ -257,17 +232,6 @@ class PolyBivector:
             entries[(int(e["i"]), int(e["j"]))] = MultiPoly.from_json(e["poly"])
         return PolyBivector(variables, entries)
 
-    def __str__(self):
-        if not self.entries:
-            return "0"
-        parts = [
-            f"({p}) d_{self.vars[i].name}^d_{self.vars[j].name}"
-            for (i, j), p in sorted(self.entries.items())
-        ]
-        return " + ".join(parts)
-
-    __repr__ = __str__
-
 
 # -- brackets and fields -------------------------------------------------------------
 
@@ -282,7 +246,7 @@ def bracket_fn(pi: PolyBivector, f: MultiPoly, g: MultiPoly) -> MultiPoly:
     names = [v.name for v in pi.vars]
     df = [f.partial(n) for n in names]
     dg = [g.partial(n) for n in names]
-    for (i, j), p in pi.entries.items():
+    for (i, j), p in pi.comps.items():
         acc = acc + p * (df[i] * dg[j] - df[j] * dg[i])
     return acc
 
@@ -311,8 +275,7 @@ def lie_poisson(L: LieAlgebra, names=None) -> PolyBivector:
                 c = L.structure_constant(i, j, k)
                 if not c.is_zero():
                     acc = acc + MultiPoly.variable(variables, variables[k].name).scale(c)
-            if not acc.is_zero():
-                entries[(i, j)] = acc
+            entries[(i, j)] = acc
     return PolyBivector(variables, entries)
 
 
@@ -338,15 +301,15 @@ class JacobiBivectorReport:
 def jacobiator(pi: PolyBivector) -> PolyMultiVector:
     """Trivector of cyclic sums {{x_i,x_j},x_k} + c.p. over coordinate triples."""
     names = [v.name for v in pi.vars]
+    P = [[pi.component(a, b) for b in range(pi.n)] for a in range(pi.n)]
     comps = {}
     for i, j, k in itertools.combinations(range(pi.n), 3):
         acc = MultiPoly.zero(pi.vars)
         for a in range(pi.n):
-            acc = acc + pi.entry(a, k) * pi.entry(i, j).partial(names[a])
-            acc = acc + pi.entry(a, i) * pi.entry(j, k).partial(names[a])
-            acc = acc + pi.entry(a, j) * pi.entry(k, i).partial(names[a])
-        if not acc.is_zero():
-            comps[(i, j, k)] = acc
+            acc = acc + P[a][k] * P[i][j].partial(names[a])
+            acc = acc + P[a][i] * P[j][k].partial(names[a])
+            acc = acc + P[a][j] * P[k][i].partial(names[a])
+        comps[(i, j, k)] = acc
     return PolyMultiVector(pi.vars, 3, comps)
 
 
@@ -354,7 +317,7 @@ def jacobi_check(pi: PolyBivector) -> JacobiBivectorReport:
     """True iff [pi, pi] = 0; the cyclic coordinate route is cross-checked
     against the Schouten square computed independently."""
     cyc = jacobiator(pi)
-    sq = schouten(pi.as_multivector(), pi.as_multivector())
+    sq = schouten(pi, pi)
     return JacobiBivectorReport(
         ok=cyc.is_zero(),
         residual=cyc,
@@ -429,11 +392,9 @@ def compare_one_form_conventions(pi, alpha, beta) -> OneFormConventionReport:
     )
 
 
-def lie_derivative_bivector(pi: PolyBivector, V: PolyVectorField) -> PolyBivector:
-    """L_V pi as a bivector (Schouten bracket with the vector field)."""
-    mv = schouten(V.as_multivector(), pi.as_multivector())
-    entries = {k: p for k, p in mv.comps.items()}
-    return PolyBivector(pi.vars, entries)
+def lie_derivative_bivector(pi: PolyBivector, V: PolyVectorField) -> PolyMultiVector:
+    """L_V pi, the degree-2 Schouten bracket [V, pi]."""
+    return schouten(V.as_multivector(), pi)
 
 
 @dataclass
@@ -466,7 +427,7 @@ def pairing_identity_check(pi: PolyBivector, V: PolyVectorField, alpha: PolyOneF
     lhs = V.pair(one_form_bracket(pi, alpha, beta))
     lv = lie_derivative_bivector(pi, V)
     pair_lv = MultiPoly.zero(pi.vars)
-    for (i, j), p in lv.entries.items():
+    for (i, j), p in lv.comps.items():
         pair_lv = pair_lv + p * (alpha.comps[i] * beta.comps[j] - alpha.comps[j] * beta.comps[i])
     sa = pi.sharp(alpha)
     sb = pi.sharp(beta)

@@ -96,7 +96,7 @@ def test_A3_poisson_action_exact():
     ok = ok and A.check_poisson_action(A.sl2_plane_action(0, 0, 4, 1), samples).passed
     bad = A.sl2_plane_action(0, 2, 0, 1)
     x1 = MultiPoly.variable(bad.bivector.vars, "x1")
-    bad.bivector = PolyBivector(bad.bivector.vars, {(0, 1): bad.bivector.entry(0, 1) + x1})
+    bad.bivector = PolyBivector(bad.bivector.vars, {(0, 1): bad.bivector.component(0, 1) + x1})
     rep_bad = A.check_poisson_action(bad, samples)
     ok = ok and not rep_bad.passed
     report("A3", ok, "exact pass for both worked structures; perturbed h fails")

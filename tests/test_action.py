@@ -454,3 +454,39 @@ def test_psi_cocycle_reports_a_non_equivariant_momentum_map(rng):
     rep = A.psi_cocycle_check(bun, m_bad, triples)
     assert rep.max_violations and not rep.casimir_ok
     assert rep.to_json()["passed"] is False
+
+
+def _plane_with_quadratic_map():
+    act = A.sl2_plane_action(Fraction(1, 2), -2, 3, 1)
+    x1, x2 = generators("x1", "x2")
+    return act, A.MomentumMap(act.algebra, [x1 * x2, x1 * x1, x2 * x2 + x1])
+
+
+def _dressing_with_shifted_map():
+    L = lie.sl2()
+    act = A.coadjoint_dressing_bundle(L, lie.sl2_defining_matrices())
+    mu1, mu2, mu3 = A.identity_momentum_map(L, act.bivector).components
+    return act, A.MomentumMap(L, [mu1 + mu2 * mu2, mu2.scale(3), mu3])
+
+
+@pytest.mark.parametrize("make, most", [(_plane_with_quadratic_map, 3),
+                                        (_dressing_with_shifted_map, 6)],
+                         ids=["plane", "dressing"])
+def test_psi_cocycle_computes_each_coadjoint_matrix_once(make, most, monkeypatch, rng):
+    """One triple needs the coadjoint matrices (and lifts) of g, h and gh
+    once each; the report equals the residual Sigma(gh) - Sigma(g) -
+    Coad_g Sigma(h) built from the public sigma."""
+    act, m = make()
+    g, h = A.sl2_rational_samples(2, seed=5)
+    x = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(act.target_dim)]
+    gh = linalg.mat_mul(linalg.mat(g), linalg.mat(h))
+    co = A.coadjoint_matrix(act.defining_mats, g)
+    ref = [u - v - w for u, v, w in zip(A.sigma(act, m, gh, x), A.sigma(act, m, g, x),
+                                        linalg.mat_vec(co, A.sigma(act, m, h, x)))]
+    calls = []
+    orig = A.coadjoint_matrix
+    monkeypatch.setattr(A, "coadjoint_matrix", lambda *args: calls.append(1) or orig(*args))
+    rep = A.psi_cocycle_check(act, m, [(g, h, x)])
+    assert len(calls) <= most
+    assert any(ref) and rep.max_violations == [
+        {"residual": [str(t) for t in ref], "x": [str(t) for t in x]}]

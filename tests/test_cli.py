@@ -332,6 +332,18 @@ def _action_matrices_padded_to_3x3(raw):
     ]
 
 
+def _natural_action_with_2x2_defining_on_3_dims(raw):
+    # sl2 acting on its 3-dim dual space by ad matrices, with the 2x2
+    # defining matrices and no lift: the group matrix cannot act on R^3
+    raw["actions"]["plane_action"] = {
+        "algebra": "sl2", "bivector": "dual_space",
+        "representation": [[[0, 0, 0], [0, 0, 1], [0, -1, 0]],
+                           [[0, 0, -1], [0, 0, 0], [1, 0, 0]],
+                           [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]],
+        "defining": raw["actions"]["dressing"]["defining"],
+    }
+
+
 @pytest.mark.parametrize("subcommand, edit", [
     ("check-bialgebra", _float_rmatrix_entry),
     ("momentum", _unknown_variable_kind),
@@ -341,6 +353,7 @@ def _action_matrices_padded_to_3x3(raw):
     ("check-lie", _top_level_list),
     ("check-lie", _algebra_entry_list),
     ("check-action", _action_matrices_padded_to_3x3),
+    ("check-action", _natural_action_with_2x2_defining_on_3_dims),
 ])
 def test_bundle_schema_errors_exit_2(subcommand, edit, tmp_path, capsys):
     raw = json.loads(SAMPLE.read_text())
@@ -372,6 +385,33 @@ def test_check_action_on_a_3x3_group_checks_the_unit(tmp_path):
     unit = checks["check-action:dress:poisson-action"]
     assert unit["samples"] == 1
     assert unit["mode"] == "degraded" and "identity" in unit["reason"]
+
+
+def test_h3_dressing_with_2x2_defining_matrices_is_not_sampled_as_sl2(tmp_path):
+    # e12, e22 and 0 are 2x2 but do not span sl(2): no determinant-one
+    # sampling, so poisson-action is degraded and psi-cocycle is skipped
+    mu = [{"name": f"mu{i}", "kind": "affine"} for i in (1, 2, 3)]
+    lin = [{"vars": mu, "terms": [{"exp": [int(k == i) for k in range(3)],
+                                   "coeff": {"num": "1", "den": "1"}}]} for i in range(3)]
+    b = {
+        "sampler": {"seed": 1, "count": 4},
+        "algebras": {"h3": {"dim": 3, "brackets": [{"i": 0, "j": 1, "result": [0, 0, 1]}]}},
+        "bivectors": {"lp": {"dim": 3, "vars": mu, "entries": [{"i": 0, "j": 1, "poly": lin[2]}]}},
+        "actions": {"dress": {
+            "algebra": "h3", "bivector": "lp", "kind": "coadjoint-dressing",
+            "defining": [[[0, 1], [0, 0]], [[0, 0], [0, 1]], [[0, 0], [0, 0]]],
+        }},
+        "momentum_maps": {"id": {"action": "dress", "components": lin}},
+    }
+    code, out = run_cli(["check-action"], b, tmp_path)
+    checks = {l["check"]: l for l in map(json.loads, out.strip().splitlines()) if "check" in l}
+    unit = checks["check-action:dress:poisson-action"]
+    assert code == 1 and unit["samples"] == 1
+    assert unit["mode"] == "degraded" and "sl(2)" in unit["reason"]
+    code, out = run_cli(["momentum"], b, tmp_path)
+    checks = {l["check"]: l for l in map(json.loads, out.strip().splitlines()) if "check" in l}
+    assert code == 0 and checks["momentum:id:psi-cocycle"]["skipped"] is True
+    assert "sl(2)" in checks["momentum:id:psi-cocycle"]["reason"]
 
 
 @pytest.mark.parametrize("argv", [

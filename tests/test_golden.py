@@ -52,12 +52,25 @@ def _read_stdout(name: str) -> bytes:
     return gzip.decompress(data) if name in COMPRESSED else data
 
 
+def _first_difference(expected: bytes, actual: bytes) -> str:
+    """The number, expected line and actual line of the first line that differs."""
+    exp, act = expected.splitlines(keepends=True), actual.splitlines(keepends=True)
+    n = next((i for i, (e, a) in enumerate(zip(exp, act)) if e != a), min(len(exp), len(act)))
+
+    def line(lines):
+        return repr(lines[n]) if n < len(lines) else "<end of output>"
+
+    return f"stdout differs first at line {n + 1}\n  expected: {line(exp)}\n  actual:   {line(act)}"
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_report(name):
     code, stdout = _run(CASES[name])
     expected_codes = json.loads((GOLDEN / "exit_codes.json").read_text())
     assert code == expected_codes[name]
-    assert stdout == _read_stdout(name)
+    expected = _read_stdout(name)
+    if stdout != expected:
+        pytest.fail(_first_difference(expected, stdout), pytrace=False)
 
 
 def _filtered(name: str, suite: str):

@@ -1,3 +1,8 @@
+import itertools
+
+import pytest
+
+from poissonkit.bialgebra import AlgMultiVector
 from poissonkit.multivector import (
     PolyMultiVector,
     from_vector_field,
@@ -6,7 +11,7 @@ from poissonkit.multivector import (
 )
 from poissonkit.poisson import PolyBivector, jacobiator
 from poissonkit.poly import MultiPoly, generators
-from poissonkit.scalars import Q
+from poissonkit.scalars import GaussianRational, Q
 
 
 def test_vector_field_degeneration():
@@ -37,7 +42,7 @@ def test_schouten_matches_jacobi_lie(rng):
 
 def test_constant_bivector_square_vanishes():
     pi = PolyBivector.constant_symplectic(4)
-    sq = schouten(pi.as_multivector(), pi.as_multivector())
+    sq = schouten(pi, pi)
     assert sq.is_zero()
 
 
@@ -56,7 +61,7 @@ def test_square_proportional_to_cyclic_jacobiator(rng):
             for (i, j) in ((0, 1), (0, 2), (1, 2))
         }
         pi = PolyBivector(variables, entries)
-        sq = schouten(pi.as_multivector(), pi.as_multivector())
+        sq = schouten(pi, pi)
         cyc = jacobiator(pi)
         assert sq.is_zero() == cyc.is_zero()
         if not cyc.is_zero():
@@ -105,3 +110,93 @@ def test_wedge_sorting_sign():
     assert T.component(0, 1) == -one
     assert T.component(1, 0) == one
     assert PolyMultiVector(vs, 2, {(0, 0): one}).is_zero()
+
+
+def test_jacobi_residual_string_and_signs():
+    x1, x2, x3, x4 = generators("x1", "x2", "x3", "x4")
+    pi = PolyBivector(x1.vars, {(0, 1): x1 * x2, (1, 2): x3, (2, 3): x1, (0, 3): x2 * x2})
+    cyc = jacobiator(pi)
+    assert str(cyc) == ("(x1*x3) d_x1^d_x2^d_x3 + (x2^3) d_x1^d_x2^d_x4"
+                        " + (-2*x2*x3) d_x1^d_x3^d_x4 + (x1*x2 + x1) d_x2^d_x3^d_x4")
+    assert str(schouten(pi, pi)) == (
+        "(-2*x1*x3) d_x1^d_x2^d_x3 + (-2*x2^3) d_x1^d_x2^d_x4"
+        " + (4*x2*x3) d_x1^d_x3^d_x4 + (-2*x1*x2 + -2*x1) d_x2^d_x3^d_x4")
+    signs = {(0, 1, 2): "x1*x3", (2, 1, 0): "-1*x1*x3", (1, 3, 0): "x2^3",
+             (0, 2, 3): "-2*x2*x3", (3, 2, 1): "-1*x1*x2 + -1*x1", (0, 0, 1): "0"}
+    assert {idx: str(cyc.component(*idx)) for idx in signs} == signs
+
+
+def test_bivector_from_unsorted_and_repeated_keys():
+    x1, x2, x3, x4 = generators("x1", "x2", "x3", "x4")
+    one = MultiPoly.constant(x1.vars, 1)
+    pi = PolyBivector(x1.vars, {(1, 0): x1, (0, 1): x2, (2, 1): x3 * x3, (0, 2): one,
+                                (2, 0): one, (3, 3): MultiPoly.zero(x1.vars)})
+    assert str(pi) == "(-1*x1 + x2) d_x1^d_x2 + (-1*x3^2) d_x2^d_x3"
+    signs = {(0, 1): "-1*x1 + x2", (1, 0): "x1 + -1*x2", (1, 2): "-1*x3^2",
+             (2, 1): "x3^2", (0, 2): "0", (3, 3): "0"}
+    assert {idx: str(pi.component(*idx)) for idx in signs} == signs
+
+
+def test_alg_multivector_with_partly_cancelling_keys():
+    a = AlgMultiVector(4, 3, {(0, 1, 2): 1, (2, 0, 1): -1, (1, 0, 3): 2, (3, 1, 0): 5,
+                              (2, 1, 3): GaussianRational(0, 1), (1, 1, 2): 7})
+    assert str(a) == "(-7) e1∧e2∧e4 + (-1*i) e2∧e3∧e4"
+    signs = {(0, 1, 2): "0", (0, 1, 3): "-7", (3, 0, 1): "-7", (1, 0, 3): "7",
+             (1, 2, 3): "-1*i", (3, 2, 1): "1*i", (1, 1, 2): "0"}
+    assert {idx: str(a.component(*idx)) for idx in signs} == signs
+
+
+def _quadratic_bivectors(n, rng):
+    """Two random quadratic bivectors on R^n and one log-canonical one
+    (c_ij x_i x_j, Poisson for any constants)."""
+    vs = generators(*(f"x{i+1}" for i in range(n)))[0].vars
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    out = []
+    for _ in range(2):
+        entries = {}
+        for i, j in pairs:
+            for _ in range(rng.randint(1, 2)):
+                exp = [0] * n
+                exp[rng.randrange(n)] += 1
+                exp[rng.randrange(n)] += 1
+                term = MultiPoly.monomial(vs, tuple(exp), rng.randint(-3, 3))
+                entries[(i, j)] = entries.get((i, j), MultiPoly.zero(vs)) + term
+        out.append(PolyBivector(vs, entries))
+    log_canonical = {}
+    for i, j in pairs:
+        exp = [0] * n
+        exp[i] = exp[j] = 1
+        log_canonical[(i, j)] = MultiPoly.monomial(vs, tuple(exp), rng.randint(-3, 3))
+    out.append(PolyBivector(vs, log_canonical))
+    return out
+
+
+def _to_sympy(sp, p, symbols):
+    acc = sp.Integer(0)
+    for exp, c in p.terms.items():
+        coeff = sp.Rational(str(c.re)) + sp.I * sp.Rational(str(c.im))
+        acc += coeff * sp.Mul(*(s ** e for s, e in zip(symbols, exp)))
+    return acc
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_jacobiator_matches_sympy(n, rng):
+    """Every component of the cyclic Jacobiator against {{x_i,x_j},x_k} + c.p.
+    computed by sympy; [pi, pi] vanishes exactly when that sympy sum does."""
+    sp = pytest.importorskip("sympy")
+    zero_seen = set()
+    for pi in _quadratic_bivectors(n, rng):
+        xs = sp.symbols(f"x1:{n + 1}")
+        P = [[_to_sympy(sp, pi.component(a, b), xs) for b in range(n)] for a in range(n)]
+        cyc = jacobiator(pi)
+        sym_zero = True
+        for i, j, k in itertools.combinations(range(n), 3):
+            ref = sp.expand(sum(P[a][k] * sp.diff(P[i][j], xs[a])
+                                + P[a][i] * sp.diff(P[j][k], xs[a])
+                                + P[a][j] * sp.diff(P[k][i], xs[a]) for a in range(n)))
+            assert sp.expand(_to_sympy(sp, cyc.component(i, j, k), xs) - ref) == 0
+            assert sp.expand(_to_sympy(sp, cyc.component(k, j, i), xs) + ref) == 0
+            sym_zero = sym_zero and ref == 0
+        assert schouten(pi, pi).is_zero() == sym_zero
+        zero_seen.add(sym_zero)
+    assert zero_seen == {True, False}

@@ -360,4 +360,4 @@ def test_bivector_json(sl2_lp):
     back = PolyBivector.from_json(d)
     for i in range(3):
         for j in range(3):
-            assert (back.entry(i, j) - sl2_lp.entry(i, j)).is_zero()
+            assert (back.component(i, j) - sl2_lp.component(i, j)).is_zero()
