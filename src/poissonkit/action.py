@@ -4,9 +4,10 @@ all momentum machinery (the dual group is then the dual vector space).
 
 Group-level data lives in :class:`LinearPoissonAction`: the infinitesimal
 generators acting on the target (their field values are matrix-vector
-products), an exact lift ``g -> n x n matrix``, and the defining matrices of
-the algebra, from which :func:`coadjoint_matrix` reads the exact coadjoint
-matrix with one inversion and one elimination.
+products) and the defining matrices of the algebra, from which the group
+relation, the exact lift ``g -> n x n matrix`` and, through
+:func:`coadjoint_matrix` (one inversion and one elimination), the exact
+coadjoint matrix all follow.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from fractions import Fraction
 
 from . import linalg
 from .bialgebra import RMatrix
-from .lie import LieAlgebra, abelian, sl2, sl2_defining_matrices
+from .lie import COADJOINT, LieAlgebra, abelian, representation, sl2, sl2_defining_matrices
 from .poisson import (
     PolyBivector,
     PolyVectorField,
@@ -34,15 +35,9 @@ from .poly import MultiPoly, NumericField, _as_vars, generators, sl2_relation_id
 from .scalars import GaussianRational, Q, ZERO, ONE
 
 POINTWISE_TOL = 1e-6
-SUBSPACE_TOL = 1e-8
 
 
 # -- exact group helpers ----------------------------------------------------------
-
-
-def sl2_membership(g) -> bool:
-    m = linalg.mat(g)
-    return (m[0][0] * m[1][1] - m[0][1] * m[1][0]) == ONE
 
 
 def sl2_rational_samples(count: int, seed: int = 0) -> list:
@@ -62,10 +57,9 @@ def sl2_rational_samples(count: int, seed: int = 0) -> list:
     return out
 
 
-def spans_sl2(defining_mats) -> bool:
+def spans_sl2(mats) -> bool:
     """True iff the defining matrices are 2x2 and span sl(2): only such groups
-    get the exact sampler and the determinant-one membership test."""
-    mats = [linalg.mat(m) for m in defining_mats or []]
+    get the exact sampler and the determinant-one group relation."""
     if not all(len(m) == 2 and len(m[0]) == 2 and (m[0][0] + m[1][1]).is_zero() for m in mats):
         return False
     return linalg.rank([[m[0][0], m[0][1], m[1][0]] for m in mats]) == 3
@@ -74,7 +68,7 @@ def spans_sl2(defining_mats) -> bool:
 def exact_group_samples(a: LinearPoissonAction, count: int, seed: int):
     """Exact group samples for the action, or None when there is no exact
     sampler (see :func:`spans_sl2`)."""
-    if spans_sl2(a.defining_mats):
+    if a.sl2:
         return sl2_rational_samples(count, seed=seed)
     return None
 
@@ -131,15 +125,11 @@ def dressing_generator_matrices(L: LieAlgebra) -> list:
     with zero Poisson structure: d(X) = X_{<mu, X>} for the linear bivector,
     i.e. (M_a mu)_i = sum_k C^k_{ai} mu_k.
 
-    Note these are the negatives of the module-valid coadjoint matrices: the
+    These are the negatives of the module-valid coadjoint matrices: the
     Hamiltonian fields of linear functions form a homomorphism into vector
     fields, while left-action generators form an anti-homomorphism.
     """
-    n = L.dim
-    mats = []
-    for a in range(n):
-        mats.append([[L.structure_constant(a, i, k) for k in range(n)] for i in range(n)])
-    return mats
+    return [[[-x for x in row] for row in m] for m in representation(L, COADJOINT).mats]
 
 
 # -- the bundled action object ---------------------------------------------------------
@@ -149,9 +139,10 @@ def dressing_generator_matrices(L: LieAlgebra) -> list:
 class LinearPoissonAction:
     """A matrix-group action on a polynomial Poisson space.
 
-    ``rep_mats`` generate the infinitesimal action on the target;
-    ``lift_generators`` (defaulting to ``rep_mats``) are the derivatives of
-    ``lift`` and enter the group-level multiplicativity check.
+    ``rep_mats`` generate the infinitesimal action on the target.  The group
+    is generated by ``defining_mats`` (default ``rep_mats``) and acts on the
+    target by g itself, or by Coad_g when ``coadjoint`` is set; the lift, its
+    generators and the group relation are derived from these once.
     """
 
     algebra: LieAlgebra
@@ -159,29 +150,45 @@ class LinearPoissonAction:
     bivector: PolyBivector
     rmatrix: RMatrix | None = None
     defining_mats: list | None = None
-    lift: object = None            # callable: group matrix -> n x n target matrix
-    lift_generators: list | None = None
-    membership: object = None      # callable: group matrix -> bool
+    coadjoint: bool = False
 
     def __post_init__(self):
         self.rep_mats = [linalg.mat(m) for m in self.rep_mats]
-        if len(self.rep_mats) != self.algebra.dim:
-            raise ValueError("one generator matrix per basis element required")
-        if self.lift_generators is None:
-            self.lift_generators = self.rep_mats
-        else:
-            self.lift_generators = [linalg.mat(m) for m in self.lift_generators]
+        self.defining_mats = (self.rep_mats if self.defining_mats is None
+                              else [linalg.mat(m) for m in self.defining_mats])
+        dim = self.algebra.dim
+        if dim < 1 or len(self.rep_mats) != dim or len(self.defining_mats) != dim:
+            raise ValueError("need a nonzero algebra and one generator and one defining "
+                             "matrix per basis element")
         n = self.target_dim
-        square = self.rep_mats + self.lift_generators
-        if self.lift is None:       # the group matrix acts on the target itself
-            self.lift = linalg.mat
-            square = square + list(self.defining_mats or [])
-        for m in square:
-            if len(m) != n or any(len(row) != n for row in m):
-                raise ValueError(f"action matrices must be {n}x{n}, the target dimension")
-        if self.membership is None:
-            self.membership = lambda g: True
+        if self.coadjoint:
+            self.lift_generators = representation(self.algebra, COADJOINT).mats
+            d = len(self.defining_mats[0])
+        else:       # the group matrix acts on the target itself
+            self.lift_generators = self.rep_mats
+            d = n
+        for mats, size in ((self.rep_mats + self.lift_generators, n), (self.defining_mats, d)):
+            if any(len(m) != size or any(len(row) != size for row in m) for m in mats):
+                raise ValueError(f"action matrices must be {size}x{size}")
+        self.sl2 = spans_sl2(self.defining_mats)
         self._fields = None
+
+    def contains(self, g) -> bool:
+        """The group relation: determinant one when the defining matrices span
+        sl(2) (see :func:`spans_sl2`); any matrix passes otherwise."""
+        if not self.sl2:
+            return True
+        m = linalg.mat(g)
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0] == ONE
+
+    def lift(self, g) -> list:
+        """The n x n matrix by which the group element g acts on the target;
+        ``ValueError`` when g fails the group relation."""
+        if not self.contains(g):
+            raise ValueError("matrix fails the group relation")
+        if self.coadjoint:
+            return coadjoint_matrix(self.defining_mats, g)
+        return linalg.mat(g)
 
     @property
     def target_dim(self) -> int:
@@ -254,17 +261,14 @@ def sl2_plane_action(l1, l2, l3, c) -> LinearPoissonAction:
     """The natural determinant-one group action on the plane with bivector
     h(x1, x2) d_1 ^ d_2, h as above, and the r-matrix family on sl(2)."""
     L = sl2()
-    mats = sl2_defining_matrices()
     h = quadratic_h(l1, l2, l3, c)
     pi = PolyBivector(("x1", "x2"), {(0, 1): h})
     lam = RMatrix.sl2_family(L, l1, l2, l3)
     return LinearPoissonAction(
         algebra=L,
-        rep_mats=mats,
+        rep_mats=sl2_defining_matrices(),
         bivector=pi,
         rmatrix=lam,
-        defining_mats=mats,
-        membership=sl2_membership,
     )
 
 
@@ -279,7 +283,6 @@ def diagonal_subgroup_action(c) -> LinearPoissonAction:
         algebra=abelian(1),
         rep_mats=[e1],
         bivector=pi,
-        defining_mats=[e1],
     )
 
 
@@ -292,11 +295,11 @@ def rotation_plane_action() -> LinearPoissonAction:
         algebra=abelian(1),
         rep_mats=[R],
         bivector=pi,
-        defining_mats=[R],
     )
 
 
-def coadjoint_dressing_bundle(L: LieAlgebra, defining_mats) -> LinearPoissonAction:
+def coadjoint_dressing_bundle(L: LieAlgebra, defining_mats,
+                              rmatrix: RMatrix | None = None) -> LinearPoissonAction:
     """The dual space of a trivial-structure group: linear bivector, dressing
     generators as the infinitesimal action, exact coadjoint lift.
 
@@ -304,18 +307,13 @@ def coadjoint_dressing_bundle(L: LieAlgebra, defining_mats) -> LinearPoissonActi
     generators are the negatives of the dressing generators (the standard
     sign slack between left translations and Hamiltonian generators).
     """
-    pi = lie_poisson(L)
-    gen = dressing_generator_matrices(L)
-    neg = [[[-x for x in row] for row in m] for m in gen]
-    mats = [linalg.mat(m) for m in defining_mats]
     return LinearPoissonAction(
         algebra=L,
-        rep_mats=gen,
-        bivector=pi,
-        defining_mats=mats,
-        lift=lambda g: coadjoint_matrix(mats, g),
-        lift_generators=neg,
-        membership=sl2_membership if spans_sl2(mats) else None,
+        rep_mats=dressing_generator_matrices(L),
+        bivector=lie_poisson(L),
+        rmatrix=rmatrix,
+        defining_mats=defining_mats,
+        coadjoint=True,
     )
 
 
@@ -349,8 +347,6 @@ def check_poisson_action(a: LinearPoissonAction, samples) -> ActionCheckReport:
     r-matrix (zero when no r-matrix is attached)."""
     failures = []
     for g, x in samples:
-        if not a.membership(g):
-            raise ValueError("sample matrix fails the group relation")
         G = a.lift(g)
         xv = [GaussianRational.coerce(t) for t in x]
         gx = linalg.mat_vec(G, xv)
@@ -980,12 +976,9 @@ def gamma_checks(a: LinearPoissonAction, G: GammaCochain,
 
 
 def _group_maps(a: LinearPoissonAction, g) -> tuple:
-    """(lift(g), Coad_g) for a group element that passes the membership test."""
-    if a.defining_mats is None:
-        raise ValueError("group-level maps require the defining matrices")
-    if not a.membership(g):
-        raise ValueError("matrix fails the group relation")
-    return a.lift(g), coadjoint_matrix(a.defining_mats, g)
+    """(lift(g), Coad_g); on a coadjoint action both are the one matrix."""
+    lifted = a.lift(g)
+    return lifted, (lifted if a.coadjoint else coadjoint_matrix(a.defining_mats, g))
 
 
 def _sigma(a: LinearPoissonAction, m: MomentumMap, maps: tuple, xv, m_x) -> list:

@@ -24,6 +24,11 @@ class SchemaError(Exception):
     pass
 
 
+# what a malformed entry raises while it is parsed: a missing key, a bad value,
+# a value of the wrong JSON type or a list of the wrong length
+_MALFORMED = (KeyError, ValueError, TypeError, IndexError)
+
+
 @dataclass
 class ProblemBundle:
     algebras: dict = field(default_factory=dict)
@@ -33,14 +38,14 @@ class ProblemBundle:
     actions: dict = field(default_factory=dict)
     momentum_maps: dict = field(default_factory=dict)   # name -> (action_name, MomentumMap)
     casimirs: dict = field(default_factory=dict)        # bivector name -> {name: poly}
-    sampler: dict = field(default_factory=dict)
-    flow: dict | None = None
+    sampler: dict = field(default_factory=dict)         # seed, count, scale, denom_power -> int
+    flow: dict | None = None                            # parsed values, keyed as in JSON
 
     def require_seed(self, override=None) -> int:
         if override is not None:
             return int(override)
         if "seed" in self.sampler:
-            return int(self.sampler["seed"])
+            return self.sampler["seed"]
         raise SchemaError("sampled checks require a seed (bundle sampler.seed or --seed)")
 
 
@@ -61,85 +66,90 @@ def _object(x, what: str) -> dict:
     return x
 
 
-def _entries(raw: dict, section: str):
-    """The (name, entry) pairs of one bundle section; every entry an object."""
-    items = _object(raw.get(section, {}), section).items()
-    for name, entry in items:
-        _object(entry, f"{section} entry {name!r}")
-    return items
+def _ref(table: dict, ref, who: str, kind: str):
+    """The entry ``ref`` of an earlier section, which ``who`` references."""
+    if ref not in table:
+        raise SchemaError(f"{who} references unknown {kind} {ref!r}")
+    return table[ref]
+
+
+def _section(raw: dict, section: str, what: str, parse) -> dict:
+    """``{name: parse(name, entry)}`` over one bundle section; every entry an
+    object, and a malformed entry a :class:`SchemaError` naming it."""
+    out = {}
+    for name, entry in _object(raw.get(section, {}), section).items():
+        try:
+            out[name] = parse(name, _object(entry, f"{section} entry {name!r}"))
+        except _MALFORMED as e:
+            raise SchemaError(f"{what} {name!r}: {e}") from e
+    return out
 
 
 def parse_bundle(raw: dict) -> ProblemBundle:
     _object(raw, "bundle")
     b = ProblemBundle()
-    b.sampler = dict(_object(raw.get("sampler", {}), "sampler"))
-    for name, entry in _entries(raw, "algebras"):
-        try:
-            b.algebras[name] = LieAlgebra.from_json(entry)
-        except (KeyError, ValueError) as e:
-            raise SchemaError(f"algebra {name!r}: {e}") from e
+    sampler = _object(raw.get("sampler", {}), "sampler")
+    try:
+        b.sampler = {k: int(sampler[k]) for k in ("seed", "count", "scale", "denom_power")
+                     if k in sampler}
+    except _MALFORMED as e:
+        raise SchemaError(f"sampler: {e}") from e
+    if any(b.sampler.get(k, 0) < 0 for k in ("scale", "denom_power")):
+        raise SchemaError("sampler: scale and denom_power must be >= 0")
+    b.algebras = _section(raw, "algebras", "algebra", lambda _, e: LieAlgebra.from_json(e))
 
-    for name, entry in _entries(raw, "rmatrices"):
-        ref = entry.get("algebra")
-        if ref not in b.algebras:
-            raise SchemaError(f"r-matrix {name!r} references unknown algebra {ref!r}")
-        try:
-            b.rmatrices[name] = (ref, RMatrix.from_json(b.algebras[ref], entry))
-        except (KeyError, ValueError) as e:
-            raise SchemaError(f"r-matrix {name!r}: {e}") from e
+    def rmatrix(name, entry):
+        L = _ref(b.algebras, entry.get("algebra"), f"r-matrix {name!r}", "algebra")
+        return entry["algebra"], RMatrix.from_json(L, entry)
 
-    for name, entry in _entries(raw, "bivectors"):
-        try:
-            b.bivectors[name] = PolyBivector.from_json(entry)
-        except (KeyError, ValueError) as e:
-            raise SchemaError(f"bivector {name!r}: {e}") from e
+    b.rmatrices = _section(raw, "rmatrices", "r-matrix", rmatrix)
+    b.bivectors = _section(raw, "bivectors", "bivector", lambda _, e: PolyBivector.from_json(e))
+    b.abelian_structures = _section(raw, "abelian_structures", "abelian structure",
+                                    lambda _, e: _parse_abelian(e))
+    b.actions = _section(raw, "actions", "action", lambda n, e: _parse_action(b, n, e))
 
-    for name, entry in _entries(raw, "abelian_structures"):
-        try:
-            b.abelian_structures[name] = _parse_abelian(entry)
-        except (KeyError, ValueError) as e:
-            raise SchemaError(f"abelian structure {name!r}: {e}") from e
-
-    for name, entry in _entries(raw, "actions"):
-        try:
-            b.actions[name] = _parse_action(b, name, entry)
-        except (KeyError, ValueError) as e:
-            raise SchemaError(f"action {name!r}: {e}") from e
-
-    for name, entry in _entries(raw, "momentum_maps"):
-        ref = entry.get("action")
-        if ref not in b.actions:
-            raise SchemaError(f"momentum map {name!r} references unknown action {ref!r}")
-        act = b.actions[ref]
-        try:
-            comps = [MultiPoly.from_json(cj).over(act.bivector.vars)
-                     for cj in entry.get("components", [])]
-        except (KeyError, ValueError) as e:
-            raise SchemaError(f"momentum map {name!r}: {e}") from e
+    def momentum_map(name, entry):
+        act = _ref(b.actions, entry.get("action"), f"momentum map {name!r}", "action")
+        comps = [MultiPoly.from_json(cj).over(act.bivector.vars)
+                 for cj in entry.get("components", [])]
         if len(comps) != act.algebra.dim:
-            raise SchemaError(
-                f"momentum map {name!r}: need {act.algebra.dim} components"
-            )
-        b.momentum_maps[name] = (ref, action_mod.MomentumMap(act.algebra, comps))
+            raise SchemaError(f"momentum map {name!r}: need {act.algebra.dim} components")
+        return entry["action"], action_mod.MomentumMap(act.algebra, comps)
 
-    for bname, entries in _entries(raw, "casimirs"):
-        if bname not in b.bivectors:
-            raise SchemaError(f"casimirs reference unknown bivector {bname!r}")
-        piv = b.bivectors[bname]
-        try:
-            b.casimirs[bname] = {
-                k: MultiPoly.from_json(v).over(piv.vars) for k, v in entries.items()
-            }
-        except (KeyError, ValueError) as e:
-            raise SchemaError(f"casimirs of {bname!r}: {e}") from e
+    b.momentum_maps = _section(raw, "momentum_maps", "momentum map", momentum_map)
 
+    def casimirs(bname, entries):
+        vs = _ref(b.bivectors, bname, "casimirs", "bivector").vars
+        return {k: MultiPoly.from_json(v).over(vs) for k, v in entries.items()}
+
+    b.casimirs = _section(raw, "casimirs", "casimirs of", casimirs)
     if "flow" in raw:
-        entry = _object(raw["flow"], "flow")
-        ref = entry.get("bivector")
-        if ref not in b.bivectors:
-            raise SchemaError(f"flow references unknown bivector {ref!r}")
-        b.flow = dict(entry)
+        try:
+            b.flow = _parse_flow(b, _object(raw["flow"], "flow"))
+        except _MALFORMED as e:
+            raise SchemaError(f"flow: {e}") from e
     return b
+
+
+def _parse_flow(b: ProblemBundle, entry: dict) -> dict:
+    """The Hamiltonian and Casimirs on the bivector's chart, the start point
+    ``x0`` as exact rationals of the chart's length (converted to floats) and
+    the integrator settings."""
+    vs = _ref(b.bivectors, entry.get("bivector"), "flow", "bivector").vars
+    x0 = [coeff_from_json(v) for v in entry["x0"]]
+    if len(x0) != len(vs) or any(c.im for c in x0):
+        raise ValueError(f"x0 must be {len(vs)} real coordinates")
+    casimirs = _object(entry.get("casimirs", {}), "flow casimirs")
+    return {
+        "bivector": entry["bivector"],
+        "hamiltonian": MultiPoly.from_json(entry["hamiltonian"]).over(vs),
+        "casimirs": {k: MultiPoly.from_json(v).over(vs) for k, v in casimirs.items()},
+        "x0": [float(c.re) for c in x0],
+        "dt": float(entry.get("dt", 1e-3)),
+        "steps": int(entry.get("steps", 1000)),
+        "divergence_bound": float(entry.get("divergence_bound", 1e9)),
+        "drift_tolerance": float(entry.get("drift_tolerance", 1e-8)),
+    }
 
 
 def _parse_abelian(entry: dict) -> AbelianPLStructure:
@@ -161,43 +171,33 @@ def _parse_abelian(entry: dict) -> AbelianPLStructure:
     return AbelianPLStructure.from_constants(m, n, constants)
 
 
+def _matrices(raw) -> list:
+    return [[[coeff_from_json(x) for x in row] for row in m] for m in raw]
+
+
 def _parse_action(b: ProblemBundle, name: str, entry: dict):
-    ref = entry.get("algebra")
-    if ref not in b.algebras:
-        raise SchemaError(f"action {name!r} references unknown algebra {ref!r}")
-    L = b.algebras[ref]
-    bref = entry.get("bivector")
-    if bref not in b.bivectors:
-        raise SchemaError(f"action {name!r} references unknown bivector {bref!r}")
-    pi = b.bivectors[bref]
-    kind = entry.get("kind", "natural")
-    membership = action_mod.sl2_membership if entry.get("membership") == "det1" else None
+    who = f"action {name!r}"
+    L = _ref(b.algebras, entry.get("algebra"), who, "algebra")
+    pi = _ref(b.bivectors, entry.get("bivector"), who, "bivector")
     rmat = None
     if "rmatrix" in entry:
-        rref = entry["rmatrix"]
-        if rref not in b.rmatrices:
-            raise SchemaError(f"action {name!r} references unknown r-matrix {rref!r}")
-        rmat = b.rmatrices[rref][1]
-    if kind == "coadjoint-dressing":
+        rmat = _ref(b.rmatrices, entry["rmatrix"], who, "r-matrix")[1]
+    if entry.get("kind", "natural") == "coadjoint-dressing":
         if "defining" not in entry:
-            raise SchemaError(f"action {name!r}: coadjoint-dressing needs defining matrices")
-        defining = [[[coeff_from_json(x) for x in row] for row in m] for m in entry["defining"]]
-        act = action_mod.coadjoint_dressing_bundle(L, defining)
-        act.rmatrix = rmat
+            raise SchemaError(f"{who}: coadjoint-dressing needs defining matrices")
+        act = action_mod.coadjoint_dressing_bundle(L, _matrices(entry["defining"]), rmatrix=rmat)
+        if pi.vars != act.bivector.vars or pi != act.bivector:
+            raise SchemaError(
+                f"{who}: bivector {entry['bivector']!r} is not the Lie-Poisson bivector of "
+                f"{entry['algebra']!r} on {', '.join(v.name for v in act.bivector.vars)}"
+            )
         return act
     if "representation" not in entry:
-        raise SchemaError(f"action {name!r}: natural actions need representation matrices")
-    rep = [[[coeff_from_json(x) for x in row] for row in m] for m in entry["representation"]]
-    if len(rep) != L.dim:
-        raise SchemaError(f"action {name!r}: need one matrix per basis element")
-    defining = rep
-    if "defining" in entry:
-        defining = [[[coeff_from_json(x) for x in row] for row in m] for m in entry["defining"]]
+        raise SchemaError(f"{who}: natural actions need representation matrices")
     return action_mod.LinearPoissonAction(
         algebra=L,
-        rep_mats=rep,
+        rep_mats=_matrices(entry["representation"]),
         bivector=pi,
         rmatrix=rmat,
-        defining_mats=defining,
-        membership=membership,
+        defining_mats=_matrices(entry["defining"]) if "defining" in entry else None,
     )

@@ -25,7 +25,7 @@ from . import lie as lie_mod
 from . import linalg
 from . import poisson as P
 from .bundles import ProblemBundle, SchemaError, load_bundle
-from .poly import MultiPoly, NumericField
+from .poly import NumericField
 
 
 def _check(name: str, payload: dict, skipped: bool = False) -> dict:
@@ -162,12 +162,12 @@ def run_check_poisson(bundle: ProblemBundle, args):
 
 def run_stratify(bundle: ProblemBundle, args):
     seed = bundle.require_seed(args.seed)
-    count = _sample_count(args, int(bundle.sampler.get("count", 100)))
+    count = _sample_count(args, bundle.sampler.get("count", 100))
     cfg = P.StratifyConfig(
         count=count,
         seed=seed,
-        scale=int(bundle.sampler.get("scale", 8)),
-        denom_power=int(bundle.sampler.get("denom_power", 3)),
+        scale=bundle.sampler.get("scale", 8),
+        denom_power=bundle.sampler.get("denom_power", 3),
     )
     for name, pi in sorted(bundle.bivectors.items()):
         if not _wanted(args, f"stratify:{name}"):
@@ -182,29 +182,23 @@ def run_stratify(bundle: ProblemBundle, args):
 def run_flow(bundle: ProblemBundle, args, out_stream):
     if bundle.flow is None:
         raise SchemaError("bundle has no flow section")
-    entry = bundle.flow
-    pi = bundle.bivectors[entry["bivector"]]
-    f = MultiPoly.from_json(entry["hamiltonian"]).over(pi.vars)
-    dt = float(args.dt if args.dt is not None else entry.get("dt", 1e-3))
-    steps = int(args.steps if args.steps is not None else entry.get("steps", 1000))
+    flow = bundle.flow
+    dt = flow["dt"] if args.dt is None else args.dt
+    steps = flow["steps"] if args.steps is None else args.steps
     if dt <= 0:
         raise SchemaError("dt must be positive")
     if steps < 1:
         raise SchemaError(f"steps must be >= 1, got {steps}")
-    x0 = [float(Fraction(str(v))) for v in entry["x0"]]
-    casimirs = {
-        k: MultiPoly.from_json(v).over(pi.vars)
-        for k, v in entry.get("casimirs", {}).items()
-    }
-    bound = float(entry.get("divergence_bound", 1e9))
-    traj = P.hamiltonian_flow(pi, f, x0, dt, steps, casimirs=casimirs, divergence_bound=bound)
+    traj = P.hamiltonian_flow(bundle.bivectors[flow["bivector"]], flow["hamiltonian"], flow["x0"],
+                              dt, steps, casimirs=flow["casimirs"],
+                              divergence_bound=flow["divergence_bound"])
     rows = traj.to_csv_rows()
     for row in rows:
         out_stream.write(",".join(str(c) for c in row) + "\n")
     out_stream.write("# " + json.dumps(traj.summary(), sort_keys=True, default=_json_default) + "\n")
     if not _wanted(args, "flow:conservation"):
         return
-    tol = float(entry.get("drift_tolerance", 1e-8))
+    tol = flow["drift_tolerance"]
     drifts = [traj.f_drift] + list(traj.casimir_drift.values())
     yield _check(
         "flow:conservation",
@@ -221,7 +215,7 @@ def run_flow(bundle: ProblemBundle, args, out_stream):
 
 def run_check_action(bundle: ProblemBundle, args):
     seed = bundle.require_seed(args.seed)
-    count = _sample_count(args, int(bundle.sampler.get("count", 50)))
+    count = _sample_count(args, bundle.sampler.get("count", 50))
     for name, act in sorted(bundle.actions.items()):
         pts = _sample_points(act.target_dim, count, seed + 1)
         if _wanted(args, f"check-action:{name}:poisson-action"):
@@ -229,8 +223,7 @@ def run_check_action(bundle: ProblemBundle, args):
             degraded = {}
             if gs is None:
                 # no exact sampler for this group: check at the unit only
-                size = len(act.defining_mats[0]) if act.defining_mats else act.target_dim
-                gs = [linalg.identity(size)]
+                gs = [linalg.identity(len(act.defining_mats[0]))]
                 degraded = {"mode": "degraded",
                             "reason": "defining matrices do not span sl(2); checked at the identity only"}
             samples = list(zip(gs, pts[: len(gs)]))
@@ -249,7 +242,7 @@ def run_check_action(bundle: ProblemBundle, args):
 
 def run_momentum(bundle: ProblemBundle, args):
     seed = bundle.require_seed(args.seed)
-    count = _sample_count(args, int(bundle.sampler.get("count", 20)))
+    count = _sample_count(args, bundle.sampler.get("count", 20))
     for name, (aref, m) in sorted(bundle.momentum_maps.items()):
         act = bundle.actions[aref]
         if _wanted(args, f"momentum:{name}:hamiltonian-condition"):
@@ -365,7 +358,6 @@ def run_plane_pipeline(args):
         lie_mod.abelian(1),
         [act.rep_mats[0]],
         act.bivector,
-        defining_mats=[act.defining_mats[0]],
     )
     analytic = (l1 == 0 and l3 == 0)
     if _wanted(args, "example51:h-subgroup-preserved"):

@@ -34,8 +34,8 @@ class LieAlgebra:
         coefficient vector of ``[e_i, e_j]``; omitted pairs are zero."""
         self.dim = int(dim)
         self.basis = tuple(basis) if basis else tuple(f"e{i+1}" for i in range(dim))
-        if len(self.basis) != self.dim:
-            raise ValueError("basis names do not match dimension")
+        if len(self.basis) != self.dim or not all(isinstance(s, str) for s in self.basis):
+            raise ValueError("basis names must be one string per dimension")
         table = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
         for (i, j), vec in brackets.items():
             if not (0 <= i < dim and 0 <= j < dim):

@@ -20,7 +20,7 @@ from fractions import Fraction
 from . import linalg
 from .lie import LieAlgebra
 from .multivector import PolyMultiVector, from_vector_field, schouten
-from .poly import AFFINE, MultiPoly, NumericField, Var, _as_vars
+from .poly import AFFINE, MultiPoly, NumericField, _as_vars
 from .scalars import GaussianRational
 
 
@@ -140,11 +140,7 @@ class PolyBivector(PolyMultiVector):
                 raise ValueError(f"entry ({i}, {j}) out of range for dimension {len(vs)}")
             if i == j and not p.is_zero():
                 raise ValueError("diagonal bivector components must vanish")
-            if not p.is_zero():
-                p = p.over(vs)
-                if len(p.vars) != len(vs):
-                    raise ValueError("component polynomial uses variables outside the chart")
-            comps[(i, j)] = p
+            comps[(i, j)] = p if p.is_zero() else p.over(vs)
         super().__init__(vs, 2, comps)
 
     # -- constructors -------------------------------------------------------
@@ -226,11 +222,10 @@ class PolyBivector(PolyMultiVector):
             vs = tuple((v["name"], v.get("kind", AFFINE)) for v in d["vars"])
         else:
             vs = tuple(f"x{i+1}" for i in range(n))
-        variables = _as_vars(vs)
         entries = {}
         for e in d.get("entries", []):
             entries[(int(e["i"]), int(e["j"]))] = MultiPoly.from_json(e["poly"])
-        return PolyBivector(variables, entries)
+        return PolyBivector(vs, entries)
 
 
 # -- brackets and fields -------------------------------------------------------------
@@ -253,7 +248,6 @@ def bracket_fn(pi: PolyBivector, f: MultiPoly, g: MultiPoly) -> MultiPoly:
 
 def hamiltonian_field(pi: PolyBivector, f: MultiPoly) -> PolyVectorField:
     """X_f = sharp(df) = {f, .}."""
-    f = f.over(pi.vars)
     return pi.sharp(differential(f, pi.vars))
 
 
@@ -547,9 +541,7 @@ def stratify_sample(pi: PolyBivector, config: StratifyConfig) -> StratificationR
 
 
 def _compile_float(poly: MultiPoly, names):
-    aligned = poly.over([Var(n) for n in names])
-    if len(aligned.vars) != len(names):
-        raise ValueError("polynomial involves variables outside the coordinate system")
+    aligned = poly.over(names)
     terms = []
     for exp, c in aligned.terms.items():
         if c.im:

@@ -124,28 +124,24 @@ class MultiPoly:
         raise KeyError(f"unknown variable {name!r}")
 
     def align(self, other: "MultiPoly"):
-        """Return (p, q) re-expressed over the merged variable list."""
+        """Return (p, q) re-expressed over the merged variable list: this
+        polynomial's variables followed by those only ``other`` uses."""
         if self.vars == other.vars:
             return self, other
-        merged = list(self.vars)
-        names = {v.name: v for v in merged}
-        for v in other.vars:
-            if v.name in names:
-                if names[v.name].kind != v.kind:
-                    raise ValueError(
-                        f"variable {v.name!r} used with conflicting kinds "
-                        f"{names[v.name].kind!r} and {v.kind!r}"
-                    )
-            else:
-                merged.append(v)
-                names[v.name] = v
-        merged = tuple(merged)
-        return self._reindex(merged), other._reindex(merged)
+        names = {v.name for v in self.vars}
+        merged = self.vars + tuple(v for v in other.vars if v.name not in names)
+        return self.over(merged), other.over(merged)
 
     def over(self, variables) -> "MultiPoly":
-        """This polynomial on the chart ``variables``, followed by any of its
-        own variables the chart lacks (the merged order of :meth:`align`)."""
-        return MultiPoly.zero(variables).align(self)[1]
+        """This polynomial on the chart ``variables``; ``ValueError`` when it
+        uses a variable the chart lacks, or one of another kind."""
+        if variables == self.vars:
+            return self
+        vs = _as_vars(variables)
+        if not set(self.vars) <= set(vs):
+            raise ValueError(f"polynomial variables {self.vars} are not all on the chart {vs} "
+                             "(a name is missing or has another kind)")
+        return self._reindex(vs)
 
     def _reindex(self, merged) -> "MultiPoly":
         if merged == self.vars:

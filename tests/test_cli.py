@@ -1,3 +1,5 @@
+import contextlib
+import copy
 import io
 import json
 import subprocess
@@ -344,6 +346,65 @@ def _natural_action_with_2x2_defining_on_3_dims(raw):
     }
 
 
+def _foreign_variable(poly):
+    poly["vars"].append({"name": "z", "kind": "affine"})
+    for t in poly["terms"]:
+        t["exp"].append(0)
+    poly["terms"].append({"exp": [0] * (len(poly["vars"]) - 1) + [1], "coeff": 1})
+
+
+def _momentum_component_on_a_foreign_variable(raw):
+    _foreign_variable(raw["momentum_maps"]["shifted_identity"]["components"][0])
+
+
+def _flow_hamiltonian_on_a_foreign_variable(raw):
+    _foreign_variable(raw["flow"]["hamiltonian"])
+
+
+def _float_flow_coefficient(raw):
+    raw["flow"]["hamiltonian"]["terms"][0]["coeff"] = 1.5
+
+
+def _flow_without_hamiltonian(raw):
+    del raw["flow"]["hamiltonian"]
+
+
+def _short_x0(raw):
+    raw["flow"]["x0"] = ["1", "1/2"]
+
+
+def _non_rational_x0(raw):
+    raw["flow"]["x0"] = "a"
+
+
+def _non_integer_seed(raw):
+    raw["sampler"]["seed"] = "a"
+
+
+def _float_for_a_list(raw):
+    raw["algebras"]["sl2"]["brackets"] = 1.5
+
+
+def _float_basis_name(raw):
+    raw["algebras"]["sl2"]["basis"][0] = 1.5
+
+
+def _dressing_on_the_plane_bivector(raw):
+    raw["actions"]["dressing"]["bivector"] = "plane"
+
+
+def _two_defining_matrices(raw):
+    raw["actions"]["dressing"]["defining"].pop()
+
+
+def _four_defining_matrices(raw):
+    raw["actions"]["dressing"]["defining"].append([[1, 0], [0, -1]])
+
+
+def _defining_matrix_missing_a_row(raw):
+    raw["actions"]["dressing"]["defining"][1].pop()
+
+
 @pytest.mark.parametrize("subcommand, edit", [
     ("check-bialgebra", _float_rmatrix_entry),
     ("momentum", _unknown_variable_kind),
@@ -354,6 +415,21 @@ def _natural_action_with_2x2_defining_on_3_dims(raw):
     ("check-lie", _algebra_entry_list),
     ("check-action", _action_matrices_padded_to_3x3),
     ("check-action", _natural_action_with_2x2_defining_on_3_dims),
+    ("momentum", _momentum_component_on_a_foreign_variable),
+    ("flow", _flow_hamiltonian_on_a_foreign_variable),
+    ("flow", _float_flow_coefficient),
+    ("flow", _flow_without_hamiltonian),
+    ("flow", _short_x0),
+    ("flow", _non_rational_x0),
+    ("stratify", _non_integer_seed),
+    ("check-lie", _float_for_a_list),
+    ("check-bialgebra", _float_basis_name),
+    ("momentum", _dressing_on_the_plane_bivector),
+    ("check-action", _two_defining_matrices),
+    ("momentum", _two_defining_matrices),
+    ("check-action", _four_defining_matrices),
+    ("momentum", _four_defining_matrices),
+    ("check-action", _defining_matrix_missing_a_row),
 ])
 def test_bundle_schema_errors_exit_2(subcommand, edit, tmp_path, capsys):
     raw = json.loads(SAMPLE.read_text())
@@ -361,6 +437,66 @@ def test_bundle_schema_errors_exit_2(subcommand, edit, tmp_path, capsys):
     path = tmp_path / "bundle.json"
     path.write_text(json.dumps(raw if edited is None else edited))
     _assert_schema_error([subcommand, "--bundle", str(path)], capsys)
+
+
+# the subcommand that reads each section of the sample bundle
+SECTION_READERS = {
+    "sampler": "stratify", "algebras": "check-lie", "rmatrices": "check-bialgebra",
+    "bivectors": "check-poisson", "abelian_structures": "check-bialgebra",
+    "actions": "check-action", "momentum_maps": "momentum", "casimirs": "check-poisson",
+    "flow": "flow",
+}
+
+
+def _key_paths(node, prefix=(), depth=4):
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        if len(prefix) + 1 < depth:
+            yield from _key_paths(child, prefix + (key,), depth)
+
+
+def _mutations(raw):
+    """Every edit of the contract test: for each key path of depth <= 4,
+    delete it, set it to 1.5 or to "a", and drop the last element of a list."""
+    for path in _key_paths(raw):
+        edits = [("delete", None), ("float", 1.5), ("string", "a")]
+        parent = raw
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(parent[path[-1]], list) and parent[path[-1]]:
+            edits.append(("drop-last", None))
+        for kind, value in edits:
+            edited = copy.deepcopy(raw)
+            node = edited
+            for key in path[:-1]:
+                node = node[key]
+            if kind == "delete":
+                del node[path[-1]]
+            elif kind == "drop-last":
+                node[path[-1]].pop()
+            else:
+                node[path[-1]] = value
+            yield path, kind, edited
+
+
+def test_every_edit_of_the_sample_bundle_keeps_the_exit_code_contract(tmp_path):
+    raw = json.loads(SAMPLE.read_text())
+    path = tmp_path / "bundle.json"
+    raised, runs = [], 0
+    for keys, kind, edited in _mutations(raw):
+        path.write_text(json.dumps(edited))
+        argv = [SECTION_READERS[keys[0]], "--bundle", str(path), "--samples", "2", "--steps", "3"]
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(argv)
+        except Exception as e:
+            raised.append((keys, kind, repr(e)))
+            continue
+        assert code in (0, 1, 2), (keys, kind, code)
+        runs += 1
+    assert not raised, raised[:5]
+    assert runs > 300
 
 
 def test_check_action_on_a_3x3_group_checks_the_unit(tmp_path):

@@ -53,6 +53,25 @@ def test_kind_collision_rejected():
         th_aff + th_ang
 
 
+def test_over_moves_onto_a_chart_or_raises():
+    x, y = generators("x", "y")
+    p = x * y ** 2
+    assert p.over(p.vars) is p
+    moved = p.over(("y", "z", "x"))
+    assert moved.var_names() == ("y", "z", "x") and moved.terms == {(2, 0, 1): Q(1)}
+    with pytest.raises(ValueError, match="chart"):
+        p.over(("x", "z"))
+    with pytest.raises(ValueError, match="chart"):
+        MultiPoly.variable([Var("x", ANGULAR)], "x").over(("x", "y"))
+    # the chart moves inside the package raise the same error
+    from poissonkit.poisson import PolyBivector, hamiltonian_flow
+    with pytest.raises(ValueError, match="chart"):
+        PolyBivector(("x", "z"), {(0, 1): p})
+    plane = PolyBivector(("x", "z"), {(0, 1): MultiPoly.constant(("x", "z"), 1)})
+    with pytest.raises(ValueError, match="chart"):
+        hamiltonian_flow(plane, p, [0.0, 0.0], 0.1, 2)
+
+
 def test_affine_negative_exponent_rejected():
     with pytest.raises(ValueError):
         MultiPoly(("x",), {(-1,): Q(1)})
