@@ -34,7 +34,7 @@ from .lie import (
     sl2_defining_matrices,
     so3,
 )
-from .multivector import PolyMultiVector, from_vector_field, schouten
+from .multivector import PolyMultiVector, schouten
 from .poisson import (
     PolyBivector,
     PolyOneForm,

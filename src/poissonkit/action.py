@@ -21,6 +21,7 @@ from fractions import Fraction
 from . import linalg
 from .bialgebra import RMatrix
 from .lie import COADJOINT, LieAlgebra, abelian, representation, sl2, sl2_defining_matrices
+from .multivector import schouten
 from .poisson import (
     PolyBivector,
     PolyVectorField,
@@ -116,7 +117,7 @@ def linear_action_fields(rep_mats, variables) -> list:
                 if not M[i][j].is_zero():
                     acc = acc + gens[j].scale(M[i][j])
             comps.append(acc)
-        fields.append(PolyVectorField(vs, tuple(comps)))
+        fields.append(PolyVectorField(vs, comps))
     return fields
 
 
@@ -204,18 +205,13 @@ class LinearPoissonAction:
 
         Returns 'abelian' when all brackets vanish so both signs fit.
         """
-        from .multivector import lie_bracket_fields
-
         L, fields = self.algebra, self.fields()
         seen = set()
         for i, j in itertools.combinations(range(L.dim), 2):
             lhs = fields[i].scale(ZERO)
             for c, f in zip(L.basis_bracket(i, j), fields):
                 lhs = lhs + f.scale(c)
-            vs = fields[i].vars
-            rhs = PolyVectorField(
-                vs, tuple(lie_bracket_fields(vs, list(fields[i].comps), list(fields[j].comps)))
-            )
+            rhs = schouten(fields[i], fields[j])
             if lhs.is_zero() and rhs.is_zero():
                 continue
             if (lhs - rhs).is_zero():
@@ -709,7 +705,7 @@ def _field_vs_hamiltonian(pi: PolyBivector, fld: PolyVectorField, comp: NumericF
     grad = comp.gradient(pf)
     sharp = [sum(grad[j] * mflt[j][k] for j in range(pi.n)) for k in range(pi.n)]
     assign = {v.name: x for v, x in zip(pi.vars, pf)}
-    return [(complex(c.eval(assign)).real, sv) for c, sv in zip(fld.comps, sharp)]
+    return [(complex(fld.component(k).eval(assign)).real, sv) for k, sv in enumerate(sharp)]
 
 
 @dataclass
@@ -1035,7 +1031,8 @@ def psi_cocycle_check(a: LinearPoissonAction, m: MomentumMap, triples) -> PsiCoc
     cas_ok = True
     if first:
         lifted, co = first
-        gx_sym = linear_action_fields([lifted], a.bivector.vars)[0].comps
+        gx = linear_action_fields([lifted], a.bivector.vars)[0]
+        gx_sym = [gx.component(i) for i in range(gx.n)]
         for k in range(a.algebra.dim):
             # m_k(gx) symbolically: components are polynomials in mu
             comp = _substitute_linear(m.components[k], gx_sym) - m.of_vector(co[k])

@@ -16,8 +16,8 @@ from . import action as action_mod
 from .bialgebra import AbelianPLStructure, RMatrix
 from .lie import LieAlgebra
 from .poisson import PolyBivector
-from .poly import MultiPoly
-from .scalars import coeff_from_json
+from .poly import AFFINE, MultiPoly
+from .scalars import coeff_from_json, json_int
 
 
 class SchemaError(Exception):
@@ -90,7 +90,7 @@ def parse_bundle(raw: dict) -> ProblemBundle:
     b = ProblemBundle()
     sampler = _object(raw.get("sampler", {}), "sampler")
     try:
-        b.sampler = {k: int(sampler[k]) for k in ("seed", "count", "scale", "denom_power")
+        b.sampler = {k: json_int(sampler[k]) for k in ("seed", "count", "scale", "denom_power")
                      if k in sampler}
     except _MALFORMED as e:
         raise SchemaError(f"sampler: {e}") from e
@@ -135,18 +135,25 @@ def _parse_flow(b: ProblemBundle, entry: dict) -> dict:
     """The Hamiltonian and Casimirs on the bivector's chart, the start point
     ``x0`` as exact rationals of the chart's length (converted to floats) and
     the integrator settings."""
-    vs = _ref(b.bivectors, entry.get("bivector"), "flow", "bivector").vars
+    pi = _ref(b.bivectors, entry.get("bivector"), "flow", "bivector")
+    vs = pi.vars
+    if any(v.kind != AFFINE for v in vs):
+        raise ValueError("flow integration needs a bivector on affine variables")
     x0 = [coeff_from_json(v) for v in entry["x0"]]
     if len(x0) != len(vs) or any(c.im for c in x0):
         raise ValueError(f"x0 must be {len(vs)} real coordinates")
-    casimirs = _object(entry.get("casimirs", {}), "flow casimirs")
+    h = MultiPoly.from_json(entry["hamiltonian"]).over(vs)
+    casimirs = {k: MultiPoly.from_json(v).over(vs)
+                for k, v in _object(entry.get("casimirs", {}), "flow casimirs").items()}
+    if any(c.im for p in (h, *casimirs.values(), *pi.comps.values()) for c in p.terms.values()):
+        raise ValueError("flow integration needs real coefficients")
     return {
         "bivector": entry["bivector"],
-        "hamiltonian": MultiPoly.from_json(entry["hamiltonian"]).over(vs),
-        "casimirs": {k: MultiPoly.from_json(v).over(vs) for k, v in casimirs.items()},
+        "hamiltonian": h,
+        "casimirs": casimirs,
         "x0": [float(c.re) for c in x0],
         "dt": float(entry.get("dt", 1e-3)),
-        "steps": int(entry.get("steps", 1000)),
+        "steps": json_int(entry.get("steps", 1000)),
         "divergence_bound": float(entry.get("divergence_bound", 1e9)),
         "drift_tolerance": float(entry.get("drift_tolerance", 1e-8)),
     }
@@ -161,13 +168,11 @@ def _parse_abelian(entry: dict) -> AbelianPLStructure:
         if kind == "torus2_line_linear":
             return AbelianPLStructure.torus2_line_linear(*coeffs)
         raise SchemaError(f"unknown abelian example {kind!r}")
-    m = int(entry["m"])
-    n = int(entry["n"])
+    m = json_int(entry["m"])
+    n = json_int(entry["n"])
     constants = {}
-    for entry in entry.get("constants", []):
-        constants[(int(entry["i"]), int(entry["j"]), int(entry["k"]))] = coeff_from_json(
-            entry["c"]
-        )
+    for c in entry.get("constants", []):
+        constants[tuple(json_int(c[k]) for k in "ijk")] = coeff_from_json(c["c"])
     return AbelianPLStructure.from_constants(m, n, constants)
 
 

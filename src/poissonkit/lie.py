@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import linalg
-from .scalars import GaussianRational, Q, ZERO, coeff_from_json
+from .scalars import GaussianRational, Q, ZERO, coeff_from_json, json_int
 
 TRIVIAL = "trivial"
 ADJOINT = "adjoint"
@@ -127,11 +127,11 @@ class LieAlgebra:
 
     @staticmethod
     def from_json(d: dict) -> "LieAlgebra":
-        dim = int(d["dim"])
+        dim = json_int(d["dim"])
         brackets = {}
         for b in d.get("brackets", []):
             vec = [coeff_from_json(x) for x in b["result"]]
-            brackets[(int(b["i"]), int(b["j"]))] = vec
+            brackets[(json_int(b["i"]), json_int(b["j"]))] = vec
         return LieAlgebra(dim, brackets, basis=d.get("basis"))
 
 

@@ -117,11 +117,6 @@ class PolyMultiVector:
     __repr__ = __str__
 
 
-def from_vector_field(variables, components) -> PolyMultiVector:
-    comps = {(i,): p for i, p in enumerate(components)}
-    return PolyMultiVector(variables, 1, comps)
-
-
 def schouten(A: PolyMultiVector, B: PolyMultiVector) -> PolyMultiVector:
     """Schouten-Nijenhuis bracket of polynomial multivectors (degrees >= 1)."""
     if A.degree < 1 or B.degree < 1:
@@ -192,7 +187,8 @@ def schouten(A: PolyMultiVector, B: PolyMultiVector) -> PolyMultiVector:
 
 
 def lie_bracket_fields(variables, V, W) -> list:
-    """Jacobi-Lie bracket of two polynomial vector fields, as components."""
+    """Jacobi-Lie bracket of two polynomial vector fields, as components: the
+    coordinate formula, an independent reference for :func:`schouten` in degree 1."""
     names = [v.name if isinstance(v, Var) else v for v in variables]
     n = len(names)
     out = []

@@ -19,92 +19,50 @@ from fractions import Fraction
 
 from . import linalg
 from .lie import LieAlgebra
-from .multivector import PolyMultiVector, from_vector_field, schouten
+from .multivector import PolyMultiVector, schouten
 from .poly import AFFINE, MultiPoly, NumericField, _as_vars
-from .scalars import GaussianRational
+from .scalars import GaussianRational, json_int
 
 
-@dataclass
-class PolyVectorField:
-    """A vector field with polynomial components."""
+class PolyVectorField(PolyMultiVector):
+    """A vector field with polynomial components: a degree-1
+    :class:`PolyMultiVector` built from its list of n components."""
 
-    vars: tuple
-    comps: tuple
-
-    def __post_init__(self):
-        self.vars = _as_vars(self.vars)
-        if len(self.comps) != len(self.vars):
+    def __init__(self, variables, comps):
+        vs = _as_vars(variables)
+        if len(comps) != len(vs):
             raise ValueError("component count must equal the dimension")
-        self.comps = tuple(self.comps)
+        PolyMultiVector.__init__(self, vs, 1, {(i,): c for i, c in enumerate(comps)})
 
     def apply(self, f: MultiPoly) -> MultiPoly:
         """Directional derivative V(f)."""
         acc = MultiPoly.zero(self.vars)
-        for v, c in zip(self.vars, self.comps):
-            acc = acc + c * f.partial(v.name)
+        for (i,), c in sorted(self.comps.items()):
+            acc = acc + c * f.partial(self.vars[i].name)
         return acc
 
     def pair(self, alpha: "PolyOneForm") -> MultiPoly:
         acc = MultiPoly.zero(self.vars)
-        for c, a in zip(self.comps, alpha.comps):
-            acc = acc + c * a
+        for k, c in sorted(self.comps.items()):
+            if k in alpha.comps:
+                acc = acc + c * alpha.comps[k]
         return acc
 
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.comps)
 
-    def __add__(self, other):
-        return PolyVectorField(self.vars, tuple(a + b for a, b in zip(self.comps, other.comps)))
+class PolyOneForm(PolyMultiVector):
+    """A one-form with polynomial components, printed on frames ``dx``."""
 
-    def __sub__(self, other):
-        return PolyVectorField(self.vars, tuple(a - b for a, b in zip(self.comps, other.comps)))
+    __init__ = PolyVectorField.__init__  # one component per coordinate
 
-    def scale(self, s):
-        return PolyVectorField(self.vars, tuple(c.scale(s) for c in self.comps))
-
-    def as_multivector(self) -> PolyMultiVector:
-        return from_vector_field(self.vars, list(self.comps))
-
-    def __str__(self):
-        parts = [f"({c}) d_{v.name}" for v, c in zip(self.vars, self.comps) if not c.is_zero()]
-        return " + ".join(parts) if parts else "0"
-
-
-@dataclass
-class PolyOneForm:
-    """A one-form with polynomial components."""
-
-    vars: tuple
-    comps: tuple
-
-    def __post_init__(self):
-        self.vars = _as_vars(self.vars)
-        if len(self.comps) != len(self.vars):
-            raise ValueError("component count must equal the dimension")
-        self.comps = tuple(self.comps)
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.comps)
-
-    def __add__(self, other):
-        return PolyOneForm(self.vars, tuple(a + b for a, b in zip(self.comps, other.comps)))
-
-    def __sub__(self, other):
-        return PolyOneForm(self.vars, tuple(a - b for a, b in zip(self.comps, other.comps)))
-
-    def scale(self, s):
-        return PolyOneForm(self.vars, tuple(c.scale(s) for c in self.comps))
-
-    def __str__(self):
-        parts = [f"({c}) d{v.name}" for v, c in zip(self.vars, self.comps) if not c.is_zero()]
-        return " + ".join(parts) if parts else "0"
+    def _frame(self, key) -> str:
+        return f"d{self.vars[key[0]].name}"
 
 
 def differential(f: MultiPoly, variables=None) -> PolyOneForm:
     """The exact one-form df."""
     vs = _as_vars(variables if variables is not None else f.vars)
     aligned = f.over(vs)
-    return PolyOneForm(vs, tuple(aligned.partial(v.name) for v in vs))
+    return PolyOneForm(vs, [aligned.partial(v.name) for v in vs])
 
 
 def _assign(variables, point) -> dict:
@@ -116,14 +74,16 @@ def _assign(variables, point) -> dict:
 def lie_derivative_one_form(V: PolyVectorField, alpha: PolyOneForm) -> PolyOneForm:
     """(L_V alpha)_j = V^i d_i alpha_j + alpha_i d_j V^i."""
     names = [v.name for v in V.vars]
+    v = [V.component(i) for i in range(V.n)]
+    a = [alpha.component(i) for i in range(V.n)]
     out = []
     for j in range(len(names)):
         acc = MultiPoly.zero(V.vars)
         for i in range(len(names)):
-            acc = acc + V.comps[i] * alpha.comps[j].partial(names[i])
-            acc = acc + alpha.comps[i] * V.comps[i].partial(names[j])
+            acc = acc + v[i] * a[j].partial(names[i])
+            acc = acc + a[i] * v[i].partial(names[j])
         out.append(acc)
-    return PolyOneForm(V.vars, tuple(out))
+    return PolyOneForm(V.vars, out)
 
 
 class PolyBivector(PolyMultiVector):
@@ -187,7 +147,7 @@ class PolyBivector(PolyMultiVector):
 
     def sharp(self, alpha: PolyOneForm) -> PolyVectorField:
         """sharp(alpha)^i = sum_j alpha_j pi^{ji}."""
-        if len(alpha.comps) != self.n:
+        if alpha.n != self.n:
             raise ValueError("one-form dimension mismatch")
         comps = []
         for i in range(self.n):
@@ -195,9 +155,9 @@ class PolyBivector(PolyMultiVector):
             for j in range(self.n):
                 pij = self.component(j, i)
                 if not pij.is_zero():
-                    acc = acc + alpha.comps[j] * pij
+                    acc = acc + alpha.component(j) * pij
             comps.append(acc)
-        return PolyVectorField(self.vars, tuple(comps))
+        return PolyVectorField(self.vars, comps)
 
     def pair(self, alpha: PolyOneForm, beta: PolyOneForm) -> MultiPoly:
         """pi(alpha, beta) = <sharp(alpha), beta>."""
@@ -217,14 +177,16 @@ class PolyBivector(PolyMultiVector):
 
     @staticmethod
     def from_json(d: dict) -> "PolyBivector":
-        n = int(d["dim"])
+        n = json_int(d["dim"])
         if "vars" in d:
             vs = tuple((v["name"], v.get("kind", AFFINE)) for v in d["vars"])
+            if len(vs) != n:
+                raise ValueError(f"dim {n} does not match the {len(vs)} variables")
         else:
             vs = tuple(f"x{i+1}" for i in range(n))
         entries = {}
         for e in d.get("entries", []):
-            entries[(int(e["i"]), int(e["j"]))] = MultiPoly.from_json(e["poly"])
+            entries[(json_int(e["i"]), json_int(e["j"]))] = MultiPoly.from_json(e["poly"])
         return PolyBivector(vs, entries)
 
 
@@ -339,13 +301,15 @@ def one_form_bracket(pi: PolyBivector, alpha: PolyOneForm, beta: PolyOneForm) ->
 def _interior_two_form(V: PolyVectorField, beta: PolyOneForm) -> PolyOneForm:
     """i_V d(beta) as a one-form: (i_V dbeta)_j = sum_i V^i (d_i beta_j - d_j beta_i)."""
     names = [v.name for v in V.vars]
+    v = [V.component(i) for i in range(V.n)]
+    b = [beta.component(i) for i in range(V.n)]
     out = []
     for j in range(len(names)):
         acc = MultiPoly.zero(V.vars)
         for i in range(len(names)):
-            acc = acc + V.comps[i] * (beta.comps[j].partial(names[i]) - beta.comps[i].partial(names[j]))
+            acc = acc + v[i] * (b[j].partial(names[i]) - b[i].partial(names[j]))
         out.append(acc)
-    return PolyOneForm(V.vars, tuple(out))
+    return PolyOneForm(V.vars, out)
 
 
 def one_form_bracket_displayed(pi: PolyBivector, alpha: PolyOneForm, beta: PolyOneForm) -> PolyOneForm:
@@ -356,8 +320,7 @@ def one_form_bracket_displayed(pi: PolyBivector, alpha: PolyOneForm, beta: PolyO
     """
     sa = pi.sharp(alpha)
     sb = pi.sharp(beta)
-    t0 = differential(pi.pair(alpha, beta), pi.vars)
-    d0 = PolyOneForm(pi.vars, t0.comps)
+    d0 = differential(pi.pair(alpha, beta), pi.vars)
     return d0 - _interior_two_form(sa, beta) + _interior_two_form(sb, alpha)
 
 
@@ -388,7 +351,7 @@ def compare_one_form_conventions(pi, alpha, beta) -> OneFormConventionReport:
 
 def lie_derivative_bivector(pi: PolyBivector, V: PolyVectorField) -> PolyMultiVector:
     """L_V pi, the degree-2 Schouten bracket [V, pi]."""
-    return schouten(V.as_multivector(), pi)
+    return schouten(V, pi)
 
 
 @dataclass
@@ -422,7 +385,8 @@ def pairing_identity_check(pi: PolyBivector, V: PolyVectorField, alpha: PolyOneF
     lv = lie_derivative_bivector(pi, V)
     pair_lv = MultiPoly.zero(pi.vars)
     for (i, j), p in lv.comps.items():
-        pair_lv = pair_lv + p * (alpha.comps[i] * beta.comps[j] - alpha.comps[j] * beta.comps[i])
+        pair_lv = pair_lv + p * (alpha.component(i) * beta.component(j)
+                                   - alpha.component(j) * beta.component(i))
     sa = pi.sharp(alpha)
     sb = pi.sharp(beta)
     ivb = V.pair(beta)
@@ -612,7 +576,7 @@ def hamiltonian_flow(pi: PolyBivector, f: MultiPoly, x0, dt: float, steps: int,
         raise ValueError("need at least one step")
     names = [v.name for v in pi.vars]
     field_exact = hamiltonian_field(pi, f)
-    comp_fns = [_compile_float(c, names) for c in field_exact.comps]
+    comp_fns = [_compile_float(field_exact.component(i), names) for i in range(pi.n)]
     f_fn = _compile_float(f, names)
     casimirs = casimirs or {}
     cas_fns = {k: _compile_float(v, names) for k, v in casimirs.items()}

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .scalars import GaussianRational, Q, ZERO, ONE, coeff_from_json
+from .scalars import GaussianRational, Q, ZERO, ONE, coeff_from_json, json_int
 
 AFFINE = "affine"
 ANGULAR = "angular"
@@ -357,7 +357,8 @@ class MultiPoly:
     @staticmethod
     def from_json(d: dict) -> "MultiPoly":
         variables = [(v["name"], v.get("kind", AFFINE)) for v in d["vars"]]
-        terms = {tuple(t["exp"]): coeff_from_json(t["coeff"]) for t in d["terms"]}
+        terms = {tuple(json_int(e) for e in t["exp"]): coeff_from_json(t["coeff"])
+                 for t in d["terms"]}
         return MultiPoly(variables, terms)
 
     # -- rendering ---------------------------------------------------------

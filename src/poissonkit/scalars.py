@@ -11,12 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def _json_int(x) -> int:
-    if isinstance(x, float):
-        raise ValueError(f"{x!r} is not an exact integer")
-    return int(x)
-
-
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -143,8 +137,8 @@ class GaussianRational:
 
     @staticmethod
     def from_json(d: dict) -> "GaussianRational":
-        re = Fraction(_json_int(d["num"]), _json_int(d.get("den", 1)))
-        im = Fraction(_json_int(d.get("im_num", 0)), _json_int(d.get("im_den", 1)))
+        re = Fraction(json_int(d["num"]), json_int(d.get("den", 1)))
+        im = Fraction(json_int(d.get("im_num", 0)), json_int(d.get("im_den", 1)))
         return GaussianRational(re, im)
 
     def __repr__(self):
@@ -179,3 +173,12 @@ def coeff_from_json(x) -> GaussianRational:
         return GaussianRational.coerce(x)
     except TypeError:
         raise ValueError(f"coefficient {x!r} is not an exact rational") from None
+
+
+def json_int(x) -> int:
+    """An integer as JSON writes it: a number without fraction or a decimal
+    string.  A float or a boolean raises ``ValueError`` instead of being
+    truncated."""
+    if isinstance(x, (float, bool)):
+        raise ValueError(f"{x!r} is not an exact integer")
+    return int(x)

@@ -24,9 +24,9 @@ def test_printed_infinitesimal_fields():
     x1, x2 = generators("x1", "x2")
     half = Q("1/2")
     f1, f2, f3 = act.fields()
-    assert f1.comps[0] == x1.scale(half) and f1.comps[1] == x2.scale(-half)
-    assert f2.comps[0] == x2.scale(half) and f2.comps[1] == x1.scale(-half)
-    assert f3.comps[0] == x2.scale(half) and f3.comps[1] == x1.scale(half)
+    assert f1.component(0) == x1.scale(half) and f1.component(1) == x2.scale(-half)
+    assert f2.component(0) == x2.scale(half) and f2.component(1) == x1.scale(-half)
+    assert f3.component(0) == x2.scale(half) and f3.component(1) == x1.scale(half)
     zero = A.linear_action_fields([linalg.zeros(2, 2)], ("x1", "x2"))[0]
     assert zero.is_zero()
 
@@ -467,7 +467,7 @@ def test_field_values_match_polynomial_evaluation(make, rng):
     pts += [[0] * act.target_dim, [1] + [0] * (act.target_dim - 1)]
     for p in pts:
         assign = {v.name: Q(x) for v, x in zip(act.bivector.vars, p)}
-        by_poly = [[GaussianRational.coerce(c.eval(assign)) for c in f.comps]
+        by_poly = [[GaussianRational.coerce(f.component(k).eval(assign)) for k in range(f.n)]
                    for f in act.fields()]
         assert act.field_values(p) == by_poly
 

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import functools
 import io
 import json
 import subprocess
@@ -405,6 +406,61 @@ def _defining_matrix_missing_a_row(raw):
     raw["actions"]["dressing"]["defining"][1].pop()
 
 
+def _fractional_flow_steps(raw):
+    raw["flow"]["steps"] = 2.5
+
+
+def _fractional_sample_count(raw):
+    raw["sampler"]["count"] = 2.5
+
+
+def _fractional_seed(raw):
+    raw["sampler"]["seed"] = 3.7
+
+
+def _fractional_bracket_index(raw):
+    raw["algebras"]["sl2"]["brackets"][0]["i"] = 0.5
+
+
+def _fractional_bivector_entry_index(raw):
+    raw["bivectors"]["plane"]["entries"][0]["i"] = 0.5
+
+
+def _fractional_flow_exponent(raw):
+    raw["flow"]["hamiltonian"]["terms"][0]["exp"] = [0, 1.5, 0]
+
+
+def _bivector_dim_unlike_its_vars(raw):
+    raw["bivectors"]["plane"]["dim"] = 5
+
+
+COMPLEX_ONE = {"num": "1", "den": "1", "im_num": "1", "im_den": "1"}
+
+
+def _complex_flow_hamiltonian(raw):
+    raw["flow"]["hamiltonian"]["terms"][0]["coeff"] = COMPLEX_ONE
+
+
+def _complex_flow_casimir(raw):
+    raw["flow"]["casimirs"]["quadratic"]["terms"][0]["coeff"] = COMPLEX_ONE
+
+
+def _complex_flow_bivector(raw):
+    # a second bivector, so the dressing action keeps its Lie-Poisson one
+    raw["bivectors"]["complex"] = copy.deepcopy(raw["bivectors"]["dual_space"])
+    raw["bivectors"]["complex"]["entries"][0]["poly"]["terms"][0]["coeff"] = COMPLEX_ONE
+    raw["flow"]["bivector"] = "complex"
+
+
+def _flow_on_an_angular_chart(raw):
+    theta = [{"name": "t1", "kind": "angular"}, {"name": "t2", "kind": "angular"}]
+    one = {"vars": theta, "terms": [{"exp": [0, 0], "coeff": 1}]}
+    raw["bivectors"]["torus"] = {"dim": 2, "vars": theta,
+                                 "entries": [{"i": 0, "j": 1, "poly": one}]}
+    raw["flow"] = {"bivector": "torus", "x0": [0, 0],
+                   "hamiltonian": {"vars": theta, "terms": [{"exp": [1, 0], "coeff": 1}]}}
+
+
 @pytest.mark.parametrize("subcommand, edit", [
     ("check-bialgebra", _float_rmatrix_entry),
     ("momentum", _unknown_variable_kind),
@@ -430,6 +486,17 @@ def _defining_matrix_missing_a_row(raw):
     ("check-action", _four_defining_matrices),
     ("momentum", _four_defining_matrices),
     ("check-action", _defining_matrix_missing_a_row),
+    ("flow", _fractional_flow_steps),
+    ("stratify", _fractional_sample_count),
+    ("stratify", _fractional_seed),
+    ("check-lie", _fractional_bracket_index),
+    ("check-poisson", _fractional_bivector_entry_index),
+    ("flow", _fractional_flow_exponent),
+    ("check-poisson", _bivector_dim_unlike_its_vars),
+    ("flow", _complex_flow_hamiltonian),
+    ("flow", _complex_flow_casimir),
+    ("flow", _complex_flow_bivector),
+    ("flow", _flow_on_an_angular_chart),
 ])
 def test_bundle_schema_errors_exit_2(subcommand, edit, tmp_path, capsys):
     raw = json.loads(SAMPLE.read_text())
@@ -481,9 +548,10 @@ def _mutations(raw):
 
 
 def test_every_edit_of_the_sample_bundle_keeps_the_exit_code_contract(tmp_path):
+    # and 1.5 in place of a JSON integer is a schema error, never truncated
     raw = json.loads(SAMPLE.read_text())
     path = tmp_path / "bundle.json"
-    raised, runs = [], 0
+    raised, truncated, runs, int_edits = [], [], 0, 0
     for keys, kind, edited in _mutations(raw):
         path.write_text(json.dumps(edited))
         argv = [SECTION_READERS[keys[0]], "--bundle", str(path), "--samples", "2", "--steps", "3"]
@@ -495,8 +563,14 @@ def test_every_edit_of_the_sample_bundle_keeps_the_exit_code_contract(tmp_path):
             continue
         assert code in (0, 1, 2), (keys, kind, code)
         runs += 1
+        value = functools.reduce(lambda node, key: node[key], keys, raw)
+        if kind == "float" and type(value) is int:
+            int_edits += 1
+            if code != 2:
+                truncated.append((keys, code))
     assert not raised, raised[:5]
-    assert runs > 300
+    assert not truncated, truncated
+    assert runs > 300 and int_edits >= 12
 
 
 def test_check_action_on_a_3x3_group_checks_the_unit(tmp_path):

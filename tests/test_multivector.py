@@ -5,11 +5,10 @@ import pytest
 from poissonkit.bialgebra import AlgMultiVector
 from poissonkit.multivector import (
     PolyMultiVector,
-    from_vector_field,
     lie_bracket_fields,
     schouten,
 )
-from poissonkit.poisson import PolyBivector, jacobiator
+from poissonkit.poisson import PolyBivector, PolyVectorField, jacobiator
 from poissonkit.poly import MultiPoly, generators
 from poissonkit.scalars import GaussianRational, Q
 
@@ -19,8 +18,8 @@ def test_vector_field_degeneration():
     x, y = generators(*vs)
     one = MultiPoly.constant(vs, 1)
     zero = MultiPoly.zero(vs)
-    dx = from_vector_field(vs, [one, zero])
-    x_dx = from_vector_field(vs, [x, zero])
+    dx = PolyVectorField(vs, [one, zero])
+    x_dx = PolyVectorField(vs, [x, zero])
     br = schouten(dx, x_dx)
     assert br.component(0) == one and br.component(1).is_zero()
 
@@ -34,7 +33,7 @@ def test_schouten_matches_jacobi_lie(rng):
     for _ in range(10):
         V = [rand_poly(rng, variables, gens) for _ in range(3)]
         W = [rand_poly(rng, variables, gens) for _ in range(3)]
-        lhs = schouten(from_vector_field(variables, V), from_vector_field(variables, W))
+        lhs = schouten(PolyVectorField(variables, V), PolyVectorField(variables, W))
         rhs = lie_bracket_fields(variables, V, W)
         for i in range(3):
             assert (lhs.component(i) - rhs[i]).is_zero()
