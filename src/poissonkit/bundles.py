@@ -10,6 +10,7 @@ exit code 2.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from . import action as action_mod
@@ -152,11 +153,20 @@ def _parse_flow(b: ProblemBundle, entry: dict) -> dict:
         "hamiltonian": h,
         "casimirs": casimirs,
         "x0": [float(c.re) for c in x0],
-        "dt": float(entry.get("dt", 1e-3)),
+        "dt": _finite(entry, "dt", 1e-3),
         "steps": json_int(entry.get("steps", 1000)),
-        "divergence_bound": float(entry.get("divergence_bound", 1e9)),
-        "drift_tolerance": float(entry.get("drift_tolerance", 1e-8)),
+        "divergence_bound": _finite(entry, "divergence_bound", 1e9),
+        "drift_tolerance": _finite(entry, "drift_tolerance", 1e-8),
     }
+
+
+def _finite(entry: dict, key: str, default: float) -> float:
+    """A float setting; NaN and infinity (which Python's ``json`` reads) raise
+    ``ValueError``."""
+    x = float(entry.get(key, default))
+    if not math.isfinite(x):
+        raise ValueError(f"{key} must be a finite number, got {x}")
+    return x
 
 
 def _parse_abelian(entry: dict) -> AbelianPLStructure:

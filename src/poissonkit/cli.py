@@ -185,8 +185,8 @@ def run_flow(bundle: ProblemBundle, args, out_stream):
     flow = bundle.flow
     dt = flow["dt"] if args.dt is None else args.dt
     steps = flow["steps"] if args.steps is None else args.steps
-    if dt <= 0:
-        raise SchemaError("dt must be positive")
+    if not 0 < dt < math.inf:
+        raise SchemaError(f"dt must be positive and finite, got {dt}")
     if steps < 1:
         raise SchemaError(f"steps must be >= 1, got {steps}")
     traj = P.hamiltonian_flow(bundle.bivectors[flow["bivector"]], flow["hamiltonian"], flow["x0"],

@@ -210,10 +210,9 @@ def minor_sums(matrix) -> list:
     cross-checks compare two different computations.
     """
     n = len(matrix)
-    d = lcm(*(x.re.denominator for row in matrix for x in row),
-            *(x.im.denominator for row in matrix for x in row))
-    p = [[int(x.re * d) for x in row] for row in matrix]
-    q = [[int(x.im * d) for x in row] for row in matrix]
+    d = lcm(*(x.d for row in matrix for x in row))
+    p = [[x.a * (d // x.d) for x in row] for row in matrix]
+    q = [[x.b * (d // x.d) for x in row] for row in matrix]
     hr = [[_dot(pa, pb) + _dot(qa, qb) for pb, qb in zip(p, q)] for pa, qa in zip(p, q)]
     hi = [[_dot(qa, pb) - _dot(pa, qb) for pb, qb in zip(p, q)] for pa, qa in zip(p, q)]
     # Faddeev-LeVerrier: N_1 = I, c_k = -tr(H N_k) / k, N_(k+1) = H N_k + c_k I;

@@ -86,6 +86,14 @@ class MultiPoly:
                 del clean[exp]
         self.terms = clean
 
+    @staticmethod
+    def _clean(variables: tuple, terms: dict) -> "MultiPoly":
+        """Trusted constructor for terms already valid over ``variables`` (a
+        tuple of ``Var``): exact-length exponents and no zero coefficient."""
+        p = object.__new__(MultiPoly)
+        p.vars, p.terms = variables, terms
+        return p
+
     # -- constructors ----------------------------------------------------
 
     @classmethod
@@ -154,7 +162,7 @@ class MultiPoly:
             for e, v in zip(exp, self.vars):
                 out[pos[v.name]] = e
             new_terms[tuple(out)] = c
-        return MultiPoly(merged, new_terms)
+        return MultiPoly._clean(merged, new_terms)
 
     # -- ring operations --------------------------------------------------
 
@@ -169,12 +177,12 @@ class MultiPoly:
                 terms.pop(exp, None)
             else:
                 terms[exp] = s
-        return MultiPoly(p.vars, terms)
+        return MultiPoly._clean(p.vars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._clean(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, MultiPoly):
@@ -197,7 +205,7 @@ class MultiPoly:
                     terms.pop(e, None)
                 else:
                     terms[e] = s
-        return MultiPoly(p.vars, terms)
+        return MultiPoly._clean(p.vars, terms)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -206,7 +214,8 @@ class MultiPoly:
         c = GaussianRational.coerce(scalar)
         if c.is_zero():
             return MultiPoly.zero(self.vars)
-        return MultiPoly(self.vars, {e: c * v for e, v in self.terms.items()})
+        # a nonzero scalar times a nonzero coefficient is nonzero in a field
+        return MultiPoly._clean(self.vars, {e: c * v for e, v in self.terms.items()})
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:

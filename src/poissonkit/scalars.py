@@ -1,14 +1,16 @@
 """Gaussian-rational scalars: exact arithmetic in Q(i).
 
 Every algebraic quantity in this package (structure constants, r-matrix
-entries, polynomial coefficients) is a :class:`GaussianRational`, a pair of
-``fractions.Fraction`` values.  Equality, zero tests and arithmetic are exact;
-there is no floating point anywhere in the symbolic layer.
+entries, polynomial coefficients) is a :class:`GaussianRational`, three
+Python integers ``(a + b*i) / d``.  Equality, zero tests and arithmetic are
+exact integer operations; the ``fractions.Fraction`` parts ``re`` and ``im``
+serve printing and JSON.  There is no floating point in the symbolic layer.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def _frac(x) -> Fraction:
@@ -22,17 +24,26 @@ def _frac(x) -> Fraction:
 
 
 class GaussianRational:
-    """A complex number ``re + im*i`` with exact rational parts.
+    """A complex number ``(a + b*i) / d`` with integer ``a``, ``b``, ``d``.
 
-    Instances are immutable by convention and hashable, so they can key
-    sparse term maps.  Division is exact (multiply by the conjugate).
-    """
+    The triple is in lowest terms, ``gcd(a, b, d) == 1`` and ``d > 0``, so
+    ``==`` compares triples; every result is built by :func:`_make`, which
+    restores that form.  Immutable by convention and hashable."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = _frac(re)
-        self.im = _frac(im)
+        if type(re) is int and type(im) is int:
+            self.a, self.b, self.d = re, im, 1
+            return
+        r, i = _frac(re), _frac(im)
+        # both parts are in lowest terms, so over their lcm the triple is too
+        d = lcm(r.denominator, i.denominator)
+        self.a, self.b = r.numerator * (d // r.denominator), i.numerator * (d // i.denominator)
+        self.d = d
+
+    re = property(lambda self: Fraction(self.a, self.d), doc="The real part, a ``Fraction``.")
+    im = property(lambda self: Fraction(self.b, self.d), doc="The imaginary part, a ``Fraction``.")
 
     # -- construction helpers -------------------------------------------
 
@@ -47,47 +58,50 @@ class GaussianRational:
     # -- predicates ------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self.a and not self.b
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return bool(self.a) or bool(self.b)
 
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other):
-        o = GaussianRational.coerce(other)
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        o = other if type(other) is GaussianRational else GaussianRational.coerce(other)
+        if self.d == o.d:
+            return _make(self.a + o.a, self.b + o.b, self.d)
+        return _make(self.a * o.d + o.a * self.d, self.b * o.d + o.b * self.d, self.d * o.d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _make(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
-        o = GaussianRational.coerce(other)
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        o = other if type(other) is GaussianRational else GaussianRational.coerce(other)
+        if self.d == o.d:
+            return _make(self.a - o.a, self.b - o.b, self.d)
+        return _make(self.a * o.d - o.a * self.d, self.b * o.d - o.b * self.d, self.d * o.d)
 
     def __rsub__(self, other):
         return GaussianRational.coerce(other) - self
 
     def __mul__(self, other):
-        o = GaussianRational.coerce(other)
-        return GaussianRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        o = other if type(other) is GaussianRational else GaussianRational.coerce(other)
+        if not o.b:
+            return _make(self.a * o.a, self.b * o.a, self.d * o.d)
+        return _make(self.a * o.a - self.b * o.b, self.a * o.b + self.b * o.a, self.d * o.d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = GaussianRational.coerce(other)
-        d = o.abs2()
-        if not d:
+        o = other if type(other) is GaussianRational else GaussianRational.coerce(other)
+        if o.is_zero():
             raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / d,
-            (self.im * o.re - self.re * o.im) / d,
-        )
+        if not o.b:
+            return _make(self.a * o.d, self.b * o.d, self.d * o.a)
+        # multiply by the conjugate: (a1 + b1 i)(a2 - b2 i) d2 / (d1 (a2^2 + b2^2))
+        return _make((self.a * o.a + self.b * o.b) * o.d, (self.b * o.a - self.a * o.b) * o.d,
+                     self.d * (o.a * o.a + o.b * o.b))
 
     def __rtruediv__(self, other):
         return GaussianRational.coerce(other) / self
@@ -105,28 +119,30 @@ class GaussianRational:
         return out
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _make(self.a, -self.b, self.d)
 
     def abs2(self) -> Fraction:
         """Squared modulus, an exact non-negative rational."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self.a * self.a + self.b * self.b, self.d * self.d)
 
     # -- comparisons / hashing -------------------------------------------
 
     def __eq__(self, other):
         try:
-            o = GaussianRational.coerce(other)
+            o = other if type(other) is GaussianRational else GaussianRational.coerce(other)
         except TypeError:
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return self.a == o.a and self.b == o.b and self.d == o.d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # equal to hash((self.re, self.im)): an integral Fraction hashes as its int
+        return hash((self.a, self.b)) if self.d == 1 else hash((self.re, self.im))
 
     # -- conversions -----------------------------------------------------
 
     def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        # int / int is correctly rounded, so this equals float(self.re), float(self.im)
+        return complex(self.a / self.d, self.b / self.d)
 
     def to_json(self) -> dict:
         out = {"num": str(self.re.numerator), "den": str(self.re.denominator)}
@@ -151,6 +167,18 @@ class GaussianRational:
             return f"{self.im}*i"
         sign = "+" if self.im > 0 else "-"
         return f"({self.re}{sign}{abs(self.im)}*i)"
+
+
+_new = object.__new__
+
+
+def _make(a: int, b: int, d: int) -> GaussianRational:
+    """Trusted constructor: ``(a + b*i) / d`` for integers with ``d != 0``,
+    brought to lowest terms with one gcd and no ``Fraction``."""
+    g = gcd(a, b, d) if d > 0 else -gcd(a, b, d)
+    z = _new(GaussianRational)
+    z.a, z.b, z.d = (a, b, d) if g == 1 else (a // g, b // g, d // g)
+    return z
 
 
 ZERO = GaussianRational(0)

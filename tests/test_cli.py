@@ -295,6 +295,8 @@ def _assert_schema_error(argv, capsys):
     ["check-action", "--samples", "0"],
     ["stratify", "--samples", "-3"],
     ["flow", "--steps", "0"],
+    ["flow", "--dt", "nan"],
+    ["flow", "--dt", "inf"],
     ["example51", "--lambda", "1,2"],
     ["example51", "--lambda", "0,2,0", "--c", "abc"],
 ])
@@ -452,6 +454,10 @@ def _complex_flow_bivector(raw):
     raw["flow"]["bivector"] = "complex"
 
 
+def _nan_flow_dt(raw):
+    raw["flow"]["dt"] = float("nan")
+
+
 def _flow_on_an_angular_chart(raw):
     theta = [{"name": "t1", "kind": "angular"}, {"name": "t2", "kind": "angular"}]
     one = {"vars": theta, "terms": [{"exp": [0, 0], "coeff": 1}]}
@@ -497,6 +503,7 @@ def _flow_on_an_angular_chart(raw):
     ("flow", _complex_flow_casimir),
     ("flow", _complex_flow_bivector),
     ("flow", _flow_on_an_angular_chart),
+    ("flow", _nan_flow_dt),
 ])
 def test_bundle_schema_errors_exit_2(subcommand, edit, tmp_path, capsys):
     raw = json.loads(SAMPLE.read_text())
@@ -568,8 +575,17 @@ def test_every_edit_of_the_sample_bundle_keeps_the_exit_code_contract(tmp_path):
             int_edits += 1
             if code != 2:
                 truncated.append((keys, code))
+    # NaN (which Python's json reads) in a float setting of the flow is a schema error
+    nan_codes = {}
+    for key in ("dt", "divergence_bound", "drift_tolerance"):
+        edited = copy.deepcopy(raw)
+        edited["flow"][key] = float("nan")
+        path.write_text(json.dumps(edited))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            nan_codes[key] = cli.main(["flow", "--bundle", str(path), "--steps", "3"])
     assert not raised, raised[:5]
     assert not truncated, truncated
+    assert set(nan_codes.values()) == {2}, nan_codes
     assert runs > 300 and int_edits >= 12
 
 

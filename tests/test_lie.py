@@ -1,5 +1,8 @@
+import cProfile
+import fractions
 import itertools
 import math
+import pstats
 
 import pytest
 
@@ -134,6 +137,22 @@ def test_cohomology_dims():
     H = heisenberg3()
     th = representation(H, "trivial")
     assert cohomology_dim(H, th, 2) == 2
+
+
+def test_exact_rank_makes_no_fraction_call():
+    # a call count, not a timing: the scalar kernel is integer arithmetic, so
+    # fractions.py belongs to printing and JSON only
+    L = sl2()
+    adj = representation(L, "adjoint")
+    profile = cProfile.Profile()
+    profile.enable()
+    dims = [cohomology_dim(L, adj, p) for p in range(4)]
+    r = linalg.rank(ce_differential(L, adj, 1).matrix)
+    profile.disable()
+    calls = {func: stat[1] for func, stat in pstats.Stats(profile).stats.items()
+             if func[0] == fractions.__file__}
+    assert calls == {}
+    assert dims == [0, 0, 0, 0] and r == 6
 
 
 def test_cohomology_dims_more():

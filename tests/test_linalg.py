@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -166,6 +167,44 @@ def test_minor_sums_at_n_8(rng=random.Random(9)):
     sums = linalg.minor_sums(m)
     assert sums[2] == _brute_minor_sum(m, 2)
     assert sums[8] == linalg.det(m).abs2() != 0
+
+
+def _fraction_minor_sums(matrix) -> list:
+    """``minor_sums`` as it read the entries through their ``Fraction`` parts:
+    the oracle for its integer-triple reading."""
+    def dot(a, b):
+        return sum(x * y for x, y in zip(a, b))
+
+    n = len(matrix)
+    d = lcm(*(x.re.denominator for row in matrix for x in row),
+            *(x.im.denominator for row in matrix for x in row))
+    p = [[int(x.re * d) for x in row] for row in matrix]
+    q = [[int(x.im * d) for x in row] for row in matrix]
+    hr = [[dot(pa, pb) + dot(qa, qb) for pb, qb in zip(p, q)] for pa, qa in zip(p, q)]
+    hi = [[dot(qa, pb) - dot(pa, qb) for pb, qb in zip(p, q)] for pa, qa in zip(p, q)]
+    nr = [[int(i == j) for j in range(n)] for i in range(n)]
+    ni = [[0] * n for _ in range(n)]
+    sums = [Fraction(1)]
+    for k in range(1, n + 1):
+        cr, ci = list(zip(*nr)), list(zip(*ni))
+        nr = [[dot(a, x) - dot(b, y) for x, y in zip(cr, ci)] for a, b in zip(hr, hi)]
+        ni = [[dot(a, y) + dot(b, x) for x, y in zip(cr, ci)] for a, b in zip(hr, hi)]
+        c = -sum(nr[i][i] for i in range(n)) // k
+        sums.append(Fraction(c if k % 2 == 0 else -c, d ** (2 * k)))
+        for i in range(n):
+            nr[i][i] += c
+    return sums
+
+
+def test_minor_sums_match_the_fraction_reading(rng=random.Random(12)):
+    # mixed denominators: the real and imaginary parts of one entry differ,
+    # and some entries are integers, some purely imaginary
+    for n in range(0, 7):
+        for _ in range(4):
+            m = [[GaussianRational(Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 5, 12, 35])),
+                                   Fraction(rng.randint(-9, 9), rng.choice([1, 4, 7, 9])) * rng.randint(0, 1))
+                  for _ in range(n)] for _ in range(n)]
+            assert linalg.minor_sums(m) == _fraction_minor_sums(m)
 
 
 def test_minor_sums_use_no_elimination(monkeypatch, rng=random.Random(10)):

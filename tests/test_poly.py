@@ -86,6 +86,40 @@ def test_ring_axioms(p, q, r):
     assert p * q == q * p
 
 
+CHART = (Var("x"), Var("y"), Var("t", ANGULAR))
+OTHER_CHART = (Var("t", ANGULAR), Var("z"), Var("x"))
+
+
+def gaussian_poly_strategy(chart):
+    """Polynomials with Gaussian-rational coefficients and, on an angular
+    variable, Laurent exponents; repeated exponents add up."""
+    part = st.fractions(max_denominator=6, min_value=-6, max_value=6)
+    coeff = st.builds(GaussianRational, part, part | st.just(Fraction(0)))
+    exps = st.tuples(*(st.integers(-2, 2) if v.kind == ANGULAR else st.integers(0, 2)
+                       for v in chart))
+    return st.lists(st.tuples(exps, coeff), max_size=5).map(
+        lambda ts: MultiPoly(chart, dict(ts)))
+
+
+def _rebuilt_the_same(p):
+    """``p`` is what the validating constructor makes of its own terms."""
+    rebuilt = MultiPoly(p.vars, p.terms)
+    assert rebuilt.vars == p.vars and rebuilt.terms == p.terms
+    assert all(not c.is_zero() for c in p.terms.values())
+    assert all(type(v) is Var for v in p.vars)
+
+
+@given(gaussian_poly_strategy(CHART), gaussian_poly_strategy(CHART),
+       gaussian_poly_strategy(OTHER_CHART), st.sampled_from([0, 1, -2, Fraction(1, 3), I, Q(2, -1)]))
+def test_trusted_results_are_valid_polynomials(p, q, r, c):
+    merged = CHART + (Var("z"),)
+    for result in (p + q, p - q, -p, p * q, p + r, r - p, p * r, p.scale(c), p * c,
+                   p + c, p.over(merged), r.over(merged), q - q):
+        _rebuilt_the_same(result)
+    for name in ("x", "y", "t"):
+        _rebuilt_the_same(p.partial(name))
+
+
 def test_reduce_mod_examples():
     ideal = sl2_relation_ideal()
     a1, a2, a3, a4 = generators("a1", "a2", "a3", "a4")
