@@ -67,8 +67,6 @@ class GaussianRational:
 
     def __add__(self, other):
         o = other if type(other) is GaussianRational else GaussianRational.coerce(other)
-        if self.d == o.d:
-            return _make(self.a + o.a, self.b + o.b, self.d)
         return _make(self.a * o.d + o.a * self.d, self.b * o.d + o.b * self.d, self.d * o.d)
 
     __radd__ = __add__
@@ -78,8 +76,6 @@ class GaussianRational:
 
     def __sub__(self, other):
         o = other if type(other) is GaussianRational else GaussianRational.coerce(other)
-        if self.d == o.d:
-            return _make(self.a - o.a, self.b - o.b, self.d)
         return _make(self.a * o.d - o.a * self.d, self.b * o.d - o.b * self.d, self.d * o.d)
 
     def __rsub__(self, other):
@@ -87,8 +83,6 @@ class GaussianRational:
 
     def __mul__(self, other):
         o = other if type(other) is GaussianRational else GaussianRational.coerce(other)
-        if not o.b:
-            return _make(self.a * o.a, self.b * o.a, self.d * o.d)
         return _make(self.a * o.a - self.b * o.b, self.a * o.b + self.b * o.a, self.d * o.d)
 
     __rmul__ = __mul__
@@ -97,8 +91,6 @@ class GaussianRational:
         o = other if type(other) is GaussianRational else GaussianRational.coerce(other)
         if o.is_zero():
             raise ZeroDivisionError("division by zero GaussianRational")
-        if not o.b:
-            return _make(self.a * o.d, self.b * o.d, self.d * o.a)
         # multiply by the conjugate: (a1 + b1 i)(a2 - b2 i) d2 / (d1 (a2^2 + b2^2))
         return _make((self.a * o.a + self.b * o.b) * o.d, (self.b * o.a - self.a * o.b) * o.d,
                      self.d * (o.a * o.a + o.b * o.b))
@@ -173,9 +165,9 @@ _new = object.__new__
 
 
 def _make(a: int, b: int, d: int) -> GaussianRational:
-    """Trusted constructor: ``(a + b*i) / d`` for integers with ``d != 0``,
+    """Trusted constructor: ``(a + b*i) / d`` for integers with ``d > 0``,
     brought to lowest terms with one gcd and no ``Fraction``."""
-    g = gcd(a, b, d) if d > 0 else -gcd(a, b, d)
+    g = gcd(a, b, d)
     z = _new(GaussianRational)
     z.a, z.b, z.d = (a, b, d) if g == 1 else (a // g, b // g, d // g)
     return z
