@@ -46,10 +46,11 @@ print("corrected cochain vanishes:", chk.corrected_vanishes)
 # -- a class that does not vanish --------------------------------------------------------
 
 H = lie.heisenberg3()
-e12 = [[Q(0), Q(1)], [Q(0), Q(0)]]
-e13 = [[Q(0), Q(0)], [Q(0), Q(1)]]
-z2 = [[Q(0), Q(0)], [Q(0), Q(0)]]
-bunH = A.coadjoint_dressing_bundle(H, [e12, e13, z2])
+# the strictly upper triangular 3x3 matrices: [E12, E23] = E13
+E12 = [[0, 1, 0], [0, 0, 0], [0, 0, 0]]
+E23 = [[0, 0, 0], [0, 0, 1], [0, 0, 0]]
+E13 = [[0, 0, 1], [0, 0, 0], [0, 0, 0]]
+bunH = A.coadjoint_dressing_bundle(H, [E12, E23, E13])
 from poissonkit.poly import MultiPoly
 
 vs = bunH.bivector.vars

@@ -20,7 +20,8 @@ from fractions import Fraction
 
 from . import linalg
 from .bialgebra import RMatrix
-from .lie import COADJOINT, LieAlgebra, abelian, representation, sl2, sl2_defining_matrices
+from .lie import (COADJOINT, TRIVIAL, LieAlgebra, abelian, ce_differential, representation, sl2,
+                  sl2_defining_matrices)
 from .multivector import schouten
 from .poisson import (
     PolyBivector,
@@ -36,6 +37,10 @@ from .poly import MultiPoly, NumericField, _as_vars, generators, sl2_relation_id
 from .scalars import GaussianRational, Q, ZERO, ONE
 
 POINTWISE_TOL = 1e-6
+# the local-minimality probe of check_commutator_inclusion: seeded points at
+# offsets k * radius, k in -2..2, in each coordinate
+NEIGHBORHOOD_RADIUS = Fraction(1, 7)
+NEIGHBORHOOD_SAMPLES = 6
 
 
 # -- exact group helpers ----------------------------------------------------------
@@ -133,6 +138,14 @@ def dressing_generator_matrices(L: LieAlgebra) -> list:
     return [[[-x for x in row] for row in m] for m in representation(L, COADJOINT).mats]
 
 
+def linear_isotropy(rep_mats, point) -> list:
+    """Basis of the isotropy subalgebra {X : sum_a X_a rep_mats[a] . p = 0} at
+    a point of the linear action generated by ``rep_mats``.  On the dressing
+    generators its rows are <mu, [e_a, e_j]>, so it is the coadjoint isotropy."""
+    p = [GaussianRational.coerce(x) for x in point]
+    return linalg.nullspace(linalg.transpose([linalg.mat_vec(m, p) for m in rep_mats]))
+
+
 # -- the bundled action object ---------------------------------------------------------
 
 
@@ -163,6 +176,9 @@ class LinearPoissonAction:
                              "matrix per basis element")
         n = self.target_dim
         if self.coadjoint:
+            # Coad_g reads coordinates in the defining basis, so it must be a basis
+            if linalg.rank([[x for row in m for x in row] for m in self.defining_mats]) < dim:
+                raise ValueError("coadjoint actions need linearly independent defining matrices")
             self.lift_generators = representation(self.algebra, COADJOINT).mats
             d = len(self.defining_mats[0])
         else:       # the group matrix acts on the target itself
@@ -230,10 +246,6 @@ class LinearPoissonAction:
         """lam(e_a)(p) = rep_mats[a] . p for every generator."""
         p = [GaussianRational.coerce(x) for x in point]
         return [linalg.mat_vec(m, p) for m in self.rep_mats]
-
-    def isotropy(self, point) -> list:
-        """Basis of the isotropy subalgebra {X : lam(X)(p) = 0} at a point."""
-        return linalg.nullspace(linalg.transpose(self.field_values(point)))
 
 
 # -- worked bundles ---------------------------------------------------------------------
@@ -650,7 +662,7 @@ def isotropy_and_annihilator(a: LinearPoissonAction, point,
                              dual_algebra: LieAlgebra) -> IsotropyReport:
     """Exact isotropy subalgebra at a point, its annihilator, and whether the
     annihilator is abelian for the supplied dual bracket."""
-    iso = a.isotropy(point)
+    iso = linear_isotropy(a.rep_mats, point)
     ann = linalg.annihilator(iso, a.algebra.dim)
     abelian_ok = True
     for u, v in itertools.combinations(ann, 2):
@@ -808,29 +820,6 @@ class GammaCochain:
     algebra: LieAlgebra
     entries: dict    # (i, j) with i < j -> MultiPoly
 
-    def entry(self, i: int, j: int) -> MultiPoly:
-        if i == j:
-            raise ValueError("diagonal entries vanish by antisymmetry")
-        if i < j:
-            return self.entries[(i, j)]
-        return -self.entries[(j, i)]
-
-    def of_vectors(self, X, Y) -> MultiPoly:
-        n = self.algebra.dim
-        acc = None
-        for i in range(n):
-            for j in range(i + 1, n):
-                c = GaussianRational.coerce(X[i]) * GaussianRational.coerce(Y[j]) - \
-                    GaussianRational.coerce(X[j]) * GaussianRational.coerce(Y[i])
-                if c.is_zero():
-                    continue
-                term = self.entries[(i, j)].scale(c)
-                acc = term if acc is None else acc + term
-        if acc is None:
-            some = next(iter(self.entries.values()))
-            return MultiPoly.zero(some.vars)
-        return acc
-
 
 def gamma(a: LinearPoissonAction, m: MomentumMap) -> GammaCochain:
     """Gamma_{X,Y} = m([X,Y]) - {m(X), m(Y)}, with the pullback route through
@@ -889,19 +878,24 @@ class GammaChecksReport:
 
 def gamma_cocycle_residuals(a: LinearPoissonAction, G: GammaCochain,
                             m: MomentumMap | None = None) -> list:
-    """d_* Gamma on all basis triples through the cyclic bracket formula
-    (and, when the momentum map is supplied, through the displayed route
-    with the plane brackets; both must agree)."""
+    """d_2 Gamma on all basis triples, where d_2 : C^2 -> C^3 is the
+    Chevalley-Eilenberg differential with trivial coefficients (g acts
+    trivially on Casimirs), applied to the entries with polynomial
+    coefficients.  When the momentum map is supplied, the displayed route
+    with the plane brackets is computed as well, and both must agree."""
     L = a.algebra
+    if L.dim < 3:       # no triples, and ce_differential needs degree <= dim
+        return []
     pi = a.bivector
+    d2 = ce_differential(L, representation(L, TRIVIAL), 2)
+    gammas = [G.entries[I] for I in d2.domain_basis]
     e = linalg.identity(L.dim)
     out = []
-    for i, j, k in itertools.combinations(range(L.dim), 3):
-        acc = None
-        for (x, y, z) in ((i, j, k), (j, k, i), (k, i, j)):
-            bxy = L.bracket(e[x], e[y])
-            term = -G.of_vectors(bxy, e[z])
-            acc = term if acc is None else acc + term
+    for (i, j, k), row in zip(d2.codomain_basis, d2.matrix):
+        acc = MultiPoly.zero(gammas[0].vars)
+        for c, p in zip(row, gammas):
+            if not c.is_zero():
+                acc = acc + p.scale(c)
         if m is not None:
             acc2 = None
             for (x, y, z) in ((i, j, k), (j, k, i), (k, i, j)):
@@ -911,18 +905,19 @@ def gamma_cocycle_residuals(a: LinearPoissonAction, G: GammaCochain,
                 )
                 acc2 = t2 if acc2 is None else acc2 + t2
             if not (acc - acc2).is_zero():
-                raise AssertionError("cyclic-differential routes disagree")
+                raise AssertionError("the two d_2 routes disagree")
         out.append(((i, j, k), acc))
     return out
 
 
 def gamma_checks(a: LinearPoissonAction, G: GammaCochain,
                  m: MomentumMap | None = None) -> GammaChecksReport:
-    """(i) every entry is a Casimir; (ii) d_* Gamma = 0 symbolically;
-    (iii) exactness: solve for a constant correction phi with
-    sum_k C^k_{ij} phi_k = -Gamma_{ij} (reported unsolvable when the class
-    is nonzero)."""
-    L = a.algebra
+    """(i) every entry is a Casimir; (ii) d_2 Gamma = 0 symbolically (see
+    :func:`gamma_cocycle_residuals`); (iii) exactness of a constant Gamma:
+    solve d_1 phi = Gamma for a constant correction phi, where
+    d_1 : C^1 -> C^2 is the Chevalley-Eilenberg differential with trivial
+    coefficients, (d_1 phi)(e_i, e_j) = -phi([e_i, e_j]).  The class is
+    reported unsolvable when it is nonzero."""
     pi = a.bivector
     cas_fail = []
     for (i, j), p in sorted(G.entries.items()):
@@ -931,30 +926,17 @@ def gamma_checks(a: LinearPoissonAction, G: GammaCochain,
     cres = gamma_cocycle_residuals(a, G, m)
     cocycle_ok = all(r.is_zero() for _, r in cres)
 
-    solvable = None
-    correction = None
-    corrected_zero = None
+    solvable = correction = corrected_zero = None
+    d1 = ce_differential(a.algebra, representation(a.algebra, TRIVIAL), 1)
     try:
-        consts = {k: p.as_constant() for k, p in G.entries.items()}
+        consts = [G.entries[I].as_constant() for I in d1.codomain_basis]
     except ValueError:
         consts = None
     if consts is not None:
-        rows = []
-        rhs = []
-        for (i, j), c in sorted(consts.items()):
-            rows.append([L.structure_constant(i, j, k) for k in range(L.dim)])
-            rhs.append(-c)
-        sol = linalg.solve(rows, rhs)
-        solvable = sol is not None
-        if sol is not None:
-            correction = sol
-            corrected_zero = True
-            for (i, j), c in sorted(consts.items()):
-                shift = sum(
-                    (L.structure_constant(i, j, k) * sol[k] for k in range(L.dim)), ZERO
-                )
-                if not (c + shift).is_zero():
-                    corrected_zero = False
+        correction = linalg.solve(d1.matrix, consts)
+        solvable = correction is not None
+        if solvable:
+            corrected_zero = linalg.mat_vec(d1.matrix, correction) == consts
     return GammaChecksReport(
         casimir_ok=not cas_fail,
         casimir_failures=cas_fail,
@@ -1113,7 +1095,7 @@ def momentum_kernel_image(a: LinearPoissonAction, m: MomentumMap, point) -> Kern
         covs.append(beta)
     orthogonal = linalg.nullspace(covs) if covs else [list(r) for r in linalg.identity(pi.n)]
 
-    ann = linalg.annihilator(a.isotropy(point), a.algebra.dim)
+    ann = linalg.annihilator(linear_isotropy(a.rep_mats, point), a.algebra.dim)
 
     return KernelImageReport(
         kernel_basis=kernel,
@@ -1143,44 +1125,27 @@ class CommutatorInclusionReport:
         }
 
 
-def _coadjoint_isotropy(L: LieAlgebra, u) -> list:
-    """{X : <u, [X, e_j]> = 0 for all j} (sign-independent kernel)."""
-    n = L.dim
-    rows = []
-    for j in range(n):
-        row = []
-        for i in range(n):
-            vec = L.basis_bracket(i, j)
-            row.append(sum((GaussianRational.coerce(u[k]) * vec[k] for k in range(n)), ZERO))
-        rows.append(row)
-    return linalg.nullspace(rows)
-
-
-def check_commutator_inclusion(a: LinearPoissonAction, m: MomentumMap, point,
-                 neighborhood_radius: Fraction = Fraction(1, 7),
-                 neighborhood_samples: int = 6, seed: int = 0) -> CommutatorInclusionReport:
+def check_commutator_inclusion(a: LinearPoissonAction, m: MomentumMap,
+                               point) -> CommutatorInclusionReport:
     """[g_u, g_u] inside g_p for u = m(p), with a sampled local-minimality
     probe of dim g_{m(.)} around the point (warn-only)."""
     L = a.algebra
     pi = a.bivector
-    u = m.eval_exact(pi.vars, point)
-    gu = _coadjoint_isotropy(L, u)
-    gp = a.isotropy(point)
+    dressing = dressing_generator_matrices(L)
+    gu = linear_isotropy(dressing, m.eval_exact(pi.vars, point))
+    gp = linear_isotropy(a.rep_mats, point)
 
     ok = True
     for X, Y in itertools.combinations(gu, 2):
         if not linalg.in_span(gp, L.bracket(X, Y)):
             ok = False
     warn = False
-    rng = random.Random(seed)
+    rng = random.Random(0)
     dim_u = len(gu)
-    for _ in range(neighborhood_samples):
-        q = [
-            GaussianRational.coerce(x) + Q(Fraction(rng.randint(-2, 2), 1) * neighborhood_radius)
-            for x in point
-        ]
-        uq = m.eval_exact(pi.vars, q)
-        if len(_coadjoint_isotropy(L, uq)) < dim_u:
+    for _ in range(NEIGHBORHOOD_SAMPLES):
+        q = [GaussianRational.coerce(x) + Q(rng.randint(-2, 2) * NEIGHBORHOOD_RADIUS)
+             for x in point]
+        if len(linear_isotropy(dressing, m.eval_exact(pi.vars, q))) < dim_u:
             warn = True
     return CommutatorInclusionReport(
         inclusion_holds=ok,

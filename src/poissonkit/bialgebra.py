@@ -26,7 +26,7 @@ from . import linalg
 from .lie import LieAlgebra
 from .multivector import PolyMultiVector
 from .poisson import PolyBivector, jacobi_check
-from .poly import ANGULAR, MultiPoly, Var
+from .poly import ANGULAR, PRIMED, MultiPoly, Var
 from .scalars import GaussianRational, Q, ZERO, coeff_from_json
 
 
@@ -545,11 +545,8 @@ def _algebra_from_constants(dim: int, constants: dict) -> LieAlgebra:
     return LieAlgebra(dim, brackets)
 
 
-def _rename_primed(p: MultiPoly, suffix: str = "__b") -> MultiPoly:
-    renamed = MultiPoly(
-        tuple(Var(v.name + suffix, v.kind) for v in p.vars), dict(p.terms)
-    )
-    return renamed
+def _rename_primed(p: MultiPoly) -> MultiPoly:
+    return MultiPoly(tuple(Var(v.name + PRIMED, v.kind) for v in p.vars), dict(p.terms))
 
 
 # -- the log-coordinate identity on multiplicative groups ------------------------------

@@ -23,6 +23,8 @@ from .multivector import PolyMultiVector, schouten
 from .poly import AFFINE, MultiPoly, NumericField, _as_vars
 from .scalars import GaussianRational, json_int
 
+FLOW_RANK_SAMPLES = 11      # trajectory points at which hamiltonian_flow reports the rank
+
 
 class PolyVectorField(PolyMultiVector):
     """A vector field with polynomial components: a degree-1
@@ -560,8 +562,7 @@ class Trajectory:
 
 
 def hamiltonian_flow(pi: PolyBivector, f: MultiPoly, x0, dt: float, steps: int,
-                     casimirs=None, divergence_bound: float = 1e9,
-                     rank_samples: int = 11) -> Trajectory:
+                     casimirs=None, divergence_bound: float = 1e9) -> Trajectory:
     """Fixed-step RK4 integration of X_f with conservation reporting.
 
     Exactness is never claimed for flows: the trajectory is float64 and the
@@ -606,7 +607,8 @@ def hamiltonian_flow(pi: PolyBivector, f: MultiPoly, x0, dt: float, steps: int,
             cvals[k].append(fn(x))
 
     nsteps = len(pts)
-    sample_idx = sorted({round(i * (nsteps - 1) / max(1, rank_samples - 1)) for i in range(rank_samples)})
+    sample_idx = sorted({round(i * (nsteps - 1) / (FLOW_RANK_SAMPLES - 1))
+                         for i in range(FLOW_RANK_SAMPLES)})
     ranks = []
     for idx in sample_idx:
         m = pi.eval_matrix_float(pts[idx])

@@ -20,6 +20,7 @@ from .scalars import GaussianRational, Q, ZERO, ONE, coeff_from_json, json_int
 
 AFFINE = "affine"
 ANGULAR = "angular"
+PRIMED = "__b"      # suffix of the primed copy of a variable, see group_translate
 
 
 class Var:
@@ -323,7 +324,7 @@ class MultiPoly:
 
     # -- substitutions -------------------------------------------------------
 
-    def group_translate(self, suffix: str = "__b") -> "MultiPoly":
+    def group_translate(self) -> "MultiPoly":
         """Substitute each variable by the group sum with a primed copy.
 
         Affine variables map to ``x + x'``; angular variables (stored through
@@ -331,7 +332,7 @@ class MultiPoly:
         doubled variable list and expresses ``p(u * v)`` for the product group
         ``T^m x R^n``.
         """
-        doubled = tuple(list(self.vars) + [Var(v.name + suffix, v.kind) for v in self.vars])
+        doubled = tuple(list(self.vars) + [Var(v.name + PRIMED, v.kind) for v in self.vars])
         n = len(self.vars)
         out = MultiPoly.zero(doubled)
         for exp, c in self.terms.items():
@@ -346,7 +347,7 @@ class MultiPoly:
                     term = term * MultiPoly.monomial(doubled, mono, 1)
                 else:
                     base = MultiPoly.variable(doubled, v.name) + MultiPoly.variable(
-                        doubled, v.name + suffix
+                        doubled, v.name + PRIMED
                     )
                     term = term * base ** e
             out = out + term

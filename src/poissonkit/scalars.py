@@ -65,8 +65,9 @@ class GaussianRational:
 
     # -- arithmetic ------------------------------------------------------
 
-    def __add__(self, other):
-        o = other if type(other) is GaussianRational else GaussianRational.coerce(other)
+    def __add__(self, o):
+        if type(o) is not GaussianRational:
+            return _coerced(GaussianRational.__add__, self, o)
         return _make(self.a * o.d + o.a * self.d, self.b * o.d + o.b * self.d, self.d * o.d)
 
     __radd__ = __add__
@@ -74,21 +75,24 @@ class GaussianRational:
     def __neg__(self):
         return _make(-self.a, -self.b, self.d)
 
-    def __sub__(self, other):
-        o = other if type(other) is GaussianRational else GaussianRational.coerce(other)
+    def __sub__(self, o):
+        if type(o) is not GaussianRational:
+            return _coerced(GaussianRational.__sub__, self, o)
         return _make(self.a * o.d - o.a * self.d, self.b * o.d - o.b * self.d, self.d * o.d)
 
     def __rsub__(self, other):
-        return GaussianRational.coerce(other) - self
+        return _coerced(GaussianRational.__sub__, other, self)
 
-    def __mul__(self, other):
-        o = other if type(other) is GaussianRational else GaussianRational.coerce(other)
+    def __mul__(self, o):
+        if type(o) is not GaussianRational:
+            return _coerced(GaussianRational.__mul__, self, o)
         return _make(self.a * o.a - self.b * o.b, self.a * o.b + self.b * o.a, self.d * o.d)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = other if type(other) is GaussianRational else GaussianRational.coerce(other)
+    def __truediv__(self, o):
+        if type(o) is not GaussianRational:
+            return _coerced(GaussianRational.__truediv__, self, o)
         if o.is_zero():
             raise ZeroDivisionError("division by zero GaussianRational")
         # multiply by the conjugate: (a1 + b1 i)(a2 - b2 i) d2 / (d1 (a2^2 + b2^2))
@@ -96,7 +100,7 @@ class GaussianRational:
                      self.d * (o.a * o.a + o.b * o.b))
 
     def __rtruediv__(self, other):
-        return GaussianRational.coerce(other) / self
+        return _coerced(GaussianRational.__truediv__, other, self)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -171,6 +175,17 @@ def _make(a: int, b: int, d: int) -> GaussianRational:
     z = _new(GaussianRational)
     z.a, z.b, z.d = (a, b, d) if g == 1 else (a // g, b // g, d // g)
     return z
+
+
+def _coerced(op, x, y):
+    """``op(x, y)`` on both operands coerced, or ``NotImplemented`` when one
+    does not coerce, so that Python tries the other operand's reflected
+    method (``I * p`` reaches ``MultiPoly.__rmul__``)."""
+    try:
+        x, y = GaussianRational.coerce(x), GaussianRational.coerce(y)
+    except TypeError:
+        return NotImplemented
+    return op(x, y)
 
 
 ZERO = GaussianRational(0)

@@ -43,3 +43,39 @@ def rand_point(rng, n, scale=6, denom_power=2):
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+# -- algebras beyond the stock ones --------------------------------------------
+
+
+def filiform4():
+    """Nilpotent 4-dimensional algebra: [e1,e2]=e3, [e1,e3]=e4."""
+    return lie.LieAlgebra(4, {(0, 1): [0, 0, 1, 0], (0, 2): [0, 0, 0, 1]})
+
+
+SL2_BRACKETS = {(0, 1): [0, 0, 1], (1, 2): [1, 0, 0], (0, 2): [0, 1, 0]}
+
+
+def direct_sum(*parts):
+    """Direct sum of algebras given as (dim, brackets) pairs."""
+    n = sum(d for d, _ in parts)
+    brackets, shift = {}, 0
+    for d, br in parts:
+        for (i, j), vec in br.items():
+            brackets[(i + shift, j + shift)] = [0] * shift + vec + [0] * (n - shift - d)
+        shift += d
+    return lie.LieAlgebra(n, brackets)
+
+
+def gl2():
+    return direct_sum((3, SL2_BRACKETS), (1, {}))
+
+
+def sl2_sl2():
+    return direct_sum((3, SL2_BRACKETS), (3, SL2_BRACKETS))
+
+
+def book3():
+    """Non-unimodular: [e1,e2]=e2, [e1,e3]=e3, so several terms of one
+    (p+1)-set land on the same p-set and must add up."""
+    return lie.LieAlgebra(3, {(0, 1): [0, 1, 0], (0, 2): [0, 0, 1]})

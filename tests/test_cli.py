@@ -613,31 +613,53 @@ def test_check_action_on_a_3x3_group_checks_the_unit(tmp_path):
     assert unit["mode"] == "degraded" and "identity" in unit["reason"]
 
 
-def test_h3_dressing_with_2x2_defining_matrices_is_not_sampled_as_sl2(tmp_path):
-    # e12, e22 and 0 are 2x2 but do not span sl(2): no determinant-one
-    # sampling, so poisson-action is degraded and psi-cocycle is skipped
-    mu = [{"name": f"mu{i}", "kind": "affine"} for i in (1, 2, 3)]
-    lin = [{"vars": mu, "terms": [{"exp": [int(k == i) for k in range(3)],
-                                   "coeff": {"num": "1", "den": "1"}}]} for i in range(3)]
-    b = {
+def _dressing_bundle(brackets, defining):
+    """One coadjoint-dressing action on the Lie-Poisson dual of the algebra
+    with brackets ``[e_i, e_j] = e_k`` for each ``(i, j, k)``, and the
+    identity momentum map."""
+    n = len(defining)
+    mu = [{"name": f"mu{i}", "kind": "affine"} for i in range(1, n + 1)]
+    lin = [{"vars": mu, "terms": [{"exp": [int(k == i) for k in range(n)],
+                                   "coeff": {"num": "1", "den": "1"}}]} for i in range(n)]
+    return {
         "sampler": {"seed": 1, "count": 4},
-        "algebras": {"h3": {"dim": 3, "brackets": [{"i": 0, "j": 1, "result": [0, 0, 1]}]}},
-        "bivectors": {"lp": {"dim": 3, "vars": mu, "entries": [{"i": 0, "j": 1, "poly": lin[2]}]}},
-        "actions": {"dress": {
-            "algebra": "h3", "bivector": "lp", "kind": "coadjoint-dressing",
-            "defining": [[[0, 1], [0, 0]], [[0, 0], [0, 1]], [[0, 0], [0, 0]]],
-        }},
+        "algebras": {"g": {"dim": n, "brackets": [
+            {"i": i, "j": j, "result": [int(r == k) for r in range(n)]} for i, j, k in brackets]}},
+        "bivectors": {"lp": {"dim": n, "vars": mu, "entries": [
+            {"i": i, "j": j, "poly": lin[k]} for i, j, k in brackets]}},
+        "actions": {"dress": {"algebra": "g", "bivector": "lp", "kind": "coadjoint-dressing",
+                              "defining": defining}},
         "momentum_maps": {"id": {"action": "dress", "components": lin}},
     }
+
+
+def test_h3_dressing_with_2x2_defining_matrices_is_a_schema_error(tmp_path, capsys):
+    # e12, e22 and 0 are not linearly independent, so Coad_g has no
+    # coordinates in their basis: the loader rejects the action
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(_dressing_bundle(
+        [(0, 1, 2)], [[[0, 1], [0, 0]], [[0, 0], [0, 1]], [[0, 0], [0, 0]]])))
+    for sub in ("check-action", "momentum"):
+        _assert_schema_error([sub, "--bundle", str(path)], capsys)
+
+
+def test_aff1_dressing_with_2x2_defining_matrices_is_not_sampled_as_sl2(tmp_path):
+    # e11 and e12 span aff(1), [e1, e2] = e2, inside the 2x2 matrices but do
+    # not span sl(2): no determinant-one sampling, so poisson-action is
+    # degraded and psi-cocycle is skipped
+    b = _dressing_bundle([(0, 1, 1)], [[[1, 0], [0, 0]], [[0, 1], [0, 0]]])
     code, out = run_cli(["check-action"], b, tmp_path)
     checks = {l["check"]: l for l in map(json.loads, out.strip().splitlines()) if "check" in l}
     unit = checks["check-action:dress:poisson-action"]
-    assert code == 1 and unit["samples"] == 1
+    assert code == 0 and unit["samples"] == 1
     assert unit["mode"] == "degraded" and "sl(2)" in unit["reason"]
     code, out = run_cli(["momentum"], b, tmp_path)
     checks = {l["check"]: l for l in map(json.loads, out.strip().splitlines()) if "check" in l}
     assert code == 0 and checks["momentum:id:psi-cocycle"]["skipped"] is True
     assert "sl(2)" in checks["momentum:id:psi-cocycle"]["reason"]
+    # a two-dimensional algebra has no triples for the cocycle check
+    obstruction = checks["momentum:id:obstruction"]
+    assert obstruction["passed"] and obstruction["cocycle_residuals"] == []
 
 
 @pytest.mark.parametrize("argv", [

@@ -20,6 +20,8 @@ from poissonkit.lie import (
 )
 from poissonkit.scalars import Q, ZERO, ONE
 
+from conftest import book3, filiform4, gl2, sl2_sl2
+
 
 def test_jacobi_examples():
     assert sl2().check_jacobi().ok
@@ -101,11 +103,6 @@ def test_ce_differential_examples(sl2):
     row = d1.codomain_basis.index((0, 1))
     col = d1.domain_basis.index((2,))
     assert d1.matrix[row][col] == Q(-1)
-
-
-def filiform4():
-    """Nilpotent 4-dimensional algebra: [e1,e2]=e3, [e1,e3]=e4."""
-    return LieAlgebra(4, {(0, 1): [0, 0, 1, 0], (0, 2): [0, 0, 0, 1]})
 
 
 @pytest.mark.parametrize("algebra_fn", [sl2, so3, heisenberg3, filiform4,
@@ -213,34 +210,6 @@ def _dense_ce_differential(L, M, p):
                     if not acc[w].is_zero():
                         matrix[ri * dimV + w][ci * dimV + v] = acc[w]
     return CochainComplexSlice(degree=p, matrix=matrix, domain_basis=dom, codomain_basis=cod)
-
-
-SL2_BRACKETS = {(0, 1): [0, 0, 1], (1, 2): [1, 0, 0], (0, 2): [0, 1, 0]}
-
-
-def direct_sum(*parts):
-    """Direct sum of algebras given as (dim, brackets) pairs."""
-    n = sum(d for d, _ in parts)
-    brackets, shift = {}, 0
-    for d, br in parts:
-        for (i, j), vec in br.items():
-            brackets[(i + shift, j + shift)] = [0] * shift + vec + [0] * (n - shift - d)
-        shift += d
-    return LieAlgebra(n, brackets)
-
-
-def gl2():
-    return direct_sum((3, SL2_BRACKETS), (1, {}))
-
-
-def sl2_sl2():
-    return direct_sum((3, SL2_BRACKETS), (3, SL2_BRACKETS))
-
-
-def book3():
-    """Non-unimodular: [e1,e2]=e2, [e1,e3]=e3, so several terms of one
-    (p+1)-set land on the same p-set and must add up."""
-    return LieAlgebra(3, {(0, 1): [0, 1, 0], (0, 2): [0, 0, 1]})
 
 
 @pytest.mark.parametrize("algebra_fn,max_degree", [

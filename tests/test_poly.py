@@ -114,7 +114,7 @@ def _rebuilt_the_same(p):
 def test_trusted_results_are_valid_polynomials(p, q, r, c):
     merged = CHART + (Var("z"),)
     for result in (p + q, p - q, -p, p * q, p + r, r - p, p * r, p.scale(c), p * c,
-                   p + c, p.over(merged), r.over(merged), q - q):
+                   p + c, c * p, c + p, c - p, p.over(merged), r.over(merged), q - q):
         _rebuilt_the_same(result)
     for name in ("x", "y", "t"):
         _rebuilt_the_same(p.partial(name))

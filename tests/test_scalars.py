@@ -140,3 +140,11 @@ def test_constructor_inputs_and_lowest_terms():
         GaussianRational(1.5)
     with pytest.raises(TypeError):
         GaussianRational.coerce(1.5)
+
+
+def test_a_float_operand_raises_type_error_on_either_side():
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(TypeError):
+            op(Q(1), 1.5)
+        with pytest.raises(TypeError):
+            op(1.5, Q(1))
