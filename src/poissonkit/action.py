@@ -174,6 +174,8 @@ class LinearPoissonAction:
         if dim < 1 or len(self.rep_mats) != dim or len(self.defining_mats) != dim:
             raise ValueError("need a nonzero algebra and one generator and one defining "
                              "matrix per basis element")
+        if self.rmatrix is not None and self.rmatrix.algebra != self.algebra:
+            raise ValueError("the r-matrix must lie in Lambda^2 of the acting algebra")
         n = self.target_dim
         if self.coadjoint:
             # Coad_g reads coordinates in the defining basis, so it must be a basis
@@ -364,19 +366,15 @@ def check_poisson_action(a: LinearPoissonAction, samples) -> ActionCheckReport:
             n = a.target_dim
             acc = linalg.zeros(n, n)
             rho = a.lift_generators
-            for i in range(a.algebra.dim):
-                for j in range(i + 1, a.algebra.dim):
-                    lam = a.rmatrix.matrix[i][j]
-                    if lam.is_zero():
-                        continue
-                    left_i = linalg.mat_vec(linalg.mat_mul(G, rho[i]), xv)
-                    left_j = linalg.mat_vec(linalg.mat_mul(G, rho[j]), xv)
-                    right_i = linalg.mat_vec(rho[i], gx)
-                    right_j = linalg.mat_vec(rho[j], gx)
-                    w = linalg.mat_sub(
-                        _wedge_matrix(left_i, left_j), _wedge_matrix(right_i, right_j)
-                    )
-                    acc = linalg.mat_add(acc, [[lam * t for t in row] for row in w])
+            for (i, j), lam in sorted(a.rmatrix.comps.items()):
+                left_i = linalg.mat_vec(linalg.mat_mul(G, rho[i]), xv)
+                left_j = linalg.mat_vec(linalg.mat_mul(G, rho[j]), xv)
+                right_i = linalg.mat_vec(rho[i], gx)
+                right_j = linalg.mat_vec(rho[j], gx)
+                w = linalg.mat_sub(
+                    _wedge_matrix(left_i, left_j), _wedge_matrix(right_i, right_j)
+                )
+                acc = linalg.mat_add(acc, [[lam * t for t in row] for row in w])
             rhs = linalg.mat_add(rhs, acc)
         diff = linalg.mat_sub(lhs, rhs)
         if not linalg.is_zero_mat(diff):

@@ -1,6 +1,10 @@
 """Classical r-matrices, dual Lie brackets, Lie bialgebras, and the abelian
 Poisson-Lie structures on products of tori and vector groups.
 
+Elements of Lambda g are :class:`AlgMultiVector` s, whose Schouten bracket
+is :func:`poissonkit.multivector.schouten`, the one bracket of the package;
+an r-matrix is a degree-2 one, and ad_X is the bracket with X of degree 1.
+
 Sign calibration.  Writing ``(Lam ctr xi)^i = sum_j Lam^{ij} xi_j`` for the
 contraction, the dual bracket
 
@@ -24,7 +28,7 @@ from fractions import Fraction
 
 from . import linalg
 from .lie import LieAlgebra
-from .multivector import PolyMultiVector
+from .multivector import PolyMultiVector, schouten
 from .poisson import PolyBivector, jacobi_check
 from .poly import ANGULAR, PRIMED, MultiPoly, Var
 from .scalars import GaussianRational, Q, ZERO, coeff_from_json
@@ -34,10 +38,12 @@ from .scalars import GaussianRational, Q, ZERO, coeff_from_json
 
 
 class AlgMultiVector(PolyMultiVector):
-    """An element of Lambda^p g: scalar components on frames e1∧e2."""
+    """An element of Lambda^p g: scalar components on frames e1∧e2.  Its
+    Schouten bracket is :func:`~poissonkit.multivector.schouten`, and
+    ad_X T is ``schouten(X, T)`` with X of degree 1."""
 
-    def __init__(self, dim: int, degree: int, comps=None):
-        self.dim = dim
+    def __init__(self, algebra: LieAlgebra, degree: int, comps=None):
+        self.algebra = algebra
         self.degree = degree
         self.comps = self._collect(
             {idx: GaussianRational.coerce(c) for idx, c in (comps or {}).items()}
@@ -49,120 +55,73 @@ class AlgMultiVector(PolyMultiVector):
     def _frame(self, key) -> str:
         return "e" + "∧e".join(str(i + 1) for i in key)
 
-    def pair(self, covectors) -> GaussianRational:
-        """Full-contraction pairing with p covectors: sum over all index
-        tuples of the fully skew component times the covector products."""
-        acc = ZERO
-        for idx in itertools.product(range(self.dim), repeat=self.degree):
-            c = self.component(*idx)
-            if c.is_zero():
-                continue
-            term = c
-            for pos, i in enumerate(idx):
-                term = term * covectors[pos][i]
-            acc = acc + term
-        return acc
+    def _space(self):
+        return self.algebra
+
+    def _tensor(self, degree: int, comps):
+        return AlgMultiVector(self.algebra, degree, comps)
+
+    def _frame_bracket(self, f, i, g, j) -> list:
+        """f g [e_i, e_j] from the structure constants, as (coefficient,
+        index) pairs; a coefficient None stands for 1."""
+        c = g if f is None else f if g is None else f * g
+        return [(ck if c is None else c * ck, k)
+                for k, ck in enumerate(self.algebra.basis_bracket(i, j)) if not ck.is_zero()]
 
 
-def ad_multivector(L: LieAlgebra, X, T: AlgMultiVector) -> AlgMultiVector:
-    """Leibniz extension of ad_X to Lambda^p g."""
-    Xc = [GaussianRational.coerce(x) for x in X]
-    comps = {}
-    for key, c in T.comps.items():
-        for pos, idx in enumerate(key):
-            # replace slot `pos` by [X, e_idx]
-            br = [ZERO] * L.dim
-            for a, xa in enumerate(Xc):
-                if xa.is_zero():
-                    continue
-                row = L.basis_bracket(a, idx)
-                br = [b + xa * r for b, r in zip(br, row)]
-            for k in range(L.dim):
-                if br[k].is_zero():
-                    continue
-                new_idx = key[:pos] + (k,) + key[pos + 1:]
-                comps[new_idx] = comps.get(new_idx, ZERO) + c * br[k]
-    return AlgMultiVector(L.dim, T.degree, comps)
-
-
-def alg_schouten(L: LieAlgebra, A: AlgMultiVector, B: AlgMultiVector) -> AlgMultiVector:
-    """Algebraic Schouten bracket on Lambda g (constant coefficients)."""
-    comps = {}
-    for ka, ca in A.comps.items():
-        for kb, cb in B.comps.items():
-            for s, ia in enumerate(ka):
-                for t, ib in enumerate(kb):
-                    br = L.basis_bracket(ia, ib)
-                    sign = (-1) ** ((s + 1) + (t + 1))
-                    rest = tuple(ka[r] for r in range(len(ka)) if r != s) + tuple(
-                        kb[r] for r in range(len(kb)) if r != t
-                    )
-                    for k in range(L.dim):
-                        if br[k].is_zero():
-                            continue
-                        idx = (k,) + rest
-                        comps[idx] = comps.get(idx, ZERO) + ca * cb * br[k] * Q(sign)
-    return AlgMultiVector(L.dim, A.degree + B.degree - 1, comps)
+def _element(L: LieAlgebra, X) -> AlgMultiVector:
+    """The coefficient vector X as a degree-1 element of Lambda g."""
+    return AlgMultiVector(L, 1, {(a,): x for a, x in enumerate(X)})
 
 
 # -- r-matrices ---------------------------------------------------------------------
 
 
-class RMatrix:
-    """An element Lam of Lambda^2 g, stored as a skew matrix Lam^{ij}."""
+class RMatrix(AlgMultiVector):
+    """An element Lam of Lambda^2 g, from ``{(i, j): coeff}`` meaning
+    ``coeff * e_i ^ e_j`` (keys that sort alike add up)."""
 
-    def __init__(self, algebra: LieAlgebra, matrix):
-        self.algebra = algebra
+    def __init__(self, algebra: LieAlgebra, coeffs: dict):
+        super().__init__(algebra, 2, coeffs)
+
+    @classmethod
+    def from_matrix(cls, algebra: LieAlgebra, matrix) -> "RMatrix":
+        """From the skew n x n matrix Lam^{ij}, as a bundle gives it."""
         n = algebra.dim
         m = linalg.mat(matrix)
         if len(m) != n or any(len(r) != n for r in m):
             raise ValueError("r-matrix must be n x n")
-        for i in range(n):
-            for j in range(n):
-                if m[i][j] != -m[j][i]:
-                    raise ValueError("r-matrix must be skew-symmetric")
-        self.matrix = m
-
-    @classmethod
-    def from_wedge_coeffs(cls, algebra: LieAlgebra, coeffs: dict) -> "RMatrix":
-        """Build from {(i, j): coeff} meaning coeff * e_i ^ e_j."""
-        n = algebra.dim
-        m = linalg.zeros(n, n)
-        for (i, j), c in coeffs.items():
-            c = GaussianRational.coerce(c)
-            m[i][j] = m[i][j] + c
-            m[j][i] = m[j][i] - c
-        return cls(algebra, m)
+        if any(m[i][j] != -m[j][i] for i in range(n) for j in range(i, n)):
+            raise ValueError("r-matrix must be skew-symmetric")
+        return cls(algebra, {(i, j): m[i][j] for i in range(n) for j in range(i + 1, n)})
 
     @classmethod
     def sl2_family(cls, algebra: LieAlgebra, l1, l2, l3) -> "RMatrix":
         """lam1 e1^e2 + lam2 e2^e3 + lam3 e3^e1."""
-        return cls.from_wedge_coeffs(algebra, {(0, 1): l1, (1, 2): l2, (2, 0): l3})
-
-    def wedge(self) -> AlgMultiVector:
-        n = self.algebra.dim
-        return AlgMultiVector(
-            n, 2, {(i, j): self.matrix[i][j] for i in range(n) for j in range(i + 1, n)}
-        )
+        return cls(algebra, {(0, 1): l1, (1, 2): l2, (2, 0): l3})
 
     def contract(self, xi) -> list:
         """(Lam xi)^i = sum_j Lam^{ij} xi_j."""
         x = [GaussianRational.coerce(v) for v in xi]
-        return [sum((self.matrix[i][j] * x[j] for j in range(self.algebra.dim)), ZERO)
-                for i in range(self.algebra.dim)]
+        out = [ZERO] * self.algebra.dim
+        for (i, j), c in self.comps.items():
+            out[i] = out[i] + c * x[j]
+            out[j] = out[j] - c * x[i]
+        return out
 
     def to_json(self) -> dict:
-        return {"lambda": [[c.to_json() for c in row] for row in self.matrix]}
+        n = self.algebra.dim
+        return {"lambda": [[self.component(i, j).to_json() for j in range(n)] for i in range(n)]}
 
     @staticmethod
     def from_json(algebra: LieAlgebra, d: dict) -> "RMatrix":
         rows = [[coeff_from_json(c) for c in row] for row in d["lambda"]]
-        return RMatrix(algebra, rows)
+        return RMatrix.from_matrix(algebra, rows)
 
 
 def delta_from_r(r: RMatrix, X) -> AlgMultiVector:
     """The coboundary cocycle delta(X) = ad_X Lam in Lambda^2 g."""
-    return ad_multivector(r.algebra, X, r.wedge())
+    return schouten(_element(r.algebra, X), r)
 
 
 @dataclass
@@ -183,11 +142,10 @@ class InvarianceReport:
 def schouten_wedge_bracket(r: RMatrix) -> InvarianceReport:
     """[Lam, Lam] in Lambda^3 g plus the ad-invariance verdict."""
     L = r.algebra
-    w = r.wedge()
-    sq = alg_schouten(L, w, w)
+    sq = schouten(r, r)
     residuals = []
     for i, X in enumerate(linalg.identity(L.dim)):
-        res = ad_multivector(L, X, sq)
+        res = schouten(_element(L, X), sq)
         if not res.is_zero():
             residuals.append((i, res))
     return InvarianceReport(bracket=sq, invariant=not residuals, residuals=residuals)
@@ -236,15 +194,15 @@ def delta_duality_residuals(r: RMatrix) -> list:
     L = r.algebra
     n = L.dim
     e = linalg.identity(n)
+    deltas = [delta_from_r(r, X) for X in e]
     out = []
     for i in range(n):
         for j in range(n):
             br = dual_bracket_from_r(r, e[i], e[j])
             for k in range(n):
-                lhs = br[k]
-                rhs = delta_from_r(r, e[k]).pair([e[i], e[j]])
-                if lhs != rhs:
-                    out.append((i, j, k, lhs - rhs))
+                rhs = deltas[k].component(i, j)
+                if br[k] != rhs:
+                    out.append((i, j, k, br[k] - rhs))
     return out
 
 
@@ -253,23 +211,21 @@ def delta_duality_residuals(r: RMatrix) -> list:
 
 @dataclass
 class LieBialgebra:
-    """A pair (g, g*) of bracket structures with a provenance tag."""
+    """A pair (g, g*) of bracket structures."""
 
     primal: LieAlgebra
     dual: LieAlgebra
-    provenance: str = "explicit"   # or "from-r-matrix"
 
     @staticmethod
     def from_r_matrix(r: RMatrix) -> "LieBialgebra":
-        return LieBialgebra(primal=r.algebra, dual=dual_algebra_from_r(r),
-                            provenance="from-r-matrix")
+        return LieBialgebra(primal=r.algebra, dual=dual_algebra_from_r(r))
 
     def delta(self, k: int) -> AlgMultiVector:
         """delta(e_k) in Lambda^2 g, dual to the bracket on g*:
         delta(e_k)^{ij} = <e_k, [e_i*, e_j*]_*>."""
         n = self.primal.dim
-        return AlgMultiVector(n, 2, {(i, j): self.dual.structure_constant(i, j, k)
-                                     for i in range(n) for j in range(i + 1, n)})
+        return AlgMultiVector(self.primal, 2, {(i, j): self.dual.structure_constant(i, j, k)
+                                               for i in range(n) for j in range(i + 1, n)})
 
 
 @dataclass
@@ -304,15 +260,15 @@ def validate_bialgebra(b: LieBialgebra) -> BialgebraReport:
     jd = b.dual.check_jacobi().ok
     residuals = []
     n = L.dim
-    e = linalg.identity(n)
+    e = [_element(L, X) for X in linalg.identity(n)]
+    deltas = [b.delta(k) for k in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            lhs = AlgMultiVector(n, 2, {})
-            vec = L.basis_bracket(i, j)
-            for k in range(n):
-                if not vec[k].is_zero():
-                    lhs = lhs + b.delta(k).scale(vec[k])
-            rhs = ad_multivector(L, e[i], b.delta(j)) - ad_multivector(L, e[j], b.delta(i))
+            lhs = AlgMultiVector(L, 2, {})
+            for k, c in enumerate(L.basis_bracket(i, j)):
+                if not c.is_zero():
+                    lhs = lhs + deltas[k].scale(c)
+            rhs = schouten(e[i], deltas[j]) - schouten(e[j], deltas[i])
             diff = lhs - rhs
             if not diff.is_zero():
                 residuals.append(((i, j), diff))

@@ -86,6 +86,12 @@ class LieAlgebra:
         n = self.dim
         return [[self._table[i][j][k] for j in range(n)] for k in range(n)]
 
+    def __eq__(self, other):
+        """The same structure constants; basis names are only labels."""
+        if not isinstance(other, LieAlgebra):
+            return NotImplemented
+        return self is other or self._table == other._table
+
     def is_abelian(self) -> bool:
         return all(
             self._table[i][j][k].is_zero()

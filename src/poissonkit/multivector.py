@@ -1,5 +1,5 @@
-"""Alternating tensors on sorted index tuples, and the Schouten bracket of
-polynomial multivector fields on affine space.
+"""Alternating tensors on sorted index tuples, and the one
+Schouten-Nijenhuis bracket of the package.
 
 A degree-p tensor is stored sparsely as a map from strictly increasing
 index tuples ``(i1 < ... < ip)`` to nonzero coefficients.  The
@@ -10,7 +10,10 @@ formula on decomposables,
         sum_{s,t} (-1)^{s+t} [u_s, v_t] ^ u1^..^u_s^..^up ^ v1^..^v_t^..^vq,
 
 with each monomial term factored as (coeff * d_{i1}) ^ d_{i2} ^ ... so only
-vector-field brackets of the forms [f d_i, g d_j] are ever needed.
+brackets of two frame vectors that carry at most one coefficient each are
+ever needed.  The container supplies that bracket: [f d_i, g d_j] for
+polynomial fields here, f g [e_i, e_j] for Lambda g in
+:mod:`poissonkit.bialgebra`.
 """
 
 from __future__ import annotations
@@ -18,8 +21,7 @@ from __future__ import annotations
 import copy
 
 from .linalg import sort_with_sign
-from .poly import MultiPoly, Var, _as_vars
-from .scalars import Q
+from .poly import MultiPoly, _as_vars
 
 
 class PolyMultiVector:
@@ -68,6 +70,29 @@ class PolyMultiVector:
 
     def _frame(self, key) -> str:
         return "^".join(f"d_{self.vars[i].name}" for i in key)
+
+    # -- what schouten() needs of a container -------------------------------
+
+    def _space(self):
+        return self.vars
+
+    def _tensor(self, degree: int, comps):
+        """A tensor on this space, of the base type of the container."""
+        return PolyMultiVector(self.vars, degree, comps)
+
+    def _frame_bracket(self, f, i, g, j) -> list:
+        """[f d_i, g d_j] = f (d_i g) d_j - g (d_j f) d_i as (coefficient,
+        index) pairs; a coefficient None stands for 1."""
+        out = []
+        if g is not None:
+            dg = g.partial(self.vars[i].name)
+            if not dg.is_zero():
+                out.append((dg if f is None else f * dg, j))
+        if f is not None:
+            df = f.partial(self.vars[j].name)
+            if not df.is_zero():
+                out.append((-df if g is None else -(g * df), i))
+        return out
 
     # -- basics ------------------------------------------------------------
 
@@ -118,86 +143,40 @@ class PolyMultiVector:
 
 
 def schouten(A: PolyMultiVector, B: PolyMultiVector) -> PolyMultiVector:
-    """Schouten-Nijenhuis bracket of polynomial multivectors (degrees >= 1)."""
+    """Schouten-Nijenhuis bracket of two multivectors (degrees >= 1) on one
+    space: polynomial fields on one chart, or two elements of one Lambda g."""
     if A.degree < 1 or B.degree < 1:
         raise ValueError("schouten() expects multivectors of degree >= 1")
-    if A.vars != B.vars:
-        raise ValueError("multivectors must share a coordinate system")
-    variables = A.vars
-    names = [v.name for v in variables]
-    out_deg = A.degree + B.degree - 1
+    if A._space() != B._space():
+        raise ValueError("multivectors must live on one space")
+    frame_bracket = A._frame_bracket
     acc = {}  # sorted index tuple -> coefficient, zero sums dropped
-
-    def factors(mv, key):
-        """Vector-field factor list for one component: first factor carries
-        the polynomial coefficient."""
-        coeff = mv.comps[key]
-        return [(coeff, key[0])] + [(None, i) for i in key[1:]]
-
-    for ka in A.comps:
-        fa = factors(A, ka)
-        for kb in B.comps:
-            fb = factors(B, kb)
-            for s, (cf_a, ia) in enumerate(fa):
-                for t, (cf_b, ib) in enumerate(fb):
-                    # [u_s, v_t]: list of (poly, index)
-                    bracket_terms = []
-                    f = cf_a  # None means constant 1
-                    g = cf_b
-                    if f is not None and g is not None:
-                        dg = g.partial(names[ia])
-                        if not dg.is_zero():
-                            bracket_terms.append((f * dg, ib))
-                        df = f.partial(names[ib])
-                        if not df.is_zero():
-                            bracket_terms.append((-(g * df), ia))
-                    elif f is not None:  # [f d_ia, d_ib] = -(d_ib f) d_ia
-                        df = f.partial(names[ib])
-                        if not df.is_zero():
-                            bracket_terms.append((-df, ia))
-                    elif g is not None:  # [d_ia, g d_ib] = (d_ia g) d_ib
-                        dg = g.partial(names[ia])
-                        if not dg.is_zero():
-                            bracket_terms.append((dg, ib))
+    # each component is factored as (coeff * u_1) ^ u_2 ^ ...; a coefficient
+    # None stands for 1 and a factor's coefficient is either bracketed or rest
+    for ka, ca in A.comps.items():
+        for kb, cb in B.comps.items():
+            for s, ia in enumerate(ka):
+                f, rest_f = (ca, None) if s == 0 else (None, ca)
+                for t, ib in enumerate(kb):
+                    g, rest_g = (cb, None) if t == 0 else (None, cb)
+                    bracket_terms = frame_bracket(f, ia, g, ib)  # [u_s, v_t]
                     if not bracket_terms:
                         continue
-                    sign = (-1) ** ((s + 1) + (t + 1))
-                    rest_a = [fa[r] for r in range(len(fa)) if r != s]
-                    rest_b = [fb[r] for r in range(len(fb)) if r != t]
-                    # outstanding polynomial coefficients from unbracketed factors
-                    coeff_rest = None
-                    rest_idx = []
-                    for cf, i in rest_a + rest_b:
-                        rest_idx.append(i)
-                        if cf is not None:
-                            coeff_rest = cf if coeff_rest is None else coeff_rest * cf
-                    for poly, lead in bracket_terms:
+                    sign = (-1) ** (s + t)
+                    rest_idx = ka[:s] + ka[s + 1:] + kb[:t] + kb[t + 1:]
+                    coeff_rest = rest_g if rest_f is None else (
+                        rest_f if rest_g is None else rest_f * rest_g)
+                    for c, lead in bracket_terms:
                         res = sort_with_sign((lead, *rest_idx))
                         if res is None:
                             continue
                         key, perm_sign = res
-                        total = poly if coeff_rest is None else poly * coeff_rest
-                        total = total.scale(Q(sign * perm_sign))
+                        total = c if coeff_rest is None else c * coeff_rest
+                        if sign * perm_sign < 0:
+                            total = -total
                         if key in acc:
                             total = acc[key] + total
                         acc[key] = total
                         if total.is_zero():
                             del acc[key]
-    return PolyMultiVector(variables, out_deg, acc)
-
-
-def lie_bracket_fields(variables, V, W) -> list:
-    """Jacobi-Lie bracket of two polynomial vector fields, as components: the
-    coordinate formula, an independent reference for :func:`schouten` in degree 1."""
-    names = [v.name if isinstance(v, Var) else v for v in variables]
-    n = len(names)
-    out = []
-    for i in range(n):
-        acc = None
-        for j in range(n):
-            t1 = V[j] * W[i].partial(names[j])
-            t2 = W[j] * V[i].partial(names[j])
-            term = t1 - t2
-            acc = term if acc is None else acc + term
-        out.append(acc)
-    return out
+    return A._tensor(A.degree + B.degree - 1, acc)

@@ -467,6 +467,38 @@ def _flow_on_an_angular_chart(raw):
                    "hamiltonian": {"vars": theta, "terms": [{"exp": [1, 0], "coeff": 1}]}}
 
 
+def _rmatrix_on_another_algebra(raw):
+    raw["algebras"]["abelian4"] = {"dim": 4, "brackets": []}
+    raw["rmatrices"]["abelian4"] = {"algebra": "abelian4", "lambda": [
+        [0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]}
+    raw["actions"]["plane_action"]["rmatrix"] = "abelian4"
+
+
+def _add_abelian_constants(raw, m, n, *constants):
+    raw["abelian_structures"]["by_constants"] = {
+        "m": m, "n": n, "constants": [dict(zip("ijkc", c)) for c in constants]}
+
+
+def _torus_index_constant_beside_k_past_dim(raw):
+    _add_abelian_constants(raw, 1, 1, (0, 1, 0, 1), (0, 1, 5, 1))
+
+
+def _negative_constant_index(raw):
+    _add_abelian_constants(raw, 1, 1, (-1, 1, 1, 1))
+
+
+def _constant_index_past_dim(raw):
+    _add_abelian_constants(raw, 1, 1, (0, 7, 1, 1))
+
+
+def _negative_torus_count(raw):
+    _add_abelian_constants(raw, -1, 1)
+
+
+def _nonzero_constant_on_a_diagonal_pair(raw):
+    _add_abelian_constants(raw, 1, 1, (1, 1, 1, 2))
+
+
 @pytest.mark.parametrize("subcommand, edit", [
     ("check-bialgebra", _float_rmatrix_entry),
     ("momentum", _unknown_variable_kind),
@@ -504,6 +536,12 @@ def _flow_on_an_angular_chart(raw):
     ("flow", _complex_flow_bivector),
     ("flow", _flow_on_an_angular_chart),
     ("flow", _nan_flow_dt),
+    ("check-bialgebra", _torus_index_constant_beside_k_past_dim),
+    ("check-bialgebra", _negative_constant_index),
+    ("check-bialgebra", _constant_index_past_dim),
+    ("check-bialgebra", _negative_torus_count),
+    ("check-bialgebra", _nonzero_constant_on_a_diagonal_pair),
+    ("check-action", _rmatrix_on_another_algebra),
 ])
 def test_bundle_schema_errors_exit_2(subcommand, edit, tmp_path, capsys):
     raw = json.loads(SAMPLE.read_text())

@@ -1,13 +1,13 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
+from bracket_oracles import ad_multivector, alg_schouten, lie_bracket_fields
+from conftest import sl2_sl2
+from poissonkit import lie
 from poissonkit.bialgebra import AlgMultiVector
-from poissonkit.multivector import (
-    PolyMultiVector,
-    lie_bracket_fields,
-    schouten,
-)
+from poissonkit.multivector import PolyMultiVector, schouten
 from poissonkit.poisson import PolyBivector, PolyVectorField, jacobiator
 from poissonkit.poly import MultiPoly, generators
 from poissonkit.scalars import GaussianRational, Q
@@ -77,29 +77,81 @@ def test_square_proportional_to_cyclic_jacobiator(rng):
     assert len(ratios) <= 1  # one global convention constant
 
 
+def _rand_alg_mv(rng, L, deg, density=0.8):
+    """A random element of Lambda^deg g with small rational components."""
+    return AlgMultiVector(L, deg, {
+        key: Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+        for key in itertools.combinations(range(L.dim), deg) if rng.random() < density
+    })
+
+
+def _random_constant_algebra(rng, n):
+    """Skew structure constants with no Jacobi identity imposed."""
+    return lie.LieAlgebra(n, {(i, j): [rng.randint(-2, 2) for _ in range(n)]
+                              for i, j in itertools.combinations(range(n), 2)})
+
+
 def test_graded_antisymmetry(rng):
-    """[A, B] = -(-1)^{(a-1)(b-1)} [B, A] on random multivectors."""
+    """[A, B] = -(-1)^{(a-1)(b-1)} [B, A] on random multivectors: polynomial
+    fields on R^3 and elements of Lambda g over a random-constant algebra."""
     from conftest import rand_poly
 
     vs = ("x", "y", "z")
     gens = generators(*vs)
     variables = gens[0].vars
+    L = _random_constant_algebra(rng, 4)
 
     def rand_mv(deg):
         comps = {}
-        import itertools
         for key in itertools.combinations(range(3), deg):
             if rng.random() < 0.8:
                 comps[key] = rand_poly(rng, variables, gens)
         return PolyMultiVector(variables, deg, comps)
 
-    for a_deg, b_deg in ((1, 1), (1, 2), (2, 2), (2, 3), (1, 3)):
-        A = rand_mv(a_deg)
-        B = rand_mv(b_deg)
-        lhs = schouten(A, B)
-        rhs = schouten(B, A)
-        sign = (-1) ** ((a_deg - 1) * (b_deg - 1))
-        assert (lhs + rhs.scale(Q(sign))).is_zero(), (a_deg, b_deg)
+    for make in (rand_mv, lambda deg: _rand_alg_mv(rng, L, deg)):
+        for a_deg, b_deg in ((1, 1), (1, 2), (2, 2), (2, 3), (1, 3)):
+            A = make(a_deg)
+            B = make(b_deg)
+            lhs = schouten(A, B)
+            rhs = schouten(B, A)
+            sign = (-1) ** ((a_deg - 1) * (b_deg - 1))
+            assert (lhs + rhs.scale(Q(sign))).is_zero(), (make, a_deg, b_deg)
+
+
+def test_schouten_on_lambda_g_matches_the_structure_constant_oracles(rng):
+    """On random elements of Lambda^p g, schouten equals the old own loop
+    over structure constants, and with a degree-1 left argument it equals
+    the Leibniz extension of ad."""
+    algebras = [lie.sl2(), lie.so3(), lie.heisenberg3(), sl2_sl2(),
+                _random_constant_algebra(rng, 4)]
+    nonzero = 0
+    for L in algebras:
+        for _ in range(4):
+            for p, q in itertools.product(range(1, L.dim + 1), repeat=2):
+                if p + q - 1 > L.dim:
+                    continue
+                A, B = _rand_alg_mv(rng, L, p), _rand_alg_mv(rng, L, q)
+                got = schouten(A, B)
+                assert isinstance(got, AlgMultiVector) and got.degree == p + q - 1
+                assert str(got) == str(alg_schouten(L, A, B)), (L.basis, p, q)
+                nonzero += not got.is_zero()
+                if p == 1:
+                    X = [A.component(a) for a in range(L.dim)]
+                    assert str(got) == str(ad_multivector(L, X, B)), (L.basis, q)
+    assert nonzero > 100
+
+
+def test_schouten_rejects_mixed_spaces(sl2):
+    e1 = AlgMultiVector(sl2, 1, {(0,): 1})
+    field = PolyVectorField(("x", "y", "z"), generators("x", "y", "z"))
+    for A, B in ((e1, field), (field, e1)):
+        with pytest.raises(ValueError, match="one space"):
+            schouten(A, B)
+    with pytest.raises(ValueError, match="one space"):
+        schouten(e1, AlgMultiVector(lie.so3(), 2, {(1, 2): 1}))
+    # equal structure constants are one space, whichever object holds them
+    assert str(schouten(e1, AlgMultiVector(lie.sl2(), 2, {(1, 2): 1}))) == "0"
+    assert str(schouten(e1, AlgMultiVector(lie.sl2(), 1, {(1,): 1}))) == "(1) e3"
 
 
 def test_wedge_sorting_sign():
@@ -137,8 +189,8 @@ def test_bivector_from_unsorted_and_repeated_keys():
 
 
 def test_alg_multivector_with_partly_cancelling_keys():
-    a = AlgMultiVector(4, 3, {(0, 1, 2): 1, (2, 0, 1): -1, (1, 0, 3): 2, (3, 1, 0): 5,
-                              (2, 1, 3): GaussianRational(0, 1), (1, 1, 2): 7})
+    a = AlgMultiVector(lie.abelian(4), 3, {(0, 1, 2): 1, (2, 0, 1): -1, (1, 0, 3): 2, (3, 1, 0): 5,
+                                           (2, 1, 3): GaussianRational(0, 1), (1, 1, 2): 7})
     assert str(a) == "(-7) e1∧e2∧e4 + (-1*i) e2∧e3∧e4"
     signs = {(0, 1, 2): "0", (0, 1, 3): "-7", (3, 0, 1): "-7", (1, 0, 3): "7",
              (1, 2, 3): "-1*i", (3, 2, 1): "1*i", (1, 1, 2): "0"}

@@ -77,7 +77,7 @@ def test_hamiltonian_field(plane):
 
 def test_hamiltonian_bracket_identity(plane, rng):
     from conftest import rand_poly
-    from poissonkit.multivector import lie_bracket_fields
+    from bracket_oracles import lie_bracket_fields
 
     vs = ("x", "y")
     gens = generators(*vs)
