@@ -43,11 +43,13 @@ class AlgMultiVector(PolyMultiVector):
     ad_X T is ``schouten(X, T)`` with X of degree 1."""
 
     def __init__(self, algebra: LieAlgebra, degree: int, comps=None):
+        comps = comps or {}
+        for idx in comps:
+            if not all(0 <= i < algebra.dim for i in idx):
+                raise ValueError(f"index {idx} out of range for dimension {algebra.dim}")
         self.algebra = algebra
         self.degree = degree
-        self.comps = self._collect(
-            {idx: GaussianRational.coerce(c) for idx, c in (comps or {}).items()}
-        )
+        self.comps = self._collect({idx: GaussianRational.coerce(c) for idx, c in comps.items()})
 
     def _zero(self):
         return ZERO
@@ -195,14 +197,19 @@ def delta_duality_residuals(r: RMatrix) -> list:
     n = L.dim
     e = linalg.identity(n)
     deltas = [delta_from_r(r, X) for X in e]
+    # both sides are skew in (i, j): compute i < j, mirror the rest with a
+    # sign, and list the violations in (i, j, k) order
+    res = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            br = dual_bracket_from_r(r, e[i], e[j])
+            res[i, j] = [br[k] - deltas[k].component(i, j) for k in range(n)]
     out = []
     for i in range(n):
         for j in range(n):
-            br = dual_bracket_from_r(r, e[i], e[j])
-            for k in range(n):
-                rhs = deltas[k].component(i, j)
-                if br[k] != rhs:
-                    out.append((i, j, k, br[k] - rhs))
+            if i != j:
+                vec = res[i, j] if i < j else [-v for v in res[j, i]]
+                out.extend((i, j, k, v) for k, v in enumerate(vec) if not v.is_zero())
     return out
 
 
@@ -311,22 +318,28 @@ class AbelianPLStructure:
         the constants table for the zero-block check but cannot enter the
         bivector.
         """
-        variables = _torus_vector_vars(m, n)
+        if m < 0 or n < 0:
+            raise ValueError("m and n must be >= 0")
         dim = m + n
+        norm = {}
+        for (i, j, k), c in constants.items():
+            if not all(0 <= x < dim for x in (i, j, k)):
+                raise ValueError(f"constant index ({i}, {j}, {k}) out of range for dimension {dim}")
+            c = GaussianRational.coerce(c)
+            if c.is_zero():
+                continue
+            if i == j:
+                raise ValueError(f"constant ({i}, {j}, {k}) must vanish: [e_i, e_i] = 0")
+            norm[(i, j, k)] = c
+        variables = _torus_vector_vars(m, n)
         entries = {}
         for i in range(dim):
             for j in range(i + 1, dim):
                 acc = MultiPoly.zero(variables)
                 for k in range(m, dim):
-                    c = GaussianRational.coerce(constants.get((i, j, k), 0))
-                    if not c.is_zero():
-                        acc = acc + MultiPoly.variable(variables, variables[k].name).scale(c)
+                    if (i, j, k) in norm:
+                        acc = acc + MultiPoly.variable(variables, variables[k].name).scale(norm[i, j, k])
                 entries[(i, j)] = acc
-        norm = {}
-        for (i, j, k), c in constants.items():
-            c = GaussianRational.coerce(c)
-            if not c.is_zero():
-                norm[(i, j, k)] = c
         return AbelianPLStructure(m, n, PolyBivector(variables, entries), norm)
 
     @staticmethod

@@ -178,20 +178,9 @@ def _parse_abelian(entry: dict) -> AbelianPLStructure:
         if kind == "torus2_line_linear":
             return AbelianPLStructure.torus2_line_linear(*coeffs)
         raise SchemaError(f"unknown abelian example {kind!r}")
-    m = json_int(entry["m"])
-    n = json_int(entry["n"])
-    if m < 0 or n < 0:
-        raise ValueError("m and n must be >= 0")
-    constants = {}
-    for c in entry.get("constants", []):
-        i, j, k = (json_int(c[key]) for key in "ijk")
-        if not all(0 <= x < m + n for x in (i, j, k)):
-            raise ValueError(f"constant index ({i}, {j}, {k}) out of range for dimension {m + n}")
-        value = coeff_from_json(c["c"])
-        if i == j and not value.is_zero():
-            raise ValueError(f"constant ({i}, {j}, {k}) must vanish: [e_i, e_i] = 0")
-        constants[(i, j, k)] = value
-    return AbelianPLStructure.from_constants(m, n, constants)
+    constants = {tuple(json_int(c[key]) for key in "ijk"): coeff_from_json(c["c"])
+                 for c in entry.get("constants", [])}
+    return AbelianPLStructure.from_constants(json_int(entry["m"]), json_int(entry["n"]), constants)
 
 
 def _matrices(raw) -> list:

@@ -192,9 +192,7 @@ def run_flow(bundle: ProblemBundle, args, out_stream):
     traj = P.hamiltonian_flow(bundle.bivectors[flow["bivector"]], flow["hamiltonian"], flow["x0"],
                               dt, steps, casimirs=flow["casimirs"],
                               divergence_bound=flow["divergence_bound"])
-    rows = traj.to_csv_rows()
-    for row in rows:
-        out_stream.write(",".join(str(c) for c in row) + "\n")
+    out_stream.write(traj.to_csv())
     out_stream.write("# " + json.dumps(traj.summary(), sort_keys=True, default=_json_default) + "\n")
     if not _wanted(args, "flow:conservation"):
         return

@@ -13,6 +13,7 @@ Sign conventions (calibrated once, asserted by the test suite):
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -507,20 +508,29 @@ def stratify_sample(pi: PolyBivector, config: StratifyConfig) -> StratificationR
 
 
 def _compile_float(poly: MultiPoly, names):
+    """``poly`` as a function of a list of floats.
+
+    Each term is ``t = coeff; t *= x_i ** e`` over its nonzero exponents,
+    added to an accumulator that starts at 0.0, in the order of
+    ``poly.terms``: the float64 operations, in their order, that fix the
+    trajectories of :func:`hamiltonian_flow`.
+    """
     aligned = poly.over(names)
     terms = []
     for exp, c in aligned.terms.items():
         if c.im:
             raise ValueError("flow integration requires real coefficients")
-        terms.append((tuple(exp), float(c.re)))
+        terms.append((float(c.re), tuple((i, e) for i, e in enumerate(exp) if e)))
 
     def fn(x):
         acc = 0.0
-        for exp, coeff in terms:
+        for coeff, factors in terms:
             t = coeff
-            for e, xi in zip(exp, x):
-                if e:
-                    t *= xi ** e
+            for i, e in factors:
+                try:
+                    t *= x[i] ** e
+                except OverflowError:   # C pow, so float64 **, gives the signed infinity
+                    t *= math.copysign(math.inf, x[i]) if e % 2 else math.inf
             acc += t
         return acc
 
@@ -538,18 +548,19 @@ class Trajectory:
     casimir_drift: dict
     truncated: bool
 
-    def to_csv_rows(self, casimir_names=None):
-        names = list(self.casimir_values) if casimir_names is None else casimir_names
-        header = ["step", "t"] + [f"x{i+1}" for i in range(len(self.points[0]))] + ["f"] + names + ["rank"]
+    def to_csv(self) -> str:
+        """The trajectory as CSV text: a header, then one line per point with
+        step, t, the coordinates, f, each Casimir and the rank where sampled."""
+        names = list(self.casimir_values)
+        coords = [f"x{i+1}" for i in range(len(self.points[0]))]
+        lines = [",".join(["step", "t", *coords, "f", *names, "rank"])]
+        cas = [self.casimir_values[nm] for nm in names]
         rank_map = dict(self.ranks)
-        rows = [header]
         for s, (t, p, fv) in enumerate(zip(self.times, self.points, self.f_values)):
-            row = [s, repr(float(t))] + [repr(float(x)) for x in p] + [repr(float(fv))]
-            for nm in names:
-                row.append(repr(float(self.casimir_values[nm][s])))
-            row.append(rank_map.get(s, ""))
-            rows.append(row)
-        return rows
+            cells = ",".join(map(repr, [t, *p, fv, *(c[s] for c in cas)]))
+            lines.append(f"{s},{cells},{rank_map.get(s, '')}")
+        lines.append("")
+        return "\n".join(lines)
 
     def summary(self) -> dict:
         return {
@@ -567,14 +578,17 @@ def hamiltonian_flow(pi: PolyBivector, f: MultiPoly, x0, dt: float, steps: int,
 
     Exactness is never claimed for flows: the trajectory is float64 and the
     report carries the observed drift of f and of each registered Casimir,
-    plus the rank of pi at sampled trajectory points.
+    plus the rank of pi at sampled trajectory points.  The integration stops
+    (``truncated``) at the first state with an entry that is not finite or
+    exceeds ``divergence_bound`` in absolute value; that state is not kept.
     """
-    import numpy as np
-
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < math.inf:
+        raise ValueError("dt must be positive and finite")
+    if not math.isfinite(divergence_bound):
+        raise ValueError("divergence_bound must be finite")
     if steps < 1:
         raise ValueError("need at least one step")
+    dt = float(dt)
     names = [v.name for v in pi.vars]
     field_exact = hamiltonian_field(pi, f)
     comp_fns = [_compile_float(field_exact.component(i), names) for i in range(pi.n)]
@@ -583,25 +597,32 @@ def hamiltonian_flow(pi: PolyBivector, f: MultiPoly, x0, dt: float, steps: int,
     cas_fns = {k: _compile_float(v, names) for k, v in casimirs.items()}
 
     def rhs(x):
-        return np.array([fn(x) for fn in comp_fns])
+        return [fn(x) for fn in comp_fns]
 
-    x = np.array([float(v) for v in x0], dtype=float)
+    # per coordinate, the float64 operations and their order of the array
+    # expressions x + (0.5*dt)*k, x + dt*k and x + (dt/6)*(((k1 + 2*k2) + 2*k3) + k4),
+    # so a trajectory is bit for bit that of the NumPy loop in tests/flow_oracle.py
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    x = [float(v) for v in x0]
     times = [0.0]
-    pts = [list(x)]
+    pts = [x]
     fvals = [f_fn(x)]
     cvals = {k: [fn(x)] for k, fn in cas_fns.items()}
     truncated = False
     for s in range(steps):
         k1 = rhs(x)
-        k2 = rhs(x + 0.5 * dt * k1)
-        k3 = rhs(x + 0.5 * dt * k2)
-        k4 = rhs(x + dt * k3)
-        x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if np.max(np.abs(x)) > divergence_bound:
+        k2 = rhs([a + half * b for a, b in zip(x, k1)])
+        k3 = rhs([a + half * b for a, b in zip(x, k2)])
+        k4 = rhs([a + dt * b for a, b in zip(x, k3)])
+        x = [a + sixth * (((b1 + 2 * b2) + 2 * b3) + b4)
+             for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+        # a NaN entry fails every comparison, so it cannot pass as within the bound
+        if not all(abs(v) <= divergence_bound for v in x):
             truncated = True
             break
         times.append((s + 1) * dt)
-        pts.append(list(x))
+        pts.append(x)
         fvals.append(f_fn(x))
         for k, fn in cas_fns.items():
             cvals[k].append(fn(x))
@@ -611,13 +632,14 @@ def hamiltonian_flow(pi: PolyBivector, f: MultiPoly, x0, dt: float, steps: int,
                          for i in range(FLOW_RANK_SAMPLES)})
     ranks = []
     for idx in sample_idx:
-        m = pi.eval_matrix_float(pts[idx])
-        ranks.append((idx, int(np.linalg.matrix_rank(m, tol=1e-8 * (1.0 + np.abs(m).max())))))
+        rank = _float_rank(pi, pts[idx])
+        if rank is not None:
+            ranks.append((idx, rank))
 
     scale0 = max(1.0, abs(fvals[0]))
-    f_drift = float(max(abs(v - fvals[0]) for v in fvals) / scale0)
+    f_drift = max(abs(v - fvals[0]) for v in fvals) / scale0
     cas_drift = {
-        k: float(max(abs(v - vals[0]) for v in vals) / max(1.0, abs(vals[0])))
+        k: max(abs(v - vals[0]) for v in vals) / max(1.0, abs(vals[0]))
         for k, vals in cvals.items()
     }
     return Trajectory(
@@ -630,3 +652,17 @@ def hamiltonian_flow(pi: PolyBivector, f: MultiPoly, x0, dt: float, steps: int,
         casimir_drift=cas_drift,
         truncated=truncated,
     )
+
+
+def _float_rank(pi: PolyBivector, point):
+    """The numerical rank of pi at a float point, or None when an entry of
+    its float matrix is not finite (SVD has no answer there)."""
+    import numpy as np
+
+    try:
+        m = pi.eval_matrix_float(point)
+    except OverflowError:           # complex ** int raises where float64 gives inf
+        return None
+    if not np.isfinite(m).all():
+        return None
+    return int(np.linalg.matrix_rank(m, tol=1e-8 * (1.0 + np.abs(m).max())))

@@ -1,20 +1,24 @@
-"""Test oracles: the brackets that ``poissonkit`` computed on their own before
-:func:`poissonkit.multivector.schouten` became the one Schouten-Nijenhuis
-bracket of the package.
+"""Test oracles: bracket computations of ``poissonkit`` in the direct form
+they had before :func:`poissonkit.multivector.schouten` became the one
+Schouten-Nijenhuis bracket of the package and before the duality check
+used skew-symmetry.
 
 * ``lie_bracket_fields``: the coordinate formula of the Jacobi-Lie bracket
   of two polynomial vector fields;
 * ``alg_schouten``: the Schouten bracket on Lambda g as its own loop over
   structure constants;
-* ``ad_multivector``: the Leibniz extension of ad_X to Lambda^p g.
+* ``ad_multivector``: the Leibniz extension of ad_X to Lambda^p g;
+* ``delta_duality_residuals``: the duality cross-check with one dual
+  bracket for every ordered pair (i, j), the diagonal included.
 
-The bodies are unchanged; only the result is built with
+The bodies are unchanged; only the results of the first three are built with
 ``AlgMultiVector(L, ...)``, the container's constructor today.
 """
 
 from __future__ import annotations
 
-from poissonkit.bialgebra import AlgMultiVector
+from poissonkit import linalg
+from poissonkit.bialgebra import AlgMultiVector, RMatrix, delta_from_r, dual_bracket_from_r
 from poissonkit.lie import LieAlgebra
 from poissonkit.poly import Var
 from poissonkit.scalars import GaussianRational, Q, ZERO
@@ -76,3 +80,24 @@ def alg_schouten(L: LieAlgebra, A: AlgMultiVector, B: AlgMultiVector) -> AlgMult
                         idx = (k,) + rest
                         comps[idx] = comps.get(idx, ZERO) + ca * cb * br[k] * Q(sign)
     return AlgMultiVector(L, A.degree + B.degree - 1, comps)
+
+
+def delta_duality_residuals(r: RMatrix) -> list:
+    """Cross-check <[e_i*, e_j*]_*, e_k> = (ad_{e_k} Lam)(e_i*, e_j*).
+
+    Returns the list of (i, j, k, residual) violations (empty when the
+    calibrated conventions are coherent).
+    """
+    L = r.algebra
+    n = L.dim
+    e = linalg.identity(n)
+    deltas = [delta_from_r(r, X) for X in e]
+    out = []
+    for i in range(n):
+        for j in range(n):
+            br = dual_bracket_from_r(r, e[i], e[j])
+            for k in range(n):
+                rhs = deltas[k].component(i, j)
+                if br[k] != rhs:
+                    out.append((i, j, k, br[k] - rhs))
+    return out

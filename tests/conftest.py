@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -79,3 +80,9 @@ def book3():
     """Non-unimodular: [e1,e2]=e2, [e1,e3]=e3, so several terms of one
     (p+1)-set land on the same p-set and must add up."""
     return lie.LieAlgebra(3, {(0, 1): [0, 1, 0], (0, 2): [0, 0, 1]})
+
+
+def random_constant_algebra(rng, n):
+    """Skew structure constants with no Jacobi identity imposed."""
+    return lie.LieAlgebra(n, {(i, j): [rng.randint(-2, 2) for _ in range(n)]
+                              for i, j in itertools.combinations(range(n), 2)})

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+import bracket_oracles
 from bracket_oracles import ad_multivector
-from poissonkit import lie
+from conftest import random_constant_algebra
+from poissonkit import bialgebra, lie
 from poissonkit.bialgebra import (
     AbelianPLStructure,
     AlgMultiVector,
@@ -99,6 +101,28 @@ def test_duality_cross_check(sl2, rng):
             assert delta_duality_residuals(RMatrix.sl2_family(L, *lam)) == []
 
 
+def test_duality_residuals_match_the_all_pairs_oracle(rng, monkeypatch):
+    """One dual bracket per pair i < j gives the violations, in order and
+    value, of the oracle that brackets every ordered pair; the identity holds
+    for every r on every algebra, so violations come from a flipped sign
+    convention for delta."""
+    algebras = [lie.sl2(), lie.so3(), lie.heisenberg3(),
+                random_constant_algebra(rng, 3), random_constant_algebra(rng, 4)]
+    rs = [RMatrix(L, {key: Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                      for key in itertools.combinations(range(L.dim), 2) if rng.random() < 0.8})
+          for L in algebras for _ in range(6)]
+    for r in rs:
+        assert delta_duality_residuals(r) == bracket_oracles.delta_duality_residuals(r) == []
+    for module in (bialgebra, bracket_oracles):
+        monkeypatch.setattr(module, "delta_from_r", lambda r, X: -delta_from_r(r, X))
+    with_violations = 0
+    for r in rs:
+        got = delta_duality_residuals(r)
+        assert got == bracket_oracles.delta_duality_residuals(r)
+        with_violations += bool(got)
+    assert with_violations >= 20
+
+
 def test_dual_jacobi_under_invariance(rng):
     for make in (lie.sl2, lie.so3):
         L = make()
@@ -152,6 +176,23 @@ def test_coboundary_cocycle_always(sl2, rng):
                 rhs = ad_multivector(sl2, basis(i), delta_from_r(r, basis(j))) - \
                     ad_multivector(sl2, basis(j), delta_from_r(r, basis(i)))
                 assert (lhs - rhs).is_zero()
+
+
+@pytest.mark.parametrize("make", [
+    lambda L: RMatrix(L, {(0, 5): 1}),
+    lambda L: RMatrix(L, {(-1, 1): 1}),
+    lambda L: AlgMultiVector(L, 1, {(3,): 2}),
+    lambda L: AlgMultiVector(L, 3, {(0, 1, 3): 0}),
+    lambda L: AbelianPLStructure.from_constants(-1, 2, {}),
+    lambda L: AbelianPLStructure.from_constants(1, 1, {(0, 1, 2): Q(1)}),
+    lambda L: AbelianPLStructure.from_constants(1, 1, {(-1, 1, 1): Q(1)}),
+    lambda L: AbelianPLStructure.from_constants(1, 1, {(1, 1, 1): Q(1)}),
+], ids=["rmatrix-key-past-dim", "rmatrix-negative-key", "vector-key-past-dim",
+        "zero-component-key-past-dim", "negative-m", "constant-k-past-dim", "constant-negative-i",
+        "nonzero-diagonal-constant"])
+def test_index_keys_out_of_range_are_rejected(sl2, make):
+    with pytest.raises(ValueError):
+        make(sl2)
 
 
 def test_abelian_structures():

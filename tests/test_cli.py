@@ -199,6 +199,21 @@ def test_flow_export(tmp_path):
     assert code2 == 2
 
 
+@pytest.mark.parametrize("bound", [1e300, 1e9])
+def test_a_flow_that_turns_nan_is_truncated_and_exits_1(bound, tmp_path, capsys):
+    raw = json.loads(SAMPLE.read_text())
+    mu = raw["flow"]["hamiltonian"]["vars"]
+    one = {"num": "1", "den": "1"}
+    raw["flow"].update(dt=0.5, steps=200, divergence_bound=bound, hamiltonian={
+        "vars": mu, "terms": [{"exp": [0, 3, 0], "coeff": one}, {"exp": [2, 0, 1], "coeff": one}]})
+    code, out = run_cli(["flow"], raw, tmp_path)
+    lines = out.splitlines()
+    summary = json.loads(next(l for l in lines if l.startswith("# "))[2:])
+    check = json.loads(next(l for l in lines if '"check": "flow:conservation"' in l))
+    assert code == 1 and summary["truncated"] and check["truncated"] and not check["passed"]
+    assert summary["steps"] < 200 and capsys.readouterr().err == ""
+
+
 def test_action_and_momentum_suites(tmp_path):
     half = {"num": "1", "den": "2"}
     mhalf = {"num": "-1", "den": "2"}

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from bracket_oracles import ad_multivector, alg_schouten, lie_bracket_fields
-from conftest import sl2_sl2
+from conftest import random_constant_algebra, sl2_sl2
 from poissonkit import lie
 from poissonkit.bialgebra import AlgMultiVector
 from poissonkit.multivector import PolyMultiVector, schouten
@@ -85,12 +85,6 @@ def _rand_alg_mv(rng, L, deg, density=0.8):
     })
 
 
-def _random_constant_algebra(rng, n):
-    """Skew structure constants with no Jacobi identity imposed."""
-    return lie.LieAlgebra(n, {(i, j): [rng.randint(-2, 2) for _ in range(n)]
-                              for i, j in itertools.combinations(range(n), 2)})
-
-
 def test_graded_antisymmetry(rng):
     """[A, B] = -(-1)^{(a-1)(b-1)} [B, A] on random multivectors: polynomial
     fields on R^3 and elements of Lambda g over a random-constant algebra."""
@@ -99,7 +93,7 @@ def test_graded_antisymmetry(rng):
     vs = ("x", "y", "z")
     gens = generators(*vs)
     variables = gens[0].vars
-    L = _random_constant_algebra(rng, 4)
+    L = random_constant_algebra(rng, 4)
 
     def rand_mv(deg):
         comps = {}
@@ -123,7 +117,7 @@ def test_schouten_on_lambda_g_matches_the_structure_constant_oracles(rng):
     over structure constants, and with a degree-1 left argument it equals
     the Leibniz extension of ad."""
     algebras = [lie.sl2(), lie.so3(), lie.heisenberg3(), sl2_sl2(),
-                _random_constant_algebra(rng, 4)]
+                random_constant_algebra(rng, 4)]
     nonzero = 0
     for L in algebras:
         for _ in range(4):

@@ -1,10 +1,14 @@
+import itertools
 import math
 import random
+import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from poissonkit import lie
+import flow_oracle
+from poissonkit import lie, poisson
 from poissonkit.poisson import (
     PolyBivector,
     PolyOneForm,
@@ -372,6 +376,105 @@ def test_flow_guards(plane):
     f = (x * y).scale(Q(1))
     traj = hamiltonian_flow(grow, f, [2.0, 2.0], 0.1, 500, divergence_bound=10.0)
     assert traj.truncated
+
+
+@pytest.mark.parametrize("dt, bound", [
+    (float("nan"), 1e9), (float("inf"), 1e9), (-1e-3, 1e9),
+    (1e-3, float("nan")), (1e-3, float("inf")),
+])
+def test_flow_rejects_a_non_finite_step_or_bound(plane, dt, bound):
+    x, _ = generators("x", "y")
+    with pytest.raises(ValueError):
+        hamiltonian_flow(plane, x, [1.0, 0.0], dt, 10, divergence_bound=bound)
+
+
+@pytest.mark.parametrize("bound", [1e300, 1e9])
+def test_flow_that_turns_nan_is_truncated(sl2_lp, bound):
+    mu1, mu2, mu3 = generators(*(v.name for v in sl2_lp.vars))
+    f = mu2 ** 3 + mu1 ** 2 * mu3
+    traj = hamiltonian_flow(sl2_lp, f, [1.0, 0.5, -0.25], 0.5, 200, divergence_bound=bound)
+    assert traj.truncated
+    assert all(math.isfinite(v) and abs(v) <= bound for p in traj.points for v in p)
+
+
+def test_rank_sample_with_a_non_finite_matrix_has_no_rank():
+    vs = ("x", "y")
+    x, y = generators(*vs)
+    zero = MultiPoly.zero(vs)
+    # x*y overflows to inf in a float product, x**2 raises OverflowError in complex **
+    for entry in (x * y, x * x):
+        pi = PolyBivector(vs, {(0, 1): entry})
+        traj = hamiltonian_flow(pi, zero, [1e200, 1e200], 0.1, 10, divergence_bound=1e300)
+        assert not traj.truncated and len(traj.points) == 11
+        assert traj.ranks == []
+        assert all(line.endswith(",") for line in traj.to_csv().splitlines()[1:])
+
+
+def _random_integer_poly(rng, vs, max_deg=6, max_terms=4):
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        deg = rng.randint(0, max_deg)
+        exp = [0] * len(vs)
+        for _ in range(deg):
+            exp[rng.randrange(len(vs))] += 1
+        terms[tuple(exp)] = rng.choice([-3, -2, -1, 1, 2, 3])
+    return MultiPoly(vs, terms)
+
+
+def test_compiled_power_overflows_to_the_infinity_of_float64():
+    vs = ("x", "y")
+    x, y = generators(*vs)
+    polys = [x ** e for e in range(1, 8)] + [(x ** 3 * y ** 2).scale(-3), x * x - y ** 5]
+    values = [0.0, -0.0, 1e-300, -1e-300, -2.5, 1e200, -1e200, 1e300, -1e300]
+    with np.errstate(all="ignore"):
+        for p in polys:
+            new, old = poisson._compile_float(p, vs), flow_oracle._compile_float(p, vs)
+            for point in itertools.product(values, repeat=2):
+                assert repr(new(list(point))) == repr(float(old(np.array(point))))
+
+
+def test_flow_is_bit_identical_to_the_numpy_oracle():
+    """The float-list RK4 loop reproduces the NumPy float64 loop of
+    ``flow_oracle`` bit for bit wherever that loop's trajectory stays finite."""
+    rng = random.Random(1414)
+    compared = truncated = power_overflows = 0
+    for n in (2, 3, 4):
+        vs = tuple(f"x{i}" for i in range(n))
+        for dt in (1e-3, 1e-2, 0.3, 2.0):
+            for bound in (10.0, 1e9):
+                for _ in range(4):
+                    pi = PolyBivector(vs, {(i, j): _random_integer_poly(rng, vs)
+                                           for i in range(n) for j in range(i + 1, n)})
+                    f = _random_integer_poly(rng, vs)
+                    cas = {"c": _random_integer_poly(rng, vs)}
+                    x0 = [rng.choice([Fraction(rng.randint(-8, 8), 4), rng.uniform(-2, 2)])
+                          for _ in range(n)]
+                    new = hamiltonian_flow(pi, f, x0, dt, 30, casimirs=cas, divergence_bound=bound)
+                    with warnings.catch_warnings(record=True) as caught, np.errstate(all="warn"):
+                        warnings.simplefilter("always")
+                        try:
+                            old = flow_oracle.hamiltonian_flow(pi, f, x0, dt, 30, casimirs=cas,
+                                                               divergence_bound=bound)
+                        except np.linalg.LinAlgError:   # a rank sample at a NaN state
+                            old = None
+                    if old is None or not all(map(math.isfinite, itertools.chain(*old.points))):
+                        # the oracle went on through a NaN state, the fast path stops before it
+                        assert new.truncated
+                        continue
+                    compared += 1
+                    truncated += old.truncated
+                    power_overflows += any("overflow encountered in scalar power" in str(w.message)
+                                           for w in caught)
+                    assert [[repr(v) for v in p] for p in new.points] == \
+                        [[repr(float(v)) for v in p] for p in old.points]
+                    assert [repr(v) for v in new.times] == [repr(float(v)) for v in old.times]
+                    assert [repr(v) for v in new.f_values] == [repr(float(v)) for v in old.f_values]
+                    assert [repr(v) for v in new.casimir_values["c"]] == \
+                        [repr(float(v)) for v in old.casimir_values["c"]]
+                    assert repr(new.f_drift) == repr(old.f_drift)
+                    assert repr(new.casimir_drift["c"]) == repr(old.casimir_drift["c"])
+                    assert new.ranks == old.ranks and new.truncated == old.truncated
+    assert compared >= 60 and truncated >= 10 and power_overflows >= 1
 
 
 def test_bivector_json(sl2_lp):
