@@ -43,13 +43,11 @@ class AlgMultiVector(PolyMultiVector):
     ad_X T is ``schouten(X, T)`` with X of degree 1."""
 
     def __init__(self, algebra: LieAlgebra, degree: int, comps=None):
-        comps = comps or {}
-        for idx in comps:
-            if not all(0 <= i < algebra.dim for i in idx):
-                raise ValueError(f"index {idx} out of range for dimension {algebra.dim}")
         self.algebra = algebra
+        self.n = algebra.dim
         self.degree = degree
-        self.comps = self._collect({idx: GaussianRational.coerce(c) for idx, c in comps.items()})
+        self.comps = self._collect({idx: GaussianRational.coerce(c)
+                                    for idx, c in (comps or {}).items()})
 
     def _zero(self):
         return ZERO

@@ -26,8 +26,9 @@ class SchemaError(Exception):
 
 
 # what a malformed entry raises while it is parsed: a missing key, a bad value,
-# a value of the wrong JSON type or a list of the wrong length
-_MALFORMED = (KeyError, ValueError, TypeError, IndexError)
+# a value of the wrong JSON type, a list of the wrong length or a number too
+# large for a float
+_MALFORMED = (KeyError, ValueError, TypeError, IndexError, OverflowError)
 
 
 @dataclass
@@ -162,7 +163,7 @@ def _parse_flow(b: ProblemBundle, entry: dict) -> dict:
 
 def _finite(entry: dict, key: str, default: float) -> float:
     """A float setting; NaN and infinity (which Python's ``json`` reads) raise
-    ``ValueError``."""
+    ``ValueError``, and a number too large for a float ``OverflowError``."""
     x = float(entry.get(key, default))
     if not math.isfinite(x):
         raise ValueError(f"{key} must be a finite number, got {x}")

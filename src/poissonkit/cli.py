@@ -189,9 +189,12 @@ def run_flow(bundle: ProblemBundle, args, out_stream):
         raise SchemaError(f"dt must be positive and finite, got {dt}")
     if steps < 1:
         raise SchemaError(f"steps must be >= 1, got {steps}")
-    traj = P.hamiltonian_flow(bundle.bivectors[flow["bivector"]], flow["hamiltonian"], flow["x0"],
-                              dt, steps, casimirs=flow["casimirs"],
-                              divergence_bound=flow["divergence_bound"])
+    try:
+        traj = P.hamiltonian_flow(bundle.bivectors[flow["bivector"]], flow["hamiltonian"],
+                                  flow["x0"], dt, steps, casimirs=flow["casimirs"],
+                                  divergence_bound=flow["divergence_bound"])
+    except ValueError as e:     # a coefficient of the flow too large for a float
+        raise SchemaError(f"flow: {e}") from e
     out_stream.write(traj.to_csv())
     out_stream.write("# " + json.dumps(traj.summary(), sort_keys=True, default=_json_default) + "\n")
     if not _wanted(args, "flow:conservation"):

@@ -41,13 +41,18 @@ class PolyMultiVector:
     def _collect(self, comps) -> dict:
         """``{index tuple: coefficient}`` on sorted keys: each coefficient
         takes the sign of its sorting permutation, keys that sort alike are
-        summed, and repeated indices and zero sums are dropped."""
+        summed, and repeated indices and zero sums are dropped.  An index
+        outside ``0..n-1`` raises ``ValueError``, also with a zero coefficient."""
         clean = {}
         for idx, c in (comps or {}).items():
             res = sort_with_sign(tuple(idx))
-            if res is None or c.is_zero():
+            if res is None:
                 continue
             key, sign = res
+            if key and (key[0] < 0 or key[-1] >= self.n):
+                raise ValueError(f"index {tuple(idx)} out of range for dimension {self.n}")
+            if c.is_zero():
+                continue
             if len(key) != self.degree:
                 raise ValueError("component index arity does not match degree")
             c = c if sign == 1 else -c

@@ -12,8 +12,10 @@ Sign conventions (calibrated once, asserted by the test suite):
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -25,6 +27,7 @@ from .poly import AFFINE, MultiPoly, NumericField, _as_vars
 from .scalars import GaussianRational, json_int
 
 FLOW_RANK_SAMPLES = 11      # trajectory points at which hamiltonian_flow reports the rank
+FLOW_SOURCE = "<poissonkit flow>"   # the file name of the generated flow code in tracebacks
 
 
 class PolyVectorField(PolyMultiVector):
@@ -507,34 +510,88 @@ def stratify_sample(pi: PolyBivector, config: StratifyConfig) -> StratificationR
 # -- flows -------------------------------------------------------------------------------
 
 
-def _compile_float(poly: MultiPoly, names):
-    """``poly`` as a function of a list of floats.
+def _pow(x: float, e: int) -> float:
+    """``x ** e``, with the float64 result where Python's ``**`` raises."""
+    try:
+        return x ** e
+    except OverflowError:   # C pow, so float64 **, gives the signed infinity
+        return math.copysign(math.inf, x) if e % 2 else math.inf
 
-    Each term is ``t = coeff; t *= x_i ** e`` over its nonzero exponents,
-    added to an accumulator that starts at 0.0, in the order of
-    ``poly.terms``: the float64 operations, in their order, that fix the
-    trajectories of :func:`hamiltonian_flow`.
+
+def _compile_float(poly: MultiPoly, names, args, power: str) -> str:
+    """``poly`` as the text of a float expression in the local variables ``args``.
+
+    Each term is ``c * x_i**e_i * x_j**e_j`` over its nonzero exponents and
+    the sum is ``0.0 + t1 + t2 + ...`` in the order of ``poly.terms``; both
+    associate to the left, so these are the float64 operations, in their
+    order, that fix the trajectories of :func:`hamiltonian_flow`.  A power
+    ``e >= 2`` is ``power.format(x_i, e)``.  The text holds ``args``,
+    integers, ``repr`` of finite floats and ``power``, and no name of
+    ``names``.
     """
-    aligned = poly.over(names)
-    terms = []
-    for exp, c in aligned.terms.items():
+    terms = ["0.0"]
+    for exp, c in poly.over(names).terms.items():
         if c.im:
             raise ValueError("flow integration requires real coefficients")
-        terms.append((float(c.re), tuple((i, e) for i, e in enumerate(exp) if e)))
+        try:
+            coeff = float(c.re)
+        except OverflowError:
+            raise ValueError(f"flow coefficient {c} is too large for a float") from None
+        terms.append(" * ".join([repr(coeff)] + [args[i] if e == 1 else power.format(args[i], e)
+                                                 for i, e in enumerate(exp) if e]))
+    return " + ".join(terms)
 
-    def fn(x):
-        acc = 0.0
-        for coeff, factors in terms:
-            t = coeff
-            for i, e in factors:
-                try:
-                    t *= x[i] ** e
-                except OverflowError:   # C pow, so float64 **, gives the signed infinity
-                    t *= math.copysign(math.inf, x[i]) if e % 2 else math.inf
-            acc += t
-        return acc
 
-    return fn
+def _exec_flow(name: str, n: int, body, **env):
+    """The function ``name(x0, ..., x{n-1})`` whose body is the lines
+    ``body(power)``, generated and compiled.  It runs them with ``x**e`` for
+    every power and, where that raises ``OverflowError``, again with
+    ``_pow``; it reads no global but ``_pow`` and ``env``."""
+    lines = [f"def {name}({', '.join(f'x{i}' for i in range(n))}):", "    try:"]
+    lines += ["        " + ln for ln in body("{}**{}")]
+    lines += ["    except OverflowError:"]
+    lines += ["        " + ln for ln in body("_pow({}, {})")]
+    namespace = {"_pow": _pow, **env}
+    exec(compile("\n".join(lines) + "\n", FLOW_SOURCE, "exec"), namespace)
+    return namespace[name]
+
+
+def _float_values(polys, names):
+    """``values(x0, ..., x{n-1})``: the tuple of the floats of ``polys`` at a point."""
+    xs = [f"x{i}" for i in range(len(names))]
+    return _exec_flow("values", len(names), lambda power: [
+        "return (" + "".join(_compile_float(p, names, xs, power) + ", " for p in polys) + ")"])
+
+
+def _rk4_step(components, names, dt: float):
+    """``step(x0, ..., x{n-1})``: the point after one RK4 step of the field
+    with float ``components``, as a list.
+
+    Per coordinate these are the float64 operations, in their order, of the
+    array expressions x + (0.5*dt)*k, x + dt*k and
+    x + (dt/6)*(((k1 + 2*k2) + 2*k3) + k4), so a trajectory is bit for bit
+    that of the NumPy loop in tests/flow_oracle.py.
+    """
+    n = len(names)
+    xs = [f"x{i}" for i in range(n)]
+    ys = [f"y{i}" for i in range(n)]
+    ks = [[f"k{s}_{i}" for i in range(n)] for s in range(4)]
+
+    def body(power):
+        lines, point = [], xs
+        for s, k in enumerate(ks):
+            lines += [f"{k[i]} = {_compile_float(c, names, point, power)}"
+                      for i, c in enumerate(components)]
+            if s < 3:
+                lines += [f"{ys[i]} = {xs[i]} + {'dt' if s == 2 else 'half'} * {k[i]}"
+                          for i in range(n)]
+                point = ys
+        k1, k2, k3, k4 = ks
+        return lines + ["return [" + ", ".join(
+            f"{xs[i]} + sixth * ({k1[i]} + 2 * {k2[i]} + 2 * {k3[i]} + {k4[i]})"
+            for i in range(n)) + "]"]
+
+    return _exec_flow("step", n, body, half=0.5 * dt, dt=dt, sixth=dt / 6.0)
 
 
 @dataclass
@@ -552,13 +609,13 @@ class Trajectory:
         """The trajectory as CSV text: a header, then one line per point with
         step, t, the coordinates, f, each Casimir and the rank where sampled."""
         names = list(self.casimir_values)
-        coords = [f"x{i+1}" for i in range(len(self.points[0]))]
-        lines = [",".join(["step", "t", *coords, "f", *names, "rank"])]
-        cas = [self.casimir_values[nm] for nm in names]
+        n = len(self.points[0])
+        lines = [",".join(["step", "t", *(f"x{i+1}" for i in range(n)), "f", *names, "rank"])]
+        row = "%d," + "%r," * (n + 2 + len(names)) + "%s"
         rank_map = dict(self.ranks)
-        for s, (t, p, fv) in enumerate(zip(self.times, self.points, self.f_values)):
-            cells = ",".join(map(repr, [t, *p, fv, *(c[s] for c in cas)]))
-            lines.append(f"{s},{cells},{rank_map.get(s, '')}")
+        for s, t, p, *vals in zip(itertools.count(), self.times, self.points, self.f_values,
+                                  *self.casimir_values.values()):
+            lines.append(row % (s, t, *p, *vals, rank_map.get(s, "")))
         lines.append("")
         return "\n".join(lines)
 
@@ -591,41 +648,30 @@ def hamiltonian_flow(pi: PolyBivector, f: MultiPoly, x0, dt: float, steps: int,
     dt = float(dt)
     names = [v.name for v in pi.vars]
     field_exact = hamiltonian_field(pi, f)
-    comp_fns = [_compile_float(field_exact.component(i), names) for i in range(pi.n)]
-    f_fn = _compile_float(f, names)
+    step = _rk4_step([field_exact.component(i) for i in range(pi.n)], names, dt)
     casimirs = casimirs or {}
-    cas_fns = {k: _compile_float(v, names) for k, v in casimirs.items()}
+    values = _float_values([f, *casimirs.values()], names)
+    # a NaN entry fails every comparison, so it cannot pass as within the bound
+    within = functools.partial(operator.ge, divergence_bound)
 
-    def rhs(x):
-        return [fn(x) for fn in comp_fns]
-
-    # per coordinate, the float64 operations and their order of the array
-    # expressions x + (0.5*dt)*k, x + dt*k and x + (dt/6)*(((k1 + 2*k2) + 2*k3) + k4),
-    # so a trajectory is bit for bit that of the NumPy loop in tests/flow_oracle.py
-    half = 0.5 * dt
-    sixth = dt / 6.0
     x = [float(v) for v in x0]
     times = [0.0]
     pts = [x]
-    fvals = [f_fn(x)]
-    cvals = {k: [fn(x)] for k, fn in cas_fns.items()}
+    fvals = []
+    cvals = {k: [] for k in casimirs}
+    columns = [fvals, *cvals.values()]
+    for col, v in zip(columns, values(*x)):
+        col.append(v)
     truncated = False
     for s in range(steps):
-        k1 = rhs(x)
-        k2 = rhs([a + half * b for a, b in zip(x, k1)])
-        k3 = rhs([a + half * b for a, b in zip(x, k2)])
-        k4 = rhs([a + dt * b for a, b in zip(x, k3)])
-        x = [a + sixth * (((b1 + 2 * b2) + 2 * b3) + b4)
-             for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
-        # a NaN entry fails every comparison, so it cannot pass as within the bound
-        if not all(abs(v) <= divergence_bound for v in x):
+        x = step(*x)
+        if not all(map(within, map(abs, x))):
             truncated = True
             break
         times.append((s + 1) * dt)
         pts.append(x)
-        fvals.append(f_fn(x))
-        for k, fn in cas_fns.items():
-            cvals[k].append(fn(x))
+        for col, v in zip(columns, values(*x)):
+            col.append(v)
 
     nsteps = len(pts)
     sample_idx = sorted({round(i * (nsteps - 1) / (FLOW_RANK_SAMPLES - 1))
@@ -636,22 +682,22 @@ def hamiltonian_flow(pi: PolyBivector, f: MultiPoly, x0, dt: float, steps: int,
         if rank is not None:
             ranks.append((idx, rank))
 
-    scale0 = max(1.0, abs(fvals[0]))
-    f_drift = max(abs(v - fvals[0]) for v in fvals) / scale0
-    cas_drift = {
-        k: max(abs(v - vals[0]) for v in vals) / max(1.0, abs(vals[0]))
-        for k, vals in cvals.items()
-    }
     return Trajectory(
         times=times,
         points=pts,
         f_values=fvals,
         casimir_values=cvals,
         ranks=ranks,
-        f_drift=f_drift,
-        casimir_drift=cas_drift,
+        f_drift=_drift(fvals),
+        casimir_drift={k: _drift(vals) for k, vals in cvals.items()},
         truncated=truncated,
     )
+
+
+def _drift(vals) -> float:
+    """max |v - vals[0]| over ``vals``, over max(1, |vals[0]|)."""
+    v0 = vals[0]
+    return max(map(abs, map(operator.sub, vals, itertools.repeat(v0)))) / max(1.0, abs(v0))
 
 
 def _float_rank(pi: PolyBivector, point):

@@ -473,6 +473,29 @@ def _nan_flow_dt(raw):
     raw["flow"]["dt"] = float("nan")
 
 
+HUGE = 10 ** 400   # an exact integer too large for a float
+
+
+def _huge_x0_coordinate(raw):
+    raw["flow"]["x0"][0] = HUGE
+
+
+def _huge_flow_dt(raw):
+    raw["flow"]["dt"] = HUGE
+
+
+def _huge_divergence_bound(raw):
+    raw["flow"]["divergence_bound"] = HUGE
+
+
+def _huge_flow_hamiltonian_coefficient(raw):
+    raw["flow"]["hamiltonian"]["terms"][0]["coeff"] = HUGE
+
+
+def _huge_flow_casimir_coefficient(raw):
+    raw["flow"]["casimirs"]["quadratic"]["terms"][0]["coeff"] = HUGE
+
+
 def _flow_on_an_angular_chart(raw):
     theta = [{"name": "t1", "kind": "angular"}, {"name": "t2", "kind": "angular"}]
     one = {"vars": theta, "terms": [{"exp": [0, 0], "coeff": 1}]}
@@ -551,6 +574,11 @@ def _nonzero_constant_on_a_diagonal_pair(raw):
     ("flow", _complex_flow_bivector),
     ("flow", _flow_on_an_angular_chart),
     ("flow", _nan_flow_dt),
+    ("flow", _huge_x0_coordinate),
+    ("flow", _huge_flow_dt),
+    ("flow", _huge_divergence_bound),
+    ("flow", _huge_flow_hamiltonian_coefficient),
+    ("flow", _huge_flow_casimir_coefficient),
     ("check-bialgebra", _torus_index_constant_beside_k_past_dim),
     ("check-bialgebra", _negative_constant_index),
     ("check-bialgebra", _constant_index_past_dim),

@@ -182,6 +182,16 @@ def test_bivector_from_unsorted_and_repeated_keys():
     assert {idx: str(pi.component(*idx)) for idx in signs} == signs
 
 
+@pytest.mark.parametrize("degree, key", [(1, (5,)), (1, (-1,)), (2, (2, 3)), (2, (-1, 0))])
+def test_keys_out_of_range_are_rejected_by_both_containers(sl2, degree, key):
+    # every key lies outside the (x, y) chart and outside sl2 (dimension 3)
+    x, _ = generators("x", "y")
+    for make in (lambda: PolyMultiVector(x.vars, degree, {key: x}),
+                 lambda: AlgMultiVector(sl2, degree, {key: 1})):
+        with pytest.raises(ValueError, match="out of range"):
+            make()
+
+
 def test_alg_multivector_with_partly_cancelling_keys():
     a = AlgMultiVector(lie.abelian(4), 3, {(0, 1, 2): 1, (2, 0, 1): -1, (1, 0, 3): 2, (3, 1, 0): 5,
                                            (2, 1, 3): GaussianRational(0, 1), (1, 1, 2): 7})

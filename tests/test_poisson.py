@@ -1,6 +1,12 @@
+import cProfile
+import io
 import itertools
 import math
+import os
+import pstats
 import random
+import re
+import tokenize
 import warnings
 from fractions import Fraction
 
@@ -8,7 +14,9 @@ import numpy as np
 import pytest
 
 import flow_oracle
+import poissonkit
 from poissonkit import lie, poisson
+from poissonkit.bundles import load_bundle
 from poissonkit.poisson import (
     PolyBivector,
     PolyOneForm,
@@ -428,7 +436,8 @@ def test_compiled_power_overflows_to_the_infinity_of_float64():
     values = [0.0, -0.0, 1e-300, -1e-300, -2.5, 1e200, -1e200, 1e300, -1e300]
     with np.errstate(all="ignore"):
         for p in polys:
-            new, old = poisson._compile_float(p, vs), flow_oracle._compile_float(p, vs)
+            new, old = (lambda x, fn=poisson._float_values([p], vs): fn(*x)[0],
+                        flow_oracle._compile_float(p, vs))
             for point in itertools.product(values, repeat=2):
                 assert repr(new(list(point))) == repr(float(old(np.array(point))))
 
@@ -475,6 +484,76 @@ def test_flow_is_bit_identical_to_the_numpy_oracle():
                     assert repr(new.casimir_drift["c"]) == repr(old.casimir_drift["c"])
                     assert new.ranks == old.ranks and new.truncated == old.truncated
     assert compared >= 60 and truncated >= 10 and power_overflows >= 1
+
+
+def _on_chart(p: MultiPoly, names) -> MultiPoly:
+    """``p`` with its variables renamed, position by position."""
+    return MultiPoly(names, p.terms)
+
+
+def test_variable_names_do_not_reach_the_generated_flow_code(monkeypatch):
+    bodies = {}
+    exec_flow = poisson._exec_flow
+
+    def recording(name, n, body, **env):
+        bodies[name] = "\n".join(body("{}**{}") + body("_pow({}, {})"))
+        return exec_flow(name, n, body, **env)
+
+    monkeypatch.setattr(poisson, "_exec_flow", recording)
+    rng = random.Random(15)
+    base = ("x1", "x2", "x3", "x4")
+    pi = PolyBivector(base, {(i, j): _random_integer_poly(rng, base, max_deg=2)
+                             for i in range(4) for j in range(i + 1, 4)})
+    f, c = _random_integer_poly(rng, base, max_deg=3), _random_integer_poly(rng, base, max_deg=3)
+    x0 = [0.5, -0.25, 0.75, 1.0]
+    runs = []
+    for names in (base, ("_pow", "x0", "dt", "lambda"), base[::-1]):
+        traj = hamiltonian_flow(
+            PolyBivector(names, {k: _on_chart(p, names) for k, p in pi.comps.items()}),
+            _on_chart(f, names), x0, 1e-2, 50, casimirs={"c": _on_chart(c, names)})
+        assert not traj.truncated
+        runs.append((traj.to_csv(), repr(traj.summary()), dict(bodies)))
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+    assert set(runs[0][2]) == {"step", "values"}
+    for source in runs[0][2].values():
+        words = {tok.string for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+                 if tok.type == tokenize.NAME}
+        # besides the generated locals x0.., y0.. and k0_0.., only these names
+        other = {w for w in words if not re.fullmatch(r"[xy]\d+|k\d_\d+", w)}
+        assert other <= {"return", "_pow", "half", "dt", "sixth"}, other
+
+
+def test_a_flow_step_is_two_calls_into_the_package():
+    # a call count, not a timing: each RK4 step is one call of the generated
+    # step function and one of the generated values function
+    bundle = load_bundle(os.path.join(os.path.dirname(__file__), "..", "demos", "bundles",
+                                      "sample.json"))
+    flow = bundle.flow
+    package = os.path.dirname(poissonkit.__file__)
+
+    def calls(steps):
+        profile = cProfile.Profile()
+        profile.enable()
+        traj = hamiltonian_flow(bundle.bivectors[flow["bivector"]], flow["hamiltonian"],
+                                flow["x0"], flow["dt"], steps, casimirs=flow["casimirs"])
+        profile.disable()
+        assert not traj.truncated and len(traj.points) == steps + 1
+        return sum(stat[1] for func, stat in pstats.Stats(profile).stats.items()
+                   if func[0].startswith(package) or func[0] == poisson.FLOW_SOURCE)
+
+    assert calls(400) - calls(200) <= 2 * 200
+
+
+@pytest.mark.parametrize("pi_coeff, f_coeff, c_coeff", [
+    (1, 10 ** 400, 1), (1, 1, 10 ** 400), (10 ** 200, 10 ** 200, 1),
+], ids=["hamiltonian", "casimir", "field"])
+def test_a_flow_coefficient_too_large_for_a_float_is_a_value_error(pi_coeff, f_coeff, c_coeff):
+    vs = ("x", "y")
+    x, y = generators(*vs)
+    pi = PolyBivector(vs, {(0, 1): MultiPoly.constant(vs, pi_coeff)})
+    with pytest.raises(ValueError, match="too large for a float"):
+        hamiltonian_flow(pi, (x * y).scale(Q(f_coeff)), [1.0, 0.0], 1e-3, 10,
+                         casimirs={"c": x.scale(Q(c_coeff))})
 
 
 def test_bivector_json(sl2_lp):
