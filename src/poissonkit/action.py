@@ -419,19 +419,10 @@ def solve_h_certificate(l1, l2, l3, c) -> HCertificate:
     names = ("a1", "a2", "a3", "a4", "x1", "x2")
     a1, a2, a3, a4, x1, x2 = generators(*names)
     h = quadratic_h(l1, l2, l3, cc, variables=("x1", "x2"))
-    h_full = h.over(a1.vars)
-    gx1 = a1 * x1 + a2 * x2
-    gx2 = a3 * x1 + a4 * x2
+    lhs = h.substitute([a1 * x1 + a2 * x2, a3 * x1 + a4 * x2]) - h.over(a1.vars)
     quarter = Q("1/4")
     lp = l1 + l3
     lm = l1 - l3
-    h_gx = (
-        (gx1 * gx1).scale(quarter * lp)
-        - (gx2 * gx2).scale(quarter * lm)
-        - (gx1 * gx2).scale(Q("1/2") * l2)
-        + MultiPoly.constant(a1.vars, cc)
-    )
-    lhs = h_gx - h_full
     rhs = (
         (x1 * x1) * ((a1 * a1).scale(lp) - (a3 * a3).scale(lm) - (a1 * a3).scale(Q(2) * l2) - lp)
         + (x2 * x2) * ((a2 * a2).scale(lp) - (a4 * a4).scale(lm) - (a2 * a4).scale(Q(2) * l2) + lm)
@@ -542,28 +533,17 @@ def find_rank_drop_witness(l1, l2, l3, c):
     drops) while the group orbit directions do not, or None if the small
     search finds nothing rational."""
     h = quadratic_h(l1, l2, l3, c)
-
-    def h_at(x1v, x2v):
-        return GaussianRational.coerce(h.eval({"x1": x1v, "x2": x2v}))
-
-    l1f, l2f, l3f, cf = (Fraction(v) for v in (l1, l2, l3, c))
+    t, = generators("t")
     # lines x1 = 1 and x2 = 1: rational roots of the restricted quadratic
-    for fixed in ("x1", "x2"):
-        if fixed == "x1":
-            # h(1, t) = -1/4 (l1-l3) t^2 - 1/2 l2 t + 1/4(l1+l3) + c
-            A = -(l1f - l3f) / 4
-            B = -l2f / 2
-            C = (l1f + l3f) / 4 + cf
-        else:
-            A = (l1f + l3f) / 4
-            B = -l2f / 2
-            C = -(l1f - l3f) / 4 + cf
-        roots = _rational_roots(A, B, C)
-        for t in roots:
-            pt = [Fraction(1), t] if fixed == "x1" else [t, Fraction(1)]
-            if not h_at(pt[0], pt[1]).is_zero():
-                continue
-            if any(x != 0 for x in pt):
+    for fixed in (0, 1):
+        line = [t, t]
+        line[fixed] = 1
+        q = h.substitute(line)
+        A, B, C = (q.terms.get((k,), ZERO).re for k in (2, 1, 0))
+        for root in _rational_roots(A, B, C):
+            pt = [root, root]
+            pt[fixed] = Fraction(1)
+            if GaussianRational.coerce(h.eval({"x1": pt[0], "x2": pt[1]})).is_zero():
                 return pt
     return None
 
@@ -1015,25 +995,13 @@ def psi_cocycle_check(a: LinearPoissonAction, m: MomentumMap, triples) -> PsiCoc
         gx_sym = [gx.component(i) for i in range(gx.n)]
         for k in range(a.algebra.dim):
             # m_k(gx) symbolically: components are polynomials in mu
-            comp = _substitute_linear(m.components[k], gx_sym) - m.of_vector(co[k])
+            comp = m.components[k].over(gx.vars).substitute(gx_sym) - m.of_vector(co[k])
             if not casimir_check(a.bivector, comp):
                 cas_ok = False
     return PsiCocycleReport(
         passed=not violations, max_violations=violations, samples=len(triples),
         casimir_ok=cas_ok,
     )
-
-
-def _substitute_linear(p: MultiPoly, images: list) -> MultiPoly:
-    """Substitute the i-th variable by ``images[i]`` (exact composition)."""
-    out = MultiPoly.zero(images[0].vars)
-    for exp, c in p.terms.items():
-        term = MultiPoly.constant(images[0].vars, c)
-        for e, img in zip(exp, images):
-            if e:
-                term = term * img ** e
-        out = out + term
-    return out
 
 
 # -- kernel/image of the momentum differential --------------------------------------------------

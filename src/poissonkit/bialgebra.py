@@ -30,7 +30,7 @@ from . import linalg
 from .lie import LieAlgebra
 from .multivector import PolyMultiVector, schouten
 from .poisson import PolyBivector, jacobi_check
-from .poly import ANGULAR, PRIMED, MultiPoly, Var
+from .poly import ANGULAR, MultiPoly, Var, generators
 from .scalars import GaussianRational, Q, ZERO, coeff_from_json
 
 
@@ -478,13 +478,16 @@ def abelian_pl_check(s: AbelianPLStructure) -> AbelianPLReport:
 
     jac = jacobi_check(pi)
 
-    # additive multiplicativity: pi(u*v) = pi(u) + pi(v) with the group law
-    # acting per coordinate kind (angles add, i.e. units multiply).
+    # additive multiplicativity: pi(u*v) = pi(u) + pi(v) on the doubled chart
+    # (u, v), v primed with the suffix "__b"; the group law acts per coordinate
+    # kind: x -> x + x', and angles add, so units multiply, w -> w * w'.
+    n = len(pi.vars)
+    doubled = generators(*pi.vars, *(Var(v.name + "__b", v.kind) for v in pi.vars))
+    primed = doubled[n:]
+    law = [a * b if x.kind == ANGULAR else a + b for x, a, b in zip(pi.vars, doubled, primed)]
     mult_viol = []
     for (i, j), p in sorted(pi.comps.items()):
-        lhs = p.group_translate()
-        primed = _rename_primed(p)
-        res = lhs - p - primed
+        res = p.substitute(law) - p - p.substitute(primed)
         if not res.is_zero():
             mult_viol.append(((i, j), res))
 
@@ -510,10 +513,6 @@ def _algebra_from_constants(dim: int, constants: dict) -> LieAlgebra:
             vec = brackets.setdefault((j, i), [ZERO] * dim)
             vec[k] = vec[k] - GaussianRational.coerce(c)
     return LieAlgebra(dim, brackets)
-
-
-def _rename_primed(p: MultiPoly) -> MultiPoly:
-    return MultiPoly(tuple(Var(v.name + PRIMED, v.kind) for v in p.vars), dict(p.terms))
 
 
 # -- the log-coordinate identity on multiplicative groups ------------------------------

@@ -11,6 +11,7 @@ to ``--out PATH`` (for ``flow``, ``--out`` takes the CSV trajectory instead).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import math
@@ -179,7 +180,7 @@ def run_stratify(bundle: ProblemBundle, args):
         yield _check(f"stratify:{name}", payload)
 
 
-def run_flow(bundle: ProblemBundle, args, out_stream):
+def run_flow(bundle: ProblemBundle, args):
     if bundle.flow is None:
         raise SchemaError("bundle has no flow section")
     flow = bundle.flow
@@ -195,8 +196,11 @@ def run_flow(bundle: ProblemBundle, args, out_stream):
                                   divergence_bound=flow["divergence_bound"])
     except ValueError as e:     # a coefficient of the flow too large for a float
         raise SchemaError(f"flow: {e}") from e
-    out_stream.write(traj.to_csv())
-    out_stream.write("# " + json.dumps(traj.summary(), sort_keys=True, default=_json_default) + "\n")
+    # --out is opened only now, so a rejected run leaves an existing file as it was
+    with _open_out(args.out) if args.out else contextlib.nullcontext(sys.stdout) as out_stream:
+        out_stream.write(traj.to_csv())
+        out_stream.write("# " + json.dumps(traj.summary(), sort_keys=True,
+                                           default=_json_default) + "\n")
     if not _wanted(args, "flow:conservation"):
         return
     tol = flow["drift_tolerance"]
@@ -449,22 +453,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    csv = None
     try:
         if args.subcommand == "example51":
             checks = run_plane_pipeline(args)
         elif not args.bundle:
             raise SchemaError(f"{args.subcommand} requires --bundle PATH")
         elif args.subcommand == "flow":
-            bundle = load_bundle(args.bundle)
-            if args.out:
-                csv = _open_out(args.out)
-            checks = run_flow(bundle, args, csv or sys.stdout)
+            checks = run_flow(load_bundle(args.bundle), args)
         else:
             checks = BUNDLE_RUNNERS[args.subcommand](load_bundle(args.bundle), args)
         report = io.StringIO()
         code = _emit(checks, report, timings=args.timings)
-        if args.out and csv is None:
+        if args.out and args.subcommand != "flow":
             with _open_out(args.out) as fh:
                 fh.write(report.getvalue())
         else:
@@ -473,9 +473,6 @@ def main(argv=None) -> int:
     except SchemaError as e:
         sys.stderr.write(f"schema error: {e}\n")
         return 2
-    finally:
-        if csv is not None:
-            csv.close()
 
 
 if __name__ == "__main__":

@@ -9,6 +9,10 @@ Two kinds of variables are supported:
 
 This is enough for linear-plus-periodic coefficient calculus on products of
 tori and vector spaces; general symbolic transcendentals are out of scope.
+
+:meth:`MultiPoly.substitute` is the one polynomial composition: it evaluates
+a polynomial at polynomial images on one chart, for example at a group law
+``x -> x + x'``, ``w -> w*w'`` or at a matrix acting on the coordinates.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from .scalars import GaussianRational, Q, ZERO, ONE, coeff_from_json, json_int
 
 AFFINE = "affine"
 ANGULAR = "angular"
-PRIMED = "__b"      # suffix of the primed copy of a variable, see group_translate
 
 
 class Var:
@@ -239,7 +242,10 @@ class MultiPoly:
         return p.terms == q.terms
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+        # chart-independent, as __eq__ is: each term by its nonzero factors
+        return hash(frozenset(
+            (frozenset((v.name, v.kind, e) for v, e in zip(self.vars, exp) if e), c)
+            for exp, c in self.terms.items()))
 
     # -- calculus ----------------------------------------------------------
 
@@ -322,34 +328,45 @@ class MultiPoly:
             acc = acc + term
         return acc
 
-    # -- substitutions -------------------------------------------------------
+    # -- composition -----------------------------------------------------------
 
-    def group_translate(self) -> "MultiPoly":
-        """Substitute each variable by the group sum with a primed copy.
+    def substitute(self, images) -> "MultiPoly":
+        """``p(images[0], ..., images[n-1])`` on the images' one chart.
 
-        Affine variables map to ``x + x'``; angular variables (stored through
-        ``w = exp(i*theta)``) map to ``w * w'``.  The result lives over the
-        doubled variable list and expresses ``p(u * v)`` for the product group
-        ``T^m x R^n``.
+        An image is a polynomial or a scalar (a constant on that chart).
+        Each (variable, power) is computed once.  A negative exponent needs a
+        one-term image, whose inverse is again a Laurent monomial.  A wrong
+        image count, images on different charts, or a negative power of any
+        other image raise ``ValueError``.
         """
-        doubled = tuple(list(self.vars) + [Var(v.name + PRIMED, v.kind) for v in self.vars])
-        n = len(self.vars)
-        out = MultiPoly.zero(doubled)
+        if len(images) != len(self.vars):
+            raise ValueError(f"need {len(self.vars)} images for {self.var_names()}, "
+                             f"got {len(images)}")
+        charts = {g.vars for g in images if isinstance(g, MultiPoly)}
+        if len(charts) > 1:
+            raise ValueError("images lie on different charts")
+        chart = charts.pop() if charts else ()
+        images = [g if isinstance(g, MultiPoly) else MultiPoly.constant(chart, g) for g in images]
+        powers = {}
+
+        def power(i, e):
+            if (i, e) not in powers:
+                img = images[i]
+                if e < 0:
+                    if len(img.terms) != 1:
+                        raise ValueError(f"negative power {e} of the image {img} of "
+                                         f"{self.vars[i].name}, which is not one term")
+                    (exp, c), = img.terms.items()
+                    img = MultiPoly(chart, {tuple(-a for a in exp): ONE / c})
+                powers[i, e] = img ** abs(e)
+            return powers[i, e]
+
+        out = MultiPoly.zero(chart)
         for exp, c in self.terms.items():
-            term = MultiPoly.constant(doubled, c)
-            for i, (e, v) in enumerate(zip(exp, self.vars)):
-                if e == 0:
-                    continue
-                if v.kind == ANGULAR:
-                    mono = [0] * (2 * n)
-                    mono[i] = e
-                    mono[n + i] = e
-                    term = term * MultiPoly.monomial(doubled, mono, 1)
-                else:
-                    base = MultiPoly.variable(doubled, v.name) + MultiPoly.variable(
-                        doubled, v.name + PRIMED
-                    )
-                    term = term * base ** e
+            term = MultiPoly.constant(chart, c)
+            for i, e in enumerate(exp):
+                if e:
+                    term = term * power(i, e)
             out = out + term
         return out
 
@@ -411,15 +428,11 @@ def generators(*specs) -> list:
 # -- lex order and single-relation reduction ---------------------------------
 
 
-def _lex_key(exp):
-    return tuple(exp)
-
-
 def lex_leading(poly: MultiPoly):
     """Leading (exponent, coeff) in lexicographic order on the declared variables."""
     if poly.is_zero():
         raise ValueError("zero polynomial has no leading term")
-    exp = max(poly.terms, key=_lex_key)
+    exp = max(poly.terms)
     return exp, poly.terms[exp]
 
 

@@ -13,6 +13,7 @@ from poissonkit.poisson import PolyBivector, lie_poisson
 from poissonkit.poly import MultiPoly, NumericField, generators
 from poissonkit.scalars import GaussianRational, I, Q, ZERO, ONE
 
+import composition_oracles
 from conftest import book3, filiform4, gl2, rand_point, rand_poly, sl2_sl2
 
 
@@ -73,6 +74,16 @@ def test_h_certificates(rng):
         c = Fraction(rng.randint(-4, 4), rng.randint(1, 2))
         assert A.solve_h_certificate(*lam, c).passed
     assert A.numeric_h_residual(0, 2, 0, 1, count=100, seed=1) < 1e-12
+
+
+@pytest.mark.parametrize("lam, c", [
+    ((0, 0, 4), 1), ((0, 2, 0), 0), ((1, 2, 5), 1), ((Fraction(-3, 2), Fraction(1, 3), 7), -2),
+    ((0, 0, 0), 9), ((I, 1, Fraction(2, 5)), Fraction(-1, 4)),
+])
+def test_h_at_gx_matches_the_hand_expansion(lam, c):
+    a1, a2, a3, a4, x1, x2 = generators("a1", "a2", "a3", "a4", "x1", "x2")
+    gx = [a1 * x1 + a2 * x2, a3 * x1 + a4 * x2]
+    assert A.quadratic_h(*lam, c).substitute(gx) == composition_oracles.h_at_gx(*lam, c)
 
 
 # seeds on which an absolute 1e-12 bound failed: float terms reach about 1e5
@@ -515,6 +526,19 @@ def test_psi_cocycle_reports_a_non_equivariant_momentum_map(rng):
     rep = A.psi_cocycle_check(bun, m_bad, triples)
     assert rep.max_violations and not rep.casimir_ok
     assert rep.to_json()["passed"] is False
+
+
+def test_psi_cocycle_places_momentum_components_by_name():
+    """A component written on its own one-variable chart is the same function
+    of the base point, so the report must not change."""
+    L = lie.sl2()
+    bun = A.coadjoint_dressing_bundle(L, lie.sl2_defining_matrices())
+    m_full = A.identity_momentum_map(L, bun.bivector)
+    m_own = A.MomentumMap(L, [MultiPoly.variable([v], v.name) for v in bun.bivector.vars])
+    gs = A.sl2_rational_samples(4, seed=4)
+    triples = [(gs[i], gs[(i + 1) % 4], [1, 2, 3]) for i in range(4)]
+    rep = A.psi_cocycle_check(bun, m_own, triples)
+    assert rep.casimir_ok and rep.to_json() == A.psi_cocycle_check(bun, m_full, triples).to_json()
 
 
 def _plane_with_quadratic_map():

@@ -1,9 +1,11 @@
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import bracket_oracles
+import composition_oracles
 from bracket_oracles import ad_multivector
 from conftest import random_constant_algebra
 from poissonkit import bialgebra, lie
@@ -22,6 +24,9 @@ from poissonkit.bialgebra import (
     schouten_wedge_bracket,
     validate_bialgebra,
 )
+from poissonkit.bundles import load_bundle
+from poissonkit.poisson import PolyBivector
+from poissonkit.poly import MultiPoly, Var
 from poissonkit.scalars import Q, ZERO, ONE
 
 
@@ -231,6 +236,25 @@ def test_torus_example_verdicts():
     # arbitrary coefficients: Jacobi still holds
     s2 = AbelianPLStructure.torus2_line_example(Q("7/5"), Q(1), Q(-4))
     assert abelian_pl_check(s2).jacobi
+
+
+def test_multiplicativity_residuals_match_the_group_translate_oracle():
+    """On the sample bundle's abelian structures, also with Laurent terms of
+    negative exponent added, the residual pi(u*v) - pi(u) - pi(v) is the one
+    the old term-by-term group translation gives."""
+    sample = Path(__file__).resolve().parent.parent / "demos" / "bundles" / "sample.json"
+    for s in load_bundle(str(sample)).abelian_structures.values():
+        pi = s.bivector
+        primed = tuple(Var(v.name + "__b", v.kind) for v in pi.vars)
+        laurent = MultiPoly.monomial(pi.vars, (-2, -1, 1), Q(3)) + MultiPoly.monomial(
+            pi.vars, (0, -1, 0), Q("-1/2"))
+        for comps in (pi.comps, {k: p + laurent * p for k, p in pi.comps.items()}):
+            rep = abelian_pl_check(AbelianPLStructure(s.m, s.n, PolyBivector(pi.vars, comps)))
+            expected = [(k, composition_oracles.group_translate(p) - p
+                         - MultiPoly(primed, dict(p.terms))) for k, p in sorted(comps.items())]
+            assert [(k, str(r)) for k, r in rep.multiplicativity_violations] == \
+                [(k, str(r)) for k, r in expected if not r.is_zero()]
+            assert rep.multiplicative == all(r.is_zero() for _, r in expected)
 
 
 def test_log_coordinate_identity(sl2, rng):

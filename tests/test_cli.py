@@ -199,6 +199,20 @@ def test_flow_export(tmp_path):
     assert code2 == 2
 
 
+@pytest.mark.parametrize("bad", [["--steps", "0"], ["--dt", "0"], ["--dt=-0.5"]])
+def test_a_rejected_flow_leaves_an_existing_out_file_unchanged(bad, tmp_path, capsys):
+    out_path = tmp_path / "traj.csv"
+    out_path.write_bytes(b"an earlier trajectory\n")
+    code = cli.main(["flow", "--bundle", str(SAMPLE), "--out", str(out_path)] + bad)
+    assert code == 2 and "schema error" in capsys.readouterr().err
+    assert out_path.read_bytes() == b"an earlier trajectory\n"
+    code = cli.main(["flow", "--bundle", str(SAMPLE), "--out", str(out_path), "--steps", "3"])
+    csv = out_path.read_text().splitlines()
+    assert code == 0 and csv[0].startswith("step,t,") and len(csv) == 1 + 4 + 1
+    report = capsys.readouterr().out
+    assert '"check": "flow:conservation"' in report and "step," not in report
+
+
 @pytest.mark.parametrize("bound", [1e300, 1e9])
 def test_a_flow_that_turns_nan_is_truncated_and_exits_1(bound, tmp_path, capsys):
     raw = json.loads(SAMPLE.read_text())

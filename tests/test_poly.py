@@ -180,16 +180,69 @@ def test_fd_matches_exact_partials(rng):
 
 
 def test_group_translate():
-    x, = generators("x")
-    p = x ** 2
-    doubled = p.group_translate()
-    # (x + x')^2 = x^2 + 2 x x' + x'^2
+    """The group law of T^m x R^n as a substitution onto the doubled chart."""
     xx, xb = generators("x", "x__b")
-    assert doubled == xx ** 2 + (xx * xb).scale(Q(2)) + xb ** 2
+    p = MultiPoly.variable(["x"], "x") ** 2
+    # (x + x')^2 = x^2 + 2 x x' + x'^2
+    assert p.substitute([xx + xb]) == xx ** 2 + (xx * xb).scale(Q(2)) + xb ** 2
+    th, thb = Var("th", ANGULAR), Var("th__b", ANGULAR)
+    w, wb = generators(th, thb)
+    assert MultiPoly.variable([th], "th").substitute([w * wb]) == MultiPoly([th, thb], {(1, 1): Q(1)})
+    # w^-2 -> (w w')^-2, a Laurent monomial stays one
+    winv2 = MultiPoly.monomial([th], [-2], Q(3))
+    assert winv2.substitute([w * wb]) == MultiPoly([th, thb], {(-2, -2): Q(3)})
+    assert winv2.substitute([(w * wb).scale(Q(2))]) == MultiPoly([th, thb], {(-2, -2): Q("3/4")})
+
+
+def test_substitute_rejects_a_wrong_count_mixed_charts_and_inverting_a_sum():
+    x, y = generators("x", "y")
+    t, = generators("t")
+    with pytest.raises(ValueError, match="need 2 images"):
+        (x * y).substitute([t])
+    with pytest.raises(ValueError, match="different charts"):
+        (x * y).substitute([t, x])
     th = Var("th", ANGULAR)
-    w = MultiPoly.variable([th], "th")
-    dw = w.group_translate()
-    assert dw == MultiPoly([th, Var("th__b", ANGULAR)], {(1, 1): Q(1)})
+    winv = MultiPoly.monomial([th], [-1], 1)
+    w, = generators(th)
+    with pytest.raises(ValueError, match="not one term"):
+        winv.substitute([w + 1])
+    assert winv.substitute([1]) == 1 and (x * y).substitute([2, Q("1/2")]) == 1
+
+
+def laurent_strategy():
+    """A polynomial in the angular unit w and the affine x with exponents of w
+    in -2..2, and images on (s, t): a Laurent monomial in s for w, any
+    polynomial for x."""
+    coeff = st.fractions(max_denominator=6, min_value=-6, max_value=6)
+    vs = (Var("w", ANGULAR), Var("x"))
+    img_vs = (Var("s", ANGULAR), Var("t"))
+    term = st.tuples(st.tuples(st.integers(-2, 2), st.integers(0, 3)), coeff)
+    poly = st.lists(term, max_size=5).map(
+        lambda ts: MultiPoly(vs, {e: GaussianRational(c) for e, c in ts}))
+    nonzero = coeff.filter(bool)
+    w_img = st.tuples(st.integers(-2, 2), nonzero).map(
+        lambda e: MultiPoly(img_vs, {(e[0], 0): GaussianRational(e[1])}))
+    x_img = st.lists(st.tuples(st.tuples(st.integers(-1, 1), st.integers(0, 2)), coeff),
+                     max_size=3).map(lambda ts: MultiPoly(img_vs, {e: GaussianRational(c)
+                                                                  for e, c in ts}))
+    return st.tuples(poly, w_img, x_img)
+
+
+@given(laurent_strategy(), st.fractions(max_denominator=5, min_value=-3, max_value=3).filter(bool),
+       st.fractions(max_denominator=5, min_value=-3, max_value=3))
+@settings(max_examples=60, deadline=None)
+def test_substitute_then_eval_is_eval_at_the_images(data, s, t):
+    p, w_img, x_img = data
+    pt = {"s": s, "t": t}
+    at_images = {"w": w_img.eval(pt), "x": x_img.eval(pt)}
+    assert p.substitute([w_img, x_img]).eval(pt) == p.eval(at_images)
+
+
+def test_hash_agrees_with_chart_free_equality():
+    x1, = generators("x1")
+    assert x1 == x1.over(("x1", "x2"))
+    assert len({x1, x1.over(("x1", "x2")), x1.over(("x2", "x1"))}) == 1
+    assert len({x1, generators("x2")[0], x1.scale(Q(2))}) == 3
 
 
 def test_json_roundtrip():
