@@ -426,8 +426,13 @@ def r_k(pi: PolyBivector, point, k: int) -> Fraction:
 
 def max_rank_from_minors(pi: PolyBivector, point) -> int:
     """max{2k : r_{2k}(point) != 0}, an independent route to the rank."""
-    sums = linalg.minor_sums(pi.eval_matrix(point))
-    return max(k for k in range(0, pi.n + 1, 2) if sums[k])
+    return _largest_even_nonzero(linalg.minor_sums(pi.eval_matrix(point)))
+
+
+def _largest_even_nonzero(sums) -> int:
+    """The largest even k with ``sums[k] != 0``, for ``sums`` from
+    :func:`linalg.minor_sums` (``sums[0]`` is 1)."""
+    return max(k for k in range(0, len(sums), 2) if sums[k])
 
 
 @dataclass
@@ -467,7 +472,9 @@ def stratify_sample(pi: PolyBivector, config: StratifyConfig) -> StratificationR
     """Rank histogram over a seeded rational lattice sample.
 
     Every sample additionally cross-checks the rank against the largest
-    non-vanishing even minor sum.
+    non-vanishing even minor sum.  Both routes read one evaluated matrix per
+    point: :func:`linalg.rank` eliminates it, :func:`linalg.minor_sums` takes
+    its Cauchy-Binet sums.
     """
     if config.count < 1:
         raise ValueError("sample count must be >= 1")
@@ -485,10 +492,11 @@ def stratify_sample(pi: PolyBivector, config: StratifyConfig) -> StratificationR
         ]
         points.append(pt)
     for pt in points:
-        r = rank_at(pi, pt)
+        m = pi.eval_matrix(pt)
+        r = linalg.rank(m)
         if r % 2:
             raise AssertionError("skew matrix produced an odd rank")
-        if max_rank_from_minors(pi, pt) != r:
+        if _largest_even_nonzero(linalg.minor_sums(m)) != r:
             consistent = False
         histogram[r] = histogram.get(r, 0) + 1
         if r not in witnesses:

@@ -13,11 +13,16 @@ tori and vector spaces; general symbolic transcendentals are out of scope.
 :meth:`MultiPoly.substitute` is the one polynomial composition: it evaluates
 a polynomial at polynomial images on one chart, for example at a group law
 ``x -> x + x'``, ``w -> w*w'`` or at a matrix acting on the coordinates.
+
+Charts are shared: every chart is one tuple of :class:`Var`, so polynomials
+on equal charts hold the same ``vars`` object and are matched by identity.
+:meth:`MultiPoly.partial` is memoized on the polynomial it differentiates.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Callable, Sequence
 
 from .scalars import GaussianRational, Q, ZERO, ONE, coeff_from_json, json_int
@@ -47,7 +52,30 @@ class Var:
         return f"Var({self.name!r}, {self.kind!r})"
 
 
+# every chart built so far, keyed by the specs it was built from and by
+# itself: equal charts are one tuple, so ``align`` and ``over`` match them by
+# identity.  Only valid charts enter, and a chart never changes.
+_CHARTS: dict = {}
+
+
 def _as_vars(specs) -> tuple:
+    """The shared chart (a tuple of ``Var``) for ``specs``: ``Var`` objects,
+    names of affine variables or ``(name, kind)`` pairs."""
+    specs = tuple(specs)
+    try:
+        return _CHARTS[specs]
+    except KeyError:
+        key = specs
+    except TypeError:  # an unhashable spec, such as a [name, kind] list
+        key = None
+    chart = _build_vars(specs)
+    chart = _CHARTS.setdefault(chart, chart)
+    if key is not None:
+        _CHARTS[key] = chart
+    return chart
+
+
+def _build_vars(specs) -> tuple:
     out = []
     for s in specs:
         if isinstance(s, Var):
@@ -67,13 +95,16 @@ class MultiPoly:
     """A sparse polynomial: a term map ``exponent tuple -> GaussianRational``.
 
     Zero coefficients are never stored.  Instances are immutable by
-    convention; all operations return fresh polynomials.
+    convention; all operations return fresh polynomials.  ``vars`` is the
+    shared chart of :func:`_as_vars`, and ``_partials`` memoizes
+    :meth:`partial` by variable name for as long as the polynomial lives.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "terms", "_partials")
 
     def __init__(self, variables, terms=None):
         self.vars = _as_vars(variables)
+        self._partials = None
         clean = {}
         for exp, coeff in (terms or {}).items():
             c = GaussianRational.coerce(coeff)
@@ -93,9 +124,9 @@ class MultiPoly:
     @staticmethod
     def _clean(variables: tuple, terms: dict) -> "MultiPoly":
         """Trusted constructor for terms already valid over ``variables`` (a
-        tuple of ``Var``): exact-length exponents and no zero coefficient."""
+        shared chart): exact-length exponents and no zero coefficient."""
         p = object.__new__(MultiPoly)
-        p.vars, p.terms = variables, terms
+        p.vars, p.terms, p._partials = variables, terms, None
         return p
 
     # -- constructors ----------------------------------------------------
@@ -138,35 +169,30 @@ class MultiPoly:
     def align(self, other: "MultiPoly"):
         """Return (p, q) re-expressed over the merged variable list: this
         polynomial's variables followed by those only ``other`` uses."""
-        if self.vars == other.vars:
+        if self.vars is other.vars:
             return self, other
         names = {v.name for v in self.vars}
-        merged = self.vars + tuple(v for v in other.vars if v.name not in names)
+        merged = _as_vars(self.vars + tuple(v for v in other.vars if v.name not in names))
         return self.over(merged), other.over(merged)
 
     def over(self, variables) -> "MultiPoly":
         """This polynomial on the chart ``variables``; ``ValueError`` when it
         uses a variable the chart lacks, or one of another kind."""
-        if variables == self.vars:
-            return self
         vs = _as_vars(variables)
+        if vs is self.vars:
+            return self
         if not set(self.vars) <= set(vs):
             raise ValueError(f"polynomial variables {self.vars} are not all on the chart {vs} "
                              "(a name is missing or has another kind)")
-        return self._reindex(vs)
-
-    def _reindex(self, merged) -> "MultiPoly":
-        if merged == self.vars:
-            return self
-        pos = {v.name: i for i, v in enumerate(merged)}
-        n = len(merged)
+        pos = {v.name: i for i, v in enumerate(vs)}
+        n = len(vs)
         new_terms = {}
         for exp, c in self.terms.items():
             out = [0] * n
             for e, v in zip(exp, self.vars):
                 out[pos[v.name]] = e
             new_terms[tuple(out)] = c
-        return MultiPoly._clean(merged, new_terms)
+        return MultiPoly._clean(vs, new_terms)
 
     # -- ring operations --------------------------------------------------
 
@@ -203,7 +229,7 @@ class MultiPoly:
         terms = {}
         for e1, c1 in p.terms.items():
             for e2, c2 in q.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 s = terms.get(e, ZERO) + c1 * c2
                 if s.is_zero():
                     terms.pop(e, None)
@@ -238,23 +264,41 @@ class MultiPoly:
             if self.terms and len(self.terms) > 1:
                 return False
             return self == MultiPoly.constant(self.vars, other)
-        p, q = self.align(other)
+        try:
+            p, q = self.align(other)
+        except ValueError:  # a shared name has another kind on each side
+            return self._factored() == other._factored()
         return p.terms == q.terms
 
     def __hash__(self):
-        # chart-independent, as __eq__ is: each term by its nonzero factors
-        return hash(frozenset(
+        # chart-independent, as __eq__ is
+        return hash(self._factored())
+
+    def _factored(self) -> frozenset:
+        """Each term keyed by its nonzero factors ``(name, kind, exponent)``:
+        equal for two polynomials exactly when they are ``==``, on any charts."""
+        return frozenset(
             (frozenset((v.name, v.kind, e) for v, e in zip(self.vars, exp) if e), c)
-            for exp, c in self.terms.items()))
+            for exp, c in self.terms.items())
 
     # -- calculus ----------------------------------------------------------
 
     def partial(self, name: str) -> "MultiPoly":
-        """Exact partial derivative.
+        """Exact partial derivative, computed once per variable and kept on
+        this polynomial.
 
         For an angular variable theta the derivative of ``c*w^k`` with
         ``w = exp(i*theta)`` is ``i*k*c*w^k``.
         """
+        memo = self._partials
+        if memo is None:
+            memo = self._partials = {}
+        d = memo.get(name)
+        if d is None:
+            d = memo[name] = self._derivative(name)
+        return d
+
+    def _derivative(self, name: str) -> "MultiPoly":
         i = self._index(name)
         kind = self.vars[i].kind
         terms = {}
@@ -275,7 +319,7 @@ class MultiPoly:
                 terms.pop(key, None)
             else:
                 terms[key] = s
-        return MultiPoly(self.vars, terms)
+        return MultiPoly._clean(self.vars, terms)
 
     def affine_degree(self) -> int:
         if not self.terms:
@@ -316,15 +360,16 @@ class MultiPoly:
             x = assignment[v.name]
             vals.append(GaussianRational.coerce(x) if exact else complex(x))
         acc = ZERO if exact else 0j
+        powers = {}  # (variable index, exponent) -> value, each computed once
         for exp, c in self.terms.items():
             term = c if exact else c.to_complex()
-            for e, x in zip(exp, vals):
-                if e == 0:
-                    continue
-                if e > 0 or not exact:
-                    term = term * x ** e
-                else:
-                    term = term / (x ** (-e))
+            for i, e in enumerate(exp):
+                if e:
+                    pw = powers.get((i, e))
+                    if pw is None:
+                        x = vals[i]
+                        pw = powers[i, e] = x ** e if e > 0 or not exact else ONE / x ** -e
+                    term = term * pw
             acc = acc + term
         return acc
 

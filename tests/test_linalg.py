@@ -168,6 +168,52 @@ def test_minor_sums_match_brute_force(rng=random.Random(8)):
     assert singular and regular
 
 
+def real_square_matrices(rng):
+    """Real square matrices for n = 1..6: integer entries and rational ones
+    with denominators up to 35, each either dense or a product B.C with inner
+    dimension 0-3, so rank deficiency really occurs."""
+    for n, den, product, _ in itertools.product(range(1, 7), (1, 35), (False, True), range(2)):
+        def entry():
+            return rand_entry(rng, False, den=den)
+
+        if product:
+            k = rng.randint(0, 3)
+            B = [[entry() for _ in range(k)] for _ in range(n)]
+            C = [[entry() for _ in range(n)] for _ in range(k)]
+            yield [[sum((B[i][t] * C[t][j] for t in range(k)), ZERO) for j in range(n)]
+                   for i in range(n)]
+        else:
+            yield [[entry() for _ in range(n)] for _ in range(n)]
+
+
+def test_real_minor_sums_match_brute_force(rng=random.Random(11)):
+    singular = regular = 0
+    for m in real_square_matrices(rng):
+        sums = linalg.minor_sums(m)
+        assert sums == [_brute_minor_sum(m, k) for k in range(len(m) + 1)], m
+        singular += sums[-1] == 0
+        regular += sums[-1] != 0
+    assert singular and regular
+
+
+def test_one_imaginary_entry_takes_the_complex_loop(monkeypatch, rng=random.Random(12)):
+    # the same matrix, real and then with one entry i*eps: both loops agree
+    # with brute force, and the dot-product count tells which loop ran
+    # (n^2 per step of H and of the n recurrence steps, four times that for
+    # complex entries)
+    n = 4
+    m = [[rand_entry(rng, False, den=4) for _ in range(n)] for _ in range(n)]
+    tilted = [list(row) for row in m]
+    tilted[1][2] = GaussianRational(0, Fraction(1, 1000))
+    dots = []
+    inner = linalg._dot
+    monkeypatch.setattr(linalg, "_dot", lambda a, b: dots.append(1) or inner(a, b))
+    for matrix, per_entry in ((m, 1), (tilted, 4)):
+        dots.clear()
+        assert linalg.minor_sums(matrix) == [_brute_minor_sum(matrix, k) for k in range(n + 1)]
+        assert len(dots) == per_entry * n * n * (n + 1)
+
+
 def test_minor_sums_at_n_8(rng=random.Random(9)):
     m = [[rand_entry(rng, True, den=4) for _ in range(8)] for _ in range(8)]
     sums = linalg.minor_sums(m)

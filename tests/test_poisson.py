@@ -312,6 +312,52 @@ def test_stratify_at_n_8():
     assert 8 in expected and len(expected) > 1
 
 
+def _counting(monkeypatch, owner, name, log):
+    """Replace ``owner.name`` by a wrapper that appends its arguments to ``log``."""
+    inner = getattr(owner, name)
+
+    def wrapper(*args):
+        log.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+def test_stratify_evaluates_each_point_once_for_both_routes(monkeypatch, sl2_lp):
+    # call counts, not timings: one evaluated matrix per point, read by both
+    # the elimination and the minor-sum route
+    evals, ranks, sums = [], [], []
+    _counting(monkeypatch, PolyBivector, "eval_matrix", evals)
+    _counting(monkeypatch, poisson.linalg, "rank", ranks)
+    _counting(monkeypatch, poisson.linalg, "minor_sums", sums)
+    rep = stratify_sample(sl2_lp, StratifyConfig(count=12, seed=5, include_points=[[0, 0, 0]]))
+    assert rep.sample_count == 13 and rep.minor_consistency
+    assert len(evals) == len(ranks) == len(sums) == 13
+    assert all(rk[0] is ms[0] for rk, ms in zip(ranks, sums))
+
+
+def test_jacobi_check_differentiates_each_component_once(monkeypatch):
+    # a 6-variable quadratic bivector: both routes run, and no polynomial is
+    # differentiated twice by the same variable
+    rng = random.Random(17)
+    x = generators(*(f"x{i + 1}" for i in range(6)))
+    pi = PolyBivector(x[0].vars, {
+        (i, j): sum((x[a] * x[b] * rng.choice([-3, -2, -1, 1, 2, 3])
+                     for a, b in rng.sample(list(itertools.combinations_with_replacement(range(6), 2)), 2)),
+                    MultiPoly.zero(x[0].vars))
+        for i in range(6) for j in range(i + 1, 6)})
+    derivatives, routes = [], []
+    _counting(monkeypatch, MultiPoly, "_derivative", derivatives)
+    _counting(monkeypatch, poisson, "jacobiator", routes)
+    _counting(monkeypatch, poisson, "schouten", routes)
+    rep = jacobi_check(pi)
+    assert len(routes) == 2 and rep.routes_consistent
+    keys = [(id(p), name) for p, name in derivatives]
+    assert len(keys) == len(set(keys))
+    # the 15 components and the 15 negated ones the cyclic sums read
+    assert len(keys) <= 2 * 15 * 6
+
+
 def test_casimir(sl2_lp, plane):
     mu = [MultiPoly.variable(sl2_lp.vars, v.name) for v in sl2_lp.vars]
     K = mu[0] ** 2 - mu[1] ** 2 + mu[2] ** 2
@@ -525,13 +571,15 @@ def test_variable_names_do_not_reach_the_generated_flow_code(monkeypatch):
 
 def test_a_flow_step_is_two_calls_into_the_package():
     # a call count, not a timing: each RK4 step is one call of the generated
-    # step function and one of the generated values function
-    bundle = load_bundle(os.path.join(os.path.dirname(__file__), "..", "demos", "bundles",
-                                      "sample.json"))
-    flow = bundle.flow
+    # step function and one of the generated values function.  Each run loads
+    # the bundle afresh, outside the profile, so it starts from polynomials
+    # with no memoized derivatives.
+    path = os.path.join(os.path.dirname(__file__), "..", "demos", "bundles", "sample.json")
     package = os.path.dirname(poissonkit.__file__)
 
     def calls(steps):
+        bundle = load_bundle(path)
+        flow = bundle.flow
         profile = cProfile.Profile()
         profile.enable()
         traj = hamiltonian_flow(bundle.bivectors[flow["bivector"]], flow["hamiltonian"],

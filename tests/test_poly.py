@@ -51,6 +51,29 @@ def test_kind_collision_rejected():
     th_ang = MultiPoly.variable([Var("th", ANGULAR)], "th")
     with pytest.raises(ValueError):
         th_aff + th_ang
+    with pytest.raises(ValueError):
+        th_aff * th_ang
+    # no common chart, but equality still has an answer
+    assert th_aff != th_ang and th_ang != th_aff
+    assert not th_aff == th_ang
+    assert MultiPoly.constant(["th"], 2) == MultiPoly.constant([Var("th", ANGULAR)], 2)
+
+
+def test_equal_charts_are_one_object():
+    x, y = generators("x", "y")
+    chart = x.vars
+    assert y.vars is chart
+    for spec in (("x", "y"), ["x", "y"], (Var("x"), Var("y")), [("x", "affine"), ("y", "affine")],
+                 (["x", "affine"], ["y", "affine"]), iter(["x", "y"])):
+        assert MultiPoly.constant(spec, 1).vars is chart
+    assert (x * y + x).vars is chart and (x * y).partial("x").vars is chart
+    assert x.over(("x", "y", "z")).vars is generators("x", "y", "z")[0].vars
+    # what is not a chart stays rejected, every time it is asked for
+    for _ in range(2):
+        with pytest.raises(ValueError, match="duplicate"):
+            MultiPoly.constant(("x", "x"), 1)
+        with pytest.raises(ValueError, match="kind"):
+            MultiPoly.constant([("x", "polar")], 1)
 
 
 def test_over_moves_onto_a_chart_or_raises():
@@ -118,6 +141,18 @@ def test_trusted_results_are_valid_polynomials(p, q, r, c):
         _rebuilt_the_same(result)
     for name in ("x", "y", "t"):
         _rebuilt_the_same(p.partial(name))
+
+
+@given(gaussian_poly_strategy(CHART) | poly_strategy(), st.randoms(use_true_random=False))
+def test_memoized_partial_is_the_derivative_of_a_fresh_copy(p, rnd):
+    names = list(p.var_names())
+    rnd.shuffle(names)
+    for name in names:
+        d = p.partial(name)
+        assert p.partial(name) is d
+        fresh = MultiPoly(p.vars, p.terms).partial(name)
+        assert d == fresh and d.terms == fresh.terms
+        _rebuilt_the_same(d)
 
 
 def test_reduce_mod_examples():
