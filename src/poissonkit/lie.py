@@ -212,9 +212,18 @@ class LieModule:
                 raise ValueError("action matrices must be square of equal size")
         self.kind = kind
         self._report = None
+        self._nonzero = None
 
     def act(self, i: int, v) -> list:
         return linalg.mat_vec(self.mats[i], v)
+
+    def _nonzero_entries(self) -> list:
+        """For each row of each rho(e_i), its nonzero entries as ``(column,
+        value)`` pairs; built on the first call, like :meth:`check_axiom`."""
+        if self._nonzero is None:
+            self._nonzero = [[[(v, x) for v, x in enumerate(r) if x] for r in m]
+                             for m in self.mats]
+        return self._nonzero
 
     def check_axiom(self) -> "ModuleReport":
         """rho([X,Y]) = rho(X)rho(Y) - rho(Y)rho(X) on all basis pairs.
@@ -308,16 +317,19 @@ def ce_differential(L: LieAlgebra, M: LieModule, p: int) -> CochainComplexSlice:
     cod = list(itertools.combinations(range(n), p + 1))
     col = {I: ci * dimV for ci, I in enumerate(dom)}
     matrix = linalg.zeros(len(cod) * dimV, len(dom) * dimV)
+    action = M._nonzero_entries()
 
     for ri, J in enumerate(cod):
         rows = matrix[ri * dimV:(ri + 1) * dimV]
-        # module action part: rho(e_{J_a}) fills the block of J minus J_a
+        # module action part: (-1)^a rho(e_{J_a}) fills the block of J minus J_a
         for a in range(p + 1):
-            c0, s = col[J[:a] + J[a + 1:]], Q((-1) ** a)
-            for row, rho_row in zip(rows, M.mats[J[a]]):
-                for v, x in enumerate(rho_row):
-                    if not x.is_zero():
-                        row[c0 + v] += s * x
+            c0 = col[J[:a] + J[a + 1:]]
+            for row, entries in zip(rows, action[J[a]]):
+                for v, x in entries:
+                    if a % 2:
+                        row[c0 + v] -= x
+                    else:
+                        row[c0 + v] += x
         # bracket insertion part: a multiple of the identity on the module
         for a, b in itertools.combinations(range(p + 1), 2):
             rest = J[:a] + J[a + 1:b] + J[b + 1:]

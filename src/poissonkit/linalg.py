@@ -1,21 +1,27 @@
 """Exact linear algebra over Gaussian rationals.
 
-Matrices are lists of lists of :class:`GaussianRational`.  One Gauss-Jordan
-elimination, :func:`rref`, answers rank, kernel, solve, inverse and span
-questions; :func:`det` keeps a separate fraction-free (Bareiss) elimination,
-and :func:`minor_sums` reads every sum of squared minors from one
-characteristic polynomial over the Gaussian integers, with neither.  When no
-entry has an imaginary part, :func:`minor_sums` runs that recurrence on
-integer matrices only.
+Matrices are lists of lists of :class:`GaussianRational` (ints, Fractions
+and rational strings are coerced).  One Gauss-Jordan elimination,
+:func:`rref`, answers rank, kernel, solve, inverse and span questions;
+:func:`det` keeps a separate fraction-free (Bareiss) elimination, and
+:func:`minor_sums` reads every sum of squared minors from one characteristic
+polynomial over the Gaussian integers, with neither.
+
+Elimination and products run on integer rows: :func:`_int_row` writes a row
+as Python ints over one denominator, :func:`rref` and :func:`rank` eliminate
+with ``p*x - f*y`` on primitive integer rows, and :func:`mat_mul` and
+:func:`mat_vec` take one integer dot product per output entry.  Only input
+with an imaginary part is eliminated one :class:`GaussianRational` at a
+time.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
-from .scalars import GaussianRational, ZERO, ONE
+from .scalars import GaussianRational, ZERO, ONE, _make
 
 
 def sort_with_sign(indices):
@@ -47,20 +53,49 @@ def identity(n: int) -> list:
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
+def _int_row(row) -> tuple:
+    """``row`` as integers over one denominator: ``(a, b, d)`` with
+    ``row[j] == (a[j] + b[j]*i) / d``, ``d`` the lcm of the entries'
+    denominators, and ``b`` None when no entry has an imaginary part.
+    Entries that are not :class:`GaussianRational` are coerced here, once."""
+    try:
+        ds = [x.d for x in row]
+    except AttributeError:
+        row = [GaussianRational.coerce(x) for x in row]
+        ds = [x.d for x in row]
+    b = [x.b for x in row]
+    if ds.count(1) == len(ds):
+        return [x.a for x in row], (b if any(b) else None), 1
+    d = lcm(*set(ds))
+    a = [x.a * (d // x.d) for x in row]
+    return a, ([x.b * (d // x.d) for x in row] if any(b) else None), d
+
+
+def _dot(a, b) -> int:
+    return sum(map(mul, a, b))
+
+
+def _int_dot(u, v) -> GaussianRational:
+    """The dot product of two rows given by :func:`_int_row`."""
+    (a, b, d), (c, e, f) = u, v
+    re, im = _dot(a, c), 0
+    if b is not None:
+        im = _dot(b, c)
+        if e is not None:
+            re -= _dot(b, e)
+    if e is not None:
+        im += _dot(a, e)
+    return _make(re, im, d * f)
+
+
 def mat_mul(a, b) -> list:
-    n, k, m = len(a), len(b), len(b[0])
-    out = zeros(n, m)
-    for i in range(n):
-        for j in range(m):
-            s = ZERO
-            for t in range(k):
-                s = s + a[i][t] * b[t][j]
-            out[i][j] = s
-    return out
+    cols = [_int_row(col) for col in zip(*b)]
+    return [[_int_dot(r, c) for c in cols] for r in map(_int_row, a)]
 
 
 def mat_vec(a, v) -> list:
-    return [sum((a[i][j] * v[j] for j in range(len(v))), ZERO) for i in range(len(a))]
+    v = _int_row(v)
+    return [_int_dot(r, v) for r in map(_int_row, a)]
 
 
 def mat_add(a, b) -> list:
@@ -84,15 +119,78 @@ def is_zero_mat(a) -> bool:
 
 
 def rank(matrix) -> int:
-    """Exact rank: the number of pivots of :func:`rref`."""
-    return len(rref(matrix)[1])
+    """Exact rank: the number of pivots of the elimination :func:`rref` runs,
+    without its back substitution and without building any scalar."""
+    rows = [_int_row(row) for row in matrix]
+    if any(b is not None for _, b, _ in rows):
+        return len(_gaussian_rref(mat(matrix))[1])
+    return len(_eliminate([a for a, _, _ in rows if any(a)], jordan=False))
 
 
 def rref(matrix):
-    """Reduced row echelon form over the field; returns (rref, pivot columns)."""
-    m = [list(row) for row in matrix]
-    if not m or not m[0]:
-        return m, []
+    """Reduced row echelon form over the field; returns (rref, pivot columns).
+
+    Real input is eliminated on integer rows, and a scalar is built only for
+    each nonzero entry of a pivot row."""
+    rows = [_int_row(row) for row in matrix]
+    if not rows or not rows[0][0]:
+        return [list(row) for row in matrix], []
+    if any(b is not None for _, b, _ in rows):
+        return _gaussian_rref(mat(matrix))
+    m = [a for a, _, _ in rows if any(a)]
+    pivots = _eliminate(m, jordan=True)
+    out = []
+    for row, c in zip(m, pivots):
+        p = row[c]
+        if p < 0:
+            row, p = [-x for x in row], -p
+        out.append([_make(x, 0, p) if x else ZERO for x in row])
+    ncols = len(rows[0][0])
+    out.extend([ZERO] * ncols for _ in range(len(rows) - len(pivots)))
+    return out, pivots
+
+
+def _eliminate(m, jordan: bool) -> list:
+    """Fraction-free Gaussian elimination in place on the nonzero integer
+    rows ``m``: ``x -> p*x - f*y`` with the common factor of ``p`` and ``f``
+    removed, and every changed row divided by the gcd of its entries, so the
+    rows stay primitive.  Pivot rows end first, in order; with ``jordan``
+    each pivot column is cleared above its pivot too.  Returns the pivot
+    columns."""
+    nrows = len(m)
+    pivots = []
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        for i in range(r, nrows):
+            if m[i][c]:
+                break
+        else:
+            continue
+        m[r], m[i] = m[i], m[r]
+        prow = m[r]
+        g = gcd(*prow)
+        if g > 1:
+            prow = m[r] = [x // g for x in prow]
+        p = prow[c]
+        for i in range(0 if jordan else r + 1, nrows):
+            f = m[i][c]
+            if i == r or not f:
+                continue
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            row = [a * x - b * y for x, y in zip(m[i], prow)]
+            g = gcd(*row)
+            m[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots
+
+
+def _gaussian_rref(m):
+    """:func:`rref` one :class:`GaussianRational` at a time, for input with an
+    imaginary part; ``m`` is a coerced, non-empty matrix and is overwritten."""
     nrows, ncols = len(m), len(m[0])
     pivots = []
     r = 0
@@ -193,10 +291,6 @@ def det(matrix) -> GaussianRational:
     return d if sign == 1 else -d
 
 
-def _dot(a, b) -> int:
-    return sum(map(mul, a, b))
-
-
 def minor_sums(matrix) -> list:
     """``[r_0, ..., r_n]`` for an n x n ``matrix``, where ``r_k`` is the sum of
     ``|minor|^2`` over all k x k minors, as exact ``Fraction`` values.
@@ -214,13 +308,14 @@ def minor_sums(matrix) -> list:
     the rank-vs-minors cross-checks compare two different computations.
     """
     n = len(matrix)
-    d = lcm(*(x.d for row in matrix for x in row))
-    p = [[x.a * (d // x.d) for x in row] for row in matrix]
-    real = not any(x.b for row in matrix for x in row)
+    # all n^2 entries as one row, so over one common denominator
+    a, b, d = _int_row([x for row in matrix for x in row])
+    p = [a[i * n:(i + 1) * n] for i in range(n)]
+    real = b is None
     if real:
         hr = [[_dot(pa, pb) for pb in p] for pa in p]
     else:
-        q = [[x.b * (d // x.d) for x in row] for row in matrix]
+        q = [b[i * n:(i + 1) * n] for i in range(n)]
         hr = [[_dot(pa, pb) + _dot(qa, qb) for pb, qb in zip(p, q)] for pa, qa in zip(p, q)]
         hi = [[_dot(qa, pb) - _dot(pa, qb) for pb, qb in zip(p, q)] for pa, qa in zip(p, q)]
         ni = [[0] * n for _ in range(n)]

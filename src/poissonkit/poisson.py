@@ -261,7 +261,10 @@ class JacobiBivectorReport:
 
 
 def jacobiator(pi: PolyBivector) -> PolyMultiVector:
-    """Trivector of cyclic sums {{x_i,x_j},x_k} + c.p. over coordinate triples."""
+    """Trivector of cyclic sums {{x_i,x_j},x_k} + c.p. over coordinate triples.
+
+    Only the stored components (i < j) are differentiated: the derivative of
+    ``P[k][i] = -P[i][k]`` is read as minus the memoized one of ``P[i][k]``."""
     names = [v.name for v in pi.vars]
     P = [[pi.component(a, b) for b in range(pi.n)] for a in range(pi.n)]
     comps = {}
@@ -270,7 +273,7 @@ def jacobiator(pi: PolyBivector) -> PolyMultiVector:
         for a in range(pi.n):
             acc = acc + P[a][k] * P[i][j].partial(names[a])
             acc = acc + P[a][i] * P[j][k].partial(names[a])
-            acc = acc + P[a][j] * P[k][i].partial(names[a])
+            acc = acc - P[a][j] * P[i][k].partial(names[a])
         comps[(i, j, k)] = acc
     return PolyMultiVector(pi.vars, 3, comps)
 

@@ -1,8 +1,10 @@
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from poissonkit import linalg
 from poissonkit.scalars import GaussianRational, Q, ZERO, ONE
@@ -229,3 +231,135 @@ def test_minor_sums_use_no_elimination(monkeypatch, rng=random.Random(10)):
                             lambda *a, name=name: pytest.fail(f"minor_sums called {name}"))
     assert linalg.minor_sums(m) == expected
     assert linalg.minor_sums([]) == [1]
+
+
+# -- integer-row elimination and products: plain entries, sympy oracle, structure --
+
+
+def test_plain_int_fraction_and_str_entries():
+    assert linalg.rank([[1, 2], [2, 4]]) == 1
+    assert linalg.in_span([[Q(1), Q(0)]], [1, 0])
+    assert not linalg.in_span([[1, 0]], [0, 1])
+    mixed = [[Fraction(1, 2), "1/3"], [1, 2]]
+    assert linalg.rref(mixed) == linalg.rref(linalg.mat(mixed))
+    assert linalg.rref([[2, 4, 6]]) == ([[ONE, Q(2), Q(3)]], [0])
+    assert linalg.nullspace([[1, 1]]) == [[Q(-1), ONE]]
+    assert linalg.mat_mul([[1, 2]], [[3], ["1/2"]]) == [[Q(4)]]
+    assert linalg.mat_vec([[1, Fraction(1, 3)]], [3, 3]) == [Q(4)]
+
+
+def _sym(x):
+    import sympy
+
+    return sympy.Rational(x.a, x.d) + sympy.I * sympy.Rational(x.b, x.d)
+
+
+def _canonical(x) -> bool:
+    return type(x) is GaussianRational and x.d > 0 and gcd(x.a, x.b, x.d) == 1
+
+
+def _same(ours, theirs) -> bool:
+    """Entry for entry equality of a list of lists with a sympy matrix, every
+    entry of ours a canonical triple."""
+    return (len(ours) == theirs.rows
+            and all(len(row) == theirs.cols for row in ours)
+            and all(_canonical(x) and _sym(x) == theirs[i, j]
+                    for i, row in enumerate(ours) for j, x in enumerate(row)))
+
+
+_entries = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+
+
+@st.composite
+def real_matrices(draw):
+    """Real rational n x m matrices, 0 <= n <= 7 and 0 <= m <= 8: dense, or a
+    product B.C with inner dimension 0-3 (rank deficient), with some rows
+    and columns zeroed and, often, the first row negated (negative pivots)."""
+    n, m = draw(st.integers(0, 7)), draw(st.integers(0, 8))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, 3))
+        B = [[draw(_entries) for _ in range(k)] for _ in range(n)]
+        C = [[draw(_entries) for _ in range(m)] for _ in range(k)]
+        rows = [[sum((B[i][t] * C[t][j] for t in range(k)), Fraction(0)) for j in range(m)]
+                for i in range(n)]
+    else:
+        rows = [[draw(_entries) for _ in range(m)] for _ in range(n)]
+    zero_rows = draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, max(m - 1, 0)), max_size=2))
+    rows = [[Fraction(0) if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)]
+            for i, row in enumerate(rows)]
+    if rows and draw(st.booleans()):
+        rows[0] = [-x for x in rows[0]]
+    return [[GaussianRational(x) for x in row] for row in rows]
+
+
+@settings(max_examples=60, deadline=None)
+@given(real_matrices(), st.data())
+def test_integer_row_kernel_matches_sympy(M, data):
+    sympy = pytest.importorskip("sympy")
+    n, m = len(M), len(M[0]) if M else 0
+    S = sympy.Matrix(n, m, [_sym(x) for row in M for x in row])
+    red, pivots = linalg.rref(M)
+    S_red, S_pivots = S.rref()
+    assert pivots == list(S_pivots)
+    assert _same(red, S_red)
+    assert linalg.rank(M) == S.rank()
+    if n:
+        null = linalg.nullspace(M)
+        S_null = S.nullspace()
+        assert len(null) == len(S_null)
+        assert all(_same([[x] for x in v], w) for v, w in zip(null, S_null))
+        b = [GaussianRational(data.draw(_entries)) for _ in range(n)]
+        x = linalg.solve(M, b)
+        try:
+            sol, params = S.gauss_jordan_solve(sympy.Matrix(n, 1, [_sym(t) for t in b]))
+        except ValueError:
+            assert x is None
+        else:
+            assert x is not None and _same([[t] for t in x], sol.subs({p: 0 for p in params}))
+    if n == m:
+        inv = linalg.inverse(M)
+        if S.det() == 0:
+            assert inv is None
+        else:
+            assert _same(inv, S.inv())
+    if m:
+        v = [GaussianRational(data.draw(_entries)) for _ in range(m)]
+        assert _same([[t] for t in linalg.mat_vec(M, v)], S * sympy.Matrix(m, 1, [_sym(t) for t in v]))
+        q = data.draw(st.integers(1, 5))
+        X = [[GaussianRational(data.draw(_entries)) for _ in range(q)] for _ in range(m)]
+        assert _same(linalg.mat_mul(M, X), S * sympy.Matrix(m, q, [_sym(t) for row in X for t in row]))
+
+
+def test_real_elimination_builds_one_scalar_per_entry_at_most(monkeypatch, rng=random.Random(13)):
+    made, gaussian = [], []
+    make, loop = linalg._make, linalg._gaussian_rref
+    monkeypatch.setattr(linalg, "_make", lambda *t: made.append(t) or make(*t))
+    monkeypatch.setattr(linalg, "_gaussian_rref", lambda m: gaussian.append(m) or loop(m))
+    for M in itertools.islice(low_rank_matrices(rng, 40), 0, None, 2):
+        made.clear()
+        linalg.rank(M)
+        assert not made
+        linalg.rref(M)
+        assert len(made) <= len(M) * len(M[0])
+    assert not gaussian
+
+
+def test_one_imaginary_entry_takes_the_gaussian_loop(monkeypatch, rng=random.Random(14)):
+    sympy = pytest.importorskip("sympy")
+    gaussian = []
+    loop = linalg._gaussian_rref
+    monkeypatch.setattr(linalg, "_gaussian_rref", lambda m: gaussian.append(m) or loop(m))
+    for M in itertools.islice(low_rank_matrices(rng, 20), 0, None, 2):
+        tilted = [list(row) for row in M]
+        tilted[0][0] = tilted[0][0] + GaussianRational(0, Fraction(1, 1000))
+        gaussian.clear()
+        assert linalg.rank(tilted) == largest_nonzero_minor(tilted)
+        S = sympy.Matrix([[_sym(x) for x in row] for row in tilted])
+        red, pivots = linalg.rref(tilted)
+        S_red, S_pivots = S.rref()
+        assert pivots == list(S_pivots) and _same(red, S_red)
+        assert len(gaussian) == 2
+        # products take the Gaussian-integer dot product instead
+        assert _same(linalg.mat_mul(tilted, linalg.transpose(tilted)), (S * S.T).expand())
+        assert _same([[x] for x in linalg.mat_vec(tilted, tilted[0])], (S * S[0, :].T).expand())

@@ -354,8 +354,8 @@ def test_jacobi_check_differentiates_each_component_once(monkeypatch):
     assert len(routes) == 2 and rep.routes_consistent
     keys = [(id(p), name) for p, name in derivatives]
     assert len(keys) == len(set(keys))
-    # the 15 components and the 15 negated ones the cyclic sums read
-    assert len(keys) <= 2 * 15 * 6
+    # only the 15 stored components, each by at most the 6 variables
+    assert len(keys) <= 15 * 6
 
 
 def test_casimir(sl2_lp, plane):
