@@ -6,8 +6,11 @@ Group-level data lives in :class:`LinearPoissonAction`: the infinitesimal
 generators acting on the target (their field values are matrix-vector
 products) and the defining matrices of the algebra, from which the group
 relation, the exact lift ``g -> n x n matrix`` and, through
-:func:`coadjoint_matrix` (one inversion and one elimination), the exact
-coadjoint matrix all follow.
+:func:`coadjoint_matrix`, the exact coadjoint matrix all follow.  The
+sampled group checks do per sample only the work that depends on the
+sample: Coad_g costs one inversion and integer dot products against a table
+the action builds once (:func:`coadjoint_table`), a tangentiality point one
+elimination, and a psi-cocycle call each distinct group element once.
 """
 
 from __future__ import annotations
@@ -47,18 +50,18 @@ NEIGHBORHOOD_SAMPLES = 6
 
 
 def sl2_rational_samples(count: int, seed: int = 0) -> list:
-    """Exact determinant-one samples from products of elementary matrices."""
+    """Exact determinant-one samples: products of one to three elementary
+    matrices [[1, t], [0, 1]] or [[1, 0], [t, 1]]."""
     rng = random.Random(seed)
     out = []
     for _ in range(count):
         g = linalg.identity(2)
         for _ in range(rng.randint(1, 3)):
-            t = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-            if rng.random() < 0.5:
-                e = [[ONE, Q(t)], [ZERO, ONE]]
-            else:
-                e = [[ONE, ZERO], [Q(t), ONE]]
-            g = linalg.mat_mul(g, e)
+            t = Q(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+            # g times an elementary matrix: add t times one column to the other
+            src, dst = (0, 1) if rng.random() < 0.5 else (1, 0)
+            for row in g:
+                row[dst] = row[dst] + t * row[src]
         out.append(g)
     return out
 
@@ -79,30 +82,62 @@ def exact_group_samples(a: LinearPoissonAction, count: int, seed: int):
     return None
 
 
+def coadjoint_table(defining_mats):
+    """The map g -> Coad_g of :func:`coadjoint_matrix`, with the work that
+    does not depend on g done here, once.
+
+    One elimination of [B | 1], B the d^2 x n basis system (column j is D_j
+    flattened), gives E with E B in reduced form: its rows against B's pivot
+    columns are a left inverse (free coordinates stay 0), and the rows below
+    them span the left null space of B.  Contracted with every D_i, each row
+    is bilinear in (g^{-1}, g):
+
+        (E vec(g^{-1} D_i g))[r] = sum E[r][ab] g^{-1}[a][c] D_i[c][e] g[e][b],
+
+    so a g costs one inversion, one outer product and one integer dot
+    product per (i, r)."""
+    basis = [linalg.mat(m) for m in defining_mats]
+    n, d = len(basis), len(basis[0])
+    dd = d * d
+    unit = linalg.identity(dd)
+    red, pivots = linalg.rref([[m[a][b] for m in basis] + unit[a * d + b]
+                               for a in range(d) for b in range(d)])
+    coords = [pc for pc in pivots if pc < n]
+    R = range(d)
+    values = linalg.bilinear_rows([
+        [row[n + a * d + b] * m[c][e] for a in R for c in R for e in R for b in R]
+        for m in basis for row in red
+    ])
+
+    def coad(g) -> list:
+        g = linalg.mat(g)
+        if len(g) != d or any(len(row) != d for row in g):
+            raise ValueError(f"group matrix must be {d}x{d}")
+        ginv = linalg.inverse(g)
+        if ginv is None:
+            raise ValueError("group matrix is singular")
+        vals = values([x for row in ginv for x in row], [x for row in g for x in row])
+        co = linalg.zeros(n, n)
+        for i in range(n):
+            block = vals[i * dd:(i + 1) * dd]
+            if any(block[len(coords):]):
+                raise ValueError("matrix does not lie in the algebra span")
+            for pc, x in zip(coords, block):
+                co[i][pc] = x
+        return co
+
+    return coad
+
+
 def coadjoint_matrix(defining_mats, g) -> list:
     """Matrix of Ad*_{g^{-1}}, i.e. <Coad_g mu, Y> = <mu, Ad_{g^{-1}} Y>.
 
-    Row i holds the coordinates of g^{-1} D_i g in the defining basis D; all n
-    conjugates are read from one elimination of the basis system, and free
-    coordinates are 0.  This is the left action on the dual space; its
-    infinitesimal generator is the module-valid coadjoint representation."""
-    g = linalg.mat(g)
-    ginv = linalg.inverse(g)
-    if ginv is None:
-        raise ValueError("group matrix is singular")
-    basis = [linalg.mat(m) for m in defining_mats]
-    n, d = len(basis), len(g)
-    conj = [linalg.mat_mul(linalg.mat_mul(ginv, m), g) for m in basis]
-    red, pivots = linalg.rref(
-        [[m[a][b] for m in basis + conj] for a in range(d) for b in range(d)]
-    )
-    if pivots and pivots[-1] >= n:
-        raise ValueError("matrix does not lie in the algebra span")
-    co = linalg.zeros(n, n)
-    for r, pc in enumerate(pivots):
-        for i in range(n):
-            co[i][pc] = red[r][n + i]
-    return co
+    Row i holds the coordinates of g^{-1} D_i g in the defining basis D, free
+    coordinates 0, read through the table of :func:`coadjoint_table`;
+    ``ValueError`` when g is singular or a conjugate leaves the span of D.
+    This is the left action on the dual space; its infinitesimal generator is
+    the module-valid coadjoint representation."""
+    return coadjoint_table(defining_mats)(g)
 
 
 # -- infinitesimal actions -----------------------------------------------------------
@@ -191,6 +226,7 @@ class LinearPoissonAction:
                 raise ValueError(f"action matrices must be {size}x{size}")
         self.sl2 = spans_sl2(self.defining_mats)
         self._fields = None
+        self._coad = None
 
     def contains(self, g) -> bool:
         """The group relation: determinant one when the defining matrices span
@@ -206,8 +242,15 @@ class LinearPoissonAction:
         if not self.contains(g):
             raise ValueError("matrix fails the group relation")
         if self.coadjoint:
-            return coadjoint_matrix(self.defining_mats, g)
+            return self.coad(g)
         return linalg.mat(g)
+
+    def coad(self, g) -> list:
+        """Coad_g (see :func:`coadjoint_matrix`) through the table of
+        :func:`coadjoint_table`, built on the first call."""
+        if self._coad is None:
+            self._coad = coadjoint_table(self.defining_mats)
+        return self._coad(g)
 
     @property
     def target_dim(self) -> int:
@@ -366,13 +409,13 @@ def check_poisson_action(a: LinearPoissonAction, samples) -> ActionCheckReport:
             n = a.target_dim
             acc = linalg.zeros(n, n)
             rho = a.lift_generators
+            # left[k] = G rho_k x and right[k] = rho_k g x, once per index k
+            ks = {k for ij in a.rmatrix.comps for k in ij}
+            left = {k: linalg.mat_vec(G, linalg.mat_vec(rho[k], xv)) for k in ks}
+            right = {k: linalg.mat_vec(rho[k], gx) for k in ks}
             for (i, j), lam in sorted(a.rmatrix.comps.items()):
-                left_i = linalg.mat_vec(linalg.mat_mul(G, rho[i]), xv)
-                left_j = linalg.mat_vec(linalg.mat_mul(G, rho[j]), xv)
-                right_i = linalg.mat_vec(rho[i], gx)
-                right_j = linalg.mat_vec(rho[j], gx)
                 w = linalg.mat_sub(
-                    _wedge_matrix(left_i, left_j), _wedge_matrix(right_i, right_j)
+                    _wedge_matrix(left[i], left[j]), _wedge_matrix(right[i], right[j])
                 )
                 acc = linalg.mat_add(acc, [[lam * t for t in row] for row in w])
             rhs = linalg.mat_add(rhs, acc)
@@ -516,15 +559,19 @@ class TangentialReport:
 
 def tangential_check(a: LinearPoissonAction, points) -> TangentialReport:
     """At each exact point, solvability of pi(p) alpha = lam(e_i)(p) for every
-    generator (membership of the orbit directions in the image of the anchor)."""
+    generator (membership of the orbit directions in the image of the anchor).
+
+    One elimination per point: row-reduce [pi(p) | lam(e_1)(p) ... lam(e_k)(p)];
+    generator i fails exactly when its column is nonzero in some row below the
+    pivots that lie in pi's columns."""
     failures = []
+    n = a.target_dim
     for p in points:
         M = a.bivector.eval_matrix(p)
-        for i, vals in enumerate(a.field_values(p)):
-            if all(v.is_zero() for v in vals):
-                continue
-            if linalg.solve(M, vals) is None:
-                failures.append((list(p), i))
+        vals = a.field_values(p)
+        red, pivots = linalg.rref([row + [v[r] for v in vals] for r, row in enumerate(M)])
+        below = red[sum(pc < n for pc in pivots):]
+        failures += [(list(p), i) for i in range(len(vals)) if any(row[n + i] for row in below)]
     return TangentialReport(passed=not failures, failures=failures, points=len(points))
 
 
@@ -934,7 +981,7 @@ def gamma_checks(a: LinearPoissonAction, G: GammaCochain,
 def _group_maps(a: LinearPoissonAction, g) -> tuple:
     """(lift(g), Coad_g); on a coadjoint action both are the one matrix."""
     lifted = a.lift(g)
-    return lifted, (lifted if a.coadjoint else coadjoint_matrix(a.defining_mats, g))
+    return lifted, (lifted if a.coadjoint else a.coad(g))
 
 
 def _sigma(a: LinearPoissonAction, m: MomentumMap, maps: tuple, xv, m_x) -> list:
@@ -970,11 +1017,21 @@ class PsiCocycleReport:
 def psi_cocycle_check(a: LinearPoissonAction, m: MomentumMap, triples) -> PsiCocycleReport:
     """Psi(gh) = Psi(g) + Ad*_{g^{-1}} Psi(h) exactly at sampled (g, h, x),
     plus the Casimir property of the components of Sigma(g, .).  Each triple
-    evaluates m(x) once and the lift and Coad of g, h and gh once each."""
-    violations, first = [], None
+    evaluates m(x) once, and each distinct group element of the call gets its
+    lift and Coad once."""
+    violations, first, maps = [], None, {}
+
+    def group_maps(k):
+        # triples often share elements (the CLI's are cyclic, h_i = g_(i+1));
+        # entries are in lowest terms, so their integer triples are the key
+        key = tuple((x.a, x.b, x.d) for row in k for x in row)
+        if key not in maps:
+            maps[key] = _group_maps(a, k)
+        return maps[key]
+
     for g, h, x in triples:
-        gh = linalg.mat_mul(linalg.mat(g), linalg.mat(h))
-        at_gh, at_g, at_h = (_group_maps(a, k) for k in (gh, g, h))
+        g, h = linalg.mat(g), linalg.mat(h)
+        at_gh, at_g, at_h = (group_maps(k) for k in (linalg.mat_mul(g, h), g, h))
         first = first or at_g
         xv = [GaussianRational.coerce(t) for t in x]
         m_x = m.eval_exact(a.bivector.vars, xv)

@@ -51,6 +51,7 @@ class LieAlgebra:
                 table[i][j][k] = v[k]
                 table[j][i][k] = -v[k]
         self._table = table
+        self._nonzero = None
 
     # -- inspection ------------------------------------------------------
 
@@ -60,6 +61,15 @@ class LieAlgebra:
 
     def basis_bracket(self, i: int, j: int) -> list:
         return list(self._table[i][j])
+
+    def _nonzero_brackets(self) -> list:
+        """For each pair (i, j), the nonzero structure constants of [e_i, e_j]
+        as ``(k, C^k_ij)`` pairs; built on the first call, like
+        :meth:`LieModule._nonzero_entries`."""
+        if self._nonzero is None:
+            self._nonzero = [[[(k, c) for k, c in enumerate(vec) if c] for vec in row]
+                             for row in self._table]
+        return self._nonzero
 
     def bracket(self, X, Y) -> list:
         """[X, Y] for coefficient vectors X, Y."""
@@ -318,6 +328,7 @@ def ce_differential(L: LieAlgebra, M: LieModule, p: int) -> CochainComplexSlice:
     col = {I: ci * dimV for ci, I in enumerate(dom)}
     matrix = linalg.zeros(len(cod) * dimV, len(dom) * dimV)
     action = M._nonzero_entries()
+    brackets = L._nonzero_brackets()
 
     for ri, J in enumerate(cod):
         rows = matrix[ri * dimV:(ri + 1) * dimV]
@@ -333,8 +344,8 @@ def ce_differential(L: LieAlgebra, M: LieModule, p: int) -> CochainComplexSlice:
         # bracket insertion part: a multiple of the identity on the module
         for a, b in itertools.combinations(range(p + 1), 2):
             rest = J[:a] + J[a + 1:b] + J[b + 1:]
-            for k, c in enumerate(L.basis_bracket(J[a], J[b])):
-                if c.is_zero() or k in rest:
+            for k, c in brackets[J[a]][J[b]]:
+                if k in rest:
                     continue
                 I, sign = linalg.sort_with_sign((k,) + rest)
                 c0, s = col[I], Q((-1) ** (a + b) * sign) * c

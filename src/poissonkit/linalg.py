@@ -10,9 +10,10 @@ polynomial over the Gaussian integers, with neither.
 Elimination and products run on integer rows: :func:`_int_row` writes a row
 as Python ints over one denominator, :func:`rref` and :func:`rank` eliminate
 with ``p*x - f*y`` on primitive integer rows, and :func:`mat_mul` and
-:func:`mat_vec` take one integer dot product per output entry.  Only input
-with an imaginary part is eliminated one :class:`GaussianRational` at a
-time.
+:func:`mat_vec` take one integer dot product per output entry, as does
+:func:`bilinear_rows`, whose rows are converted once for many calls.  Only
+input with an imaginary part is eliminated one :class:`GaussianRational` at
+a time.
 """
 
 from __future__ import annotations
@@ -96,6 +97,26 @@ def mat_mul(a, b) -> list:
 def mat_vec(a, v) -> list:
     v = _int_row(v)
     return [_int_dot(r, v) for r in map(_int_row, a)]
+
+
+def bilinear_rows(matrix):
+    """The map ``(u, v) -> [sum_{k,l} row[k*len(v) + l] * u[k] * v[l] for
+    row in matrix]``.  The rows are converted to integer rows here, once;
+    each call converts ``u`` and ``v``, forms their outer product in ints and
+    takes one integer dot product per row."""
+    rows = [_int_row(row) for row in matrix]
+
+    def values(u, v) -> list:
+        (ua, ub, ud), (va, vb, vd) = _int_row(u), _int_row(v)
+        if ub is None and vb is None:
+            w = ([x * y for x in ua for y in va], None, ud * vd)
+        else:
+            u, v = list(zip(ua, ub or [0] * len(ua))), list(zip(va, vb or [0] * len(va)))
+            w = ([x * y - p * q for x, p in u for y, q in v],
+                 [x * q + p * y for x, p in u for y, q in v], ud * vd)
+        return [_int_dot(r, w) for r in rows]
+
+    return values
 
 
 def mat_add(a, b) -> list:

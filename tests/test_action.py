@@ -13,6 +13,7 @@ from poissonkit.poisson import PolyBivector, lie_poisson
 from poissonkit.poly import MultiPoly, NumericField, generators
 from poissonkit.scalars import GaussianRational, I, Q, ZERO, ONE
 
+import action_oracles
 import composition_oracles
 from conftest import book3, filiform4, gl2, rand_point, rand_poly, sl2_sl2
 
@@ -377,32 +378,118 @@ E13_3 = [[0, 0, 1], [0, 0, 0], [0, 0, 0]]
 HEIS_2X2 = [[[0, 1], [0, 0]], [[0, 0], [0, 1]], [[0, 0], [0, 0]]]
 
 
-@pytest.mark.parametrize("case", ["sl2", "heisenberg-with-zero", "unipotent-3x3"])
+def _gaussian_sl2_samples(rng, count):
+    """Determinant-one Gaussian matrices: diag(i, -i), then [[1, i t], [0, 1]]
+    times real samples."""
+    out = [[[I, ZERO], [ZERO, -I]]]
+    for g in A.sl2_rational_samples(count - 1, seed=9):
+        t = Fraction(rng.randint(1, 4), rng.randint(1, 3))
+        out.append(linalg.mat_mul([[ONE, I * t], [ZERO, ONE]], g))
+    return out
+
+
+@pytest.mark.parametrize("case", ["sl2", "heisenberg-with-zero", "unipotent-3x3", "sl2-gaussian"])
 def test_coadjoint_matrix_matches_the_two_inversion_route(case):
+    """The table route equals the elimination route it replaced and the
+    two-inversion route before that, matrix for matrix."""
     rng = random.Random(17)
     if case == "sl2":
         mats, gs = lie.sl2_defining_matrices(), A.sl2_rational_samples(20, seed=5)
     elif case == "heisenberg-with-zero":
         mats, gs = HEIS_2X2, _upper_triangular_samples(rng, 20)
-    else:
+    elif case == "unipotent-3x3":
         mats, gs = [E12_3, E23_3, E13_3], _unipotent3_samples(rng, 20)
+    else:
+        mats, gs = lie.sl2_defining_matrices(), _gaussian_sl2_samples(rng, 20)
     mats = [linalg.mat(m) for m in mats]
+    table = A.coadjoint_table(mats)
     for g in gs:
         co = A.coadjoint_matrix(mats, g)
+        assert co == table(g) == action_oracles.coadjoint_by_elimination(mats, g)
         assert linalg.mat_eq(co, _coadjoint_two_inversions(mats, g))
     if case == "heisenberg-with-zero":
         # the zero defining matrix leaves its coordinate free: it stays 0
         assert all(row[2].is_zero() for row in A.coadjoint_matrix(mats, gs[0]))
+    if case == "sl2-gaussian":
+        assert any(x.im for x in gs[0][0]) and any(x.im for row in table(gs[1]) for x in row)
 
 
 def test_coadjoint_matrix_rejects_singular_and_out_of_span_matrices():
-    with pytest.raises(ValueError, match="singular"):
-        A.coadjoint_matrix(lie.sl2_defining_matrices(), [[1, 2], [2, 4]])
-    with pytest.raises(ValueError, match="singular"):
-        A.coadjoint_matrix([E12_3, E23_3, E13_3], [[1, 0, 0], [0, 0, 0], [0, 0, 1]])
+    h3 = A.coadjoint_dressing_bundle(lie.heisenberg3(), [E12_3, E23_3, E13_3])
+    singular = [[1, 0, 0], [0, 0, 0], [0, 0, 1]]
     # a lower-triangular g moves e12 out of the upper-triangular span
-    with pytest.raises(ValueError, match="span"):
-        A.coadjoint_matrix(HEIS_2X2, [[1, 0], [1, 1]])
+    lower = [[1, 0, 0], [1, 1, 0], [0, 0, 1]]
+    cases = [(lie.sl2_defining_matrices(), [[1, 2], [2, 4]], "group matrix is singular"),
+             (h3.defining_mats, singular, "group matrix is singular"),
+             (HEIS_2X2, [[1, 0], [1, 1]], "matrix does not lie in the algebra span"),
+             (h3.defining_mats, lower, "matrix does not lie in the algebra span")]
+    for mats, g, message in cases:
+        for route in (A.coadjoint_matrix, action_oracles.coadjoint_by_elimination):
+            with pytest.raises(ValueError) as err:
+                route(mats, g)
+            assert str(err.value) == message
+    for g, message in ((singular, "group matrix is singular"),
+                       (lower, "matrix does not lie in the algebra span")):
+        with pytest.raises(ValueError) as err:
+            h3.lift(g)
+        assert str(err.value) == message
+    # the bilinear rows would silently truncate a matrix of another size
+    with pytest.raises(ValueError, match="3x3"):
+        A.coadjoint_matrix(h3.defining_mats, [[1, 0], [0, 1]])
+
+
+def test_sl2_rational_samples_match_the_product_route():
+    for seed in (0, 1, 5, 7, 11, 901):
+        assert A.sl2_rational_samples(30, seed=seed) == action_oracles.sl2_samples_by_products(30, seed)
+
+
+def _plane_points_with_zero_h(rng, lam, c, count):
+    """Seeded plane points plus the origin and rational points on h = 0."""
+    pts = plane_points(rng, count) + [[Fraction(0), Fraction(0)]]
+    w = A.find_rank_drop_witness(*lam, c)
+    return pts + ([w, [-x for x in w]] if w is not None else [])
+
+
+@pytest.mark.parametrize("lam, c", [((0, 0, 4), 1), ((0, 0, 4), -1), ((0, 2, 0), 0),
+                                    ((1, 2, 5), 1), ((Fraction(-3, 2), Fraction(1, 3), 7), -2)])
+def test_tangential_matches_the_per_generator_solve_route(lam, c, rng):
+    act = A.sl2_plane_action(*lam, c)
+    pts = _plane_points_with_zero_h(rng, lam, c, 30)
+    rep = A.tangential_check(act, pts)
+    expect = action_oracles.tangential_failures_by_solve(act, pts)
+    assert rep.failures == expect and rep.passed is not expect
+    if A.find_rank_drop_witness(*lam, c) is not None:
+        assert expect    # a point on h = 0 away from the origin fails
+
+
+def test_tangential_matches_the_solve_route_on_the_dressing_action_and_gaussian_points(rng):
+    from conftest import rand_point
+
+    dressing = A.coadjoint_dressing_bundle(lie.sl2(), lie.sl2_defining_matrices())
+    pts = [rand_point(rng, 3) for _ in range(20)] + [[0, 0, 0], [1, 0, 0], [0, 1, 1]]
+    pts += [[I, 1, 0], [1, I, Q(2, 3)]]
+    rep = A.tangential_check(dressing, pts)
+    assert rep.failures == action_oracles.tangential_failures_by_solve(dressing, pts)
+    plane = A.sl2_plane_action(0, 0, 4, -1)    # h = x1^2 + x2^2 - 1 vanishes at (i, sqrt 2)
+    gpts = [[I, Q(2, 3)], [Q(1, 2), I], [I, I]] + _plane_points_with_zero_h(rng, (0, 0, 4), -1, 5)
+    rep = A.tangential_check(plane, gpts)
+    expect = action_oracles.tangential_failures_by_solve(plane, gpts)
+    assert rep.failures == expect and expect
+
+
+def test_check_poisson_action_rmatrix_term_matches_the_pairwise_products(rng):
+    L = lie.sl2()
+    plane = A.sl2_plane_action(0, 2, 0, 1)
+    bad = A.LinearPoissonAction(L, lie.sl2_defining_matrices(), plane.bivector,
+                                rmatrix=RMatrix(L, {(1, 2): 3}))
+    gs = A.sl2_rational_samples(15, seed=21)
+    for act in (bad, plane):
+        samples = list(zip(gs, plane_points(rng, 15)))
+        rep = A.check_poisson_action(act, samples)
+        expect = action_oracles.poisson_action_residuals_pairwise(act, samples)
+        assert [f["residual"] for f in rep.failures] == expect
+        assert rep.passed is not expect
+    assert not A.check_poisson_action(bad, samples).passed
 
 
 def _so3_on_r3() -> A.LinearPoissonAction:
@@ -554,13 +641,14 @@ def _dressing_with_shifted_map():
     return act, A.MomentumMap(L, [mu1 + mu2 * mu2, mu2.scale(3), mu3])
 
 
-@pytest.mark.parametrize("make, most", [(_plane_with_quadratic_map, 3),
-                                        (_dressing_with_shifted_map, 3)],
+@pytest.mark.parametrize("make", [_plane_with_quadratic_map, _dressing_with_shifted_map],
                          ids=["plane", "dressing"])
-def test_psi_cocycle_computes_each_coadjoint_matrix_once(make, most, monkeypatch, rng):
-    """One triple needs the coadjoint matrices (and lifts) of g, h and gh
-    once each; the report equals the residual Sigma(gh) - Sigma(g) -
-    Coad_g Sigma(h) built from the public sigma."""
+def test_psi_cocycle_computes_each_coadjoint_matrix_once(make, monkeypatch, rng):
+    """Each distinct group element of a call gets its Coad once: at most 3
+    for one triple (g, h and gh), and at most 80 for 40 cyclic triples
+    (h_i = g_(i+1), so 40 products and 40 samples).  The one-triple report
+    equals the residual Sigma(gh) - Sigma(g) - Coad_g Sigma(h) built from
+    the public sigma."""
     act, m = make()
     g, h = A.sl2_rational_samples(2, seed=5)
     x = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(act.target_dim)]
@@ -569,12 +657,18 @@ def test_psi_cocycle_computes_each_coadjoint_matrix_once(make, most, monkeypatch
     ref = [u - v - w for u, v, w in zip(A.sigma(act, m, gh, x), A.sigma(act, m, g, x),
                                         linalg.mat_vec(co, A.sigma(act, m, h, x)))]
     calls = []
-    orig = A.coadjoint_matrix
-    monkeypatch.setattr(A, "coadjoint_matrix", lambda *args: calls.append(1) or orig(*args))
+    orig = A.LinearPoissonAction.coad
+    monkeypatch.setattr(A.LinearPoissonAction, "coad",
+                        lambda self, k: calls.append(1) or orig(self, k))
     rep = A.psi_cocycle_check(act, m, [(g, h, x)])
-    assert len(calls) <= most
+    assert 0 < len(calls) <= 3
     assert any(ref) and rep.max_violations == [
         {"residual": [str(t) for t in ref], "x": [str(t) for t in x]}]
+    gs = A.sl2_rational_samples(40, seed=6)
+    triples = [(gs[i], gs[(i + 1) % 40], x) for i in range(40)]
+    calls.clear()
+    A.psi_cocycle_check(act, m, triples)
+    assert 40 < len(calls) <= 80
 
 
 # -- the obstruction cochain against the routes before the CE differential ---------------
