@@ -227,6 +227,7 @@ class LinearPoissonAction:
         self.sl2 = spans_sl2(self.defining_mats)
         self._fields = None
         self._coad = None
+        self._generator_rows = None
 
     def contains(self, g) -> bool:
         """The group relation: determinant one when the defining matrices span
@@ -288,9 +289,12 @@ class LinearPoissonAction:
         return seen.pop()
 
     def field_values(self, point) -> list:
-        """lam(e_a)(p) = rep_mats[a] . p for every generator."""
-        p = [GaussianRational.coerce(x) for x in point]
-        return [linalg.mat_vec(m, p) for m in self.rep_mats]
+        """lam(e_a)(p) = rep_mats[a] . p for every generator, read from the
+        rows of all rep_mats stacked, converted on the first call."""
+        if self._generator_rows is None:
+            self._generator_rows = linalg.linear_rows([row for m in self.rep_mats for row in m])
+        flat, n = self._generator_rows(point), self.target_dim
+        return [flat[a:a + n] for a in range(0, len(flat), n)]
 
 
 # -- worked bundles ---------------------------------------------------------------------
@@ -719,8 +723,12 @@ class MomentumMap:
         return acc
 
     def eval_exact(self, variables, point) -> list:
-        assign = {v.name: GaussianRational.coerce(x) for v, x in zip(variables, point)}
-        return [GaussianRational.coerce(c.eval(assign)) for c in self.components]
+        """The exact components at ``point``, given in the order of ``variables``."""
+        vs = _as_vars(variables)
+        if len(point) != len(vs):
+            raise ValueError("point has wrong dimension")
+        vals = [GaussianRational.coerce(x) for x in point]
+        return [c.over(vs).eval_at(vals) for c in self.components]
 
 
 def identity_momentum_map(L: LieAlgebra, pi: PolyBivector, shift=None) -> MomentumMap:

@@ -62,11 +62,20 @@ class AlgMultiVector(PolyMultiVector):
         return AlgMultiVector(self.algebra, degree, comps)
 
     def _frame_bracket(self, f, i, g, j) -> list:
-        """f g [e_i, e_j] from the structure constants, as (coefficient,
-        index) pairs; a coefficient None stands for 1."""
-        c = g if f is None else f if g is None else f * g
-        return [(ck if c is None else c * ck, k)
+        """f g [e_i, e_j] from the structure constants, as (sign, factors,
+        index) triples; a coefficient None stands for 1."""
+        coeffs = tuple(c for c in (f, g) if c is not None)
+        return [(1, coeffs + (ck,), k)
                 for k, ck in enumerate(self.algebra.basis_bracket(i, j)) if not ck.is_zero()]
+
+    def _sum_products(self, products):
+        """The scalar ``sum sign * c1 * c2 * ...`` of ``(sign, factors)``."""
+        acc = ZERO
+        for sign, (c, *more) in products:
+            for x in more:
+                c = c * x
+            acc = acc + c if sign > 0 else acc - c
+        return acc
 
 
 def _element(L: LieAlgebra, X) -> AlgMultiVector:

@@ -10,10 +10,10 @@ polynomial over the Gaussian integers, with neither.
 Elimination and products run on integer rows: :func:`_int_row` writes a row
 as Python ints over one denominator, :func:`rref` and :func:`rank` eliminate
 with ``p*x - f*y`` on primitive integer rows, and :func:`mat_mul` and
-:func:`mat_vec` take one integer dot product per output entry, as does
-:func:`bilinear_rows`, whose rows are converted once for many calls.  Only
-input with an imaginary part is eliminated one :class:`GaussianRational` at
-a time.
+:func:`mat_vec` take one integer dot product per output entry, as do
+:func:`linear_rows` and :func:`bilinear_rows`, whose rows are converted once
+for many calls.  Only input with an imaginary part is eliminated one
+:class:`GaussianRational` at a time.
 """
 
 from __future__ import annotations
@@ -95,8 +95,20 @@ def mat_mul(a, b) -> list:
 
 
 def mat_vec(a, v) -> list:
-    v = _int_row(v)
-    return [_int_dot(r, v) for r in map(_int_row, a)]
+    return linear_rows(a)(v)
+
+
+def linear_rows(matrix):
+    """The map ``v -> matrix . v``.  The rows are converted to integer rows
+    here, once; each call converts ``v`` and takes one integer dot product
+    per row."""
+    rows = [_int_row(row) for row in matrix]
+
+    def values(v) -> list:
+        v = _int_row(v)
+        return [_int_dot(r, v) for r in rows]
+
+    return values
 
 
 def bilinear_rows(matrix):

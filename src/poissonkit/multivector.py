@@ -11,9 +11,17 @@ formula on decomposables,
 
 with each monomial term factored as (coeff * d_{i1}) ^ d_{i2} ^ ... so only
 brackets of two frame vectors that carry at most one coefficient each are
-ever needed.  The container supplies that bracket: [f d_i, g d_j] for
-polynomial fields here, f g [e_i, e_j] for Lambda g in
-:mod:`poissonkit.bialgebra`.
+ever needed.  :func:`schouten` collects, for each output frame, the terms
+of that frame as signed products and sums each frame once.  A container
+supplies two things:
+
+* ``_frame_bracket``: the bracket of two frame vectors as ``(sign, factors,
+  index)`` triples, unmultiplied: ``[f d_i, g d_j] = f (d_i g) d_j - g (d_j f)
+  d_i`` for polynomial fields here, ``f g [e_i, e_j]`` from the structure
+  constants for Lambda g in :mod:`poissonkit.bialgebra`;
+* ``_sum_products``: the coefficient ``sum sign * f1 * f2 * ...`` of one
+  frame, :meth:`~poissonkit.poly.MultiPoly.sum_of_products` for polynomial
+  fields and a scalar sum for Lambda g.
 """
 
 from __future__ import annotations
@@ -86,18 +94,22 @@ class PolyMultiVector:
         return PolyMultiVector(self.vars, degree, comps)
 
     def _frame_bracket(self, f, i, g, j) -> list:
-        """[f d_i, g d_j] = f (d_i g) d_j - g (d_j f) d_i as (coefficient,
-        index) pairs; a coefficient None stands for 1."""
+        """[f d_i, g d_j] = f (d_i g) d_j - g (d_j f) d_i as (sign, factors,
+        index) triples; a coefficient None stands for 1."""
         out = []
         if g is not None:
             dg = g.partial(self.vars[i].name)
             if not dg.is_zero():
-                out.append((dg if f is None else f * dg, j))
+                out.append((1, (dg,) if f is None else (f, dg), j))
         if f is not None:
             df = f.partial(self.vars[j].name)
             if not df.is_zero():
-                out.append((-df if g is None else -(g * df), i))
+                out.append((-1, (df,) if g is None else (g, df), i))
         return out
+
+    def _sum_products(self, products):
+        """The coefficient ``sum sign * f1 * f2 * ...`` of ``(sign, factors)``."""
+        return MultiPoly.sum_of_products(self.vars, products)
 
     # -- basics ------------------------------------------------------------
 
@@ -155,33 +167,29 @@ def schouten(A: PolyMultiVector, B: PolyMultiVector) -> PolyMultiVector:
     if A._space() != B._space():
         raise ValueError("multivectors must live on one space")
     frame_bracket = A._frame_bracket
-    acc = {}  # sorted index tuple -> coefficient, zero sums dropped
+    sums = {}  # sorted index tuple -> [(sign, factors)], summed once at the end
     # each component is factored as (coeff * u_1) ^ u_2 ^ ...; a coefficient
     # None stands for 1 and a factor's coefficient is either bracketed or rest
     for ka, ca in A.comps.items():
         for kb, cb in B.comps.items():
             for s, ia in enumerate(ka):
-                f, rest_f = (ca, None) if s == 0 else (None, ca)
+                f, rest_f = (ca, ()) if s == 0 else (None, (ca,))
                 for t, ib in enumerate(kb):
-                    g, rest_g = (cb, None) if t == 0 else (None, cb)
+                    g, rest_g = (cb, ()) if t == 0 else (None, (cb,))
                     bracket_terms = frame_bracket(f, ia, g, ib)  # [u_s, v_t]
                     if not bracket_terms:
                         continue
                     sign = (-1) ** (s + t)
                     rest_idx = ka[:s] + ka[s + 1:] + kb[:t] + kb[t + 1:]
-                    coeff_rest = rest_g if rest_f is None else (
-                        rest_f if rest_g is None else rest_f * rest_g)
-                    for c, lead in bracket_terms:
+                    rest = rest_f + rest_g
+                    for bracket_sign, factors, lead in bracket_terms:
                         res = sort_with_sign((lead, *rest_idx))
                         if res is None:
                             continue
                         key, perm_sign = res
-                        total = c if coeff_rest is None else c * coeff_rest
-                        if sign * perm_sign < 0:
-                            total = -total
-                        if key in acc:
-                            total = acc[key] + total
-                        acc[key] = total
-                        if total.is_zero():
-                            del acc[key]
-    return A._tensor(A.degree + B.degree - 1, acc)
+                        products = sums.get(key)
+                        if products is None:
+                            products = sums[key] = []
+                        products.append((sign * perm_sign * bracket_sign, factors + rest))
+    return A._tensor(A.degree + B.degree - 1,
+                     {key: A._sum_products(products) for key, products in sums.items()})

@@ -71,12 +71,6 @@ def differential(f: MultiPoly, variables=None) -> PolyOneForm:
     return PolyOneForm(vs, [aligned.partial(v.name) for v in vs])
 
 
-def _assign(variables, point) -> dict:
-    if len(point) != len(variables):
-        raise ValueError("point has wrong dimension")
-    return {v.name: GaussianRational.coerce(x) for v, x in zip(variables, point)}
-
-
 def lie_derivative_one_form(V: PolyVectorField, alpha: PolyOneForm) -> PolyOneForm:
     """(L_V alpha)_j = V^i d_i alpha_j + alpha_i d_j V^i."""
     names = [v.name for v in V.vars]
@@ -130,10 +124,12 @@ class PolyBivector(PolyMultiVector):
 
     def eval_matrix(self, point) -> list:
         """Exact skew matrix of values at a rational point."""
-        assign = _assign(self.vars, point)
+        if len(point) != self.n:
+            raise ValueError("point has wrong dimension")
+        vals = [GaussianRational.coerce(x) for x in point]
         m = linalg.zeros(self.n, self.n)
         for (i, j), p in self.comps.items():
-            val = GaussianRational.coerce(p.eval(assign))
+            val = p.over(self.vars).eval_at(vals)
             m[i][j] = val
             m[j][i] = -val
         return m
@@ -263,18 +259,29 @@ class JacobiBivectorReport:
 def jacobiator(pi: PolyBivector) -> PolyMultiVector:
     """Trivector of cyclic sums {{x_i,x_j},x_k} + c.p. over coordinate triples.
 
-    Only the stored components (i < j) are differentiated: the derivative of
-    ``P[k][i] = -P[i][k]`` is read as minus the memoized one of ``P[i][k]``."""
+    Each component is one :meth:`MultiPoly.sum_of_products` of the products
+    ``P[a][k] * d_a P[i][j]``.  Only the stored components (i < j) are read:
+    ``P[b][a] = -P[a][b]`` enters as the stored one with the product's sign
+    negated, and its derivatives are the memoized ones of the stored one."""
     names = [v.name for v in pi.vars]
-    P = [[pi.component(a, b) for b in range(pi.n)] for a in range(pi.n)]
+    n = pi.n
+    column = [{} for _ in range(n)]      # k -> {a: (sign, P[a][k] as stored)}
+    for (a, b), p in pi.comps.items():
+        column[b][a] = (1, p)
+        column[a][b] = (-1, p)
+    # (i, j) -> [(a, d_a P[i][j])] with the derivative nonzero
+    partials = {key: [(a, d) for a, d in enumerate(p.partial(x) for x in names) if d.terms]
+                for key, p in pi.comps.items()}
     comps = {}
-    for i, j, k in itertools.combinations(range(pi.n), 3):
-        acc = MultiPoly.zero(pi.vars)
-        for a in range(pi.n):
-            acc = acc + P[a][k] * P[i][j].partial(names[a])
-            acc = acc + P[a][i] * P[j][k].partial(names[a])
-            acc = acc - P[a][j] * P[i][k].partial(names[a])
-        comps[(i, j, k)] = acc
+    for i, j, k in itertools.combinations(range(n), 3):
+        products = []
+        for key, c, sign in (((i, j), k, 1), ((j, k), i, 1), ((i, k), j, -1)):
+            col = column[c]
+            for a, d in partials.get(key, ()):
+                entry = col.get(a)
+                if entry is not None:
+                    products.append((sign * entry[0], (entry[1], d)))
+        comps[(i, j, k)] = MultiPoly.sum_of_products(pi.vars, products)
     return PolyMultiVector(pi.vars, 3, comps)
 
 

@@ -13,6 +13,10 @@ tori and vector spaces; general symbolic transcendentals are out of scope.
 :meth:`MultiPoly.substitute` is the one polynomial composition: it evaluates
 a polynomial at polynomial images on one chart, for example at a group law
 ``x -> x + x'``, ``w -> w*w'`` or at a matrix acting on the coordinates.
+:meth:`MultiPoly.sum_of_products` is the one sum of products: it accumulates
+``sum +-f1*f2*...`` over one chart in integer triples, with no intermediate
+polynomial, and serves both Jacobi routes (the cyclic ``jacobiator`` and the
+Schouten bracket of polynomial fields).
 
 Charts are shared: every chart is one tuple of :class:`Var`, so polynomials
 on equal charts hold the same ``vars`` object and are matched by identity.
@@ -25,7 +29,7 @@ from fractions import Fraction
 from operator import add
 from typing import Callable, Sequence
 
-from .scalars import GaussianRational, Q, ZERO, ONE, coeff_from_json, json_int
+from .scalars import GaussianRational, Q, ZERO, ONE, _make, coeff_from_json, json_int
 
 AFFINE = "affine"
 ANGULAR = "angular"
@@ -178,6 +182,8 @@ class MultiPoly:
     def over(self, variables) -> "MultiPoly":
         """This polynomial on the chart ``variables``; ``ValueError`` when it
         uses a variable the chart lacks, or one of another kind."""
+        if variables is self.vars:
+            return self
         vs = _as_vars(variables)
         if vs is self.vars:
             return self
@@ -246,6 +252,39 @@ class MultiPoly:
             return MultiPoly.zero(self.vars)
         # a nonzero scalar times a nonzero coefficient is nonzero in a field
         return MultiPoly._clean(self.vars, {e: c * v for e, v in self.terms.items()})
+
+    @staticmethod
+    def sum_of_products(chart, products) -> "MultiPoly":
+        """``sum sign * f1 * f2 * ...`` over ``products``, pairs ``(sign,
+        factors)`` with ``sign`` +1 or -1 and one or more polynomials on
+        ``chart`` as factors (the Jacobi routes pass one to three); a factor on
+        any other chart raises ``ValueError``.
+
+        The whole sum is accumulated in one dict of integer triples ``(a, b,
+        d)``, one ``(a + b*i) / d`` per exponent, not in lowest terms; only a
+        term that survives becomes a :class:`GaussianRational`.  Terms keep
+        the order in which their exponents first appear."""
+        chart = _as_vars(chart)
+        acc = {}
+        for sign, factors in products:
+            for f in factors:
+                if f.vars is not chart:
+                    raise ValueError(f"factor {f} is not on the chart {chart}")
+            first, *more = factors
+            terms = [(e, sign * c.a, sign * c.b, c.d) for e, c in first.terms.items()]
+            for f in more:
+                terms = [(tuple(map(add, e, fe)), a * c.a - b * c.b, a * c.b + b * c.a, d * c.d)
+                         for e, a, b, d in terms for fe, c in f.terms.items()]
+            for e, a, b, d in terms:
+                old = acc.get(e)
+                if old is None:
+                    acc[e] = a, b, d
+                else:
+                    oa, ob, od = old
+                    acc[e] = ((oa + a, ob + b, d) if od == d
+                              else (oa * d + a * od, ob * d + b * od, od * d))
+        return MultiPoly._clean(chart, {e: _make(a, b, d) for e, (a, b, d) in acc.items()
+                                        if a or b})
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -359,18 +398,30 @@ class MultiPoly:
                 raise KeyError(f"no value supplied for {v.name!r}")
             x = assignment[v.name]
             vals.append(GaussianRational.coerce(x) if exact else complex(x))
-        acc = ZERO if exact else 0j
+        if exact:
+            return self.eval_at(vals)
+        acc = 0j
         powers = {}  # (variable index, exponent) -> value, each computed once
         for exp, c in self.terms.items():
-            term = c if exact else c.to_complex()
+            term = c.to_complex()
             for i, e in enumerate(exp):
                 if e:
                     pw = powers.get((i, e))
                     if pw is None:
-                        x = vals[i]
-                        pw = powers[i, e] = x ** e if e > 0 or not exact else ONE / x ** -e
+                        pw = powers[i, e] = vals[i] ** e
                     term = term * pw
             acc = acc + term
+        return acc
+
+    def eval_at(self, values) -> GaussianRational:
+        """The exact value at ``values``, one :class:`GaussianRational` per
+        variable in chart order (the unit ``w`` for an angular variable)."""
+        acc = ZERO
+        for exp, c in self.terms.items():
+            for x, e in zip(values, exp):
+                if e:
+                    c = c * (x if e == 1 else x ** e if e > 0 else ONE / x ** -e)
+            acc = acc + c
         return acc
 
     # -- composition -----------------------------------------------------------

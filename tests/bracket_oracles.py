@@ -1,7 +1,8 @@
 """Test oracles: bracket computations of ``poissonkit`` in the direct form
 they had before :func:`poissonkit.multivector.schouten` became the one
-Schouten-Nijenhuis bracket of the package and before the duality check
-used skew-symmetry.
+Schouten-Nijenhuis bracket of the package, before the duality check used
+skew-symmetry and before both Jacobi routes summed their products with
+:meth:`poissonkit.poly.MultiPoly.sum_of_products`.
 
 * ``lie_bracket_fields``: the coordinate formula of the Jacobi-Lie bracket
   of two polynomial vector fields;
@@ -9,7 +10,13 @@ used skew-symmetry.
   structure constants;
 * ``ad_multivector``: the Leibniz extension of ad_X to Lambda^p g;
 * ``delta_duality_residuals``: the duality cross-check with one dual
-  bracket for every ordered pair (i, j), the diagonal included.
+  bracket for every ordered pair (i, j), the diagonal included;
+* ``sum_product_then_add``: a sum of signed products, one polynomial
+  product and one addition at a time;
+* ``jacobiator_product_then_add``: the cyclic Jacobiator with one
+  polynomial product and one addition per term;
+* ``schouten_multiplying``: the Schouten loop whose frame brackets multiply
+  their coefficients and whose terms are added one at a time.
 
 The bodies are unchanged; only the results of the first three are built with
 ``AlgMultiVector(L, ...)``, the container's constructor today.
@@ -17,10 +24,13 @@ The bodies are unchanged; only the results of the first three are built with
 
 from __future__ import annotations
 
+import itertools
+
 from poissonkit import linalg
 from poissonkit.bialgebra import AlgMultiVector, RMatrix, delta_from_r, dual_bracket_from_r
 from poissonkit.lie import LieAlgebra
-from poissonkit.poly import Var
+from poissonkit.multivector import PolyMultiVector
+from poissonkit.poly import MultiPoly, Var
 from poissonkit.scalars import GaussianRational, Q, ZERO
 
 
@@ -101,3 +111,83 @@ def delta_duality_residuals(r: RMatrix) -> list:
                 if br[k] != rhs:
                     out.append((i, j, k, br[k] - rhs))
     return out
+
+
+def sum_product_then_add(chart, products) -> MultiPoly:
+    """``sum sign * f1 * f2 * ...`` with one polynomial product per factor and
+    one addition per product."""
+    acc = MultiPoly.zero(chart)
+    for sign, factors in products:
+        term = factors[0]
+        for f in factors[1:]:
+            term = term * f
+        acc = acc + term if sign > 0 else acc - term
+    return acc
+
+
+def jacobiator_product_then_add(pi) -> PolyMultiVector:
+    """Trivector of cyclic sums {{x_i,x_j},x_k} + c.p. over coordinate triples,
+    one product and one addition per term."""
+    names = [v.name for v in pi.vars]
+    P = [[pi.component(a, b) for b in range(pi.n)] for a in range(pi.n)]
+    comps = {}
+    for i, j, k in itertools.combinations(range(pi.n), 3):
+        acc = MultiPoly.zero(pi.vars)
+        for a in range(pi.n):
+            acc = acc + P[a][k] * P[i][j].partial(names[a])
+            acc = acc + P[a][i] * P[j][k].partial(names[a])
+            acc = acc - P[a][j] * P[i][k].partial(names[a])
+        comps[(i, j, k)] = acc
+    return PolyMultiVector(pi.vars, 3, comps)
+
+
+def _frame_bracket_multiplying(A, f, i, g, j) -> list:
+    """[f u_i, g u_j] as (coefficient, index) pairs with the coefficients
+    multiplied out; a coefficient None stands for 1."""
+    if isinstance(A, AlgMultiVector):
+        c = g if f is None else f if g is None else f * g
+        return [(ck if c is None else c * ck, k)
+                for k, ck in enumerate(A.algebra.basis_bracket(i, j)) if not ck.is_zero()]
+    out = []
+    if g is not None:
+        dg = g.partial(A.vars[i].name)
+        if not dg.is_zero():
+            out.append((dg if f is None else f * dg, j))
+    if f is not None:
+        df = f.partial(A.vars[j].name)
+        if not df.is_zero():
+            out.append((-df if g is None else -(g * df), i))
+    return out
+
+
+def schouten_multiplying(A, B):
+    """Schouten-Nijenhuis bracket with every term multiplied out and added to
+    its frame's coefficient at once."""
+    acc = {}
+    for ka, ca in A.comps.items():
+        for kb, cb in B.comps.items():
+            for s, ia in enumerate(ka):
+                f, rest_f = (ca, None) if s == 0 else (None, ca)
+                for t, ib in enumerate(kb):
+                    g, rest_g = (cb, None) if t == 0 else (None, cb)
+                    bracket_terms = _frame_bracket_multiplying(A, f, ia, g, ib)
+                    if not bracket_terms:
+                        continue
+                    sign = (-1) ** (s + t)
+                    rest_idx = ka[:s] + ka[s + 1:] + kb[:t] + kb[t + 1:]
+                    coeff_rest = rest_g if rest_f is None else (
+                        rest_f if rest_g is None else rest_f * rest_g)
+                    for c, lead in bracket_terms:
+                        res = linalg.sort_with_sign((lead, *rest_idx))
+                        if res is None:
+                            continue
+                        key, perm_sign = res
+                        total = c if coeff_rest is None else c * coeff_rest
+                        if sign * perm_sign < 0:
+                            total = -total
+                        if key in acc:
+                            total = acc[key] + total
+                        acc[key] = total
+                        if total.is_zero():
+                            del acc[key]
+    return A._tensor(A.degree + B.degree - 1, acc)

@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from bracket_oracles import ad_multivector, alg_schouten, lie_bracket_fields
+from bracket_oracles import (ad_multivector, alg_schouten, jacobiator_product_then_add,
+                             lie_bracket_fields, schouten_multiplying)
 from conftest import random_constant_algebra, sl2_sl2
 from poissonkit import lie
-from poissonkit.bialgebra import AlgMultiVector
+from poissonkit.bialgebra import AlgMultiVector, RMatrix, delta_from_r
 from poissonkit.multivector import PolyMultiVector, schouten
-from poissonkit.poisson import PolyBivector, PolyVectorField, jacobiator
+from poissonkit.poisson import PolyBivector, PolyVectorField, jacobi_check, jacobiator
 from poissonkit.poly import MultiPoly, generators
 from poissonkit.scalars import GaussianRational, Q
 
@@ -255,3 +256,60 @@ def test_jacobiator_matches_sympy(n, rng):
         assert schouten(pi, pi).is_zero() == sym_zero
         zero_seen.add(sym_zero)
     assert zero_seen == {True, False}
+
+
+def _same(got, want):
+    assert got == want and str(got) == str(want)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_jacobi_routes_equal_their_product_then_add_oracles(n, rng):
+    """Both Jacobi routes, and the Lie derivative schouten(V, pi), equal the
+    oracles that multiply and add one term at a time, on random quadratic
+    bivectors and on one with Gaussian coefficients and mixed denominators."""
+    from conftest import rand_poly
+
+    bivectors = _quadratic_bivectors(n, rng)
+    vs = bivectors[0].vars
+    gens = generators(*vs)
+    gaussian = Q(Fraction(1, 2), Fraction(-2, 3))
+    bivectors.append(PolyBivector(vs, {
+        key: rand_poly(rng, vs, gens).scale(gaussian if rng.random() < 0.5 else Q(1, 0))
+        for key in itertools.combinations(range(n), 2)}))
+    field = PolyVectorField(vs, [rand_poly(rng, vs, gens) for _ in range(n)])
+    for pi in bivectors:
+        _same(jacobiator(pi), jacobiator_product_then_add(pi))
+        _same(schouten(pi, pi), schouten_multiplying(pi, pi))
+        _same(schouten(field, pi), schouten_multiplying(field, pi))
+    _same(schouten(field, field), schouten_multiplying(field, field))
+
+
+def test_lambda_g_brackets_equal_the_multiplying_oracle(rng):
+    """[r, r] and delta(X) = ad_X r for sl2 and so3 r-matrices, also at a
+    Gaussian X, equal the oracle that multiplies out each frame bracket."""
+    for L in (lie.sl2(), lie.so3()):
+        for _ in range(6):
+            r = RMatrix(L, {key: Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                            for key in itertools.combinations(range(3), 2)})
+            _same(schouten(r, r), schouten_multiplying(r, r))
+            for X in ([1, 0, 0], [0, 1, 0], [0, 0, 1], [Q(2, -1), Fraction(1, 3), -4]):
+                element = AlgMultiVector(L, 1, {(a,): x for a, x in enumerate(X)})
+                _same(delta_from_r(r, X), schouten_multiplying(element, r))
+
+
+def test_jacobi_check_builds_no_intermediate_polynomial(monkeypatch, rng):
+    """On a 6-variable quadratic bivector, both Jacobi routes sum their
+    products with the fused kernel: no polynomial product or sum is formed."""
+    pi = _quadratic_bivectors(6, rng)[0]
+    calls = {"__mul__": 0, "__add__": 0}
+    for name in calls:
+        def counted(self, other, _orig=getattr(MultiPoly, name), _name=name):
+            calls[_name] += 1
+            return _orig(self, other)
+        monkeypatch.setattr(MultiPoly, name, counted)
+    report = jacobi_check(pi)
+    monkeypatch.undo()
+    assert calls == {"__mul__": 0, "__add__": 0}
+    assert not report.ok and report.routes_consistent
+    _same(report.residual, jacobiator_product_then_add(pi))
+    _same(report.schouten_square, schouten_multiplying(pi, pi))

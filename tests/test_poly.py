@@ -296,3 +296,56 @@ def test_lex_leading_and_eval():
     p = x * y + y ** 3
     assert p.eval({"x": 2, "y": Fraction(1, 2)}) == Q("9/8")
     assert abs(complex(p.eval({"x": 2.0, "y": 0.5})) - 1.125) < 1e-12
+
+
+@st.composite
+def signed_products(draw):
+    """Signed products of one to three factors drawn from a few polynomials
+    (zero among them), with some products repeated at the opposite sign so
+    that sums cancel, partly or to zero."""
+    pool = draw(st.lists(gaussian_poly_strategy(CHART), min_size=1, max_size=4))
+    pool.append(MultiPoly.zero(CHART))
+    factors = st.lists(st.sampled_from(pool), min_size=1, max_size=3).map(tuple)
+    products = draw(st.lists(st.tuples(st.sampled_from([1, -1]), factors), max_size=6))
+    cancel = draw(st.lists(st.booleans(), min_size=len(products), max_size=len(products)))
+    return products + [(-sign, f) for (sign, f), c in zip(products, cancel) if c]
+
+
+@settings(max_examples=100, deadline=None)
+@given(signed_products())
+def test_sum_of_products_is_the_product_then_add_sum(products):
+    from bracket_oracles import sum_product_then_add
+
+    got = MultiPoly.sum_of_products(CHART, products)
+    want = sum_product_then_add(CHART, products)
+    assert got == want and str(got) == str(want)
+    assert got.vars is want.vars
+    _rebuilt_the_same(got)
+
+
+def test_sum_of_products_cancels_to_zero_and_rejects_other_charts():
+    x, y = generators("x", "y")
+    gaussian = x.scale(Q("1/2", 3))
+    p, q = gaussian + 1, y.scale(Q("2/3")) - x
+    products = [(1, (p, q)), (-1, (q, p)), (1, (p, p, q)), (-1, (q, p, p))]
+    zero = MultiPoly.sum_of_products(("x", "y"), products)
+    assert zero.is_zero() and zero.vars is x.vars
+    assert MultiPoly.sum_of_products(x.vars, [(1, (p,)), (-1, (gaussian,))]) == 1
+    with pytest.raises(ValueError, match="chart"):
+        MultiPoly.sum_of_products(x.vars, [(1, (p, x.over(("x", "y", "z"))))])
+    with pytest.raises(ValueError, match="chart"):
+        MultiPoly.sum_of_products(("y", "x"), [(1, (p,))])
+
+
+@settings(max_examples=60, deadline=None)
+@given(gaussian_poly_strategy(CHART),
+       st.lists(st.builds(GaussianRational, st.fractions(max_denominator=5, min_value=-3,
+                                                         max_value=3),
+                          st.fractions(max_denominator=5, min_value=-3, max_value=3)),
+                min_size=3, max_size=3).filter(lambda vs: not vs[2].is_zero()))
+def test_eval_at_is_substitution_of_constants(p, values):
+    """The exact evaluation in chart order equals the constant that the
+    polynomial composition gives, and the named exact ``eval`` returns it."""
+    want = p.substitute(values).constant_term()
+    assert p.eval_at(values) == want
+    assert p.eval(dict(zip(p.var_names(), values))) == want
