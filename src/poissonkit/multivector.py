@@ -89,6 +89,11 @@ class PolyMultiVector:
     def _space(self):
         return self.vars
 
+    def _on_space_of(self, other) -> bool:
+        """Whether ``other`` lives on this tensor's space (identity first)."""
+        a, b = self._space(), other._space()
+        return a is b or a == b
+
     def _tensor(self, degree: int, comps):
         """A tensor on this space, of the base type of the container."""
         return PolyMultiVector(self.vars, degree, comps)
@@ -130,6 +135,8 @@ class PolyMultiVector:
     def __add__(self, other):
         if self.degree != other.degree:
             raise ValueError("cannot add multivectors of different degree")
+        if not self._on_space_of(other):
+            raise ValueError("multivectors must live on one space")
         comps = dict(self.comps)
         for k, c in other.comps.items():
             comps[k] = comps[k] + c if k in comps else c
@@ -148,6 +155,7 @@ class PolyMultiVector:
         return (
             isinstance(other, PolyMultiVector)
             and self.degree == other.degree
+            and self._on_space_of(other)
             and (self - other).is_zero()
         )
 
@@ -164,7 +172,7 @@ def schouten(A: PolyMultiVector, B: PolyMultiVector) -> PolyMultiVector:
     space: polynomial fields on one chart, or two elements of one Lambda g."""
     if A.degree < 1 or B.degree < 1:
         raise ValueError("schouten() expects multivectors of degree >= 1")
-    if A._space() != B._space():
+    if not A._on_space_of(B):
         raise ValueError("multivectors must live on one space")
     frame_bracket = A._frame_bracket
     sums = {}  # sorted index tuple -> [(sign, factors)], summed once at the end

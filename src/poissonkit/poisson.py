@@ -560,32 +560,31 @@ def _compile_float(poly: MultiPoly, names, args, power: str) -> str:
     return " + ".join(terms)
 
 
-def _exec_flow(name: str, n: int, body, **env):
-    """The function ``name(x0, ..., x{n-1})`` whose body is the lines
-    ``body(power)``, generated and compiled.  It runs them with ``x**e`` for
-    every power and, where that raises ``OverflowError``, again with
-    ``_pow``; it reads no global but ``_pow`` and ``env``."""
-    lines = [f"def {name}({', '.join(f'x{i}' for i in range(n))}):", "    try:"]
-    lines += ["        " + ln for ln in body("{}**{}")]
-    lines += ["    except OverflowError:"]
-    lines += ["        " + ln for ln in body("_pow({}, {})")]
+def _guarded(body, indent: str) -> list:
+    """The lines ``body(power)`` run with ``x**e`` for every power and, where
+    that raises ``OverflowError``, again with ``_pow``."""
+    inner = indent + "    "
+    return ([indent + "try:"] + [inner + ln for ln in body("{}**{}")]
+            + [indent + "except OverflowError:"] + [inner + ln for ln in body("_pow({}, {})")])
+
+
+def _exec_flow(source: str, **env):
+    """The function ``run`` that ``source`` defines, compiled; it reads no
+    global but ``_pow``, ``env`` and builtins."""
     namespace = {"_pow": _pow, **env}
-    exec(compile("\n".join(lines) + "\n", FLOW_SOURCE, "exec"), namespace)
-    return namespace[name]
+    exec(compile(source, FLOW_SOURCE, "exec"), namespace)
+    return namespace["run"]
 
 
-def _float_values(polys, names):
-    """``values(x0, ..., x{n-1})``: the tuple of the floats of ``polys`` at a point."""
-    xs = [f"x{i}" for i in range(len(names))]
-    return _exec_flow("values", len(names), lambda power: [
-        "return (" + "".join(_compile_float(p, names, xs, power) + ", " for p in polys) + ")"])
+def _flow_run(components, polys, names, dt: float, bound):
+    """``run(x0, ..., x{n-1}, steps)``: the whole RK4 loop of the field with
+    float ``components``, generated and compiled once per flow.
 
-
-def _rk4_step(components, names, dt: float):
-    """``step(x0, ..., x{n-1})``: the point after one RK4 step of the field
-    with float ``components``, as a list.
-
-    Per coordinate these are the float64 operations, in their order, of the
+    It returns ``(times, coordinates, values, truncated)``: one list per
+    coordinate and one per polynomial of ``polys``, a point and its values
+    appended after each step whose every coordinate passes
+    ``bound >= abs(x)`` (a NaN fails it, and the loop stops, ``truncated``).
+    Per coordinate a step is the float64 operations, in their order, of the
     array expressions x + (0.5*dt)*k, x + dt*k and
     x + (dt/6)*(((k1 + 2*k2) + 2*k3) + k4), so a trajectory is bit for bit
     that of the NumPy loop in tests/flow_oracle.py.
@@ -594,8 +593,10 @@ def _rk4_step(components, names, dt: float):
     xs = [f"x{i}" for i in range(n)]
     ys = [f"y{i}" for i in range(n)]
     ks = [[f"k{s}_{i}" for i in range(n)] for s in range(4)]
+    vs = [f"v{j}" for j in range(len(polys))]
+    cols = [f"c{i}" for i in range(n)] + [f"w{j}" for j in range(len(polys))]
 
-    def body(power):
+    def stages(power):
         lines, point = [], xs
         for s, k in enumerate(ks):
             lines += [f"{k[i]} = {_compile_float(c, names, point, power)}"
@@ -604,18 +605,31 @@ def _rk4_step(components, names, dt: float):
                 lines += [f"{ys[i]} = {xs[i]} + {'dt' if s == 2 else 'half'} * {k[i]}"
                           for i in range(n)]
                 point = ys
-        k1, k2, k3, k4 = ks
-        return lines + ["return [" + ", ".join(
-            f"{xs[i]} + sixth * ({k1[i]} + 2 * {k2[i]} + 2 * {k3[i]} + {k4[i]})"
-            for i in range(n)) + "]"]
+        return lines
 
-    return _exec_flow("step", n, body, half=0.5 * dt, dt=dt, sixth=dt / 6.0)
+    def values(power):
+        return [f"{v} = {_compile_float(p, names, xs, power)}" for v, p in zip(vs, polys)]
+
+    source = [f"def run({', '.join(xs)}, steps):", *_guarded(values, "    ")]
+    source += [f"    {c} = [{v}]" for c, v in zip(cols, xs + vs)]
+    source += [f"    {c}_append = {c}.append" for c in cols]
+    source += ["    truncated = False", "    for _ in range(steps):", *_guarded(stages, "        ")]
+    source += [f"        {x} = {x} + sixth * ({a} + 2 * {b} + 2 * {c} + {d})"
+               for x, a, b, c, d in zip(xs, *ks)]
+    source += ["        if not (" + " and ".join(f"bound >= abs({x})" for x in xs) + "):",
+               "            truncated = True",
+               "            break",
+               *_guarded(values, "        ")]
+    source += [f"        {c}_append({v})" for c, v in zip(cols, xs + vs)]
+    source += [f"    return ([s * dt for s in range(len(c0))], [{', '.join(cols[:n])}], "
+               f"[{', '.join(cols[n:])}], truncated)"]
+    return _exec_flow("\n".join(source) + "\n", half=0.5 * dt, dt=dt, sixth=dt / 6.0, bound=bound)
 
 
 @dataclass
 class Trajectory:
     times: list
-    points: list
+    coordinates: list   # one column of floats per coordinate, one entry per time
     f_values: list
     casimir_values: dict
     ranks: list
@@ -623,23 +637,30 @@ class Trajectory:
     casimir_drift: dict
     truncated: bool
 
+    @functools.cached_property
+    def points(self) -> list:
+        """The trajectory as one list of coordinates per time."""
+        return list(map(list, zip(*self.coordinates)))
+
     def to_csv(self) -> str:
         """The trajectory as CSV text: a header, then one line per point with
-        step, t, the coordinates, f, each Casimir and the rank where sampled."""
+        step, t, the coordinates, f, each Casimir and the rank where sampled.
+        Each column is formatted on its own (``repr`` of each float)."""
         names = list(self.casimir_values)
-        n = len(self.points[0])
-        lines = [",".join(["step", "t", *(f"x{i+1}" for i in range(n)), "f", *names, "rank"])]
-        row = "%d," + "%r," * (n + 2 + len(names)) + "%s"
-        rank_map = dict(self.ranks)
-        for s, t, p, *vals in zip(itertools.count(), self.times, self.points, self.f_values,
-                                  *self.casimir_values.values()):
-            lines.append(row % (s, t, *p, *vals, rank_map.get(s, "")))
-        lines.append("")
-        return "\n".join(lines)
+        count = len(self.times)
+        ranks = [""] * count
+        for idx, rank in self.ranks:
+            ranks[idx] = str(rank)
+        head = ",".join(["step", "t", *(f"x{i+1}" for i in range(len(self.coordinates))),
+                         "f", *names, "rank"])
+        floats = [self.times, *self.coordinates, self.f_values, *self.casimir_values.values()]
+        rows = map(",".join, zip(map(str, range(count)), *(map(repr, col) for col in floats),
+                                 ranks))
+        return "\n".join(itertools.chain((head,), rows, ("",)))
 
     def summary(self) -> dict:
         return {
-            "steps": len(self.points) - 1,
+            "steps": len(self.times) - 1,
             "f_drift": self.f_drift,
             "casimir_drift": self.casimir_drift,
             "ranks_seen": sorted({r for _, r in self.ranks}),
@@ -666,43 +687,24 @@ def hamiltonian_flow(pi: PolyBivector, f: MultiPoly, x0, dt: float, steps: int,
     dt = float(dt)
     names = [v.name for v in pi.vars]
     field_exact = hamiltonian_field(pi, f)
-    step = _rk4_step([field_exact.component(i) for i in range(pi.n)], names, dt)
     casimirs = casimirs or {}
-    values = _float_values([f, *casimirs.values()], names)
-    # a NaN entry fails every comparison, so it cannot pass as within the bound
-    within = functools.partial(operator.ge, divergence_bound)
+    run = _flow_run([field_exact.component(i) for i in range(pi.n)], [f, *casimirs.values()],
+                    names, dt, divergence_bound)
+    times, coordinates, (fvals, *cas_columns), truncated = run(*map(float, x0), steps)
+    cvals = dict(zip(casimirs, cas_columns))
 
-    x = [float(v) for v in x0]
-    times = [0.0]
-    pts = [x]
-    fvals = []
-    cvals = {k: [] for k in casimirs}
-    columns = [fvals, *cvals.values()]
-    for col, v in zip(columns, values(*x)):
-        col.append(v)
-    truncated = False
-    for s in range(steps):
-        x = step(*x)
-        if not all(map(within, map(abs, x))):
-            truncated = True
-            break
-        times.append((s + 1) * dt)
-        pts.append(x)
-        for col, v in zip(columns, values(*x)):
-            col.append(v)
-
-    nsteps = len(pts)
+    nsteps = len(times)
     sample_idx = sorted({round(i * (nsteps - 1) / (FLOW_RANK_SAMPLES - 1))
                          for i in range(FLOW_RANK_SAMPLES)})
     ranks = []
     for idx in sample_idx:
-        rank = _float_rank(pi, pts[idx])
+        rank = _float_rank(pi, [col[idx] for col in coordinates])
         if rank is not None:
             ranks.append((idx, rank))
 
     return Trajectory(
         times=times,
-        points=pts,
+        coordinates=coordinates,
         f_values=fvals,
         casimir_values=cvals,
         ranks=ranks,

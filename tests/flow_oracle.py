@@ -1,18 +1,32 @@
-"""Test oracle: the NumPy float64 RK4 flow that :func:`poissonkit.poisson.hamiltonian_flow`
-computed before it ran on Python floats.
+"""Test oracles for :func:`poissonkit.poisson.hamiltonian_flow` and
+:meth:`poissonkit.poisson.Trajectory.to_csv`.
 
-``_compile_float`` and ``hamiltonian_flow`` are kept with their bodies
-unchanged.  Every term is evaluated on ``np.float64`` scalars and every RK4
-stage is a small ``ndarray`` expression, so this module fixes the float64
-operations, and their order, that the fast path must reproduce bit for bit.
+The NumPy float64 RK4 flow that ``hamiltonian_flow`` computed before it ran
+on Python floats: ``_compile_float`` and ``hamiltonian_flow`` are kept with
+their bodies unchanged but for building the ``Trajectory`` from columns.
+Every term is evaluated on ``np.float64`` scalars and every RK4 stage is a
+small ``ndarray`` expression, so this module fixes the float64 operations,
+and their order, that the fast path must reproduce bit for bit.
 Two behaviours are kept as they were and are not the contract of the fast
 path: a state that turns NaN is not truncated, and a rank sample at a
 non-finite point raises ``numpy.linalg.LinAlgError``.
+
+The Python-float route before the whole loop was one generated function:
+``stepwise_flow`` calls a generated ``step`` and a generated ``values``
+function once per step from a Python loop and keeps one list per point.
+``rowwise_csv`` is ``Trajectory.to_csv`` as it formatted one row at a time.
 """
 
 from __future__ import annotations
 
-from poissonkit.poisson import FLOW_RANK_SAMPLES, PolyBivector, Trajectory, hamiltonian_field
+import functools
+import itertools
+import math
+import operator
+
+from poissonkit.poisson import (FLOW_RANK_SAMPLES, FLOW_SOURCE, PolyBivector, Trajectory,
+                                _compile_float as _compile_float_text, _drift, _float_rank,
+                                _pow, hamiltonian_field)
 from poissonkit.poly import MultiPoly
 
 
@@ -98,11 +112,122 @@ def hamiltonian_flow(pi: PolyBivector, f: MultiPoly, x0, dt: float, steps: int,
     }
     return Trajectory(
         times=times,
-        points=pts,
+        coordinates=[list(col) for col in zip(*pts)],
         f_values=fvals,
         casimir_values=cvals,
         ranks=ranks,
         f_drift=f_drift,
         casimir_drift=cas_drift,
+        truncated=truncated,
+    )
+
+
+def rowwise_csv(traj: Trajectory) -> str:
+    """The CSV text of ``traj``, one ``%``-formatted row per point."""
+    names = list(traj.casimir_values)
+    n = len(traj.points[0])
+    lines = [",".join(["step", "t", *(f"x{i+1}" for i in range(n)), "f", *names, "rank"])]
+    row = "%d," + "%r," * (n + 2 + len(names)) + "%s"
+    rank_map = dict(traj.ranks)
+    for s, t, p, *vals in zip(itertools.count(), traj.times, traj.points, traj.f_values,
+                              *traj.casimir_values.values()):
+        lines.append(row % (s, t, *p, *vals, rank_map.get(s, "")))
+    lines.append("")
+    return "\n".join(lines)
+
+
+def _exec_flow(name: str, n: int, body, **env):
+    lines = [f"def {name}({', '.join(f'x{i}' for i in range(n))}):", "    try:"]
+    lines += ["        " + ln for ln in body("{}**{}")]
+    lines += ["    except OverflowError:"]
+    lines += ["        " + ln for ln in body("_pow({}, {})")]
+    namespace = {"_pow": _pow, **env}
+    exec(compile("\n".join(lines) + "\n", FLOW_SOURCE, "exec"), namespace)
+    return namespace[name]
+
+
+def float_values(polys, names):
+    """``values(x0, ..., x{n-1})``: the tuple of the floats of ``polys`` at a point."""
+    xs = [f"x{i}" for i in range(len(names))]
+    return _exec_flow("values", len(names), lambda power: [
+        "return (" + "".join(_compile_float_text(p, names, xs, power) + ", " for p in polys) + ")"])
+
+
+def rk4_step(components, names, dt: float):
+    """``step(x0, ..., x{n-1})``: the point after one RK4 step, as a list."""
+    n = len(names)
+    xs = [f"x{i}" for i in range(n)]
+    ys = [f"y{i}" for i in range(n)]
+    ks = [[f"k{s}_{i}" for i in range(n)] for s in range(4)]
+
+    def body(power):
+        lines, point = [], xs
+        for s, k in enumerate(ks):
+            lines += [f"{k[i]} = {_compile_float_text(c, names, point, power)}"
+                      for i, c in enumerate(components)]
+            if s < 3:
+                lines += [f"{ys[i]} = {xs[i]} + {'dt' if s == 2 else 'half'} * {k[i]}"
+                          for i in range(n)]
+                point = ys
+        k1, k2, k3, k4 = ks
+        return lines + ["return [" + ", ".join(
+            f"{xs[i]} + sixth * ({k1[i]} + 2 * {k2[i]} + 2 * {k3[i]} + {k4[i]})"
+            for i in range(n)) + "]"]
+
+    return _exec_flow("step", n, body, half=0.5 * dt, dt=dt, sixth=dt / 6.0)
+
+
+def stepwise_flow(pi: PolyBivector, f, x0, dt: float, steps: int, casimirs=None,
+                  divergence_bound: float = 1e9) -> Trajectory:
+    """``hamiltonian_flow`` as two generated calls per step from a Python loop."""
+    if not 0 < dt < math.inf:
+        raise ValueError("dt must be positive and finite")
+    if not math.isfinite(divergence_bound):
+        raise ValueError("divergence_bound must be finite")
+    if steps < 1:
+        raise ValueError("need at least one step")
+    dt = float(dt)
+    names = [v.name for v in pi.vars]
+    field_exact = hamiltonian_field(pi, f)
+    step = rk4_step([field_exact.component(i) for i in range(pi.n)], names, dt)
+    casimirs = casimirs or {}
+    values = float_values([f, *casimirs.values()], names)
+    within = functools.partial(operator.ge, divergence_bound)
+
+    x = [float(v) for v in x0]
+    times = [0.0]
+    pts = [x]
+    fvals = []
+    cvals = {k: [] for k in casimirs}
+    columns = [fvals, *cvals.values()]
+    for col, v in zip(columns, values(*x)):
+        col.append(v)
+    truncated = False
+    for s in range(steps):
+        x = step(*x)
+        if not all(map(within, map(abs, x))):
+            truncated = True
+            break
+        times.append((s + 1) * dt)
+        pts.append(x)
+        for col, v in zip(columns, values(*x)):
+            col.append(v)
+
+    nsteps = len(pts)
+    sample_idx = sorted({round(i * (nsteps - 1) / (FLOW_RANK_SAMPLES - 1))
+                         for i in range(FLOW_RANK_SAMPLES)})
+    ranks = []
+    for idx in sample_idx:
+        rank = _float_rank(pi, pts[idx])
+        if rank is not None:
+            ranks.append((idx, rank))
+    return Trajectory(
+        times=times,
+        coordinates=[list(col) for col in zip(*pts)],
+        f_values=fvals,
+        casimir_values=cvals,
+        ranks=ranks,
+        f_drift=_drift(fvals),
+        casimir_drift={k: _drift(vals) for k, vals in cvals.items()},
         truncated=truncated,
     )

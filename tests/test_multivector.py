@@ -149,6 +149,22 @@ def test_schouten_rejects_mixed_spaces(sl2):
     assert str(schouten(e1, AlgMultiVector(lie.sl2(), 1, {(1,): 1}))) == "(1) e3"
 
 
+def test_sums_and_equality_reject_mixed_spaces(sl2):
+    e1_sl2 = AlgMultiVector(sl2, 1, {(0,): 1})
+    e1_so3 = AlgMultiVector(lie.so3(), 1, {(0,): 1})
+    assert e1_sl2 != e1_so3
+    xy = PolyBivector(("x", "y"), {(0, 1): generators("x", "y")[0]})
+    uv = PolyBivector(("u", "v"), {(0, 1): generators("u", "v")[0]})
+    assert xy != uv
+    for A, B in ((e1_sl2, e1_so3), (xy, uv), (xy, AlgMultiVector(sl2, 2, {(0, 1): 1}))):
+        for op in (lambda a, b: a + b, lambda a, b: a - b):
+            with pytest.raises(ValueError, match="one space"):
+                op(A, B)
+    # equal structure constants and equal charts are one space
+    assert e1_sl2 + AlgMultiVector(lie.sl2(), 1, {(0,): 1}) == e1_sl2.scale(2)
+    assert (xy - PolyBivector(("x", "y"), {(0, 1): generators("x", "y")[0]})).is_zero()
+
+
 def test_wedge_sorting_sign():
     vs = ("x", "y")
     one = MultiPoly.constant(vs, 1)

@@ -478,14 +478,18 @@ def _random_integer_poly(rng, vs, max_deg=6, max_terms=4):
 def test_compiled_power_overflows_to_the_infinity_of_float64():
     vs = ("x", "y")
     x, y = generators(*vs)
+    zero = MultiPoly.zero(vs)
     polys = [x ** e for e in range(1, 8)] + [(x ** 3 * y ** 2).scale(-3), x * x - y ** 5]
     values = [0.0, -0.0, 1e-300, -1e-300, -2.5, 1e200, -1e200, 1e300, -1e300]
     with np.errstate(all="ignore"):
         for p in polys:
-            new, old = (lambda x, fn=poisson._float_values([p], vs): fn(*x)[0],
-                        flow_oracle._compile_float(p, vs))
+            # a zero field: the generated run evaluates p before its loop and again after step 1
+            run = poisson._flow_run([zero, zero], [p], vs, 1.0, math.inf)
+            old = flow_oracle._compile_float(p, vs)
             for point in itertools.product(values, repeat=2):
-                assert repr(new(list(point))) == repr(float(old(np.array(point))))
+                _, (c0, c1), (w,), _ = run(*point, 1)
+                assert repr(w[0]) == repr(float(old(np.array(point))))
+                assert repr(w[1]) == repr(float(old(np.array([c0[1], c1[1]]))))
 
 
 def test_flow_is_bit_identical_to_the_numpy_oracle():
@@ -538,12 +542,12 @@ def _on_chart(p: MultiPoly, names) -> MultiPoly:
 
 
 def test_variable_names_do_not_reach_the_generated_flow_code(monkeypatch):
-    bodies = {}
+    sources = []
     exec_flow = poisson._exec_flow
 
-    def recording(name, n, body, **env):
-        bodies[name] = "\n".join(body("{}**{}") + body("_pow({}, {})"))
-        return exec_flow(name, n, body, **env)
+    def recording(source, **env):
+        sources.append(source)
+        return exec_flow(source, **env)
 
     monkeypatch.setattr(poisson, "_exec_flow", recording)
     rng = random.Random(15)
@@ -553,27 +557,31 @@ def test_variable_names_do_not_reach_the_generated_flow_code(monkeypatch):
     f, c = _random_integer_poly(rng, base, max_deg=3), _random_integer_poly(rng, base, max_deg=3)
     x0 = [0.5, -0.25, 0.75, 1.0]
     runs = []
-    for names in (base, ("_pow", "x0", "dt", "lambda"), base[::-1]):
+    for names in (base, ("_pow", "x0", "steps", "lambda"), ("abs", "bound", "c0", "run"),
+                  base[::-1]):
+        sources.clear()
         traj = hamiltonian_flow(
             PolyBivector(names, {k: _on_chart(p, names) for k, p in pi.comps.items()}),
             _on_chart(f, names), x0, 1e-2, 50, casimirs={"c": _on_chart(c, names)})
         assert not traj.truncated
-        runs.append((traj.to_csv(), repr(traj.summary()), dict(bodies)))
-    assert runs[1] == runs[0] and runs[2] == runs[0]
-    assert set(runs[0][2]) == {"step", "values"}
-    for source in runs[0][2].values():
-        words = {tok.string for tok in tokenize.generate_tokens(io.StringIO(source).readline)
-                 if tok.type == tokenize.NAME}
-        # besides the generated locals x0.., y0.. and k0_0.., only these names
-        other = {w for w in words if not re.fullmatch(r"[xy]\d+|k\d_\d+", w)}
-        assert other <= {"return", "_pow", "half", "dt", "sixth"}, other
+        runs.append((traj.to_csv(), repr(traj.summary()), list(sources)))
+    assert all(run == runs[0] for run in runs)
+    (source,) = runs[0][2]
+    words = {tok.string for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+             if tok.type == tokenize.NAME}
+    # besides the generated locals x0.., y0.., k0_0.., v0.. and the columns c0.., w0..
+    # with their appenders, only these names
+    other = {w for w in words if not re.fullmatch(r"[xyv]\d+|k\d_\d+|[cw]\d+(_append)?", w)}
+    assert other <= {"def", "run", "steps", "try", "except", "OverflowError", "_pow", "for",
+                     "_", "in", "range", "if", "not", "and", "abs", "bound", "truncated", "True",
+                     "False", "break", "half", "dt", "sixth", "return", "s", "len",
+                     "append"}, other
 
 
-def test_a_flow_step_is_two_calls_into_the_package():
-    # a call count, not a timing: each RK4 step is one call of the generated
-    # step function and one of the generated values function.  Each run loads
-    # the bundle afresh, outside the profile, so it starts from polynomials
-    # with no memoized derivatives.
+def test_package_calls_of_a_flow_do_not_grow_with_steps():
+    # a call count, not a timing: the whole RK4 loop is one call of the
+    # generated run function.  Each run loads the bundle afresh, outside the
+    # profile, so it starts from polynomials with no memoized derivatives.
     path = os.path.join(os.path.dirname(__file__), "..", "demos", "bundles", "sample.json")
     package = os.path.dirname(poissonkit.__file__)
 
@@ -589,7 +597,107 @@ def test_a_flow_step_is_two_calls_into_the_package():
         return sum(stat[1] for func, stat in pstats.Stats(profile).stats.items()
                    if func[0].startswith(package) or func[0] == poisson.FLOW_SOURCE)
 
-    assert calls(400) - calls(200) <= 2 * 200
+    assert calls(400) == calls(200)
+
+
+def _recording_pow(monkeypatch):
+    """Record every call of ``poisson._pow`` by a flow built after this call."""
+    calls = []
+    pow_ = poisson._pow
+
+    def recording(x, e):
+        calls.append((x, e))
+        return pow_(x, e)
+
+    monkeypatch.setattr(poisson, "_pow", recording)
+    return calls
+
+
+def _same_bits(new, old):
+    for a, b in [(new.times, old.times), (new.f_values, old.f_values), *(
+            (new.casimir_values[k], old.casimir_values[k]) for k in new.casimir_values)]:
+        assert [repr(v) for v in a] == [repr(float(v)) for v in b]
+    assert [[repr(v) for v in p] for p in new.points] == \
+        [[repr(float(v)) for v in p] for p in old.points]
+    assert new.ranks == old.ranks and new.truncated == old.truncated
+
+
+def test_a_power_overflow_after_step_0_redoes_that_step_only(monkeypatch):
+    # pi = x^2 d_x^d_y and f = y give x' = -x^2, y' = 0: x runs to -inf in finite
+    # time, and the first x**2 that overflows is at a step after step 0
+    vs = ("x", "y")
+    x, y = generators(*vs)
+    pi = PolyBivector(vs, {(0, 1): x * x})
+    calls = _recording_pow(monkeypatch)
+    traj = hamiltonian_flow(pi, y, [-1.5, 1.0], 0.01, 500, divergence_bound=1e300)
+    kept = len(traj.times) - 1
+    assert traj.truncated and kept > 1
+    # one redo of the one step body, whose four stages hold one power each
+    assert len(calls) == 4 and calls[0] == (traj.points[-1][0], 2)
+    with np.errstate(all="ignore"):
+        _same_bits(traj, flow_oracle.hamiltonian_flow(pi, y, [-1.5, 1.0], 0.01, 500,
+                                                      divergence_bound=1e300))
+    calls.clear()
+    before = hamiltonian_flow(pi, y, [-1.5, 1.0], 0.01, kept, divergence_bound=1e300)
+    assert not calls and not before.truncated
+    assert [[repr(v) for v in p] for p in before.points] == \
+        [[repr(v) for v in p] for p in traj.points]
+
+
+def test_a_value_overflow_after_step_0_redoes_those_values_only(monkeypatch, plane):
+    # on the oscillator from (0, 40), x**200 overflows while |x| > 34.7, from a
+    # step after step 0 on, and the trajectory goes on through it
+    vs = ("x", "y")
+    x, y = generators(*vs)
+    f = (x * x + y * y).scale(Q("1/2"))
+    calls = _recording_pow(monkeypatch)
+    traj = hamiltonian_flow(plane, f, [0.0, 40.0], 0.05, 200, casimirs={"c": x ** 200})
+    c = traj.casimir_values["c"]
+    overflowed = [s for s, v in enumerate(c) if v == math.inf]
+    assert overflowed[0] > 0 and len(overflowed) < len(c) and not traj.truncated
+    assert c[overflowed[-1] + 1] < math.inf
+    # f and c hold three powers: one redo of the values body per overflowing point
+    assert len(calls) == 3 * len(overflowed)
+    with np.errstate(all="ignore"):
+        _same_bits(traj, flow_oracle.hamiltonian_flow(plane, f, [0.0, 40.0], 0.05, 200,
+                                                      casimirs={"c": x ** 200}))
+    assert hamiltonian_flow(plane, f, [0.0, 40.0], 0.05, 200).points == traj.points
+
+
+def test_the_column_csv_is_the_rowwise_csv_of_the_stepwise_route():
+    rng = random.Random(2207)
+    truncated = 0
+    for n in (2, 3, 4):
+        vs = tuple(f"x{i}" for i in range(n))
+        for ncas in (0, 1, 2):
+            for dt, bound in ((1e-2, 1e9), (0.3, 10.0), (2.0, 1e9)):
+                pi = PolyBivector(vs, {(i, j): _random_integer_poly(rng, vs, max_deg=3)
+                                       for i in range(n) for j in range(i + 1, n)})
+                f = _random_integer_poly(rng, vs, max_deg=3)
+                cas = {f"c{j}": _random_integer_poly(rng, vs, max_deg=3) for j in range(ncas)}
+                x0 = [rng.uniform(-2, 2) for _ in range(n)]
+                new = hamiltonian_flow(pi, f, x0, dt, 40, casimirs=cas, divergence_bound=bound)
+                old = flow_oracle.stepwise_flow(pi, f, x0, dt, 40, casimirs=cas,
+                                                divergence_bound=bound)
+                truncated += new.truncated
+                assert new.to_csv() == flow_oracle.rowwise_csv(old) == flow_oracle.rowwise_csv(new)
+                assert repr(new.summary()) == repr(old.summary())
+    assert truncated >= 3
+    # rank samples missing where the float matrix is not finite
+    vs = ("x", "y")
+    x, y = generators(*vs)
+    pi = PolyBivector(vs, {(0, 1): x * y})
+    traj = hamiltonian_flow(pi, MultiPoly.zero(vs), [1e200, 1e200], 0.1, 10,
+                            divergence_bound=1e300)
+    assert traj.ranks == [] and traj.to_csv() == flow_oracle.rowwise_csv(traj)
+    # values that no flow of the package makes, formatted alike
+    traj = poisson.Trajectory(
+        times=[0.0, 0.5, 1.0], coordinates=[[-0.0, 1e-320, -math.inf], [math.nan, 2.5, 0.0]],
+        f_values=[-0.0, math.inf, -math.inf], casimir_values={"a": [math.nan, -0.0, 1e300]},
+        ranks=[(0, 2), (2, 0)], f_drift=0.0, casimir_drift={"a": 0.0}, truncated=False)
+    assert traj.to_csv() == flow_oracle.rowwise_csv(traj)
+    assert [[repr(v) for v in p] for p in traj.points] == \
+        [["-0.0", "nan"], ["1e-320", "2.5"], ["-inf", "0.0"]]
 
 
 @pytest.mark.parametrize("pi_coeff, f_coeff, c_coeff", [
