@@ -4,16 +4,20 @@ Matrices are lists of lists of :class:`GaussianRational` (ints, Fractions
 and rational strings are coerced).  One Gauss-Jordan elimination,
 :func:`rref`, answers rank, kernel, solve, inverse and span questions;
 :func:`det` keeps a separate fraction-free (Bareiss) elimination, and
-:func:`minor_sums` reads every sum of squared minors from one characteristic
-polynomial over the Gaussian integers, with neither.
+:func:`minor_sums` reads every sum of squared minors from the power sums
+``tr(H^k)`` of one Hermitian integer matrix ``H`` through Newton's
+identities, with none of :func:`rank`, :func:`rref` and :func:`det`.
 
 Elimination and products run on integer rows: :func:`_int_row` writes a row
 as Python ints over one denominator, :func:`rref` and :func:`rank` eliminate
 with ``p*x - f*y`` on primitive integer rows, and :func:`mat_mul` and
 :func:`mat_vec` take one integer dot product per output entry, as do
 :func:`linear_rows` and :func:`bilinear_rows`, whose rows are converted once
-for many calls.  Only input with an imaginary part is eliminated one
-:class:`GaussianRational` at a time.
+for many calls.  :func:`rank` and :func:`minor_sums` are :func:`_int_row`
+followed by an integer-row kernel, :func:`_rank_rows` and
+:func:`_elementary_sums`, which a caller holding integer rows (such as
+``poisson.stratify_sample``) calls directly.  Only input with an imaginary
+part is eliminated one :class:`GaussianRational` at a time.
 """
 
 from __future__ import annotations
@@ -58,12 +62,19 @@ def _int_row(row) -> tuple:
     """``row`` as integers over one denominator: ``(a, b, d)`` with
     ``row[j] == (a[j] + b[j]*i) / d``, ``d`` the lcm of the entries'
     denominators, and ``b`` None when no entry has an imaginary part.
-    Entries that are not :class:`GaussianRational` are coerced here, once."""
+    Ints and Fractions are read directly; other entries that are not
+    :class:`GaussianRational` are coerced here, once."""
     try:
         ds = [x.d for x in row]
     except AttributeError:
-        row = [GaussianRational.coerce(x) for x in row]
-        ds = [x.d for x in row]
+        try:
+            ds = [x.denominator for x in row]
+        except AttributeError:
+            row = [GaussianRational.coerce(x) for x in row]
+            ds = [x.d for x in row]
+        else:
+            d = lcm(*ds)
+            return [x.numerator * (d // e) for x, e in zip(row, ds)], None, d
     b = [x.b for x in row]
     if ds.count(1) == len(ds):
         return [x.a for x in row], (b if any(b) else None), 1
@@ -155,9 +166,21 @@ def rank(matrix) -> int:
     """Exact rank: the number of pivots of the elimination :func:`rref` runs,
     without its back substitution and without building any scalar."""
     rows = [_int_row(row) for row in matrix]
-    if any(b is not None for _, b, _ in rows):
-        return len(_gaussian_rref(mat(matrix))[1])
-    return len(_eliminate([a for a, _, _ in rows if any(a)], jordan=False))
+    p = [a for a, _, _ in rows]
+    if all(b is None for _, b, _ in rows):
+        return _rank_rows(p)
+    return _rank_rows(p, [b or [0] * len(a) for a, b, _ in rows])
+
+
+def _rank_rows(p, q=None) -> int:
+    """The rank of the matrix with integer rows ``p + i*q`` (``q`` None when
+    every entry is real).  Scaling a row does not change the rank, so rows
+    over different denominators need no common one.  The rows are not
+    modified."""
+    if q is None:
+        return len(_eliminate([a for a in p if any(a)], jordan=False))
+    return len(_gaussian_rref([[_make(x, y, 1) for x, y in zip(a, b)]
+                               for a, b in zip(p, q)])[1])
 
 
 def rref(matrix):
@@ -328,50 +351,88 @@ def minor_sums(matrix) -> list:
     """``[r_0, ..., r_n]`` for an n x n ``matrix``, where ``r_k`` is the sum of
     ``|minor|^2`` over all k x k minors, as exact ``Fraction`` values.
 
-    By Cauchy-Binet, ``r_k(A) = e_k(A A^H)``: the k-th elementary symmetric
-    function of the eigenvalues of the Hermitian matrix ``A A^H``, i.e.
-    ``(-1)^k`` times a coefficient of its characteristic polynomial.  With
-    ``d`` the common denominator of ``A`` and ``M = d A = P + iQ`` over the
-    Gaussian integers, ``H = M M^H = (P P^T + Q Q^T) + i(Q P^T - P Q^T)`` has
-    an integer characteristic polynomial, which Faddeev-LeVerrier computes in
-    O(n^4) integer operations; ``r_k = e_k(H) / d^(2k)``.  When every entry
-    is real (``b == 0``), ``Q = 0`` and the recurrence runs on the real
-    symmetric ``H = P P^T`` alone, one integer dot product per entry instead
-    of four.  Independent of :func:`rank`, :func:`rref` and :func:`det`, so
-    the rank-vs-minors cross-checks compare two different computations.
+    All n^2 entries are written over one denominator ``d``, ``M = d A`` over
+    the Gaussian integers, and ``r_k = e_k(M M^H) / d^(2k)`` with
+    :func:`_elementary_sums`: power sums and Newton's identities on the
+    Hermitian integer matrix ``M M^H``.  Independent of :func:`rank`,
+    :func:`rref` and :func:`det`, so the rank-vs-minors cross-checks compare
+    two different computations.
     """
     n = len(matrix)
     # all n^2 entries as one row, so over one common denominator
     a, b, d = _int_row([x for row in matrix for x in row])
     p = [a[i * n:(i + 1) * n] for i in range(n)]
-    real = b is None
-    if real:
-        hr = [[_dot(pa, pb) for pb in p] for pa in p]
+    q = None if b is None else [b[i * n:(i + 1) * n] for i in range(n)]
+    return [Fraction(e, d ** (2 * k)) for k, e in enumerate(_elementary_sums(p, q))]
+
+
+def _elementary_sums(p, q=None) -> list:
+    """``[e_0(H), ..., e_n(H)]``, integers, for ``H = M M^H`` and ``M = P + iQ``
+    the n x n integer matrix with rows ``p`` and ``q`` (``q`` None when ``M``
+    is real).
+
+    By Cauchy-Binet ``e_k(H)`` is the sum of ``|minor|^2`` over the k x k
+    minors of ``M``.  ``H = (P P^T + Q Q^T) + i(Q P^T - P Q^T)`` is Hermitian,
+    so is each power ``H^j``, and ``(X H)_ab = sum_c X_ac conj(H_bc)`` takes
+    rows of both factors.  Only ``H, ..., H^ceil(n/2)`` are formed; each
+    power sum ``p_k = tr(H^i H^(k-i))``, with ``i = ceil(k/2)``, is one dot
+    product of the flattened factors, ``Re sum X_ab conj(Y_ab)``.  Newton's
+    identities ``k e_k = sum_(i=1..k) (-1)^(i-1) e_(k-i) p_i`` then divide
+    exactly over the integers; a division that is not exact or a power sum
+    with an imaginary part raises ``ArithmeticError``.  When ``q`` is None
+    every step runs on the real parts alone.
+    """
+    n = len(p)
+    powers = (n + 1) // 2
+    if q is None:
+        h = x = _symmetric_product(p, p)
+        flat = [_flat(h)]
+        for _ in range(powers - 1):
+            x = _symmetric_product(x, h)
+            flat.append(_flat(x))
+        sums = [sum(h[a][a] for a in range(n))]
+        sums += [_dot(flat[(k + 1) // 2 - 1], flat[k // 2 - 1]) for k in range(2, n + 1)]
     else:
-        q = [b[i * n:(i + 1) * n] for i in range(n)]
         hr = [[_dot(pa, pb) + _dot(qa, qb) for pb, qb in zip(p, q)] for pa, qa in zip(p, q)]
         hi = [[_dot(qa, pb) - _dot(pa, qb) for pb, qb in zip(p, q)] for pa, qa in zip(p, q)]
-        ni = [[0] * n for _ in range(n)]
-    # Faddeev-LeVerrier: N_1 = I, c_k = -tr(H N_k) / k, N_(k+1) = H N_k + c_k I;
-    # det(t I - H) = sum_k c_k t^(n-k) and e_k(H) = (-1)^k c_k.
-    nr = [[int(i == j) for j in range(n)] for i in range(n)]
-    sums = [Fraction(1)]
+        xr, xi = hr, hi
+        flat = [(_flat(hr), _flat(hi))]
+        for _ in range(powers - 1):
+            xr, xi = ([[_dot(a, h) + _dot(b, g) for h, g in zip(hr, hi)] for a, b in zip(xr, xi)],
+                      [[_dot(b, h) - _dot(a, g) for h, g in zip(hr, hi)] for a, b in zip(xr, xi)])
+            flat.append((_flat(xr), _flat(xi)))
+        sums, imaginary = [sum(hr[a][a] for a in range(n))], [sum(hi[a][a] for a in range(n))]
+        for k in range(2, n + 1):
+            (xr, xi), (yr, yi) = flat[(k + 1) // 2 - 1], flat[k // 2 - 1]
+            sums.append(_dot(xr, yr) + _dot(xi, yi))
+            imaginary.append(_dot(xi, yr) - _dot(xr, yi))
+        if any(imaginary):
+            raise ArithmeticError("a power sum has an imaginary part")
+    # k e_k = sum_i e_(k-i) (-1)^(i-1) p_i
+    signed = [x if k % 2 else -x for k, x in enumerate(sums, 1)]
+    e = [1]
     for k in range(1, n + 1):
-        cr = list(zip(*nr))
-        if real:
-            nr = [[_dot(a, x) for x in cr] for a in hr]
-        else:
-            ci = list(zip(*ni))
-            nr = [[_dot(a, x) - _dot(b, y) for x, y in zip(cr, ci)] for a, b in zip(hr, hi)]
-            ni = [[_dot(a, y) + _dot(b, x) for x, y in zip(cr, ci)] for a, b in zip(hr, hi)]
-        tr = sum(nr[i][i] for i in range(n))
-        if tr % k or (not real and sum(ni[i][i] for i in range(n))):
-            raise ArithmeticError(f"Faddeev-LeVerrier step {k} is not exact over Z[i]")
-        c = -tr // k
-        sums.append(Fraction(c if k % 2 == 0 else -c, d ** (2 * k)))
-        for i in range(n):
-            nr[i][i] += c
-    return sums
+        s = sum(map(mul, reversed(e), signed))
+        if s % k:
+            raise ArithmeticError(f"Newton's identity {k} is not exact over Z")
+        e.append(s // k)
+    return e
+
+
+def _symmetric_product(x, y) -> list:
+    """``X Y^T`` for integer rows ``x`` and ``y`` whose product is known to be
+    symmetric: one dot product per entry on and above the diagonal."""
+    n = len(x)
+    out = [[0] * n for _ in range(n)]
+    for a, xa in enumerate(x):
+        oa = out[a]
+        for b in range(a, n):
+            oa[b] = out[b][a] = _dot(xa, y[b])
+    return out
+
+
+def _flat(rows) -> list:
+    return [x for row in rows for x in row]
 
 
 def in_span(vectors, v) -> bool:

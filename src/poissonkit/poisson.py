@@ -24,7 +24,7 @@ from . import linalg
 from .lie import LieAlgebra
 from .multivector import PolyMultiVector, schouten
 from .poly import AFFINE, MultiPoly, NumericField, _as_vars
-from .scalars import GaussianRational, json_int
+from .scalars import ZERO, _make, json_int
 
 FLOW_RANK_SAMPLES = 11      # trajectory points at which hamiltonian_flow reports the rank
 FLOW_SOURCE = "<poissonkit flow>"   # the file name of the generated flow code in tracebacks
@@ -86,6 +86,97 @@ def lie_derivative_one_form(V: PolyVectorField, alpha: PolyOneForm) -> PolyOneFo
     return PolyOneForm(V.vars, out)
 
 
+def _int_evaluator(chart, comps):
+    """The map ``point -> (p, q, d)`` of :meth:`PolyBivector._int_matrix` for
+    the components ``comps`` (keys ``i < j``) on ``chart``.
+
+    Here, once: every term's coefficient is put over ``L``, the lcm of all
+    coefficient denominators.  At a point written once as ``x = (u + iv)/q``
+    over one denominator, a positive power is ``x_k^e = (u_k + iv_k)^e / q^e``
+    and a negative one, on an angular variable, is the conjugate power over
+    the squared modulus, ``q^e (u_k - iv_k)^e / N_k^e`` with
+    ``N_k = u_k^2 + v_k^2``; a zero value there raises ``ZeroDivisionError``,
+    as :meth:`MultiPoly.eval_at` does.  A term whose positive powers sum to
+    ``pos`` and negative ones to ``neg`` (``neg_k`` on variable ``k``) is
+    scaled by ``q^(D - pos + neg)`` and by ``N_k^(E_k - neg_k)``, where ``D``
+    and ``E_k`` are the largest such exponents, so every entry is over
+    ``d = L q^D prod N_k^E_k`` with no gcd per term.  Each (variable, power)
+    and each scale is computed once per point and shared by all terms.
+    """
+    n = len(chart)
+    raw = []          # (i, j, coefficient, exponents, pos - neg)
+    neg_max = {}      # k -> E_k
+    for (i, j), poly in sorted(comps.items()):
+        for exp, c in poly.over(chart).terms.items():
+            raw.append((i, j, c, exp, sum(exp)))
+            if min(exp) < 0:
+                for k, e in enumerate(exp):
+                    if e < -neg_max.get(k, 0):
+                        neg_max[k] = -e
+    L = math.lcm(*(c.d for _, _, c, _, _ in raw))
+    D = max([0] + [s for *_, s in raw])
+    slots = {}        # factor -> slot: ("x", k, e) a power, ("q", 0, s) or ("N", k, s) a scale
+    entries = {}      # (i, j) -> [(re, im, slots)]
+    for i, j, c, exp, s in raw:
+        factors = [("x", k, e) for k, e in enumerate(exp) if e]
+        if D - s:
+            factors.append(("q", 0, D - s))
+        factors += [("N", k, t + min(exp[k], 0)) for k, t in neg_max.items() if t + min(exp[k], 0)]
+        idx = [slots.setdefault(f, len(slots)) for f in factors]
+        entries.setdefault((i, j), []).append((c.a * (L // c.d), c.b * (L // c.d), idx))
+    entries = list(entries.items())
+    keys = list(slots)
+    real_coefficients = not any(im for _, terms in entries for _, im, _ in terms)
+
+    def values(point) -> tuple:
+        if len(point) != n:
+            raise ValueError("point has wrong dimension")
+        u, v, q = linalg._int_row(point)
+        norms = {k: u[k] * u[k] + (v[k] * v[k] if v else 0) for k in neg_max}
+        if not all(norms.values()):
+            raise ZeroDivisionError("negative power of a zero value")
+        d = L * q ** D
+        for k, t in neg_max.items():
+            d *= norms[k] ** t
+        p = [[0] * n for _ in range(n)]
+        if v is None and real_coefficients:
+            f = [u[k] ** abs(e) if kind == "x" else q ** e if kind == "q" else norms[k] ** e
+                 for kind, k, e in keys]
+            for (i, j), terms in entries:
+                acc = 0
+                for a, _, idx in terms:
+                    for t in idx:
+                        a *= f[t]
+                    acc += a
+                p[i][j], p[j][i] = acc, -acc
+            return p, None, d
+        v = v or [0] * n
+        f = [_gaussian_power(u[k], v[k] if e > 0 else -v[k], abs(e)) if kind == "x"
+             else (q ** e if kind == "q" else norms[k] ** e, 0) for kind, k, e in keys]
+        q_rows = [[0] * n for _ in range(n)]
+        for (i, j), terms in entries:
+            re = im = 0
+            for a, b, idx in terms:
+                for t in idx:
+                    x, y = f[t]
+                    a, b = a * x - b * y, a * y + b * x
+                re += a
+                im += b
+            p[i][j], p[j][i] = re, -re
+            q_rows[i][j], q_rows[j][i] = im, -im
+        return p, (q_rows if any(map(any, q_rows)) else None), d
+
+    return values
+
+
+def _gaussian_power(a: int, b: int, e: int) -> tuple:
+    """``(a + bi)^e`` as an integer pair, for ``e >= 1``."""
+    x, y = a, b
+    for _ in range(e - 1):
+        x, y = x * a - y * b, x * b + y * a
+    return x, y
+
+
 class PolyBivector(PolyMultiVector):
     """A polynomial bivector field on affine space: a degree-2
     :class:`PolyMultiVector` whose components come from outside input."""
@@ -123,16 +214,22 @@ class PolyBivector(PolyMultiVector):
     # -- access --------------------------------------------------------------
 
     def eval_matrix(self, point) -> list:
-        """Exact skew matrix of values at a rational point."""
-        if len(point) != self.n:
-            raise ValueError("point has wrong dimension")
-        vals = [GaussianRational.coerce(x) for x in point]
-        m = linalg.zeros(self.n, self.n)
-        for (i, j), p in self.comps.items():
-            val = p.over(self.vars).eval_at(vals)
-            m[i][j] = val
-            m[j][i] = -val
-        return m
+        """Exact skew matrix of values at a point: :meth:`_int_matrix`, then
+        one scalar per nonzero entry."""
+        p, q, d = self._int_matrix(point)
+        if q is None:
+            return [[_make(a, 0, d) if a else ZERO for a in row] for row in p]
+        return [[_make(a, b, d) if a or b else ZERO for a, b in zip(ra, rb)]
+                for ra, rb in zip(p, q)]
+
+    def _int_matrix(self, point) -> tuple:
+        """The skew matrix of values at ``point`` as integer rows ``p + i*q``
+        over one denominator ``d``: ``(p, q, d)``, ``q`` None when every entry
+        is real.  The evaluator is built once per bivector (per ``comps``)."""
+        built = self.__dict__.get("_evaluator")
+        if built is None or built[0] is not self.comps:
+            built = self._evaluator = (self.comps, _int_evaluator(self.vars, self.comps))
+        return built[1](point)
 
     def eval_matrix_float(self, point):
         import numpy as np
@@ -441,7 +538,8 @@ def max_rank_from_minors(pi: PolyBivector, point) -> int:
 
 def _largest_even_nonzero(sums) -> int:
     """The largest even k with ``sums[k] != 0``, for ``sums`` from
-    :func:`linalg.minor_sums` (``sums[0]`` is 1)."""
+    :func:`linalg.minor_sums` or :func:`linalg._elementary_sums`
+    (``sums[0]`` is 1)."""
     return max(k for k in range(0, len(sums), 2) if sums[k])
 
 
@@ -482,9 +580,11 @@ def stratify_sample(pi: PolyBivector, config: StratifyConfig) -> StratificationR
     """Rank histogram over a seeded rational lattice sample.
 
     Every sample additionally cross-checks the rank against the largest
-    non-vanishing even minor sum.  Both routes read one evaluated matrix per
-    point: :func:`linalg.rank` eliminates it, :func:`linalg.minor_sums` takes
-    its Cauchy-Binet sums.
+    non-vanishing even minor sum.  Each point is evaluated once, to integer
+    rows over one denominator (:meth:`PolyBivector._int_matrix`), and both
+    integer-row kernels read those rows: :func:`linalg._rank_rows`
+    eliminates them and :func:`linalg._elementary_sums` takes their
+    Cauchy-Binet sums, with no scalar built in between.
     """
     if config.count < 1:
         raise ValueError("sample count must be >= 1")
@@ -502,11 +602,11 @@ def stratify_sample(pi: PolyBivector, config: StratifyConfig) -> StratificationR
         ]
         points.append(pt)
     for pt in points:
-        m = pi.eval_matrix(pt)
-        r = linalg.rank(m)
+        p, q, _ = pi._int_matrix(pt)
+        r = linalg._rank_rows(p, q)
         if r % 2:
             raise AssertionError("skew matrix produced an odd rank")
-        if _largest_even_nonzero(linalg.minor_sums(m)) != r:
+        if _largest_even_nonzero(linalg._elementary_sums(p, q)) != r:
             consistent = False
         histogram[r] = histogram.get(r, 0) + 1
         if r not in witnesses:

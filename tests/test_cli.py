@@ -772,3 +772,28 @@ def test_timings_are_per_check(argv, tmp_path):
     checks = [l for l in map(json.loads, out.strip().splitlines()) if "check" in l]
     assert checks and all("wall_ms" in l for l in checks)
     assert sum(l["wall_ms"] for l in checks) <= total_ms
+
+
+def test_the_parser_is_built_once_and_parses_like_a_fresh_one(monkeypatch, capsys):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    sample = ["--bundle", str(SAMPLE)]
+    argvs = [["check-lie", *sample], ["stratify", *sample, "--seed", "3"],
+             ["check-lie", *sample, "--suite", "so3"], ["stratify", *sample, "--samples", "7"],
+             ["check-poisson", *sample]]
+    # interleaved calls with different argv, each argv twice
+    once = [run_cli(argv) for argv in argvs + argvs[::-1]]
+    assert len(built) == 1
+    assert once[:len(argvs)] == once[len(argvs):][::-1]
+    monkeypatch.setattr(cli, "_parser", build)
+    assert [run_cli(argv) for argv in argvs] == once[:len(argvs)]
+    monkeypatch.undo()
+    # a usage error still exits 2, and the parser still works after it
+    for bad in (["no-such-subcommand"], ["stratify", "--seed", "three"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(bad)
+        assert exc.value.code == 2
+        assert "usage: poissonkit" in capsys.readouterr().err
+        assert run_cli(argvs[1]) == once[1]

@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import evaluation_oracles
 from poissonkit import linalg
 from poissonkit.scalars import GaussianRational, Q, ZERO, ONE
 
@@ -200,20 +201,23 @@ def test_real_minor_sums_match_brute_force(rng=random.Random(11)):
 
 def test_one_imaginary_entry_takes_the_complex_loop(monkeypatch, rng=random.Random(12)):
     # the same matrix, real and then with one entry i*eps: both loops agree
-    # with brute force, and the dot-product count tells which loop ran
-    # (n^2 per step of H and of the n recurrence steps, four times that for
-    # complex entries)
+    # with brute force, and the dot-product count tells which loop ran (real:
+    # one per entry on and above the diagonal of H and of its ceil(n/2) - 1
+    # products, one per power sum p_2..p_n; complex: four per entry of each
+    # power and four per power sum)
     n = 4
+    powers = (n + 1) // 2
     m = [[rand_entry(rng, False, den=4) for _ in range(n)] for _ in range(n)]
     tilted = [list(row) for row in m]
     tilted[1][2] = GaussianRational(0, Fraction(1, 1000))
     dots = []
     inner = linalg._dot
     monkeypatch.setattr(linalg, "_dot", lambda a, b: dots.append(1) or inner(a, b))
-    for matrix, per_entry in ((m, 1), (tilted, 4)):
+    for matrix, count in ((m, n * (n + 1) // 2 * powers + n - 1),
+                          (tilted, 4 * (n * n * powers + n - 1))):
         dots.clear()
         assert linalg.minor_sums(matrix) == [_brute_minor_sum(matrix, k) for k in range(n + 1)]
-        assert len(dots) == per_entry * n * n * (n + 1)
+        assert len(dots) == count
 
 
 def test_minor_sums_at_n_8(rng=random.Random(9)):
@@ -221,6 +225,44 @@ def test_minor_sums_at_n_8(rng=random.Random(9)):
     sums = linalg.minor_sums(m)
     assert sums[2] == _brute_minor_sum(m, 2)
     assert sums[8] == linalg.det(m).abs2() != 0
+
+
+@st.composite
+def minor_sum_matrices(draw):
+    """Square matrices for n = 0..8 with real or Gaussian entries over mixed
+    denominators: dense, skew, with zero rows, or a product B.C of inner
+    dimension 0-3, so rank deficiency really occurs."""
+    n = draw(st.integers(0, 8))
+    part = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    entry = st.builds(GaussianRational, part, part if draw(st.booleans()) else st.just(0))
+
+    def rows(count, length):
+        return draw(st.lists(st.lists(entry, min_size=length, max_size=length),
+                             min_size=count, max_size=count))
+
+    shape = draw(st.sampled_from(["dense", "skew", "zero rows", "product"]))
+    if shape == "product":
+        k = draw(st.integers(0, 3))
+        B, C = rows(n, k), rows(k, n)
+        return [[sum((B[i][t] * C[t][j] for t in range(k)), ZERO) for j in range(n)]
+                for i in range(n)]
+    m = rows(n, n)
+    if shape == "skew":
+        m = [[m[i][j] if i < j else -m[j][i] if i > j else ZERO for j in range(n)]
+             for i in range(n)]
+    elif shape == "zero rows" and n:
+        for i in draw(st.sets(st.integers(0, n - 1), min_size=1)):
+            m[i] = [ZERO] * n
+    return m
+
+
+@settings(max_examples=100, deadline=None)
+@given(minor_sum_matrices())
+def test_power_sums_match_faddeev_leverrier_and_brute_force(m):
+    sums = linalg.minor_sums(m)
+    assert sums == evaluation_oracles.faddeev_leverrier_minor_sums(m)
+    if len(m) <= 4:
+        assert sums == [_brute_minor_sum(m, k) for k in range(len(m) + 1)]
 
 
 def test_minor_sums_use_no_elimination(monkeypatch, rng=random.Random(10)):

@@ -1,4 +1,5 @@
 import cProfile
+import functools
 import io
 import itertools
 import math
@@ -12,7 +13,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import evaluation_oracles
 import flow_oracle
 import poissonkit
 from poissonkit import lie, poisson
@@ -38,8 +41,8 @@ from poissonkit.poisson import (
     rank_at,
     stratify_sample,
 )
-from poissonkit.poly import MultiPoly, generators
-from poissonkit.scalars import Q
+from poissonkit.poly import AFFINE, ANGULAR, MultiPoly, _as_vars, generators
+from poissonkit.scalars import GaussianRational, Q
 
 
 def test_sharp_anchor(plane):
@@ -324,16 +327,88 @@ def _counting(monkeypatch, owner, name, log):
 
 
 def test_stratify_evaluates_each_point_once_for_both_routes(monkeypatch, sl2_lp):
-    # call counts, not timings: one evaluated matrix per point, read by both
-    # the elimination and the minor-sum route
-    evals, ranks, sums = [], [], []
-    _counting(monkeypatch, PolyBivector, "eval_matrix", evals)
-    _counting(monkeypatch, poisson.linalg, "rank", ranks)
-    _counting(monkeypatch, poisson.linalg, "minor_sums", sums)
+    # call counts, not timings: one integer evaluation per point, whose rows
+    # both integer kernels read, and no scalar arithmetic in the sample loop
+    rows, ranks, sums, scalar_ops = [], [], [], []
+    evaluate = PolyBivector._int_matrix
+    monkeypatch.setattr(PolyBivector, "_int_matrix",
+                        lambda self, pt: rows.append(evaluate(self, pt)) or rows[-1])
+    _counting(monkeypatch, poisson.linalg, "_rank_rows", ranks)
+    _counting(monkeypatch, poisson.linalg, "_elementary_sums", sums)
+    for name in ("__add__", "__sub__", "__rsub__", "__mul__", "__truediv__",
+                 "__rtruediv__", "__neg__", "__pow__"):
+        _counting(monkeypatch, GaussianRational, name, scalar_ops)
+    for module in (poisson, poisson.linalg):
+        _counting(monkeypatch, module, "_make", scalar_ops)
     rep = stratify_sample(sl2_lp, StratifyConfig(count=12, seed=5, include_points=[[0, 0, 0]]))
     assert rep.sample_count == 13 and rep.minor_consistency
-    assert len(evals) == len(ranks) == len(sums) == 13
-    assert all(rk[0] is ms[0] for rk, ms in zip(ranks, sums))
+    assert len(rows) == len(ranks) == len(sums) == 13
+    assert all(p is rk[0] is ms[0] and q is rk[1] is ms[1]
+               for (p, q, _), rk, ms in zip(rows, ranks, sums))
+    assert scalar_ops == []
+
+
+@st.composite
+def bivectors_and_points(draw):
+    """A bivector on 1-4 affine or angular variables, with Gaussian
+    coefficients over mixed denominators and Laurent terms in the angular
+    variables, and a point whose values are ints, Fractions, Gaussian
+    rationals or zero."""
+    n = draw(st.integers(1, 4))
+    kinds = draw(st.lists(st.sampled_from([AFFINE, ANGULAR]), min_size=n, max_size=n))
+    chart = _as_vars([(f"z{i}", kind) for i, kind in enumerate(kinds)])
+    part = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    coeff = st.builds(GaussianRational, part, part | st.just(Fraction(0)))
+    exps = st.tuples(*(st.integers(-2, 2) if k == ANGULAR else st.integers(0, 2) for k in kinds))
+    poly = st.lists(st.tuples(exps, coeff), max_size=3).map(lambda ts: MultiPoly(chart, dict(ts)))
+    index = st.integers(0, n - 1)
+    keys = st.tuples(index, index).filter(lambda ij: ij[0] != ij[1])
+    pi = PolyBivector(chart, draw(st.dictionaries(keys, poly, max_size=2 * n)))
+    value = (st.just(0) | st.integers(-3, 3) | part
+             | st.builds(GaussianRational, part, part))
+    return pi, draw(st.lists(value, min_size=n, max_size=n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(bivectors_and_points())
+def test_integer_evaluator_matches_the_eval_at_route(case):
+    pi, point = case
+    try:
+        expected = evaluation_oracles.eval_matrix_per_entry(pi, point)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            pi.eval_matrix(point)
+        return
+    got = pi.eval_matrix(point)
+    assert got == expected
+    assert all(type(x) is GaussianRational for row in got for x in row)
+
+
+def test_a_zero_value_at_a_negative_power_raises_on_both_routes():
+    chart = _as_vars([("w", ANGULAR), "x"])
+    w_inv = MultiPoly.monomial(chart, (-1, 0), Q(1, 2))
+    pi = PolyBivector(chart, {(0, 1): w_inv + MultiPoly.variable(chart, "x").scale(Q(0, 3))})
+    for route in (pi.eval_matrix, functools.partial(evaluation_oracles.eval_matrix_per_entry, pi)):
+        with pytest.raises(ZeroDivisionError):
+            route([0, 1])
+    w = GaussianRational(Fraction(3, 5), Fraction(4, 5))
+    assert pi.eval_matrix([w, Fraction(1, 3)]) == \
+        evaluation_oracles.eval_matrix_per_entry(pi, [w, Fraction(1, 3)])
+    assert pi.eval_matrix([w, 0])[0][1] == Q(1, 2) * w.conjugate()
+
+
+def test_the_integer_evaluator_is_built_once_per_bivector(monkeypatch, sl2_lp):
+    built = []
+    _counting(monkeypatch, poisson, "_int_evaluator", built)
+    pts = [[1, 2, 3], [Fraction(1, 2), 0, -1], [0, 0, 0]]
+    first = [sl2_lp.eval_matrix(pt) for pt in pts]
+    assert len(built) == 1
+    # a bivector derived by arithmetic gets its own evaluator
+    doubled = sl2_lp + sl2_lp
+    assert [doubled.eval_matrix(pt) for pt in pts] == \
+        [[[x + x for x in row] for row in m] for m in first]
+    assert len(built) == 2
+    assert [sl2_lp.eval_matrix(pt) for pt in pts] == first and len(built) == 2
 
 
 def test_jacobi_check_differentiates_each_component_once(monkeypatch):
