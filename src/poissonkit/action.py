@@ -15,6 +15,7 @@ elimination, and a psi-cocycle call each distinct group element once.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -36,7 +37,7 @@ from .poisson import (
     lie_derivative_bivector,
     lie_poisson,
 )
-from .poly import MultiPoly, NumericField, _as_vars, generators, sl2_relation_ideal
+from .poly import MultiPoly, NumericField, _as_vars, _merged_chart, generators, sl2_relation_ideal
 from .scalars import GaussianRational, Q, ZERO, ONE
 
 POINTWISE_TOL = 1e-6
@@ -149,15 +150,9 @@ def linear_action_fields(rep_mats, variables) -> list:
     gens = [MultiPoly.variable(vs, v.name) for v in vs]
     fields = []
     for a in range(len(rep_mats)):
-        comps = []
         M = linalg.mat(rep_mats[a])
-        for i in range(len(gens)):
-            acc = MultiPoly.zero(vs)
-            for j in range(len(gens)):
-                if not M[i][j].is_zero():
-                    acc = acc + gens[j].scale(M[i][j])
-            comps.append(acc)
-        fields.append(PolyVectorField(vs, comps))
+        fields.append(PolyVectorField(vs, [
+            MultiPoly.sum_of_products(vs, [(c, (g,)) for c, g in zip(row, gens)]) for row in M]))
     return fields
 
 
@@ -304,14 +299,8 @@ def quadratic_h(l1, l2, l3, c, variables=("x1", "x2")) -> MultiPoly:
     """h = (l1+l3)/4 x1^2 - (l1-l3)/4 x2^2 - l2/2 x1 x2 + c."""
     l1, l2, l3, c = (GaussianRational.coerce(v) for v in (l1, l2, l3, c))
     x1, x2 = generators(*variables)
-    quarter = Q("1/4")
-    half = Q("1/2")
-    return (
-        (x1 * x1).scale(quarter * (l1 + l3))
-        - (x2 * x2).scale(quarter * (l1 - l3))
-        - (x1 * x2).scale(half * l2)
-        + MultiPoly.constant(x1.vars, c)
-    )
+    return MultiPoly.sum_of_products(x1.vars, [
+        ((l1 + l3) / 4, (x1, x1)), (-(l1 - l3) / 4, (x2, x2)), (-l2 / 2, (x1, x2)), (c, ())])
 
 
 def sl2_plane_action(l1, l2, l3, c) -> LinearPoissonAction:
@@ -467,14 +456,12 @@ def solve_h_certificate(l1, l2, l3, c) -> HCertificate:
     a1, a2, a3, a4, x1, x2 = generators(*names)
     h = quadratic_h(l1, l2, l3, cc, variables=("x1", "x2"))
     lhs = h.substitute([a1 * x1 + a2 * x2, a3 * x1 + a4 * x2]) - h.over(a1.vars)
-    quarter = Q("1/4")
-    lp = l1 + l3
-    lm = l1 - l3
-    rhs = (
-        (x1 * x1) * ((a1 * a1).scale(lp) - (a3 * a3).scale(lm) - (a1 * a3).scale(Q(2) * l2) - lp)
-        + (x2 * x2) * ((a2 * a2).scale(lp) - (a4 * a4).scale(lm) - (a2 * a4).scale(Q(2) * l2) + lm)
-        + (x1 * x2) * ((a1 * a2).scale(Q(2) * lp) - (a3 * a4).scale(Q(2) * lm) - (a2 * a3).scale(Q(4) * l2))
-    ).scale(quarter)
+    # the right-hand side's factor 1/4 goes into every coefficient
+    lp, lm, l2 = (l1 + l3) / 4, (l1 - l3) / 4, l2 / 4
+    rhs = MultiPoly.sum_of_products(a1.vars, [
+        (lp, (x1, x1, a1, a1)), (-lm, (x1, x1, a3, a3)), (-2 * l2, (x1, x1, a1, a3)), (-lp, (x1, x1)),
+        (lp, (x2, x2, a2, a2)), (-lm, (x2, x2, a4, a4)), (-2 * l2, (x2, x2, a2, a4)), (lm, (x2, x2)),
+        (2 * lp, (x1, x2, a1, a2)), (-2 * lm, (x1, x2, a3, a4)), (-4 * l2, (x1, x2, a2, a3))])
     ideal = sl2_relation_ideal()
     cert = ideal.reduce(lhs - rhs)
     return HCertificate(h=h, certificate=cert, passed=cert.is_zero())
@@ -647,16 +634,12 @@ def check_action_bracket_identity(a: LinearPoissonAction, dual_algebra: LieAlgeb
     xg = xi_f(a, g)
     n = a.algebra.dim
     # [xi_f, xi_g]_* expanded with polynomial coefficients
-    dual_comp = [MultiPoly.zero(pi.vars) for _ in range(n)]
+    dual_products = [[] for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            coeff = xf[i] * xg[j] - xf[j] * xg[i]
-            if coeff.is_zero():
-                continue
-            vec = dual_algebra.basis_bracket(i, j)
-            for k in range(n):
-                if not vec[k].is_zero():
-                    dual_comp[k] = dual_comp[k] + coeff.scale(vec[k])
+            for k, c in enumerate(dual_algebra.basis_bracket(i, j)):
+                dual_products[k] += [(c, (xf[i], xg[j])), (-c, (xf[j], xg[i]))]
+    dual_comp = [MultiPoly.sum_of_products(pi.vars, products) for products in dual_products]
     fg = bracket_fn(pi, f, g)
     residuals = []
     ok = True
@@ -715,12 +698,9 @@ class MomentumMap:
         return all(isinstance(c, MultiPoly) for c in self.components)
 
     def of_vector(self, X) -> MultiPoly:
-        acc = None
-        for xi, comp in zip(X, self.components):
-            c = GaussianRational.coerce(xi)
-            term = comp.scale(c)
-            acc = term if acc is None else acc + term
-        return acc
+        chart = functools.reduce(_merged_chart, (c.vars for c in self.components))
+        return MultiPoly.sum_of_products(chart, [(xi, (comp.over(chart),))
+                                                 for xi, comp in zip(X, self.components)])
 
     def eval_exact(self, variables, point) -> list:
         """The exact components at ``point``, given in the order of ``variables``."""
@@ -922,22 +902,18 @@ def gamma_cocycle_residuals(a: LinearPoissonAction, G: GammaCochain,
     pi = a.bivector
     d2 = ce_differential(L, representation(L, TRIVIAL), 2)
     gammas = [G.entries[I] for I in d2.domain_basis]
+    chart = functools.reduce(_merged_chart, (p.vars for p in gammas))
     e = linalg.identity(L.dim)
     out = []
     for (i, j, k), row in zip(d2.codomain_basis, d2.matrix):
-        acc = MultiPoly.zero(gammas[0].vars)
-        for c, p in zip(row, gammas):
-            if not c.is_zero():
-                acc = acc + p.scale(c)
+        acc = MultiPoly.sum_of_products(chart, [(c, (p.over(chart),)) for c, p in zip(row, gammas)])
         if m is not None:
-            acc2 = None
+            products = []
             for (x, y, z) in ((i, j, k), (j, k, i), (k, i, j)):
                 bxy = L.bracket(e[x], e[y])
-                t2 = bracket_fn(pi, m.of_vector(bxy), m.components[z]) - m.of_vector(
-                    L.bracket(bxy, e[z])
-                )
-                acc2 = t2 if acc2 is None else acc2 + t2
-            if not (acc - acc2).is_zero():
+                products += [(1, (bracket_fn(pi, m.of_vector(bxy), m.components[z]),)),
+                             (-1, (m.of_vector(L.bracket(bxy, e[z])),))]
+            if not (acc - MultiPoly.sum_of_products(pi.vars, products)).is_zero():
                 raise AssertionError("the two d_2 routes disagree")
         out.append(((i, j, k), acc))
     return out

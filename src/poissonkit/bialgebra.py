@@ -69,12 +69,13 @@ class AlgMultiVector(PolyMultiVector):
                 for k, ck in enumerate(self.algebra.basis_bracket(i, j)) if not ck.is_zero()]
 
     def _sum_products(self, products):
-        """The scalar ``sum sign * c1 * c2 * ...`` of ``(sign, factors)``."""
+        """The scalar ``sum c * f1 * f2 * ...`` of ``(c, factors)``."""
         acc = ZERO
-        for sign, (c, *more) in products:
-            for x in more:
+        for c, factors in products:
+            c = GaussianRational.coerce(c)
+            for x in factors:
                 c = c * x
-            acc = acc + c if sign > 0 else acc - c
+            acc = acc + c
         return acc
 
 
@@ -339,14 +340,12 @@ class AbelianPLStructure:
                 raise ValueError(f"constant ({i}, {j}, {k}) must vanish: [e_i, e_i] = 0")
             norm[(i, j, k)] = c
         variables = _torus_vector_vars(m, n)
+        xs = [MultiPoly.variable(variables, v.name) for v in variables]
         entries = {}
         for i in range(dim):
             for j in range(i + 1, dim):
-                acc = MultiPoly.zero(variables)
-                for k in range(m, dim):
-                    if (i, j, k) in norm:
-                        acc = acc + MultiPoly.variable(variables, variables[k].name).scale(norm[i, j, k])
-                entries[(i, j)] = acc
+                entries[(i, j)] = MultiPoly.sum_of_products(
+                    variables, [(norm[i, j, k], (xs[k],)) for k in range(m, dim) if (i, j, k) in norm])
         return AbelianPLStructure(m, n, PolyBivector(variables, entries), norm)
 
     @staticmethod
@@ -589,43 +588,3 @@ def check_log_coordinate_identity(L: LieAlgebra, sample_points=None, seed: int =
             worst = max(worst, abs(acc))
     return LogIdentityReport(max_residual=worst, samples=len(sample_points), passed=worst < threshold,
                       threshold=threshold)
-
-
-def multiplicative_log_bivector_jacobiator(L: LieAlgebra, z) -> float:
-    """Max |Jacobiator| component of the bivector pi^{ij}(z) = sum_k C^k_{ij}
-    z_i z_j ln z_k at a positive point, via the closed-form derivatives.
-    Provides the independent sampling oracle for :func:`check_log_coordinate_identity`."""
-    n = L.dim
-    zf = [float(x) for x in z]
-    if any(v <= 0 for v in zf):
-        raise ValueError("coordinates must be positive")
-    ln = [math.log(v) for v in zf]
-
-    def C(i, j, k):
-        return float(L.structure_constant(i, j, k).re)
-
-    def pi(i, j):
-        return sum(C(i, j, k) * zf[i] * zf[j] * ln[k] for k in range(n))
-
-    def dpi(a, i, j):
-        # d/dz_a of pi^{ij}
-        out = 0.0
-        for k in range(n):
-            c = C(i, j, k)
-            if not c:
-                continue
-            if a == i:
-                out += c * zf[j] * ln[k]
-            if a == j:
-                out += c * zf[i] * ln[k]
-            if a == k:
-                out += c * zf[i] * zf[j] / zf[a]
-        return out
-
-    worst = 0.0
-    for i, j, k in itertools.combinations(range(n), 3):
-        acc = 0.0
-        for a in range(n):
-            acc += pi(a, k) * dpi(a, i, j) + pi(a, i) * dpi(a, j, k) + pi(a, j) * dpi(a, k, i)
-        worst = max(worst, abs(acc))
-    return worst

@@ -19,9 +19,10 @@ supplies two things:
   index)`` triples, unmultiplied: ``[f d_i, g d_j] = f (d_i g) d_j - g (d_j f)
   d_i`` for polynomial fields here, ``f g [e_i, e_j]`` from the structure
   constants for Lambda g in :mod:`poissonkit.bialgebra`;
-* ``_sum_products``: the coefficient ``sum sign * f1 * f2 * ...`` of one
-  frame, :meth:`~poissonkit.poly.MultiPoly.sum_of_products` for polynomial
-  fields and a scalar sum for Lambda g.
+* ``_sum_products``: the coefficient ``sum c * f1 * f2 * ...`` of one frame
+  from its ``(coefficient, factors)`` pairs,
+  :meth:`~poissonkit.poly.MultiPoly.sum_of_products` for polynomial fields
+  and a scalar sum for Lambda g.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ class PolyMultiVector:
         return out
 
     def _sum_products(self, products):
-        """The coefficient ``sum sign * f1 * f2 * ...`` of ``(sign, factors)``."""
+        """The coefficient ``sum c * f1 * f2 * ...`` of ``(c, factors)``."""
         return MultiPoly.sum_of_products(self.vars, products)
 
     # -- basics ------------------------------------------------------------

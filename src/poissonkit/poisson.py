@@ -38,21 +38,18 @@ class PolyVectorField(PolyMultiVector):
         vs = _as_vars(variables)
         if len(comps) != len(vs):
             raise ValueError("component count must equal the dimension")
-        PolyMultiVector.__init__(self, vs, 1, {(i,): c for i, c in enumerate(comps)})
+        PolyMultiVector.__init__(self, vs, 1, {(i,): c if c.is_zero() else c.over(vs)
+                                               for i, c in enumerate(comps)})
 
     def apply(self, f: MultiPoly) -> MultiPoly:
         """Directional derivative V(f)."""
-        acc = MultiPoly.zero(self.vars)
-        for (i,), c in sorted(self.comps.items()):
-            acc = acc + c * f.partial(self.vars[i].name)
-        return acc
+        f = f.over(self.vars)
+        return MultiPoly.sum_of_products(self.vars, [
+            (1, (c, f.partial(self.vars[i].name))) for (i,), c in sorted(self.comps.items())])
 
     def pair(self, alpha: "PolyOneForm") -> MultiPoly:
-        acc = MultiPoly.zero(self.vars)
-        for k, c in sorted(self.comps.items()):
-            if k in alpha.comps:
-                acc = acc + c * alpha.comps[k]
-        return acc
+        return MultiPoly.sum_of_products(self.vars, [
+            (1, (c, alpha.comps[k])) for k, c in sorted(self.comps.items()) if k in alpha.comps])
 
 
 class PolyOneForm(PolyMultiVector):
@@ -78,11 +75,10 @@ def lie_derivative_one_form(V: PolyVectorField, alpha: PolyOneForm) -> PolyOneFo
     a = [alpha.component(i) for i in range(V.n)]
     out = []
     for j in range(len(names)):
-        acc = MultiPoly.zero(V.vars)
+        products = []
         for i in range(len(names)):
-            acc = acc + v[i] * a[j].partial(names[i])
-            acc = acc + a[i] * v[i].partial(names[j])
-        out.append(acc)
+            products += [(1, (v[i], a[j].partial(names[i]))), (1, (a[i], v[i].partial(names[j])))]
+        out.append(MultiPoly.sum_of_products(V.vars, products))
     return PolyOneForm(V.vars, out)
 
 
@@ -250,12 +246,12 @@ class PolyBivector(PolyMultiVector):
             raise ValueError("one-form dimension mismatch")
         comps = []
         for i in range(self.n):
-            acc = MultiPoly.zero(self.vars)
+            products = []
             for j in range(self.n):
                 pij = self.component(j, i)
                 if not pij.is_zero():
-                    acc = acc + alpha.component(j) * pij
-            comps.append(acc)
+                    products.append((1, (alpha.component(j), pij)))
+            comps.append(MultiPoly.sum_of_products(self.vars, products))
         return PolyVectorField(self.vars, comps)
 
     def pair(self, alpha: PolyOneForm, beta: PolyOneForm) -> MultiPoly:
@@ -298,13 +294,13 @@ def bracket_fn(pi: PolyBivector, f: MultiPoly, g: MultiPoly) -> MultiPoly:
         raise TypeError("numeric-only fields have no symbolic bracket")
     f = f.over(pi.vars)
     g = g.over(pi.vars)
-    acc = MultiPoly.zero(pi.vars)
     names = [v.name for v in pi.vars]
     df = [f.partial(n) for n in names]
     dg = [g.partial(n) for n in names]
+    products = []
     for (i, j), p in pi.comps.items():
-        acc = acc + p * (df[i] * dg[j] - df[j] * dg[i])
-    return acc
+        products += [(1, (p, df[i], dg[j])), (-1, (p, df[j], dg[i]))]
+    return MultiPoly.sum_of_products(pi.vars, products)
 
 
 def hamiltonian_field(pi: PolyBivector, f: MultiPoly) -> PolyVectorField:
@@ -323,14 +319,11 @@ def lie_poisson(L: LieAlgebra, names=None) -> PolyBivector:
     vs = tuple(names) if names else tuple(f"mu{i+1}" for i in range(n))
     variables = _as_vars(vs)
     entries = {}
+    mus = [MultiPoly.variable(variables, v.name) for v in variables]
     for i in range(n):
         for j in range(i + 1, n):
-            acc = MultiPoly.zero(variables)
-            for k in range(n):
-                c = L.structure_constant(i, j, k)
-                if not c.is_zero():
-                    acc = acc + MultiPoly.variable(variables, variables[k].name).scale(c)
-            entries[(i, j)] = acc
+            entries[(i, j)] = MultiPoly.sum_of_products(
+                variables, [(L.structure_constant(i, j, k), (mus[k],)) for k in range(n)])
     return PolyBivector(variables, entries)
 
 
@@ -418,10 +411,10 @@ def _interior_two_form(V: PolyVectorField, beta: PolyOneForm) -> PolyOneForm:
     b = [beta.component(i) for i in range(V.n)]
     out = []
     for j in range(len(names)):
-        acc = MultiPoly.zero(V.vars)
+        products = []
         for i in range(len(names)):
-            acc = acc + v[i] * (b[j].partial(names[i]) - b[i].partial(names[j]))
-        out.append(acc)
+            products += [(1, (v[i], b[j].partial(names[i]))), (-1, (v[i], b[i].partial(names[j])))]
+        out.append(MultiPoly.sum_of_products(V.vars, products))
     return PolyOneForm(V.vars, out)
 
 
@@ -496,10 +489,11 @@ def pairing_identity_check(pi: PolyBivector, V: PolyVectorField, alpha: PolyOneF
     """
     lhs = V.pair(one_form_bracket(pi, alpha, beta))
     lv = lie_derivative_bivector(pi, V)
-    pair_lv = MultiPoly.zero(pi.vars)
+    products = []
     for (i, j), p in lv.comps.items():
-        pair_lv = pair_lv + p * (alpha.component(i) * beta.component(j)
-                                   - alpha.component(j) * beta.component(i))
+        products += [(1, (p, alpha.component(i), beta.component(j))),
+                     (-1, (p, alpha.component(j), beta.component(i)))]
+    pair_lv = MultiPoly.sum_of_products(pi.vars, products)
     sa = pi.sharp(alpha)
     sb = pi.sharp(beta)
     ivb = V.pair(beta)

@@ -14,9 +14,11 @@ tori and vector spaces; general symbolic transcendentals are out of scope.
 a polynomial at polynomial images on one chart, for example at a group law
 ``x -> x + x'``, ``w -> w*w'`` or at a matrix acting on the coordinates.
 :meth:`MultiPoly.sum_of_products` is the one sum of products: it accumulates
-``sum +-f1*f2*...`` over one chart in integer triples, with no intermediate
-polynomial, and serves both Jacobi routes (the cyclic ``jacobiator`` and the
-Schouten bracket of polynomial fields).
+``sum c*f1*f2*...`` over one chart in integer triples, with no intermediate
+polynomial, and every accumulation of the package goes through it, ``*``
+included.  Its terms come in the order of the ring route, one product at a
+time: a term whose sum reaches zero is removed and comes back at the end if
+its exponent reappears.  The float flow compiles terms in that order.
 
 Charts are shared: every chart is one tuple of :class:`Var`, so polynomials
 on equal charts hold the same ``vars`` object and are matched by identity.
@@ -58,13 +60,18 @@ class Var:
 
 # every chart built so far, keyed by the specs it was built from and by
 # itself: equal charts are one tuple, so ``align`` and ``over`` match them by
-# identity.  Only valid charts enter, and a chart never changes.
+# identity.  Only valid charts enter, and a chart never changes.  A chart is
+# also kept under its ``id``, which no other object can take while the chart
+# lives here, so a shared chart is recognized without hashing its variables.
 _CHARTS: dict = {}
+_SHARED: dict = {}
 
 
 def _as_vars(specs) -> tuple:
     """The shared chart (a tuple of ``Var``) for ``specs``: ``Var`` objects,
     names of affine variables or ``(name, kind)`` pairs."""
+    if _SHARED.get(id(specs)) is specs:
+        return specs
     specs = tuple(specs)
     try:
         return _CHARTS[specs]
@@ -74,6 +81,7 @@ def _as_vars(specs) -> tuple:
         key = None
     chart = _build_vars(specs)
     chart = _CHARTS.setdefault(chart, chart)
+    _SHARED[id(chart)] = chart
     if key is not None:
         _CHARTS[key] = chart
     return chart
@@ -93,6 +101,32 @@ def _build_vars(specs) -> tuple:
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate variable names in {names}")
     return tuple(out)
+
+
+def _merged_chart(first: tuple, second: tuple) -> tuple:
+    """The shared chart of ``first``'s variables followed by those of
+    ``second`` whose names ``first`` lacks."""
+    if first is second:
+        return first
+    names = {v.name for v in first}
+    return _as_vars(first + tuple(v for v in second if v.name not in names))
+
+
+def _add_triple(terms: dict, e: tuple, a: int, b: int, d: int) -> None:
+    """``terms[e] += (a + b*i) / d`` on integer triples, by the ring's rule:
+    a sum that reaches zero is removed, so the exponent goes to the end of
+    ``terms`` if it comes back; any other sum keeps its place."""
+    old = terms.get(e)
+    if old is not None:
+        oa, ob, od = old
+        if od == d:
+            a, b = oa + a, ob + b
+        else:
+            a, b, d = oa * d + a * od, ob * d + b * od, od * d
+        if not (a or b):
+            del terms[e]
+            return
+    terms[e] = a, b, d
 
 
 class MultiPoly:
@@ -175,8 +209,7 @@ class MultiPoly:
         polynomial's variables followed by those only ``other`` uses."""
         if self.vars is other.vars:
             return self, other
-        names = {v.name for v in self.vars}
-        merged = _as_vars(self.vars + tuple(v for v in other.vars if v.name not in names))
+        merged = _merged_chart(self.vars, other.vars)
         return self.over(merged), other.over(merged)
 
     def over(self, variables) -> "MultiPoly":
@@ -232,16 +265,7 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return self.scale(other)
         p, q = self.align(other)
-        terms = {}
-        for e1, c1 in p.terms.items():
-            for e2, c2 in q.terms.items():
-                e = tuple(map(add, e1, e2))
-                s = terms.get(e, ZERO) + c1 * c2
-                if s.is_zero():
-                    terms.pop(e, None)
-                else:
-                    terms[e] = s
-        return MultiPoly._clean(p.vars, terms)
+        return MultiPoly.sum_of_products(p.vars, ((1, (p, q)),))
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -255,36 +279,65 @@ class MultiPoly:
 
     @staticmethod
     def sum_of_products(chart, products) -> "MultiPoly":
-        """``sum sign * f1 * f2 * ...`` over ``products``, pairs ``(sign,
-        factors)`` with ``sign`` +1 or -1 and one or more polynomials on
-        ``chart`` as factors (the Jacobi routes pass one to three); a factor on
-        any other chart raises ``ValueError``.
+        """``sum c * f1 * f2 * ...`` over ``products``, pairs ``(c, factors)``
+        with ``c`` an int, a :class:`GaussianRational` or another exact scalar
+        that it coerces (a zero ``c`` adds nothing) and ``factors`` a tuple of
+        polynomials on ``chart`` (an empty tuple stands for the constant
+        ``c``); a factor on any other chart raises ``ValueError``.
 
-        The whole sum is accumulated in one dict of integer triples ``(a, b,
-        d)``, one ``(a + b*i) / d`` per exponent, not in lowest terms; only a
-        term that survives becomes a :class:`GaussianRational`.  Terms keep
-        the order in which their exponents first appear."""
+        Terms come out in the order of the ring route ``acc = acc + c*f1*...*fk``,
+        one product at a time: a product is merged factor by factor as ``*``
+        merges two polynomials, and added to the sum as ``+`` adds.  Both follow
+        one rule: a term whose sum reaches zero is removed, and comes back at
+        the end if its exponent reappears.  The work is done in integer
+        triples ``(a, b, d)``, one ``(a + b*i) / d`` per exponent, not in
+        lowest terms; only a term that survives becomes a
+        :class:`GaussianRational`."""
         chart = _as_vars(chart)
         acc = {}
-        for sign, factors in products:
+        for c, factors in products:
+            if type(c) is int:
+                ca, cb, cd = c, 0, 1
+            else:
+                c = GaussianRational.coerce(c)
+                ca, cb, cd = c.a, c.b, c.d
+            if not (ca or cb):
+                continue
             for f in factors:
                 if f.vars is not chart:
                     raise ValueError(f"factor {f} is not on the chart {chart}")
-            first, *more = factors
-            terms = [(e, sign * c.a, sign * c.b, c.d) for e, c in first.terms.items()]
-            for f in more:
-                terms = [(tuple(map(add, e, fe)), a * c.a - b * c.b, a * c.b + b * c.a, d * c.d)
-                         for e, a, b, d in terms for fe, c in f.terms.items()]
+            if not factors:
+                terms = [((0,) * len(chart), ca, cb, cd)]
+            elif cb or cd != 1:
+                terms = [(e, ca * x.a - cb * x.b, ca * x.b + cb * x.a, cd * x.d)
+                         for e, x in factors[0].terms.items()]
+            else:
+                terms = [(e, ca * x.a, ca * x.b, x.d) for e, x in factors[0].terms.items()]
+            for f in factors[1:]:
+                # a side with one term cannot give one exponent twice
+                merge = len(terms) > 1 and len(f.terms) > 1
+                terms = [(tuple(map(add, e, fe)), a * x.a - b * x.b, a * x.b + b * x.a, d * x.d)
+                         for e, a, b, d in terms for fe, x in f.terms.items()]
+                if merge and len({t[0] for t in terms}) < len(terms):
+                    # exponents collide: merge them in this order, as * does
+                    merged = {}
+                    for e, a, b, d in terms:
+                        _add_triple(merged, e, a, b, d)
+                    terms = [(e, a, b, d) for e, (a, b, d) in merged.items()]
+            # _add_triple inlined: a call per term costs the Jacobi routes a few percent
             for e, a, b, d in terms:
                 old = acc.get(e)
-                if old is None:
-                    acc[e] = a, b, d
-                else:
+                if old is not None:
                     oa, ob, od = old
-                    acc[e] = ((oa + a, ob + b, d) if od == d
-                              else (oa * d + a * od, ob * d + b * od, od * d))
-        return MultiPoly._clean(chart, {e: _make(a, b, d) for e, (a, b, d) in acc.items()
-                                        if a or b})
+                    if od == d:
+                        a, b = oa + a, ob + b
+                    else:
+                        a, b, d = oa * d + a * od, ob * d + b * od, od * d
+                    if not (a or b):
+                        del acc[e]
+                        continue
+                acc[e] = a, b, d
+        return MultiPoly._clean(chart, {e: _make(a, b, d) for e, (a, b, d) in acc.items()})
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -300,9 +353,11 @@ class MultiPoly:
 
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
-            if self.terms and len(self.terms) > 1:
-                return False
-            return self == MultiPoly.constant(self.vars, other)
+            try:
+                c = GaussianRational.coerce(other)
+            except (TypeError, ValueError):
+                return NotImplemented
+            return self.terms == ({(0,) * len(self.vars): c} if c else {})
         try:
             p, q = self.align(other)
         except ValueError:  # a shared name has another kind on each side
@@ -310,7 +365,9 @@ class MultiPoly:
         return p.terms == q.terms
 
     def __hash__(self):
-        # chart-independent, as __eq__ is
+        # chart-independent, as __eq__ is; a constant equals, so hashes as, its scalar
+        if not any(map(any, self.terms)):
+            return hash(self.constant_term())
         return hash(self._factored())
 
     def _factored(self) -> frozenset:
@@ -338,26 +395,14 @@ class MultiPoly:
         return d
 
     def _derivative(self, name: str) -> "MultiPoly":
+        # an affine derivative maps distinct exponents to distinct exponents,
+        # an angular one keeps them, and every c*k or c*i*k is nonzero
         i = self._index(name)
-        kind = self.vars[i].kind
-        terms = {}
-        for exp, c in self.terms.items():
-            k = exp[i]
-            if k == 0:
-                continue
-            if kind == AFFINE:
-                new = list(exp)
-                new[i] = k - 1
-                coeff = c * Q(k)
-            else:
-                new = list(exp)
-                coeff = c * GaussianRational(0, k)
-            key = tuple(new)
-            s = terms.get(key, ZERO) + coeff
-            if s.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = s
+        if self.vars[i].kind == AFFINE:
+            terms = {exp[:i] + (exp[i] - 1,) + exp[i + 1:]: c * Q(exp[i])
+                     for exp, c in self.terms.items() if exp[i]}
+        else:
+            terms = {exp: c * GaussianRational(0, exp[i]) for exp, c in self.terms.items() if exp[i]}
         return MultiPoly._clean(self.vars, terms)
 
     def affine_degree(self) -> int:
@@ -457,14 +502,9 @@ class MultiPoly:
                 powers[i, e] = img ** abs(e)
             return powers[i, e]
 
-        out = MultiPoly.zero(chart)
-        for exp, c in self.terms.items():
-            term = MultiPoly.constant(chart, c)
-            for i, e in enumerate(exp):
-                if e:
-                    term = term * power(i, e)
-            out = out + term
-        return out
+        return MultiPoly.sum_of_products(chart, [
+            (c, tuple(power(i, e) for i, e in enumerate(exp) if e))
+            for exp, c in self.terms.items()])
 
     # -- serialization ---------------------------------------------------------
 
@@ -559,6 +599,7 @@ class RelationIdeal:
         ideal = RelationIdeal(gen) if gen.vars != self.generator.vars else self
         lead = ideal.lead_exp
         lc = ideal.lead_coeff
+        head = MultiPoly.monomial(p.vars, lead, lc)
         tail = ideal.tail
         current = p
         while True:
@@ -572,8 +613,9 @@ class RelationIdeal:
             c = current.terms[hit]
             shift = tuple(e - l for e, l in zip(hit, lead))
             factor = MultiPoly.monomial(current.vars, shift, c / lc)
-            # p := p - factor * (lead + tail); the head term cancels exactly.
-            current = current - factor * MultiPoly.monomial(current.vars, lead, lc) - factor * tail
+            # p := p - factor * (head + tail); the head term cancels exactly.
+            current = MultiPoly.sum_of_products(
+                current.vars, [(1, (current,)), (-1, (factor, head)), (-1, (factor, tail))])
 
 def sl2_relation_ideal(names=("a1", "a2", "a3", "a4")) -> RelationIdeal:
     """The determinant-one relation a1*a4 - a2*a3 - 1 on 2x2 group entries."""

@@ -126,13 +126,16 @@ class GaussianRational:
     def __eq__(self, other):
         try:
             o = other if type(other) is GaussianRational else GaussianRational.coerce(other)
-        except TypeError:
+        except (TypeError, ValueError):  # not a number, or a string that is none
             return NotImplemented
         return self.a == o.a and self.b == o.b and self.d == o.d
 
     def __hash__(self):
-        # equal to hash((self.re, self.im)): an integral Fraction hashes as its int
-        return hash((self.a, self.b)) if self.d == 1 else hash((self.re, self.im))
+        # a real value equals, so hashes as, its int or Fraction; any other
+        # as hash((self.re, self.im)), where an integral Fraction hashes as its int
+        if self.d == 1:
+            return hash((self.a, self.b)) if self.b else hash(self.a)
+        return hash((self.re, self.im)) if self.b else hash(self.re)
 
     # -- conversions -----------------------------------------------------
 

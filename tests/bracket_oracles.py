@@ -11,20 +11,24 @@ skew-symmetry and before both Jacobi routes summed their products with
 * ``ad_multivector``: the Leibniz extension of ad_X to Lambda^p g;
 * ``delta_duality_residuals``: the duality cross-check with one dual
   bracket for every ordered pair (i, j), the diagonal included;
-* ``sum_product_then_add``: a sum of signed products, one polynomial
-  product and one addition at a time;
+* ``ring_product``: the product of two polynomials as ``MultiPoly.__mul__``
+  merged it before it called ``sum_of_products``;
+* ``sum_product_then_add``: a sum of products, one ``ring_product`` per
+  factor and one addition per product;
 * ``jacobiator_product_then_add``: the cyclic Jacobiator with one
   polynomial product and one addition per term;
 * ``schouten_multiplying``: the Schouten loop whose frame brackets multiply
   their coefficients and whose terms are added one at a time.
 
 The bodies are unchanged; only the results of the first three are built with
-``AlgMultiVector(L, ...)``, the container's constructor today.
+``AlgMultiVector(L, ...)``, the container's constructor today, and
+``sum_product_then_add`` takes ``(coefficient, factors)`` pairs.
 """
 
 from __future__ import annotations
 
 import itertools
+from operator import add
 
 from poissonkit import linalg
 from poissonkit.bialgebra import AlgMultiVector, RMatrix, delta_from_r, dual_bracket_from_r
@@ -113,15 +117,31 @@ def delta_duality_residuals(r: RMatrix) -> list:
     return out
 
 
+def ring_product(p: MultiPoly, q: MultiPoly) -> MultiPoly:
+    """``p * q`` with one scalar product and one addition per pair of terms;
+    a sum that reaches zero is removed and comes back at the end."""
+    p, q = p.align(q)
+    terms = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(map(add, e1, e2))
+            s = terms.get(e, ZERO) + c1 * c2
+            if s.is_zero():
+                terms.pop(e, None)
+            else:
+                terms[e] = s
+    return MultiPoly._clean(p.vars, terms)
+
+
 def sum_product_then_add(chart, products) -> MultiPoly:
-    """``sum sign * f1 * f2 * ...`` with one polynomial product per factor and
+    """``sum c * f1 * f2 * ...`` with one polynomial product per factor and
     one addition per product."""
     acc = MultiPoly.zero(chart)
-    for sign, factors in products:
-        term = factors[0]
-        for f in factors[1:]:
-            term = term * f
-        acc = acc + term if sign > 0 else acc - term
+    for c, factors in products:
+        term = MultiPoly.constant(chart, c)
+        for f in factors:
+            term = ring_product(term, f)
+        acc = acc + term
     return acc
 
 

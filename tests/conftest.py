@@ -3,10 +3,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from poissonkit import lie
 from poissonkit.poly import MultiPoly
 from poissonkit.poisson import PolyBivector, lie_poisson
+
+# one profile: every run draws the same examples and keeps no example
+# database, so two runs of one tree give one verdict; per-test settings
+# change only the number of examples.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

@@ -1,9 +1,10 @@
 """Test oracle: the two-``Fraction`` Gaussian rational that ``poissonkit.scalars``
 used before its integer kernel.
 
-``GaussianRational`` below is that class unchanged, kept so the tests can
-compare every operation of the fast class against an independent exact
-implementation.
+``GaussianRational`` below is that class, kept so the tests can compare
+every operation of the fast class against an independent exact
+implementation.  Only its hash changed: a real value hashes as the
+``Fraction`` it equals, as Python asks of values that compare equal.
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ class GaussianRational:
         return self.re == o.re and self.im == o.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     # -- conversions -----------------------------------------------------
 

@@ -6,6 +6,7 @@ import pytest
 
 import bracket_oracles
 import composition_oracles
+from bialgebra_oracles import multiplicative_log_bivector_jacobiator
 from bracket_oracles import ad_multivector
 from conftest import random_constant_algebra
 from poissonkit import bialgebra, lie
@@ -20,7 +21,6 @@ from poissonkit.bialgebra import (
     delta_from_r,
     dual_algebra_from_r,
     dual_bracket_from_r,
-    multiplicative_log_bivector_jacobiator,
     schouten_wedge_bracket,
     validate_bialgebra,
 )

@@ -55,6 +55,21 @@ def test_sharp_anchor(plane):
     assert s.component(0) == -x and s.component(1).is_zero()
 
 
+def test_components_on_a_reordered_chart_act_as_on_the_chart(plane):
+    """Fields and one-forms keep their components on their own chart, so
+    sharp, pair and apply read a component given on ("y", "x") as the same
+    function."""
+    vs = ("x", "y")
+    x, y = generators(*vs)
+    yx, xy = generators("y", "x")
+    V = PolyVectorField(vs, (xy * xy, yx))
+    alpha = PolyOneForm(vs, (yx, xy + 1))
+    assert V.component(0).vars is x.vars and alpha.component(1).vars is x.vars
+    assert V.apply(xy * yx) == x * x * y + x * y
+    assert V.pair(alpha) == x * x * y + y * x + y
+    assert str(plane.sharp(alpha)) == str(plane.sharp(PolyOneForm(vs, (y, x + 1))))
+
+
 def test_bracket_fn(plane, sl2_lp):
     vs = ("x", "y")
     x, y = generators(*vs)

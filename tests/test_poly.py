@@ -280,6 +280,16 @@ def test_hash_agrees_with_chart_free_equality():
     assert len({x1, generators("x2")[0], x1.scale(Q(2))}) == 3
 
 
+def test_equal_values_hash_alike_and_other_objects_compare_unequal():
+    x, = generators("x")
+    three, zero = MultiPoly.constant(x.vars, 3), MultiPoly.zero(x.vars)
+    assert three == 3 and hash(three) == hash(3) and len({three, 3, Q(3)}) == 1
+    assert zero == 0 and hash(zero) == hash(0) and len({zero, 0}) == 1
+    for p in (x, three, zero):
+        assert p != None and not p == None  # noqa: E711
+        assert p != "abc" and not p == "abc"
+
+
 def test_json_roundtrip():
     x, y = generators("x", "y")
     p = x ** 2 - (x * y).scale(Q("2/3")) + 1
@@ -299,26 +309,35 @@ def test_lex_leading_and_eval():
 
 
 @st.composite
-def signed_products(draw):
-    """Signed products of one to three factors drawn from a few polynomials
-    (zero among them), with some products repeated at the opposite sign so
-    that sums cancel, partly or to zero."""
+def scaled_products(draw):
+    """Products ``(c, factors)`` of zero to three factors drawn from a few
+    polynomials (zero and the Laurent monomials w, i/w among them), with
+    ``c`` +-1, a small integer (zero included), a Fraction or a Gaussian
+    rational, and some products repeated with ``-c`` so that sums cancel,
+    partly or to zero."""
     pool = draw(st.lists(gaussian_poly_strategy(CHART), min_size=1, max_size=4))
-    pool.append(MultiPoly.zero(CHART))
-    factors = st.lists(st.sampled_from(pool), min_size=1, max_size=3).map(tuple)
-    products = draw(st.lists(st.tuples(st.sampled_from([1, -1]), factors), max_size=6))
+    pool += [MultiPoly.zero(CHART), MultiPoly.monomial(CHART, (0, 0, 1)),
+             MultiPoly.monomial(CHART, (0, 0, -1), I)]
+    factors = st.lists(st.sampled_from(pool), max_size=3).map(tuple)
+    part = st.fractions(max_denominator=4, min_value=-2, max_value=2)
+    coeffs = (st.sampled_from([1, -1]) | st.integers(-3, 3) | part
+              | st.builds(GaussianRational, part, part))
+    products = draw(st.lists(st.tuples(coeffs, factors), max_size=6))
     cancel = draw(st.lists(st.booleans(), min_size=len(products), max_size=len(products)))
-    return products + [(-sign, f) for (sign, f), c in zip(products, cancel) if c]
+    return products + [(-c, f) for (c, f), x in zip(products, cancel) if x]
 
 
 @settings(max_examples=100, deadline=None)
-@given(signed_products())
+@given(scaled_products())
 def test_sum_of_products_is_the_product_then_add_sum(products):
+    """Equal to the ring route term for term, in the same term order: the
+    float flow compiles terms in that order."""
     from bracket_oracles import sum_product_then_add
 
     got = MultiPoly.sum_of_products(CHART, products)
     want = sum_product_then_add(CHART, products)
     assert got == want and str(got) == str(want)
+    assert list(got.terms.items()) == list(want.terms.items())
     assert got.vars is want.vars
     _rebuilt_the_same(got)
 

@@ -148,3 +148,10 @@ def test_a_float_operand_raises_type_error_on_either_side():
             op(Q(1), 1.5)
         with pytest.raises(TypeError):
             op(1.5, Q(1))
+
+
+def test_equal_values_hash_alike_and_other_objects_compare_unequal():
+    for x, v in ((Q(3), 3), (Q(-4), -4), (Q("1/2"), Fraction(1, 2)), (Q(0), 0)):
+        assert x == v and hash(x) == hash(v) and len({x, v}) == 1
+    assert Q(1) != "abc" and not Q(1) == "abc"
+    assert Q(1) != None and not Q(1) == None  # noqa: E711
