@@ -102,14 +102,6 @@ class LieAlgebra:
             return NotImplemented
         return self is other or self._table == other._table
 
-    def is_abelian(self) -> bool:
-        return all(
-            self._table[i][j][k].is_zero()
-            for i in range(self.dim)
-            for j in range(self.dim)
-            for k in range(self.dim)
-        )
-
     # -- Jacobi ------------------------------------------------------------
 
     def jacobiator(self, i: int, j: int, k: int) -> list:

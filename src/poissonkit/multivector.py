@@ -12,8 +12,10 @@ formula on decomposables,
 with each monomial term factored as (coeff * d_{i1}) ^ d_{i2} ^ ... so only
 brackets of two frame vectors that carry at most one coefficient each are
 ever needed.  :func:`schouten` collects, for each output frame, the terms
-of that frame as signed products and sums each frame once.  A container
-supplies two things:
+of that frame as signed products and sums each frame once.  The bracket is
+graded symmetric, [A, B] = -(-1)^((p-1)(q-1)) [B, A], so the square [A, A]
+of an even-degree tensor sums each unordered pair of its components once,
+an off-diagonal pair with weight 2.  A container supplies two things:
 
 * ``_frame_bracket``: the bracket of two frame vectors as ``(sign, factors,
   index)`` triples, unmultiplied: ``[f d_i, g d_j] = f (d_i g) d_j - g (d_j f)
@@ -177,10 +179,15 @@ def schouten(A: PolyMultiVector, B: PolyMultiVector) -> PolyMultiVector:
         raise ValueError("multivectors must live on one space")
     frame_bracket = A._frame_bracket
     sums = {}  # sorted index tuple -> [(sign, factors)], summed once at the end
+    a_comps = list(A.comps.items())
+    # [a, b] = [b, a] for two components of one even-degree tensor, so its
+    # square visits each unordered pair once and counts a pair a != b twice
+    square = A is B and A.degree % 2 == 0
     # each component is factored as (coeff * u_1) ^ u_2 ^ ...; a coefficient
     # None stands for 1 and a factor's coefficient is either bracketed or rest
-    for ka, ca in A.comps.items():
-        for kb, cb in B.comps.items():
+    for m, (ka, ca) in enumerate(a_comps):
+        for kb, cb in (a_comps[m:] if square else B.comps.items()):
+            weight = 2 if square and kb != ka else 1
             for s, ia in enumerate(ka):
                 f, rest_f = (ca, ()) if s == 0 else (None, (ca,))
                 for t, ib in enumerate(kb):
@@ -188,7 +195,7 @@ def schouten(A: PolyMultiVector, B: PolyMultiVector) -> PolyMultiVector:
                     bracket_terms = frame_bracket(f, ia, g, ib)  # [u_s, v_t]
                     if not bracket_terms:
                         continue
-                    sign = (-1) ** (s + t)
+                    sign = weight * (-1) ** (s + t)
                     rest_idx = ka[:s] + ka[s + 1:] + kb[:t] + kb[t + 1:]
                     rest = rest_f + rest_g
                     for bracket_sign, factors, lead in bracket_terms:

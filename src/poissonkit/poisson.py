@@ -525,11 +525,6 @@ def r_k(pi: PolyBivector, point, k: int) -> Fraction:
     return linalg.minor_sums(pi.eval_matrix(point))[k]
 
 
-def max_rank_from_minors(pi: PolyBivector, point) -> int:
-    """max{2k : r_{2k}(point) != 0}, an independent route to the rank."""
-    return _largest_even_nonzero(linalg.minor_sums(pi.eval_matrix(point)))
-
-
 def _largest_even_nonzero(sums) -> int:
     """The largest even k with ``sums[k] != 0``, for ``sums`` from
     :func:`linalg.minor_sums` or :func:`linalg._elementary_sums`

@@ -154,9 +154,12 @@ class MultiPoly:
             for e, v in zip(exp, self.vars):
                 if v.kind == AFFINE and e < 0:
                     raise ValueError(f"negative exponent on affine variable {v.name}")
-            clean[exp] = clean.get(exp, ZERO) + c
-            if clean[exp].is_zero():
-                del clean[exp]
+            if exp in clean:  # an exponent given twice, e.g. as 1 and "1"
+                c = clean[exp] + c
+                if c.is_zero():
+                    del clean[exp]
+                    continue
+            clean[exp] = c
         self.terms = clean
 
     @staticmethod

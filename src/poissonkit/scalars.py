@@ -3,8 +3,11 @@
 Every algebraic quantity in this package (structure constants, r-matrix
 entries, polynomial coefficients) is a :class:`GaussianRational`, three
 Python integers ``(a + b*i) / d``.  Equality, zero tests and arithmetic are
-exact integer operations; the ``fractions.Fraction`` parts ``re`` and ``im``
-serve printing and JSON.  There is no floating point in the symbolic layer.
+exact integer operations, and so are reading a coefficient from JSON and
+printing it.  ``fractions.Fraction`` serves only the parts ``re`` and ``im``
+(and ``repr``, ``to_json`` and the hash of a non-integer value, which read
+them), ``abs2``, and the constructor's ``Fraction`` and string inputs.
+There is no floating point in the symbolic layer.
 """
 
 from __future__ import annotations
@@ -152,20 +155,26 @@ class GaussianRational:
 
     @staticmethod
     def from_json(d: dict) -> "GaussianRational":
-        re = Fraction(json_int(d["num"]), json_int(d.get("den", 1)))
-        im = Fraction(json_int(d.get("im_num", 0)), json_int(d.get("im_den", 1)))
-        return GaussianRational(re, im)
+        """``num/den + (im_num/im_den)*i``; a zero denominator raises
+        ``ZeroDivisionError``."""
+        a, da = json_int(d["num"]), json_int(d.get("den", 1))
+        b, db = json_int(d.get("im_num", 0)), json_int(d.get("im_den", 1))
+        den = da * db
+        if not den:
+            raise ZeroDivisionError(f"zero denominator in {d!r}")
+        return _make(a * db, b * da, den) if den > 0 else _make(-a * db, -b * da, -den)
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self):
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            return f"{self.im}*i"
-        sign = "+" if self.im > 0 else "-"
-        return f"({self.re}{sign}{abs(self.im)}*i)"
+        a, b, d = self.a, self.b, self.d
+        if not b:  # then gcd(a, d) == 1
+            return str(a) if d == 1 else f"{a}/{d}"
+        im = _ratio(abs(b), d)
+        if not a:
+            return f"-{im}*i" if b < 0 else f"{im}*i"
+        return f"({_ratio(a, d)}{'+' if b > 0 else '-'}{im}*i)"
 
 
 _new = object.__new__
@@ -178,6 +187,12 @@ def _make(a: int, b: int, d: int) -> GaussianRational:
     z = _new(GaussianRational)
     z.a, z.b, z.d = (a, b, d) if g == 1 else (a // g, b // g, d // g)
     return z
+
+
+def _ratio(n: int, d: int) -> str:
+    """``n/d`` in lowest terms as ``Fraction`` prints it, for ``d > 0``."""
+    g = gcd(n, d)
+    return str(n // g) if d == g else f"{n // g}/{d // g}"
 
 
 def _coerced(op, x, y):
@@ -203,12 +218,14 @@ def Q(re, im=0) -> GaussianRational:
 
 def coeff_from_json(x) -> GaussianRational:
     """A coefficient as JSON writes it: an integer, a rational string such as
-    ``"2/3"`` or a ``{"num", "den", "im_num", "im_den"}`` object.  A float or
-    any other non-exact value raises ``ValueError``."""
-    if isinstance(x, dict):
-        return GaussianRational.from_json(x)
+    ``"2/3"`` or a ``{"num", "den", "im_num", "im_den"}`` object.  A float,
+    any other non-exact value or a zero denominator raises ``ValueError``."""
     try:
+        if isinstance(x, dict):
+            return GaussianRational.from_json(x)
         return GaussianRational.coerce(x)
+    except ZeroDivisionError:
+        raise ValueError(f"coefficient {x!r} has a zero denominator") from None
     except TypeError:
         raise ValueError(f"coefficient {x!r} is not an exact rational") from None
 

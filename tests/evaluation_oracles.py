@@ -1,5 +1,6 @@
 """Test oracles: the evaluation routes of ``poissonkit`` before
-``stratify_sample`` read one integer matrix per point.
+``stratify_sample`` read one integer matrix per point, and two functions
+that only tests called.
 
 * ``faddeev_leverrier_minor_sums``: every sum of squared minors from the
   characteristic polynomial of ``H = M M^H``, by the Faddeev-LeVerrier
@@ -9,9 +10,15 @@
 * ``eval_matrix_per_entry``: the skew matrix of a bivector at a point, one
   :meth:`~poissonkit.poly.MultiPoly.eval_at` per stored component, where
   :meth:`~poissonkit.poisson.PolyBivector.eval_matrix` now reads the
-  integer evaluator built once per bivector.
+  integer evaluator built once per bivector;
+* ``max_rank_from_minors``: the rank of a bivector at a point as the largest
+  even k with a nonzero sum of squared k x k minors, formerly
+  ``poissonkit.poisson.max_rank_from_minors``;
+* ``is_abelian``: whether every bracket of a Lie algebra's basis vanishes,
+  formerly the method ``LieAlgebra.is_abelian``.
 
-The bodies are unchanged, apart from the names they import.
+The first two bodies are unchanged, apart from the names they import; the
+last two read the package through public names only.
 """
 
 from __future__ import annotations
@@ -77,3 +84,15 @@ def eval_matrix_per_entry(pi, point) -> list:
         m[i][j] = val
         m[j][i] = -val
     return m
+
+
+def max_rank_from_minors(pi, point) -> int:
+    """max{2k : r_{2k}(point) != 0}, an independent route to the rank."""
+    sums = linalg.minor_sums(pi.eval_matrix(point))
+    return max(k for k in range(0, len(sums), 2) if sums[k])
+
+
+def is_abelian(L) -> bool:
+    """Whether every structure constant of the Lie algebra ``L`` is zero."""
+    return all(c.is_zero() for i in range(L.dim) for j in range(L.dim)
+               for c in L.basis_bracket(i, j))

@@ -316,6 +316,7 @@ def _assert_schema_error(argv, capsys):
     assert captured.out == ""
     assert captured.err.startswith("schema error: ")
     assert captured.err.count("\n") == 1
+    return captured.err
 
 
 @pytest.mark.parametrize("argv", [
@@ -606,6 +607,24 @@ def test_bundle_schema_errors_exit_2(subcommand, edit, tmp_path, capsys):
     path = tmp_path / "bundle.json"
     path.write_text(json.dumps(raw if edited is None else edited))
     _assert_schema_error([subcommand, "--bundle", str(path)], capsys)
+
+
+_PLANE_COEFF = ("bivectors", "plane", "entries", 0, "poly", "terms", 1, "coeff")
+
+
+@pytest.mark.parametrize("subcommand, keys, zero", [
+    ("check-poisson", _PLANE_COEFF, "1/0"),
+    ("check-poisson", _PLANE_COEFF, {"num": "1", "den": "0"}),
+    ("check-poisson", _PLANE_COEFF, {"num": "1", "den": "1", "im_num": "2", "im_den": "0"}),
+    ("check-bialgebra", ("rmatrices", "hyperbola", "lambda", 1, 2), {"num": "2", "den": "0"}),
+])
+def test_a_zero_denominator_is_a_schema_error(subcommand, keys, zero, tmp_path, capsys):
+    raw = json.loads(SAMPLE.read_text())
+    functools.reduce(lambda node, key: node[key], keys[:-1], raw)[keys[-1]] = zero
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(raw))
+    err = _assert_schema_error([subcommand, "--bundle", str(path)], capsys)
+    assert f"coefficient {zero!r} has a zero denominator" in err
 
 
 # the subcommand that reads each section of the sample bundle

@@ -313,6 +313,56 @@ def test_lambda_g_brackets_equal_the_multiplying_oracle(rng):
                 _same(delta_from_r(r, X), schouten_multiplying(element, r))
 
 
+def _count_frame_brackets(monkeypatch, cls):
+    calls = [0]
+
+    def counted(self, f, i, g, j, _orig=cls._frame_bracket):
+        calls[0] += 1
+        return _orig(self, f, i, g, j)
+    monkeypatch.setattr(cls, "_frame_bracket", counted)
+    return calls
+
+
+def test_an_even_square_brackets_each_unordered_pair_once(monkeypatch, rng):
+    """[A, A] of a bivector visits each unordered pair of its P components
+    once (4 frame brackets a pair); [A, B] of an equal but distinct copy, and
+    the square of a vector field, keep the ordered loop, with the same result."""
+    from conftest import rand_poly
+
+    vs = generators(*(f"x{i+1}" for i in range(6)))[0].vars
+    gens = generators(*vs)
+    comps = {}
+    for key in itertools.combinations(range(6), 2):
+        while key not in comps or comps[key].is_zero():
+            comps[key] = rand_poly(rng, vs, gens).scale(Q(Fraction(1, 2), -2))
+    pi = PolyBivector(vs, comps)
+    P = len(pi.comps)
+    calls = _count_frame_brackets(monkeypatch, PolyBivector)
+    square = schouten(pi, pi)
+    assert P == 15 and calls[0] == 4 * P * (P + 1) // 2 == 480
+    calls[0] = 0
+    ordered = schouten(pi, PolyBivector(vs, dict(pi.comps)))
+    assert calls[0] == 4 * P * P == 900
+    _same(square, ordered)
+    assert not square.is_zero()
+
+    field = PolyVectorField(vs, [rand_poly(rng, vs, gens) for _ in range(6)])
+    field_calls = _count_frame_brackets(monkeypatch, PolyVectorField)
+    schouten(field, field)
+    assert field_calls[0] == len(field.comps) ** 2
+
+    sl2 = lie.sl2()
+    r = RMatrix(sl2, {(0, 1): Q(1, 2), (0, 2): Q(Fraction(-1, 3)), (1, 2): Q(0, Fraction(5, 2))})
+    calls = _count_frame_brackets(monkeypatch, RMatrix)
+    square = schouten(r, r)
+    assert calls[0] == 4 * 3 * 4 // 2
+    calls[0] = 0
+    ordered = schouten(r, AlgMultiVector(sl2, 2, dict(r.comps)))
+    assert calls[0] == 4 * 3 * 3
+    _same(square, ordered)
+    assert not square.is_zero()
+
+
 def test_jacobi_check_builds_no_intermediate_polynomial(monkeypatch, rng):
     """On a 6-variable quadratic bivector, both Jacobi routes sum their
     products with the fused kernel: no polynomial product or sum is formed."""

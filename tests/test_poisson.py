@@ -35,7 +35,6 @@ from poissonkit.poisson import (
     jacobi_check,
     lie_derivative_bivector,
     lie_poisson,
-    max_rank_from_minors,
     one_form_bracket,
     r_k,
     rank_at,
@@ -284,7 +283,7 @@ def test_rank_minor_consistency(rng):
                     entries[(i, j)] = rand_poly(rng, variables, gens)
         pi = PolyBivector(variables, entries)
         p = rand_point(rng, n)
-        assert rank_at(pi, p) == max_rank_from_minors(pi, p)
+        assert rank_at(pi, p) == evaluation_oracles.max_rank_from_minors(pi, p)
 
 
 def test_stratify(sl2_lp):

@@ -1,6 +1,6 @@
 import operator
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -91,6 +91,36 @@ def _agrees(x, o):
     assert GaussianRational.from_json(o.to_json()) == x
     assert x.is_zero() == (not o) and bool(x) == bool(o)
     assert x.to_complex() == o.to_complex()
+
+
+# JSON coefficient objects as a bundle may write them: small values (zero,
+# unreduced or negative denominators) and ~10^30-sized ones, as numbers or
+# decimal strings, with any of the four keys missing
+_json_ints = st.one_of(st.integers(-12, 12), st.integers(-10 ** 30, 10 ** 30))
+_json_ints = st.one_of(_json_ints, _json_ints.map(str))
+coefficient_objects = st.fixed_dictionaries(
+    {}, optional={key: _json_ints for key in ("num", "den", "im_num", "im_den")})
+
+
+@given(coefficient_objects)
+def test_from_json_and_str_agree_with_the_fraction_oracle(d):
+    """``from_json`` builds the oracle's value as one lowest-terms triple, and
+    ``str`` prints what the oracle's two ``Fraction`` parts print; a missing
+    ``num`` or a zero denominator raises the oracle's error."""
+    zero_den = any(int(d.get(key, 1)) == 0 for key in ("den", "im_den"))
+    try:
+        o = Oracle.from_json(d)
+    except (KeyError, ZeroDivisionError) as e:
+        assert type(e) is (KeyError if "num" not in d else ZeroDivisionError)
+        with pytest.raises(type(e)):
+            GaussianRational.from_json(d)
+        return
+    assert not zero_den
+    x = GaussianRational.from_json(d)
+    den = lcm(o.re.denominator, o.im.denominator)
+    assert (x.a, x.b, x.d) == (o.re.numerator * (den // o.re.denominator),
+                               o.im.numerator * (den // o.im.denominator), den)
+    assert str(x) == str(o)
 
 
 BINARY = [operator.add, operator.sub, operator.mul, operator.truediv]
