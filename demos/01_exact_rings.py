@@ -7,7 +7,6 @@ forms modulo a single group relation.
 """
 
 from poissonkit import Q, MultiPoly, Var, ANGULAR, generators, sl2_relation_ideal
-from poissonkit.poly import NumericField, fd_gradient
 
 # -- exact scalars -----------------------------------------------------------
 
@@ -40,9 +39,3 @@ a1, a2, a3, a4 = generators("a1", "a2", "a3", "a4")
 print("\na1 a4 reduces to:", ideal.reduce(a1 * a4))
 print("(a1 a4)^2 reduces to:", ideal.reduce(a1 ** 2 * a4 ** 2))
 print("the generator itself reduces to:", ideal.reduce(ideal.generator))
-
-# -- numeric fields and finite differences -----------------------------------------
-
-f = NumericField(lambda p: abs(1 - p[0] * p[1]) ** -0.5, dim=2)
-print("\ncentral-difference gradient of |1 - x1 x2|^(-1/2) at the origin:",
-      fd_gradient(f, [0.0, 0.0]))

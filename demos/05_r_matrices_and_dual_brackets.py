@@ -9,6 +9,7 @@ from fractions import Fraction
 
 from poissonkit import (
     AbelianPLStructure,
+    LieAlgebra,
     LieBialgebra,
     Q,
     RMatrix,
@@ -62,5 +63,8 @@ print("failing identities:", rep.failing_identities())
 
 # -- the log-coordinate identity on multiplicative groups -----------------------------
 
-logid = check_log_coordinate_identity(L, seed=1, count=100)
-print("\nlog-coordinate residual for the sl2 constants:", logid.max_residual)
+logid = check_log_coordinate_identity(L)
+print("\nlog-coordinate identity for the sl2 constants holds identically:", logid.passed)
+bad = LieAlgebra(3, {(0, 1): [0, 0, 1], (1, 2): [0, 1, 0]})
+print("for constants that fail Jacobi, residuals in the logs l_k:",
+      [(t, str(r)) for t, r in check_log_coordinate_identity(bad).residuals[:2]])

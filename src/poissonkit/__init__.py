@@ -14,10 +14,8 @@ from .poly import (
     AFFINE,
     ANGULAR,
     MultiPoly,
-    NumericField,
     RelationIdeal,
     Var,
-    fd_gradient,
     generators,
     sl2_relation_ideal,
 )

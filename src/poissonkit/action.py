@@ -37,10 +37,9 @@ from .poisson import (
     lie_derivative_bivector,
     lie_poisson,
 )
-from .poly import MultiPoly, NumericField, _as_vars, _merged_chart, generators, sl2_relation_ideal
+from .poly import MultiPoly, _as_vars, _merged_chart, generators, sl2_relation_ideal
 from .scalars import GaussianRational, Q, ZERO, ONE
 
-POINTWISE_TOL = 1e-6
 # the local-minimality probe of check_commutator_inclusion: seeded points at
 # offsets k * radius, k in -2..2, in each coordinate
 NEIGHBORHOOD_RADIUS = Fraction(1, 7)
@@ -467,36 +466,6 @@ def solve_h_certificate(l1, l2, l3, c) -> HCertificate:
     return HCertificate(h=h, certificate=cert, passed=cert.is_zero())
 
 
-def numeric_h_residual(l1, l2, l3, c, count: int = 1000, seed: int = 0) -> float:
-    """Max float residual of the cocycle identity over exact group samples,
-    each relative to the size of its terms, max(1, |h(gx)|, |h(x)|)."""
-    h = quadratic_h(l1, l2, l3, c)
-
-    def h_at(p):
-        v = h.eval({"x1": p[0], "x2": p[1]})
-        return v.real if isinstance(v, complex) else float(v)
-
-    gs = sl2_rational_samples(count, seed=seed)
-    rng = random.Random(seed + 1)
-    l1f, l2f, l3f = (float(GaussianRational.coerce(v).re) for v in (l1, l2, l3))
-    lp, lm = l1f + l3f, l1f - l3f
-    worst = 0.0
-    for g in gs:
-        xf = [float(Fraction(rng.randint(-6, 6), rng.randint(1, 4))) for _ in range(2)]
-        gm = [[float(t.re) for t in row] for row in g]
-        gx = [gm[0][0] * xf[0] + gm[0][1] * xf[1], gm[1][0] * xf[0] + gm[1][1] * xf[1]]
-        h_gx, h_x = h_at(gx), h_at(xf)
-        lhs = h_gx - h_x
-        A1, A2, A3, A4 = gm[0][0], gm[0][1], gm[1][0], gm[1][1]
-        rhs = 0.25 * (
-            (lp * A1 * A1 - lm * A3 * A3 - 2 * l2f * A1 * A3 - lp) * xf[0] ** 2
-            + (lp * A2 * A2 - lm * A4 * A4 - 2 * l2f * A2 * A4 + lm) * xf[1] ** 2
-            + (2 * lp * A1 * A2 - 2 * lm * A3 * A4 - 4 * l2f * A2 * A3) * xf[0] * xf[1]
-        )
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(h_gx), abs(h_x)))
-    return worst
-
-
 # -- structure preservation and tangentiality ----------------------------------------------
 
 
@@ -692,10 +661,7 @@ def isotropy_and_annihilator(a: LinearPoissonAction, point,
 @dataclass
 class MomentumMap:
     algebra: LieAlgebra
-    components: list        # MultiPoly (symbolic) or NumericField per basis element
-
-    def is_symbolic(self) -> bool:
-        return all(isinstance(c, MultiPoly) for c in self.components)
+    components: list        # one MultiPoly per basis element
 
     def of_vector(self, X) -> MultiPoly:
         chart = functools.reduce(_merged_chart, (c.vars for c in self.components))
@@ -722,107 +688,87 @@ def identity_momentum_map(L: LieAlgebra, pi: PolyBivector, shift=None) -> Moment
     return MomentumMap(L, comps)
 
 
-def _field_vs_hamiltonian(pi: PolyBivector, fld: PolyVectorField, comp: NumericField,
-                          pf) -> list:
-    """Component pairs (lam^k, X_comp^k) of a generator field and the
-    Hamiltonian field of ``comp`` at a float point, by finite differences."""
-    mflt = pi.eval_matrix_float(pf)
-    grad = comp.gradient(pf)
-    sharp = [sum(grad[j] * mflt[j][k] for j in range(pi.n)) for k in range(pi.n)]
-    assign = {v.name: x for v, x in zip(pi.vars, pf)}
-    return [(complex(fld.component(k).eval(assign)).real, sv) for k, sv in enumerate(sharp)]
-
-
 @dataclass
 class MomentumReport:
     passed: bool
-    mode: str
     residuals: list
-    max_residual: float | None = None
 
     def to_json(self):
-        out = {
+        return {
             "passed": self.passed,
-            "mode": self.mode,
+            "mode": "symbolic",
             "residuals": self.residuals,
         }
-        if self.max_residual is not None:
-            out["max_residual"] = self.max_residual
-        return out
 
 
-def momentum_check(a: LinearPoissonAction, m: MomentumMap, points=None,
-                   tol: float = POINTWISE_TOL) -> MomentumReport:
-    """lam(e_i) = X_{m(e_i)} per basis element: symbolically for polynomial
-    components, pointwise with finite differences otherwise."""
+def momentum_check(a: LinearPoissonAction, m: MomentumMap) -> MomentumReport:
+    """lam(e_i) = X_{m(e_i)} per basis element, as a polynomial identity."""
     pi = a.bivector
-    if m.is_symbolic():
-        residuals = []
-        ok = True
-        for i, fld in enumerate(a.fields()):
-            xm = hamiltonian_field(pi, m.components[i])
-            res = fld - xm
-            if not res.is_zero():
-                ok = False
-            residuals.append({"index": i, "residual": str(res)})
-        return MomentumReport(passed=ok, mode="symbolic", residuals=residuals)
-    if points is None:
-        raise ValueError("numeric momentum check requires sample points")
-    worst = 0.0
-    residuals = []
-    for p in points:
-        pf = [float(x) for x in p]
-        for fld, comp in zip(a.fields(), m.components):
-            if not isinstance(comp, NumericField):
-                comp = NumericField.from_poly(comp)
-            r = max(abs(lv - sv) for lv, sv in _field_vs_hamiltonian(pi, fld, comp, pf))
-            worst = max(worst, float(r))
-    residuals.append({"max_residual": worst})
-    return MomentumReport(passed=bool(worst < tol), mode="numeric", residuals=residuals,
-                          max_residual=worst)
+    residuals = [fld - hamiltonian_field(pi, m.components[i]) for i, fld in enumerate(a.fields())]
+    return MomentumReport(passed=all(r.is_zero() for r in residuals),
+                          residuals=[{"index": i, "residual": str(r)}
+                                     for i, r in enumerate(residuals)])
 
 
 @dataclass
 class NormalizationReport:
-    family: str
-    solved_constant: float
-    max_residual: float
-    consistent: bool
+    """The two momentum-map families of the first generator field lam on a
+    plane with bivector h d_1 ^ d_2, each solved for its one constant."""
+
+    log_constant: GaussianRational      # s of J = s*log|h|
+    log_residual: list                  # h*lam_k - s*X_h,k per k
+    power_square: GaussianRational      # a^2 of J = a*|h|^(-1/2)
+    power_residual: list                # 4*h^3*lam_k^2 - a^2*X_h,k^2 per k
+
+    @property
+    def consistent(self) -> bool:
+        return all(r.is_zero() for r in self.log_residual)
+
+    @property
+    def power_consistent(self) -> bool:
+        return all(r.is_zero() for r in self.power_residual)
 
     def to_json(self):
         return {
-            "family": self.family,
-            "solved_constant": self.solved_constant,
-            "max_residual": self.max_residual,
+            "family": "s*log|h|",
+            "solved_constant": str(self.log_constant),
+            "residual": [str(r) for r in self.log_residual],
             "passed": self.consistent,
-            "mode": "numeric",
+            "mode": "symbolic",
+            "power_family_consistent": self.power_consistent,
+            "power_family_residual": [str(r) for r in self.power_residual],
         }
 
 
-def solve_momentum_normalization(a: LinearPoissonAction, family, points,
-                                 tol: float = POINTWISE_TOL) -> NormalizationReport:
-    """Fit the single scale constant of a one-parameter momentum-map family
-    ``family(s) -> NumericField`` at the first sample, then test the fit on
-    the rest.  Reports failure when no constant works globally."""
+def _solve_scale(lhs, rhs) -> tuple:
+    """``(t, residuals)``: the t with ``lhs_k = t * rhs_k`` for every k, read
+    off the first term of the first nonzero ``rhs_k`` (0 when all are zero),
+    and the residuals ``lhs_k - t * rhs_k``, all zero iff such a t exists."""
+    t = next((left.terms.get(e, ZERO) / c for left, right in zip(lhs, rhs)
+              for e, c in right.terms.items()), ZERO)
+    return t, [left - right.scale(t) for left, right in zip(lhs, rhs)]
+
+
+def solve_momentum_normalization(a: LinearPoissonAction) -> NormalizationReport:
+    """Solve both momentum-map families of the first generator field lam of
+    an action on the plane with bivector pi = h d_1 ^ d_2, exactly.
+
+    For J = s*log|h|, X_J = (s/h) X_h, so lam = X_J iff h*lam = s*X_h.  For
+    J = a*|h|^(-1/2), X_J = -(a/2) h^(-3/2) X_h where h > 0, so lam = X_J
+    forces 4*h^3*lam_k^2 = a^2*X_h,k^2 there, hence as polynomials.  Each is
+    linear in its one unknown, s or a^2, which one coefficient fixes
+    (:func:`_solve_scale`); the identity is then checked term by term."""
     pi = a.bivector
-    fld = a.fields()[0]
-
-    def pairs(s, p):
-        return _field_vs_hamiltonian(pi, fld, family(s), [float(x) for x in p])
-
-    def signed(s):
-        # first nonzero component difference at the first sample, signed
-        return next((lv - sv for lv, sv in pairs(s, points[0]) if abs(lv) + abs(sv) > 1e-14), 0.0)
-
-    # the residual is affine in s: solve on the first sample by secant
-    s0 = signed(0.0)
-    s1 = signed(1.0)
-    best = 0.0 if abs(s1 - s0) < 1e-14 else float(s0 / (s0 - s1))
-    worst = max(float(max(abs(lv - sv) for lv, sv in pairs(best, p))) for p in points)
-    return NormalizationReport(
-        family="fitted", solved_constant=best, max_residual=worst,
-        consistent=bool(worst < tol),
-    )
+    if pi.n != 2:
+        raise ValueError("the momentum families need a bivector h d_1 ^ d_2 on the plane")
+    h = pi.component(0, 1)
+    lam = [a.fields()[0].component(k) for k in range(2)]
+    xh = [hamiltonian_field(pi, h).component(k) for k in range(2)]
+    s, log_residual = _solve_scale([h * v for v in lam], xh)
+    h3 = (h * h * h).scale(4)
+    a2, power_residual = _solve_scale([h3 * v * v for v in lam], [v * v for v in xh])
+    return NormalizationReport(log_constant=s, log_residual=log_residual,
+                               power_square=a2, power_residual=power_residual)
 
 
 # -- the obstruction cochain -----------------------------------------------------------------
@@ -837,8 +783,6 @@ class GammaCochain:
 def gamma(a: LinearPoissonAction, m: MomentumMap) -> GammaCochain:
     """Gamma_{X,Y} = m([X,Y]) - {m(X), m(Y)}, with the pullback route through
     the linear dual-space bivector computed independently and asserted equal."""
-    if not m.is_symbolic():
-        raise ValueError("the obstruction cochain needs polynomial components")
     L = a.algebra
     pi = a.bivector
     e = linalg.identity(L.dim)
@@ -1077,8 +1021,6 @@ def momentum_kernel_image(a: LinearPoissonAction, m: MomentumMap, point) -> Kern
     M = pi.eval_matrix(point)
     if linalg.rank(M) != pi.n:
         raise ValueError("bivector is degenerate at the point; a symplectic point is required")
-    if not m.is_symbolic():
-        raise ValueError("exact kernel/image computation needs polynomial components")
     assign = {v.name: GaussianRational.coerce(x) for v, x in zip(pi.vars, point)}
     jac = []
     for comp in m.components:

@@ -21,10 +21,7 @@ composite here is calibrated.)
 from __future__ import annotations
 
 import itertools
-import math
-import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import linalg
 from .lie import LieAlgebra
@@ -528,63 +525,45 @@ def _algebra_from_constants(dim: int, constants: dict) -> LieAlgebra:
 
 @dataclass
 class LogIdentityReport:
-    max_residual: float
-    samples: int
     passed: bool
-    threshold: float
+    residuals: list     # (rho, delta, gamma) -> nonzero polynomial in the logs l_k
 
     def to_json(self):
         return {
             "passed": self.passed,
-            "mode": "numeric",
-            "max_residual": self.max_residual,
-            "samples": self.samples,
-            "threshold": self.threshold,
+            "mode": "symbolic",
+            "residuals": [{"triple": list(t), "residual": str(r)} for t, r in self.residuals],
         }
 
 
-def check_log_coordinate_identity(L: LieAlgebra, sample_points=None, seed: int = 0, count: int = 100,
-                threshold: float = 1e-12) -> LogIdentityReport:
-    """Evaluate the log-coordinate Jacobi expression of the multiplicative
-    bivector ``pi^{mu nu}(z) = sum_d C^d_{mu nu} z_mu z_nu ln z_d`` on
-    positive samples.
+def check_log_coordinate_identity(L: LieAlgebra) -> LogIdentityReport:
+    """The log-coordinate Jacobi expression of the multiplicative bivector
+    ``pi^{mu nu}(z) = sum_d C^d_{mu nu} z_mu z_nu ln z_d``, as a polynomial in
+    formal logs ``l_k = ln z_k``, tested for zero.
 
-    The expression evaluated at each (rho, delta, gamma) is the Jacobiator of
-    that bivector divided by ``z_rho z_delta z_gamma``: it splits into a part
-    quadratic in the logs plus a part linear in the logs whose coefficients
-    are the structure-constant Jacobi sums, so it vanishes at all samples iff
-    the constants satisfy the Jacobi identity.
+    The expression at each (rho, delta, gamma) is the Jacobiator of that
+    bivector divided by ``z_rho z_delta z_gamma``: over the cyclic shifts
+    (r, d, g) it sums ``C^k_{rd} (C^m_{rg} + C^m_{dg}) l_k l_m``, quadratic in
+    the logs, and ``C^j_{rd} C^m_{jg} l_m``, whose coefficients are the
+    structure-constant Jacobi sums.  It is one sum of products per triple,
+    and it is zero for every triple iff the constants satisfy the Jacobi
+    identity.
     """
     n = L.dim
-    C = [[[float(L.structure_constant(i, j, k).re) for k in range(n)] for j in range(n)] for i in range(n)]
-    rng = random.Random(seed)
-    if sample_points is None:
-        sample_points = []
-        for _ in range(count):
-            sample_points.append([Fraction(rng.randint(1, 40), rng.randint(1, 8)) for _ in range(n)])
-    worst = 0.0
-    for z in sample_points:
-        zf = [float(x) for x in z]
-        if any(v <= 0 for v in zf):
-            raise ValueError("sample coordinates must be positive (logarithms)")
-        ln = [math.log(v) for v in zf]
-        for rho, delta, gamma in itertools.permutations(range(n), 3):
-            acc = 0.0
-            for (r, d, g) in ((rho, delta, gamma), (delta, gamma, rho), (gamma, rho, delta)):
-                # quadratic-in-log part
-                for k in range(n):
-                    crd = C[r][d][k]
-                    if not crd:
-                        continue
-                    for m_ in range(n):
-                        acc += crd * (C[r][g][m_] + C[d][g][m_]) * ln[k] * ln[m_]
-                # linear part: sum_j C^j_{rd} C^m_{jg} ln z_m
-                for j in range(n):
-                    cj = C[r][d][j]
-                    if not cj:
-                        continue
-                    for m_ in range(n):
-                        acc += cj * C[j][g][m_] * ln[m_]
-            worst = max(worst, abs(acc))
-    return LogIdentityReport(max_residual=worst, samples=len(sample_points), passed=worst < threshold,
-                      threshold=threshold)
+    logs = generators(*(f"l{k + 1}" for k in range(n)))
+    chart = logs[0].vars if n else ()
+    C = [[[L.structure_constant(i, j, k) for k in range(n)] for j in range(n)] for i in range(n)]
+    residuals = []
+    for triple in itertools.permutations(range(n), 3):
+        rho, delta, gamma = triple
+        products = []
+        for r, d, g in ((rho, delta, gamma), (delta, gamma, rho), (gamma, rho, delta)):
+            for k in range(n):
+                if C[r][d][k]:
+                    products += [(C[r][d][k] * (C[r][g][m] + C[d][g][m]), (logs[k], logs[m]))
+                                 for m in range(n)]
+                    products += [(C[r][d][k] * C[k][g][m], (logs[m],)) for m in range(n)]
+        res = MultiPoly.sum_of_products(chart, products)
+        if not res.is_zero():
+            residuals.append((triple, res))
+    return LogIdentityReport(passed=not residuals, residuals=residuals)

@@ -27,7 +27,6 @@ from . import lie as lie_mod
 from . import linalg
 from . import poisson as P
 from .bundles import ProblemBundle, SchemaError, load_bundle
-from .poly import NumericField
 
 
 def _check(name: str, payload: dict, skipped: bool = False) -> dict:
@@ -36,12 +35,6 @@ def _check(name: str, payload: dict, skipped: bool = False) -> dict:
         out["skipped"] = True
     out.update(payload)
     return out
-
-
-def _json_default(o):
-    if hasattr(o, "item"):          # numpy scalars
-        return o.item()
-    return str(o)
 
 
 def _wanted(args, name: str) -> bool:
@@ -70,7 +63,7 @@ def _emit(checks, stream, timings: bool = False) -> int:
     failed = [r["check"] for r in reports if not r.get("skipped") and not r.get("passed")]
     skipped = [r["check"] for r in reports if r.get("skipped")]
     for r in reports:
-        stream.write(json.dumps(r, sort_keys=True, default=_json_default) + "\n")
+        stream.write(json.dumps(r, sort_keys=True, default=str) + "\n")
     summary = {
         "summary": {
             "checks": len(reports),
@@ -79,7 +72,7 @@ def _emit(checks, stream, timings: bool = False) -> int:
             "passed": len(reports) - len(failed) - len(skipped),
         }
     }
-    stream.write(json.dumps(summary, sort_keys=True, default=_json_default) + "\n")
+    stream.write(json.dumps(summary, sort_keys=True, default=str) + "\n")
     return 1 if failed else 0
 
 
@@ -201,7 +194,7 @@ def run_flow(bundle: ProblemBundle, args):
     with _open_out(args.out) if args.out else contextlib.nullcontext(sys.stdout) as out_stream:
         out_stream.write(traj.to_csv())
         out_stream.write("# " + json.dumps(traj.summary(), sort_keys=True,
-                                           default=_json_default) + "\n")
+                                           default=str) + "\n")
     if not _wanted(args, "flow:conservation"):
         return
     tol = flow["drift_tolerance"]
@@ -316,14 +309,6 @@ def run_plane_pipeline(args):
     if _wanted(args, "example51:h-certificate"):
         cert = A.solve_h_certificate(l1, l2, l3, c)
         yield _check("example51:h-certificate", cert.to_json())
-    if _wanted(args, "example51:h-numeric"):
-        res_numeric = A.numeric_h_residual(l1, l2, l3, c, count=max(count, 200), seed=seed)
-        yield (
-            _check(
-                "example51:h-numeric",
-                {"passed": res_numeric < 1e-12, "mode": "numeric", "max_residual": res_numeric},
-            )
-        )
 
     act = A.sl2_plane_action(l1, l2, l3, c)
     pts = _sample_points(2, count, seed + 1)
@@ -383,29 +368,14 @@ def run_plane_pipeline(args):
     if not _wanted(args, "example51:h-subgroup-momentum"):
         return
     if analytic and l2 != 0:
-        rng = random.Random(seed + 3)
-        cf, l2f = float(c), float(l2)
-        mh_pts = []
-        while len(mh_pts) < count:
-            p = [rng.uniform(-2, 2), rng.uniform(-2, 2)]
-            if abs(cf - 0.5 * l2f * p[0] * p[1]) > 0.1:
-                mh_pts.append(p)
-        family = lambda s: NumericField(
-            lambda q: s * math.log(abs(cf - 0.5 * l2f * q[0] * q[1])), 2
-        )
-        norm = A.solve_momentum_normalization(sub, family, mh_pts)
+        norm = A.solve_momentum_normalization(sub)
         payload = norm.to_json()
         payload["note"] = (
-            "additive momentum map is s*log|h| with fitted s; the inverse-square-root "
-            "family admits no constant normalization (its fit is reported below)"
+            "additive momentum map is s*log|h|, s solved from h*lambda = s*X_h; the "
+            "inverse-square-root family a*|h|^(-1/2) admits no constant: no a^2 solves "
+            "4*h^3*lambda_k^2 = a^2*X_h,k^2"
         )
-        powfam = lambda al: NumericField(
-            lambda q: al * abs(cf - 0.5 * l2f * q[0] * q[1]) ** -0.5, 2
-        )
-        pow_norm = A.solve_momentum_normalization(sub, powfam, mh_pts)
-        payload["power_family_consistent"] = pow_norm.consistent
-        payload["power_family_max_residual"] = pow_norm.max_residual
-        payload["passed"] = norm.consistent and not pow_norm.consistent
+        payload["passed"] = norm.consistent and not norm.power_consistent
         yield _check("example51:h-subgroup-momentum", payload)
     else:
         yield (

@@ -23,7 +23,7 @@ from fractions import Fraction
 from . import linalg
 from .lie import LieAlgebra
 from .multivector import PolyMultiVector, schouten
-from .poly import AFFINE, MultiPoly, NumericField, _as_vars
+from .poly import AFFINE, MultiPoly, _as_vars
 from .scalars import ZERO, _make, json_int
 
 FLOW_RANK_SAMPLES = 11      # trajectory points at which hamiltonian_flow reports the rank
@@ -227,17 +227,6 @@ class PolyBivector(PolyMultiVector):
             built = self._evaluator = (self.comps, _int_evaluator(self.vars, self.comps))
         return built[1](point)
 
-    def eval_matrix_float(self, point):
-        import numpy as np
-
-        m = np.zeros((self.n, self.n))
-        for (i, j), p in self.comps.items():
-            val = p.eval({v.name: float(x) for v, x in zip(self.vars, point)})
-            val = val.real if isinstance(val, complex) else float(val)
-            m[i, j] = val
-            m[j, i] = -val
-        return m
-
     # -- core maps -------------------------------------------------------------
 
     def sharp(self, alpha: PolyOneForm) -> PolyVectorField:
@@ -281,7 +270,10 @@ class PolyBivector(PolyMultiVector):
             vs = tuple(f"x{i+1}" for i in range(n))
         entries = {}
         for e in d.get("entries", []):
-            entries[(json_int(e["i"]), json_int(e["j"]))] = MultiPoly.from_json(e["poly"])
+            i, j = json_int(e["i"]), json_int(e["j"])
+            if (i, j) in entries or (j, i) in entries:
+                raise ValueError(f"entry ({i}, {j}) is listed twice")
+            entries[(i, j)] = MultiPoly.from_json(e["poly"])
         return PolyBivector(vs, entries)
 
 
@@ -290,8 +282,6 @@ class PolyBivector(PolyMultiVector):
 
 def bracket_fn(pi: PolyBivector, f: MultiPoly, g: MultiPoly) -> MultiPoly:
     """{f, g} = sum_{i<j} pi^{ij} (d_i f d_j g - d_j f d_i g)."""
-    if isinstance(f, NumericField) or isinstance(g, NumericField):
-        raise TypeError("numeric-only fields have no symbolic bracket")
     f = f.over(pi.vars)
     g = g.over(pi.vars)
     names = [v.name for v in pi.vars]
@@ -514,8 +504,11 @@ def pairing_identity_check(pi: PolyBivector, V: PolyVectorField, alpha: PolyOneF
 
 
 def rank_at(pi: PolyBivector, point) -> int:
-    """Exact rank of the evaluated skew matrix at a rational point."""
-    return linalg.rank(pi.eval_matrix(point))
+    """Exact rank of the evaluated skew matrix at a rational point: the
+    integer rows of :meth:`PolyBivector._int_matrix`, eliminated by
+    :func:`linalg._rank_rows`."""
+    p, q, _ = pi._int_matrix(point)
+    return linalg._rank_rows(p, q)
 
 
 def r_k(pi: PolyBivector, point, k: int) -> Fraction:
@@ -762,10 +755,12 @@ def hamiltonian_flow(pi: PolyBivector, f: MultiPoly, x0, dt: float, steps: int,
     """Fixed-step RK4 integration of X_f with conservation reporting.
 
     Exactness is never claimed for flows: the trajectory is float64 and the
-    report carries the observed drift of f and of each registered Casimir,
-    plus the rank of pi at sampled trajectory points.  The integration stops
-    (``truncated``) at the first state with an entry that is not finite or
-    exceeds ``divergence_bound`` in absolute value; that state is not kept.
+    report carries the observed drift of f and of each registered Casimir.
+    Each rank sample is the exact rank of pi (:func:`rank_at`) at the float
+    point the integrator reached, read as the rational it is, so it needs no
+    tolerance.  The integration stops (``truncated``) at the first state with
+    an entry that is not finite or exceeds ``divergence_bound`` in absolute
+    value; that state is not kept.
     """
     if not 0 < dt < math.inf:
         raise ValueError("dt must be positive and finite")
@@ -785,11 +780,8 @@ def hamiltonian_flow(pi: PolyBivector, f: MultiPoly, x0, dt: float, steps: int,
     nsteps = len(times)
     sample_idx = sorted({round(i * (nsteps - 1) / (FLOW_RANK_SAMPLES - 1))
                          for i in range(FLOW_RANK_SAMPLES)})
-    ranks = []
-    for idx in sample_idx:
-        rank = _float_rank(pi, [col[idx] for col in coordinates])
-        if rank is not None:
-            ranks.append((idx, rank))
+    ranks = [(idx, rank_at(pi, [Fraction(col[idx]) for col in coordinates]))
+             for idx in sample_idx]
 
     return Trajectory(
         times=times,
@@ -808,16 +800,3 @@ def _drift(vals) -> float:
     v0 = vals[0]
     return max(map(abs, map(operator.sub, vals, itertools.repeat(v0)))) / max(1.0, abs(v0))
 
-
-def _float_rank(pi: PolyBivector, point):
-    """The numerical rank of pi at a float point, or None when an entry of
-    its float matrix is not finite (SVD has no answer there)."""
-    import numpy as np
-
-    try:
-        m = pi.eval_matrix_float(point)
-    except OverflowError:           # complex ** int raises where float64 gives inf
-        return None
-    if not np.isfinite(m).all():
-        return None
-    return int(np.linalg.matrix_rank(m, tol=1e-8 * (1.0 + np.abs(m).max())))

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import add
-from typing import Callable, Sequence
 
 from .scalars import GaussianRational, Q, ZERO, ONE, _make, coeff_from_json, json_int
 
@@ -523,8 +522,12 @@ class MultiPoly:
     @staticmethod
     def from_json(d: dict) -> "MultiPoly":
         variables = [(v["name"], v.get("kind", AFFINE)) for v in d["vars"]]
-        terms = {tuple(json_int(e) for e in t["exp"]): coeff_from_json(t["coeff"])
-                 for t in d["terms"]}
+        terms = {}
+        for t in d["terms"]:
+            exp = tuple(json_int(e) for e in t["exp"])
+            if exp in terms:
+                raise ValueError(f"exponent {list(exp)} is listed twice")
+            terms[exp] = coeff_from_json(t["coeff"])
         return MultiPoly(variables, terms)
 
     # -- rendering ---------------------------------------------------------
@@ -625,61 +628,3 @@ def sl2_relation_ideal(names=("a1", "a2", "a3", "a4")) -> RelationIdeal:
     a1, a2, a3, a4 = generators(*names)
     return RelationIdeal(a1 * a4 - a2 * a3 - 1)
 
-
-# -- numeric fields and finite differences ------------------------------------
-
-
-DEFAULT_FD_STEP = 1e-5
-
-
-class NumericField:
-    """A scalar field known only through an evaluation callback.
-
-    Used for non-polynomial momentum maps; differentials come from central
-    finite differences with a configurable step.
-    """
-
-    def __init__(self, fn: Callable[[Sequence[float]], float], dim: int,
-                 step: float = DEFAULT_FD_STEP, name: str = "numeric"):
-        self.fn = fn
-        self.dim = dim
-        self.step = float(step)
-        self.name = name
-
-    def __call__(self, point: Sequence[float]) -> float:
-        return float(self.fn([float(x) for x in point]))
-
-    def gradient(self, point: Sequence[float]) -> list:
-        return fd_gradient(self, point)
-
-    @staticmethod
-    def from_poly(p: MultiPoly, step: float = DEFAULT_FD_STEP) -> "NumericField":
-        names = p.var_names()
-
-        def fn(pt):
-            val = p.eval({n: x for n, x in zip(names, pt)})
-            if isinstance(val, complex):
-                if abs(val.imag) > 1e-12 * (1 + abs(val.real)):
-                    raise ValueError("polynomial evaluates to a non-real value")
-                return val.real
-            return float(val)
-
-        return NumericField(fn, len(names), step, name=str(p))
-
-
-def fd_gradient(f: NumericField, point: Sequence[float]) -> list:
-    """Central-difference gradient; O(h^2) error for smooth fields.
-
-    Evaluation failures (for example at a singular locus) propagate to the
-    caller instead of being masked.
-    """
-    p = [float(x) for x in point]
-    h = f.step
-    grad = []
-    for i in range(len(p)):
-        up = list(p)
-        dn = list(p)
-        up[i] += h
-        dn[i] -= h
-        grad.append((f(up) - f(dn)) / (2.0 * h))
-    return grad

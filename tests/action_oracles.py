@@ -1,9 +1,12 @@
 """The sampled group-check routes that ``poissonkit.action`` replaced, kept as
-test oracles: each computes the same exact values by the direct route."""
+test oracles: each computes the same exact values by the direct route.
+``numeric_h_residual`` is the float route to the cocycle identity that
+:func:`poissonkit.action.solve_h_certificate` proves over all of SL(2)."""
 
 from fractions import Fraction
 import random
 
+from poissonkit import action as A
 from poissonkit import linalg
 from poissonkit.scalars import GaussianRational, ONE, Q, ZERO
 
@@ -93,3 +96,34 @@ def sl2_samples_by_products(count: int, seed: int = 0) -> list:
             g = linalg.mat_mul(g, e)
         out.append(g)
     return out
+
+
+def numeric_h_residual(l1, l2, l3, c, count: int = 1000, seed: int = 0) -> float:
+    """Max float residual of the cocycle identity of ``solve_h_certificate``
+    over exact group samples, each relative to the size of its terms,
+    max(1, |h(gx)|, |h(x)|)."""
+    h = A.quadratic_h(l1, l2, l3, c)
+
+    def h_at(p):
+        v = h.eval({"x1": p[0], "x2": p[1]})
+        return v.real if isinstance(v, complex) else float(v)
+
+    gs = A.sl2_rational_samples(count, seed=seed)
+    rng = random.Random(seed + 1)
+    l1f, l2f, l3f = (float(GaussianRational.coerce(v).re) for v in (l1, l2, l3))
+    lp, lm = l1f + l3f, l1f - l3f
+    worst = 0.0
+    for g in gs:
+        xf = [float(Fraction(rng.randint(-6, 6), rng.randint(1, 4))) for _ in range(2)]
+        gm = [[float(t.re) for t in row] for row in g]
+        gx = [gm[0][0] * xf[0] + gm[0][1] * xf[1], gm[1][0] * xf[0] + gm[1][1] * xf[1]]
+        h_gx, h_x = h_at(gx), h_at(xf)
+        lhs = h_gx - h_x
+        A1, A2, A3, A4 = gm[0][0], gm[0][1], gm[1][0], gm[1][1]
+        rhs = 0.25 * (
+            (lp * A1 * A1 - lm * A3 * A3 - 2 * l2f * A1 * A3 - lp) * xf[0] ** 2
+            + (lp * A2 * A2 - lm * A4 * A4 - 2 * l2f * A2 * A4 + lm) * xf[1] ** 2
+            + (2 * lp * A1 * A2 - 2 * lm * A3 * A4 - 4 * l2f * A2 * A3) * xf[0] * xf[1]
+        )
+        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(h_gx), abs(h_x)))
+    return worst

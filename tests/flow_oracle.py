@@ -7,9 +7,11 @@ their bodies unchanged but for building the ``Trajectory`` from columns.
 Every term is evaluated on ``np.float64`` scalars and every RK4 stage is a
 small ``ndarray`` expression, so this module fixes the float64 operations,
 and their order, that the fast path must reproduce bit for bit.
-Two behaviours are kept as they were and are not the contract of the fast
-path: a state that turns NaN is not truncated, and a rank sample at a
-non-finite point raises ``numpy.linalg.LinAlgError``.
+Both take their rank samples by ``exact_rank``, the rule of the fast path
+on an independent route.  Two behaviours are kept as they were and are not
+the contract of the fast path: a state that turns NaN is not truncated, and
+a rank sample at a non-finite point raises ``ValueError`` (NaN) or
+``OverflowError`` (an infinity), as ``Fraction`` does.
 
 The Python-float route before the whole loop was one generated function:
 ``stepwise_flow`` calls a generated ``step`` and a generated ``values``
@@ -23,11 +25,19 @@ import functools
 import itertools
 import math
 import operator
+from fractions import Fraction
 
+from poissonkit import linalg
 from poissonkit.poisson import (FLOW_RANK_SAMPLES, FLOW_SOURCE, PolyBivector, Trajectory,
-                                _compile_float as _compile_float_text, _drift, _float_rank,
-                                _pow, hamiltonian_field)
+                                _compile_float as _compile_float_text, _drift, _pow,
+                                hamiltonian_field)
 from poissonkit.poly import MultiPoly
+
+
+def exact_rank(pi: PolyBivector, point) -> int:
+    """The rank of pi at a float point, read as the rational it is, by the
+    scalar route: one exact matrix, then ``linalg.rank``."""
+    return linalg.rank(pi.eval_matrix([Fraction(x) for x in point]))
 
 
 def _compile_float(poly: MultiPoly, names):
@@ -99,10 +109,7 @@ def hamiltonian_flow(pi: PolyBivector, f: MultiPoly, x0, dt: float, steps: int,
     nsteps = len(pts)
     sample_idx = sorted({round(i * (nsteps - 1) / (FLOW_RANK_SAMPLES - 1))
                          for i in range(FLOW_RANK_SAMPLES)})
-    ranks = []
-    for idx in sample_idx:
-        m = pi.eval_matrix_float(pts[idx])
-        ranks.append((idx, int(np.linalg.matrix_rank(m, tol=1e-8 * (1.0 + np.abs(m).max())))))
+    ranks = [(idx, exact_rank(pi, pts[idx])) for idx in sample_idx]
 
     scale0 = max(1.0, abs(fvals[0]))
     f_drift = float(max(abs(v - fvals[0]) for v in fvals) / scale0)
@@ -216,11 +223,7 @@ def stepwise_flow(pi: PolyBivector, f, x0, dt: float, steps: int, casimirs=None,
     nsteps = len(pts)
     sample_idx = sorted({round(i * (nsteps - 1) / (FLOW_RANK_SAMPLES - 1))
                          for i in range(FLOW_RANK_SAMPLES)})
-    ranks = []
-    for idx in sample_idx:
-        rank = _float_rank(pi, pts[idx])
-        if rank is not None:
-            ranks.append((idx, rank))
+    ranks = [(idx, exact_rank(pi, pts[idx])) for idx in sample_idx]
     return Trajectory(
         times=times,
         coordinates=[list(col) for col in zip(*pts)],

@@ -1,6 +1,5 @@
 import itertools
 import json
-import math
 import random
 from fractions import Fraction
 
@@ -10,7 +9,7 @@ from poissonkit import action as A
 from poissonkit import lie, linalg
 from poissonkit.bialgebra import RMatrix, dual_algebra_from_r
 from poissonkit.poisson import PolyBivector, lie_poisson
-from poissonkit.poly import MultiPoly, NumericField, generators
+from poissonkit.poly import MultiPoly, generators
 from poissonkit.scalars import GaussianRational, I, Q, ZERO, ONE
 
 import action_oracles
@@ -74,7 +73,7 @@ def test_h_certificates(rng):
         lam = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(3)]
         c = Fraction(rng.randint(-4, 4), rng.randint(1, 2))
         assert A.solve_h_certificate(*lam, c).passed
-    assert A.numeric_h_residual(0, 2, 0, 1, count=100, seed=1) < 1e-12
+    assert action_oracles.numeric_h_residual(0, 2, 0, 1, count=100, seed=1) < 1e-12
 
 
 @pytest.mark.parametrize("lam, c", [
@@ -93,13 +92,13 @@ def test_h_at_gx_matches_the_hand_expansion(lam, c):
     ((0, 2, 0), 0), ((0, 2, 0), 64), ((0, 2, 0), 238),
 ])
 def test_numeric_h_residual_is_relative(lam, seed):
-    assert A.numeric_h_residual(*lam, 1, count=200, seed=seed) < 1e-12
+    assert action_oracles.numeric_h_residual(*lam, 1, count=200, seed=seed) < 1e-12
 
 
 def test_numeric_h_residual_rejects_a_wrong_h(monkeypatch):
     right = A.quadratic_h
     monkeypatch.setattr(A, "quadratic_h", lambda l1, l2, l3, c, **kw: right(l1 + 1, l2, l3, c, **kw))
-    assert A.numeric_h_residual(1, 2, 5, 1, count=200, seed=0) > 1e-3
+    assert action_oracles.numeric_h_residual(1, 2, 5, 1, count=200, seed=0) > 1e-3
 
 
 def test_structure_preserved():
@@ -199,21 +198,32 @@ def test_momentum_check_symbolic():
 
 def test_momentum_normalization_families():
     sub = A.diagonal_subgroup_action(1)
-    rng = random.Random(5)
-    pts = []
-    while len(pts) < 60:
-        p = [rng.uniform(-2, 2), rng.uniform(-2, 2)]
-        if abs(1 - p[0] * p[1]) > 0.1:
-            pts.append(p)
-    log_family = lambda s: NumericField(lambda q: s * math.log(abs(1 - q[0] * q[1])), 2)
-    rep = A.solve_momentum_normalization(sub, log_family, pts)
-    assert rep.consistent and abs(rep.solved_constant - 0.5) < 1e-6
-    pow_family = lambda a: NumericField(lambda q: a * abs(1 - q[0] * q[1]) ** -0.5, 2)
-    rep2 = A.solve_momentum_normalization(sub, pow_family, pts)
-    assert not rep2.consistent
-    m_log = A.MomentumMap(sub.algebra, [log_family(rep.solved_constant)])
-    check = A.momentum_check(sub, m_log, points=pts)
-    assert check.passed and check.max_residual < 1e-6
+    rep = A.solve_momentum_normalization(sub)
+    # h = 1 - x1*x2 and lam = (x1/2, -x2/2): h*lam = s*X_h with s = 1/2 exactly
+    assert rep.consistent and rep.log_constant == Q("1/2")
+    assert [str(r) for r in rep.log_residual] == ["0", "0"]
+    # no a^2 solves 4*h^3*lam_k^2 = a^2*X_h,k^2: the one it reads off leaves a residual
+    assert not rep.power_consistent and any(not r.is_zero() for r in rep.power_residual)
+    assert rep.to_json()["solved_constant"] == "1/2"
+
+
+@pytest.mark.parametrize("l2, c, s", [(2, 1, "1/2"), (3, Fraction(1, 2), "1/3"), (-1, 0, "-1")])
+def test_the_log_family_constant_is_one_over_l2(l2, c, s):
+    act = A.sl2_plane_action(0, l2, 0, c)
+    rep = A.solve_momentum_normalization(A.LinearPoissonAction(lie.abelian(1), [act.rep_mats[0]],
+                                                               act.bivector))
+    assert rep.consistent and str(rep.log_constant) == s and not rep.power_consistent
+
+
+def test_momentum_normalization_rejects_a_field_off_the_family():
+    # lam = (x1, x2) is no multiple of X_h = (x1*h, -x2*h): neither family solves
+    pi = A.diagonal_subgroup_action(1).bivector
+    rep = A.solve_momentum_normalization(A.LinearPoissonAction(lie.abelian(1),
+                                                               [linalg.identity(2)], pi))
+    assert not rep.consistent and not rep.power_consistent
+    with pytest.raises(ValueError):
+        A.solve_momentum_normalization(A.coadjoint_dressing_bundle(lie.sl2(),
+                                                                   lie.sl2_defining_matrices()))
 
 
 def test_gamma(rng):

@@ -257,31 +257,34 @@ def test_multiplicativity_residuals_match_the_group_translate_oracle():
             assert rep.multiplicative == all(r.is_zero() for _, r in expected)
 
 
-def test_log_coordinate_identity(sl2, rng):
-    rep = check_log_coordinate_identity(sl2, seed=9, count=100)
-    assert rep.passed and rep.max_residual < 1e-12
-    zero = check_log_coordinate_identity(lie.abelian(3), seed=9, count=20)
-    assert zero.max_residual == 0.0
+def test_log_coordinate_identity(sl2):
+    for L in (sl2, lie.abelian(3)):
+        rep = check_log_coordinate_identity(L)
+        assert rep.passed and rep.residuals == []
+        assert rep.to_json() == {"passed": True, "mode": "symbolic", "residuals": []}
     bad = lie.LieAlgebra(3, {(0, 1): [0, 0, 1], (1, 2): [0, 1, 0]})
-    repb = check_log_coordinate_identity(bad, seed=9, count=100, threshold=1e-6)
-    assert not repb.passed and repb.max_residual > 1e-6
-    with pytest.raises(ValueError):
-        check_log_coordinate_identity(sl2, sample_points=[[Fraction(-1), Fraction(1), Fraction(1)]])
+    repb = check_log_coordinate_identity(bad)
+    assert not repb.passed
+    assert [(t, str(r)) for t, r in repb.residuals] == [
+        ((0, 1, 2), "-1*l3"), ((0, 2, 1), "l3"), ((1, 0, 2), "l3"),
+        ((1, 2, 0), "-1*l3"), ((2, 0, 1), "-1*l3"), ((2, 1, 0), "l3")]
 
 
 def test_log_identity_matches_direct_jacobiator(sl2, rng):
-    """The log-coordinate expression vanishes exactly where the multiplicative
-    bivector's Jacobiator does (independent oracle)."""
+    """The log-coordinate polynomial is zero exactly where the float
+    Jacobiator of the multiplicative bivector stays below 1e-10 at every
+    sample (independent oracle)."""
     bad = lie.LieAlgebra(3, {(0, 1): [0, 0, 1], (1, 2): [0, 1, 0]})
-    for _ in range(15):
-        z = [Fraction(rng.randint(1, 20), rng.randint(1, 5)) for _ in range(3)]
-        assert multiplicative_log_bivector_jacobiator(sl2, z) < 1e-10
-    hits = 0
-    for _ in range(15):
-        z = [Fraction(rng.randint(2, 20), rng.randint(1, 5)) for _ in range(3)]
-        if multiplicative_log_bivector_jacobiator(bad, z) > 1e-6:
-            hits += 1
-    assert hits > 0
+    algebras = [sl2, lie.so3(), lie.heisenberg3(), lie.abelian(3), bad]
+    algebras += [random_constant_algebra(rng, n) for n in (3, 3, 4, 4)]
+    verdicts = []
+    for L in algebras:
+        zs = [[Fraction(rng.randint(2, 20), rng.randint(1, 5)) for _ in range(L.dim)]
+              for _ in range(15)]
+        small = all(multiplicative_log_bivector_jacobiator(L, z) < 1e-10 for z in zs)
+        assert check_log_coordinate_identity(L).passed == small
+        verdicts.append(small)
+    assert True in verdicts and False in verdicts
 
 
 def test_rmatrix_json(sl2):

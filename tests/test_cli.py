@@ -609,6 +609,29 @@ def test_bundle_schema_errors_exit_2(subcommand, edit, tmp_path, capsys):
     _assert_schema_error([subcommand, "--bundle", str(path)], capsys)
 
 
+def _term_exponent_listed_twice(raw):
+    # the plane entry holds 1 - x1*x2; a second x1*x2 term would be dropped or kept
+    raw["bivectors"]["plane"]["entries"][0]["poly"]["terms"].append(
+        {"exp": [1, 1], "coeff": {"num": "5", "den": "1"}})
+
+
+def _bivector_pair_listed_twice(raw):
+    entry = copy.deepcopy(raw["bivectors"]["plane"]["entries"][0])
+    raw["bivectors"]["plane"]["entries"].append({**entry, "i": 1, "j": 0})
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_term_exponent_listed_twice, "exponent [1, 1] is listed twice"),
+    (_bivector_pair_listed_twice, "entry (1, 0) is listed twice"),
+])
+def test_an_entry_listed_twice_is_a_schema_error(edit, message, tmp_path, capsys):
+    raw = json.loads(SAMPLE.read_text())
+    edit(raw)
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(raw))
+    assert message in _assert_schema_error(["check-poisson", "--bundle", str(path)], capsys)
+
+
 _PLANE_COEFF = ("bivectors", "plane", "entries", 0, "poly", "terms", 1, "coeff")
 
 

@@ -13,6 +13,8 @@ Regenerate the files only when a change of output is intended:
 import gzip
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -131,6 +133,24 @@ def test_out_to_an_unwritable_path_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("schema error: cannot write --out")
     assert not path.exists()
+
+
+def test_the_golden_runs_import_no_numpy():
+    # the runtime is standard-library only: one fresh process runs every golden
+    # case in turn, its output discarded, and then asserts numpy was never loaded
+    script = "\n".join([
+        "import contextlib, io, json, sys",
+        "from poissonkit import cli",
+        "for argv in json.loads(sys.argv[1]):",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        "        cli.main(argv)",
+        "assert 'numpy' not in sys.modules, 'numpy was imported'",
+    ])
+    path = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(list(CASES.values()))],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 def _regenerate():

@@ -540,17 +540,34 @@ def test_flow_that_turns_nan_is_truncated(sl2_lp, bound):
     assert all(math.isfinite(v) and abs(v) <= bound for p in traj.points for v in p)
 
 
-def test_rank_sample_with_a_non_finite_matrix_has_no_rank():
+def test_rank_sample_where_the_float_matrix_overflows_is_exact():
     vs = ("x", "y")
     x, y = generators(*vs)
     zero = MultiPoly.zero(vs)
-    # x*y overflows to inf in a float product, x**2 raises OverflowError in complex **
+    # at (1e200, 1e200) x*y overflows to inf in a float product and x**2 in
+    # complex **, but the exact rank at the float point is 2
     for entry in (x * y, x * x):
         pi = PolyBivector(vs, {(0, 1): entry})
         traj = hamiltonian_flow(pi, zero, [1e200, 1e200], 0.1, 10, divergence_bound=1e300)
         assert not traj.truncated and len(traj.points) == 11
-        assert traj.ranks == []
-        assert all(line.endswith(",") for line in traj.to_csv().splitlines()[1:])
+        assert traj.ranks == [(i, 2) for i in range(11)]
+        assert all(line.endswith(",2") for line in traj.to_csv().splitlines()[1:])
+
+
+def test_the_golden_flow_ranks_are_the_numpy_svd_ranks():
+    # numpy as an oracle: the SVD rank, with the tolerance the flow once used,
+    # equals the exact rank at each of the sample bundle's 11 rank samples
+    path = os.path.join(os.path.dirname(__file__), "..", "demos", "bundles", "sample.json")
+    bundle = load_bundle(path)
+    flow = bundle.flow
+    pi = bundle.bivectors[flow["bivector"]]
+    traj = hamiltonian_flow(pi, flow["hamiltonian"], flow["x0"], flow["dt"], flow["steps"],
+                            casimirs=flow["casimirs"])
+    assert len(traj.ranks) == poisson.FLOW_RANK_SAMPLES
+    for idx, rank in traj.ranks:
+        m = np.array([[float(v.re) for v in row]
+                      for row in pi.eval_matrix([Fraction(x) for x in traj.points[idx]])])
+        assert np.linalg.matrix_rank(m, tol=1e-8 * (1.0 + np.abs(m).max())) == rank
 
 
 def _random_integer_poly(rng, vs, max_deg=6, max_terms=4):
@@ -603,7 +620,7 @@ def test_flow_is_bit_identical_to_the_numpy_oracle():
                         try:
                             old = flow_oracle.hamiltonian_flow(pi, f, x0, dt, 30, casimirs=cas,
                                                                divergence_bound=bound)
-                        except np.linalg.LinAlgError:   # a rank sample at a NaN state
+                        except (ValueError, OverflowError):   # a rank sample at a NaN state
                             old = None
                     if old is None or not all(map(math.isfinite, itertools.chain(*old.points))):
                         # the oracle went on through a NaN state, the fast path stops before it
@@ -772,13 +789,14 @@ def test_the_column_csv_is_the_rowwise_csv_of_the_stepwise_route():
                 assert new.to_csv() == flow_oracle.rowwise_csv(old) == flow_oracle.rowwise_csv(new)
                 assert repr(new.summary()) == repr(old.summary())
     assert truncated >= 3
-    # rank samples missing where the float matrix is not finite
+    # exact rank samples where the float matrix is not finite
     vs = ("x", "y")
     x, y = generators(*vs)
     pi = PolyBivector(vs, {(0, 1): x * y})
     traj = hamiltonian_flow(pi, MultiPoly.zero(vs), [1e200, 1e200], 0.1, 10,
                             divergence_bound=1e300)
-    assert traj.ranks == [] and traj.to_csv() == flow_oracle.rowwise_csv(traj)
+    assert traj.ranks == [(i, 2) for i in range(11)]
+    assert traj.to_csv() == flow_oracle.rowwise_csv(traj)
     # values that no flow of the package makes, formatted alike
     traj = poisson.Trajectory(
         times=[0.0, 0.5, 1.0], coordinates=[[-0.0, 1e-320, -math.inf], [math.nan, 2.5, 0.0]],

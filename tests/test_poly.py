@@ -6,9 +6,7 @@ from hypothesis import given, settings, strategies as st
 from poissonkit.poly import (
     ANGULAR,
     MultiPoly,
-    NumericField,
     Var,
-    fd_gradient,
     generators,
     sl2_relation_ideal,
 )
@@ -175,43 +173,6 @@ def test_reduce_mod_ideal_invariant(rng):
         p = rand_poly(rng, variables, gens)
         r = rand_poly(rng, variables, gens)
         assert ideal.reduce(p * ideal.generator + r) == ideal.reduce(r)
-
-
-def test_fd_gradient_examples():
-    f = NumericField(lambda p: p[0] ** 2 + p[1] ** 2, 2)
-    g = fd_gradient(f, [1.0, 0.0])
-    assert abs(g[0] - 2) < 1e-8 and abs(g[1]) < 1e-8
-    const = NumericField(lambda p: 42.0, 3)
-    assert all(abs(v) < 1e-12 for v in fd_gradient(const, [1.0, 2.0, 3.0]))
-    h = NumericField(lambda p: abs(1 - p[0] * p[1]) ** -0.5, 2)
-    g2 = fd_gradient(h, [0.0, 0.0])
-    assert abs(g2[0]) < 1e-6 and abs(g2[1]) < 1e-6
-
-
-def test_fd_gradient_error_propagates():
-    bad = NumericField(lambda p: 1.0 / (p[0] - 1e-5), 1)
-    with pytest.raises(ZeroDivisionError):
-        fd_gradient(bad, [0.0])
-
-
-def test_fd_matches_exact_partials(rng):
-    """Central differences track exact partials within 10*h^2 for small
-    polynomials evaluated in a fixed box."""
-    from conftest import rand_poly
-
-    gens = generators("x", "y")
-    variables = gens[0].vars
-    for _ in range(10):
-        p = rand_poly(rng, variables, gens, max_terms=4, max_deg=4, coeff_bound=10)
-        nf = NumericField.from_poly(p)
-        pt = [Fraction(rng.randint(-2, 2), 16) for _ in range(2)]
-        ptf = [float(v) for v in pt]
-        grad = fd_gradient(nf, ptf)
-        h = nf.step
-        for i, name in enumerate(("x", "y")):
-            exact = p.partial(name).eval({"x": pt[0], "y": pt[1]})
-            exact = float(GaussianRational.coerce(exact).re)
-            assert abs(grad[i] - exact) <= 10 * h * h, (str(p), grad[i], exact)
 
 
 def test_group_translate():
