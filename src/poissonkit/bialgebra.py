@@ -551,7 +551,6 @@ def check_log_coordinate_identity(L: LieAlgebra) -> LogIdentityReport:
     """
     n = L.dim
     logs = generators(*(f"l{k + 1}" for k in range(n)))
-    chart = logs[0].vars if n else ()
     C = [[[L.structure_constant(i, j, k) for k in range(n)] for j in range(n)] for i in range(n)]
     residuals = []
     for triple in itertools.permutations(range(n), 3):
@@ -563,7 +562,7 @@ def check_log_coordinate_identity(L: LieAlgebra) -> LogIdentityReport:
                     products += [(C[r][d][k] * (C[r][g][m] + C[d][g][m]), (logs[k], logs[m]))
                                  for m in range(n)]
                     products += [(C[r][d][k] * C[k][g][m], (logs[m],)) for m in range(n)]
-        res = MultiPoly.sum_of_products(chart, products)
+        res = MultiPoly.sum_of_products(logs[0].vars, products)
         if not res.is_zero():
             residuals.append((triple, res))
     return LogIdentityReport(passed=not residuals, residuals=residuals)
