@@ -8,8 +8,9 @@ products) and the defining matrices of the algebra, from which the group
 relation, the exact lift ``g -> n x n matrix`` and, through
 :func:`coadjoint_matrix`, the exact coadjoint matrix all follow.  The
 sampled group checks do per sample only the work that depends on the
-sample: Coad_g costs one inversion and integer dot products against a table
-the action builds once (:func:`coadjoint_table`), a tangentiality point one
+sample, on integer matrices (``linalg._int_mat``) up to a failure record:
+Coad_g costs one integer inversion and one product with a table the action
+builds once (:func:`coadjoint_table`), a tangentiality point one integer
 elimination, and a psi-cocycle call each distinct group element once.
 """
 
@@ -30,6 +31,7 @@ from .multivector import schouten
 from .poisson import (
     PolyBivector,
     PolyVectorField,
+    _int_evaluator,
     bracket_fn,
     casimir_check,
     differential,
@@ -83,8 +85,8 @@ def exact_group_samples(a: LinearPoissonAction, count: int, seed: int):
 
 
 def coadjoint_table(defining_mats):
-    """The map g -> Coad_g of :func:`coadjoint_matrix`, with the work that
-    does not depend on g done here, once.
+    """The map g -> Coad_g of :func:`coadjoint_matrix` on integer matrices,
+    with the work that does not depend on g done here, once.
 
     One elimination of [B | 1], B the d^2 x n basis system (column j is D_j
     flattened), gives E with E B in reduced form: its rows against B's pivot
@@ -94,8 +96,8 @@ def coadjoint_table(defining_mats):
 
         (E vec(g^{-1} D_i g))[r] = sum E[r][ab] g^{-1}[a][c] D_i[c][e] g[e][b],
 
-    so a g costs one inversion, one outer product and one integer dot
-    product per (i, r)."""
+    so a g costs one integer inversion, one outer product and one product with
+    the table: Coad_g column by column, then values that vanish on the span."""
     basis = [linalg.mat(m) for m in defining_mats]
     n, d = len(basis), len(basis[0])
     dd = d * d
@@ -103,28 +105,25 @@ def coadjoint_table(defining_mats):
     red, pivots = linalg.rref([[m[a][b] for m in basis] + unit[a * d + b]
                                for a in range(d) for b in range(d)])
     coords = [pc for pc in pivots if pc < n]
+    placed = [red[coords.index(c)] if c in coords else [ZERO] * (n + dd) for c in range(n)]
     R = range(d)
-    values = linalg.bilinear_rows([
+    table = linalg._int_mat([
         [row[n + a * d + b] * m[c][e] for a in R for c in R for e in R for b in R]
-        for m in basis for row in red
+        for rows in (placed, red[len(coords):]) for row in rows for m in basis
     ])
 
-    def coad(g) -> list:
-        g = linalg.mat(g)
-        if len(g) != d or any(len(row) != d for row in g):
+    def coad(g) -> tuple:
+        if len(g[0]) != d or any(len(row) != d for row in g[0]):
             raise ValueError(f"group matrix must be {d}x{d}")
-        ginv = linalg.inverse(g)
+        ginv = linalg._int_inverse(g)
         if ginv is None:
             raise ValueError("group matrix is singular")
-        vals = values([x for row in ginv for x in row], [x for row in g for x in row])
-        co = linalg.zeros(n, n)
-        for i in range(n):
-            block = vals[i * dd:(i + 1) * dd]
-            if any(block[len(coords):]):
-                raise ValueError("matrix does not lie in the algebra span")
-            for pc, x in zip(coords, block):
-                co[i][pc] = x
-        return co
+        outer = linalg._bilinear(lambda p, r: [x * y for u in p for x in u for v in r for y in v],
+                                 ginv, g)
+        p, q, e = linalg._int_mat_vec(table, outer)
+        if any(p[n * n:]) or q and any(q[n * n:]):
+            raise ValueError("matrix does not lie in the algebra span")
+        return linalg._int_columns((p[:n * n], q and q[:n * n], e), n)
 
     return coad
 
@@ -137,7 +136,7 @@ def coadjoint_matrix(defining_mats, g) -> list:
     ``ValueError`` when g is singular or a conjugate leaves the span of D.
     This is the left action on the dual space; its infinitesimal generator is
     the module-valid coadjoint representation."""
-    return coadjoint_table(defining_mats)(g)
+    return linalg._scalars(coadjoint_table(defining_mats)(linalg._int_mat(g)))
 
 
 # -- infinitesimal actions -----------------------------------------------------------
@@ -176,6 +175,12 @@ def linear_isotropy(rep_mats, point) -> list:
 
 
 # -- the bundled action object ---------------------------------------------------------
+
+
+def _det_one(g) -> bool:
+    """det(P + iQ) = d^2 for a 2x2 integer matrix g = (P + iQ)/d."""
+    (det,), im, dd = linalg._bilinear(lambda p, r: [p[0][0] * r[1][1] - p[0][1] * r[1][0]], g, g)
+    return det == dd and not (im and im[0])
 
 
 @dataclass
@@ -226,23 +231,25 @@ class LinearPoissonAction:
     def contains(self, g) -> bool:
         """The group relation: determinant one when the defining matrices span
         sl(2) (see :func:`spans_sl2`); any matrix passes otherwise."""
-        if not self.sl2:
-            return True
-        m = linalg.mat(g)
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0] == ONE
+        return not self.sl2 or _det_one(linalg._int_mat(g))
 
     def lift(self, g) -> list:
         """The n x n matrix by which the group element g acts on the target;
         ``ValueError`` when g fails the group relation."""
-        if not self.contains(g):
-            raise ValueError("matrix fails the group relation")
-        if self.coadjoint:
-            return self.coad(g)
-        return linalg.mat(g)
+        return linalg._scalars(self._int_lift(linalg._int_mat(g)))
 
     def coad(self, g) -> list:
-        """Coad_g (see :func:`coadjoint_matrix`) through the table of
-        :func:`coadjoint_table`, built on the first call."""
+        """Coad_g (see :func:`coadjoint_matrix`)."""
+        return linalg._scalars(self._int_coad(linalg._int_mat(g)))
+
+    def _int_lift(self, g) -> tuple:
+        """:meth:`lift` on integer matrices (:func:`linalg._int_mat`)."""
+        if self.sl2 and not _det_one(g):
+            raise ValueError("matrix fails the group relation")
+        return self._int_coad(g) if self.coadjoint else g
+
+    def _int_coad(self, g) -> tuple:
+        """:meth:`coad` on integer matrices; the table is built on the first call."""
         if self._coad is None:
             self._coad = coadjoint_table(self.defining_mats)
         return self._coad(g)
@@ -283,12 +290,15 @@ class LinearPoissonAction:
         return seen.pop()
 
     def field_values(self, point) -> list:
-        """lam(e_a)(p) = rep_mats[a] . p for every generator, read from the
-        rows of all rep_mats stacked, converted on the first call."""
-        if self._generator_rows is None:
-            self._generator_rows = linalg.linear_rows([row for m in self.rep_mats for row in m])
-        flat, n = self._generator_rows(point), self.target_dim
+        """lam(e_a)(p) = rep_mats[a] . p for every generator."""
+        flat, n = linalg._scalars(self._int_field_values(linalg._int_row(point))), self.target_dim
         return [flat[a:a + n] for a in range(0, len(flat), n)]
+
+    def _int_field_values(self, x) -> tuple:
+        """:meth:`field_values` at an integer x, flattened (rows built once)."""
+        if self._generator_rows is None:
+            self._generator_rows = linalg._int_mat([row for m in self.rep_mats for row in m])
+        return linalg._int_mat_vec(self._generator_rows, x)
 
 
 # -- worked bundles ---------------------------------------------------------------------
@@ -365,11 +375,6 @@ def coadjoint_dressing_bundle(L: LieAlgebra, defining_mats,
 # -- group-level Poisson-action check ----------------------------------------------------
 
 
-def _wedge_matrix(u, v) -> list:
-    n = len(u)
-    return [[u[i] * v[j] - u[j] * v[i] for j in range(n)] for i in range(n)]
-
-
 @dataclass
 class ActionCheckReport:
     passed: bool
@@ -389,37 +394,33 @@ class ActionCheckReport:
 def check_poisson_action(a: LinearPoissonAction, samples) -> ActionCheckReport:
     """Evaluate pi(g x) = dsigma_g pi(x) + dsigma^x pi_G(g) exactly at exact
     sample pairs; pi_G(g) is the coboundary left-minus-right translate of the
-    r-matrix (zero when no r-matrix is attached)."""
+    r-matrix (zero when no r-matrix is attached).  With the lift generators
+    rho_k, that term is G B(x) G^T - B(g x) for B(y) = sum lam_ij rho_i y ^
+    rho_j y = C Lam C^T (columns C_k = rho_k y, Lam the r-matrix's skew
+    matrix), so the residual is F(g x) - G F(x) G^T with F = pi + B."""
+    pi, n = a.bivector, a.target_dim
+    if a.rmatrix is not None:
+        rho = linalg._int_mat([row for m in a.lift_generators for row in m])
+        k = range(a.algebra.dim)
+        lam = linalg._int_mat([[a.rmatrix.component(i, j) for j in k] for i in k])
+
+    def corrected(y) -> tuple:
+        at = pi._int_matrix_at(y)
+        if a.rmatrix is None:
+            return at
+        C = linalg._int_columns(linalg._int_mat_vec(rho, y), n)
+        return linalg._int_add(at, linalg._int_mul(linalg._int_mul(C, lam), C, True))
+
     failures = []
     for g, x in samples:
-        G = a.lift(g)
-        xv = [GaussianRational.coerce(t) for t in x]
-        gx = linalg.mat_vec(G, xv)
-        lhs = a.bivector.eval_matrix(gx)
-        rhs = linalg.mat_mul(linalg.mat_mul(G, a.bivector.eval_matrix(xv)), linalg.transpose(G))
-        if a.rmatrix is not None:
-            n = a.target_dim
-            acc = linalg.zeros(n, n)
-            rho = a.lift_generators
-            # left[k] = G rho_k x and right[k] = rho_k g x, once per index k
-            ks = {k for ij in a.rmatrix.comps for k in ij}
-            left = {k: linalg.mat_vec(G, linalg.mat_vec(rho[k], xv)) for k in ks}
-            right = {k: linalg.mat_vec(rho[k], gx) for k in ks}
-            for (i, j), lam in sorted(a.rmatrix.comps.items()):
-                w = linalg.mat_sub(
-                    _wedge_matrix(left[i], left[j]), _wedge_matrix(right[i], right[j])
-                )
-                acc = linalg.mat_add(acc, [[lam * t for t in row] for row in w])
-            rhs = linalg.mat_add(rhs, acc)
-        diff = linalg.mat_sub(lhs, rhs)
-        if not linalg.is_zero_mat(diff):
-            failures.append(
-                {
-                    "g": [[str(t) for t in row] for row in linalg.mat(g)],
-                    "x": [str(t) for t in xv],
-                    "residual": [[str(t) for t in row] for row in diff],
-                }
-            )
+        G = a._int_lift(linalg._int_mat(g))
+        xv = linalg._int_row(x)
+        diff = linalg._int_add(corrected(linalg._int_mat_vec(G, xv)),
+                               linalg._int_mul(linalg._int_mul(G, corrected(xv)), G, True), -1)
+        if any(map(any, diff[0])) or diff[1] and any(map(any, diff[1])):
+            failures.append({"g": [[str(t) for t in row] for row in linalg.mat(g)],
+                             "x": [str(GaussianRational.coerce(t)) for t in x],
+                             "residual": [[str(t) for t in row] for row in linalg._scalars(diff)]})
     return ActionCheckReport(
         passed=not failures, mode="symbolic", failures=failures, samples=len(samples)
     )
@@ -521,17 +522,23 @@ def tangential_check(a: LinearPoissonAction, points) -> TangentialReport:
     """At each exact point, solvability of pi(p) alpha = lam(e_i)(p) for every
     generator (membership of the orbit directions in the image of the anchor).
 
-    One elimination per point: row-reduce [pi(p) | lam(e_1)(p) ... lam(e_k)(p)];
-    generator i fails exactly when its column is nonzero in some row below the
-    pivots that lie in pi's columns."""
+    One integer elimination per point of [P | F], for pi(p) = P/d and the
+    values F/e (scaling a block keeps each system's solvability), or of the
+    real form [[P, -Q, F], [Q, P, G]] of Gaussian values; generator i fails
+    exactly when its column is nonzero in some row below P's pivots."""
     failures = []
-    n = a.target_dim
-    for p in points:
-        M = a.bivector.eval_matrix(p)
-        vals = a.field_values(p)
-        red, pivots = linalg.rref([row + [v[r] for v in vals] for r, row in enumerate(M)])
-        below = red[sum(pc < n for pc in pivots):]
-        failures += [(list(p), i) for i in range(len(vals)) if any(row[n + i] for row in below)]
+    n, k = a.target_dim, len(a.rep_mats)
+    for point in points:
+        x = linalg._int_row(point)
+        p, q, _ = a.bivector._int_matrix_at(x)
+        f, g, _ = linalg._int_columns(a._int_field_values(x), n)
+        rows, width = [u + v for u, v in zip(p, f)], n
+        if q is not None or g is not None:
+            q, g = q or linalg._lin(p, p, 0, 0), g or linalg._lin(f, f, 0, 0)
+            rows, width = [u + v for u, v in zip(linalg._realified(p, q), f + g)], 2 * n
+        pivots = linalg._eliminate(rows, jordan=False)
+        below = rows[sum(c < width for c in pivots):]
+        failures += [(list(point), i) for i in range(k) if any(row[width + i] for row in below)]
     return TangentialReport(passed=not failures, failures=failures, points=len(points))
 
 
@@ -670,11 +677,8 @@ class MomentumMap:
 
     def eval_exact(self, variables, point) -> list:
         """The exact components at ``point``, given in the order of ``variables``."""
-        vs = _as_vars(variables)
-        if len(point) != len(vs):
-            raise ValueError("point has wrong dimension")
-        vals = [GaussianRational.coerce(x) for x in point]
-        return [c.over(vs).eval_at(vals) for c in self.components]
+        at = _int_evaluator(_as_vars(variables), self.components)
+        return linalg._scalars(at(linalg._int_row(point)))
 
 
 def identity_momentum_map(L: LieAlgebra, pi: PolyBivector, shift=None) -> MomentumMap:
@@ -907,22 +911,21 @@ def gamma_checks(a: LinearPoissonAction, G: GammaCochain,
 
 
 def _group_maps(a: LinearPoissonAction, g) -> tuple:
-    """(lift(g), Coad_g); on a coadjoint action both are the one matrix."""
-    lifted = a.lift(g)
-    return lifted, (lifted if a.coadjoint else a.coad(g))
+    """(lift(g), Coad_g) of an integer g; on a coadjoint action, one matrix."""
+    lifted = a._int_lift(g)
+    return lifted, (lifted if a.coadjoint else a._int_coad(g))
 
 
-def _sigma(a: LinearPoissonAction, m: MomentumMap, maps: tuple, xv, m_x) -> list:
+def _sigma(m_at, maps: tuple, x, m_x) -> tuple:
+    """Sigma(g, x) on integers, from m's evaluator ``m_at``, g's maps and m(x)."""
     lifted, co = maps
-    m_gx = m.eval_exact(a.bivector.vars, linalg.mat_vec(lifted, xv))
-    return [u - v for u, v in zip(m_gx, linalg.mat_vec(co, m_x))]
+    return linalg._int_add(m_at(linalg._int_mat_vec(lifted, x)), linalg._int_mat_vec(co, m_x), -1)
 
 
 def sigma(a: LinearPoissonAction, m: MomentumMap, g, x) -> list:
     """Sigma(g, x) = m(g x) - Coad_g m(x) in the dual space (exact)."""
-    maps = _group_maps(a, g)
-    xv = [GaussianRational.coerce(t) for t in x]
-    return _sigma(a, m, maps, xv, m.eval_exact(a.bivector.vars, xv))
+    m_at, xv = _int_evaluator(a.bivector.vars, m.components), linalg._int_row(x)
+    return linalg._scalars(_sigma(m_at, _group_maps(a, linalg._int_mat(g)), xv, m_at(xv)))
 
 
 @dataclass
@@ -948,34 +951,34 @@ def psi_cocycle_check(a: LinearPoissonAction, m: MomentumMap, triples) -> PsiCoc
     evaluates m(x) once, and each distinct group element of the call gets its
     lift and Coad once."""
     violations, first, maps = [], None, {}
+    m_at = _int_evaluator(a.bivector.vars, m.components)
 
     def group_maps(k):
-        # triples often share elements (the CLI's are cyclic, h_i = g_(i+1));
-        # entries are in lowest terms, so their integer triples are the key
-        key = tuple((x.a, x.b, x.d) for row in k for x in row)
+        # elements recur (the CLI's triples are cyclic): key k by its reduced integers
+        flat = [t for part in k[:2] if part for row in part for t in row] + [k[2]]
+        c = math.gcd(*flat)
+        key = tuple(t // c for t in flat)
         if key not in maps:
             maps[key] = _group_maps(a, k)
         return maps[key]
 
     for g, h, x in triples:
-        g, h = linalg.mat(g), linalg.mat(h)
-        at_gh, at_g, at_h = (group_maps(k) for k in (linalg.mat_mul(g, h), g, h))
+        g, h = linalg._int_mat(g), linalg._int_mat(h)
+        at_gh, at_g, at_h = (group_maps(k) for k in (linalg._int_mul(g, h), g, h))
         first = first or at_g
-        xv = [GaussianRational.coerce(t) for t in x]
-        m_x = m.eval_exact(a.bivector.vars, xv)
-        lhs = _sigma(a, m, at_gh, xv, m_x)
-        t1 = _sigma(a, m, at_g, xv, m_x)
-        t2 = linalg.mat_vec(at_g[1], _sigma(a, m, at_h, xv, m_x))
-        res = [u - v - w for u, v, w in zip(lhs, t1, t2)]
-        if any(res):
-            violations.append(
-                {"residual": [str(t) for t in res], "x": [str(t) for t in x]}
-            )
+        xv = linalg._int_row(x)
+        m_x = m_at(xv)
+        t2 = linalg._int_mat_vec(at_g[1], _sigma(m_at, at_h, xv, m_x))
+        res = linalg._int_add(linalg._int_add(_sigma(m_at, at_gh, xv, m_x),
+                                              _sigma(m_at, at_g, xv, m_x), -1), t2, -1)
+        if any(res[0]) or res[1] and any(res[1]):
+            violations.append({"residual": [str(t) for t in linalg._scalars(res)],
+                               "x": [str(t) for t in x]})
     # Casimir property of <Sigma(g, .), Y>: symbolic when components are
     # polynomial in the base point
     cas_ok = True
     if first:
-        lifted, co = first
+        lifted, co = map(linalg._scalars, first)
         gx = linear_action_fields([lifted], a.bivector.vars)[0]
         gx_sym = [gx.component(i) for i in range(gx.n)]
         for k in range(a.algebra.dim):

@@ -138,8 +138,10 @@ class LieAlgebra:
         dim = json_int(d["dim"])
         brackets = {}
         for b in d.get("brackets", []):
-            vec = [coeff_from_json(x) for x in b["result"]]
-            brackets[(json_int(b["i"]), json_int(b["j"]))] = vec
+            i, j = json_int(b["i"]), json_int(b["j"])
+            if (i, j) in brackets or (j, i) in brackets:
+                raise ValueError(f"bracket ({i}, {j}) is listed twice")
+            brackets[(i, j)] = [coeff_from_json(x) for x in b["result"]]
         return LieAlgebra(dim, brackets, basis=d.get("basis"))
 
 

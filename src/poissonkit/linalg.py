@@ -8,21 +8,20 @@ and rational strings are coerced).  One Gauss-Jordan elimination,
 ``tr(H^k)`` of one Hermitian integer matrix ``H`` through Newton's
 identities, with none of :func:`rank`, :func:`rref` and :func:`det`.
 
-Elimination and products run on integer rows: :func:`_int_row` writes a row
-as Python ints over one denominator, :func:`rref` and :func:`rank` eliminate
-with ``p*x - f*y`` on primitive integer rows, and :func:`mat_mul` and
-:func:`mat_vec` take one integer dot product per output entry, as do
-:func:`linear_rows` and :func:`bilinear_rows`, whose rows are converted once
-for many calls.  :func:`rank` and :func:`minor_sums` are :func:`_int_row`
-followed by an integer-row kernel, :func:`_rank_rows` and
-:func:`_elementary_sums`, which a caller holding integer rows (such as
-``poisson.stratify_sample``) calls directly.  Only input with an imaginary
-part is eliminated one :class:`GaussianRational` at a time.
+Elimination and products run on integers: :func:`_int_row` writes a vector
+and :func:`_int_mat` a matrix as ints ``P + iQ`` over one denominator;
+:func:`rref`, :func:`rank` and :func:`_int_inverse` eliminate with
+``p*x - f*y`` on primitive integer rows, and the private helpers multiply,
+add and invert with no scalar in between, so callers (the sampled checks of
+``action``, ``poisson.stratify_sample``) build scalars only to report, and
+:func:`mat_mul`, :func:`mat_vec` and :func:`inverse` wrap them.  Only
+:func:`rref` and :func:`rank` of Gaussian input build scalars as they go.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm
 from operator import mul
 
@@ -87,59 +86,94 @@ def _dot(a, b) -> int:
     return sum(map(mul, a, b))
 
 
-def _int_dot(u, v) -> GaussianRational:
-    """The dot product of two rows given by :func:`_int_row`."""
-    (a, b, d), (c, e, f) = u, v
-    re, im = _dot(a, c), 0
-    if b is not None:
-        im = _dot(b, c)
-        if e is not None:
-            re -= _dot(b, e)
-    if e is not None:
-        im += _dot(a, e)
-    return _make(re, im, d * f)
-
-
 def mat_mul(a, b) -> list:
-    cols = [_int_row(col) for col in zip(*b)]
-    return [[_int_dot(r, c) for c in cols] for r in map(_int_row, a)]
+    return _scalars(_int_mul(_int_mat(a), _int_mat(b)))
 
 
 def mat_vec(a, v) -> list:
-    return linear_rows(a)(v)
+    return _scalars(_int_mat_vec(_int_mat(a), _int_row(v)))
 
 
-def linear_rows(matrix):
-    """The map ``v -> matrix . v``.  The rows are converted to integer rows
-    here, once; each call converts ``v`` and takes one integer dot product
-    per row."""
-    rows = [_int_row(row) for row in matrix]
-
-    def values(v) -> list:
-        v = _int_row(v)
-        return [_int_dot(r, v) for r in rows]
-
-    return values
+def _int_mat(rows) -> tuple:
+    """``rows`` as ``(P, Q, d)``, ``rows[i][j] == (P[i][j] + Q[i][j]*i) / d``:
+    :func:`_int_row` of all entries at once (``Q`` None when all are real)."""
+    a, b, d = _int_row([x for row in rows for x in row])
+    shape = lambda it: [list(islice(it, len(row))) for row in rows]  # noqa: E731
+    return shape(iter(a)), b and shape(iter(b)), d
 
 
-def bilinear_rows(matrix):
-    """The map ``(u, v) -> [sum_{k,l} row[k*len(v) + l] * u[k] * v[l] for
-    row in matrix]``.  The rows are converted to integer rows here, once;
-    each call converts ``u`` and ``v``, forms their outer product in ints and
-    takes one integer dot product per row."""
-    rows = [_int_row(row) for row in matrix]
+def _int_columns(v, n: int) -> tuple:
+    """The integer matrix whose columns are the length-n blocks of ``v``."""
+    a, b, d = v
+    return [a[r::n] for r in range(n)], b and [b[r::n] for r in range(n)], d
 
-    def values(u, v) -> list:
-        (ua, ub, ud), (va, vb, vd) = _int_row(u), _int_row(v)
-        if ub is None and vb is None:
-            w = ([x * y for x in ua for y in va], None, ud * vd)
-        else:
-            u, v = list(zip(ua, ub or [0] * len(ua))), list(zip(va, vb or [0] * len(va)))
-            w = ([x * y - p * q for x, p in u for y, q in v],
-                 [x * q + p * y for x, p in u for y, q in v], ud * vd)
-        return [_int_dot(r, w) for r in rows]
 
-    return values
+def _scalars(v) -> list:
+    """An integer vector, or the rows of an integer matrix, as scalars."""
+    a, b, d = v
+    if a and type(a[0]) is list:
+        return [_scalars((x, y, d)) for x, y in zip(a, b or [None] * len(a))]
+    if b is None:
+        return [_make(x, 0, d) if x else ZERO for x in a]
+    return [_make(x, y, d) if x or y else ZERO for x, y in zip(a, b)]
+
+
+def _lin(x, y, s: int = 1, t: int = 1) -> list:
+    """``s*x + t*y`` for integer lists, or lists of rows, of one shape."""
+    if x and type(x[0]) is list:
+        return [[s * u + t * v for u, v in zip(a, b)] for a, b in zip(x, y)]
+    return [s * u + t * v for u, v in zip(x, y)]
+
+
+def _bilinear(f, x, y) -> tuple:
+    """``f(x, y)``, for ``f`` bilinear over Z, at ``x = (P + iQ)/d`` and ``y = (R +
+    iS)/e``: ``f(P, R) - f(Q, S)`` and ``f(P, S) + f(Q, R)`` over ``d*e``."""
+    (p, q, d), (r, s, e) = x, y
+    if q is None and s is None:
+        return f(p, r), None, d * e
+    q, s = q or _lin(p, p, 0, 0), s or _lin(r, r, 0, 0)
+    return _lin(f(p, r), f(q, s), 1, -1), _lin(f(p, s), f(q, r)), d * e
+
+
+def _int_add(x, y, t: int = 1) -> tuple:
+    """``x + t*y`` for integer vectors or matrices, over the lcm of ``d, e``."""
+    (p, q, d), (r, s, e) = x, y
+    g = gcd(d, e)
+    u, w = e // g, t * (d // g)
+    im = None if q is None and s is None else _lin(q or _lin(p, p, 0, 0), s or _lin(r, r, 0, 0), u, w)
+    return _lin(p, r, u, w), im, d // g * e
+
+
+def _int_mul(x, y, transposed: bool = False) -> tuple:
+    """The product ``x . y`` of two integer matrices, or ``x . y^T``."""
+    return _bilinear(lambda p, r: [[_dot(a, c) for c in (r if transposed else list(zip(*r)))]
+                                   for a in p], x, y)
+
+
+def _int_mat_vec(m, v) -> tuple:
+    return _bilinear(lambda p, a: [_dot(row, a) for row in p], m, v)
+
+
+def _int_inverse(m):
+    """The inverse of a square integer matrix ``P/d``, or None when singular:
+    row i of ``P^-1`` is that of ``[P | 1]`` after :func:`_eliminate` over its
+    pivot; ``(P + iQ)^-1 = X + iY`` from ``[[P, -Q], [Q, P]]^-1``."""
+    p, q, d = m
+    n = len(p)
+    if q is not None:
+        inv = _int_inverse((_realified(p, q), None, d))
+        return inv and ([row[:n] for row in inv[0][:n]], [row[:n] for row in inv[0][n:]], inv[2])
+    rows = [row + [int(i == j) for j in range(n)] for i, row in enumerate(p)]
+    if _eliminate(rows, jordan=True) != list(range(n)):
+        return None
+    den = lcm(*(row[i] for i, row in enumerate(rows)))
+    return [[d * (den // row[i]) * x for x in row[n:]] for i, row in enumerate(rows)], None, den
+
+
+def _realified(p, q) -> list:
+    """The rows of ``[[P, -Q], [Q, P]]``, the real form of ``P + iQ``: a system
+    over Q(i) is solvable exactly when its real form is, over Q."""
+    return [u + [-t for t in v] for u, v in zip(p, q)] + [v + u for u, v in zip(p, q)]
 
 
 def mat_add(a, b) -> list:
@@ -305,13 +339,9 @@ def solve(matrix, rhs):
 
 
 def inverse(matrix):
-    """Exact inverse, or ``None`` if singular."""
-    n = len(matrix)
-    aug = [list(row) + list(idr) for row, idr in zip(matrix, identity(n))]
-    red, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
-        return None
-    return [row[n:] for row in red[:n]]
+    """Exact inverse, or ``None`` if singular (:func:`_int_inverse`)."""
+    inv = _int_inverse(_int_mat(matrix))
+    return inv and _scalars(inv)
 
 
 def det(matrix) -> GaussianRational:
@@ -359,10 +389,7 @@ def minor_sums(matrix) -> list:
     two different computations.
     """
     n = len(matrix)
-    # all n^2 entries as one row, so over one common denominator
-    a, b, d = _int_row([x for row in matrix for x in row])
-    p = [a[i * n:(i + 1) * n] for i in range(n)]
-    q = None if b is None else [b[i * n:(i + 1) * n] for i in range(n)]
+    p, q, d = _int_mat(matrix)
     return [Fraction(e, d ** (2 * k)) for k, e in enumerate(_elementary_sums(p, q))]
 
 

@@ -24,7 +24,7 @@ from . import linalg
 from .lie import LieAlgebra
 from .multivector import PolyMultiVector, schouten
 from .poly import AFFINE, MultiPoly, _as_vars
-from .scalars import ZERO, _make, json_int
+from .scalars import json_int
 
 FLOW_RANK_SAMPLES = 11      # trajectory points at which hamiltonian_flow reports the rank
 FLOW_SOURCE = "<poissonkit flow>"   # the file name of the generated flow code in tracebacks
@@ -82,75 +82,73 @@ def lie_derivative_one_form(V: PolyVectorField, alpha: PolyOneForm) -> PolyOneFo
     return PolyOneForm(V.vars, out)
 
 
-def _int_evaluator(chart, comps):
-    """The map ``point -> (p, q, d)`` of :meth:`PolyBivector._int_matrix` for
-    the components ``comps`` (keys ``i < j``) on ``chart``.
+def _int_evaluator(chart, polys):
+    """The map from a point ``x = (u + iv)/q`` on ``chart``, as the integers
+    ``(u, v, q)`` of :func:`linalg._int_row`, to the values of ``polys`` there.
 
     Here, once: every term's coefficient is put over ``L``, the lcm of all
-    coefficient denominators.  At a point written once as ``x = (u + iv)/q``
-    over one denominator, a positive power is ``x_k^e = (u_k + iv_k)^e / q^e``
-    and a negative one, on an angular variable, is the conjugate power over
-    the squared modulus, ``q^e (u_k - iv_k)^e / N_k^e`` with
+    coefficient denominators.  A positive power is ``x_k^e = (u_k + iv_k)^e /
+    q^e`` and a negative one, on an angular variable, is the conjugate power
+    over the squared modulus, ``q^e (u_k - iv_k)^e / N_k^e`` with
     ``N_k = u_k^2 + v_k^2``; a zero value there raises ``ZeroDivisionError``,
     as :meth:`MultiPoly.eval_at` does.  A term whose positive powers sum to
     ``pos`` and negative ones to ``neg`` (``neg_k`` on variable ``k``) is
     scaled by ``q^(D - pos + neg)`` and by ``N_k^(E_k - neg_k)``, where ``D``
-    and ``E_k`` are the largest such exponents, so every entry is over
+    and ``E_k`` are the largest such exponents, so every value is over
     ``d = L q^D prod N_k^E_k`` with no gcd per term.  Each (variable, power)
     and each scale is computed once per point and shared by all terms.
     """
     n = len(chart)
-    raw = []          # (i, j, coefficient, exponents, pos - neg)
+    raw = []          # (value index, coefficient, exponents, pos - neg)
     neg_max = {}      # k -> E_k
-    for (i, j), poly in sorted(comps.items()):
+    for i, poly in enumerate(polys):
         for exp, c in poly.over(chart).terms.items():
-            raw.append((i, j, c, exp, sum(exp)))
+            raw.append((i, c, exp, sum(exp)))
             if min(exp) < 0:
                 for k, e in enumerate(exp):
                     if e < -neg_max.get(k, 0):
                         neg_max[k] = -e
-    L = math.lcm(*(c.d for _, _, c, _, _ in raw))
+    L = math.lcm(*(c.d for _, c, _, _ in raw))
     D = max([0] + [s for *_, s in raw])
     slots = {}        # factor -> slot: ("x", k, e) a power, ("q", 0, s) or ("N", k, s) a scale
-    entries = {}      # (i, j) -> [(re, im, slots)]
-    for i, j, c, exp, s in raw:
+    entries = [[] for _ in polys]     # per value: [(re, im, slots)]
+    for i, c, exp, s in raw:
         factors = [("x", k, e) for k, e in enumerate(exp) if e]
         if D - s:
             factors.append(("q", 0, D - s))
         factors += [("N", k, t + min(exp[k], 0)) for k, t in neg_max.items() if t + min(exp[k], 0)]
         idx = [slots.setdefault(f, len(slots)) for f in factors]
-        entries.setdefault((i, j), []).append((c.a * (L // c.d), c.b * (L // c.d), idx))
-    entries = list(entries.items())
+        entries[i].append((c.a * (L // c.d), c.b * (L // c.d), idx))
     keys = list(slots)
-    real_coefficients = not any(im for _, terms in entries for _, im, _ in terms)
+    real_coefficients = not any(im for terms in entries for _, im, _ in terms)
 
     def values(point) -> tuple:
-        if len(point) != n:
+        u, v, q = point
+        if len(u) != n:
             raise ValueError("point has wrong dimension")
-        u, v, q = linalg._int_row(point)
         norms = {k: u[k] * u[k] + (v[k] * v[k] if v else 0) for k in neg_max}
         if not all(norms.values()):
             raise ZeroDivisionError("negative power of a zero value")
         d = L * q ** D
         for k, t in neg_max.items():
             d *= norms[k] ** t
-        p = [[0] * n for _ in range(n)]
         if v is None and real_coefficients:
             f = [u[k] ** abs(e) if kind == "x" else q ** e if kind == "q" else norms[k] ** e
                  for kind, k, e in keys]
-            for (i, j), terms in entries:
+            out = []
+            for terms in entries:
                 acc = 0
                 for a, _, idx in terms:
                     for t in idx:
                         a *= f[t]
                     acc += a
-                p[i][j], p[j][i] = acc, -acc
-            return p, None, d
+                out.append(acc)
+            return out, None, d
         v = v or [0] * n
         f = [_gaussian_power(u[k], v[k] if e > 0 else -v[k], abs(e)) if kind == "x"
              else (q ** e if kind == "q" else norms[k] ** e, 0) for kind, k, e in keys]
-        q_rows = [[0] * n for _ in range(n)]
-        for (i, j), terms in entries:
+        out, out_im = [], []
+        for terms in entries:
             re = im = 0
             for a, b, idx in terms:
                 for t in idx:
@@ -158,11 +156,19 @@ def _int_evaluator(chart, comps):
                     a, b = a * x - b * y, a * y + b * x
                 re += a
                 im += b
-            p[i][j], p[j][i] = re, -re
-            q_rows[i][j], q_rows[j][i] = im, -im
-        return p, (q_rows if any(map(any, q_rows)) else None), d
+            out.append(re)
+            out_im.append(im)
+        return out, (out_im if any(out_im) else None), d
 
     return values
+
+
+def _skew(n: int, keys, values) -> list:
+    """The n x n skew matrix with ``values`` at ``keys`` (pairs ``i < j``)."""
+    m = [[0] * n for _ in range(n)]
+    for (i, j), t in zip(keys, values):
+        m[i][j], m[j][i] = t, -t
+    return m
 
 
 def _gaussian_power(a: int, b: int, e: int) -> tuple:
@@ -212,20 +218,22 @@ class PolyBivector(PolyMultiVector):
     def eval_matrix(self, point) -> list:
         """Exact skew matrix of values at a point: :meth:`_int_matrix`, then
         one scalar per nonzero entry."""
-        p, q, d = self._int_matrix(point)
-        if q is None:
-            return [[_make(a, 0, d) if a else ZERO for a in row] for row in p]
-        return [[_make(a, b, d) if a or b else ZERO for a, b in zip(ra, rb)]
-                for ra, rb in zip(p, q)]
+        return linalg._scalars(self._int_matrix(point))
 
     def _int_matrix(self, point) -> tuple:
-        """The skew matrix of values at ``point`` as integer rows ``p + i*q``
-        over one denominator ``d``: ``(p, q, d)``, ``q`` None when every entry
-        is real.  The evaluator is built once per bivector (per ``comps``)."""
+        """The skew matrix of values at ``point`` as an integer matrix."""
+        return self._int_matrix_at(linalg._int_row(point))
+
+    def _int_matrix_at(self, x) -> tuple:
+        """:meth:`_int_matrix` at an integer point; one evaluator per ``comps``."""
         built = self.__dict__.get("_evaluator")
         if built is None or built[0] is not self.comps:
-            built = self._evaluator = (self.comps, _int_evaluator(self.vars, self.comps))
-        return built[1](point)
+            keys = sorted(self.comps)
+            built = self._evaluator = (self.comps, keys,
+                                       _int_evaluator(self.vars, [self.comps[k] for k in keys]))
+        _, keys, values = built
+        a, b, d = values(x)
+        return _skew(self.n, keys, a), b and _skew(self.n, keys, b), d
 
     # -- core maps -------------------------------------------------------------
 

@@ -1,5 +1,11 @@
 """The sampled group-check routes that ``poissonkit.action`` replaced, kept as
 test oracles: each computes the same exact values by the direct route.
+
+``poisson_action_report`` and ``psi_cocycle_report`` are the scalar bodies of
+``check_poisson_action`` and of the ``psi_cocycle_check`` triple loop before
+those checks ran on integer matrices; they give each group element its lift
+and Coad_g by ``coadjoint_by_elimination``, each point its values by
+``MultiPoly.eval_at``, and return the report's ``to_json()``.
 ``numeric_h_residual`` is the float route to the cocycle identity that
 :func:`poissonkit.action.solve_h_certificate` proves over all of SL(2)."""
 
@@ -8,7 +14,10 @@ import random
 
 from poissonkit import action as A
 from poissonkit import linalg
+from poissonkit.poisson import casimir_check
 from poissonkit.scalars import GaussianRational, ONE, Q, ZERO
+
+from evaluation_oracles import eval_matrix_per_entry
 
 
 def coadjoint_by_elimination(defining_mats, g) -> list:
@@ -79,6 +88,96 @@ def poisson_action_residuals_pairwise(a, samples) -> list:
         if not linalg.is_zero_mat(diff):
             out.append([[str(t) for t in row] for row in diff])
     return out
+
+
+def lift_by_elimination(a, g) -> list:
+    """``a.lift(g)``: the determinant-one relation in scalars, and Coad_g by
+    :func:`coadjoint_by_elimination` on a coadjoint action."""
+    m = linalg.mat(g)
+    if a.sl2 and m[0][0] * m[1][1] - m[0][1] * m[1][0] != ONE:
+        raise ValueError("matrix fails the group relation")
+    return coadjoint_by_elimination(a.defining_mats, m) if a.coadjoint else m
+
+
+def poisson_action_report(a, samples) -> dict:
+    """``check_poisson_action(a, samples).to_json()``, one scalar operation at
+    a time: pi(g x) against G pi(x) G^T plus the r-matrix term, whose
+    left[k] = G rho_k x and right[k] = rho_k g x."""
+    failures = []
+    for g, x in samples:
+        G = lift_by_elimination(a, g)
+        xv = [GaussianRational.coerce(t) for t in x]
+        gx = linalg.mat_vec(G, xv)
+        lhs = eval_matrix_per_entry(a.bivector, gx)
+        rhs = linalg.mat_mul(linalg.mat_mul(G, eval_matrix_per_entry(a.bivector, xv)),
+                             linalg.transpose(G))
+        if a.rmatrix is not None:
+            n = a.target_dim
+            acc = linalg.zeros(n, n)
+            rho = a.lift_generators
+            ks = {k for ij in a.rmatrix.comps for k in ij}
+            left = {k: linalg.mat_vec(G, linalg.mat_vec(rho[k], xv)) for k in ks}
+            right = {k: linalg.mat_vec(rho[k], gx) for k in ks}
+            for (i, j), lam in sorted(a.rmatrix.comps.items()):
+                w = linalg.mat_sub(
+                    _wedge_matrix(left[i], left[j]), _wedge_matrix(right[i], right[j])
+                )
+                acc = linalg.mat_add(acc, [[lam * t for t in row] for row in w])
+            rhs = linalg.mat_add(rhs, acc)
+        diff = linalg.mat_sub(lhs, rhs)
+        if not linalg.is_zero_mat(diff):
+            failures.append(
+                {
+                    "g": [[str(t) for t in row] for row in linalg.mat(g)],
+                    "x": [str(t) for t in xv],
+                    "residual": [[str(t) for t in row] for row in diff],
+                }
+            )
+    return A.ActionCheckReport(passed=not failures, mode="symbolic", failures=failures,
+                               samples=len(samples)).to_json()
+
+
+def psi_cocycle_report(a, m, triples) -> dict:
+    """``psi_cocycle_check(a, m, triples).to_json()``, one scalar operation at
+    a time: Sigma(gh, x) - Sigma(g, x) - Coad_g Sigma(h, x) per triple, with
+    Sigma(k, x) = m(k x) - Coad_k m(x), and the Casimir property of the
+    components of Sigma(g, .) at the first g."""
+    vs = a.bivector.vars
+    comps = [c.over(vs) for c in m.components]
+
+    def m_at(point):
+        vals = [GaussianRational.coerce(t) for t in point]
+        return [c.eval_at(vals) for c in comps]
+
+    def maps(k):
+        lifted = lift_by_elimination(a, k)
+        return lifted, (lifted if a.coadjoint else coadjoint_by_elimination(a.defining_mats, k))
+
+    def sigma(at, xv, m_x):
+        lifted, co = at
+        return [u - v for u, v in zip(m_at(linalg.mat_vec(lifted, xv)), linalg.mat_vec(co, m_x))]
+
+    violations, first = [], None
+    for g, h, x in triples:
+        g, h = linalg.mat(g), linalg.mat(h)
+        at_gh, at_g, at_h = maps(linalg.mat_mul(g, h)), maps(g), maps(h)
+        first = first or at_g
+        xv = [GaussianRational.coerce(t) for t in x]
+        m_x = m_at(xv)
+        t2 = linalg.mat_vec(at_g[1], sigma(at_h, xv, m_x))
+        res = [u - v - w for u, v, w in zip(sigma(at_gh, xv, m_x), sigma(at_g, xv, m_x), t2)]
+        if any(res):
+            violations.append({"residual": [str(t) for t in res], "x": [str(t) for t in x]})
+    cas_ok = True
+    if first:
+        lifted, co = first
+        gx = A.linear_action_fields([lifted], vs)[0]
+        gx_sym = [gx.component(i) for i in range(gx.n)]
+        for k in range(a.algebra.dim):
+            comp = m.components[k].over(gx.vars).substitute(gx_sym) - m.of_vector(co[k])
+            cas_ok = cas_ok and casimir_check(a.bivector, comp)
+    return A.PsiCocycleReport(passed=not violations, max_violations=violations,
+                              samples=len(triples), casimir_ok=cas_ok).to_json()
 
 
 def sl2_samples_by_products(count: int, seed: int = 0) -> list:

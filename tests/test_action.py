@@ -412,7 +412,8 @@ def test_coadjoint_matrix_matches_the_two_inversion_route(case):
     else:
         mats, gs = lie.sl2_defining_matrices(), _gaussian_sl2_samples(rng, 20)
     mats = [linalg.mat(m) for m in mats]
-    table = A.coadjoint_table(mats)
+    int_table = A.coadjoint_table(mats)
+    table = lambda g: linalg._scalars(int_table(linalg._int_mat(g)))  # noqa: E731
     for g in gs:
         co = A.coadjoint_matrix(mats, g)
         assert co == table(g) == action_oracles.coadjoint_by_elimination(mats, g)
@@ -667,8 +668,8 @@ def test_psi_cocycle_computes_each_coadjoint_matrix_once(make, monkeypatch, rng)
     ref = [u - v - w for u, v, w in zip(A.sigma(act, m, gh, x), A.sigma(act, m, g, x),
                                         linalg.mat_vec(co, A.sigma(act, m, h, x)))]
     calls = []
-    orig = A.LinearPoissonAction.coad
-    monkeypatch.setattr(A.LinearPoissonAction, "coad",
+    orig = A.LinearPoissonAction._int_coad
+    monkeypatch.setattr(A.LinearPoissonAction, "_int_coad",
                         lambda self, k: calls.append(1) or orig(self, k))
     rep = A.psi_cocycle_check(act, m, [(g, h, x)])
     assert 0 < len(calls) <= 3
@@ -822,3 +823,122 @@ def test_isotropy_on_the_dressing_generators_is_the_kernel_of_the_linear_bivecto
     gens, lp = A.dressing_generator_matrices(L), lie_poisson(L)
     for u in [rand_point(rng, 3) for _ in range(10)] + [[0, 0, 0], [1, 0, 0], [0, 0, 1]]:
         assert linalg.subspace_equal(A.linear_isotropy(gens, u), linalg.nullspace(lp.eval_matrix(u)))
+
+
+# -- the integer routes of the sampled group checks against their scalar bodies -----------
+
+
+@pytest.fixture(scope="module")
+def sample_bundle():
+    from pathlib import Path
+    from poissonkit.bundles import load_bundle
+
+    return load_bundle(str(Path(__file__).resolve().parent.parent / "demos" / "bundles"
+                           / "sample.json"))
+
+
+def _cli_samples(act, count, seed, point_seed, scale=6):
+    """Group samples and points drawn as the CLI draws them."""
+    from poissonkit.cli import _sample_points
+
+    gs = A.exact_group_samples(act, count, seed=seed)
+    return gs, _sample_points(act.target_dim, count, point_seed, scale=scale)
+
+
+def _cyclic_triples(gs, pts):
+    return [(gs[i], gs[(i + 1) % len(gs)], pts[i]) for i in range(len(gs))]
+
+
+@pytest.mark.parametrize("seed", range(901, 921))
+def test_sampled_group_checks_match_their_scalar_bodies(sample_bundle, seed):
+    """check-action's two sampled lines on both bundle actions and momentum's
+    psi-cocycle line on shifted_identity, report for report."""
+    for name in ("dressing", "plane_action"):
+        act = sample_bundle.actions[name]
+        gs, pts = _cli_samples(act, 20, seed, seed + 1)
+        samples = list(zip(gs, pts))
+        assert (A.check_poisson_action(act, samples).to_json()
+                == action_oracles.poisson_action_report(act, samples))
+        assert A.tangential_check(act, pts).failures == \
+            action_oracles.tangential_failures_by_solve(act, pts)
+    aref, m = sample_bundle.momentum_maps["shifted_identity"]
+    act = sample_bundle.actions[aref]
+    triples = _cyclic_triples(*_cli_samples(act, 20, seed, seed + 2, scale=3))
+    rep = A.psi_cocycle_check(act, m, triples)
+    assert rep.passed and rep.to_json() == action_oracles.psi_cocycle_report(act, m, triples)
+
+
+@pytest.mark.parametrize("seed, failing", [(7, 34), (901, 37)])
+def test_failing_poisson_action_samples_match_the_scalar_body(sample_bundle, seed, failing):
+    # the r-matrix {(1, 2): 3} is no coboundary for h = 1 - x1 x2
+    plane = sample_bundle.actions["plane_action"]
+    bad = A.LinearPoissonAction(plane.algebra, plane.rep_mats, plane.bivector,
+                                rmatrix=RMatrix(plane.algebra, {(1, 2): 3}))
+    samples = list(zip(*_cli_samples(bad, 40, seed, seed + 1)))
+    rep = A.check_poisson_action(bad, samples).to_json()
+    assert len(rep["failures"]) == failing
+    assert rep == action_oracles.poisson_action_report(bad, samples)
+
+
+@pytest.mark.parametrize("seed, violating", [(7, 34), (901, 33)])
+def test_psi_violations_match_the_scalar_body(sample_bundle, seed, violating):
+    act = sample_bundle.actions["dressing"]
+    mu1, mu2, mu3 = A.identity_momentum_map(act.algebra, act.bivector).components
+    m_bad = A.MomentumMap(act.algebra, [mu1 + mu2 * mu2, mu2, mu3])
+    triples = _cyclic_triples(*_cli_samples(act, 40, seed, seed + 2, scale=3))
+    rep = A.psi_cocycle_check(act, m_bad, triples).to_json()
+    assert len(rep["violations"]) == violating and not rep["sigma_components_casimir"]
+    assert rep == action_oracles.psi_cocycle_report(act, m_bad, triples)
+
+
+def test_degenerate_tangential_points_of_the_plane_action(sample_bundle):
+    # h = 1 - x1 x2 vanishes on the hyperbola x1 x2 = 1, where the orbit moves
+    act = sample_bundle.actions["plane_action"]
+    on_h0 = [[Fraction(t), 1 / Fraction(t)] for t in (1, -1, 2, Fraction(-1, 3), Fraction(5, 2))]
+    on_h0 += [[I, -I], [Q(1, 1), Q(1, -1) / 2]]     # and at Gaussian points
+    pts = on_h0 + [[0, 0], [Fraction(1, 2), 1], [I, I], [Q(2, 1), Q(1, -1)]]
+    rep = A.tangential_check(act, pts)
+    assert rep.failures == action_oracles.tangential_failures_by_solve(act, pts)
+    assert {tuple(p) for p, _ in rep.failures} == {tuple(p) for p in on_h0}
+
+
+def test_gaussian_actions_points_and_group_elements_match_the_scalar_bodies(rng):
+    """The Q parts of every integer route: Gaussian coefficients, r-matrix,
+    points and group elements, on a natural and on a coadjoint action."""
+    plane = A.sl2_plane_action(I, 1, Fraction(2, 5), Fraction(-1, 4))
+    dressing = A.coadjoint_dressing_bundle(lie.sl2(), lie.sl2_defining_matrices(),
+                                           rmatrix=RMatrix(lie.sl2(), {(0, 1): I}))
+    gs = _gaussian_sl2_samples(rng, 8) + A.sl2_rational_samples(4, seed=3)
+    for act, holds in ((plane, True), (dressing, False)):
+        pts = [[Q(rng.randint(-3, 3), rng.randint(-2, 2)) / rng.randint(1, 3)
+                for _ in range(act.target_dim)] for _ in gs]
+        samples = list(zip(gs, pts))
+        rep = A.check_poisson_action(act, samples).to_json()
+        assert rep == action_oracles.poisson_action_report(act, samples)
+        assert rep["passed"] is holds
+        assert holds or any("i" in t for f in rep["failures"] for row in f["residual"] for t in row)
+    mu1, mu2, mu3 = A.identity_momentum_map(lie.sl2(), dressing.bivector).components
+    m = A.MomentumMap(lie.sl2(), [mu1 + mu2 * mu3.scale(I), mu2, mu3])
+    triples = _cyclic_triples(gs, pts)
+    rep = A.psi_cocycle_check(dressing, m, triples).to_json()
+    assert rep["violations"] and rep == action_oracles.psi_cocycle_report(dressing, m, triples)
+
+
+def test_the_integer_routes_raise_as_the_scalar_bodies_do():
+    h3 = A.coadjoint_dressing_bundle(lie.heisenberg3(), [E12_3, E23_3, E13_3])
+    m = A.identity_momentum_map(lie.heisenberg3(), h3.bivector)
+    plane = A.sl2_plane_action(0, 2, 0, 1)
+    x3, unit = [1, 2, 3], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    cases = [(h3, [[1, 0, 0], [0, 0, 0], [0, 0, 1]], "group matrix is singular"),
+             (h3, [[1, 0, 0], [1, 1, 0], [0, 0, 1]], "matrix does not lie in the algebra span"),
+             (plane, [[2, 0], [0, 2]], "matrix fails the group relation"),
+             (plane, [[Q(1, 1), 0], [0, 1]], "matrix fails the group relation")]    # det 1 + i
+    for act, g, message in cases:
+        x = x3 if act is h3 else [1, 2]
+        for route in (A.check_poisson_action, action_oracles.poisson_action_report):
+            with pytest.raises(ValueError, match=message):
+                route(act, [(g, x)])
+        if act is h3:
+            for route in (A.psi_cocycle_check, action_oracles.psi_cocycle_report):
+                with pytest.raises(ValueError, match=message):
+                    route(act, m, [(unit, g, x)])

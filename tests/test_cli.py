@@ -620,9 +620,21 @@ def _bivector_pair_listed_twice(raw):
     raw["bivectors"]["plane"]["entries"].append({**entry, "i": 1, "j": 0})
 
 
+def _bracket_listed_twice(raw):
+    # [e1, e2] = e3 again as [e2, e1] = -e3 would override it, or its negation
+    raw["algebras"]["sl2"]["brackets"].append({"i": 1, "j": 0, "result": [0, 0, -1]})
+
+
+def _bracket_repeated(raw):
+    raw["algebras"]["sl2"]["brackets"].append({"i": 0, "j": 1, "result": [0, 0, 2]})
+
+
+# the whole bundle is parsed up front, so check-poisson reads the algebras too
 @pytest.mark.parametrize("edit, message", [
     (_term_exponent_listed_twice, "exponent [1, 1] is listed twice"),
     (_bivector_pair_listed_twice, "entry (1, 0) is listed twice"),
+    (_bracket_listed_twice, "bracket (1, 0) is listed twice"),
+    (_bracket_repeated, "bracket (0, 1) is listed twice"),
 ])
 def test_an_entry_listed_twice_is_a_schema_error(edit, message, tmp_path, capsys):
     raw = json.loads(SAMPLE.read_text())
