@@ -53,18 +53,20 @@ NEIGHBORHOOD_SAMPLES = 6
 
 def sl2_rational_samples(count: int, seed: int = 0) -> list:
     """Exact determinant-one samples: products of one to three elementary
-    matrices [[1, t], [0, 1]] or [[1, 0], [t, 1]]."""
+    matrices [[1, t], [0, 1]] or [[1, 0], [t, 1]], each drawn as an integer
+    matrix over the product of the denominators of its t."""
     rng = random.Random(seed)
     out = []
     for _ in range(count):
-        g = linalg.identity(2)
+        g, d = [[1, 0], [0, 1]], 1
         for _ in range(rng.randint(1, 3)):
-            t = Q(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
-            # g times an elementary matrix: add t times one column to the other
+            num, den = rng.randint(-4, 4), rng.randint(1, 3)
+            # g times an elementary matrix: add t = num/den times one column to the other
             src, dst = (0, 1) if rng.random() < 0.5 else (1, 0)
             for row in g:
-                row[dst] = row[dst] + t * row[src]
-        out.append(g)
+                row[dst], row[src] = den * row[dst] + num * row[src], den * row[src]
+            d *= den
+        out.append(linalg._scalars((g, None, d)))
     return out
 
 

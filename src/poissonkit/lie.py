@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import linalg
 from .scalars import GaussianRational, Q, ZERO, coeff_from_json, json_int
@@ -51,7 +53,7 @@ class LieAlgebra:
                 table[i][j][k] = v[k]
                 table[j][i][k] = -v[k]
         self._table = table
-        self._nonzero = None
+        self._ints = None
 
     # -- inspection ------------------------------------------------------
 
@@ -62,14 +64,14 @@ class LieAlgebra:
     def basis_bracket(self, i: int, j: int) -> list:
         return list(self._table[i][j])
 
-    def _nonzero_brackets(self) -> list:
-        """For each pair (i, j), the nonzero structure constants of [e_i, e_j]
-        as ``(k, C^k_ij)`` pairs; built on the first call, like
-        :meth:`LieModule._nonzero_entries`."""
-        if self._nonzero is None:
-            self._nonzero = [[[(k, c) for k, c in enumerate(vec) if c] for vec in row]
-                             for row in self._table]
-        return self._nonzero
+    def _int_brackets(self) -> tuple:
+        """The structure constants as :func:`_int_table` writes them:
+        ``re[i][j]`` lists the nonzero ``(k, numerator of C^k_ij)``; built on
+        the first call, like :meth:`LieModule._int_entries`."""
+        if self._ints is None:
+            self._ints = _int_table([c for row in self._table for vec in row for c in vec],
+                                    self.dim, self.dim)
+        return self._ints
 
     def bracket(self, X, Y) -> list:
         """[X, Y] for coefficient vectors X, Y."""
@@ -104,20 +106,17 @@ class LieAlgebra:
 
     # -- Jacobi ------------------------------------------------------------
 
-    def jacobiator(self, i: int, j: int, k: int) -> list:
-        """[[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]."""
-        e = linalg.identity(self.dim)
-        s1 = self.bracket(self.basis_bracket(i, j), e[k])
-        s2 = self.bracket(self.basis_bracket(j, k), e[i])
-        s3 = self.bracket(self.basis_bracket(k, i), e[j])
-        return [a + b + c for a, b, c in zip(s1, s2, s3)]
-
     def check_jacobi(self) -> "JacobiReport":
+        """The jacobiator [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]
+        of each triple i < j < k, on the integer table of
+        :meth:`_int_brackets`; scalars are built only for a violation's
+        residual."""
+        table = self._int_brackets()
         violations = []
-        for i, j, k in itertools.combinations(range(self.dim), 3):
-            res = self.jacobiator(i, j, k)
-            if any(res):
-                violations.append(((i, j, k), res))
+        for ijk in itertools.combinations(range(self.dim), 3):
+            res = linalg._bilinear(lambda s, t: _jacobiator(s, t, *ijk), table, table)
+            if any(res[0]) or any(res[1] or ()):
+                violations.append((ijk, linalg._scalars(res)))
         return JacobiReport(ok=not violations, violations=violations)
 
     # -- serialization -------------------------------------------------------
@@ -143,6 +142,32 @@ class LieAlgebra:
                 raise ValueError(f"bracket ({i}, {j}) is listed twice")
             brackets[(i, j)] = [coeff_from_json(x) for x in b["result"]]
         return LieAlgebra(dim, brackets, basis=d.get("basis"))
+
+
+def _jacobiator(s, t, i: int, j: int, k: int) -> list:
+    """``sum_l s^l_xy t^m_lz`` over the cyclic ``(x, y, z)`` of ``(i, j, k)``,
+    for integer tables ``s`` and ``t`` of :func:`_int_table`."""
+    out = [0] * len(s)
+    for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+        for l, a in s[x][y]:
+            for m, b in t[l][z]:
+                out[m] += a * b
+    return out
+
+
+def _int_table(values, blocks: int, m: int) -> tuple:
+    """``values``, ``blocks`` flattened m x m blocks of scalars, as integers
+    over one lcm denominator: ``(re, im, d)`` with ``re[x][r]`` the nonzero
+    ``(column, numerator)`` pairs of row r of block x, and ``im`` the same
+    for the imaginary parts, None when every entry is real."""
+    a, b, d = linalg._int_row(values)
+
+    def sparse(nums):
+        rows = [[(c, x) for c, x in enumerate(nums[r * m:(r + 1) * m]) if x]
+                for r in range(blocks * m)]
+        return [rows[x * m:(x + 1) * m] for x in range(blocks)]
+
+    return sparse(a), b and sparse(b), d
 
 
 @dataclass
@@ -216,18 +241,19 @@ class LieModule:
                 raise ValueError("action matrices must be square of equal size")
         self.kind = kind
         self._report = None
-        self._nonzero = None
+        self._ints = None
 
     def act(self, i: int, v) -> list:
         return linalg.mat_vec(self.mats[i], v)
 
-    def _nonzero_entries(self) -> list:
-        """For each row of each rho(e_i), its nonzero entries as ``(column,
-        value)`` pairs; built on the first call, like :meth:`check_axiom`."""
-        if self._nonzero is None:
-            self._nonzero = [[[(v, x) for v, x in enumerate(r) if x] for r in m]
-                             for m in self.mats]
-        return self._nonzero
+    def _int_entries(self) -> tuple:
+        """The action matrices as :func:`_int_table` writes them: ``re[i][r]``
+        lists the nonzero ``(column, numerator)`` of row r of rho(e_i); built
+        on the first call, like :meth:`check_axiom`."""
+        if self._ints is None:
+            self._ints = _int_table([x for m in self.mats for r in m for x in r],
+                                    len(self.mats), self.dim)
+        return self._ints
 
     def check_axiom(self) -> "ModuleReport":
         """rho([X,Y]) = rho(X)rho(Y) - rho(Y)rho(X) on all basis pairs.
@@ -291,15 +317,21 @@ def representation(L: LieAlgebra, kind: str, dim: int = 1) -> LieModule:
 class CochainComplexSlice:
     """The differential C^p -> C^{p+1} for cochains with values in a module.
 
-    ``matrix`` rows are indexed by (J, w) with J a (p+1)-combination and w a
-    module basis index; columns by (I, v) likewise.  Index tuples are listed
-    lexicographically.
+    ``rows`` holds it as integer rows ``(P, Q, d)``, the matrix being
+    ``(P + iQ) / d`` (``Q`` None when it is real); ``matrix``, the same
+    matrix as scalars, is built from them on first use.  Rows are indexed by
+    (J, w) with J a (p+1)-combination and w a module basis index; columns by
+    (I, v) likewise.  Index tuples are listed lexicographically.
     """
 
     degree: int
-    matrix: list
+    rows: tuple
     domain_basis: list
     codomain_basis: list
+
+    @cached_property
+    def matrix(self) -> list:
+        return linalg._scalars(self.rows)
 
 
 def ce_differential(L: LieAlgebra, M: LieModule, p: int) -> CochainComplexSlice:
@@ -308,7 +340,9 @@ def ce_differential(L: LieAlgebra, M: LieModule, p: int) -> CochainComplexSlice:
     Each (p+1)-set J is walked once, and each term of
     ``(dc)(e_J) = sum_a (-1)^a rho(e_{J_a}) c(e_{J-a})
     + sum_{a<b} (-1)^{a+b} c([e_{J_a}, e_{J_b}] ^ e_{J-a-b})``
-    is written into the column block of the p-set that ``c`` is evaluated on.
+    is written into the column block of the p-set that ``c`` is evaluated on,
+    as integers over one denominator (:meth:`LieModule._int_entries`,
+    :meth:`LieAlgebra._int_brackets`).
     """
     n = L.dim
     if not 0 <= p <= n:
@@ -316,45 +350,60 @@ def ce_differential(L: LieAlgebra, M: LieModule, p: int) -> CochainComplexSlice:
     axiom = M.check_axiom()
     if not axiom.ok:
         raise ValueError(f"invalid module: axiom fails on pairs {axiom.failing_pairs}")
-    dimV = M.dim
     dom = list(itertools.combinations(range(n), p))
     cod = list(itertools.combinations(range(n), p + 1))
-    col = {I: ci * dimV for ci, I in enumerate(dom)}
-    matrix = linalg.zeros(len(cod) * dimV, len(dom) * dimV)
-    action = M._nonzero_entries()
-    brackets = L._nonzero_brackets()
+    action, brackets = M._int_entries(), L._int_brackets()
+    d = math.lcm(action[2], brackets[2])
+    fill = lambda part: _ce_rows(  # noqa: E731
+        M.dim, p, dom, cod, _scaled(action[part], d // action[2]),
+        _scaled(brackets[part], d // brackets[2]))
+    im = None if action[1] is None and brackets[1] is None else fill(1)
+    return CochainComplexSlice(degree=p, rows=(fill(0), im, d), domain_basis=dom,
+                               codomain_basis=cod)
 
+
+def _scaled(table, f: int):
+    """An integer table of :func:`_int_table` times ``f``."""
+    return table if table is None or f == 1 else [[[(c, f * x) for c, x in row] for row in block]
+                                                   for block in table]
+
+
+def _ce_rows(dimV: int, p: int, dom, cod, action, brackets) -> list:
+    """The integer rows of :func:`ce_differential` from one part (real or
+    imaginary) of the action and bracket tables; a None table adds nothing."""
+    col = {I: ci * dimV for ci, I in enumerate(dom)}
+    ncols = len(dom) * dimV
+    out = [[0] * ncols for _ in range(len(cod) * dimV)]
     for ri, J in enumerate(cod):
-        rows = matrix[ri * dimV:(ri + 1) * dimV]
+        rows = out[ri * dimV:(ri + 1) * dimV]
         # module action part: (-1)^a rho(e_{J_a}) fills the block of J minus J_a
-        for a in range(p + 1):
+        for a in range(p + 1) if action else ():
             c0 = col[J[:a] + J[a + 1:]]
             for row, entries in zip(rows, action[J[a]]):
                 for v, x in entries:
-                    if a % 2:
-                        row[c0 + v] -= x
-                    else:
-                        row[c0 + v] += x
-        # bracket insertion part: a multiple of the identity on the module
-        for a, b in itertools.combinations(range(p + 1), 2):
+                    row[c0 + v] += -x if a % 2 else x
+        # bracket insertion part: a multiple of the identity on the module; k
+        # moves to position t of the sorted rest, a sign (-1)^t
+        for a, b in itertools.combinations(range(p + 1), 2) if brackets else ():
             rest = J[:a] + J[a + 1:b] + J[b + 1:]
-            for k, c in brackets[J[a]][J[b]]:
-                if k in rest:
+            for k, x in brackets[J[a]][J[b]]:
+                t = bisect(rest, k)
+                if t and rest[t - 1] == k:
                     continue
-                I, sign = linalg.sort_with_sign((k,) + rest)
-                c0, s = col[I], Q((-1) ** (a + b) * sign) * c
+                c0 = col[rest[:t] + (k,) + rest[t:]]
+                s = -x if (a + b + t) % 2 else x
                 for w, row in enumerate(rows):
                     row[c0 + w] += s
-
-    return CochainComplexSlice(degree=p, matrix=matrix, domain_basis=dom, codomain_basis=cod)
+    return out
 
 
 def cohomology_dim(L: LieAlgebra, M: LieModule, p: int) -> int:
-    """dim H^p(L, M) = dim ker(d_p) - rank(d_{p-1}), all ranks exact."""
+    """dim H^p(L, M) = dim ker(d_p) - rank(d_{p-1}), all ranks exact, of the
+    integer rows of each differential."""
     n = L.dim
     if not 0 <= p <= n:
         raise ValueError(f"degree {p} out of range 0..{n}")
     dimCp = math.comb(n, p) * M.dim
-    rank_dp = linalg.rank(ce_differential(L, M, p).matrix) if p < n else 0
-    rank_prev = linalg.rank(ce_differential(L, M, p - 1).matrix) if p > 0 else 0
+    rank_dp = linalg.rank(*ce_differential(L, M, p).rows[:2]) if p < n else 0
+    rank_prev = linalg.rank(*ce_differential(L, M, p - 1).rows[:2]) if p > 0 else 0
     return dimCp - rank_dp - rank_prev

@@ -13,9 +13,10 @@ and :func:`_int_mat` a matrix as ints ``P + iQ`` over one denominator;
 :func:`rref`, :func:`rank` and :func:`_int_inverse` eliminate with
 ``p*x - f*y`` on primitive integer rows, and the private helpers multiply,
 add and invert with no scalar in between, so callers (the sampled checks of
-``action``, ``poisson.stratify_sample``) build scalars only to report, and
-:func:`mat_mul`, :func:`mat_vec` and :func:`inverse` wrap them.  Only
-:func:`rref` and :func:`rank` of Gaussian input build scalars as they go.
+``action``, ``poisson.stratify_sample``, ``lie.cohomology_dim``) build
+scalars only to report, and :func:`mat_mul`, :func:`mat_vec` and
+:func:`inverse` wrap them.  Only :func:`rref` of Gaussian input builds
+scalars as it goes.
 """
 
 from __future__ import annotations
@@ -63,6 +64,8 @@ def _int_row(row) -> tuple:
     denominators, and ``b`` None when no entry has an imaginary part.
     Ints and Fractions are read directly; other entries that are not
     :class:`GaussianRational` are coerced here, once."""
+    if row and type(row[0]) is int and {int}.issuperset(map(type, row)):
+        return list(row), None, 1
     try:
         ds = [x.d for x in row]
     except AttributeError:
@@ -196,9 +199,12 @@ def is_zero_mat(a) -> bool:
     return all(x.is_zero() for row in a for x in row)
 
 
-def rank(matrix) -> int:
+def rank(matrix, imag=None) -> int:
     """Exact rank: the number of pivots of the elimination :func:`rref` runs,
-    without its back substitution and without building any scalar."""
+    without its back substitution and without building any scalar.  With
+    ``imag``, the rank of ``matrix + i*imag`` for integer rows of one shape."""
+    if imag is not None:
+        return _rank_rows(matrix, imag)
     rows = [_int_row(row) for row in matrix]
     p = [a for a, _, _ in rows]
     if all(b is None for _, b, _ in rows):
@@ -208,13 +214,13 @@ def rank(matrix) -> int:
 
 def _rank_rows(p, q=None) -> int:
     """The rank of the matrix with integer rows ``p + i*q`` (``q`` None when
-    every entry is real).  Scaling a row does not change the rank, so rows
+    every entry is real), and with ``q`` half the rank of the real form
+    :func:`_realified`.  Scaling a row does not change the rank, so rows
     over different denominators need no common one.  The rows are not
     modified."""
     if q is None:
         return len(_eliminate([a for a in p if any(a)], jordan=False))
-    return len(_gaussian_rref([[_make(x, y, 1) for x, y in zip(a, b)]
-                               for a, b in zip(p, q)])[1])
+    return _rank_rows(_realified(p, q)) // 2
 
 
 def rref(matrix):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings
 
-from poissonkit import lie
+from poissonkit import lie, linalg
 from poissonkit.poly import MultiPoly
 from poissonkit.poisson import PolyBivector, lie_poisson
 
@@ -93,3 +93,18 @@ def random_constant_algebra(rng, n):
     """Skew structure constants with no Jacobi identity imposed."""
     return lie.LieAlgebra(n, {(i, j): [rng.randint(-2, 2) for _ in range(n)]
                               for i, j in itertools.combinations(range(n), 2)})
+
+
+def scaled_basis(L, factors):
+    """``L`` in the basis f_i = s_i e_i, an isomorphic algebra with structure
+    constants C^k_ij s_i s_j / s_k."""
+    n = L.dim
+    return lie.LieAlgebra(n, {(i, j): [L.structure_constant(i, j, k) * factors[i] * factors[j]
+                                       / factors[k] for k in range(n)]
+                              for i, j in itertools.combinations(range(n), 2)})
+
+
+def conjugated(M, g, g_inv):
+    """The module ``M`` in another basis of its space: ``g rho(e_i) g^-1``."""
+    return lie.LieModule(M.algebra, [linalg.mat_mul(linalg.mat_mul(g, m), g_inv)
+                                     for m in M.mats], kind=M.kind)

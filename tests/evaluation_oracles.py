@@ -15,10 +15,14 @@ that only tests called.
   even k with a nonzero sum of squared k x k minors, formerly
   ``poissonkit.poisson.max_rank_from_minors``;
 * ``is_abelian``: whether every bracket of a Lie algebra's basis vanishes,
-  formerly the method ``LieAlgebra.is_abelian``.
+  formerly the method ``LieAlgebra.is_abelian``;
+* ``jacobiator``: one jacobiator of a Lie algebra as scalars, by three
+  ``LieAlgebra.bracket`` calls, formerly the method
+  ``LieAlgebra.jacobiator``, where ``check_jacobi`` now reads the integer
+  structure constants.
 
 The first two bodies are unchanged, apart from the names they import; the
-last two read the package through public names only.
+last three read the package through public names only.
 """
 
 from __future__ import annotations
@@ -96,3 +100,12 @@ def is_abelian(L) -> bool:
     """Whether every structure constant of the Lie algebra ``L`` is zero."""
     return all(c.is_zero() for i in range(L.dim) for j in range(L.dim)
                for c in L.basis_bracket(i, j))
+
+
+def jacobiator(L, i: int, j: int, k: int) -> list:
+    """[[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]."""
+    e = linalg.identity(L.dim)
+    s1 = L.bracket(L.basis_bracket(i, j), e[k])
+    s2 = L.bracket(L.basis_bracket(j, k), e[i])
+    s3 = L.bracket(L.basis_bracket(k, i), e[j])
+    return [a + b + c for a, b, c in zip(s1, s2, s3)]

@@ -3,12 +3,14 @@ import fractions
 import itertools
 import math
 import pstats
+import random
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from poissonkit import lie, linalg
+from poissonkit import lie, linalg, scalars
 from poissonkit.lie import (
-    CochainComplexSlice,
     LieAlgebra,
     abelian,
     ce_differential,
@@ -18,10 +20,47 @@ from poissonkit.lie import (
     sl2,
     so3,
 )
-from poissonkit.scalars import Q, ZERO, ONE
+from poissonkit.scalars import GaussianRational, Q, ZERO, ONE
 
-from conftest import book3, filiform4, gl2, sl2_sl2
-from evaluation_oracles import is_abelian
+from conftest import book3, conjugated, filiform4, gl2, scaled_basis, sl2_sl2
+from evaluation_oracles import is_abelian, jacobiator
+
+KINDS = ("trivial", "adjoint", "coadjoint")
+I = GaussianRational(0, 1)
+RATIONAL_FACTORS = [Q("1/2"), Q(3), Q("-2/3")]
+
+
+def sl2_rational_basis():
+    """sl2 in the basis e1/2, 3 e2, -2/3 e3: rational structure constants."""
+    return scaled_basis(sl2(), RATIONAL_FACTORS)
+
+
+def sl2_gaussian_basis():
+    """sl2 in the basis i e1, e2/2, (1+i) e3: Gaussian structure constants."""
+    return scaled_basis(sl2(), [I, Q("1/2"), Q(1, 1)])
+
+
+def sl2_gaussian_adjoint():
+    """The adjoint module of sl2 conjugated by [[1, i, 0], [0, 1, 0], [0, 0, 1]]."""
+    g = [[ONE, I, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, ONE]]
+    g_inv = [[ONE, -I, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, ONE]]
+    return [conjugated(representation(sl2(), "adjoint"), g, g_inv)]
+
+
+def sl2_defining():
+    """The defining module of sl2 (entries over 2, integer structure
+    constants) and of ``sl2_rational_basis`` (entries over 12, structure
+    constants over 36), so each table is put over the other's denominator."""
+    mats = lie.sl2_defining_matrices()
+    return [lie.LieModule(sl2(), mats, kind="defining"),
+            lie.LieModule(sl2_rational_basis(), [[[s * x for x in row] for row in m]
+                                                 for s, m in zip(RATIONAL_FACTORS, mats)],
+                          kind="defining")]
+
+
+def _modules(made):
+    """The modules a test case makes, or the three named modules of its algebra."""
+    return made if isinstance(made, list) else [representation(made, kind) for kind in KINDS]
 
 
 def test_jacobi_examples():
@@ -34,6 +73,23 @@ def test_jacobi_examples():
     (idx, res), = rep.violations
     assert idx == (0, 1, 2)
     assert res[2] == Q(-1) and res[0].is_zero() and res[1].is_zero()
+
+
+def _rand_entry(rng, gaussian):
+    part = lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 3))  # noqa: E731
+    return GaussianRational(part(), part() if gaussian else 0)
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_jacobi_violations_match_the_scalar_jacobiator(gaussian, rng=random.Random(29)):
+    for n in (3, 4, 5):
+        L = LieAlgebra(n, {(i, j): [_rand_entry(rng, gaussian) for _ in range(n)]
+                           for i, j in itertools.combinations(range(n), 2)})
+        expect = [(ijk, res) for ijk in itertools.combinations(range(n), 3)
+                  if any(res := jacobiator(L, *ijk))]
+        assert expect and L.check_jacobi().violations == expect
+    for L in (sl2_rational_basis(), sl2_gaussian_basis()):
+        assert L.check_jacobi().ok
 
 
 def test_bracket_examples(sl2):
@@ -210,21 +266,22 @@ def _dense_ce_differential(L, M, p):
                 for w in range(dimV):
                     if not acc[w].is_zero():
                         matrix[ri * dimV + w][ci * dimV + v] = acc[w]
-    return CochainComplexSlice(degree=p, matrix=matrix, domain_basis=dom, codomain_basis=cod)
+    return SimpleNamespace(degree=p, matrix=matrix, domain_basis=dom, codomain_basis=cod)
 
 
 @pytest.mark.parametrize("algebra_fn,max_degree", [
     (sl2, None), (so3, None), (heisenberg3, None), (filiform4, None),
     (lambda: abelian(3), None), (gl2, None), (sl2_sl2, 2), (book3, None),
+    (sl2_rational_basis, None), (sl2_gaussian_basis, None), (sl2_gaussian_adjoint, None),
+    (sl2_defining, None),
 ])
 def test_ce_differential_matches_dense_builder(algebra_fn, max_degree):
-    L = algebra_fn()
-    top = L.dim if max_degree is None else max_degree
-    for kind in ("trivial", "adjoint", "coadjoint"):
-        M = representation(L, kind)
+    for M in _modules(algebra_fn()):
+        L = M.algebra
+        top = L.dim if max_degree is None else max_degree
         for p in range(top + 1):
             fast, dense = ce_differential(L, M, p), _dense_ce_differential(L, M, p)
-            assert fast.matrix == dense.matrix, (kind, p)
+            assert fast.matrix == dense.matrix, (M.kind, p)
             assert fast.domain_basis == dense.domain_basis
             assert fast.codomain_basis == dense.codomain_basis
 
@@ -249,17 +306,41 @@ def _sympy_rank(sympy, matrix):
                          for row in matrix]).rank()
 
 
-@pytest.mark.parametrize("algebra_fn", [sl2, heisenberg3, filiform4])
+@pytest.mark.parametrize("algebra_fn", [sl2, heisenberg3, filiform4, sl2_rational_basis,
+                                        sl2_gaussian_basis, sl2_gaussian_adjoint, sl2_defining])
 def test_cohomology_dims_match_sympy_ranks(algebra_fn):
     sympy = pytest.importorskip("sympy")
-    L = algebra_fn()
-    n = L.dim
-    for kind in ("trivial", "adjoint", "coadjoint"):
-        M = representation(L, kind)
+    for M in _modules(algebra_fn()):
+        L, n = M.algebra, M.algebra.dim
         ranks = [_sympy_rank(sympy, ce_differential(L, M, p).matrix) for p in range(n + 1)]
         for p in range(n + 1):
             expect = math.comb(n, p) * M.dim - ranks[p] - (ranks[p - 1] if p else 0)
-            assert cohomology_dim(L, M, p) == expect, (kind, p)
+            assert cohomology_dim(L, M, p) == expect, (M.kind, p)
+
+
+@pytest.mark.parametrize("algebra_fn", [sl2_rational_basis, sl2_gaussian_basis,
+                                        sl2_gaussian_adjoint, sl2_defining])
+def test_cohomology_dims_do_not_depend_on_the_basis(algebra_fn):
+    dims = lambda M: [cohomology_dim(M.algebra, M, p) for p in range(4)]  # noqa: E731
+    plain = {M.kind: dims(M) for M in _modules(sl2()) + sl2_defining()[:1]}
+    for M in _modules(algebra_fn()):
+        assert dims(M) == plain[M.kind], M.kind
+
+
+def test_warm_cohomology_sweep_and_jacobi_check_build_no_scalar():
+    # a call count: the differentials are integer rows and the jacobiators
+    # integer sums, so a scalar is built only to report
+    L, jacobi = gl2(), sl2_sl2()
+    M = representation(L, "coadjoint")
+    sweep = lambda: [cohomology_dim(L, M, p) for p in range(L.dim + 1)]  # noqa: E731
+    dims = sweep()
+    profile = cProfile.Profile()
+    profile.enable()
+    assert sweep() == dims and jacobi.check_jacobi().ok
+    profile.disable()
+    made = sum(stat[1] for func, stat in pstats.Stats(profile).stats.items()
+               if func[0] == scalars.__file__ and func[2] == "_make")
+    assert made == 0
 
 
 @pytest.mark.parametrize("algebra_fn,kind", [
