@@ -89,11 +89,24 @@ def _dot(a, b) -> int:
     return sum(map(mul, a, b))
 
 
+def _shape(a) -> tuple:
+    """``(rows, columns)`` of the matrix ``a``; ``ValueError`` when its rows
+    differ in length."""
+    m = len(a[0]) if a else 0
+    if any(len(row) != m for row in a):
+        raise ValueError(f"ragged matrix: rows of lengths {sorted({len(row) for row in a})}")
+    return len(a), m
+
+
 def mat_mul(a, b) -> list:
+    if a and _shape(a)[1] != _shape(b)[0]:
+        raise ValueError(f"shape mismatch: {_shape(a)} times {_shape(b)}")
     return _scalars(_int_mul(_int_mat(a), _int_mat(b)))
 
 
 def mat_vec(a, v) -> list:
+    if a and _shape(a)[1] != len(v):
+        raise ValueError(f"shape mismatch: {_shape(a)} times a vector of length {len(v)}")
     return _scalars(_int_mat_vec(_int_mat(a), _int_row(v)))
 
 
@@ -180,10 +193,14 @@ def _realified(p, q) -> list:
 
 
 def mat_add(a, b) -> list:
+    if _shape(a) != _shape(b):
+        raise ValueError(f"shape mismatch: {_shape(a)} plus {_shape(b)}")
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_sub(a, b) -> list:
+    if _shape(a) != _shape(b):
+        raise ValueError(f"shape mismatch: {_shape(a)} minus {_shape(b)}")
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
@@ -192,6 +209,9 @@ def transpose(a) -> list:
 
 
 def mat_eq(a, b) -> bool:
+    """Entry for entry equality; False for matrices of different shapes."""
+    if len(a) != len(b) or any(len(ra) != len(rb) for ra, rb in zip(a, b)):
+        return False
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
@@ -199,12 +219,21 @@ def is_zero_mat(a) -> bool:
     return all(x.is_zero() for row in a for x in row)
 
 
-def rank(matrix, imag=None) -> int:
+_SCALARS = object()     # rank's default: coerce the rows of ``matrix``
+
+
+def rank(matrix, imag=_SCALARS) -> int:
     """Exact rank: the number of pivots of the elimination :func:`rref` runs,
-    without its back substitution and without building any scalar.  With
-    ``imag``, the rank of ``matrix + i*imag`` for integer rows of one shape."""
-    if imag is not None:
+    without its back substitution and without building any scalar.
+
+    ``rank(matrix)`` reads rows of scalars (ints, Fractions, rational strings
+    and :class:`GaussianRational`), and ragged rows raise ``ValueError``.
+    ``rank(matrix, imag)``, ``imag`` None included, is the rank of ``matrix +
+    i*imag`` for integer rows of one shape, taken as they are (no check, no
+    copy), ``imag`` None when every entry is real."""
+    if imag is not _SCALARS:
         return _rank_rows(matrix, imag)
+    _shape(matrix)
     rows = [_int_row(row) for row in matrix]
     p = [a for a, _, _ in rows]
     if all(b is None for _, b, _ in rows):
@@ -216,18 +245,24 @@ def _rank_rows(p, q=None) -> int:
     """The rank of the matrix with integer rows ``p + i*q`` (``q`` None when
     every entry is real), and with ``q`` half the rank of the real form
     :func:`_realified`.  Scaling a row does not change the rank, so rows
-    over different denominators need no common one.  The rows are not
-    modified."""
-    if q is None:
-        return len(_eliminate([a for a in p if any(a)], jordan=False))
-    return _rank_rows(_realified(p, q)) // 2
+    over different denominators need no common one.  A real matrix with
+    more nonzero rows than columns is eliminated transposed, without its
+    zero columns, so :func:`_eliminate` runs on the short side.  The rows
+    are not modified."""
+    if q is not None:
+        return _rank_rows(_realified(p, q)) // 2
+    m = [a for a in p if any(a)]
+    if m and len(m) > len(m[0]):
+        m = [c for c in zip(*m) if any(c)]
+    return len(_eliminate(m, jordan=False))
 
 
 def rref(matrix):
     """Reduced row echelon form over the field; returns (rref, pivot columns).
 
     Real input is eliminated on integer rows, and a scalar is built only for
-    each nonzero entry of a pivot row."""
+    each nonzero entry of a pivot row.  Ragged rows raise ``ValueError``."""
+    _shape(matrix)
     rows = [_int_row(row) for row in matrix]
     if not rows or not rows[0][0]:
         return [list(row) for row in matrix], []
@@ -248,11 +283,13 @@ def rref(matrix):
 
 def _eliminate(m, jordan: bool) -> list:
     """Fraction-free Gaussian elimination in place on the nonzero integer
-    rows ``m``: ``x -> p*x - f*y`` with the common factor of ``p`` and ``f``
-    removed, and every changed row divided by the gcd of its entries, so the
-    rows stay primitive.  Pivot rows end first, in order; with ``jordan``
-    each pivot column is cleared above its pivot too.  Returns the pivot
-    columns."""
+    rows ``m`` (lists or tuples): ``x -> p*x - f*y`` with the common factor
+    of ``p`` and ``f`` removed, and every changed row divided by the gcd of
+    its entries, so the rows stay primitive.  Pivot rows end first, in
+    order.  Without ``jordan`` a row that an update turns to zero is
+    removed from ``m``, so ``m`` ends with its pivot rows alone; with
+    ``jordan`` each pivot column is cleared above its pivot too and every
+    row is kept.  Returns the pivot columns."""
     nrows = len(m)
     pivots = []
     r = 0
@@ -268,6 +305,7 @@ def _eliminate(m, jordan: bool) -> list:
         if g > 1:
             prow = m[r] = [x // g for x in prow]
         p = prow[c]
+        vanished = False
         for i in range(0 if jordan else r + 1, nrows):
             f = m[i][c]
             if i == r or not f:
@@ -276,9 +314,16 @@ def _eliminate(m, jordan: bool) -> list:
             a, b = p // g, f // g
             row = [a * x - b * y for x, y in zip(m[i], prow)]
             g = gcd(*row)
-            m[i] = [x // g for x in row] if g > 1 else row
+            if g > 1:
+                row = [x // g for x in row]
+            elif not g:
+                vanished = True
+            m[i] = row
         pivots.append(c)
         r += 1
+        if vanished and not jordan:
+            m[r:] = [row for row in islice(m, r, None) if any(row)]
+            nrows = len(m)
         if r == nrows:
             break
     return pivots
@@ -469,7 +514,11 @@ def _flat(rows) -> list:
 
 
 def in_span(vectors, v) -> bool:
-    """Exact membership of ``v`` in the span of ``vectors``."""
+    """Exact membership of ``v`` in the span of ``vectors``; ``ValueError``
+    when a vector's length is not ``len(v)``."""
+    if any(len(u) != len(v) for u in vectors):
+        raise ValueError(f"vectors of lengths {sorted({len(u) for u in vectors})}, "
+                         f"not {len(v)}")
     if all(GaussianRational.coerce(x).is_zero() for x in v):
         return True
     if not vectors:

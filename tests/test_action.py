@@ -902,6 +902,35 @@ def test_degenerate_tangential_points_of_the_plane_action(sample_bundle):
     assert {tuple(p) for p, _ in rep.failures} == {tuple(p) for p in on_h0}
 
 
+def test_tangential_failures_where_rows_vanish_in_the_elimination(monkeypatch):
+    # (mu1 - 1) times the Lie-Poisson bivector of sl2 vanishes on mu1 = 1: there
+    # [P | F] is [0 | F] with F of rank 2, so one row vanishes and the rows
+    # left below P's (no) pivots fail; at (2, 1, 1) a row vanishes and all pass
+    dressing = A.coadjoint_dressing_bundle(lie.sl2(), lie.sl2_defining_matrices())
+    lp = dressing.bivector
+    h = generators(*lp.vars)[0] - 1
+    act = A.LinearPoissonAction(dressing.algebra, dressing.rep_mats,
+                                PolyBivector(lp.vars, {k: h * v for k, v in lp.comps.items()}),
+                                defining_mats=dressing.defining_mats, coadjoint=True)
+    rows = []
+    eliminate = linalg._eliminate
+
+    def counted(m, jordan):
+        rows.append(len(m))
+        pivots = eliminate(m, jordan)
+        rows.append(len(m))
+        return pivots
+
+    monkeypatch.setattr(linalg, "_eliminate", counted)
+    pts = [[1, 2, 3], [1, 0, 1], [2, 1, 1], [1, 0, 0], [1, I, 2]]
+    rep = A.tangential_check(act, pts)
+    # a row vanishes at each point but (1, 0, 0), where F has a zero row from the start
+    assert rows == [3, 2, 3, 2, 3, 2, 3, 3, 6, 3]
+    assert rep.failures == action_oracles.tangential_failures_by_solve(act, pts)
+    assert rep.failures == [(p, i) for p, gens in zip(pts, [(0, 1, 2), (0, 1, 2), (), (1, 2), (0, 1, 2)])
+                            for i in gens]
+
+
 def test_gaussian_actions_points_and_group_elements_match_the_scalar_bodies(rng):
     """The Q parts of every integer route: Gaussian coefficients, r-matrix,
     points and group elements, on a natural and on a coadjoint action."""

@@ -3,6 +3,7 @@ import copy
 import functools
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -24,7 +25,8 @@ SL2_JSON = {
     ],
 }
 
-SAMPLE = Path(__file__).resolve().parent.parent / "demos" / "bundles" / "sample.json"
+ROOT = Path(__file__).resolve().parent.parent
+SAMPLE = ROOT / "demos" / "bundles" / "sample.json"
 
 PLANE_VARS = [{"name": "x1", "kind": "affine"}, {"name": "x2", "kind": "affine"}]
 
@@ -301,10 +303,11 @@ def test_parse_bundle_validation():
 
 
 def test_console_script_entrypoint():
+    path = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     proc = subprocess.run(
         [sys.executable, "-m", "poissonkit.cli", "example51", "--lambda", "0,2,0",
          "--c", "1", "--samples", "10"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
     )
     assert proc.returncode == 0
     assert proc.stdout.strip().splitlines()[-1].startswith('{"summary"')

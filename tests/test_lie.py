@@ -343,6 +343,22 @@ def test_warm_cohomology_sweep_and_jacobi_check_build_no_scalar():
     assert made == 0
 
 
+def test_cohomology_sweep_ranks_the_rows_as_built_on_the_short_side(monkeypatch):
+    # cohomology_dim hands its integer rows to linalg.rank as they are, and
+    # _eliminate sees the transpose of each tall differential
+    L = sl2()
+    M = representation(L, "adjoint")
+    ce_differential(L, M, 0)        # the module's integer table, built once
+    int_rows, shapes = [], []
+    int_row, eliminate = linalg._int_row, linalg._eliminate
+    monkeypatch.setattr(linalg, "_int_row", lambda row: int_rows.append(row) or int_row(row))
+    monkeypatch.setattr(linalg, "_eliminate",
+                        lambda m, jordan: shapes.append((len(m), len(m[0]))) or eliminate(m, jordan))
+    assert [cohomology_dim(L, M, p) for p in range(4)] == [0, 0, 0, 0]
+    assert not int_rows
+    assert len(shapes) == 6 and all(rows <= cols for rows, cols in shapes)
+
+
 @pytest.mark.parametrize("algebra_fn,kind", [
     (sl2, "trivial"), (sl2, "adjoint"), (heisenberg3, "trivial"),
     (lambda: abelian(3), "trivial"),

@@ -405,3 +405,122 @@ def test_one_imaginary_entry_takes_the_gaussian_loop(monkeypatch, rng=random.Ran
         # products take the Gaussian-integer dot product instead
         assert _same(linalg.mat_mul(tilted, linalg.transpose(tilted)), (S * S.T).expand())
         assert _same([[x] for x in linalg.mat_vec(tilted, tilted[0])], (S * S[0, :].T).expand())
+
+
+# -- the integer rank route: rows taken as built, short side, vanished rows dropped --
+
+# (rows, columns) of Chevalley-Eilenberg differentials: tall, wide and square
+CE_SHAPES = [(9, 3), (3, 9), (9, 9), (18, 6), (6, 18), (16, 24), (24, 16), (36, 90), (90, 36)]
+
+
+def sparse_int_rows(rng, n, m, density=0.15):
+    """n x m integer rows in -3..3, about ``density`` of the entries nonzero."""
+    return [[rng.randint(-3, 3) if rng.random() < density else 0 for _ in range(m)]
+            for _ in range(n)]
+
+
+def ce_like_matrices(rng, gaussian):
+    """``(P, Q)`` pairs, ``Q`` None unless ``gaussian``, for every shape of
+    :data:`CE_SHAPES`: a few rows replaced by sums of Gaussian-integer
+    multiples of two others (rank deficiency), and some rows and columns
+    zeroed."""
+    for n, m in CE_SHAPES:
+        p = sparse_int_rows(rng, n, m)
+        q = sparse_int_rows(rng, n, m, density=0.08) if gaussian else None
+        for _ in range(n // 3):
+            k, i, j = rng.sample(range(n), 3)
+            a, b = rng.randint(-2, 2), rng.randint(-2, 2) if gaussian else 0
+            p[k] = [a * x - b * y + z for x, y, z in zip(p[i], q[i] if q else p[i], p[j])]
+            if q:
+                q[k] = [b * x + a * y + z for x, y, z in zip(p[i], q[i], q[j])]
+        for i in rng.sample(range(n), n // 5):
+            for part in [p] + ([q] if q else []):
+                part[i] = [0] * m
+        for c in rng.sample(range(m), m // 5):
+            for row in p + (q or []):
+                row[c] = 0
+        yield p, q
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_integer_rows_rank_as_scalars_and_sympy(gaussian, rng=random.Random(30)):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix      # exact over ZZ and ZZ_I, and fast
+    deficient = 0
+    for p, q in ce_like_matrices(rng, gaussian):
+        copies = [list(row) for row in p], q and [list(row) for row in q]
+        S = sympy.Matrix(p) + sympy.I * sympy.Matrix(q) if q else sympy.Matrix(p)
+        scalars = [[GaussianRational(x, y) for x, y in zip(u, v or [0] * len(u))]
+                   for u, v in zip(p, q or [None] * len(p))]
+        r = linalg.rank(p, q)
+        assert r == linalg.rank(scalars) == DomainMatrix.from_Matrix(S).rank(), (len(p), len(p[0]))
+        assert (p, q) == copies     # the rows are not modified
+        deficient += r < min(len(p), len(p[0]))
+    assert deficient >= 3
+
+
+def test_rank_reads_integer_rows_without_int_row(monkeypatch):
+    calls = []
+    int_row = linalg._int_row
+    monkeypatch.setattr(linalg, "_int_row", lambda row: calls.append(row) or int_row(row))
+    assert linalg.rank([[1, 2], [2, 4], [0, 3]], None) == 2 and not calls
+    assert linalg.rank([[1, 0], [0, 1]], [[0, 1], [-1, 0]]) == 1 and not calls
+    assert linalg.rank([[1, 2], [2, 4], [0, 3]]) == 2 and len(calls) == 3
+
+
+def test_rank_rows_eliminates_the_short_side(monkeypatch, rng=random.Random(31)):
+    shapes = []
+    eliminate = linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate",
+                        lambda m, jordan: shapes.append((len(m), len(m[0]) if m else 0))
+                        or eliminate(m, jordan))
+    p = sparse_int_rows(rng, 90, 36)
+    for row in p:
+        row[5] = row[17] = 0
+    assert linalg.rank(p, None) == linalg.rank(linalg.mat(p))
+    assert shapes[0] == (34, sum(map(any, p))) and shapes[1][0] <= shapes[1][1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(1, 12), st.integers(1, 12))
+def test_eliminate_leaves_the_pivot_rows_alone_in_order(seed, n, m):
+    rng = random.Random(seed)
+    rows = sparse_int_rows(rng, n, m, density=rng.choice((0.2, 0.5)))
+    for _ in range(rng.randint(0, n)):     # dependent rows, which vanish
+        i, j = rng.randrange(n), rng.randrange(n)
+        rows.append([2 * x - y for x, y in zip(rows[i], rows[j])])
+    rows = [row for row in rows if any(row)]
+    expected = linalg.rank(linalg.mat(rows)) if rows else 0
+    pivots = linalg._eliminate(rows, jordan=False)
+    assert len(pivots) == len(rows) == expected
+    assert pivots == sorted(pivots)
+    for row, c in zip(rows, pivots):
+        assert row[c] and not any(row[:c])
+
+
+# -- shapes: helpers reject or tell apart matrices of different shapes ----------------
+
+
+def test_mat_eq_tells_shapes_apart():
+    assert not linalg.mat_eq([[1]], [[1, 2]])
+    assert not linalg.mat_eq([[1], [2]], [[1]])
+    assert not linalg.mat_eq([[1, 2]], [[1]])
+    assert linalg.mat_eq([[1, 2]], [[Q(1), Q(2)]])
+
+
+@pytest.mark.parametrize("helper, args", [
+    ("mat_add", ([[1, 2]], [[1]])),
+    ("mat_add", ([[1], [2]], [[1]])),
+    ("mat_sub", ([[1], [2, 3]], [[1], [2, 3]])),
+    ("mat_mul", ([[1, 2]], [[1], [2], [3]])),
+    ("mat_mul", ([[1, 2], [3]], [[1], [2]])),
+    ("mat_vec", ([[1, 2]], [1, 2, 3])),
+    ("in_span", ([[1, 0]], [1, 0, 7])),
+    ("in_span", ([[1, 0], [1]], [0, 0])),
+    ("rank", ([[3], [1, 2]],)),
+    ("rank", ([[1, 2], [3]],)),
+    ("rref", ([[1, 2], [3]],)),
+], ids=lambda x: x if isinstance(x, str) else "")
+def test_helpers_reject_mismatched_or_ragged_shapes(helper, args):
+    with pytest.raises(ValueError):
+        getattr(linalg, helper)(*args)
