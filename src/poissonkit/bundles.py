@@ -13,9 +13,6 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from . import action as action_mod
-from .bialgebra import AbelianPLStructure, RMatrix
-from .lie import LieAlgebra
 from .poisson import PolyBivector
 from .poly import AFFINE, MultiPoly
 from .scalars import coeff_from_json, json_int
@@ -98,9 +95,19 @@ def parse_bundle(raw: dict) -> ProblemBundle:
         raise SchemaError(f"sampler: {e}") from e
     if any(b.sampler.get(k, 0) < 0 for k in ("scale", "denom_power")):
         raise SchemaError("sampler: scale and denom_power must be >= 0")
-    b.algebras = _section(raw, "algebras", "algebra", lambda _, e: LieAlgebra.from_json(e))
+    # the Lie, bialgebra and action layers are imported by the first entry
+    # that needs them, so a bundle without such sections loads none of them
+
+    def algebra(_, entry):
+        from .lie import LieAlgebra
+
+        return LieAlgebra.from_json(entry)
+
+    b.algebras = _section(raw, "algebras", "algebra", algebra)
 
     def rmatrix(name, entry):
+        from .bialgebra import RMatrix
+
         L = _ref(b.algebras, entry.get("algebra"), f"r-matrix {name!r}", "algebra")
         return entry["algebra"], RMatrix.from_json(L, entry)
 
@@ -111,12 +118,14 @@ def parse_bundle(raw: dict) -> ProblemBundle:
     b.actions = _section(raw, "actions", "action", lambda n, e: _parse_action(b, n, e))
 
     def momentum_map(name, entry):
+        from .action import MomentumMap
+
         act = _ref(b.actions, entry.get("action"), f"momentum map {name!r}", "action")
         comps = [MultiPoly.from_json(cj).over(act.bivector.vars)
                  for cj in entry.get("components", [])]
         if len(comps) != act.algebra.dim:
             raise SchemaError(f"momentum map {name!r}: need {act.algebra.dim} components")
-        return entry["action"], action_mod.MomentumMap(act.algebra, comps)
+        return entry["action"], MomentumMap(act.algebra, comps)
 
     b.momentum_maps = _section(raw, "momentum_maps", "momentum map", momentum_map)
 
@@ -170,7 +179,9 @@ def _finite(entry: dict, key: str, default: float) -> float:
     return x
 
 
-def _parse_abelian(entry: dict) -> AbelianPLStructure:
+def _parse_abelian(entry: dict):
+    from .bialgebra import AbelianPLStructure
+
     if "example" in entry:
         kind = entry["example"]
         coeffs = [coeff_from_json(x) for x in entry.get("coefficients", [1, 1, 1])]
@@ -189,6 +200,8 @@ def _matrices(raw) -> list:
 
 
 def _parse_action(b: ProblemBundle, name: str, entry: dict):
+    from . import action as action_mod
+
     who = f"action {name!r}"
     L = _ref(b.algebras, entry.get("algebra"), who, "algebra")
     pi = _ref(b.bivectors, entry.get("bivector"), who, "bivector")

@@ -21,9 +21,6 @@ import sys
 import time
 from fractions import Fraction
 
-from . import action as A
-from . import bialgebra as B
-from . import lie as lie_mod
 from . import linalg
 from . import poisson as P
 from .bundles import ProblemBundle, SchemaError, load_bundle
@@ -118,6 +115,8 @@ def run_check_lie(bundle: ProblemBundle, args):
 
 
 def run_check_bialgebra(bundle: ProblemBundle, args):
+    from . import bialgebra as B
+
     for name, (_, r) in sorted(bundle.rmatrices.items()):
         if _wanted(args, f"check-bialgebra:{name}:r-matrix-invariance"):
             inv = B.schouten_wedge_bracket(r)
@@ -213,6 +212,8 @@ def run_flow(bundle: ProblemBundle, args):
 
 
 def run_check_action(bundle: ProblemBundle, args):
+    from . import action as A
+
     seed = bundle.require_seed(args.seed)
     count = _sample_count(args, bundle.sampler.get("count", 50))
     for name, act in sorted(bundle.actions.items()):
@@ -240,6 +241,8 @@ def run_check_action(bundle: ProblemBundle, args):
 
 
 def run_momentum(bundle: ProblemBundle, args):
+    from . import action as A
+
     seed = bundle.require_seed(args.seed)
     count = _sample_count(args, bundle.sampler.get("count", 20))
     for name, (aref, m) in sorted(bundle.momentum_maps.items()):
@@ -273,6 +276,10 @@ def run_momentum(bundle: ProblemBundle, args):
 
 
 def run_plane_pipeline(args):
+    from . import action as A
+    from . import bialgebra as B
+    from . import lie as lie_mod
+
     lam = args.lam
     if lam is None:
         raise SchemaError("example51 requires --lambda l1,l2,l3")

@@ -205,6 +205,8 @@ def mat_sub(a, b) -> list:
 
 
 def transpose(a) -> list:
+    """Rows of ``a`` as columns; ragged rows raise ``ValueError``."""
+    _shape(a)
     return [list(col) for col in zip(*a)]
 
 
@@ -375,9 +377,13 @@ def nullspace(matrix) -> list:
 
 
 def solve(matrix, rhs):
-    """One exact solution of ``A x = b`` or ``None`` if inconsistent."""
+    """One exact solution of ``A x = b`` or ``None`` if inconsistent;
+    ``ValueError`` when ``A`` is ragged or ``b`` is not one entry per row."""
+    shape = _shape(matrix)
+    if shape[0] != len(rhs):
+        raise ValueError(f"shape mismatch: {shape} with a right-hand side of length {len(rhs)}")
     if not matrix:
-        return [] if all(GaussianRational.coerce(b).is_zero() for b in rhs) else None
+        return []
     aug = [list(row) + [GaussianRational.coerce(b)] for row, b in zip(matrix, rhs)]
     red, pivots = rref(aug)
     ncols = len(matrix[0])

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .lie import LieAlgebra
 from .multivector import PolyMultiVector, schouten
 from .poly import AFFINE, MultiPoly, _as_vars
 from .scalars import json_int

@@ -524,3 +524,27 @@ def test_mat_eq_tells_shapes_apart():
 def test_helpers_reject_mismatched_or_ragged_shapes(helper, args):
     with pytest.raises(ValueError):
         getattr(linalg, helper)(*args)
+
+
+def test_solve_rejects_a_right_hand_side_of_the_wrong_length():
+    # zipping the rows with the right-hand side would drop the second equation
+    with pytest.raises(ValueError, match="right-hand side of length 1"):
+        linalg.solve([[1], [1]], [1])
+    with pytest.raises(ValueError):
+        linalg.solve([[1, 0]], [1, 2])
+    with pytest.raises(ValueError):
+        linalg.solve([], [1])
+    assert linalg.solve([], []) == []
+
+
+def test_solve_rejects_a_ragged_matrix():
+    with pytest.raises(ValueError, match="ragged"):
+        linalg.solve([[1, 2], [3]], [1, 2])
+
+
+def test_transpose_rejects_a_ragged_matrix():
+    # zipping the rows would drop the column the short row lacks
+    with pytest.raises(ValueError, match="ragged"):
+        linalg.transpose([[1, 2], [3]])
+    assert linalg.transpose([[1, 2], [3, 4], [5, 6]]) == [[1, 3, 5], [2, 4, 6]]
+    assert linalg.transpose([]) == []
