@@ -95,9 +95,9 @@ def parse_bundle(raw: dict) -> ProblemBundle:
         raise SchemaError(f"sampler: {e}") from e
     if any(b.sampler.get(k, 0) < 0 for k in ("scale", "denom_power")):
         raise SchemaError("sampler: scale and denom_power must be >= 0")
+
     # the Lie, bialgebra and action layers are imported by the first entry
     # that needs them, so a bundle without such sections loads none of them
-
     def algebra(_, entry):
         from .lie import LieAlgebra
 
