@@ -33,7 +33,7 @@ adj = representation(L, "adjoint")
 coad = representation(L, "coadjoint")
 print("\nadjoint module axiom:", adj.check_axiom().ok)
 print("coadjoint module axiom:", coad.check_axiom().ok)
-print("<ad*_{e1} e3*, e2> =", coad.act(0, [0, 0, 1])[1])
+print("<ad*_{e1} e3*, e2> =", linalg.mat_vec(coad.mats[0], [0, 0, 1])[1])
 
 # d composed with d is the zero matrix for a valid module
 d1 = ce_differential(L, adj, 1)

@@ -6,7 +6,7 @@ Group-level data lives in :class:`LinearPoissonAction`: the infinitesimal
 generators acting on the target (their field values are matrix-vector
 products) and the defining matrices of the algebra, from which the group
 relation, the exact lift ``g -> n x n matrix`` and, through
-:func:`coadjoint_matrix`, the exact coadjoint matrix all follow.  The
+:func:`coadjoint_table`, the exact coadjoint matrix all follow.  The
 sampled group checks do per sample only the work that depends on the
 sample, on integer matrices (``linalg._int_mat``) up to a failure record:
 Coad_g costs one integer inversion and one product with a table the action
@@ -87,8 +87,13 @@ def exact_group_samples(a: LinearPoissonAction, count: int, seed: int):
 
 
 def coadjoint_table(defining_mats):
-    """The map g -> Coad_g of :func:`coadjoint_matrix` on integer matrices,
-    with the work that does not depend on g done here, once.
+    """The map g -> Coad_g on integer matrices (``linalg._int_mat``), with the
+    work that does not depend on g done here, once.  Coad_g is the matrix of
+    Ad*_{g^{-1}}, i.e. <Coad_g mu, Y> = <mu, Ad_{g^{-1}} Y>: row i holds the
+    coordinates of g^{-1} D_i g in the defining basis D, free coordinates 0;
+    ``ValueError`` when g is singular or a conjugate leaves the span of D.
+    This is the left action on the dual space; its infinitesimal generator is
+    the module-valid coadjoint representation.
 
     One elimination of [B | 1], B the d^2 x n basis system (column j is D_j
     flattened), gives E with E B in reduced form: its rows against B's pivot
@@ -128,17 +133,6 @@ def coadjoint_table(defining_mats):
         return linalg._int_columns((p[:n * n], q and q[:n * n], e), n)
 
     return coad
-
-
-def coadjoint_matrix(defining_mats, g) -> list:
-    """Matrix of Ad*_{g^{-1}}, i.e. <Coad_g mu, Y> = <mu, Ad_{g^{-1}} Y>.
-
-    Row i holds the coordinates of g^{-1} D_i g in the defining basis D, free
-    coordinates 0, read through the table of :func:`coadjoint_table`;
-    ``ValueError`` when g is singular or a conjugate leaves the span of D.
-    This is the left action on the dual space; its infinitesimal generator is
-    the module-valid coadjoint representation."""
-    return linalg._scalars(coadjoint_table(defining_mats)(linalg._int_mat(g)))
 
 
 # -- infinitesimal actions -----------------------------------------------------------
@@ -230,28 +224,18 @@ class LinearPoissonAction:
         self._coad = None
         self._generator_rows = None
 
-    def contains(self, g) -> bool:
-        """The group relation: determinant one when the defining matrices span
-        sl(2) (see :func:`spans_sl2`); any matrix passes otherwise."""
-        return not self.sl2 or _det_one(linalg._int_mat(g))
-
-    def lift(self, g) -> list:
-        """The n x n matrix by which the group element g acts on the target;
-        ``ValueError`` when g fails the group relation."""
-        return linalg._scalars(self._int_lift(linalg._int_mat(g)))
-
-    def coad(self, g) -> list:
-        """Coad_g (see :func:`coadjoint_matrix`)."""
-        return linalg._scalars(self._int_coad(linalg._int_mat(g)))
-
     def _int_lift(self, g) -> tuple:
-        """:meth:`lift` on integer matrices (:func:`linalg._int_mat`)."""
+        """The n x n matrix by which the group element g acts on the target, on
+        integer matrices (:func:`linalg._int_mat`); ``ValueError`` when g fails
+        the group relation: determinant one when the defining matrices span
+        sl(2) (see :func:`spans_sl2`), none otherwise."""
         if self.sl2 and not _det_one(g):
             raise ValueError("matrix fails the group relation")
         return self._int_coad(g) if self.coadjoint else g
 
     def _int_coad(self, g) -> tuple:
-        """:meth:`coad` on integer matrices; the table is built on the first call."""
+        """Coad_g of :func:`coadjoint_table` on integer matrices; the table is
+        built on the first call."""
         if self._coad is None:
             self._coad = coadjoint_table(self.defining_mats)
         return self._coad(g)
@@ -525,9 +509,10 @@ def tangential_check(a: LinearPoissonAction, points) -> TangentialReport:
     generator (membership of the orbit directions in the image of the anchor).
 
     One integer elimination per point of [P | F], for pi(p) = P/d and the
-    values F/e (scaling a block keeps each system's solvability), or of the
-    real form [[P, -Q, F], [Q, P, G]] of Gaussian values; generator i fails
-    exactly when its column is nonzero in some row below P's pivots."""
+    values F/e (scaling a block keeps each system's solvability), or, for
+    Gaussian values, of the real form ``linalg._realified`` of P + iQ with
+    the rows of F and G interleaved beside it in the same order; generator i
+    fails exactly when its column is nonzero in some row below P's pivots."""
     failures = []
     n, k = a.target_dim, len(a.rep_mats)
     for point in points:
@@ -537,7 +522,8 @@ def tangential_check(a: LinearPoissonAction, points) -> TangentialReport:
         rows, width = [u + v for u, v in zip(p, f)], n
         if q is not None or g is not None:
             q, g = q or linalg._lin(p, p, 0, 0), g or linalg._lin(f, f, 0, 0)
-            rows, width = [u + v for u, v in zip(linalg._realified(p, q), f + g)], 2 * n
+            values = (v for fg in zip(f, g) for v in fg)
+            rows, width = [u + v for u, v in zip(linalg._realified(p, q), values)], 2 * n
         pivots = linalg._eliminate(rows, jordan=False)
         below = rows[sum(c < width for c in pivots):]
         failures += [(list(point), i) for i in range(k) if any(row[width + i] for row in below)]

@@ -13,8 +13,6 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .poisson import PolyBivector
-from .poly import AFFINE, MultiPoly
 from .scalars import coeff_from_json, json_int
 
 
@@ -96,8 +94,8 @@ def parse_bundle(raw: dict) -> ProblemBundle:
     if any(b.sampler.get(k, 0) < 0 for k in ("scale", "denom_power")):
         raise SchemaError("sampler: scale and denom_power must be >= 0")
 
-    # the Lie, bialgebra and action layers are imported by the first entry
-    # that needs them, so a bundle without such sections loads none of them
+    # every layer above the scalars is imported by the first entry that needs
+    # it, so a bundle without such sections loads none of them
     def algebra(_, entry):
         from .lie import LieAlgebra
 
@@ -112,13 +110,20 @@ def parse_bundle(raw: dict) -> ProblemBundle:
         return entry["algebra"], RMatrix.from_json(L, entry)
 
     b.rmatrices = _section(raw, "rmatrices", "r-matrix", rmatrix)
-    b.bivectors = _section(raw, "bivectors", "bivector", lambda _, e: PolyBivector.from_json(e))
+
+    def bivector(_, entry):
+        from .poisson import PolyBivector
+
+        return PolyBivector.from_json(entry)
+
+    b.bivectors = _section(raw, "bivectors", "bivector", bivector)
     b.abelian_structures = _section(raw, "abelian_structures", "abelian structure",
                                     lambda _, e: _parse_abelian(e))
     b.actions = _section(raw, "actions", "action", lambda n, e: _parse_action(b, n, e))
 
     def momentum_map(name, entry):
         from .action import MomentumMap
+        from .poly import MultiPoly
 
         act = _ref(b.actions, entry.get("action"), f"momentum map {name!r}", "action")
         comps = [MultiPoly.from_json(cj).over(act.bivector.vars)
@@ -130,6 +135,8 @@ def parse_bundle(raw: dict) -> ProblemBundle:
     b.momentum_maps = _section(raw, "momentum_maps", "momentum map", momentum_map)
 
     def casimirs(bname, entries):
+        from .poly import MultiPoly
+
         vs = _ref(b.bivectors, bname, "casimirs", "bivector").vars
         return {k: MultiPoly.from_json(v).over(vs) for k, v in entries.items()}
 
@@ -146,6 +153,8 @@ def _parse_flow(b: ProblemBundle, entry: dict) -> dict:
     """The Hamiltonian and Casimirs on the bivector's chart, the start point
     ``x0`` as exact rationals of the chart's length (converted to floats) and
     the integrator settings."""
+    from .poly import AFFINE, MultiPoly
+
     pi = _ref(b.bivectors, entry.get("bivector"), "flow", "bivector")
     vs = pi.vars
     if any(v.kind != AFFINE for v in vs):

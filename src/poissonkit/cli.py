@@ -22,7 +22,6 @@ import time
 from fractions import Fraction
 
 from . import linalg
-from . import poisson as P
 from .bundles import ProblemBundle, SchemaError, load_bundle
 
 
@@ -140,6 +139,8 @@ def run_check_bialgebra(bundle: ProblemBundle, args):
 
 
 def run_check_poisson(bundle: ProblemBundle, args):
+    from . import poisson as P
+
     for name, pi in sorted(bundle.bivectors.items()):
         if _wanted(args, f"check-poisson:{name}:jacobi"):
             yield _check(f"check-poisson:{name}:jacobi", P.jacobi_check(pi).to_json())
@@ -155,6 +156,8 @@ def run_check_poisson(bundle: ProblemBundle, args):
 
 
 def run_stratify(bundle: ProblemBundle, args):
+    from . import poisson as P
+
     seed = bundle.require_seed(args.seed)
     count = _sample_count(args, bundle.sampler.get("count", 100))
     cfg = P.StratifyConfig(
@@ -174,6 +177,8 @@ def run_stratify(bundle: ProblemBundle, args):
 
 
 def run_flow(bundle: ProblemBundle, args):
+    from . import poisson as P
+
     if bundle.flow is None:
         raise SchemaError("bundle has no flow section")
     flow = bundle.flow

@@ -243,9 +243,6 @@ class LieModule:
         self._report = None
         self._ints = None
 
-    def act(self, i: int, v) -> list:
-        return linalg.mat_vec(self.mats[i], v)
-
     def _int_entries(self) -> tuple:
         """The action matrices as :func:`_int_table` writes them: ``re[i][r]``
         lists the nonzero ``(column, numerator)`` of row r of rho(e_i); built
@@ -256,30 +253,21 @@ class LieModule:
         return self._ints
 
     def check_axiom(self) -> "ModuleReport":
-        """rho([X,Y]) = rho(X)rho(Y) - rho(Y)rho(X) on all basis pairs.
+        """rho([X,Y]) = rho(X)rho(Y) - rho(Y)rho(X) on all basis pairs, on
+        integer rows: row block (i, j) of the product d_1 d_0 of the
+        Chevalley-Eilenberg differentials is rho_i rho_j - rho_j rho_i -
+        sum_k C^k_ij rho_k.
 
         Evaluated on the first call only: the matrices are not mutated after
         construction, so later calls return the same report.
         """
         if self._report is not None:
             return self._report
-        bad = []
-        L = self.algebra
-        for i in range(L.dim):
-            for j in range(i + 1, L.dim):
-                comm = linalg.mat_sub(
-                    linalg.mat_mul(self.mats[i], self.mats[j]),
-                    linalg.mat_mul(self.mats[j], self.mats[i]),
-                )
-                expect = linalg.zeros(self.dim, self.dim)
-                for k in range(L.dim):
-                    c = L.structure_constant(i, j, k)
-                    if not c.is_zero():
-                        expect = linalg.mat_add(
-                            expect, [[c * x for x in row] for row in self.mats[k]]
-                        )
-                if not linalg.mat_eq(comm, expect):
-                    bad.append((i, j))
+        d0, d1 = (_differential(self.algebra, self, p) for p in (0, 1))
+        p, q, _ = linalg._int_mul(d1.rows, d0.rows)
+        rows, m = p if q is None else [u + v for u, v in zip(p, q)], self.dim
+        bad = [ij for r, ij in enumerate(d1.codomain_basis)
+               if any(map(any, rows[r * m:(r + 1) * m]))]
         self._report = ModuleReport(ok=not bad, failing_pairs=bad)
         return self._report
 
@@ -344,12 +332,17 @@ def ce_differential(L: LieAlgebra, M: LieModule, p: int) -> CochainComplexSlice:
     as integers over one denominator (:meth:`LieModule._int_entries`,
     :meth:`LieAlgebra._int_brackets`).
     """
-    n = L.dim
-    if not 0 <= p <= n:
-        raise ValueError(f"degree {p} out of range 0..{n}")
+    if not 0 <= p <= L.dim:
+        raise ValueError(f"degree {p} out of range 0..{L.dim}")
     axiom = M.check_axiom()
     if not axiom.ok:
         raise ValueError(f"invalid module: axiom fails on pairs {axiom.failing_pairs}")
+    return _differential(L, M, p)
+
+
+def _differential(L: LieAlgebra, M: LieModule, p: int) -> CochainComplexSlice:
+    """:func:`ce_differential` without its checks, for any matrices ``M``."""
+    n = L.dim
     dom = list(itertools.combinations(range(n), p))
     cod = list(itertools.combinations(range(n), p + 1))
     action, brackets = M._int_entries(), L._int_brackets()

@@ -15,8 +15,8 @@ and :func:`_int_mat` a matrix as ints ``P + iQ`` over one denominator;
 add and invert with no scalar in between, so callers (the sampled checks of
 ``action``, ``poisson.stratify_sample``, ``lie.cohomology_dim``) build
 scalars only to report, and :func:`mat_mul`, :func:`mat_vec` and
-:func:`inverse` wrap them.  Only :func:`rref` of Gaussian input builds
-scalars as it goes.
+:func:`inverse` wrap them.  Gaussian input is eliminated as its real form
+:func:`_realified`.
 """
 
 from __future__ import annotations
@@ -173,12 +173,13 @@ def _int_mat_vec(m, v) -> tuple:
 def _int_inverse(m):
     """The inverse of a square integer matrix ``P/d``, or None when singular:
     row i of ``P^-1`` is that of ``[P | 1]`` after :func:`_eliminate` over its
-    pivot; ``(P + iQ)^-1 = X + iY`` from ``[[P, -Q], [Q, P]]^-1``."""
+    pivot; ``(P + iQ)^-1 = X + iY`` is the inverse of the real form
+    :func:`_realified`, X in its even rows and Y in its odd rows, even columns."""
     p, q, d = m
-    n = len(p)
     if q is not None:
         inv = _int_inverse((_realified(p, q), None, d))
-        return inv and ([row[:n] for row in inv[0][:n]], [row[:n] for row in inv[0][n:]], inv[2])
+        return inv and ([r[::2] for r in inv[0][::2]], [r[::2] for r in inv[0][1::2]], inv[2])
+    n = len(p)
     rows = [row + [int(i == j) for j in range(n)] for i, row in enumerate(p)]
     if _eliminate(rows, jordan=True) != list(range(n)):
         return None
@@ -187,9 +188,16 @@ def _int_inverse(m):
 
 
 def _realified(p, q) -> list:
-    """The rows of ``[[P, -Q], [Q, P]]``, the real form of ``P + iQ``: a system
-    over Q(i) is solvable exactly when its real form is, over Q."""
-    return [u + [-t for t in v] for u, v in zip(p, q)] + [v + u for u, v in zip(p, q)]
+    """The real form of ``P + iQ``: row r becomes the real and the imaginary
+    part of ``(P + iQ)[r] . z`` in the coordinates ``(Re z_0, Im z_0, Re z_1,
+    ...)``, so a Gaussian pivot in column c is the real pivot pair ``(2c,
+    2c + 1)``.  A system over Q(i) is solvable exactly when its real form is,
+    over Q."""
+    out = []
+    for u, v in zip(p, q):
+        out.append([x for a, b in zip(u, v) for x in (a, -b)])
+        out.append([x for a, b in zip(u, v) for x in (b, a)])
+    return out
 
 
 def mat_add(a, b) -> list:
@@ -246,11 +254,11 @@ def rank(matrix, imag=_SCALARS) -> int:
 def _rank_rows(p, q=None) -> int:
     """The rank of the matrix with integer rows ``p + i*q`` (``q`` None when
     every entry is real), and with ``q`` half the rank of the real form
-    :func:`_realified`.  Scaling a row does not change the rank, so rows
-    over different denominators need no common one.  A real matrix with
-    more nonzero rows than columns is eliminated transposed, without its
-    zero columns, so :func:`_eliminate` runs on the short side.  The rows
-    are not modified."""
+    :func:`_realified`, whose column order the rank ignores.  Scaling a row
+    does not change the rank, so rows over different denominators need no
+    common one.  A real matrix with more nonzero rows than columns is
+    eliminated transposed, without its zero columns, so :func:`_eliminate`
+    runs on the short side.  The rows are not modified."""
     if q is not None:
         return _rank_rows(_realified(p, q)) // 2
     m = [a for a in p if any(a)]
@@ -262,23 +270,29 @@ def _rank_rows(p, q=None) -> int:
 def rref(matrix):
     """Reduced row echelon form over the field; returns (rref, pivot columns).
 
-    Real input is eliminated on integer rows, and a scalar is built only for
-    each nonzero entry of a pivot row.  Ragged rows raise ``ValueError``."""
+    The input is eliminated on integer rows, Gaussian input as its real form
+    :func:`_realified`, whose pivot pair ``(2c, 2c + 1)`` is the pivot c and
+    whose first row of the pair holds ``(Re x, -Im x)`` for each entry x of
+    the pivot row.  A scalar is built only for each nonzero entry of a pivot
+    row.  Ragged rows raise ``ValueError``."""
     _shape(matrix)
     rows = [_int_row(row) for row in matrix]
     if not rows or not rows[0][0]:
         return [list(row) for row in matrix], []
-    if any(b is not None for _, b, _ in rows):
-        return _gaussian_rref(mat(matrix))
-    m = [a for a, _, _ in rows if any(a)]
-    pivots = _eliminate(m, jordan=True)
-    out = []
-    for row, c in zip(m, pivots):
-        p = row[c]
-        if p < 0:
-            row, p = [-x for x in row], -p
-        out.append([_make(x, 0, p) if x else ZERO for x in row])
     ncols = len(rows[0][0])
+    if all(b is None for _, b, _ in rows):
+        m = [a for a, _, _ in rows if any(a)]
+        pivots = _eliminate(m, jordan=True)
+        parts = [(row, None) for row in m[:len(pivots)]]
+    else:
+        real = _realified([a for a, _, _ in rows], [b or [0] * ncols for _, b, _ in rows])
+        m = [row for row in real if any(row)]
+        pivots = [c // 2 for c in _eliminate(m, jordan=True)[::2]]
+        parts = [(row[::2], row[1::2]) for row in m[:2 * len(pivots):2]]
+    out = []
+    for (a, b), c in zip(parts, pivots):
+        s = 1 if a[c] > 0 else -1
+        out.append(_scalars(([s * x for x in a], b and [-s * x for x in b], s * a[c])))
     out.extend([ZERO] * ncols for _ in range(len(rows) - len(pivots)))
     return out, pivots
 
@@ -329,34 +343,6 @@ def _eliminate(m, jordan: bool) -> list:
         if r == nrows:
             break
     return pivots
-
-
-def _gaussian_rref(m):
-    """:func:`rref` one :class:`GaussianRational` at a time, for input with an
-    imaginary part; ``m`` is a coerced, non-empty matrix and is overwritten."""
-    nrows, ncols = len(m), len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv_row = None
-        for i in range(r, nrows):
-            if not m[i][c].is_zero():
-                piv_row = i
-                break
-        if piv_row is None:
-            continue
-        m[r], m[piv_row] = m[piv_row], m[r]
-        inv = ONE / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and not m[i][c].is_zero():
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
 
 
 def nullspace(matrix) -> list:

@@ -67,7 +67,7 @@ def poisson_action_residuals_pairwise(a, samples) -> list:
     term built as mat_vec(mat_mul(G, rho_k), x) once per pair and index."""
     out = []
     for g, x in samples:
-        G = a.lift(g)
+        G = lift_by_elimination(a, g)
         xv = [GaussianRational.coerce(t) for t in x]
         gx = linalg.mat_vec(G, xv)
         lhs = a.bivector.eval_matrix(gx)
@@ -91,7 +91,8 @@ def poisson_action_residuals_pairwise(a, samples) -> list:
 
 
 def lift_by_elimination(a, g) -> list:
-    """``a.lift(g)``: the determinant-one relation in scalars, and Coad_g by
+    """The matrix by which ``g`` acts on the target of ``a``: the
+    determinant-one relation in scalars, and Coad_g by
     :func:`coadjoint_by_elimination` on a coadjoint action."""
     m = linalg.mat(g)
     if a.sl2 and m[0][0] * m[1][1] - m[0][1] * m[1][0] != ONE:

@@ -19,10 +19,13 @@ that only tests called.
 * ``jacobiator``: one jacobiator of a Lie algebra as scalars, by three
   ``LieAlgebra.bracket`` calls, formerly the method
   ``LieAlgebra.jacobiator``, where ``check_jacobi`` now reads the integer
-  structure constants.
+  structure constants;
+* ``module_axiom_failures``: the basis pairs on which a module's axiom
+  fails, by scalar matrix products, sums and comparisons, formerly the body
+  of ``LieModule.check_axiom``, which now reads the integer tables.
 
 The first two bodies are unchanged, apart from the names they import; the
-last three read the package through public names only.
+last four read the package through public names only.
 """
 
 from __future__ import annotations
@@ -109,3 +112,25 @@ def jacobiator(L, i: int, j: int, k: int) -> list:
     s2 = L.bracket(L.basis_bracket(j, k), e[i])
     s3 = L.bracket(L.basis_bracket(k, i), e[j])
     return [a + b + c for a, b, c in zip(s1, s2, s3)]
+
+
+def module_axiom_failures(M) -> list:
+    """The pairs i < j with rho([e_i, e_j]) != rho(e_i)rho(e_j) - rho(e_j)rho(e_i)."""
+    bad = []
+    L = M.algebra
+    for i in range(L.dim):
+        for j in range(i + 1, L.dim):
+            comm = linalg.mat_sub(
+                linalg.mat_mul(M.mats[i], M.mats[j]),
+                linalg.mat_mul(M.mats[j], M.mats[i]),
+            )
+            expect = linalg.zeros(M.dim, M.dim)
+            for k in range(L.dim):
+                c = L.structure_constant(i, j, k)
+                if not c.is_zero():
+                    expect = linalg.mat_add(
+                        expect, [[c * x for x in row] for row in M.mats[k]]
+                    )
+            if not linalg.mat_eq(comm, expect):
+                bad.append((i, j))
+    return bad

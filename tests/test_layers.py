@@ -24,8 +24,9 @@ SAMPLE = ROOT / "demos" / "bundles" / "sample.json"
 
 # the stack, scalars -> poly / linalg -> lie / multivector -> poisson -> bialgebra
 # -> action -> bundles -> cli, as the layers each module builds on directly;
-# poisson does not build on lie, and bundles and cli import lie, bialgebra and
-# action only inside the functions that use them
+# poisson does not build on lie, bundles imports poly, poisson, lie, bialgebra
+# and action and cli poisson, lie, bialgebra and action only inside the
+# functions that use them
 BUILDS_ON = {
     "scalars": (),
     "poly": ("scalars",),
@@ -123,6 +124,15 @@ def test_a_bivector_only_bundle_loads_no_lie_bialgebra_or_action_layer(subcomman
     loaded = loaded_after(code)
     assert "poisson" in loaded
     assert not {"action", "bialgebra", "lie"} & set(loaded)
+
+
+def test_check_lie_on_algebras_alone_loads_no_poly_or_poisson_layer(tmp_path):
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps({"algebras": json.loads(SAMPLE.read_text())["algebras"]}))
+    code = (f"import contextlib, io; from poissonkit import cli\n"
+            f"with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main(['check-lie', '--bundle', {str(path)!r}]) == 0")
+    assert loaded_after(code) == ["bundles", "cli", "lie", "linalg", "scalars"]
 
 
 # -- the public names --------------------------------------------------------------
@@ -241,3 +251,38 @@ def test_the_lint_sees_module_level_imports_only():
     )
     assert module_level_imports(source) == {"linalg", "lie", "poly", "multivector",
                                              "scalars", "bialgebra"}
+
+
+# -- the scalar matrix helpers are test and demo surface ----------------------------
+
+# public in ``linalg`` for the test oracles and the demos; the package itself
+# multiplies, adds, compares and inverts on integer matrices
+SCALAR_MATRIX_HELPERS = {"mat_add", "mat_sub", "mat_eq", "mat_mul", "is_zero_mat", "inverse"}
+
+
+def called_names(source: str) -> set:
+    """The names that ``source`` calls, as ``f(...)`` or ``x.f(...)``."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            f = node.func
+            out.add(f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None))
+    return out
+
+
+def test_no_module_calls_a_scalar_matrix_helper():
+    calls = {p.stem: sorted(called_names(p.read_text()) & SCALAR_MATRIX_HELPERS)
+             for p in PACKAGE.glob("*.py")}
+    assert {name: found for name, found in calls.items() if found} == {}
+
+
+def test_the_helper_lint_sees_calls_only():
+    source = (
+        "from .linalg import inverse\n"
+        "x = linalg.mat_mul(a, b)\n"
+        "y = inverse(m)\n"
+        "f = linalg.mat_eq\n"
+        "def mat_add(a, b):\n"
+        "    return g()(a)\n"
+    )
+    assert called_names(source) & SCALAR_MATRIX_HELPERS == {"mat_mul", "inverse"}

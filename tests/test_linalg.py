@@ -312,96 +312,128 @@ def _same(ours, theirs) -> bool:
 _entries = st.fractions(min_value=-9, max_value=9, max_denominator=12)
 
 
+_gaussian_entries = st.one_of(
+    st.builds(GaussianRational, _entries),
+    st.builds(lambda t: GaussianRational(0, t), _entries),
+    st.builds(GaussianRational, _entries, _entries))
+
+I = GaussianRational(0, 1)
+
+
 @st.composite
-def real_matrices(draw):
-    """Real rational n x m matrices, 0 <= n <= 7 and 0 <= m <= 8: dense, or a
-    product B.C with inner dimension 0-3 (rank deficient), with some rows
-    and columns zeroed and, often, the first row negated (negative pivots)."""
-    n, m = draw(st.integers(0, 7)), draw(st.integers(0, 8))
+def exact_matrices(draw):
+    """Rational or Gaussian-rational n x m matrices, 0 <= n <= 7 and
+    0 <= m <= 8, often square: dense, or a product B.C with inner dimension
+    0-3 (rank deficient), with some rows and columns zeroed and, often, the
+    first row negated (negative pivots).  Gaussian ones mix real, pure
+    imaginary and complex entries, often have the first row times i (pure
+    imaginary pivots) and often a last row that is i times the first."""
+    gaussian = draw(st.sampled_from([False, True, True]))
+    entry = _gaussian_entries if gaussian else st.builds(GaussianRational, _entries)
+    n = draw(st.integers(0, 7))
+    m = draw(st.one_of(st.just(n), st.integers(0, 8)))
     if draw(st.booleans()):
         k = draw(st.integers(0, 3))
-        B = [[draw(_entries) for _ in range(k)] for _ in range(n)]
-        C = [[draw(_entries) for _ in range(m)] for _ in range(k)]
-        rows = [[sum((B[i][t] * C[t][j] for t in range(k)), Fraction(0)) for j in range(m)]
+        B = [[draw(entry) for _ in range(k)] for _ in range(n)]
+        C = [[draw(entry) for _ in range(m)] for _ in range(k)]
+        rows = [[sum((B[i][t] * C[t][j] for t in range(k)), ZERO) for j in range(m)]
                 for i in range(n)]
     else:
-        rows = [[draw(_entries) for _ in range(m)] for _ in range(n)]
+        rows = [[draw(entry) for _ in range(m)] for _ in range(n)]
     zero_rows = draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=2))
     zero_cols = draw(st.sets(st.integers(0, max(m - 1, 0)), max_size=2))
-    rows = [[Fraction(0) if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)]
+    rows = [[ZERO if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)]
             for i, row in enumerate(rows)]
     if rows and draw(st.booleans()):
         rows[0] = [-x for x in rows[0]]
-    return [[GaussianRational(x) for x in row] for row in rows]
+    if gaussian and rows and draw(st.booleans()):
+        rows[0] = [I * x for x in rows[0]]
+    if gaussian and n > 1 and draw(st.booleans()):
+        rows[-1] = [I * x for x in rows[0]]
+    return rows
 
 
-@settings(max_examples=60, deadline=None)
-@given(real_matrices(), st.data())
+@settings(max_examples=120, deadline=None)
+@given(exact_matrices(), st.data())
 def test_integer_row_kernel_matches_sympy(M, data):
+    """Against sympy's exact matrices over QQ and QQ_I (``DomainMatrix``):
+    rref, pivots, rank and inverse entry for entry; a kernel basis and a
+    solution verified exactly, each with its free coordinates as sympy's
+    ``nullspace`` and ``gauss_jordan_solve`` set them (0, and 1 at its own
+    free column)."""
     sympy = pytest.importorskip("sympy")
     n, m = len(M), len(M[0]) if M else 0
     S = sympy.Matrix(n, m, [_sym(x) for row in M for x in row])
+    column = lambda v: sympy.Matrix(len(v), 1, [_sym(t) for t in v])  # noqa: E731
     red, pivots = linalg.rref(M)
-    S_red, S_pivots = S.rref()
+    S_red, S_pivots = S.to_DM().rref()
     assert pivots == list(S_pivots)
-    assert _same(red, S_red)
-    assert linalg.rank(M) == S.rank()
+    assert _same(red, S_red.to_Matrix())
+    assert linalg.rank(M) == S.to_DM().rank()
+    free = [c for c in range(m) if c not in pivots]
     if n:
         null = linalg.nullspace(M)
-        S_null = S.nullspace()
-        assert len(null) == len(S_null)
-        assert all(_same([[x] for x in v], w) for v, w in zip(null, S_null))
+        assert len(null) == len(free)
+        for v, fc in zip(null, free):
+            assert all(_canonical(t) for t in v)
+            assert [v[c] for c in free] == [Q(c == fc) for c in free]
+            assert (S * column(v)).expand() == sympy.zeros(n, 1)
         b = [GaussianRational(data.draw(_entries)) for _ in range(n)]
         x = linalg.solve(M, b)
-        try:
-            sol, params = S.gauss_jordan_solve(sympy.Matrix(n, 1, [_sym(t) for t in b]))
-        except ValueError:
+        if S.row_join(column(b)).to_DM().rank() > len(pivots):
             assert x is None
         else:
-            assert x is not None and _same([[t] for t in x], sol.subs({p: 0 for p in params}))
+            assert all(_canonical(t) for t in x) and all(x[c] == 0 for c in free)
+            assert (S * column(x)).expand() == column(b)
     if n == m:
-        inv = linalg.inverse(M)
-        if S.det() == 0:
-            assert inv is None
-        else:
-            assert _same(inv, S.inv())
+        # M and, mostly invertible, M + z for a Gaussian z
+        z = GaussianRational(data.draw(_entries), data.draw(_entries))
+        for A in (M, [[x + z if i == j else x for j, x in enumerate(row)]
+                      for i, row in enumerate(M)]):
+            S_A = sympy.Matrix(n, n, [_sym(x) for row in A for x in row]).to_DM()
+            inv = linalg.inverse(A)
+            if S_A.rank() < n:
+                assert inv is None
+            else:
+                assert _same(inv, S_A.to_field().inv().to_Matrix())
     if m:
         v = [GaussianRational(data.draw(_entries)) for _ in range(m)]
-        assert _same([[t] for t in linalg.mat_vec(M, v)], S * sympy.Matrix(m, 1, [_sym(t) for t in v]))
+        assert _same([[t] for t in linalg.mat_vec(M, v)], (S * column(v)).expand())
         q = data.draw(st.integers(1, 5))
         X = [[GaussianRational(data.draw(_entries)) for _ in range(q)] for _ in range(m)]
-        assert _same(linalg.mat_mul(M, X), S * sympy.Matrix(m, q, [_sym(t) for row in X for t in row]))
+        assert _same(linalg.mat_mul(M, X),
+                     (S * sympy.Matrix(m, q, [_sym(t) for row in X for t in row])).expand())
 
 
 def test_real_elimination_builds_one_scalar_per_entry_at_most(monkeypatch, rng=random.Random(13)):
-    made, gaussian = [], []
-    make, loop = linalg._make, linalg._gaussian_rref
+    made = []
+    make = linalg._make
     monkeypatch.setattr(linalg, "_make", lambda *t: made.append(t) or make(*t))
-    monkeypatch.setattr(linalg, "_gaussian_rref", lambda m: gaussian.append(m) or loop(m))
     for M in itertools.islice(low_rank_matrices(rng, 40), 0, None, 2):
         made.clear()
         linalg.rank(M)
         assert not made
         linalg.rref(M)
         assert len(made) <= len(M) * len(M[0])
-    assert not gaussian
 
 
 def test_one_imaginary_entry_takes_the_gaussian_loop(monkeypatch, rng=random.Random(14)):
     sympy = pytest.importorskip("sympy")
-    gaussian = []
-    loop = linalg._gaussian_rref
-    monkeypatch.setattr(linalg, "_gaussian_rref", lambda m: gaussian.append(m) or loop(m))
+    made = []
+    make = linalg._make
+    monkeypatch.setattr(linalg, "_make", lambda *t: made.append(t) or make(*t))
     for M in itertools.islice(low_rank_matrices(rng, 20), 0, None, 2):
         tilted = [list(row) for row in M]
         tilted[0][0] = tilted[0][0] + GaussianRational(0, Fraction(1, 1000))
-        gaussian.clear()
+        made.clear()
         assert linalg.rank(tilted) == largest_nonzero_minor(tilted)
+        assert not made
         S = sympy.Matrix([[_sym(x) for x in row] for row in tilted])
         red, pivots = linalg.rref(tilted)
         S_red, S_pivots = S.rref()
         assert pivots == list(S_pivots) and _same(red, S_red)
-        assert len(gaussian) == 1      # rref only: rank takes the real form
+        # one scalar at most per output entry: the real form builds none
+        assert len(made) <= len(tilted) * len(tilted[0])
         # products take the Gaussian-integer dot product instead
         assert _same(linalg.mat_mul(tilted, linalg.transpose(tilted)), (S * S.T).expand())
         assert _same([[x] for x in linalg.mat_vec(tilted, tilted[0])], (S * S[0, :].T).expand())
