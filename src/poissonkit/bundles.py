@@ -152,7 +152,8 @@ def parse_bundle(raw: dict) -> ProblemBundle:
 def _parse_flow(b: ProblemBundle, entry: dict) -> dict:
     """The Hamiltonian and Casimirs on the bivector's chart, the start point
     ``x0`` as exact rationals of the chart's length (converted to floats) and
-    the integrator settings."""
+    the integrator settings.  Each Casimir's name heads a column of the
+    flow's CSV, written unquoted."""
     from .poly import AFFINE, MultiPoly
 
     pi = _ref(b.bivectors, entry.get("bivector"), "flow", "bivector")
@@ -165,6 +166,10 @@ def _parse_flow(b: ProblemBundle, entry: dict) -> dict:
     h = MultiPoly.from_json(entry["hamiltonian"]).over(vs)
     casimirs = {k: MultiPoly.from_json(v).over(vs)
                 for k, v in _object(entry.get("casimirs", {}), "flow casimirs").items()}
+    for k in casimirs:
+        if any(ch in k for ch in ',"\r\n'):
+            raise ValueError(f"casimir {k!r} names a CSV column, so it cannot hold a comma, "
+                             "a double quote or a line break")
     if any(c.im for p in (h, *casimirs.values(), *pi.comps.values()) for c in p.terms.values()):
         raise ValueError("flow integration needs real coefficients")
     return {

@@ -196,7 +196,7 @@ def run_flow(bundle: ProblemBundle, args):
         raise SchemaError(f"flow: {e}") from e
     # --out is opened only now, so a rejected run leaves an existing file as it was
     with _open_out(args.out) if args.out else contextlib.nullcontext(sys.stdout) as out_stream:
-        out_stream.write(traj.to_csv())
+        out_stream.writelines(traj.csv_blocks())
         out_stream.write("# " + json.dumps(traj.summary(), sort_keys=True,
                                            default=str) + "\n")
     if not _wanted(args, "flow:conservation"):

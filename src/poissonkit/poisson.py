@@ -27,6 +27,8 @@ from .scalars import json_int
 
 FLOW_RANK_SAMPLES = 11      # trajectory points at which hamiltonian_flow reports the rank
 FLOW_SOURCE = "<poissonkit flow>"   # the file name of the generated flow code in tracebacks
+CSV_BLOCK_ROWS = 1024       # trajectory lines per piece of Trajectory.csv_blocks
+CSV_PROBE_STRIDE = 64       # _column_text looks for repeats among every 64th value
 
 
 class PolyVectorField(PolyMultiVector):
@@ -570,10 +572,15 @@ def stratify_sample(pi: PolyBivector, config: StratifyConfig) -> StratificationR
 
     Every sample additionally cross-checks the rank against the largest
     non-vanishing even minor sum.  Each point is evaluated once, to integer
-    rows over one denominator (:meth:`PolyBivector._int_matrix`), and both
+    rows over one denominator (:meth:`PolyBivector._int_matrix_at`), and both
     integer-row kernels read those rows: :func:`linalg._rank_rows`
     eliminates them and :func:`linalg._elementary_sums` takes their
-    Cauchy-Binet sums, with no scalar built in between.
+    Cauchy-Binet sums, with no scalar built in between.  A point a_k / b_k
+    is read as the integers a_k (d / b_k) over d, the lcm of the b_k (for a
+    drawn point, the largest power of 2), with no ``Fraction``; a drawn
+    fraction is not reduced, and a denominator that is not the least one
+    scales every entry by one constant, which changes neither the rank nor
+    which minor sums vanish.  Only a witness becomes a ``Fraction`` point.
     """
     if config.count < 1:
         raise ValueError("sample count must be >= 1")
@@ -581,17 +588,14 @@ def stratify_sample(pi: PolyBivector, config: StratifyConfig) -> StratificationR
     histogram: dict = {}
     witnesses: dict = {}
     consistent = True
-    points = [
-        [Fraction(x) for x in p] for p in config.include_points
-    ]
-    while len(points) < config.count + len(config.include_points):
-        pt = [
-            Fraction(rng.randint(-config.scale, config.scale), 2 ** rng.randint(0, config.denom_power))
-            for _ in range(pi.n)
-        ]
-        points.append(pt)
+    # each point as (numerator, denominator) pairs, the drawn ones in the draw order
+    points = [[(x.numerator, x.denominator) for x in map(Fraction, p)]
+              for p in config.include_points]
+    points += [[(rng.randint(-config.scale, config.scale), 2 ** rng.randint(0, config.denom_power))
+                for _ in range(pi.n)] for _ in range(config.count)]
     for pt in points:
-        p, q, _ = pi._int_matrix(pt)
+        d = math.lcm(*(b for _, b in pt))
+        p, q, _ = pi._int_matrix_at(([a * (d // b) for a, b in pt], None, d))
         r = linalg._rank_rows(p, q)
         if r % 2:
             raise AssertionError("skew matrix produced an odd rank")
@@ -599,7 +603,7 @@ def stratify_sample(pi: PolyBivector, config: StratifyConfig) -> StratificationR
             consistent = False
         histogram[r] = histogram.get(r, 0) + 1
         if r not in witnesses:
-            witnesses[r] = pt
+            witnesses[r] = [Fraction(a, b) for a, b in pt]
     total = sum(histogram.values())
     max_rank = max(histogram) if histogram else 0
     frac = histogram.get(max_rank, 0) / total if total else 0.0
@@ -631,12 +635,18 @@ def _compile_float(poly: MultiPoly, names, args, power: str) -> str:
     Each term is ``c * x_i**e_i * x_j**e_j`` over its nonzero exponents and
     the sum is ``0.0 + t1 + t2 + ...`` in the order of ``poly.terms``; both
     associate to the left, so these are the float64 operations, in their
-    order, that fix the trajectories of :func:`hamiltonian_flow`.  A power
-    ``e >= 2`` is ``power.format(x_i, e)``.  The text holds ``args``,
-    integers, ``repr`` of finite floats and ``power``, and no name of
-    ``names``.
+    order, that fix the trajectories of :func:`hamiltonian_flow`.  Two
+    rewrites drop an operation and are exact in IEEE 754: a term with ``c``
+    exactly ``1.0`` is written without it, since 1.0*a is a for every a,
+    signed zeros, infinities and NaN included; one with ``c`` exactly
+    ``-1.0`` is subtracted, ``acc - x_i * x_j``, since (-a)*b is -(a*b)
+    under round-to-nearest, which is symmetric, and acc - y is defined as
+    acc + (-y).  The leading ``0.0 +`` stays, because it maps -0.0 to +0.0,
+    and a constant term keeps its coefficient.  A power ``e >= 2`` is
+    ``power.format(x_i, e)``.  The text holds ``args``, integers, ``repr`` of
+    finite floats and ``power``, and no name of ``names``.
     """
-    terms = ["0.0"]
+    text = "0.0"
     for exp, c in poly.over(names).terms.items():
         if c.im:
             raise ValueError("flow integration requires real coefficients")
@@ -644,17 +654,25 @@ def _compile_float(poly: MultiPoly, names, args, power: str) -> str:
             coeff = float(c.re)
         except OverflowError:
             raise ValueError(f"flow coefficient {c} is too large for a float") from None
-        terms.append(" * ".join([repr(coeff)] + [args[i] if e == 1 else power.format(args[i], e)
-                                                 for i, e in enumerate(exp) if e]))
-    return " + ".join(terms)
+        factors = [args[i] if e == 1 else power.format(args[i], e) for i, e in enumerate(exp) if e]
+        if factors and abs(coeff) == 1.0:
+            text += (" + " if coeff > 0 else " - ") + " * ".join(factors)
+        else:
+            text += " + " + " * ".join([repr(coeff), *factors])
+    return text
 
 
 def _guarded(body, indent: str) -> list:
     """The lines ``body(power)`` run with ``x**e`` for every power and, where
-    that raises ``OverflowError``, again with ``_pow``."""
+    that raises ``OverflowError``, again with ``_pow``.  A body with no power
+    is emitted once, with no ``try``: float ``+``, ``-`` and ``*`` round an
+    overflow to an infinity and never raise."""
+    fast, slow = body("{}**{}"), body("_pow({}, {})")
+    if fast == slow:
+        return [indent + ln for ln in fast]
     inner = indent + "    "
-    return ([indent + "try:"] + [inner + ln for ln in body("{}**{}")]
-            + [indent + "except OverflowError:"] + [inner + ln for ln in body("_pow({}, {})")])
+    return ([indent + "try:"] + [inner + ln for ln in fast]
+            + [indent + "except OverflowError:"] + [inner + ln for ln in slow])
 
 
 def _exec_flow(source: str, **env):
@@ -676,7 +694,11 @@ def _flow_run(components, polys, names, dt: float, bound):
     Per coordinate a step is the float64 operations, in their order, of the
     array expressions x + (0.5*dt)*k, x + dt*k and
     x + (dt/6)*(((k1 + 2*k2) + 2*k3) + k4), so a trajectory is bit for bit
-    that of the NumPy loop in tests/flow_oracle.py.
+    that of the NumPy loop in tests/flow_oracle.py.  The factor 2 is
+    written ``2.0``, the float that an int operand is converted to anyway.
+    A component that is the zero polynomial has no ``k`` lines, and each of
+    its updates is ``x + 0.0``: its every k is +0.0, and for finite positive
+    dt so are half*0.0, dt*0.0 and sixth*(0.0 + 2.0*0.0 + 2.0*0.0 + 0.0).
     """
     n = len(names)
     xs = [f"x{i}" for i in range(n)]
@@ -684,14 +706,16 @@ def _flow_run(components, polys, names, dt: float, bound):
     ks = [[f"k{s}_{i}" for i in range(n)] for s in range(4)]
     vs = [f"v{j}" for j in range(len(polys))]
     cols = [f"c{i}" for i in range(n)] + [f"w{j}" for j in range(len(polys))]
+    moving = [not c.is_zero() for c in components]
 
     def stages(power):
         lines, point = [], xs
         for s, k in enumerate(ks):
             lines += [f"{k[i]} = {_compile_float(c, names, point, power)}"
-                      for i, c in enumerate(components)]
+                      for i, c in enumerate(components) if moving[i]]
             if s < 3:
-                lines += [f"{ys[i]} = {xs[i]} + {'dt' if s == 2 else 'half'} * {k[i]}"
+                step = "dt" if s == 2 else "half"
+                lines += [f"{ys[i]} = {xs[i]} + " + (f"{step} * {k[i]}" if moving[i] else "0.0")
                           for i in range(n)]
                 point = ys
         return lines
@@ -703,8 +727,9 @@ def _flow_run(components, polys, names, dt: float, bound):
     source += [f"    {c} = [{v}]" for c, v in zip(cols, xs + vs)]
     source += [f"    {c}_append = {c}.append" for c in cols]
     source += ["    truncated = False", "    for _ in range(steps):", *_guarded(stages, "        ")]
-    source += [f"        {x} = {x} + sixth * ({a} + 2 * {b} + 2 * {c} + {d})"
-               for x, a, b, c, d in zip(xs, *ks)]
+    source += [f"        {x} = {x} + " + (f"sixth * ({a} + 2.0 * {b} + 2.0 * {c} + {d})" if m
+                                          else "0.0")
+               for x, m, a, b, c, d in zip(xs, moving, *ks)]
     source += ["        if not (" + " and ".join(f"bound >= abs({x})" for x in xs) + "):",
                "            truncated = True",
                "            break",
@@ -713,6 +738,27 @@ def _flow_run(components, polys, names, dt: float, bound):
     source += [f"    return ([s * dt for s in range(len(c0))], [{', '.join(cols[:n])}], "
                f"[{', '.join(cols[n:])}], truncated)"]
     return _exec_flow("\n".join(source) + "\n", half=0.5 * dt, dt=dt, sixth=dt / 6.0, bound=bound)
+
+
+def _column_text(col):
+    """``map(repr, col)`` for a column of floats, with each distinct value
+    formatted once where the column repeats itself.
+
+    Every ``CSV_PROBE_STRIDE``-th value is probed; with no repeat among them
+    the column is mapped through ``repr``.  Otherwise, when at most half of
+    the column's values are distinct and none is a zero, each distinct value
+    is formatted once and the column is mapped through that table.  Equal
+    nonzero floats are bitwise equal, so their ``repr`` is the same; 0.0 and
+    -0.0 are equal with different ``repr``, so a column holding a zero keeps
+    ``repr``.  A NaN is found by identity, because the table is built from
+    the column's own objects.
+    """
+    probe = col[::CSV_PROBE_STRIDE]
+    if len(set(probe)) < len(probe):
+        distinct = set(col)
+        if 2 * len(distinct) <= len(col) and 0.0 not in distinct:
+            return map({x: repr(x) for x in distinct}.__getitem__, col)
+    return map(repr, col)
 
 
 @dataclass
@@ -732,20 +778,26 @@ class Trajectory:
         return list(map(list, zip(*self.coordinates)))
 
     def to_csv(self) -> str:
-        """The trajectory as CSV text: a header, then one line per point with
-        step, t, the coordinates, f, each Casimir and the rank where sampled.
-        Each column is formatted on its own (``repr`` of each float)."""
-        names = list(self.casimir_values)
+        """The trajectory as CSV text: the blocks of :meth:`csv_blocks`, joined."""
+        return "".join(self.csv_blocks())
+
+    def csv_blocks(self):
+        """The CSV text of the trajectory in pieces: a header line, then blocks
+        of up to ``CSV_BLOCK_ROWS`` lines, one per point with step, t, the
+        coordinates, f, each Casimir and the rank where sampled.  Each float
+        column is formatted on its own, as the ``repr`` of each value; where
+        a column repeats itself, as the conserved f and Casimirs do, each
+        distinct value is formatted once (:func:`_column_text`)."""
         count = len(self.times)
-        ranks = [""] * count
+        ranks = ["\n"] * count      # the last cell of a row carries its line break
         for idx, rank in self.ranks:
-            ranks[idx] = str(rank)
-        head = ",".join(["step", "t", *(f"x{i+1}" for i in range(len(self.coordinates))),
-                         "f", *names, "rank"])
+            ranks[idx] = f"{rank}\n"
+        yield ",".join(["step", "t", *(f"x{i+1}" for i in range(len(self.coordinates))),
+                        "f", *self.casimir_values, "rank\n"])
         floats = [self.times, *self.coordinates, self.f_values, *self.casimir_values.values()]
-        rows = map(",".join, zip(map(str, range(count)), *(map(repr, col) for col in floats),
-                                 ranks))
-        return "\n".join(itertools.chain((head,), rows, ("",)))
+        rows = map(",".join, zip(map(str, range(count)), *map(_column_text, floats), ranks))
+        while block := "".join(itertools.islice(rows, CSV_BLOCK_ROWS)):
+            yield block
 
     def summary(self) -> dict:
         return {

@@ -215,6 +215,24 @@ def test_a_rejected_flow_leaves_an_existing_out_file_unchanged(bad, tmp_path, ca
     assert '"check": "flow:conservation"' in report and "step," not in report
 
 
+@pytest.mark.parametrize("name", ["q,uad\nratic", "quad,ratic", 'quad"ratic', "quad\rratic",
+                                  "quadratic\n"])
+def test_a_casimir_name_that_would_break_the_csv_is_a_schema_error(name, tmp_path, capsys):
+    raw = json.loads(SAMPLE.read_text())
+    raw["flow"]["casimirs"] = {name: raw["flow"]["casimirs"]["quadratic"]}
+    out_path = tmp_path / "traj.csv"
+    out_path.write_bytes(b"an earlier trajectory\n")
+    code, out = run_cli(["flow", "--out", str(out_path), "--steps", "3"], raw, tmp_path)
+    err = capsys.readouterr().err
+    assert code == 2 and out == "" and "schema error" in err and f"casimir {name!r}" in err
+    assert out_path.read_bytes() == b"an earlier trajectory\n"
+    # a name with other punctuation and spaces heads its column as it is
+    raw["flow"]["casimirs"] = {"q uad;ratic's": raw["flow"]["casimirs"][name]}
+    code, _ = run_cli(["flow", "--out", str(out_path), "--steps", "3"], raw, tmp_path)
+    assert code == 0
+    assert out_path.read_text().splitlines()[0] == "step,t,x1,x2,x3,f,q uad;ratic's,rank"
+
+
 @pytest.mark.parametrize("bound", [1e300, 1e9])
 def test_a_flow_that_turns_nan_is_truncated_and_exits_1(bound, tmp_path, capsys):
     raw = json.loads(SAMPLE.read_text())

@@ -7,6 +7,7 @@ import os
 import pstats
 import random
 import re
+import struct
 import tokenize
 import warnings
 from fractions import Fraction
@@ -344,8 +345,8 @@ def test_stratify_evaluates_each_point_once_for_both_routes(monkeypatch, sl2_lp)
     # call counts, not timings: one integer evaluation per point, whose rows
     # both integer kernels read, and no scalar arithmetic in the sample loop
     rows, ranks, sums, scalar_ops = [], [], [], []
-    evaluate = PolyBivector._int_matrix
-    monkeypatch.setattr(PolyBivector, "_int_matrix",
+    evaluate = PolyBivector._int_matrix_at
+    monkeypatch.setattr(PolyBivector, "_int_matrix_at",
                         lambda self, pt: rows.append(evaluate(self, pt)) or rows[-1])
     _counting(monkeypatch, poisson.linalg, "_rank_rows", ranks)
     _counting(monkeypatch, poisson.linalg, "_elementary_sums", sums)
@@ -570,14 +571,14 @@ def test_the_golden_flow_ranks_are_the_numpy_svd_ranks():
         assert np.linalg.matrix_rank(m, tol=1e-8 * (1.0 + np.abs(m).max())) == rank
 
 
-def _random_integer_poly(rng, vs, max_deg=6, max_terms=4):
+def _random_integer_poly(rng, vs, max_deg=6, max_terms=4, coeffs=(-3, -2, -1, 1, 2, 3)):
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
         deg = rng.randint(0, max_deg)
         exp = [0] * len(vs)
         for _ in range(deg):
             exp[rng.randrange(len(vs))] += 1
-        terms[tuple(exp)] = rng.choice([-3, -2, -1, 1, 2, 3])
+        terms[tuple(exp)] = rng.choice(coeffs)
     return MultiPoly(vs, terms)
 
 
@@ -640,6 +641,123 @@ def test_flow_is_bit_identical_to_the_numpy_oracle():
                     assert repr(new.casimir_drift["c"]) == repr(old.casimir_drift["c"])
                     assert new.ranks == old.ranks and new.truncated == old.truncated
     assert compared >= 60 and truncated >= 10 and power_overflows >= 1
+
+
+def test_flow_without_identity_operations_is_bit_identical_to_the_numpy_oracle():
+    """Fields with an exactly zero component, coefficients +-1 and +-1/3 and
+    start points with signed zeros, through the code without identity
+    operations, against the NumPy loop that keeps every one of them."""
+
+    def floats(traj):
+        return [[repr(float(v)) for v in col] for col in (
+            *traj.coordinates, traj.times, traj.f_values, traj.casimir_values["c"],
+            [traj.f_drift, traj.casimir_drift["c"]])]
+
+    rng = random.Random(3303)
+    coeffs = (-1, 1, -1, 1, Fraction(1, 3), Fraction(-1, 3), 2)
+    compared = truncated = 0
+    for n in (2, 3, 4):
+        vs = tuple(f"x{i}" for i in range(n))
+        for dt in (1e-2, 0.3, 2.0):
+            for bound in (10.0, 1e9):
+                for _ in range(5):
+                    # no entry of pi in row z, so component z of X_f is the zero polynomial
+                    z = rng.randrange(n)
+                    pi = PolyBivector(vs, {(i, j): _random_integer_poly(rng, vs, 3, 3, coeffs)
+                                           for i in range(n) for j in range(i + 1, n)
+                                           if z not in (i, j)})
+                    f = _random_integer_poly(rng, vs, 3, 4, coeffs)
+                    cas = {"c": _random_integer_poly(rng, vs, 3, 4, coeffs)}
+                    x0 = [rng.choice([0.0, -0.0, Fraction(rng.randint(-8, 8), 4),
+                                      rng.uniform(-2, 2)]) for _ in range(n)]
+                    assert hamiltonian_field(pi, f).component(z).is_zero()
+                    new = hamiltonian_flow(pi, f, x0, dt, 30, casimirs=cas, divergence_bound=bound)
+                    with np.errstate(all="ignore"):
+                        try:
+                            old = flow_oracle.hamiltonian_flow(pi, f, x0, dt, 30, casimirs=cas,
+                                                               divergence_bound=bound)
+                        except (ValueError, OverflowError):   # a rank sample at a NaN state
+                            old = None
+                    if old is None or not all(map(math.isfinite, itertools.chain(*old.points))):
+                        assert new.truncated    # the oracle went on through a NaN state
+                        continue
+                    compared += 1
+                    truncated += old.truncated
+                    assert floats(new) == floats(old)
+                    assert new.ranks == old.ranks and new.truncated == old.truncated
+    assert compared >= 60 and truncated >= 5
+
+
+def test_the_sample_flow_code_has_no_identity_operation(monkeypatch):
+    # counts over the generated text and the formatted values, not timings
+    sources, formatted = [], []
+    exec_flow = poisson._exec_flow
+
+    def recording(source, **env):
+        sources.append(source)
+        return exec_flow(source, **env)
+
+    monkeypatch.setattr(poisson, "_exec_flow", recording)
+    monkeypatch.setattr(poisson, "repr", lambda x: formatted.append(x) or repr(x), raising=False)
+    path = os.path.join(os.path.dirname(__file__), "..", "demos", "bundles", "sample.json")
+    bundle = load_bundle(path)
+    flow = bundle.flow
+    traj = hamiltonian_flow(bundle.bivectors[flow["bivector"]], flow["hamiltonian"], flow["x0"],
+                            flow["dt"], flow["steps"], casimirs=flow["casimirs"])
+    (source,) = sources
+    assert not re.search(r"(?<![\w.])1\.0 \*", source)    # no 1.0 * nor -1.0 *
+    assert not re.search(r"(?<![\w.])2 \*", source)
+    assert "0.0 - x2" in source and "sixth * (k0_0 + 2.0 * k1_0 + 2.0 * k2_0 + k3_0)" in source
+    # the field (x3, 0, -x1) has no power: its stage block runs once, unguarded
+    lines = source.splitlines()
+    start = lines.index("    for _ in range(steps):") + 1
+    stages = lines[start:next(i for i, ln in enumerate(lines) if ln.lstrip().startswith("if not"))]
+    assert not any("try:" in ln or "_pow" in ln for ln in stages)
+    # its zero component, index 1 (CSV column x2), has no k lines and moves by + 0.0
+    assert not re.search(r"\bk\d_1\b", source)
+    assert sum(re.fullmatch(r"\s*k\d_\d = .*", ln) is not None for ln in lines) == 8
+    assert [ln.strip() for ln in stages if re.match(r"\s*[xy]1 =", ln)] == \
+        ["y1 = x1 + 0.0"] * 3 + ["x1 = x1 + 0.0"]
+    # f = x2 and the Casimir repeat themselves: each distinct value is formatted once
+    columns = [traj.times, *traj.coordinates, traj.f_values, *traj.casimir_values.values()]
+    distinct = [len(set(col)) for col in columns]
+    assert distinct[0] == distinct[1] == distinct[3] == len(traj.times) == 10001
+    assert distinct[2] == distinct[4] == 1 and distinct[5] < 200
+    formatted.clear()
+    blocks = list(traj.csv_blocks())
+    assert len(formatted) == sum(distinct)
+    assert blocks[0] == "step,t,x1,x2,x3,f,quadratic,rank\n"
+    assert [b.count("\n") for b in blocks[1:]] == [1024] * 9 + [10001 - 9 * 1024]
+    assert "".join(blocks) == traj.to_csv() == flow_oracle.rowwise_csv(traj)
+
+
+_POOL = [0.0, -0.0, math.nan, float("nan"), -math.nan, math.inf, -math.inf, 5e-324, 0.1 + 0.2,
+         1.5, -2.25, 1e300]
+
+
+def _fresh(x: float) -> float:
+    """A new float object with the bits of ``x``."""
+    return struct.unpack("<d", struct.pack("<d", x))[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    # values of a small pool, each as the pool's object or as a fresh one with its bits
+    st.lists(st.tuples(st.sampled_from(_POOL), st.booleans()), max_size=300).map(
+        lambda vs: [_fresh(x) if copy else x for x, copy in vs]),
+    # a few values repeated many times, shuffled, with or without a zero of each sign
+    st.tuples(st.lists(st.sampled_from(_POOL), min_size=1, max_size=4),
+              st.integers(64, 600), st.sampled_from([[], [0.0], [-0.0], [-0.0, 0.0]]),
+              st.randoms()).map(
+        lambda a: a[3].sample(a[0] * a[1] + a[2], len(a[0]) * a[1] + len(a[2]))),
+    # long columns of distinct values, and a repeat only the full set finds
+    st.tuples(st.integers(64, 3000), st.floats(-1e6, 1e6), st.booleans()).map(
+        lambda a: [a[1] + 0.5 * i for i in range(a[0])] + [a[1]] * a[2]),
+    # shorter than the probe stride
+    st.lists(st.sampled_from(_POOL) | st.floats(), max_size=poisson.CSV_PROBE_STRIDE - 1),
+))
+def test_a_column_is_formatted_as_the_repr_of_each_value(col):
+    assert list(poisson._column_text(col)) == list(map(repr, col))
 
 
 def _on_chart(p: MultiPoly, names) -> MultiPoly:
