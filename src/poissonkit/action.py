@@ -78,14 +78,6 @@ def spans_sl2(mats) -> bool:
     return linalg.rank([[m[0][0], m[0][1], m[1][0]] for m in mats]) == 3
 
 
-def exact_group_samples(a: LinearPoissonAction, count: int, seed: int):
-    """Exact group samples for the action, or None when there is no exact
-    sampler (see :func:`spans_sl2`)."""
-    if a.sl2:
-        return sl2_rational_samples(count, seed=seed)
-    return None
-
-
 def coadjoint_table(defining_mats):
     """The map g -> Coad_g on integer matrices (``linalg._int_mat``), with the
     work that does not depend on g done here, once.  Coad_g is the matrix of
@@ -545,7 +537,7 @@ def find_rank_drop_witness(l1, l2, l3, c):
         for root in _rational_roots(A, B, C):
             pt = [root, root]
             pt[fixed] = Fraction(1)
-            if GaussianRational.coerce(h.eval({"x1": pt[0], "x2": pt[1]})).is_zero():
+            if h.eval({"x1": pt[0], "x2": pt[1]}).is_zero():
                 return pt
     return None
 
@@ -1015,9 +1007,7 @@ def momentum_kernel_image(a: LinearPoissonAction, m: MomentumMap, point) -> Kern
     assign = {v.name: GaussianRational.coerce(x) for v, x in zip(pi.vars, point)}
     jac = []
     for comp in m.components:
-        jac.append(
-            [GaussianRational.coerce(comp.partial(v.name).eval(assign)) for v in pi.vars]
-        )
+        jac.append([comp.partial(v.name).eval(assign) for v in pi.vars])
     kernel = linalg.nullspace(jac)
     image = [list(col) for col in zip(*jac)]  # columns of the jacobian span im m_*
 

@@ -430,9 +430,7 @@ def abelian_pl_check(s: AbelianPLStructure) -> AbelianPLReport:
     unit = {}
     for v in pi.vars:
         unit[v.name] = Q(1) if v.kind == ANGULAR else Q(0)
-    unit_ok = all(
-        GaussianRational.coerce(p.eval(unit)).is_zero() for p in pi.comps.values()
-    )
+    unit_ok = all(p.eval(unit).is_zero() for p in pi.comps.values())
 
     # zero block / linearity: components must be linear in the coordinates
     # with no constant term and no angular dependence (a function linear and

@@ -2,7 +2,9 @@
 emits machine-readable JSON-lines reports.
 
 Exit codes: 0 all selected checks pass, 1 at least one check failed,
-2 usage or schema error.  Reports are canonically ordered (sorted by check
+2 usage or schema error.  A check that raises a ``ValueError``,
+``ArithmeticError`` or ``AssertionError`` is a failed check, reported with
+the message as ``"error"``.  Reports are canonically ordered (sorted by check
 name) and contain no timestamps unless ``--timings`` is given, so identical
 bundle + seed produce byte-identical output.  The report goes to stdout, or
 to ``--out PATH`` (for ``flow``, ``--out`` takes the CSV trajectory instead).
@@ -25,31 +27,30 @@ from . import linalg
 from .bundles import ProblemBundle, SchemaError, load_bundle
 
 
-def _check(name: str, payload: dict, skipped: bool = False) -> dict:
-    out = {"check": name}
-    if skipped:
-        out["skipped"] = True
-    out.update(payload)
-    return out
-
-
-def _wanted(args, name: str) -> bool:
-    """Whether ``--suite`` selects the check ``name``; runners ask before
-    computing the check, so a filtered-out check costs nothing."""
-    return not args.suite or args.suite in name
-
-
-def _emit(checks, stream, timings: bool = False) -> int:
+def _emit(checks, stream, suite: str | None = None, timings: bool = False) -> int:
     """Run a suite's checks, print them sorted by check name plus a trailing
     summary, and return the exit code implied by pass/fail states.
 
-    ``checks`` yields each report as soon as it is computed; with ``timings``
-    each one is stamped with the wall time since the previous one (the first
-    since the suite started).
+    ``checks`` yields ``(name, compute)`` pairs.  A check whose name does not
+    contain ``suite`` is dropped before it is computed.  ``compute()`` returns
+    the check's payload (``{"skipped": True, "reason": ...}`` for a skipped
+    check), reported as ``{"check": name, **payload}``; a ``ValueError``,
+    ``ArithmeticError`` or ``AssertionError`` it raises is reported as
+    ``{"check": name, "passed": False, "error": message}``.  Each ``compute``
+    runs before the next pair is asked for, so it may read the runner's loop
+    variables.  With ``timings`` each report is stamped with the wall time
+    since the previous report (the first since the runner started).
     """
     reports = []
     last = time.perf_counter()
-    for r in checks:
+    for name, compute in checks:
+        if suite and suite not in name:
+            continue
+        try:
+            payload = compute()
+        except (ValueError, ArithmeticError, AssertionError) as e:
+            payload = {"passed": False, "error": str(e)}
+        r = {"check": name, **payload}
         if timings:
             now = time.perf_counter()
             r["wall_ms"] = round((now - last) * 1000, 3)
@@ -103,56 +104,47 @@ def _sample_points(dim: int, count: int, seed: int, scale: int = 6, denom_power:
 
 
 # -- suites -------------------------------------------------------------------------
-# Each runner is a generator that yields its checks in the order it computes them,
-# and computes only the checks that ``_wanted`` selects.
+# Each runner is a generator of (check name, compute) pairs in the order it computes
+# them; ``_emit`` selects, runs and reports them.  A ``SchemaError`` raised in a
+# runner's body, outside a compute, exits 2.
+
+# the group-sampled checks on a group whose defining matrices do not span sl(2)
+_NO_SL2 = {"skipped": True,
+           "reason": "defining matrices do not span sl(2); group sampling undefined"}
 
 
 def run_check_lie(bundle: ProblemBundle, args):
     for name, L in sorted(bundle.algebras.items()):
-        if _wanted(args, f"check-lie:{name}"):
-            yield _check(f"check-lie:{name}", L.check_jacobi().to_json())
+        yield f"check-lie:{name}", lambda: L.check_jacobi().to_json()
 
 
 def run_check_bialgebra(bundle: ProblemBundle, args):
     from . import bialgebra as B
 
     for name, (_, r) in sorted(bundle.rmatrices.items()):
-        if _wanted(args, f"check-bialgebra:{name}:r-matrix-invariance"):
-            inv = B.schouten_wedge_bracket(r)
-            yield _check(f"check-bialgebra:{name}:r-matrix-invariance", inv.to_json())
-        if _wanted(args, f"check-bialgebra:{name}:bialgebra"):
-            rep = B.validate_bialgebra(B.LieBialgebra.from_r_matrix(r))
-            yield _check(f"check-bialgebra:{name}:bialgebra", rep.to_json())
-        if _wanted(args, f"check-bialgebra:{name}:delta-duality"):
+        def delta_duality():
             dres = B.delta_duality_residuals(r)
-            yield (
-                _check(
-                    f"check-bialgebra:{name}:delta-duality",
-                    {"passed": not dres, "mode": "symbolic",
-                     "violations": [[i, j, k, str(t)] for i, j, k, t in dres]},
-                )
-            )
+            return {"passed": not dres, "mode": "symbolic",
+                    "violations": [[i, j, k, str(t)] for i, j, k, t in dres]}
+
+        yield (f"check-bialgebra:{name}:r-matrix-invariance",
+               lambda: B.schouten_wedge_bracket(r).to_json())
+        yield (f"check-bialgebra:{name}:bialgebra",
+               lambda: B.validate_bialgebra(B.LieBialgebra.from_r_matrix(r)).to_json())
+        yield f"check-bialgebra:{name}:delta-duality", delta_duality
     for name, s in sorted(bundle.abelian_structures.items()):
-        if _wanted(args, f"check-bialgebra:{name}:abelian-multiplicative"):
-            rep = B.abelian_pl_check(s)
-            yield _check(f"check-bialgebra:{name}:abelian-multiplicative", rep.to_json())
+        yield (f"check-bialgebra:{name}:abelian-multiplicative",
+               lambda: B.abelian_pl_check(s).to_json())
 
 
 def run_check_poisson(bundle: ProblemBundle, args):
     from . import poisson as P
 
     for name, pi in sorted(bundle.bivectors.items()):
-        if _wanted(args, f"check-poisson:{name}:jacobi"):
-            yield _check(f"check-poisson:{name}:jacobi", P.jacobi_check(pi).to_json())
+        yield f"check-poisson:{name}:jacobi", lambda: P.jacobi_check(pi).to_json()
         for cname, f in sorted(bundle.casimirs.get(name, {}).items()):
-            if _wanted(args, f"check-poisson:{name}:casimir:{cname}"):
-                ok = P.casimir_check(pi, f)
-                yield (
-                    _check(
-                        f"check-poisson:{name}:casimir:{cname}",
-                        {"passed": ok, "mode": "symbolic"},
-                    )
-                )
+            yield (f"check-poisson:{name}:casimir:{cname}",
+                   lambda: {"passed": P.casimir_check(pi, f), "mode": "symbolic"})
 
 
 def run_stratify(bundle: ProblemBundle, args):
@@ -167,13 +159,11 @@ def run_stratify(bundle: ProblemBundle, args):
         denom_power=bundle.sampler.get("denom_power", 3),
     )
     for name, pi in sorted(bundle.bivectors.items()):
-        if not _wanted(args, f"stratify:{name}"):
-            continue
-        rep = P.stratify_sample(pi, cfg)
-        payload = rep.to_json()
-        payload["passed"] = rep.minor_consistency
-        payload["mode"] = "symbolic"
-        yield _check(f"stratify:{name}", payload)
+        def stratify():
+            rep = P.stratify_sample(pi, cfg)
+            return {**rep.to_json(), "passed": rep.minor_consistency, "mode": "symbolic"}
+
+        yield f"stratify:{name}", stratify
 
 
 def run_flow(bundle: ProblemBundle, args):
@@ -199,21 +189,16 @@ def run_flow(bundle: ProblemBundle, args):
         out_stream.writelines(traj.csv_blocks())
         out_stream.write("# " + json.dumps(traj.summary(), sort_keys=True,
                                            default=str) + "\n")
-    if not _wanted(args, "flow:conservation"):
-        return
     tol = flow["drift_tolerance"]
     drifts = [traj.f_drift] + list(traj.casimir_drift.values())
-    yield _check(
-        "flow:conservation",
-        {
-            "passed": (max(drifts) < tol) and not traj.truncated,
-            "mode": "numeric",
-            "f_drift": traj.f_drift,
-            "casimir_drift": traj.casimir_drift,
-            "truncated": traj.truncated,
-            "tolerance": tol,
-        },
-    )
+    yield "flow:conservation", lambda: {
+        "passed": (max(drifts) < tol) and not traj.truncated,
+        "mode": "numeric",
+        "f_drift": traj.f_drift,
+        "casimir_drift": traj.casimir_drift,
+        "truncated": traj.truncated,
+        "tolerance": tol,
+    }
 
 
 def run_check_action(bundle: ProblemBundle, args):
@@ -223,26 +208,17 @@ def run_check_action(bundle: ProblemBundle, args):
     count = _sample_count(args, bundle.sampler.get("count", 50))
     for name, act in sorted(bundle.actions.items()):
         pts = _sample_points(act.target_dim, count, seed + 1)
-        if _wanted(args, f"check-action:{name}:poisson-action"):
-            gs = A.exact_group_samples(act, count, seed=seed)
-            degraded = {}
-            if gs is None:
-                # no exact sampler for this group: check at the unit only
-                gs = [linalg.identity(len(act.defining_mats[0]))]
-                degraded = {"mode": "degraded",
-                            "reason": "defining matrices do not span sl(2); checked at the identity only"}
-            samples = list(zip(gs, pts[: len(gs)]))
-            try:
-                payload = A.check_poisson_action(act, samples).to_json()
-            except ValueError as e:
-                payload = {"passed": False, "error": str(e)}
-            yield _check(f"check-action:{name}:poisson-action", {**payload, **degraded})
-        if _wanted(args, f"check-action:{name}:structure-preserved"):
-            pres = A.check_structure_preserved(act)
-            yield _check(f"check-action:{name}:structure-preserved", pres.to_json())
-        if _wanted(args, f"check-action:{name}:tangential"):
-            tang = A.tangential_check(act, pts)
-            yield _check(f"check-action:{name}:tangential", tang.to_json())
+
+        def poisson_action():
+            if not act.sl2:
+                return _NO_SL2
+            samples = list(zip(A.sl2_rational_samples(count, seed=seed), pts))
+            return A.check_poisson_action(act, samples).to_json()
+
+        yield f"check-action:{name}:poisson-action", poisson_action
+        yield (f"check-action:{name}:structure-preserved",
+               lambda: A.check_structure_preserved(act).to_json())
+        yield f"check-action:{name}:tangential", lambda: A.tangential_check(act, pts).to_json()
 
 
 def run_momentum(bundle: ProblemBundle, args):
@@ -252,35 +228,23 @@ def run_momentum(bundle: ProblemBundle, args):
     count = _sample_count(args, bundle.sampler.get("count", 20))
     for name, (aref, m) in sorted(bundle.momentum_maps.items()):
         act = bundle.actions[aref]
-        if _wanted(args, f"momentum:{name}:hamiltonian-condition"):
-            rep = A.momentum_check(act, m)
-            yield _check(f"momentum:{name}:hamiltonian-condition", rep.to_json())
-        if _wanted(args, f"momentum:{name}:obstruction"):
-            try:
-                G = A.gamma(act, m)
-                chk = A.gamma_checks(act, G, m)
-                yield _check(f"momentum:{name}:obstruction", chk.to_json())
-            except (ValueError, AssertionError) as e:
-                yield _check(f"momentum:{name}:obstruction", {"passed": False, "error": str(e)})
-        if not _wanted(args, f"momentum:{name}:psi-cocycle"):
-            continue
-        gs = A.exact_group_samples(act, count, seed=seed)
-        if gs is not None:
+
+        def psi_cocycle():
+            if not act.sl2:
+                return _NO_SL2
+            gs = A.sl2_rational_samples(count, seed=seed)
             pts = _sample_points(act.target_dim, count, seed + 2, scale=3)
-            triples = [(gs[i], gs[(i + 1) % len(gs)], pts[i]) for i in range(min(len(gs), len(pts)))]
-            prep = A.psi_cocycle_check(act, m, triples)
-            yield _check(f"momentum:{name}:psi-cocycle", prep.to_json())
-        else:
-            yield (
-                _check(
-                    f"momentum:{name}:psi-cocycle",
-                    {"reason": "defining matrices do not span sl(2); group sampling undefined"},
-                    skipped=True,
-                )
-            )
+            return A.psi_cocycle_check(act, m, list(zip(gs, gs[1:] + gs[:1], pts))).to_json()
+
+        yield f"momentum:{name}:hamiltonian-condition", lambda: A.momentum_check(act, m).to_json()
+        yield (f"momentum:{name}:obstruction",
+               lambda: A.gamma_checks(act, A.gamma(act, m), m).to_json())
+        yield f"momentum:{name}:psi-cocycle", psi_cocycle
 
 
-def run_plane_pipeline(args):
+def run_plane_pipeline(bundle: None, args):
+    """The example-5.1 pipeline on the plane; it reads no bundle (``bundle``
+    is None)."""
     from . import action as A
     from . import bialgebra as B
     from . import lie as lie_mod
@@ -296,7 +260,7 @@ def run_plane_pipeline(args):
     seed = args.seed if args.seed is not None else 0
     count = _sample_count(args, 100)
 
-    if _wanted(args, "example51:dual-brackets"):
+    def dual_brackets():
         r = B.RMatrix.sl2_family(lie_mod.sl2(), l1, l2, l3)
         e = linalg.identity(3)
         brackets = {
@@ -306,30 +270,22 @@ def run_plane_pipeline(args):
         }
         dres = B.delta_duality_residuals(r)
         dual_jacobi = B.dual_algebra_from_r(r).check_jacobi().ok
-        yield (
-            _check(
-                "example51:dual-brackets",
-                {
-                    "passed": dual_jacobi and not dres,
-                    "mode": "symbolic",
-                    "brackets": brackets,
-                    "dual_jacobi": dual_jacobi,
-                },
-            )
-        )
+        return {
+            "passed": dual_jacobi and not dres,
+            "mode": "symbolic",
+            "brackets": brackets,
+            "dual_jacobi": dual_jacobi,
+        }
 
-    if _wanted(args, "example51:h-certificate"):
-        cert = A.solve_h_certificate(l1, l2, l3, c)
-        yield _check("example51:h-certificate", cert.to_json())
+    yield "example51:dual-brackets", dual_brackets
+    yield "example51:h-certificate", lambda: A.solve_h_certificate(l1, l2, l3, c).to_json()
 
     act = A.sl2_plane_action(l1, l2, l3, c)
     pts = _sample_points(2, count, seed + 1)
-    if _wanted(args, "example51:poisson-action"):
-        gs = A.sl2_rational_samples(count, seed=seed)
-        rep = A.check_poisson_action(act, list(zip(gs, pts)))
-        yield _check("example51:poisson-action", rep.to_json())
+    yield "example51:poisson-action", lambda: A.check_poisson_action(
+        act, list(zip(A.sl2_rational_samples(count, seed=seed), pts))).to_json()
 
-    if _wanted(args, "example51:tangential-consistency"):
+    def tangential_consistency():
         predicate = A.tangential_coefficient_predicate(l1, l2, l3, c)
         tang = A.tangential_check(act, pts)
         witness = None if predicate else A.find_rank_drop_witness(l1, l2, l3, c)
@@ -342,19 +298,16 @@ def run_plane_pipeline(args):
             # the predicate rules the action out; consistency means either a
             # sampled failure or an exhibited rank-drop witness with a moving orbit
             consistent = (not tang.passed) or witness_fails or witness is None
-        yield (
-            _check(
-                "example51:tangential-consistency",
-                {
-                    "passed": consistent,
-                    "mode": "symbolic",
-                    "coefficient_predicate": predicate,
-                    "sampled_all_tangential": tang.passed,
-                    "witness": [str(t) for t in witness] if witness else None,
-                    "witness_non_tangential": witness_fails,
-                },
-            )
-        )
+        return {
+            "passed": consistent,
+            "mode": "symbolic",
+            "coefficient_predicate": predicate,
+            "sampled_all_tangential": tang.passed,
+            "witness": [str(t) for t in witness] if witness else None,
+            "witness_non_tangential": witness_fails,
+        }
+
+    yield "example51:tangential-consistency", tangential_consistency
 
     # the diagonal one-parameter subgroup, generated by e1
     sub = A.LinearPoissonAction(
@@ -363,23 +316,19 @@ def run_plane_pipeline(args):
         act.bivector,
     )
     analytic = (l1 == 0 and l3 == 0)
-    if _wanted(args, "example51:h-subgroup-preserved"):
-        preserved = A.check_structure_preserved(sub)
-        yield (
-            _check(
-                "example51:h-subgroup-preserved",
-                {
-                    "passed": preserved.passed == analytic,
-                    "mode": "symbolic",
-                    "preserved": preserved.passed,
-                    "expected_from_coefficients": analytic,
-                },
-            )
-        )
 
-    if not _wanted(args, "example51:h-subgroup-momentum"):
-        return
-    if analytic and l2 != 0:
+    def h_subgroup_preserved():
+        preserved = A.check_structure_preserved(sub)
+        return {
+            "passed": preserved.passed == analytic,
+            "mode": "symbolic",
+            "preserved": preserved.passed,
+            "expected_from_coefficients": analytic,
+        }
+
+    def h_subgroup_momentum():
+        if not (analytic and l2 != 0):
+            return {"skipped": True, "reason": "no momentum map family for these coefficients"}
         norm = A.solve_momentum_normalization(sub)
         payload = norm.to_json()
         payload["note"] = (
@@ -388,24 +337,22 @@ def run_plane_pipeline(args):
             "4*h^3*lambda_k^2 = a^2*X_h,k^2"
         )
         payload["passed"] = norm.consistent and not norm.power_consistent
-        yield _check("example51:h-subgroup-momentum", payload)
-    else:
-        yield (
-            _check(
-                "example51:h-subgroup-momentum",
-                {"reason": "no momentum map family for these coefficients"},
-                skipped=True,
-            )
-        )
+        return payload
+
+    yield "example51:h-subgroup-preserved", h_subgroup_preserved
+    yield "example51:h-subgroup-momentum", h_subgroup_momentum
 
 
-BUNDLE_RUNNERS = {
+# subcommand -> runner(bundle, args); every runner but example51's reads --bundle
+RUNNERS = {
     "check-lie": run_check_lie,
     "check-bialgebra": run_check_bialgebra,
     "check-poisson": run_check_poisson,
     "stratify": run_stratify,
+    "flow": run_flow,
     "check-action": run_check_action,
     "momentum": run_momentum,
+    "example51": run_plane_pipeline,
 }
 
 
@@ -417,10 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="poissonkit",
         description="Exact checks for Poisson bivectors, Lie bialgebras and Poisson actions.",
     )
-    p.add_argument("subcommand", choices=[
-        "check-lie", "check-bialgebra", "check-poisson", "stratify", "flow",
-        "check-action", "momentum", "example51",
-    ])
+    p.add_argument("subcommand", choices=list(RUNNERS))
     p.add_argument("--bundle", help="path to a JSON problem bundle")
     p.add_argument("--suite", help="only run checks whose name contains this string")
     p.add_argument("--seed", type=int, default=None)
@@ -444,16 +388,13 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.subcommand == "example51":
-            checks = run_plane_pipeline(args)
-        elif not args.bundle:
-            raise SchemaError(f"{args.subcommand} requires --bundle PATH")
-        elif args.subcommand == "flow":
-            checks = run_flow(load_bundle(args.bundle), args)
-        else:
-            checks = BUNDLE_RUNNERS[args.subcommand](load_bundle(args.bundle), args)
+        bundle = None
+        if args.subcommand != "example51":
+            if not args.bundle:
+                raise SchemaError(f"{args.subcommand} requires --bundle PATH")
+            bundle = load_bundle(args.bundle)
         report = io.StringIO()
-        code = _emit(checks, report, timings=args.timings)
+        code = _emit(RUNNERS[args.subcommand](bundle, args), report, args.suite, args.timings)
         if args.out and args.subcommand != "flow":
             with _open_out(args.out) as fh:
                 fh.write(report.getvalue())

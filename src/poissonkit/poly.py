@@ -27,7 +27,6 @@ on equal charts hold the same ``vars`` object and are matched by identity.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import add
 
 from .scalars import GaussianRational, Q, ZERO, ONE, _make, coeff_from_json, json_int
@@ -429,36 +428,19 @@ class MultiPoly:
 
     # -- evaluation ---------------------------------------------------------
 
-    def eval(self, assignment: dict):
-        """Evaluate at a point given as ``{name: value}``.
+    def eval(self, assignment: dict) -> GaussianRational:
+        """The exact value at a point given as ``{name: value}``, each value a
+        GaussianRational, Fraction or int; a float raises ``TypeError``.
 
-        Values may be GaussianRational/Fraction/int (exact) or float/complex.
         For angular variables the supplied value is the unit ``w = exp(i*theta)``
         itself (so an exact point on the unit circle stays exact).
         """
-        exact = all(
-            isinstance(v, (int, Fraction, GaussianRational)) for v in assignment.values()
-        )
         vals = []
         for v in self.vars:
             if v.name not in assignment:
                 raise KeyError(f"no value supplied for {v.name!r}")
-            x = assignment[v.name]
-            vals.append(GaussianRational.coerce(x) if exact else complex(x))
-        if exact:
-            return self.eval_at(vals)
-        acc = 0j
-        powers = {}  # (variable index, exponent) -> value, each computed once
-        for exp, c in self.terms.items():
-            term = c.to_complex()
-            for i, e in enumerate(exp):
-                if e:
-                    pw = powers.get((i, e))
-                    if pw is None:
-                        pw = powers[i, e] = vals[i] ** e
-                    term = term * pw
-            acc = acc + term
-        return acc
+            vals.append(GaussianRational.coerce(assignment[v.name]))
+        return self.eval_at(vals)
 
     def eval_at(self, values) -> GaussianRational:
         """The exact value at ``values``, one :class:`GaussianRational` per

@@ -142,10 +142,6 @@ class GaussianRational:
 
     # -- conversions -----------------------------------------------------
 
-    def to_complex(self) -> complex:
-        # int / int is correctly rounded, so this equals float(self.re), float(self.im)
-        return complex(self.a / self.d, self.b / self.d)
-
     def to_json(self) -> dict:
         out = {"num": str(self.re.numerator), "den": str(self.re.denominator)}
         if self.im:

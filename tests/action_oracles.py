@@ -203,10 +203,10 @@ def numeric_h_residual(l1, l2, l3, c, count: int = 1000, seed: int = 0) -> float
     over exact group samples, each relative to the size of its terms,
     max(1, |h(gx)|, |h(x)|)."""
     h = A.quadratic_h(l1, l2, l3, c)
+    terms = [(float(t.re), e) for e, t in h.terms.items()]    # h has real coefficients
 
     def h_at(p):
-        v = h.eval({"x1": p[0], "x2": p[1]})
-        return v.real if isinstance(v, complex) else float(v)
+        return sum(t * p[0] ** e[0] * p[1] ** e[1] for t, e in terms)
 
     gs = A.sl2_rational_samples(count, seed=seed)
     rng = random.Random(seed + 1)

@@ -128,9 +128,6 @@ class GaussianRational:
 
     # -- conversions -----------------------------------------------------
 
-    def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
-
     def to_json(self) -> dict:
         out = {"num": str(self.re.numerator), "den": str(self.re.denominator)}
         if self.im:

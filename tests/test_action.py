@@ -845,7 +845,7 @@ def _cli_samples(act, count, seed, point_seed, scale=6):
     """Group samples and points drawn as the CLI draws them."""
     from poissonkit.cli import _sample_points
 
-    gs = A.exact_group_samples(act, count, seed=seed)
+    gs = A.sl2_rational_samples(count, seed=seed)
     return gs, _sample_points(act.target_dim, count, point_seed, scale=scale)
 
 

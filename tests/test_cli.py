@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import functools
+import importlib
 import io
 import json
 import os
@@ -27,6 +28,7 @@ SL2_JSON = {
 
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLE = ROOT / "demos" / "bundles" / "sample.json"
+GOLDEN = ROOT / "tests" / "golden"
 
 PLANE_VARS = [{"name": "x1", "kind": "affine"}, {"name": "x2", "kind": "affine"}]
 
@@ -759,9 +761,14 @@ def test_every_edit_of_the_sample_bundle_keeps_the_exit_code_contract(tmp_path):
     assert runs > 300 and int_edits >= 12
 
 
-def test_check_action_on_a_3x3_group_checks_the_unit(tmp_path):
-    # no exact sampler for 3x3 groups: the Poisson-action check runs at the
-    # identity matrix only, which must reach the coadjoint lift as exact scalars
+NO_SL2 = {"skipped": True,
+          "reason": "defining matrices do not span sl(2); group sampling undefined"}
+
+
+def test_check_action_on_a_3x3_group_skips_poisson_action(tmp_path):
+    # no exact sampler for 3x3 groups, and a check at the identity alone
+    # cannot fail: the Poisson-action check is skipped (the coadjoint lift at
+    # the unit is tested in tests/test_action.py)
     mu = [{"name": f"mu{i}", "kind": "affine"} for i in (1, 2, 3)]
     mu3 = {"vars": mu, "terms": [{"exp": [0, 0, 1], "coeff": {"num": "1", "den": "1"}}]}
     b = {
@@ -777,10 +784,11 @@ def test_check_action_on_a_3x3_group_checks_the_unit(tmp_path):
     }
     code, out = run_cli(["check-action"], b, tmp_path)
     assert code == 0
-    checks = {l["check"]: l for l in map(json.loads, out.strip().splitlines()) if "check" in l}
-    unit = checks["check-action:dress:poisson-action"]
-    assert unit["samples"] == 1
-    assert unit["mode"] == "degraded" and "identity" in unit["reason"]
+    lines = [json.loads(l) for l in out.strip().splitlines()]
+    checks = {l["check"]: l for l in lines if "check" in l}
+    assert checks["check-action:dress:poisson-action"] == \
+        {"check": "check-action:dress:poisson-action", **NO_SL2}
+    assert lines[-1]["summary"]["skipped"] == ["check-action:dress:poisson-action"]
 
 
 def _dressing_bundle(brackets, defining):
@@ -815,27 +823,151 @@ def test_h3_dressing_with_2x2_defining_matrices_is_a_schema_error(tmp_path, caps
 
 def test_aff1_dressing_with_2x2_defining_matrices_is_not_sampled_as_sl2(tmp_path):
     # e11 and e12 span aff(1), [e1, e2] = e2, inside the 2x2 matrices but do
-    # not span sl(2): no determinant-one sampling, so poisson-action is
-    # degraded and psi-cocycle is skipped
+    # not span sl(2): no determinant-one sampling, so poisson-action and
+    # psi-cocycle are skipped with one record
     b = _dressing_bundle([(0, 1, 1)], [[[1, 0], [0, 0]], [[0, 1], [0, 0]]])
     code, out = run_cli(["check-action"], b, tmp_path)
     checks = {l["check"]: l for l in map(json.loads, out.strip().splitlines()) if "check" in l}
-    unit = checks["check-action:dress:poisson-action"]
-    assert code == 0 and unit["samples"] == 1
-    assert unit["mode"] == "degraded" and "sl(2)" in unit["reason"]
+    assert code == 0
+    assert checks["check-action:dress:poisson-action"] == \
+        {"check": "check-action:dress:poisson-action", **NO_SL2}
     code, out = run_cli(["momentum"], b, tmp_path)
     checks = {l["check"]: l for l in map(json.loads, out.strip().splitlines()) if "check" in l}
-    assert code == 0 and checks["momentum:id:psi-cocycle"]["skipped"] is True
-    assert "sl(2)" in checks["momentum:id:psi-cocycle"]["reason"]
+    assert code == 0
+    assert checks["momentum:id:psi-cocycle"] == {"check": "momentum:id:psi-cocycle", **NO_SL2}
     # a two-dimensional algebra has no triples for the cocycle check
     obstruction = checks["momentum:id:obstruction"]
     assert obstruction["passed"] and obstruction["cocycle_residuals"] == []
+
+
+# -- a check that raises is a failed record -------------------------------------------
+
+A1 = {"dim": 1, "brackets": []}
+LAURENT_VARS = [{"name": "th", "kind": "angular"}, {"name": "x"}]
+# th^-1 * x d_th^d_x: the sampled points reach w = 0, where th^-1 is undefined
+LAURENT = {"dim": 2, "vars": LAURENT_VARS, "entries": [{"i": 0, "j": 1, "poly": {
+    "vars": LAURENT_VARS, "terms": [{"exp": [-1, 1], "coeff": 1}]}}]}
+
+
+def _records(out):
+    return {l["check"]: l for l in map(json.loads, out.strip().splitlines()) if "check" in l}
+
+
+def test_a_laurent_bivector_at_a_zero_angle_is_a_failed_check(tmp_path, capsys):
+    b = {"sampler": {"seed": 1}, "algebras": {"a1": A1}, "bivectors": {"lau": LAURENT}}
+    error = {"passed": False, "error": "negative power of a zero value"}
+    code, out = run_cli(["stratify"], b, tmp_path)
+    assert code == 1 and _records(out) == {"stratify:lau": {"check": "stratify:lau", **error}}
+    assert capsys.readouterr().err == ""
+    b["actions"] = {"act": {"algebra": "a1", "bivector": "lau",
+                            "representation": [[[0, 0], [0, 1]]]}}
+    code, out = run_cli(["check-action", "--seed", "2"], b, tmp_path)
+    checks = _records(out)
+    assert code == 1 and checks["check-action:act:tangential"] == \
+        {"check": "check-action:act:tangential", **error}
+    assert checks["check-action:act:poisson-action"] == \
+        {"check": "check-action:act:poisson-action", **NO_SL2}
+    assert checks["check-action:act:structure-preserved"]["passed"] is True
+    assert capsys.readouterr().err == ""
+
+
+def test_a_group_without_sl2_skips_the_check_that_cannot_fail(tmp_path):
+    # rotations do not preserve x1 d1^d2; at g = 1 alone the Poisson-action
+    # residual F(x) - F(x) vanishes for every action, so it is not reported
+    # as a pass
+    vars_ = [{"name": "x1"}, {"name": "x2"}]
+    b = {"sampler": {"seed": 1, "count": 5}, "algebras": {"a1": A1},
+         "bivectors": {"tilt": {"dim": 2, "vars": vars_, "entries": [{"i": 0, "j": 1, "poly": {
+             "vars": vars_, "terms": [{"exp": [1, 0], "coeff": 1}]}}]}},
+         "actions": {"rot": {"algebra": "a1", "bivector": "tilt",
+                             "representation": [[[0, -1], [1, 0]]]}}}
+    code, out = run_cli(["check-action"], b, tmp_path)
+    checks = _records(out)
+    assert code == 1
+    assert checks["check-action:rot:poisson-action"] == \
+        {"check": "check-action:rot:poisson-action", **NO_SL2}
+    preserved = checks["check-action:rot:structure-preserved"]
+    assert not preserved["passed"]
+    assert preserved["per_generator"][0]["residual"] == "(-1*x2) d_x1^d_x2"
+    assert json.loads(out.strip().splitlines()[-1])["summary"] == {
+        "checks": 3, "failed": ["check-action:rot:structure-preserved"], "passed": 1,
+        "skipped": ["check-action:rot:poisson-action"]}
+
+
+def _raise_once(monkeypatch, owner, attr, exc):
+    """Make ``owner.attr`` raise ``exc`` on its first call and run as before
+    on every later one."""
+    orig = functools.reduce(getattr, attr.split("."), owner)
+    calls = []
+
+    def patched(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise exc
+        return orig(*args, **kwargs)
+
+    *path, name = attr.split(".")
+    monkeypatch.setattr(functools.reduce(getattr, path, owner), name, patched)
+
+
+def _golden_with_error(golden, check, message):
+    """The golden report of ``golden`` with the record of ``check`` replaced by
+    a failed one carrying ``message``, and the summary to match."""
+    reports = [json.loads(l) for l in (GOLDEN / f"{golden}.stdout").read_text().splitlines()]
+    reports = [{"check": check, "passed": False, "error": message} if r.get("check") == check
+               else r for r in reports[:-1]]
+    failed = [r["check"] for r in reports if not r.get("skipped") and not r.get("passed")]
+    skipped = [r["check"] for r in reports if r.get("skipped")]
+    summary = {"summary": {"checks": len(reports), "failed": failed, "skipped": skipped,
+                           "passed": len(reports) - len(failed) - len(skipped)}}
+    return "".join(json.dumps(r, sort_keys=True) + "\n" for r in reports + [summary])
+
+
+@pytest.mark.parametrize("golden, module, attr, exc, check", [
+    ("check-lie", "lie", "LieAlgebra.check_jacobi", ValueError("v"), "check-lie:sl2"),
+    ("check-bialgebra", "bialgebra", "validate_bialgebra", ValueError("v"),
+     "check-bialgebra:hyperbola:bialgebra"),
+    ("check-poisson", "poisson", "casimir_check", ValueError("v"),
+     "check-poisson:dual_space:casimir:quadratic"),
+    ("check-poisson", "poisson", "jacobi_check", ZeroDivisionError("z"),
+     "check-poisson:dual_space:jacobi"),
+    ("stratify", "poisson", "stratify_sample", ValueError("v"), "stratify:dual_space"),
+    ("check-action", "action", "tangential_check", ValueError("v"),
+     "check-action:dressing:tangential"),
+    ("momentum", "action", "gamma", ValueError("v"), "momentum:shifted_identity:obstruction"),
+    ("momentum", "action", "psi_cocycle_check", AssertionError("a"),
+     "momentum:shifted_identity:psi-cocycle"),
+    ("example51-0,2,0", "action", "solve_h_certificate", ValueError("v"),
+     "example51:h-certificate"),
+])
+def test_a_check_that_raises_is_a_failed_record(golden, module, attr, exc, check,
+                                                 monkeypatch, capsys):
+    _raise_once(monkeypatch, importlib.import_module(f"poissonkit.{module}"), attr, exc)
+    if golden.startswith("example51"):
+        argv = ["example51", "--lambda", "0,2,0", "--c", "1", "--seed", "0"]
+    else:
+        argv = [golden, "--bundle", str(SAMPLE)]
+    code, out = run_cli(argv)
+    assert code == 1
+    assert out == _golden_with_error(golden, check, str(exc))
+    assert capsys.readouterr().err == ""
+
+
+def test_suite_computes_no_filtered_out_check(monkeypatch):
+    from poissonkit import action
+
+    calls = []
+    monkeypatch.setattr(action, "check_poisson_action", lambda *args: calls.append(args))
+    code, out = run_cli(["check-action", "--bundle", str(SAMPLE), "--suite", "tangential"])
+    assert code == 0 and calls == [] and len(_records(out)) == 2
 
 
 @pytest.mark.parametrize("argv", [
     ["check-bialgebra", "--bundle", str(SAMPLE)],
     ["example51", "--lambda", "0,2,0", "--c", "1", "--samples", "15"],
     ["flow", "--bundle", str(SAMPLE), "--steps", "200"],
+    ["check-action", "--bundle", str(SAMPLE), "--samples", "5"],
+    ["momentum", "--bundle", str(SAMPLE), "--samples", "5"],
 ])
 def test_timings_are_per_check(argv, tmp_path):
     if argv[0] == "flow":

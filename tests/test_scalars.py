@@ -90,7 +90,6 @@ def _agrees(x, o):
     assert x.to_json() == o.to_json()
     assert GaussianRational.from_json(o.to_json()) == x
     assert x.is_zero() == (not o) and bool(x) == bool(o)
-    assert x.to_complex() == o.to_complex()
 
 
 # JSON coefficient objects as a bundle may write them: small values (zero,
