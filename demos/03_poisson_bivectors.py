@@ -35,15 +35,15 @@ vs3 = ("x1", "x2", "x3")
 x1, x2, x3 = generators(*vs3)
 bad = PolyBivector(vs3, {(0, 1): x3, (1, 2): x2})
 rep = jacobi_check(bad)
-print("\nx3 d1^d2 + x2 d2^d3 satisfies Jacobi?", rep.ok)
-print("cyclic residual trivector:", rep.residual)
-print("independent Schouten-square route agrees:", rep.routes_consistent)
+print("\nx3 d1^d2 + x2 d2^d3 satisfies Jacobi?", rep["passed"])
+print("cyclic residual trivector:", rep["residual"])
+print("independent Schouten-square route agrees:", rep["routes_consistent"])
 
 # -- the linear bivector on the dual of sl2 ---------------------------------------
 
 lp = lie_poisson(sl2())
 print("\nlinear bivector on sl2*:", lp)
-print("Jacobi:", jacobi_check(lp).ok)
+print("Jacobi:", jacobi_check(lp)["passed"])
 mu = [MultiPoly.variable(lp.vars, v.name) for v in lp.vars]
 print("{mu1, mu2} =", bracket_fn(lp, mu[0], mu[1]))
 print("{dmu1, dmu2} as one-forms =",
@@ -59,12 +59,11 @@ print("r_2 at (1,0,0):", r_k(lp, [1, 0, 0], 2))
 print("r_3 at (1,0,0) (beyond the rank):", r_k(lp, [1, 0, 0], 3))
 
 report = stratify_sample(lp, StratifyConfig(count=500, seed=42))
-print("rank histogram over 500 rational samples:", dict(sorted(report.histogram.items())))
-print("max-rank stratum fraction:", report.max_rank_fraction)
-print("every sample consistent with the minor sums:", report.minor_consistency)
+print("rank histogram over 500 rational samples:", report["histogram"])
+print("max-rank stratum fraction:", report["max_rank_fraction"])
+print("every sample consistent with the minor sums:", report["minor_consistency"])
 
 pix = PolyBivector(vs, {(0, 1): x})
 line = stratify_sample(pix, StratifyConfig(count=100, seed=7,
                                            include_points=[[0, 1], [0, -2]]))
-print("\nx d_x^d_y histogram with the degenerate line sampled:",
-      dict(sorted(line.histogram.items())))
+print("\nx d_x^d_y histogram with the degenerate line sampled:", line["histogram"])

@@ -30,8 +30,8 @@ e = lambda i: [ONE if t == i else ZERO for t in range(3)]
 
 r = RMatrix.sl2_family(L, Fraction(1), Fraction(2), Fraction(-3))
 inv = schouten_wedge_bracket(r)
-print("[Lam, Lam] =", inv.bracket)
-print("ad-invariant:", inv.invariant)
+print("[Lam, Lam] =", inv["schouten_square"])
+print("ad-invariant:", inv["passed"])
 
 for (i, j), label in (((0, 1), "[e1*,e2*]*"), ((1, 2), "[e2*,e3*]*"), ((2, 0), "[e3*,e1*]*")):
     print(label, "=", [str(c) for c in dual_bracket_from_r(r, e(i), e(j))])
@@ -41,7 +41,7 @@ print("dual bracket satisfies Jacobi:", dual.check_jacobi().ok)
 
 bi = LieBialgebra.from_r_matrix(r)
 rep = validate_bialgebra(bi)
-print("bialgebra validation (Jacobi x2 + cocycle):", rep.ok)
+print("bialgebra validation (Jacobi x2 + cocycle):", rep["passed"])
 
 # the worked special case lam = (0, 2, 0)
 r2 = RMatrix.sl2_family(L, 0, 2, 0)
@@ -53,18 +53,18 @@ print("  [e3*,e1*]* =", [str(c) for c in dual_bracket_from_r(r2, e(2), e(0))])
 # -- abelian multiplicative structures ------------------------------------------------
 
 lin = AbelianPLStructure.torus2_line_linear(Q(2), Q(-3), Q("1/2"))
-print("\nlinear structure on T^2 x R passes all identities:", abelian_pl_check(lin).ok)
+print("\nlinear structure on T^2 x R passes all identities:", abelian_pl_check(lin)["passed"])
 
 lit = AbelianPLStructure.torus2_line_example(Q(2), Q(-3), Q("1/2"))
 rep = abelian_pl_check(lit)
-print("mixed-exponential structure: Jacobi =", rep.jacobi,
-      "| multiplicative =", rep.multiplicative)
-print("failing identities:", rep.failing_identities())
+print("mixed-exponential structure: Jacobi =", rep["jacobi"],
+      "| multiplicative =", rep["multiplicative"])
+print("failing identities:", rep["failing_identities"])
 
 # -- the log-coordinate identity on multiplicative groups -----------------------------
 
 logid = check_log_coordinate_identity(L)
-print("\nlog-coordinate identity for the sl2 constants holds identically:", logid.passed)
+print("\nlog-coordinate identity for the sl2 constants holds identically:", logid["passed"])
 bad = LieAlgebra(3, {(0, 1): [0, 0, 1], (1, 2): [0, 1, 0]})
 print("for constants that fail Jacobi, residuals in the logs l_k:",
-      [(t, str(r)) for t, r in check_log_coordinate_identity(bad).residuals[:2]])
+      check_log_coordinate_identity(bad)["residuals"][:2])

@@ -353,23 +353,7 @@ def coadjoint_dressing_bundle(L: LieAlgebra, defining_mats,
 # -- group-level Poisson-action check ----------------------------------------------------
 
 
-@dataclass
-class ActionCheckReport:
-    passed: bool
-    mode: str
-    failures: list
-    samples: int
-
-    def to_json(self):
-        return {
-            "passed": self.passed,
-            "mode": self.mode,
-            "samples": self.samples,
-            "failures": self.failures,
-        }
-
-
-def check_poisson_action(a: LinearPoissonAction, samples) -> ActionCheckReport:
+def check_poisson_action(a: LinearPoissonAction, samples) -> dict:
     """Evaluate pi(g x) = dsigma_g pi(x) + dsigma^x pi_G(g) exactly at exact
     sample pairs; pi_G(g) is the coboundary left-minus-right translate of the
     r-matrix (zero when no r-matrix is attached).  With the lift generators
@@ -399,35 +383,20 @@ def check_poisson_action(a: LinearPoissonAction, samples) -> ActionCheckReport:
             failures.append({"g": [[str(t) for t in row] for row in linalg.mat(g)],
                              "x": [str(GaussianRational.coerce(t)) for t in x],
                              "residual": [[str(t) for t in row] for row in linalg._scalars(diff)]})
-    return ActionCheckReport(
-        passed=not failures, mode="symbolic", failures=failures, samples=len(samples)
-    )
+    return {"passed": not failures, "mode": "symbolic", "samples": len(samples),
+            "failures": failures}
 
 
 # -- the quadratic cocycle identity on the plane ------------------------------------------
 
 
-@dataclass
-class HCertificate:
-    h: MultiPoly
-    certificate: MultiPoly     # normal form of lhs - rhs modulo the group relation
-    passed: bool
-
-    def to_json(self):
-        return {
-            "passed": self.passed,
-            "mode": "symbolic",
-            "h": str(self.h),
-            "certificate": str(self.certificate),
-        }
-
-
-def solve_h_certificate(l1, l2, l3, c) -> HCertificate:
+def solve_h_certificate(l1, l2, l3, c) -> dict:
     """Construct the closed-form h and certify the group cocycle identity
 
         h(g x) - h(x) = (quadratic form in the group entries and x)
 
-    as a polynomial identity after reduction modulo the determinant relation.
+    as a polynomial identity after reduction modulo the determinant relation;
+    ``certificate`` is the normal form of lhs - rhs modulo that relation.
     """
     l1, l2, l3, cc = (GaussianRational.coerce(v) for v in (l1, l2, l3, c))
     names = ("a1", "a2", "a3", "a4", "x1", "x2")
@@ -442,35 +411,19 @@ def solve_h_certificate(l1, l2, l3, c) -> HCertificate:
         (2 * lp, (x1, x2, a1, a2)), (-2 * lm, (x1, x2, a3, a4)), (-4 * l2, (x1, x2, a2, a3))])
     ideal = sl2_relation_ideal()
     cert = ideal.reduce(lhs - rhs)
-    return HCertificate(h=h, certificate=cert, passed=cert.is_zero())
+    return {"passed": cert.is_zero(), "mode": "symbolic", "h": str(h), "certificate": str(cert)}
 
 
 # -- structure preservation and tangentiality ----------------------------------------------
 
 
-@dataclass
-class PreservationReport:
-    passed: bool
-    per_generator: list   # (index, preserved, residual string)
-
-    def to_json(self):
-        return {
-            "passed": self.passed,
-            "mode": "symbolic",
-            "per_generator": [
-                {"index": i, "preserved": ok, "residual": res}
-                for i, ok, res in self.per_generator
-            ],
-        }
-
-
-def check_structure_preserved(a: LinearPoissonAction) -> PreservationReport:
+def check_structure_preserved(a: LinearPoissonAction) -> dict:
     """L_{lam(e_i)} pi = 0 symbolically for every generator."""
     rows = []
     for i, f in enumerate(a.fields()):
         lv = lie_derivative_bivector(a.bivector, f)
-        rows.append((i, lv.is_zero(), str(lv)))
-    return PreservationReport(passed=all(ok for _, ok, _ in rows), per_generator=rows)
+        rows.append({"index": i, "preserved": lv.is_zero(), "residual": str(lv)})
+    return {"passed": all(r["preserved"] for r in rows), "mode": "symbolic", "per_generator": rows}
 
 
 def tangential_coefficient_predicate(l1, l2, l3, c) -> bool:
@@ -479,24 +432,7 @@ def tangential_coefficient_predicate(l1, l2, l3, c) -> bool:
     return (l1 + l3 > 0) and (l1 * l1 + l2 * l2 - l3 * l3 < 0) and (c >= 0)
 
 
-@dataclass
-class TangentialReport:
-    passed: bool
-    failures: list   # (point, generator index)
-    points: int
-
-    def to_json(self):
-        return {
-            "passed": self.passed,
-            "mode": "symbolic",
-            "points": self.points,
-            "failures": [
-                {"point": [str(x) for x in p], "generator": i} for p, i in self.failures
-            ],
-        }
-
-
-def tangential_check(a: LinearPoissonAction, points) -> TangentialReport:
+def tangential_check(a: LinearPoissonAction, points) -> dict:
     """At each exact point, solvability of pi(p) alpha = lam(e_i)(p) for every
     generator (membership of the orbit directions in the image of the anchor).
 
@@ -518,8 +454,9 @@ def tangential_check(a: LinearPoissonAction, points) -> TangentialReport:
             rows, width = [u + v for u, v in zip(linalg._realified(p, q), values)], 2 * n
         pivots = linalg._eliminate(rows, jordan=False)
         below = rows[sum(c < width for c in pivots):]
-        failures += [(list(point), i) for i in range(k) if any(row[width + i] for row in below)]
-    return TangentialReport(passed=not failures, failures=failures, points=len(points))
+        failures += [{"point": [str(t) for t in point], "generator": i}
+                     for i in range(k) if any(row[width + i] for row in below)]
+    return {"passed": not failures, "mode": "symbolic", "points": len(points), "failures": failures}
 
 
 def find_rank_drop_witness(l1, l2, l3, c):
@@ -566,21 +503,8 @@ def xi_f(a: LinearPoissonAction, f: MultiPoly) -> list:
     return [fld.apply(f) for fld in a.fields()]
 
 
-@dataclass
-class ActionBracketReport:
-    passed: bool
-    residuals: list   # per basis index, residual polynomial string
-
-    def to_json(self):
-        return {
-            "passed": self.passed,
-            "mode": "symbolic",
-            "residuals": [{"index": i, "residual": r} for i, r in self.residuals],
-        }
-
-
 def check_action_bracket_identity(a: LinearPoissonAction, dual_algebra: LieAlgebra, f: MultiPoly,
-             g: MultiPoly) -> ActionBracketReport:
+             g: MultiPoly) -> dict:
     """lam(X)({f,g}) = {lam(X)f, g} + {f, lam(X)g} + <X, [xi_f, xi_g]_*>,
     verified as a polynomial identity for each basis X."""
     pi = a.bivector
@@ -605,29 +529,19 @@ def check_action_bracket_identity(a: LinearPoissonAction, dual_algebra: LieAlgeb
         res = lhs - rhs
         if not res.is_zero():
             ok = False
-        residuals.append((k, str(res)))
-    return ActionBracketReport(passed=ok, residuals=residuals)
+        residuals.append({"index": k, "residual": str(res)})
+    return {"passed": ok, "mode": "symbolic", "residuals": residuals}
 
 
 # -- isotropy and annihilator -------------------------------------------------------------
 
 
-@dataclass
-class IsotropyReport:
-    isotropy_basis: list
-    annihilator_basis: list
-    annihilator_abelian: bool
-
-    def to_json(self):
-        return {
-            "isotropy": [[str(x) for x in v] for v in self.isotropy_basis],
-            "annihilator": [[str(x) for x in v] for v in self.annihilator_basis],
-            "annihilator_abelian": self.annihilator_abelian,
-        }
+def _strings(basis) -> list:
+    """Each vector of ``basis`` as a list of strings."""
+    return [[str(x) for x in v] for v in basis]
 
 
-def isotropy_and_annihilator(a: LinearPoissonAction, point,
-                             dual_algebra: LieAlgebra) -> IsotropyReport:
+def isotropy_and_annihilator(a: LinearPoissonAction, point, dual_algebra: LieAlgebra) -> dict:
     """Exact isotropy subalgebra at a point, its annihilator, and whether the
     annihilator is abelian for the supplied dual bracket."""
     iso = linear_isotropy(a.rep_mats, point)
@@ -637,9 +551,8 @@ def isotropy_and_annihilator(a: LinearPoissonAction, point,
         if any(dual_algebra.bracket(u, v)):
             abelian_ok = False
             break
-    return IsotropyReport(
-        isotropy_basis=iso, annihilator_basis=ann, annihilator_abelian=abelian_ok
-    )
+    return {"isotropy": _strings(iso), "annihilator": _strings(ann),
+            "annihilator_abelian": abelian_ok}
 
 
 # -- momentum maps --------------------------------------------------------------------------
@@ -672,56 +585,12 @@ def identity_momentum_map(L: LieAlgebra, pi: PolyBivector, shift=None) -> Moment
     return MomentumMap(L, comps)
 
 
-@dataclass
-class MomentumReport:
-    passed: bool
-    residuals: list
-
-    def to_json(self):
-        return {
-            "passed": self.passed,
-            "mode": "symbolic",
-            "residuals": self.residuals,
-        }
-
-
-def momentum_check(a: LinearPoissonAction, m: MomentumMap) -> MomentumReport:
+def momentum_check(a: LinearPoissonAction, m: MomentumMap) -> dict:
     """lam(e_i) = X_{m(e_i)} per basis element, as a polynomial identity."""
     pi = a.bivector
     residuals = [fld - hamiltonian_field(pi, m.components[i]) for i, fld in enumerate(a.fields())]
-    return MomentumReport(passed=all(r.is_zero() for r in residuals),
-                          residuals=[{"index": i, "residual": str(r)}
-                                     for i, r in enumerate(residuals)])
-
-
-@dataclass
-class NormalizationReport:
-    """The two momentum-map families of the first generator field lam on a
-    plane with bivector h d_1 ^ d_2, each solved for its one constant."""
-
-    log_constant: GaussianRational      # s of J = s*log|h|
-    log_residual: list                  # h*lam_k - s*X_h,k per k
-    power_square: GaussianRational      # a^2 of J = a*|h|^(-1/2)
-    power_residual: list                # 4*h^3*lam_k^2 - a^2*X_h,k^2 per k
-
-    @property
-    def consistent(self) -> bool:
-        return all(r.is_zero() for r in self.log_residual)
-
-    @property
-    def power_consistent(self) -> bool:
-        return all(r.is_zero() for r in self.power_residual)
-
-    def to_json(self):
-        return {
-            "family": "s*log|h|",
-            "solved_constant": str(self.log_constant),
-            "residual": [str(r) for r in self.log_residual],
-            "passed": self.consistent,
-            "mode": "symbolic",
-            "power_family_consistent": self.power_consistent,
-            "power_family_residual": [str(r) for r in self.power_residual],
-        }
+    return {"passed": all(r.is_zero() for r in residuals), "mode": "symbolic",
+            "residuals": [{"index": i, "residual": str(r)} for i, r in enumerate(residuals)]}
 
 
 def _solve_scale(lhs, rhs) -> tuple:
@@ -733,9 +602,11 @@ def _solve_scale(lhs, rhs) -> tuple:
     return t, [left - right.scale(t) for left, right in zip(lhs, rhs)]
 
 
-def solve_momentum_normalization(a: LinearPoissonAction) -> NormalizationReport:
+def solve_momentum_normalization(a: LinearPoissonAction) -> dict:
     """Solve both momentum-map families of the first generator field lam of
-    an action on the plane with bivector pi = h d_1 ^ d_2, exactly.
+    an action on the plane with bivector pi = h d_1 ^ d_2, exactly: s and
+    the residuals h*lam_k - s*X_h,k of J = s*log|h| (``passed`` iff all
+    vanish), and the residuals 4*h^3*lam_k^2 - a^2*X_h,k^2 of J = a*|h|^(-1/2).
 
     For J = s*log|h|, X_J = (s/h) X_h, so lam = X_J iff h*lam = s*X_h.  For
     J = a*|h|^(-1/2), X_J = -(a/2) h^(-3/2) X_h where h > 0, so lam = X_J
@@ -750,9 +621,12 @@ def solve_momentum_normalization(a: LinearPoissonAction) -> NormalizationReport:
     xh = [hamiltonian_field(pi, h).component(k) for k in range(2)]
     s, log_residual = _solve_scale([h * v for v in lam], xh)
     h3 = (h * h * h).scale(4)
-    a2, power_residual = _solve_scale([h3 * v * v for v in lam], [v * v for v in xh])
-    return NormalizationReport(log_constant=s, log_residual=log_residual,
-                               power_square=a2, power_residual=power_residual)
+    _, power_residual = _solve_scale([h3 * v * v for v in lam], [v * v for v in xh])
+    return {"family": "s*log|h|", "solved_constant": str(s),
+            "residual": [str(r) for r in log_residual],
+            "passed": all(r.is_zero() for r in log_residual), "mode": "symbolic",
+            "power_family_consistent": all(r.is_zero() for r in power_residual),
+            "power_family_residual": [str(r) for r in power_residual]}
 
 
 # -- the obstruction cochain -----------------------------------------------------------------
@@ -788,35 +662,6 @@ def gamma(a: LinearPoissonAction, m: MomentumMap) -> GammaCochain:
     return GammaCochain(L, entries)
 
 
-@dataclass
-class GammaChecksReport:
-    casimir_ok: bool
-    casimir_failures: list
-    cocycle_ok: bool
-    cocycle_residuals: list
-    correction_solvable: bool | None
-    correction: list | None
-    corrected_vanishes: bool | None
-
-    @property
-    def ok(self):
-        solv = self.correction_solvable in (True, None)
-        return self.casimir_ok and self.cocycle_ok and solv
-
-    def to_json(self):
-        return {
-            "passed": self.ok,
-            "mode": "symbolic",
-            "casimir_ok": self.casimir_ok,
-            "casimir_failures": self.casimir_failures,
-            "cocycle_ok": self.cocycle_ok,
-            "cocycle_residuals": self.cocycle_residuals,
-            "correction_solvable": self.correction_solvable,
-            "correction": [str(x) for x in self.correction] if self.correction else None,
-            "corrected_vanishes": self.corrected_vanishes,
-        }
-
-
 def gamma_cocycle_residuals(a: LinearPoissonAction, G: GammaCochain,
                             m: MomentumMap | None = None) -> list:
     """d_2 Gamma on all basis triples, where d_2 : C^2 -> C^3 is the
@@ -848,13 +693,14 @@ def gamma_cocycle_residuals(a: LinearPoissonAction, G: GammaCochain,
 
 
 def gamma_checks(a: LinearPoissonAction, G: GammaCochain,
-                 m: MomentumMap | None = None) -> GammaChecksReport:
+                 m: MomentumMap | None = None) -> dict:
     """(i) every entry is a Casimir; (ii) d_2 Gamma = 0 symbolically (see
     :func:`gamma_cocycle_residuals`); (iii) exactness of a constant Gamma:
     solve d_1 phi = Gamma for a constant correction phi, where
     d_1 : C^1 -> C^2 is the Chevalley-Eilenberg differential with trivial
     coefficients, (d_1 phi)(e_i, e_j) = -phi([e_i, e_j]).  The class is
-    reported unsolvable when it is nonzero."""
+    reported unsolvable when it is nonzero; it passes when (i) and (ii)
+    hold and the correction is not unsolvable."""
     pi = a.bivector
     cas_fail = []
     for (i, j), p in sorted(G.entries.items()):
@@ -874,17 +720,18 @@ def gamma_checks(a: LinearPoissonAction, G: GammaCochain,
         solvable = correction is not None
         if solvable:
             corrected_zero = linalg.mat_vec(d1.matrix, correction) == consts
-    return GammaChecksReport(
-        casimir_ok=not cas_fail,
-        casimir_failures=cas_fail,
-        cocycle_ok=cocycle_ok,
-        cocycle_residuals=[
-            {"triple": list(t), "residual": str(r)} for t, r in cres if not r.is_zero()
-        ],
-        correction_solvable=solvable,
-        correction=correction,
-        corrected_vanishes=corrected_zero,
-    )
+    return {
+        "passed": not cas_fail and cocycle_ok and solvable is not False,
+        "mode": "symbolic",
+        "casimir_ok": not cas_fail,
+        "casimir_failures": cas_fail,
+        "cocycle_ok": cocycle_ok,
+        "cocycle_residuals": [{"triple": list(t), "residual": str(r)}
+                              for t, r in cres if not r.is_zero()],
+        "correction_solvable": solvable,
+        "correction": [str(x) for x in correction] if correction else None,
+        "corrected_vanishes": corrected_zero,
+    }
 
 
 # -- the group cocycle ------------------------------------------------------------------------
@@ -908,24 +755,7 @@ def sigma(a: LinearPoissonAction, m: MomentumMap, g, x) -> list:
     return linalg._scalars(_sigma(m_at, _group_maps(a, linalg._int_mat(g)), xv, m_at(xv)))
 
 
-@dataclass
-class PsiCocycleReport:
-    passed: bool
-    max_violations: list
-    samples: int
-    casimir_ok: bool
-
-    def to_json(self):
-        return {
-            "passed": self.passed and self.casimir_ok,
-            "mode": "symbolic",
-            "samples": self.samples,
-            "violations": self.max_violations,
-            "sigma_components_casimir": self.casimir_ok,
-        }
-
-
-def psi_cocycle_check(a: LinearPoissonAction, m: MomentumMap, triples) -> PsiCocycleReport:
+def psi_cocycle_check(a: LinearPoissonAction, m: MomentumMap, triples) -> dict:
     """Psi(gh) = Psi(g) + Ad*_{g^{-1}} Psi(h) exactly at sampled (g, h, x),
     plus the Casimir property of the components of Sigma(g, .).  Each triple
     evaluates m(x) once, and each distinct group element of the call gets its
@@ -966,38 +796,14 @@ def psi_cocycle_check(a: LinearPoissonAction, m: MomentumMap, triples) -> PsiCoc
             comp = m.components[k].over(gx.vars).substitute(gx_sym) - m.of_vector(co[k])
             if not casimir_check(a.bivector, comp):
                 cas_ok = False
-    return PsiCocycleReport(
-        passed=not violations, max_violations=violations, samples=len(triples),
-        casimir_ok=cas_ok,
-    )
+    return {"passed": not violations and cas_ok, "mode": "symbolic", "samples": len(triples),
+            "violations": violations, "sigma_components_casimir": cas_ok}
 
 
 # -- kernel/image of the momentum differential --------------------------------------------------
 
 
-@dataclass
-class KernelImageReport:
-    kernel_basis: list
-    image_basis: list
-    kernel_matches_orthogonal: bool
-    image_matches_annihilator: bool
-
-    @property
-    def ok(self):
-        return self.kernel_matches_orthogonal and self.image_matches_annihilator
-
-    def to_json(self):
-        return {
-            "passed": self.ok,
-            "mode": "symbolic",
-            "kernel": [[str(x) for x in v] for v in self.kernel_basis],
-            "image": [[str(x) for x in v] for v in self.image_basis],
-            "kernel_matches_symplectic_orthogonal": self.kernel_matches_orthogonal,
-            "image_matches_isotropy_annihilator": self.image_matches_annihilator,
-        }
-
-
-def momentum_kernel_image(a: LinearPoissonAction, m: MomentumMap, point) -> KernelImageReport:
+def momentum_kernel_image(a: LinearPoissonAction, m: MomentumMap, point) -> dict:
     """At a symplectic point: ker m_* against the symplectic orthogonal of the
     orbit directions, and im m_* against the annihilator of the isotropy."""
     pi = a.bivector
@@ -1027,36 +833,18 @@ def momentum_kernel_image(a: LinearPoissonAction, m: MomentumMap, point) -> Kern
 
     ann = linalg.annihilator(linear_isotropy(a.rep_mats, point), a.algebra.dim)
 
-    return KernelImageReport(
-        kernel_basis=kernel,
-        image_basis=image,
-        kernel_matches_orthogonal=linalg.subspace_equal(kernel, orthogonal),
-        image_matches_annihilator=linalg.subspace_equal(image, ann),
-    )
+    kernel_ok = linalg.subspace_equal(kernel, orthogonal)
+    image_ok = linalg.subspace_equal(image, ann)
+    return {"passed": kernel_ok and image_ok, "mode": "symbolic",
+            "kernel": _strings(kernel), "image": _strings(image),
+            "kernel_matches_symplectic_orthogonal": kernel_ok,
+            "image_matches_isotropy_annihilator": image_ok}
 
 
 # -- the commutator-inclusion check ---------------------------------------------------------------
 
 
-@dataclass
-class CommutatorInclusionReport:
-    inclusion_holds: bool
-    isotropy_dual_dim: int
-    isotropy_point_dim: int
-    local_minimality_warning: bool
-
-    def to_json(self):
-        return {
-            "passed": self.inclusion_holds,
-            "mode": "symbolic",
-            "dim_isotropy_at_value": self.isotropy_dual_dim,
-            "dim_isotropy_at_point": self.isotropy_point_dim,
-            "local_minimality_warning": self.local_minimality_warning,
-        }
-
-
-def check_commutator_inclusion(a: LinearPoissonAction, m: MomentumMap,
-                               point) -> CommutatorInclusionReport:
+def check_commutator_inclusion(a: LinearPoissonAction, m: MomentumMap, point) -> dict:
     """[g_u, g_u] inside g_p for u = m(p), with a sampled local-minimality
     probe of dim g_{m(.)} around the point (warn-only)."""
     L = a.algebra
@@ -1077,9 +865,5 @@ def check_commutator_inclusion(a: LinearPoissonAction, m: MomentumMap,
              for x in point]
         if len(linear_isotropy(dressing, m.eval_exact(pi.vars, q))) < dim_u:
             warn = True
-    return CommutatorInclusionReport(
-        inclusion_holds=ok,
-        isotropy_dual_dim=dim_u,
-        isotropy_point_dim=len(gp),
-        local_minimality_warning=warn,
-    )
+    return {"passed": ok, "mode": "symbolic", "dim_isotropy_at_value": dim_u,
+            "dim_isotropy_at_point": len(gp), "local_minimality_warning": warn}

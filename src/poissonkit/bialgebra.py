@@ -21,7 +21,7 @@ composite here is calibrated.)
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import linalg
 from .lie import LieAlgebra
@@ -131,31 +131,17 @@ def delta_from_r(r: RMatrix, X) -> AlgMultiVector:
     return schouten(_element(r.algebra, X), r)
 
 
-@dataclass
-class InvarianceReport:
-    bracket: AlgMultiVector
-    invariant: bool
-    residuals: list  # (basis index, AlgMultiVector) for violations
-
-    def to_json(self):
-        return {
-            "passed": self.invariant,
-            "mode": "symbolic",
-            "schouten_square": str(self.bracket),
-            "violations": [{"index": i, "residual": str(t)} for i, t in self.residuals],
-        }
-
-
-def schouten_wedge_bracket(r: RMatrix) -> InvarianceReport:
+def schouten_wedge_bracket(r: RMatrix) -> dict:
     """[Lam, Lam] in Lambda^3 g plus the ad-invariance verdict."""
     L = r.algebra
     sq = schouten(r, r)
-    residuals = []
+    violations = []
     for i, X in enumerate(linalg.identity(L.dim)):
         res = schouten(_element(L, X), sq)
         if not res.is_zero():
-            residuals.append((i, res))
-    return InvarianceReport(bracket=sq, invariant=not residuals, residuals=residuals)
+            violations.append({"index": i, "residual": str(res)})
+    return {"passed": not violations, "mode": "symbolic", "schouten_square": str(sq),
+            "violations": violations}
 
 
 def _coad_plus(L: LieAlgebra, X, mu) -> list:
@@ -240,31 +226,7 @@ class LieBialgebra:
                                                for i in range(n) for j in range(i + 1, n)})
 
 
-@dataclass
-class BialgebraReport:
-    jacobi_primal: bool
-    jacobi_dual: bool
-    cocycle: bool
-    cocycle_residuals: list
-
-    @property
-    def ok(self):
-        return self.jacobi_primal and self.jacobi_dual and self.cocycle
-
-    def to_json(self):
-        return {
-            "passed": self.ok,
-            "mode": "symbolic",
-            "jacobi_primal": self.jacobi_primal,
-            "jacobi_dual": self.jacobi_dual,
-            "cocycle": self.cocycle,
-            "cocycle_residuals": [
-                {"pair": list(p), "residual": str(t)} for p, t in self.cocycle_residuals
-            ],
-        }
-
-
-def validate_bialgebra(b: LieBialgebra) -> BialgebraReport:
+def validate_bialgebra(b: LieBialgebra) -> dict:
     """Checks (i) Jacobi on g, (ii) Jacobi on g*, (iii) the 1-cocycle
     condition delta([X,Y]) = ad_X.delta(Y) - ad_Y.delta(X) on basis pairs."""
     L = b.primal
@@ -283,11 +245,9 @@ def validate_bialgebra(b: LieBialgebra) -> BialgebraReport:
             rhs = schouten(e[i], deltas[j]) - schouten(e[j], deltas[i])
             diff = lhs - rhs
             if not diff.is_zero():
-                residuals.append(((i, j), diff))
-    return BialgebraReport(
-        jacobi_primal=jp, jacobi_dual=jd, cocycle=not residuals,
-        cocycle_residuals=residuals,
-    )
+                residuals.append({"pair": [i, j], "residual": str(diff)})
+    return {"passed": jp and jd and not residuals, "mode": "symbolic", "jacobi_primal": jp,
+            "jacobi_dual": jd, "cocycle": not residuals, "cocycle_residuals": residuals}
 
 
 # -- abelian Poisson-Lie structures on T^m x R^n -----------------------------------------
@@ -374,53 +334,16 @@ class AbelianPLStructure:
         )
 
 
-@dataclass
-class AbelianPLReport:
-    unit_vanishes: bool
-    zero_block: bool
-    zero_block_violations: list
-    jacobi: bool
-    jacobi_residual: str
-    multiplicative: bool
-    multiplicativity_violations: list
-    notes: list = field(default_factory=list)
-
-    @property
-    def ok(self):
-        return self.unit_vanishes and self.zero_block and self.jacobi and self.multiplicative
-
-    def failing_identities(self) -> list:
-        out = []
-        if not self.unit_vanishes:
-            out.append("unit-vanishing pi(e) = 0")
-        if not self.zero_block:
-            out.append("zero-block / linear coefficient condition")
-        if not self.jacobi:
-            out.append("Jacobi identity [pi, pi] = 0")
-        if not self.multiplicative:
-            out.append("additive multiplicativity pi(u v) = pi(u) + pi(v)")
-        return out
-
-    def to_json(self):
-        return {
-            "passed": self.ok,
-            "mode": "symbolic",
-            "unit_vanishes": self.unit_vanishes,
-            "zero_block": self.zero_block,
-            "zero_block_violations": self.zero_block_violations,
-            "jacobi": self.jacobi,
-            "jacobi_residual": self.jacobi_residual,
-            "multiplicative": self.multiplicative,
-            "multiplicativity_violations": [
-                {"component": list(k), "residual": str(rs)}
-                for k, rs in self.multiplicativity_violations
-            ],
-            "failing_identities": self.failing_identities(),
-            "notes": self.notes,
-        }
+# the identities of abelian_pl_check: payload key, name in "failing_identities"
+_PL_IDENTITIES = (
+    ("unit_vanishes", "unit-vanishing pi(e) = 0"),
+    ("zero_block", "zero-block / linear coefficient condition"),
+    ("jacobi", "Jacobi identity [pi, pi] = 0"),
+    ("multiplicative", "additive multiplicativity pi(u v) = pi(u) + pi(v)"),
+)
 
 
-def abelian_pl_check(s: AbelianPLStructure) -> AbelianPLReport:
+def abelian_pl_check(s: AbelianPLStructure) -> dict:
     """Verify the three defining identities of an abelian multiplicative
     structure; verdicts are reported per identity, never assumed."""
     pi = s.bivector
@@ -463,47 +386,35 @@ def abelian_pl_check(s: AbelianPLStructure) -> AbelianPLReport:
         jac_ok = L.check_jacobi().ok
         jac_residual = "0" if jac_ok else "nonzero structure-constant cyclic sums"
         mult_viol = [((i, j), MultiPoly.variable(pi.vars, pi.vars[k].name))
-                     for (i, j, k) in ((v[0], v[1], v[2]) for v in violations)]
+                     for i, j, k in violations]
         notes.append(
             "nonzero torus-index coefficients give bare-angle terms that are "
             "not periodic, so no multiplicative bivector descends to the torus"
         )
-        return AbelianPLReport(
-            unit_vanishes=unit_ok,
-            zero_block=False,
-            zero_block_violations=violations,
-            jacobi=jac_ok,
-            jacobi_residual=jac_residual,
-            multiplicative=False,
-            multiplicativity_violations=mult_viol,
-            notes=notes,
-        )
+    else:
+        jac = jacobi_check(pi)
+        jac_ok, jac_residual = jac["passed"], jac["residual"]
+        # additive multiplicativity: pi(u*v) = pi(u) + pi(v) on the doubled chart
+        # (u, v), v primed with the suffix "__b"; the group law acts per coordinate
+        # kind: x -> x + x', and angles add, so units multiply, w -> w * w'.
+        n = len(pi.vars)
+        doubled = generators(*pi.vars, *(Var(v.name + "__b", v.kind) for v in pi.vars))
+        primed = doubled[n:]
+        law = [a * b if x.kind == ANGULAR else a + b for x, a, b in zip(pi.vars, doubled, primed)]
+        mult_viol = []
+        for (i, j), p in sorted(pi.comps.items()):
+            res = p.substitute(law) - p - p.substitute(primed)
+            if not res.is_zero():
+                mult_viol.append(((i, j), res))
 
-    jac = jacobi_check(pi)
-
-    # additive multiplicativity: pi(u*v) = pi(u) + pi(v) on the doubled chart
-    # (u, v), v primed with the suffix "__b"; the group law acts per coordinate
-    # kind: x -> x + x', and angles add, so units multiply, w -> w * w'.
-    n = len(pi.vars)
-    doubled = generators(*pi.vars, *(Var(v.name + "__b", v.kind) for v in pi.vars))
-    primed = doubled[n:]
-    law = [a * b if x.kind == ANGULAR else a + b for x, a, b in zip(pi.vars, doubled, primed)]
-    mult_viol = []
-    for (i, j), p in sorted(pi.comps.items()):
-        res = p.substitute(law) - p - p.substitute(primed)
-        if not res.is_zero():
-            mult_viol.append(((i, j), res))
-
-    return AbelianPLReport(
-        unit_vanishes=unit_ok,
-        zero_block=zero_block,
-        zero_block_violations=violations,
-        jacobi=jac.ok,
-        jacobi_residual=str(jac.residual),
-        multiplicative=not mult_viol,
-        multiplicativity_violations=mult_viol,
-        notes=notes,
-    )
+    payload = {"mode": "symbolic", "unit_vanishes": unit_ok, "zero_block": zero_block,
+               "zero_block_violations": violations, "jacobi": jac_ok,
+               "jacobi_residual": jac_residual, "multiplicative": not mult_viol,
+               "multiplicativity_violations": [{"component": list(k), "residual": str(rs)}
+                                               for k, rs in mult_viol],
+               "notes": notes}
+    failing = [name for key, name in _PL_IDENTITIES if not payload[key]]
+    return {**payload, "passed": not failing, "failing_identities": failing}
 
 
 def _algebra_from_constants(dim: int, constants: dict) -> LieAlgebra:
@@ -521,20 +432,7 @@ def _algebra_from_constants(dim: int, constants: dict) -> LieAlgebra:
 # -- the log-coordinate identity on multiplicative groups ------------------------------
 
 
-@dataclass
-class LogIdentityReport:
-    passed: bool
-    residuals: list     # (rho, delta, gamma) -> nonzero polynomial in the logs l_k
-
-    def to_json(self):
-        return {
-            "passed": self.passed,
-            "mode": "symbolic",
-            "residuals": [{"triple": list(t), "residual": str(r)} for t, r in self.residuals],
-        }
-
-
-def check_log_coordinate_identity(L: LieAlgebra) -> LogIdentityReport:
+def check_log_coordinate_identity(L: LieAlgebra) -> dict:
     """The log-coordinate Jacobi expression of the multiplicative bivector
     ``pi^{mu nu}(z) = sum_d C^d_{mu nu} z_mu z_nu ln z_d``, as a polynomial in
     formal logs ``l_k = ln z_k``, tested for zero.
@@ -562,5 +460,5 @@ def check_log_coordinate_identity(L: LieAlgebra) -> LogIdentityReport:
                     products += [(C[r][d][k] * C[k][g][m], (logs[m],)) for m in range(n)]
         res = MultiPoly.sum_of_products(logs[0].vars, products)
         if not res.is_zero():
-            residuals.append((triple, res))
-    return LogIdentityReport(passed=not residuals, residuals=residuals)
+            residuals.append({"triple": list(triple), "residual": str(res)})
+    return {"passed": not residuals, "mode": "symbolic", "residuals": residuals}

@@ -18,7 +18,6 @@ import functools
 import io
 import json
 import math
-import random
 import sys
 import time
 from fractions import Fraction
@@ -60,7 +59,7 @@ def _emit(checks, stream, suite: str | None = None, timings: bool = False) -> in
     failed = [r["check"] for r in reports if not r.get("skipped") and not r.get("passed")]
     skipped = [r["check"] for r in reports if r.get("skipped")]
     for r in reports:
-        stream.write(json.dumps(r, sort_keys=True, default=str) + "\n")
+        stream.write(json.dumps(r, sort_keys=True) + "\n")
     summary = {
         "summary": {
             "checks": len(reports),
@@ -69,7 +68,7 @@ def _emit(checks, stream, suite: str | None = None, timings: bool = False) -> in
             "passed": len(reports) - len(failed) - len(skipped),
         }
     }
-    stream.write(json.dumps(summary, sort_keys=True, default=str) + "\n")
+    stream.write(json.dumps(summary, sort_keys=True) + "\n")
     return 1 if failed else 0
 
 
@@ -95,12 +94,11 @@ def _open_out(path: str):
         raise SchemaError(f"cannot write --out {path}: {e.strerror}") from None
 
 
-def _sample_points(dim: int, count: int, seed: int, scale: int = 6, denom_power: int = 2):
-    rng = random.Random(seed)
-    return [
-        [Fraction(rng.randint(-scale, scale), 2 ** rng.randint(0, denom_power)) for _ in range(dim)]
-        for _ in range(count)
-    ]
+def _sample_points(variables, count: int, seed: int, scale: int = 6, denom_power: int = 2):
+    """The seeded points of :func:`poisson.sample_points` as lists of scalars."""
+    from .poisson import sample_points
+
+    return [linalg._scalars(row) for row in sample_points(variables, count, seed, scale, denom_power)]
 
 
 # -- suites -------------------------------------------------------------------------
@@ -127,21 +125,19 @@ def run_check_bialgebra(bundle: ProblemBundle, args):
             return {"passed": not dres, "mode": "symbolic",
                     "violations": [[i, j, k, str(t)] for i, j, k, t in dres]}
 
-        yield (f"check-bialgebra:{name}:r-matrix-invariance",
-               lambda: B.schouten_wedge_bracket(r).to_json())
+        yield f"check-bialgebra:{name}:r-matrix-invariance", lambda: B.schouten_wedge_bracket(r)
         yield (f"check-bialgebra:{name}:bialgebra",
-               lambda: B.validate_bialgebra(B.LieBialgebra.from_r_matrix(r)).to_json())
+               lambda: B.validate_bialgebra(B.LieBialgebra.from_r_matrix(r)))
         yield f"check-bialgebra:{name}:delta-duality", delta_duality
     for name, s in sorted(bundle.abelian_structures.items()):
-        yield (f"check-bialgebra:{name}:abelian-multiplicative",
-               lambda: B.abelian_pl_check(s).to_json())
+        yield f"check-bialgebra:{name}:abelian-multiplicative", lambda: B.abelian_pl_check(s)
 
 
 def run_check_poisson(bundle: ProblemBundle, args):
     from . import poisson as P
 
     for name, pi in sorted(bundle.bivectors.items()):
-        yield f"check-poisson:{name}:jacobi", lambda: P.jacobi_check(pi).to_json()
+        yield f"check-poisson:{name}:jacobi", lambda: P.jacobi_check(pi)
         for cname, f in sorted(bundle.casimirs.get(name, {}).items()):
             yield (f"check-poisson:{name}:casimir:{cname}",
                    lambda: {"passed": P.casimir_check(pi, f), "mode": "symbolic"})
@@ -159,11 +155,7 @@ def run_stratify(bundle: ProblemBundle, args):
         denom_power=bundle.sampler.get("denom_power", 3),
     )
     for name, pi in sorted(bundle.bivectors.items()):
-        def stratify():
-            rep = P.stratify_sample(pi, cfg)
-            return {**rep.to_json(), "passed": rep.minor_consistency, "mode": "symbolic"}
-
-        yield f"stratify:{name}", stratify
+        yield f"stratify:{name}", lambda: P.stratify_sample(pi, cfg)
 
 
 def run_flow(bundle: ProblemBundle, args):
@@ -207,18 +199,17 @@ def run_check_action(bundle: ProblemBundle, args):
     seed = bundle.require_seed(args.seed)
     count = _sample_count(args, bundle.sampler.get("count", 50))
     for name, act in sorted(bundle.actions.items()):
-        pts = _sample_points(act.target_dim, count, seed + 1)
+        pts = _sample_points(act.bivector.vars, count, seed + 1)
 
         def poisson_action():
             if not act.sl2:
                 return _NO_SL2
             samples = list(zip(A.sl2_rational_samples(count, seed=seed), pts))
-            return A.check_poisson_action(act, samples).to_json()
+            return A.check_poisson_action(act, samples)
 
         yield f"check-action:{name}:poisson-action", poisson_action
-        yield (f"check-action:{name}:structure-preserved",
-               lambda: A.check_structure_preserved(act).to_json())
-        yield f"check-action:{name}:tangential", lambda: A.tangential_check(act, pts).to_json()
+        yield f"check-action:{name}:structure-preserved", lambda: A.check_structure_preserved(act)
+        yield f"check-action:{name}:tangential", lambda: A.tangential_check(act, pts)
 
 
 def run_momentum(bundle: ProblemBundle, args):
@@ -233,12 +224,11 @@ def run_momentum(bundle: ProblemBundle, args):
             if not act.sl2:
                 return _NO_SL2
             gs = A.sl2_rational_samples(count, seed=seed)
-            pts = _sample_points(act.target_dim, count, seed + 2, scale=3)
-            return A.psi_cocycle_check(act, m, list(zip(gs, gs[1:] + gs[:1], pts))).to_json()
+            pts = _sample_points(act.bivector.vars, count, seed + 2, scale=3)
+            return A.psi_cocycle_check(act, m, list(zip(gs, gs[1:] + gs[:1], pts)))
 
-        yield f"momentum:{name}:hamiltonian-condition", lambda: A.momentum_check(act, m).to_json()
-        yield (f"momentum:{name}:obstruction",
-               lambda: A.gamma_checks(act, A.gamma(act, m), m).to_json())
+        yield f"momentum:{name}:hamiltonian-condition", lambda: A.momentum_check(act, m)
+        yield f"momentum:{name}:obstruction", lambda: A.gamma_checks(act, A.gamma(act, m), m)
         yield f"momentum:{name}:psi-cocycle", psi_cocycle
 
 
@@ -278,31 +268,31 @@ def run_plane_pipeline(bundle: None, args):
         }
 
     yield "example51:dual-brackets", dual_brackets
-    yield "example51:h-certificate", lambda: A.solve_h_certificate(l1, l2, l3, c).to_json()
+    yield "example51:h-certificate", lambda: A.solve_h_certificate(l1, l2, l3, c)
 
     act = A.sl2_plane_action(l1, l2, l3, c)
-    pts = _sample_points(2, count, seed + 1)
+    pts = _sample_points(act.bivector.vars, count, seed + 1)
     yield "example51:poisson-action", lambda: A.check_poisson_action(
-        act, list(zip(A.sl2_rational_samples(count, seed=seed), pts))).to_json()
+        act, list(zip(A.sl2_rational_samples(count, seed=seed), pts)))
 
     def tangential_consistency():
         predicate = A.tangential_coefficient_predicate(l1, l2, l3, c)
-        tang = A.tangential_check(act, pts)
+        tangential = A.tangential_check(act, pts)["passed"]
         witness = None if predicate else A.find_rank_drop_witness(l1, l2, l3, c)
         witness_fails = False
         if witness is not None:
-            witness_fails = not A.tangential_check(act, [witness]).passed
+            witness_fails = not A.tangential_check(act, [witness])["passed"]
         if predicate:
-            consistent = tang.passed
+            consistent = tangential
         else:
             # the predicate rules the action out; consistency means either a
             # sampled failure or an exhibited rank-drop witness with a moving orbit
-            consistent = (not tang.passed) or witness_fails or witness is None
+            consistent = (not tangential) or witness_fails or witness is None
         return {
             "passed": consistent,
             "mode": "symbolic",
             "coefficient_predicate": predicate,
-            "sampled_all_tangential": tang.passed,
+            "sampled_all_tangential": tangential,
             "witness": [str(t) for t in witness] if witness else None,
             "witness_non_tangential": witness_fails,
         }
@@ -318,25 +308,24 @@ def run_plane_pipeline(bundle: None, args):
     analytic = (l1 == 0 and l3 == 0)
 
     def h_subgroup_preserved():
-        preserved = A.check_structure_preserved(sub)
+        preserved = A.check_structure_preserved(sub)["passed"]
         return {
-            "passed": preserved.passed == analytic,
+            "passed": preserved == analytic,
             "mode": "symbolic",
-            "preserved": preserved.passed,
+            "preserved": preserved,
             "expected_from_coefficients": analytic,
         }
 
     def h_subgroup_momentum():
         if not (analytic and l2 != 0):
             return {"skipped": True, "reason": "no momentum map family for these coefficients"}
-        norm = A.solve_momentum_normalization(sub)
-        payload = norm.to_json()
+        payload = A.solve_momentum_normalization(sub)
         payload["note"] = (
             "additive momentum map is s*log|h|, s solved from h*lambda = s*X_h; the "
             "inverse-square-root family a*|h|^(-1/2) admits no constant: no a^2 solves "
             "4*h^3*lambda_k^2 = a^2*X_h,k^2"
         )
-        payload["passed"] = norm.consistent and not norm.power_consistent
+        payload["passed"] = payload["passed"] and not payload["power_family_consistent"]
         return payload
 
     yield "example51:h-subgroup-preserved", h_subgroup_preserved

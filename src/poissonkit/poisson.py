@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from . import linalg
 from .multivector import PolyMultiVector, schouten
-from .poly import AFFINE, MultiPoly, _as_vars
+from .poly import AFFINE, ANGULAR, MultiPoly, _as_vars
 from .scalars import json_int
 
 FLOW_RANK_SAMPLES = 11      # trajectory points at which hamiltonian_flow reports the rank
@@ -329,22 +329,6 @@ def lie_poisson(L: LieAlgebra, names=None) -> PolyBivector:
 # -- Jacobi -----------------------------------------------------------------------
 
 
-@dataclass
-class JacobiBivectorReport:
-    ok: bool
-    residual: PolyMultiVector          # cyclic coordinate-bracket trivector
-    schouten_square: PolyMultiVector   # [pi, pi] computed independently
-    routes_consistent: bool
-
-    def to_json(self) -> dict:
-        return {
-            "passed": self.ok,
-            "mode": "symbolic",
-            "residual": str(self.residual),
-            "routes_consistent": self.routes_consistent,
-        }
-
-
 def jacobiator(pi: PolyBivector) -> PolyMultiVector:
     """Trivector of cyclic sums {{x_i,x_j},x_k} + c.p. over coordinate triples.
 
@@ -374,17 +358,13 @@ def jacobiator(pi: PolyBivector) -> PolyMultiVector:
     return PolyMultiVector(pi.vars, 3, comps)
 
 
-def jacobi_check(pi: PolyBivector) -> JacobiBivectorReport:
-    """True iff [pi, pi] = 0; the cyclic coordinate route is cross-checked
-    against the Schouten square computed independently."""
+def jacobi_check(pi: PolyBivector) -> dict:
+    """Passed iff [pi, pi] = 0, with the cyclic coordinate route
+    :func:`jacobiator` as the residual; that route is cross-checked against
+    the Schouten square computed independently."""
     cyc = jacobiator(pi)
-    sq = schouten(pi, pi)
-    return JacobiBivectorReport(
-        ok=cyc.is_zero(),
-        residual=cyc,
-        schouten_square=sq,
-        routes_consistent=(cyc.is_zero() == sq.is_zero()),
-    )
+    return {"passed": cyc.is_zero(), "mode": "symbolic", "residual": str(cyc),
+            "routes_consistent": cyc.is_zero() == schouten(pi, pi).is_zero()}
 
 
 # -- one-form calculus ---------------------------------------------------------------
@@ -429,29 +409,12 @@ def one_form_bracket_displayed(pi: PolyBivector, alpha: PolyOneForm, beta: PolyO
     return d0 - _interior_two_form(sa, beta) + _interior_two_form(sb, alpha)
 
 
-@dataclass
-class OneFormConventionReport:
-    match_verbatim: bool
-    match_up_to_sign: bool
-    difference: PolyOneForm
-
-    def to_json(self):
-        return {
-            "match_verbatim": self.match_verbatim,
-            "match_up_to_sign": self.match_up_to_sign,
-            "difference": str(self.difference),
-        }
-
-
-def compare_one_form_conventions(pi, alpha, beta) -> OneFormConventionReport:
+def compare_one_form_conventions(pi, alpha, beta) -> dict:
     k = one_form_bracket(pi, alpha, beta)
     d = one_form_bracket_displayed(pi, alpha, beta)
     diff = k - d
-    return OneFormConventionReport(
-        match_verbatim=diff.is_zero(),
-        match_up_to_sign=(k + d).is_zero() or diff.is_zero(),
-        difference=diff,
-    )
+    return {"match_verbatim": diff.is_zero(),
+            "match_up_to_sign": (k + d).is_zero() or diff.is_zero(), "difference": str(diff)}
 
 
 def lie_derivative_bivector(pi: PolyBivector, V: PolyVectorField) -> PolyMultiVector:
@@ -459,32 +422,13 @@ def lie_derivative_bivector(pi: PolyBivector, V: PolyVectorField) -> PolyMultiVe
     return schouten(V, pi)
 
 
-@dataclass
-class PairingIdentityReport:
-    """Pairing of a vector field against the one-form bracket versus the
-    bivector-derivative expansion, in both displayed and sign-corrected form."""
-
-    corrected_holds: bool
-    verbatim_holds: bool
-    residual_corrected: MultiPoly
-    residual_verbatim: MultiPoly
-
-    def to_json(self):
-        return {
-            "passed": self.corrected_holds,
-            "mode": "symbolic",
-            "verbatim_holds": self.verbatim_holds,
-            "residual": str(self.residual_corrected),
-        }
-
-
 def pairing_identity_check(pi: PolyBivector, V: PolyVectorField, alpha: PolyOneForm,
-                      beta: PolyOneForm) -> PairingIdentityReport:
+                           beta: PolyOneForm) -> dict:
     """Check <V, {alpha,beta}> against (L_V pi)(alpha,beta) -/+ interior terms.
 
     The displayed placement of the interior-product signs does not hold with
     the {df,dg}=d{f,g} normalization; the corrected placement (signs swapped)
-    does, and both verdicts are reported.
+    does, and both verdicts are reported, with the corrected residual.
     """
     lhs = V.pair(one_form_bracket(pi, alpha, beta))
     lv = lie_derivative_bivector(pi, V)
@@ -499,14 +443,10 @@ def pairing_identity_check(pi: PolyBivector, V: PolyVectorField, alpha: PolyOneF
     iva = V.pair(alpha)
     term_a = sa.pair(differential(ivb, pi.vars))
     term_b = sb.pair(differential(iva, pi.vars))
-    rhs_verbatim = pair_lv - term_a + term_b
-    rhs_corrected = pair_lv + term_a - term_b
-    return PairingIdentityReport(
-        corrected_holds=(lhs - rhs_corrected).is_zero(),
-        verbatim_holds=(lhs - rhs_verbatim).is_zero(),
-        residual_corrected=lhs - rhs_corrected,
-        residual_verbatim=lhs - rhs_verbatim,
-    )
+    residual = lhs - (pair_lv + term_a - term_b)
+    return {"passed": residual.is_zero(), "mode": "symbolic",
+            "verbatim_holds": (lhs - (pair_lv - term_a + term_b)).is_zero(),
+            "residual": str(residual)}
 
 
 # -- rank stratification ---------------------------------------------------------------
@@ -534,6 +474,31 @@ def _largest_even_nonzero(sums) -> int:
     return max(k for k in range(0, len(sums), 2) if sums[k])
 
 
+def sample_points(variables, count: int, seed: int, scale: int, denom_power: int) -> list:
+    """``count`` seeded points on the chart ``variables``, each as the
+    integer row ``(u, v, q)`` of :func:`linalg._int_row`.
+
+    Each coordinate draws t = a / b, a in [-scale, scale] and b = 2^j with j
+    in [0, denom_power], in this order; an affine coordinate is t, and an
+    angular one, a unit w = e^{i theta}, is the point ((1 - t^2) + 2it) /
+    (1 + t^2) of the unit circle.  The row's q is the lcm of the
+    denominators b and b^2 + a^2 as drawn, not reduced, and ``v`` is None
+    when the chart has no angular variable."""
+    angular = [v.kind == ANGULAR for v in _as_vars(variables)]
+    gaussian = any(angular)
+    randint = random.Random(seed).randint
+    rows = []
+    for _ in range(count):
+        parts = []
+        for ang in angular:
+            a, b = randint(-scale, scale), 2 ** randint(0, denom_power)
+            parts.append((b * b - a * a, 2 * a * b, b * b + a * a) if ang else (a, 0, b))
+        q = math.lcm(*(d for *_, d in parts))
+        rows.append(([x * (q // d) for x, _, d in parts],
+                     [y * (q // d) for _, y, d in parts] if gaussian else None, q))
+    return rows
+
+
 @dataclass
 class StratifyConfig:
     count: int = 100
@@ -543,59 +508,30 @@ class StratifyConfig:
     include_points: list = field(default_factory=list)
 
 
-@dataclass
-class StratificationReport:
-    sample_count: int
-    histogram: dict
-    witnesses: dict
-    max_rank: int
-    minor_consistency: bool
-    max_rank_fraction: float
-    max_rank_dominates: bool
-
-    def to_json(self):
-        return {
-            "sample_count": self.sample_count,
-            "histogram": {str(k): v for k, v in sorted(self.histogram.items())},
-            "witnesses": {
-                str(k): [str(x) for x in w] for k, w in sorted(self.witnesses.items())
-            },
-            "max_rank": self.max_rank,
-            "minor_consistency": self.minor_consistency,
-            "max_rank_fraction": self.max_rank_fraction,
-            "max_rank_dominates": self.max_rank_dominates,
-        }
-
-
-def stratify_sample(pi: PolyBivector, config: StratifyConfig) -> StratificationReport:
-    """Rank histogram over a seeded rational lattice sample.
+def stratify_sample(pi: PolyBivector, config: StratifyConfig) -> dict:
+    """Rank histogram over the included points and a seeded lattice sample
+    (:func:`sample_points`).
 
     Every sample additionally cross-checks the rank against the largest
-    non-vanishing even minor sum.  Each point is evaluated once, to integer
-    rows over one denominator (:meth:`PolyBivector._int_matrix_at`), and both
-    integer-row kernels read those rows: :func:`linalg._rank_rows`
-    eliminates them and :func:`linalg._elementary_sums` takes their
-    Cauchy-Binet sums, with no scalar built in between.  A point a_k / b_k
-    is read as the integers a_k (d / b_k) over d, the lcm of the b_k (for a
-    drawn point, the largest power of 2), with no ``Fraction``; a drawn
-    fraction is not reduced, and a denominator that is not the least one
-    scales every entry by one constant, which changes neither the rank nor
-    which minor sums vanish.  Only a witness becomes a ``Fraction`` point.
+    non-vanishing even minor sum; the check passes when all agree.  Each
+    point is evaluated once, to integer rows over one denominator
+    (:meth:`PolyBivector._int_matrix_at`), and both integer-row kernels read
+    those rows: :func:`linalg._rank_rows` eliminates them and
+    :func:`linalg._elementary_sums` takes their Cauchy-Binet sums, with no
+    scalar built in between.  A drawn point is not reduced, and a
+    denominator that is not the least one scales every entry by one
+    constant, which changes neither the rank nor which minor sums vanish.
+    Only a witness is printed.
     """
     if config.count < 1:
         raise ValueError("sample count must be >= 1")
-    rng = random.Random(config.seed)
     histogram: dict = {}
     witnesses: dict = {}
     consistent = True
-    # each point as (numerator, denominator) pairs, the drawn ones in the draw order
-    points = [[(x.numerator, x.denominator) for x in map(Fraction, p)]
-              for p in config.include_points]
-    points += [[(rng.randint(-config.scale, config.scale), 2 ** rng.randint(0, config.denom_power))
-                for _ in range(pi.n)] for _ in range(config.count)]
+    points = [linalg._int_row(p) for p in config.include_points]
+    points += sample_points(pi.vars, config.count, config.seed, config.scale, config.denom_power)
     for pt in points:
-        d = math.lcm(*(b for _, b in pt))
-        p, q, _ = pi._int_matrix_at(([a * (d // b) for a, b in pt], None, d))
+        p, q, _ = pi._int_matrix_at(pt)
         r = linalg._rank_rows(p, q)
         if r % 2:
             raise AssertionError("skew matrix produced an odd rank")
@@ -603,19 +539,23 @@ def stratify_sample(pi: PolyBivector, config: StratifyConfig) -> StratificationR
             consistent = False
         histogram[r] = histogram.get(r, 0) + 1
         if r not in witnesses:
-            witnesses[r] = [Fraction(a, b) for a, b in pt]
+            u, v, d = pt    # a real point is printed through Fraction, building no scalar
+            witnesses[r] = ([str(Fraction(a, d)) for a in u] if v is None
+                            else [str(x) for x in linalg._scalars(pt)])
     total = sum(histogram.values())
-    max_rank = max(histogram) if histogram else 0
-    frac = histogram.get(max_rank, 0) / total if total else 0.0
-    return StratificationReport(
-        sample_count=total,
-        histogram=histogram,
-        witnesses=witnesses,
-        max_rank=max_rank,
-        minor_consistency=consistent,
-        max_rank_fraction=frac,
-        max_rank_dominates=frac > 0.5,
-    )
+    max_rank = max(histogram)
+    frac = histogram[max_rank] / total
+    return {
+        "passed": consistent,
+        "mode": "symbolic",
+        "sample_count": total,
+        "histogram": {str(k): v for k, v in sorted(histogram.items())},
+        "witnesses": {str(k): w for k, w in sorted(witnesses.items())},
+        "max_rank": max_rank,
+        "minor_consistency": consistent,
+        "max_rank_fraction": frac,
+        "max_rank_dominates": frac > 0.5,
+    }
 
 
 # -- flows -------------------------------------------------------------------------------

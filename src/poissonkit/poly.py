@@ -33,6 +33,7 @@ from .scalars import GaussianRational, Q, ZERO, ONE, _make, coeff_from_json, jso
 
 AFFINE = "affine"
 ANGULAR = "angular"
+MAX_JSON_DEGREE = 32    # the largest sum of |exponents| of a term read from JSON
 
 
 class Var:
@@ -507,6 +508,9 @@ class MultiPoly:
         terms = {}
         for t in d["terms"]:
             exp = tuple(json_int(e) for e in t["exp"])
+            if sum(map(abs, exp)) > MAX_JSON_DEGREE:
+                raise ValueError(f"exponent {list(exp)} exceeds the total degree bound "
+                                 f"{MAX_JSON_DEGREE}")
             if exp in terms:
                 raise ValueError(f"exponent {list(exp)} is listed twice")
             terms[exp] = coeff_from_json(t["coeff"])

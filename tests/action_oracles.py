@@ -5,7 +5,7 @@ test oracles: each computes the same exact values by the direct route.
 ``check_poisson_action`` and of the ``psi_cocycle_check`` triple loop before
 those checks ran on integer matrices; they give each group element its lift
 and Coad_g by ``coadjoint_by_elimination``, each point its values by
-``MultiPoly.eval_at``, and return the report's ``to_json()``.
+``MultiPoly.eval_at``, and return the check's payload.
 ``numeric_h_residual`` is the float route to the cocycle identity that
 :func:`poissonkit.action.solve_h_certificate` proves over all of SL(2)."""
 
@@ -44,8 +44,9 @@ def coadjoint_by_elimination(defining_mats, g) -> list:
 
 
 def tangential_failures_by_solve(a, points) -> list:
-    """(point, generator) pairs where pi(p) alpha = lam(e_i)(p) has no
-    solution, one ``linalg.solve`` per nonzero generator value."""
+    """The ``tangential_check`` failures ``{"point": ..., "generator": i}``
+    where pi(p) alpha = lam(e_i)(p) has no solution, one ``linalg.solve``
+    per nonzero generator value."""
     failures = []
     for p in points:
         M = a.bivector.eval_matrix(p)
@@ -53,7 +54,7 @@ def tangential_failures_by_solve(a, points) -> list:
             if all(v.is_zero() for v in vals):
                 continue
             if linalg.solve(M, vals) is None:
-                failures.append((list(p), i))
+                failures.append({"point": [str(t) for t in p], "generator": i})
     return failures
 
 
@@ -101,7 +102,7 @@ def lift_by_elimination(a, g) -> list:
 
 
 def poisson_action_report(a, samples) -> dict:
-    """``check_poisson_action(a, samples).to_json()``, one scalar operation at
+    """``check_poisson_action(a, samples)``, one scalar operation at
     a time: pi(g x) against G pi(x) G^T plus the r-matrix term, whose
     left[k] = G rho_k x and right[k] = rho_k g x."""
     failures = []
@@ -134,12 +135,12 @@ def poisson_action_report(a, samples) -> dict:
                     "residual": [[str(t) for t in row] for row in diff],
                 }
             )
-    return A.ActionCheckReport(passed=not failures, mode="symbolic", failures=failures,
-                               samples=len(samples)).to_json()
+    return {"passed": not failures, "mode": "symbolic", "samples": len(samples),
+            "failures": failures}
 
 
 def psi_cocycle_report(a, m, triples) -> dict:
-    """``psi_cocycle_check(a, m, triples).to_json()``, one scalar operation at
+    """``psi_cocycle_check(a, m, triples)``, one scalar operation at
     a time: Sigma(gh, x) - Sigma(g, x) - Coad_g Sigma(h, x) per triple, with
     Sigma(k, x) = m(k x) - Coad_k m(x), and the Casimir property of the
     components of Sigma(g, .) at the first g."""
@@ -177,8 +178,8 @@ def psi_cocycle_report(a, m, triples) -> dict:
         for k in range(a.algebra.dim):
             comp = m.components[k].over(gx.vars).substitute(gx_sym) - m.of_vector(co[k])
             cas_ok = cas_ok and casimir_check(a.bivector, comp)
-    return A.PsiCocycleReport(passed=not violations, max_violations=violations,
-                              samples=len(triples), casimir_ok=cas_ok).to_json()
+    return {"passed": not violations and cas_ok, "mode": "symbolic", "samples": len(triples),
+            "violations": violations, "sigma_components_casimir": cas_ok}
 
 
 def sl2_samples_by_products(count: int, seed: int = 0) -> list:

@@ -10,6 +10,7 @@ Regenerate the files only when a change of output is intended:
     PYTHONPATH=src python3 tests/test_golden.py
 """
 
+import contextlib
 import gzip
 import io
 import json
@@ -21,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from poissonkit import action, cli
+from poissonkit.bundles import load_bundle
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -116,6 +118,22 @@ def test_suite_skips_unselected_checks_before_computing(monkeypatch):
     monkeypatch.setattr(action, "check_poisson_action", fail)
     assert _run(CASES["check-action"] + ["--suite", "tangential"]) == \
         _filtered("check-action", "tangential")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_every_record_is_plain_json(name):
+    """Each record a case computes, ``{"check": name, **payload}``, is written
+    by ``json.dumps`` with no ``default`` as its golden line: every payload
+    is built from JSON types alone."""
+    args = cli._parser().parse_args(CASES[name])
+    bundle = None if args.subcommand == "example51" else load_bundle(args.bundle)
+    golden = [line for line in _read_stdout(name).decode().splitlines()
+              if line.startswith("{") and "check" in json.loads(line)]
+    records = {}
+    with contextlib.redirect_stdout(io.StringIO()):     # flow's trajectory
+        for check, compute in cli.RUNNERS[args.subcommand](bundle, args):
+            records[check] = json.dumps({"check": check, **compute()}, sort_keys=True)
+    assert [records[check] for check in sorted(records)] == golden
 
 
 @pytest.mark.parametrize("name", ["check-lie", "example51-0,2,0"])

@@ -286,3 +286,50 @@ def test_the_helper_lint_sees_calls_only():
         "    return g()(a)\n"
     )
     assert called_names(source) & SCALAR_MATRIX_HELPERS == {"mat_mul", "inverse"}
+
+
+# -- a check returns the JSON payload it reports ------------------------------------
+
+# the two report classes left in the package: the benchmark reads check_jacobi().ok
+KEPT_REPORTS = {("lie", "JacobiReport"), ("lie", "ModuleReport")}
+
+
+def report_classes(source: str) -> set:
+    """The classes that ``source`` defines whose name ends in ``Report``."""
+    return {node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef) and node.name.endswith("Report")}
+
+
+def to_json_receivers(source: str) -> list:
+    """For each call ``x.to_json()`` in ``source``, the name that ``x`` calls
+    when ``x`` is a call ``f(...)`` or ``y.f(...)``, else None."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "to_json"):
+            x = node.func.value
+            f = x.func if isinstance(x, ast.Call) else None
+            out.append(f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None))
+    return out
+
+
+def test_no_report_class_but_the_two_in_lie():
+    found = {(p.stem, name) for p in PACKAGE.glob("*.py") for name in report_classes(p.read_text())}
+    assert found == KEPT_REPORTS
+
+
+def test_the_cli_serializes_no_check_result_but_check_jacobi():
+    assert set(to_json_receivers((PACKAGE / "cli.py").read_text())) == {"check_jacobi"}
+
+
+def test_the_report_lints_see_classes_and_to_json_calls():
+    source = (
+        "class AReport:\n"
+        "    class InnerReport: pass\n"
+        "class Reporter: pass\n"
+        "def f():\n"
+        "    class LocalReport: pass\n"
+        "    return L.check_jacobi().to_json(), jacobi_check(pi).to_json(), rep.to_json()\n"
+    )
+    assert report_classes(source) == {"AReport", "InnerReport", "LocalReport"}
+    assert set(to_json_receivers(source)) == {"check_jacobi", "jacobi_check", None}

@@ -260,6 +260,17 @@ def test_json_roundtrip():
     assert MultiPoly.from_json(w.to_json()) == w
 
 
+def test_json_terms_are_bounded_in_total_degree():
+    # the bound is on the sum of |exponents|, so a Laurent term counts its negative powers
+    chart = [{"name": "th", "kind": "angular"}, {"name": "x"}]
+    for exp in ([32, 0], [-16, 16], [0, 32]):
+        p = MultiPoly.from_json({"vars": chart, "terms": [{"exp": exp, "coeff": 1}]})
+        assert p.terms == {tuple(exp): Q(1)}
+    for exp in ([33, 0], [-17, 16], [-33, 0], [16, 17]):
+        with pytest.raises(ValueError, match="total degree bound 32"):
+            MultiPoly.from_json({"vars": chart, "terms": [{"exp": exp, "coeff": 1}]})
+
+
 def test_lex_leading_and_eval():
     ideal = sl2_relation_ideal()
     assert ideal.lead_exp == (1, 0, 0, 1)
