@@ -61,7 +61,7 @@ print("r_3 at (1,0,0) (beyond the rank):", r_k(lp, [1, 0, 0], 3))
 report = stratify_sample(lp, StratifyConfig(count=500, seed=42))
 print("rank histogram over 500 rational samples:", report["histogram"])
 print("max-rank stratum fraction:", report["max_rank_fraction"])
-print("every sample consistent with the minor sums:", report["minor_consistency"])
+print("every sampled rank confirmed by principal Pfaffians:", report["minor_consistency"])
 
 pix = PolyBivector(vs, {(0, 1): x})
 line = stratify_sample(pix, StratifyConfig(count=100, seed=7,

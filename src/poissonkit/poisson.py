@@ -29,6 +29,11 @@ FLOW_RANK_SAMPLES = 11      # trajectory points at which hamiltonian_flow report
 FLOW_SOURCE = "<poissonkit flow>"   # the file name of the generated flow code in tracebacks
 CSV_BLOCK_ROWS = 1024       # trajectory lines per piece of Trajectory.csv_blocks
 CSV_PROBE_STRIDE = 64       # _column_text looks for repeats among every 64th value
+# stratify_sample cross-checks each rank by principal Pfaffians up to this n and
+# by minor sums above it: the Pfaffian plan has 2^(n-1) entries, and on dense
+# integer skew matrices the table is the faster route through n = 10, about
+# even at n = 11 and the slower one from n = 12 on
+PFAFFIAN_MAX_N = 10
 
 
 class PolyVectorField(PolyMultiVector):
@@ -178,6 +183,94 @@ def _gaussian_power(a: int, b: int, e: int) -> tuple:
     for _ in range(e - 1):
         x, y = x * a - y * b, x * b + y * a
     return x, y
+
+
+_PFAFFIAN_PLANS: dict = {}
+
+
+def _pfaffian_plan(n: int) -> list:
+    """The principal Pfaffians of an n x n skew matrix m as one expansion per
+    even subset S of {0, ..., n-1}, independent of the ring of m.
+
+    Subset 0 is the empty set (Pf = 1); the others follow in one list per
+    size 2, 4, ..., each in the order of ``itertools.combinations``, and are
+    numbered in that order.  S with first index i is the entry
+    ``(i, plus, minus)``: along row i, Pf(S) = sum_t (-1)^t m[i][s_t]
+    Pf(S - {i, s_t}), s_t the t-th index of S after i, and ``plus`` (t even)
+    and ``minus`` (t odd) list each ``(s_t, number of S - {i, s_t})``.
+    There are 2^(n-1) subsets, so the plan is built once per n."""
+    plan = _PFAFFIAN_PLANS.get(n)
+    if plan is None:
+        number = {(): 0}
+        plan = []
+        for size in range(2, n + 1, 2):
+            level = []
+            for s in itertools.combinations(range(n), size):
+                rest = s[1:]
+                terms = [(j, number[rest[:t] + rest[t + 1:]]) for t, j in enumerate(rest)]
+                level.append((s[0], terms[::2], terms[1::2]))
+                number[s] = len(number)
+            plan.append(level)
+        _PFAFFIAN_PLANS[n] = plan
+    return plan
+
+
+def _pfaffians(p, q=None):
+    """The principal Pfaffians of the skew integer matrix ``p + i*q`` (``q``
+    None when it is real) by :func:`_pfaffian_plan`, yielded size by size as
+    ``(re, im)``: the real and imaginary parts of that size's Pfaffians, in
+    plan order, ``im`` None when ``q`` is.  Zero entries and zero
+    sub-Pfaffians are skipped."""
+    plan = _pfaffian_plan(len(p))
+    if q is None:
+        pf = [1]
+        for level in plan:
+            start = len(pf)
+            for i, plus, minus in level:
+                row = p[i]
+                acc = 0
+                for j, k in plus:
+                    if row[j] and pf[k]:
+                        acc += row[j] * pf[k]
+                for j, k in minus:
+                    if row[j] and pf[k]:
+                        acc -= row[j] * pf[k]
+                pf.append(acc)
+            yield pf[start:], None
+        return
+    re, im = [1], [0]
+    for level in plan:
+        start = len(re)
+        for i, plus, minus in level:
+            a_row, b_row = p[i], q[i]
+            x = y = 0
+            for terms, s in ((plus, 1), (minus, -1)):
+                for j, k in terms:
+                    a, b, c, d = a_row[j], b_row[j], re[k], im[k]
+                    if (a or b) and (c or d):
+                        x += s * (a * c - b * d)
+                        y += s * (a * d + b * c)
+            re.append(x)
+            im.append(y)
+        yield re[start:], im[start:]
+
+
+def _pfaffian_order(p, q=None) -> int:
+    """The largest |S| with Pf(S) != 0 among the principal Pfaffians of the
+    skew integer matrix ``p + i*q`` (:func:`_pfaffians`); it uses no
+    elimination.
+
+    Pf(S)^2 is the principal minor det M_S, and a skew matrix has rank 2m
+    exactly when some principal minor of order 2m is nonzero and every
+    larger one vanishes, so this is the rank.  The expansion stops at the
+    first size whose Pfaffians all vanish: each larger one is a sum of
+    multiples of them."""
+    order = 0
+    for re, im in _pfaffians(p, q):
+        if not (any(re) or im and any(im)):
+            break
+        order += 2
+    return order
 
 
 class PolyBivector(PolyMultiVector):
@@ -512,16 +605,19 @@ def stratify_sample(pi: PolyBivector, config: StratifyConfig) -> dict:
     """Rank histogram over the included points and a seeded lattice sample
     (:func:`sample_points`).
 
-    Every sample additionally cross-checks the rank against the largest
-    non-vanishing even minor sum; the check passes when all agree.  Each
+    Every sample additionally cross-checks the rank by a route with no
+    elimination; the check passes when all agree.  Up to
+    ``PFAFFIAN_MAX_N`` that route is the largest order of a nonzero
+    principal Pfaffian (:func:`_pfaffian_order`), whose square is a
+    principal minor; above it, where the Pfaffian plan's 2^(n-1) entries
+    cost more than the minor sums, it is the largest non-vanishing even
+    minor sum (:func:`linalg._elementary_sums`, by Cauchy-Binet).  Each
     point is evaluated once, to integer rows over one denominator
-    (:meth:`PolyBivector._int_matrix_at`), and both integer-row kernels read
-    those rows: :func:`linalg._rank_rows` eliminates them and
-    :func:`linalg._elementary_sums` takes their Cauchy-Binet sums, with no
-    scalar built in between.  A drawn point is not reduced, and a
-    denominator that is not the least one scales every entry by one
-    constant, which changes neither the rank nor which minor sums vanish.
-    Only a witness is printed.
+    (:meth:`PolyBivector._int_matrix_at`), and the elimination
+    :func:`linalg._rank_rows` and the cross-check both read those rows, with
+    no scalar built in between.  A drawn point is not reduced, and a denominator that
+    is not the least one scales every entry by one constant, which changes
+    neither the rank nor which minors vanish.  Only a witness is printed.
     """
     if config.count < 1:
         raise ValueError("sample count must be >= 1")
@@ -530,12 +626,17 @@ def stratify_sample(pi: PolyBivector, config: StratifyConfig) -> dict:
     consistent = True
     points = [linalg._int_row(p) for p in config.include_points]
     points += sample_points(pi.vars, config.count, config.seed, config.scale, config.denom_power)
+    if pi.n <= PFAFFIAN_MAX_N:
+        cross_check = _pfaffian_order
+    else:
+        def cross_check(p, q):
+            return _largest_even_nonzero(linalg._elementary_sums(p, q))
     for pt in points:
         p, q, _ = pi._int_matrix_at(pt)
         r = linalg._rank_rows(p, q)
         if r % 2:
             raise AssertionError("skew matrix produced an odd rank")
-        if _largest_even_nonzero(linalg._elementary_sums(p, q)) != r:
+        if cross_check(p, q) != r:
             consistent = False
         histogram[r] = histogram.get(r, 0) + 1
         if r not in witnesses:

@@ -365,6 +365,124 @@ def test_stratify_at_n_8():
     assert 8 in expected and len(expected) > 1
 
 
+def test_stratify_at_n_12_cross_checks_by_minor_sums(monkeypatch):
+    # above PFAFFIAN_MAX_N the rank is cross-checked by Cauchy-Binet minor sums
+    assert poisson.PFAFFIAN_MAX_N < 12
+    pfaffians, sums = [], []
+    _counting(monkeypatch, poisson, "_pfaffian_order", pfaffians)
+    _counting(monkeypatch, poisson.linalg, "_elementary_sums", sums)
+    rep = stratify_sample(PolyBivector.constant_symplectic(12), StratifyConfig(count=4, seed=1))
+    assert rep["histogram"] == {"12": 4} and rep["minor_consistency"] and rep["passed"]
+
+    # x_i x_j q_ij d_i^d_j on x1..x11 only, so x12 is a Casimir: rank at most
+    # 10 everywhere, and lower on the coordinate hyperplanes
+    x = generators(*(f"x{i+1}" for i in range(12)))
+    pi = PolyBivector(x[0].vars, {(i, j): x[i] * x[j] * ((i + 2 * j) % 5 - 2)
+                                  for i in range(11) for j in range(i + 1, 11)})
+    cfg = StratifyConfig(count=12, seed=4, scale=2, denom_power=1)
+    rep = stratify_sample(pi, cfg)
+    assert rep["minor_consistency"] and rep["passed"]
+    expected: dict = {}
+    for u, _, q in sample_points(pi.vars, cfg.count, cfg.seed, cfg.scale, cfg.denom_power):
+        r = rank_at(pi, [Fraction(a, q) for a in u])
+        expected[r] = expected.get(r, 0) + 1
+    assert rep["histogram"] == {str(k): v for k, v in sorted(expected.items())}
+    assert max(expected) == 10 and len(expected) > 1
+    assert pfaffians == [] and len(sums) == 16
+
+
+@pytest.mark.parametrize("n", [6, 12])
+def test_stratify_fails_when_the_rank_disagrees_with_its_cross_check(monkeypatch, n):
+    # a negative control for both routes: Pfaffians at n = 6, minor sums at n = 12
+    rank_rows = poisson.linalg._rank_rows
+    monkeypatch.setattr(poisson.linalg, "_rank_rows",
+                        lambda p, q=None: max(rank_rows(p, q) - 2, 0))
+    rep = stratify_sample(PolyBivector.constant_symplectic(n), StratifyConfig(count=3, seed=2))
+    assert rep["histogram"] == {str(n - 2): 3}
+    assert rep["minor_consistency"] is False and rep["passed"] is False
+
+
+def _wedges(rng, n, count, gaussian):
+    """The integer rows ``(p, q)`` of sum_{t < count} u_t ^ v_t on Z[i]^n, of
+    rank at most 2 count; ``q`` is None when ``gaussian`` is false."""
+    def vector():
+        return [complex(rng.randint(-3, 3), rng.randint(-3, 3) if gaussian else 0)
+                for _ in range(n)]
+    m = [[0j] * n for _ in range(n)]
+    for _ in range(count):
+        u, v = vector(), vector()
+        for a in range(n):
+            for b in range(n):
+                m[a][b] += u[a] * v[b] - v[a] * u[b]
+    p = [[int(z.real) for z in row] for row in m]
+    return p, ([[int(z.imag) for z in row] for row in m] if gaussian else None)
+
+
+def _principal(p, q, s) -> list:
+    """The principal submatrix of ``p + i*q`` on the indices ``s``, as scalars."""
+    return [linalg._scalars(([p[a][b] for b in s], q and [q[a][b] for b in s], 1)) for a in s]
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_each_pfaffian_squared_is_its_principal_minor(gaussian):
+    rng = random.Random(37)
+    for n in range(7):
+        for count in range(4):
+            p, q = _wedges(rng, n, count, gaussian)
+            levels = list(poisson._pfaffians(p, q))
+            assert len(levels) == n // 2
+            for size, (real, imag) in zip(range(2, n + 1, 2), levels):
+                subsets = list(itertools.combinations(range(n), size))
+                assert len(real) == len(subsets) and (imag is None) is (not gaussian)
+                for t, s in enumerate(subsets):
+                    pf = GaussianRational(real[t], imag[t] if gaussian else 0)
+                    assert pf * pf == linalg.det(_principal(p, q, s))
+    # the sign: Pf = m01 m23 - m02 m13 + m03 m12 = 1*6 - 2*5 + 3*4
+    m = poisson._skew(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], [1, 2, 3, 4, 5, 6])
+    assert [real for real, _ in poisson._pfaffians(m)] == [[1, 2, 3, 4, 5, 6], [8]]
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_the_pfaffian_order_is_the_rank(gaussian):
+    rng = random.Random(41)
+    for n in range(11):
+        for count in range(6):
+            p, q = _wedges(rng, n, count, gaussian)
+            # a zeroed row and column lower the rank of some of the samples
+            for a in rng.sample(range(n), n // 4):
+                for m in filter(None, (p, q)):
+                    m[a] = [0] * n
+                    for row in m:
+                        row[a] = 0
+            assert poisson._pfaffian_order(p, q) == linalg._rank_rows(p, q) <= 2 * count
+            if gaussian:  # i p: its Pfaffians of order 2, 6, 10 are purely imaginary
+                zero = [[0] * n for _ in range(n)]
+                assert poisson._pfaffian_order(zero, p) == linalg._rank_rows(zero, p)
+
+
+def test_the_pfaffian_plan_lists_every_even_subset_once():
+    assert poisson._pfaffian_plan(0) == []
+    for n in range(1, 11):
+        plan = poisson._pfaffian_plan(n)
+        assert poisson._pfaffian_plan(n) is plan
+        assert [len(level) for level in plan] == [math.comb(n, k) for k in range(2, n + 1, 2)]
+        assert sum(map(len, plan)) == 2 ** (n - 1) - 1
+    for m in ([], [[0]]):
+        assert poisson._pfaffian_order(m) == poisson._pfaffian_order(m, m) == 0
+        assert linalg._rank_rows(m) == linalg._rank_rows(m, m) == 0
+
+
+def test_the_pfaffian_order_uses_no_elimination(monkeypatch):
+    rng = random.Random(43)
+    cases = [_wedges(rng, n, count, gaussian) for n in (4, 7, 10)
+             for count in (1, 2, 5) for gaussian in (False, True)]
+    expected = [linalg._rank_rows(p, q) for p, q in cases]
+    for name in ("_eliminate", "_rank_rows", "rank", "rref", "det"):
+        monkeypatch.setattr(linalg, name,
+                            lambda *a, name=name: pytest.fail(f"_pfaffian_order called {name}"))
+    assert [poisson._pfaffian_order(p, q) for p, q in cases] == expected
+
+
 def _counting(monkeypatch, owner, name, log):
     """Replace ``owner.name`` by a wrapper that appends its arguments to ``log``."""
     inner = getattr(owner, name)
@@ -379,12 +497,12 @@ def _counting(monkeypatch, owner, name, log):
 def test_stratify_evaluates_each_point_once_for_both_routes(monkeypatch, sl2_lp):
     # call counts, not timings: one integer evaluation per point, whose rows
     # both integer kernels read, and no scalar arithmetic in the sample loop
-    rows, ranks, sums, scalar_ops = [], [], [], []
+    rows, ranks, pfaffians, scalar_ops = [], [], [], []
     evaluate = PolyBivector._int_matrix_at
     monkeypatch.setattr(PolyBivector, "_int_matrix_at",
                         lambda self, pt: rows.append(evaluate(self, pt)) or rows[-1])
     _counting(monkeypatch, poisson.linalg, "_rank_rows", ranks)
-    _counting(monkeypatch, poisson.linalg, "_elementary_sums", sums)
+    _counting(monkeypatch, poisson, "_pfaffian_order", pfaffians)
     for name in ("__add__", "__sub__", "__rsub__", "__mul__", "__truediv__",
                  "__rtruediv__", "__neg__", "__pow__"):
         _counting(monkeypatch, GaussianRational, name, scalar_ops)
@@ -392,9 +510,9 @@ def test_stratify_evaluates_each_point_once_for_both_routes(monkeypatch, sl2_lp)
     _counting(monkeypatch, poisson.linalg, "_make", scalar_ops)
     rep = stratify_sample(sl2_lp, StratifyConfig(count=12, seed=5, include_points=[[0, 0, 0]]))
     assert rep["sample_count"] == 13 and rep["minor_consistency"]
-    assert len(rows) == len(ranks) == len(sums) == 13
-    assert all(p is rk[0] is ms[0] and q is rk[1] is ms[1]
-               for (p, q, _), rk, ms in zip(rows, ranks, sums))
+    assert len(rows) == len(ranks) == len(pfaffians) == 13
+    assert all(p is rk[0] is pf[0] and q is rk[1] is pf[1]
+               for (p, q, _), rk, pf in zip(rows, ranks, pfaffians))
     assert scalar_ops == []
 
 
