@@ -11,11 +11,16 @@ formula on decomposables,
 
 with each monomial term factored as (coeff * d_{i1}) ^ d_{i2} ^ ... so only
 brackets of two frame vectors that carry at most one coefficient each are
-ever needed.  :func:`schouten` collects, for each output frame, the terms
-of that frame as signed products and sums each frame once.  The bracket is
-graded symmetric, [A, B] = -(-1)^((p-1)(q-1)) [B, A], so the square [A, A]
-of an even-degree tensor sums each unordered pair of its components once,
-an off-diagonal pair with weight 2.  A container supplies two things:
+ever needed.  :func:`_frame_products` is the one enumeration of the formula:
+it factors each component once, sorts each index tuple once, and collects,
+for each output frame, the terms of that frame as signed products.
+:func:`schouten` sums each frame once.  :func:`poissonkit.poisson.jacobi_check`
+reads only whether [pi, pi] is zero, so it decides that frame by frame: it
+sums the frames one at a time and stops at the first nonzero one.  The
+bracket is graded symmetric, [A, B] = -(-1)^((p-1)(q-1)) [B, A], so the
+square [A, A] of an even-degree tensor sums each unordered pair of its
+components once, an off-diagonal pair with weight 2.  A container supplies
+two things:
 
 * ``_frame_bracket``: the bracket of two frame vectors as ``(sign, factors,
   index)`` triples, unmultiplied: ``[f d_i, g d_j] = f (d_i g) d_j - g (d_j f)
@@ -170,36 +175,50 @@ class PolyMultiVector:
     __repr__ = __str__
 
 
-def schouten(A: PolyMultiVector, B: PolyMultiVector) -> PolyMultiVector:
-    """Schouten-Nijenhuis bracket of two multivectors (degrees >= 1) on one
-    space: polynomial fields on one chart, or two elements of one Lambda g."""
+def _factored(comps) -> list:
+    """Each component ``u_1^...^u_p`` with coefficient c as its p factorings
+    (c u_1) ^ u_2 ^ ... : ``(parity, index, coefficient, rest indices, rest
+    coefficients)`` per vector u_s, ``parity`` (-1)^s and the coefficient c
+    on u_s when s = 0 (bracketed) and None (standing for 1) otherwise."""
+    return [[(-1 if s % 2 else 1, i, c if s == 0 else None,
+              key[:s] + key[s + 1:], () if s == 0 else (c,))
+             for s, i in enumerate(key)]
+            for key, c in comps.items()]
+
+
+def _frame_products(A: PolyMultiVector, B: PolyMultiVector) -> dict:
+    """The Schouten-Nijenhuis bracket [A, B] unsummed: ``{sorted frame:
+    [(sign, factors)]}``, the coefficient of each frame being the sum of
+    its products.  Frames come in the order their first term is found, and
+    each frame's products in the order the classical formula lists them."""
     if A.degree < 1 or B.degree < 1:
         raise ValueError("schouten() expects multivectors of degree >= 1")
     if not A._on_space_of(B):
         raise ValueError("multivectors must live on one space")
     frame_bracket = A._frame_bracket
-    sums = {}  # sorted index tuple -> [(sign, factors)], summed once at the end
-    a_comps = list(A.comps.items())
+    sums = {}      # sorted index tuple -> [(sign, factors)]
+    frames = {}    # (lead, *rest) -> its sort_with_sign, sorted once per call
+    a_comps = _factored(A.comps)
     # [a, b] = [b, a] for two components of one even-degree tensor, so its
     # square visits each unordered pair once and counts a pair a != b twice
     square = A is B and A.degree % 2 == 0
-    # each component is factored as (coeff * u_1) ^ u_2 ^ ...; a coefficient
-    # None stands for 1 and a factor's coefficient is either bracketed or rest
-    for m, (ka, ca) in enumerate(a_comps):
-        for kb, cb in (a_comps[m:] if square else B.comps.items()):
-            weight = 2 if square and kb != ka else 1
-            for s, ia in enumerate(ka):
-                f, rest_f = (ca, ()) if s == 0 else (None, (ca,))
-                for t, ib in enumerate(kb):
-                    g, rest_g = (cb, ()) if t == 0 else (None, (cb,))
+    b_comps = a_comps if A is B else _factored(B.comps)
+    for m, a in enumerate(a_comps):
+        for b in (a_comps[m:] if square else b_comps):
+            weight = 2 if square and b is not a else 1
+            for parity_s, ia, f, idx_f, rest_f in a:
+                for parity_t, ib, g, idx_g, rest_g in b:
                     bracket_terms = frame_bracket(f, ia, g, ib)  # [u_s, v_t]
                     if not bracket_terms:
                         continue
-                    sign = weight * (-1) ** (s + t)
-                    rest_idx = ka[:s] + ka[s + 1:] + kb[:t] + kb[t + 1:]
+                    sign = weight * parity_s * parity_t
+                    rest_idx = idx_f + idx_g
                     rest = rest_f + rest_g
                     for bracket_sign, factors, lead in bracket_terms:
-                        res = sort_with_sign((lead, *rest_idx))
+                        idx = (lead, *rest_idx)
+                        res = frames.get(idx, False)
+                        if res is False:
+                            res = frames[idx] = sort_with_sign(idx)
                         if res is None:
                             continue
                         key, perm_sign = res
@@ -207,5 +226,13 @@ def schouten(A: PolyMultiVector, B: PolyMultiVector) -> PolyMultiVector:
                         if products is None:
                             products = sums[key] = []
                         products.append((sign * perm_sign * bracket_sign, factors + rest))
+    return sums
+
+
+def schouten(A: PolyMultiVector, B: PolyMultiVector) -> PolyMultiVector:
+    """Schouten-Nijenhuis bracket of two multivectors (degrees >= 1) on one
+    space: polynomial fields on one chart, or two elements of one Lambda g.
+    Each frame of :func:`_frame_products` is summed once."""
+    sums = _frame_products(A, B)
     return A._tensor(A.degree + B.degree - 1,
                      {key: A._sum_products(products) for key, products in sums.items()})

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from operator import add
 
-from .scalars import GaussianRational, Q, ZERO, ONE, _make, coeff_from_json, json_int
+from .scalars import GaussianRational, ZERO, ONE, _make, coeff_from_json, json_int
 
 AFFINE = "affine"
 ANGULAR = "angular"
@@ -400,11 +400,12 @@ class MultiPoly:
         # an affine derivative maps distinct exponents to distinct exponents,
         # an angular one keeps them, and every c*k or c*i*k is nonzero
         i = self._index(name)
-        if self.vars[i].kind == AFFINE:
-            terms = {exp[:i] + (exp[i] - 1,) + exp[i + 1:]: c * Q(exp[i])
-                     for exp, c in self.terms.items() if exp[i]}
-        else:
-            terms = {exp: c * GaussianRational(0, exp[i]) for exp, c in self.terms.items() if exp[i]}
+        if self.vars[i].kind == AFFINE:  # c*k
+            terms = {exp[:i] + (k - 1,) + exp[i + 1:]: _make(c.a * k, c.b * k, c.d)
+                     for exp, c in self.terms.items() if (k := exp[i])}
+        else:  # c*ik = (-b*k + a*k*i) / d
+            terms = {exp: _make(-c.b * k, c.a * k, c.d)
+                     for exp, c in self.terms.items() if (k := exp[i])}
         return MultiPoly._clean(self.vars, terms)
 
     def affine_degree(self) -> int:
@@ -504,17 +505,35 @@ class MultiPoly:
 
     @staticmethod
     def from_json(d: dict) -> "MultiPoly":
+        """The polynomial :meth:`to_json` writes.  Each term is read and
+        checked once: first its exponents, degree bound, repetition and
+        coefficient, over all terms in order; then the chart; then, as the
+        constructor does, each nonzero term's length and affine signs."""
         variables = [(v["name"], v.get("kind", AFFINE)) for v in d["vars"]]
         terms = {}
         for t in d["terms"]:
-            exp = tuple(json_int(e) for e in t["exp"])
+            exp = t["exp"]
+            exp = (tuple(exp) if all(type(e) is int for e in exp)
+                   else tuple(json_int(e) for e in exp))
             if sum(map(abs, exp)) > MAX_JSON_DEGREE:
                 raise ValueError(f"exponent {list(exp)} exceeds the total degree bound "
                                  f"{MAX_JSON_DEGREE}")
             if exp in terms:
                 raise ValueError(f"exponent {list(exp)} is listed twice")
             terms[exp] = coeff_from_json(t["coeff"])
-        return MultiPoly(variables, terms)
+        chart = _as_vars(variables)
+        affine = [(i, v.name) for i, v in enumerate(chart) if v.kind == AFFINE]
+        clean = {}
+        for exp, c in terms.items():
+            if not c:
+                continue
+            if len(exp) != len(chart):
+                raise ValueError("exponent tuple length does not match variables")
+            for i, name in affine:
+                if exp[i] < 0:
+                    raise ValueError(f"negative exponent on affine variable {name}")
+            clean[exp] = c
+        return MultiPoly._clean(chart, clean)
 
     # -- rendering ---------------------------------------------------------
 

@@ -21,6 +21,7 @@ import flow_oracle
 import poissonkit
 from poissonkit import lie, linalg, poisson
 from poissonkit.bundles import load_bundle
+from poissonkit.multivector import PolyMultiVector, schouten
 from poissonkit.poisson import (
     PolyBivector,
     PolyOneForm,
@@ -402,6 +403,62 @@ def test_stratify_fails_when_the_rank_disagrees_with_its_cross_check(monkeypatch
     assert rep["minor_consistency"] is False and rep["passed"] is False
 
 
+def _gaussian_log_canonical(n):
+    """x_i x_j c_ij d_i^d_j on x1..xn with Gaussian constants c_ij, none of
+    them real: Poisson, of rank that of (c_ij) off the coordinate
+    hyperplanes and lower on them."""
+    x = generators(*(f"x{i + 1}" for i in range(n)))
+    return PolyBivector(x[0].vars, {
+        (i, j): x[i] * x[j] * GaussianRational((i + 2 * j) % 5 - 2, (i + j) % 2 * 2 - 1)
+        for i in range(n) for j in range(i + 1, n)})
+
+
+@pytest.mark.parametrize("n", [12, 13])
+def test_stratify_on_gaussian_rows_cross_checks_by_pfaffians_through_n_12(monkeypatch, n):
+    # Gaussian rows keep the Pfaffian table up to PFAFFIAN_MAX_N_GAUSSIAN;
+    # real rows of the same n go to minor sums (test above)
+    assert poisson.PFAFFIAN_MAX_N < 12 == poisson.PFAFFIAN_MAX_N_GAUSSIAN
+    pfaffians, sums, rows = [], [], []
+    _counting(monkeypatch, poisson, "_pfaffian_order", pfaffians)
+    _counting(monkeypatch, poisson.linalg, "_elementary_sums", sums)
+    evaluate = PolyBivector._int_matrix_at
+    monkeypatch.setattr(PolyBivector, "_int_matrix_at",
+                        lambda self, pt: rows.append(evaluate(self, pt)) or rows[-1])
+    pi = _gaussian_log_canonical(n)
+    cfg = StratifyConfig(count=6, seed=4, scale=2, denom_power=1)
+    rep = stratify_sample(pi, cfg)
+    assert rep["minor_consistency"] and rep["passed"]
+    assert len(rows) == 6 and all(q is not None for _, q, _ in rows)
+    assert (len(pfaffians), len(sums)) == ((6, 0) if n == 12 else (0, 6))
+    expected: dict = {}
+    for u, _, q in sample_points(pi.vars, cfg.count, cfg.seed, cfg.scale, cfg.denom_power):
+        r = rank_at(pi, [Fraction(a, q) for a in u])
+        expected[r] = expected.get(r, 0) + 1
+    assert rep["histogram"] == {str(k): v for k, v in sorted(expected.items())}
+    assert len(expected) > 1
+
+
+def test_stratify_fails_when_a_gaussian_rank_disagrees_with_its_pfaffians(monkeypatch):
+    # the negative control of the Gaussian Pfaffian route at n = 12
+    pfaffians = []
+    _counting(monkeypatch, poisson, "_pfaffian_order", pfaffians)
+    rank_rows = poisson.linalg._rank_rows
+
+    def two_below(p, q=None):
+        # the rank of Gaussian rows is half that of their real form, which
+        # _rank_rows eliminates by calling itself, so the real form is
+        # handed to the original here and lowered once
+        if q is None:
+            return max(rank_rows(p) - 2, 0)
+        return max(rank_rows(linalg._realified(p, q)) // 2 - 2, 0)
+
+    monkeypatch.setattr(poisson.linalg, "_rank_rows", two_below)
+    pi = PolyBivector.constant_symplectic(12).scale(Q(1, 2))    # (1 + 2i) on each pair
+    rep = stratify_sample(pi, StratifyConfig(count=3, seed=2))
+    assert rep["histogram"] == {"10": 3} and len(pfaffians) == 3
+    assert rep["minor_consistency"] is False and rep["passed"] is False
+
+
 def _wedges(rng, n, count, gaussian):
     """The integer rows ``(p, q)`` of sum_{t < count} u_t ^ v_t on Z[i]^n, of
     rank at most 2 count; ``q`` is None when ``gaussian`` is false."""
@@ -592,13 +649,90 @@ def test_jacobi_check_differentiates_each_component_once(monkeypatch):
     derivatives, routes = [], []
     _counting(monkeypatch, MultiPoly, "_derivative", derivatives)
     _counting(monkeypatch, poisson, "jacobiator", routes)
-    _counting(monkeypatch, poisson, "schouten", routes)
+    _counting(monkeypatch, poisson, "_frame_products", routes)
     rep = jacobi_check(pi)
     assert len(routes) == 2 and rep["routes_consistent"]
     keys = [(id(p), name) for p, name in derivatives]
     assert len(keys) == len(set(keys))
     # only the 15 stored components, each by at most the 6 variables
     assert len(keys) <= 15 * 6
+
+
+def _jacobi_cases() -> list:
+    """Seeded bivectors with both Jacobi verdicts: Lie-Poisson, log-canonical
+    and random quadratic ones for n = 3..6, and Laurent ones in an angular
+    variable."""
+    from conftest import filiform4, random_constant_algebra, sl2_sl2
+
+    rng = random.Random(61)
+    cases = [lie_poisson(lie.sl2()), lie_poisson(filiform4()), lie_poisson(sl2_sl2())]
+    for n in range(3, 7):
+        x = generators(*(f"x{i + 1}" for i in range(n)))
+        pairs = list(itertools.combinations(range(n), 2))
+        cases.append(lie_poisson(random_constant_algebra(rng, n)))
+        cases.append(PolyBivector(x[0].vars, {(i, j): x[i] * x[j] * rng.randint(-3, 3)
+                                              for i, j in pairs}))
+        cases.append(PolyBivector(x[0].vars, {
+            (i, j): x[rng.randrange(n)] * x[rng.randrange(n)] * rng.choice([-2, -1, 1, 2])
+            for i, j in pairs}))
+    vs = _as_vars(["x", "y", ("th", ANGULAR)])
+    x, _, w = (MultiPoly.variable(vs, v.name) for v in vs)
+    w_inv = MultiPoly.monomial(vs, (0, 0, -1), Q(0, 2))
+    cases.append(PolyBivector(vs, {(0, 1): w + w_inv}))              # d_x^d_y by a function of th
+    cases.append(PolyBivector(vs, {(0, 1): w + w_inv, (1, 2): x * w}))
+    return cases
+
+
+def test_the_early_jacobi_verdict_is_the_schouten_square_verdict():
+    verdicts = set()
+    for pi in _jacobi_cases():
+        rep = jacobi_check(pi)
+        square_zero = schouten(pi, pi).is_zero()
+        assert rep["routes_consistent"] and rep["passed"] == square_zero
+        verdicts.add(square_zero)
+    assert verdicts == {True, False}
+
+
+def _frames_summed(monkeypatch, pi) -> tuple:
+    """``jacobi_check(pi)`` and the number of Schouten frames it sums: its
+    ``sum_of_products`` calls, with the cyclic route replaced by its value."""
+    cyc = jacobiator(pi)
+    calls = []
+    inner = MultiPoly.sum_of_products
+    with monkeypatch.context() as m:
+        m.setattr(poisson, "jacobiator", lambda _: cyc)
+        m.setattr(MultiPoly, "sum_of_products",
+                  staticmethod(lambda chart, products: calls.append(chart) or inner(chart, products)))
+        rep = jacobi_check(pi)
+    return rep, len(calls)
+
+
+def test_jacobi_check_sums_frames_up_to_the_first_nonzero_one(monkeypatch):
+    seen = set()
+    for pi in _jacobi_cases():
+        rep, summed = _frames_summed(monkeypatch, pi)
+        frames = list(poisson._frame_products(pi, pi).values())
+        nonzero = [k for k, products in enumerate(frames)
+                   if not MultiPoly.sum_of_products(pi.vars, products).is_zero()]
+        assert rep["passed"] is not bool(nonzero)
+        # a Poisson bivector sums every frame, any other up to its first nonzero one
+        assert summed == (nonzero[0] + 1 if nonzero else len(frames))
+        seen.add((rep["passed"], summed < len(frames)))
+    assert seen == {(True, False), (False, True), (False, False)}
+
+
+def test_jacobi_routes_disagree_when_one_route_is_wrong(monkeypatch):
+    # negative controls: a cyclic route that reads zero, and a Schouten square
+    # with no frame, on a non-Poisson bivector
+    bad = [pi for pi in _jacobi_cases() if not jacobiator(pi).is_zero()][-1]
+    with monkeypatch.context() as m:
+        m.setattr(poisson, "jacobiator", lambda pi: PolyMultiVector(pi.vars, 3, {}))
+        rep = jacobi_check(bad)
+    assert rep["passed"] and rep["routes_consistent"] is False
+    with monkeypatch.context() as m:
+        m.setattr(poisson, "_frame_products", lambda A, B: {})
+        rep = jacobi_check(bad)
+    assert not rep["passed"] and rep["routes_consistent"] is False
 
 
 def test_casimir(sl2_lp, plane):

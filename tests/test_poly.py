@@ -4,13 +4,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from poissonkit.poly import (
+    AFFINE,
     ANGULAR,
+    MAX_JSON_DEGREE,
     MultiPoly,
     Var,
     generators,
     sl2_relation_ideal,
 )
-from poissonkit.scalars import GaussianRational, I, Q
+from poissonkit.scalars import GaussianRational, I, Q, coeff_from_json, json_int
 
 VARS = ("x", "y", "z")
 
@@ -151,6 +153,99 @@ def test_memoized_partial_is_the_derivative_of_a_fresh_copy(p, rnd):
         fresh = MultiPoly(p.vars, p.terms).partial(name)
         assert d == fresh and d.terms == fresh.terms
         _rebuilt_the_same(d)
+
+
+def _derivative_by_scalar_products(p, name) -> dict:
+    """The terms of d p / d name as ``c * Q(k)``, or ``c * ik`` on an angular
+    variable: one scalar product per term."""
+    i = p._index(name)
+    if p.vars[i].kind == AFFINE:
+        return {exp[:i] + (exp[i] - 1,) + exp[i + 1:]: c * Q(exp[i])
+                for exp, c in p.terms.items() if exp[i]}
+    return {exp: c * GaussianRational(0, exp[i]) for exp, c in p.terms.items() if exp[i]}
+
+
+@given(gaussian_poly_strategy(CHART))
+def test_derivative_is_the_scalar_product_route(p):
+    for name in ("x", "y", "t"):
+        d = p._derivative(name)
+        assert d.vars is p.vars
+        # the same terms in the same order, each the same lowest-terms triple
+        assert [(e, c.a, c.b, c.d) for e, c in d.terms.items()] == \
+            [(e, c.a, c.b, c.d) for e, c in _derivative_by_scalar_products(p, name).items()]
+
+
+def _from_json_through_the_constructor(d: dict) -> MultiPoly:
+    """What ``MultiPoly.from_json`` reads: each exponent by ``json_int``, the
+    degree bound, repetition and coefficient over all terms, then everything
+    else through the validating constructor."""
+    variables = [(v["name"], v.get("kind", AFFINE)) for v in d["vars"]]
+    terms = {}
+    for t in d["terms"]:
+        exp = tuple(json_int(e) for e in t["exp"])
+        if sum(map(abs, exp)) > MAX_JSON_DEGREE:
+            raise ValueError(f"exponent {list(exp)} exceeds the total degree bound "
+                             f"{MAX_JSON_DEGREE}")
+        if exp in terms:
+            raise ValueError(f"exponent {list(exp)} is listed twice")
+        terms[exp] = coeff_from_json(t["coeff"])
+    return MultiPoly(variables, terms)
+
+
+def _read(read, d):
+    """The chart and terms ``read(d)`` gives in order, or its error and message."""
+    try:
+        p = read(d)
+    except Exception as e:
+        return type(e), str(e)
+    return p.vars, [(e, c.a, c.b, c.d) for e, c in p.terms.items()]
+
+
+_X_TH = [{"name": "x"}, {"name": "th", "kind": "angular"}]
+
+
+def _terms(*pairs):
+    return [{"exp": e, "coeff": c} for e, c in pairs]
+
+
+@pytest.mark.parametrize("variables, terms, error", [
+    (_X_TH, _terms(([2, -1], 1), ([0, 3], {"num": "2", "den": "6", "im_num": "-1"})), None),
+    (_X_TH, _terms(([True, 0], 1)), "True is not an exact integer"),
+    (_X_TH, _terms(([1, 0], 1), ([1.0, 0], 1)), "1.0 is not an exact integer"),
+    (_X_TH, _terms((["2", "-1"], "2/3"), (["0", 0], 1)), None),
+    (_X_TH, _terms((["1.5", 0], 1)), "invalid literal"),
+    (_X_TH, _terms(([0, 0], 1), ([-1, 2], 1)), "negative exponent on affine variable x"),
+    (_X_TH, _terms(([1], 1)), "length does not match"),
+    (_X_TH, _terms(([1, 0, 0], 1)), "length does not match"),
+    (_X_TH, _terms(([1, 0], 1), ([1, 0], 2)), "listed twice"),
+    (_X_TH, _terms(([1, 0], 1), (["1", 0], -1)), "listed twice"),
+    (_X_TH, _terms(([33, 0], 1)), "total degree bound"),
+    (_X_TH, _terms(([1, 0], 0), ([0, 1], "2/3"), ([2, 0], "0/5")), None),
+    ([{"name": "x", "kind": "polar"}], _terms(([1], 1)), "unknown variable kind 'polar'"),
+    ([{"name": "x"}, {"name": "x"}], _terms(([1, 0], 1)), "duplicate variable names"),
+    # precedence: every term's exponents, degree, repetition and coefficient,
+    # then the chart, then each nonzero term's length and signs in order
+    (_X_TH, _terms(([-1, 0], 1), ([1.0, 0], 1)), "1.0 is not an exact integer"),
+    (_X_TH, _terms(([-1, 0], 1), ([1, 0], 1.5)), "not an exact rational"),
+    (_X_TH, _terms(([1, 0], 1), ([0, 0], {"num": 1, "den": 0})), "zero denominator"),
+    (_X_TH, _terms(([1], 0), ([2, 0], 1)), None),
+    (_X_TH, _terms(([40], 0)), "total degree bound"),
+    (_X_TH, _terms(([1], 1), ([-1, 0], 1)), "length does not match"),
+    (_X_TH, _terms(([-1, 0], 1), ([1], 1)), "negative exponent"),
+    (_X_TH, _terms(([-1, 0], 0), ([1], 1)), "length does not match"),
+    ([{"name": "x", "kind": "polar"}], _terms(([1.0], 1)), "1.0 is not an exact integer"),
+    ([{"name": "x", "kind": "polar"}], _terms(([-1, 0], 1)), "unknown variable kind"),
+    ([{"name": "x"}, {"name": "x"}], _terms(([1], 1)), "duplicate variable names"),
+    ([], _terms(([], 3)), None),
+])
+def test_from_json_is_the_constructor_route(variables, terms, error):
+    d = {"vars": variables, "terms": terms}
+    got = _read(MultiPoly.from_json, d)
+    assert got == _read(_from_json_through_the_constructor, d)
+    if error is None:
+        assert isinstance(got[0], tuple)
+    else:
+        assert got[0] is ValueError and error in got[1]
 
 
 def test_reduce_mod_examples():
