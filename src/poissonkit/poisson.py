@@ -34,11 +34,6 @@ CSV_PROBE_STRIDE = 64       # _column_text looks for repeats among every 64th va
 # integer skew matrices the table is the faster route through n = 10, about
 # even at n = 11 and the slower one from n = 12 on
 PFAFFIAN_MAX_N = 10
-# the same bound for Gaussian rows, where the minor sums pay for complex
-# products too: on dense Gaussian integer skew matrices (entries -9..9, best
-# of 5) the table took 1407, 3098 and 6766 us at n = 11, 12 and 13 against
-# 2840, 3590 and 5758 us for the minor sums
-PFAFFIAN_MAX_N_GAUSSIAN = 12
 
 
 class PolyVectorField(PolyMultiVector):
@@ -620,8 +615,7 @@ def stratify_sample(pi: PolyBivector, config: StratifyConfig) -> dict:
 
     Every sample additionally cross-checks the rank by a route with no
     elimination; the check passes when all agree.  Up to
-    ``PFAFFIAN_MAX_N`` (``PFAFFIAN_MAX_N_GAUSSIAN`` for a point whose rows
-    have an imaginary part) that route is the largest order of a nonzero
+    ``PFAFFIAN_MAX_N`` that route is the largest order of a nonzero
     principal Pfaffian (:func:`_pfaffian_order`), whose square is a
     principal minor; above it, where the Pfaffian plan's 2^(n-1) entries
     cost more than the minor sums, it is the largest non-vanishing even
@@ -640,16 +634,17 @@ def stratify_sample(pi: PolyBivector, config: StratifyConfig) -> dict:
     consistent = True
     points = [linalg._int_row(p) for p in config.include_points]
     points += sample_points(pi.vars, config.count, config.seed, config.scale, config.denom_power)
+    if pi.n <= PFAFFIAN_MAX_N:
+        cross_check = _pfaffian_order
+    else:
+        def cross_check(p, q):
+            return _largest_even_nonzero(linalg._elementary_sums(p, q))
     for pt in points:
         p, q, _ = pi._int_matrix_at(pt)
         r = linalg._rank_rows(p, q)
         if r % 2:
             raise AssertionError("skew matrix produced an odd rank")
-        if pi.n <= (PFAFFIAN_MAX_N if q is None else PFAFFIAN_MAX_N_GAUSSIAN):
-            order = _pfaffian_order(p, q)
-        else:
-            order = _largest_even_nonzero(linalg._elementary_sums(p, q))
-        if order != r:
+        if cross_check(p, q) != r:
             consistent = False
         histogram[r] = histogram.get(r, 0) + 1
         if r not in witnesses:

@@ -128,6 +128,16 @@ def _add_triple(terms: dict, e: tuple, a: int, b: int, d: int) -> None:
     terms[e] = a, b, d
 
 
+def _check_exponent(chart: tuple, exp: tuple) -> None:
+    """Raise unless the integer tuple ``exp`` is an exponent over ``chart``:
+    one entry per variable, none negative on an affine one."""
+    if len(exp) != len(chart):
+        raise ValueError("exponent tuple length does not match variables")
+    for e, v in zip(exp, chart):
+        if v.kind == AFFINE and e < 0:
+            raise ValueError(f"negative exponent on affine variable {v.name}")
+
+
 class MultiPoly:
     """A sparse polynomial: a term map ``exponent tuple -> GaussianRational``.
 
@@ -148,11 +158,7 @@ class MultiPoly:
             if c.is_zero():
                 continue
             exp = tuple(int(e) for e in exp)
-            if len(exp) != len(self.vars):
-                raise ValueError("exponent tuple length does not match variables")
-            for e, v in zip(exp, self.vars):
-                if v.kind == AFFINE and e < 0:
-                    raise ValueError(f"negative exponent on affine variable {v.name}")
+            _check_exponent(self.vars, exp)
             if exp in clean:  # an exponent given twice, e.g. as 1 and "1"
                 c = clean[exp] + c
                 if c.is_zero():
@@ -507,8 +513,9 @@ class MultiPoly:
     def from_json(d: dict) -> "MultiPoly":
         """The polynomial :meth:`to_json` writes.  Each term is read and
         checked once: first its exponents, degree bound, repetition and
-        coefficient, over all terms in order; then the chart; then, as the
-        constructor does, each nonzero term's length and affine signs."""
+        coefficient, over all terms in order; then the chart; then each
+        nonzero term by :func:`_check_exponent`, as the constructor checks
+        it, while a zero term is dropped unchecked as there."""
         variables = [(v["name"], v.get("kind", AFFINE)) for v in d["vars"]]
         terms = {}
         for t in d["terms"]:
@@ -522,17 +529,11 @@ class MultiPoly:
                 raise ValueError(f"exponent {list(exp)} is listed twice")
             terms[exp] = coeff_from_json(t["coeff"])
         chart = _as_vars(variables)
-        affine = [(i, v.name) for i, v in enumerate(chart) if v.kind == AFFINE]
         clean = {}
         for exp, c in terms.items():
-            if not c:
-                continue
-            if len(exp) != len(chart):
-                raise ValueError("exponent tuple length does not match variables")
-            for i, name in affine:
-                if exp[i] < 0:
-                    raise ValueError(f"negative exponent on affine variable {name}")
-            clean[exp] = c
+            if c:
+                _check_exponent(chart, exp)
+                clean[exp] = c
         return MultiPoly._clean(chart, clean)
 
     # -- rendering ---------------------------------------------------------

@@ -403,62 +403,6 @@ def test_stratify_fails_when_the_rank_disagrees_with_its_cross_check(monkeypatch
     assert rep["minor_consistency"] is False and rep["passed"] is False
 
 
-def _gaussian_log_canonical(n):
-    """x_i x_j c_ij d_i^d_j on x1..xn with Gaussian constants c_ij, none of
-    them real: Poisson, of rank that of (c_ij) off the coordinate
-    hyperplanes and lower on them."""
-    x = generators(*(f"x{i + 1}" for i in range(n)))
-    return PolyBivector(x[0].vars, {
-        (i, j): x[i] * x[j] * GaussianRational((i + 2 * j) % 5 - 2, (i + j) % 2 * 2 - 1)
-        for i in range(n) for j in range(i + 1, n)})
-
-
-@pytest.mark.parametrize("n", [12, 13])
-def test_stratify_on_gaussian_rows_cross_checks_by_pfaffians_through_n_12(monkeypatch, n):
-    # Gaussian rows keep the Pfaffian table up to PFAFFIAN_MAX_N_GAUSSIAN;
-    # real rows of the same n go to minor sums (test above)
-    assert poisson.PFAFFIAN_MAX_N < 12 == poisson.PFAFFIAN_MAX_N_GAUSSIAN
-    pfaffians, sums, rows = [], [], []
-    _counting(monkeypatch, poisson, "_pfaffian_order", pfaffians)
-    _counting(monkeypatch, poisson.linalg, "_elementary_sums", sums)
-    evaluate = PolyBivector._int_matrix_at
-    monkeypatch.setattr(PolyBivector, "_int_matrix_at",
-                        lambda self, pt: rows.append(evaluate(self, pt)) or rows[-1])
-    pi = _gaussian_log_canonical(n)
-    cfg = StratifyConfig(count=6, seed=4, scale=2, denom_power=1)
-    rep = stratify_sample(pi, cfg)
-    assert rep["minor_consistency"] and rep["passed"]
-    assert len(rows) == 6 and all(q is not None for _, q, _ in rows)
-    assert (len(pfaffians), len(sums)) == ((6, 0) if n == 12 else (0, 6))
-    expected: dict = {}
-    for u, _, q in sample_points(pi.vars, cfg.count, cfg.seed, cfg.scale, cfg.denom_power):
-        r = rank_at(pi, [Fraction(a, q) for a in u])
-        expected[r] = expected.get(r, 0) + 1
-    assert rep["histogram"] == {str(k): v for k, v in sorted(expected.items())}
-    assert len(expected) > 1
-
-
-def test_stratify_fails_when_a_gaussian_rank_disagrees_with_its_pfaffians(monkeypatch):
-    # the negative control of the Gaussian Pfaffian route at n = 12
-    pfaffians = []
-    _counting(monkeypatch, poisson, "_pfaffian_order", pfaffians)
-    rank_rows = poisson.linalg._rank_rows
-
-    def two_below(p, q=None):
-        # the rank of Gaussian rows is half that of their real form, which
-        # _rank_rows eliminates by calling itself, so the real form is
-        # handed to the original here and lowered once
-        if q is None:
-            return max(rank_rows(p) - 2, 0)
-        return max(rank_rows(linalg._realified(p, q)) // 2 - 2, 0)
-
-    monkeypatch.setattr(poisson.linalg, "_rank_rows", two_below)
-    pi = PolyBivector.constant_symplectic(12).scale(Q(1, 2))    # (1 + 2i) on each pair
-    rep = stratify_sample(pi, StratifyConfig(count=3, seed=2))
-    assert rep["histogram"] == {"10": 3} and len(pfaffians) == 3
-    assert rep["minor_consistency"] is False and rep["passed"] is False
-
-
 def _wedges(rng, n, count, gaussian):
     """The integer rows ``(p, q)`` of sum_{t < count} u_t ^ v_t on Z[i]^n, of
     rank at most 2 count; ``q`` is None when ``gaussian`` is false."""

@@ -228,11 +228,14 @@ def _terms(*pairs):
     (_X_TH, _terms(([-1, 0], 1), ([1.0, 0], 1)), "1.0 is not an exact integer"),
     (_X_TH, _terms(([-1, 0], 1), ([1, 0], 1.5)), "not an exact rational"),
     (_X_TH, _terms(([1, 0], 1), ([0, 0], {"num": 1, "den": 0})), "zero denominator"),
+    # a zero term is dropped before its exponent is checked, so these two
+    # read a wrong length or a negative affine exponent silently: an open
+    # defect of the constructor, pinned here until both routes check first
     (_X_TH, _terms(([1], 0), ([2, 0], 1)), None),
+    (_X_TH, _terms(([-1, 0], 0), ([1], 1)), "length does not match"),
     (_X_TH, _terms(([40], 0)), "total degree bound"),
     (_X_TH, _terms(([1], 1), ([-1, 0], 1)), "length does not match"),
     (_X_TH, _terms(([-1, 0], 1), ([1], 1)), "negative exponent"),
-    (_X_TH, _terms(([-1, 0], 0), ([1], 1)), "length does not match"),
     ([{"name": "x", "kind": "polar"}], _terms(([1.0], 1)), "1.0 is not an exact integer"),
     ([{"name": "x", "kind": "polar"}], _terms(([-1, 0], 1)), "unknown variable kind"),
     ([{"name": "x"}, {"name": "x"}], _terms(([1], 1)), "duplicate variable names"),
