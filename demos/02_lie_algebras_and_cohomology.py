@@ -31,8 +31,8 @@ for idx, res in rep.violations:
 
 adj = representation(L, "adjoint")
 coad = representation(L, "coadjoint")
-print("\nadjoint module axiom:", adj.check_axiom().ok)
-print("coadjoint module axiom:", coad.check_axiom().ok)
+print("\nadjoint module axiom:", not adj.check_axiom())
+print("coadjoint module axiom:", not coad.check_axiom())
 print("<ad*_{e1} e3*, e2> =", linalg.mat_vec(coad.mats[0], [0, 0, 1])[1])
 
 # d composed with d is the zero matrix for a valid module

@@ -25,7 +25,7 @@ bun = A.coadjoint_dressing_bundle(L, lie.sl2_defining_matrices())
 m_id = A.identity_momentum_map(L, bun.bivector)
 print("identity map satisfies lam(X) = X_{m(X)}:", A.momentum_check(bun, m_id)["passed"])
 G0 = A.gamma(bun, m_id)
-print("its obstruction cochain vanishes:", all(p.is_zero() for p in G0.entries.values()))
+print("its obstruction cochain vanishes:", all(p.is_zero() for p in G0.values()))
 
 # -- the shifted identity map ----------------------------------------------------------
 
@@ -34,7 +34,7 @@ m = A.identity_momentum_map(L, bun.bivector, shift=mu0)
 print("\nshifted map still a momentum map:", A.momentum_check(bun, m)["passed"])
 G = A.gamma(bun, m)
 print("Gamma entries (constants <mu0, [e_i, e_j]>):")
-for (i, j), p in sorted(G.entries.items()):
+for (i, j), p in sorted(G.items()):
     print(f"  Gamma(e{i+1}, e{j+1}) =", p)
 
 chk = A.gamma_checks(bun, G, m)
@@ -54,8 +54,8 @@ bunH = A.coadjoint_dressing_bundle(H, [E12, E23, E13])
 from poissonkit.poly import MultiPoly
 
 vs = bunH.bivector.vars
-G_bad = A.GammaCochain(H, {(0, 1): MultiPoly.zero(vs), (0, 2): MultiPoly.constant(vs, 1),
-                           (1, 2): MultiPoly.zero(vs)})
+G_bad = {(0, 1): MultiPoly.zero(vs), (0, 2): MultiPoly.constant(vs, 1),
+         (1, 2): MultiPoly.zero(vs)}
 chkH = A.gamma_checks(bunH, G_bad)
 print("\nHeisenberg cochain with a nonzero class: closed =", chkH["cocycle_ok"],
       "| correctable =", chkH["correction_solvable"])

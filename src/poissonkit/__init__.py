@@ -42,7 +42,7 @@ _EXPORTS = {
         "dual_bracket_from_r", "schouten_wedge_bracket", "validate_bialgebra",
     ),
     "action": (
-        "GammaCochain", "LinearPoissonAction", "MomentumMap", "check_action_bracket_identity",
+        "LinearPoissonAction", "MomentumMap", "check_action_bracket_identity",
         "check_poisson_action", "check_commutator_inclusion", "check_structure_preserved",
         "gamma", "gamma_checks", "identity_momentum_map", "tangential_coefficient_predicate",
         "isotropy_and_annihilator", "momentum_check", "momentum_kernel_image",

@@ -20,7 +20,6 @@ import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -171,7 +170,6 @@ def _det_one(g) -> bool:
     return det == dd and not (im and im[0])
 
 
-@dataclass
 class LinearPoissonAction:
     """A matrix-group action on a polynomial Poisson space.
 
@@ -181,17 +179,16 @@ class LinearPoissonAction:
     generators and the group relation are derived from these once.
     """
 
-    algebra: LieAlgebra
-    rep_mats: list
-    bivector: PolyBivector
-    rmatrix: RMatrix | None = None
-    defining_mats: list | None = None
-    coadjoint: bool = False
-
-    def __post_init__(self):
-        self.rep_mats = [linalg.mat(m) for m in self.rep_mats]
-        self.defining_mats = (self.rep_mats if self.defining_mats is None
-                              else [linalg.mat(m) for m in self.defining_mats])
+    def __init__(self, algebra: LieAlgebra, rep_mats: list, bivector: PolyBivector,
+                 rmatrix: RMatrix | None = None, defining_mats: list | None = None,
+                 coadjoint: bool = False):
+        self.algebra = algebra
+        self.rep_mats = [linalg.mat(m) for m in rep_mats]
+        self.bivector = bivector
+        self.rmatrix = rmatrix
+        self.defining_mats = (self.rep_mats if defining_mats is None
+                              else [linalg.mat(m) for m in defining_mats])
+        self.coadjoint = coadjoint
         dim = self.algebra.dim
         if dim < 1 or len(self.rep_mats) != dim or len(self.defining_mats) != dim:
             raise ValueError("need a nonzero algebra and one generator and one defining "
@@ -558,10 +555,10 @@ def isotropy_and_annihilator(a: LinearPoissonAction, point, dual_algebra: LieAlg
 # -- momentum maps --------------------------------------------------------------------------
 
 
-@dataclass
 class MomentumMap:
-    algebra: LieAlgebra
-    components: list        # one MultiPoly per basis element
+    def __init__(self, algebra: LieAlgebra, components: list):
+        self.algebra = algebra
+        self.components = components    # one MultiPoly per basis element
 
     def of_vector(self, X) -> MultiPoly:
         chart = functools.reduce(_merged_chart, (c.vars for c in self.components))
@@ -632,15 +629,10 @@ def solve_momentum_normalization(a: LinearPoissonAction) -> dict:
 # -- the obstruction cochain -----------------------------------------------------------------
 
 
-@dataclass
-class GammaCochain:
-    algebra: LieAlgebra
-    entries: dict    # (i, j) with i < j -> MultiPoly
-
-
-def gamma(a: LinearPoissonAction, m: MomentumMap) -> GammaCochain:
-    """Gamma_{X,Y} = m([X,Y]) - {m(X), m(Y)}, with the pullback route through
-    the linear dual-space bivector computed independently and asserted equal."""
+def gamma(a: LinearPoissonAction, m: MomentumMap) -> dict:
+    """Gamma_{X,Y} = m([X,Y]) - {m(X), m(Y)} on basis pairs, as the dict
+    ``{(i, j): MultiPoly}`` over i < j, with the pullback route through the
+    linear dual-space bivector computed independently and asserted equal."""
     L = a.algebra
     pi = a.bivector
     e = linalg.identity(L.dim)
@@ -659,22 +651,23 @@ def gamma(a: LinearPoissonAction, m: MomentumMap) -> GammaCochain:
             if not (route_a - route_b).is_zero():
                 raise AssertionError("the two obstruction formulas disagree")
             entries[(i, j)] = route_b
-    return GammaCochain(L, entries)
+    return entries
 
 
-def gamma_cocycle_residuals(a: LinearPoissonAction, G: GammaCochain,
+def gamma_cocycle_residuals(a: LinearPoissonAction, G: dict,
                             m: MomentumMap | None = None) -> list:
     """d_2 Gamma on all basis triples, where d_2 : C^2 -> C^3 is the
     Chevalley-Eilenberg differential with trivial coefficients (g acts
-    trivially on Casimirs), applied to the entries with polynomial
-    coefficients.  When the momentum map is supplied, the displayed route
-    with the plane brackets is computed as well, and both must agree."""
+    trivially on Casimirs), applied to the entries ``{(i, j): MultiPoly}``
+    of :func:`gamma`, with polynomial coefficients.  When the momentum map
+    is supplied, the displayed route with the plane brackets is computed as
+    well, and both must agree."""
     L = a.algebra
     if L.dim < 3:       # no triples, and ce_differential needs degree <= dim
         return []
     pi = a.bivector
     d2 = ce_differential(L, representation(L, TRIVIAL), 2)
-    gammas = [G.entries[I] for I in d2.domain_basis]
+    gammas = [G[I] for I in d2.domain_basis]
     chart = functools.reduce(_merged_chart, (p.vars for p in gammas))
     e = linalg.identity(L.dim)
     out = []
@@ -692,9 +685,10 @@ def gamma_cocycle_residuals(a: LinearPoissonAction, G: GammaCochain,
     return out
 
 
-def gamma_checks(a: LinearPoissonAction, G: GammaCochain,
+def gamma_checks(a: LinearPoissonAction, G: dict,
                  m: MomentumMap | None = None) -> dict:
-    """(i) every entry is a Casimir; (ii) d_2 Gamma = 0 symbolically (see
+    """Checks on the entries ``{(i, j): MultiPoly}`` of :func:`gamma`:
+    (i) every entry is a Casimir; (ii) d_2 Gamma = 0 symbolically (see
     :func:`gamma_cocycle_residuals`); (iii) exactness of a constant Gamma:
     solve d_1 phi = Gamma for a constant correction phi, where
     d_1 : C^1 -> C^2 is the Chevalley-Eilenberg differential with trivial
@@ -703,7 +697,7 @@ def gamma_checks(a: LinearPoissonAction, G: GammaCochain,
     hold and the correction is not unsolvable."""
     pi = a.bivector
     cas_fail = []
-    for (i, j), p in sorted(G.entries.items()):
+    for (i, j), p in sorted(G.items()):
         if not casimir_check(pi, p):
             cas_fail.append([i, j])
     cres = gamma_cocycle_residuals(a, G, m)
@@ -712,7 +706,7 @@ def gamma_checks(a: LinearPoissonAction, G: GammaCochain,
     solvable = correction = corrected_zero = None
     d1 = ce_differential(a.algebra, representation(a.algebra, TRIVIAL), 1)
     try:
-        consts = [G.entries[I].as_constant() for I in d1.codomain_basis]
+        consts = [G[I].as_constant() for I in d1.codomain_basis]
     except ValueError:
         consts = None
     if consts is not None:

@@ -21,7 +21,6 @@ composite here is calibrated.)
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from . import linalg
 from .lie import LieAlgebra
@@ -207,12 +206,12 @@ def delta_duality_residuals(r: RMatrix) -> list:
 # -- Lie bialgebras --------------------------------------------------------------------
 
 
-@dataclass
 class LieBialgebra:
     """A pair (g, g*) of bracket structures."""
 
-    primal: LieAlgebra
-    dual: LieAlgebra
+    def __init__(self, primal: LieAlgebra, dual: LieAlgebra):
+        self.primal = primal
+        self.dual = dual
 
     @staticmethod
     def from_r_matrix(r: RMatrix) -> "LieBialgebra":
@@ -259,20 +258,20 @@ def _torus_vector_vars(m: int, n: int):
     )
 
 
-@dataclass
 class AbelianPLStructure:
     """A candidate multiplicative bivector on T^m x R^n.
 
     Either built from structure constants (the canonical linear form
     ``sum C^k_{ij} u_k d_i ^ d_j`` with the zero block C^k = 0 for k <= m) or
     supplied directly as a bivector with Laurent coefficients in the torus
-    coordinates.
+    coordinates; ``constants`` is ``{(i, j, k): coeff}`` when of linear type.
     """
 
-    m: int
-    n: int
-    bivector: PolyBivector
-    constants: dict | None = None   # {(i, j, k): coeff} when of linear type
+    def __init__(self, m: int, n: int, bivector: PolyBivector, constants: dict | None = None):
+        self.m = m
+        self.n = n
+        self.bivector = bivector
+        self.constants = constants
 
     @staticmethod
     def from_constants(m: int, n: int, constants: dict) -> "AbelianPLStructure":

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 
 from .scalars import coeff_from_json, json_int
 
@@ -26,17 +25,22 @@ class SchemaError(Exception):
 _MALFORMED = (KeyError, ValueError, TypeError, IndexError, OverflowError)
 
 
-@dataclass
 class ProblemBundle:
-    algebras: dict = field(default_factory=dict)
-    rmatrices: dict = field(default_factory=dict)       # name -> (algebra_name, RMatrix)
-    bivectors: dict = field(default_factory=dict)
-    abelian_structures: dict = field(default_factory=dict)
-    actions: dict = field(default_factory=dict)
-    momentum_maps: dict = field(default_factory=dict)   # name -> (action_name, MomentumMap)
-    casimirs: dict = field(default_factory=dict)        # bivector name -> {name: poly}
-    sampler: dict = field(default_factory=dict)         # seed, count, scale, denom_power -> int
-    flow: dict | None = None                            # parsed values, keyed as in JSON
+    def __init__(self, algebras: dict | None = None, rmatrices: dict | None = None,
+                 bivectors: dict | None = None, abelian_structures: dict | None = None,
+                 actions: dict | None = None, momentum_maps: dict | None = None,
+                 casimirs: dict | None = None, sampler: dict | None = None,
+                 flow: dict | None = None):
+        self.algebras = {} if algebras is None else algebras
+        self.rmatrices = {} if rmatrices is None else rmatrices  # name -> (algebra_name, RMatrix)
+        self.bivectors = {} if bivectors is None else bivectors
+        self.abelian_structures = {} if abelian_structures is None else abelian_structures
+        self.actions = {} if actions is None else actions
+        # name -> (action_name, MomentumMap)
+        self.momentum_maps = {} if momentum_maps is None else momentum_maps
+        self.casimirs = {} if casimirs is None else casimirs  # bivector name -> {name: poly}
+        self.sampler = {} if sampler is None else sampler  # seed, count, scale, denom_power -> int
+        self.flow = flow  # parsed values, keyed as in JSON
 
     def require_seed(self, override=None) -> int:
         if override is not None:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import linalg
@@ -170,10 +169,10 @@ def _int_table(values, blocks: int, m: int) -> tuple:
     return sparse(a), b and sparse(b), d
 
 
-@dataclass
 class JacobiReport:
-    ok: bool
-    violations: list = field(default_factory=list)
+    def __init__(self, ok: bool, violations: list | None = None):
+        self.ok = ok
+        self.violations = [] if violations is None else violations
 
     def to_json(self) -> dict:
         return {
@@ -240,7 +239,7 @@ class LieModule:
             if len(m) != self.dim or any(len(r) != self.dim for r in m):
                 raise ValueError("action matrices must be square of equal size")
         self.kind = kind
-        self._report = None
+        self._failing_pairs = None
         self._ints = None
 
     def _int_entries(self) -> tuple:
@@ -252,30 +251,24 @@ class LieModule:
                                     len(self.mats), self.dim)
         return self._ints
 
-    def check_axiom(self) -> "ModuleReport":
-        """rho([X,Y]) = rho(X)rho(Y) - rho(Y)rho(X) on all basis pairs, on
-        integer rows: row block (i, j) of the product d_1 d_0 of the
-        Chevalley-Eilenberg differentials is rho_i rho_j - rho_j rho_i -
-        sum_k C^k_ij rho_k.
+    def check_axiom(self) -> list:
+        """The basis pairs (i, j), i < j, on which rho([e_i, e_j]) =
+        rho(e_i)rho(e_j) - rho(e_j)rho(e_i) fails, empty when the module
+        axiom holds; on integer rows: row block (i, j) of the product d_1 d_0
+        of the Chevalley-Eilenberg differentials is rho_i rho_j - rho_j rho_i
+        - sum_k C^k_ij rho_k.
 
         Evaluated on the first call only: the matrices are not mutated after
-        construction, so later calls return the same report.
+        construction, so later calls return the same list.
         """
-        if self._report is not None:
-            return self._report
+        if self._failing_pairs is not None:
+            return self._failing_pairs
         d0, d1 = (_differential(self.algebra, self, p) for p in (0, 1))
         p, q, _ = linalg._int_mul(d1.rows, d0.rows)
         rows, m = p if q is None else [u + v for u, v in zip(p, q)], self.dim
-        bad = [ij for r, ij in enumerate(d1.codomain_basis)
-               if any(map(any, rows[r * m:(r + 1) * m]))]
-        self._report = ModuleReport(ok=not bad, failing_pairs=bad)
-        return self._report
-
-
-@dataclass
-class ModuleReport:
-    ok: bool
-    failing_pairs: list = field(default_factory=list)
+        self._failing_pairs = [ij for r, ij in enumerate(d1.codomain_basis)
+                               if any(map(any, rows[r * m:(r + 1) * m]))]
+        return self._failing_pairs
 
 
 def representation(L: LieAlgebra, kind: str, dim: int = 1) -> LieModule:
@@ -301,7 +294,6 @@ def representation(L: LieAlgebra, kind: str, dim: int = 1) -> LieModule:
 # -- Chevalley-Eilenberg complex ------------------------------------------------
 
 
-@dataclass
 class CochainComplexSlice:
     """The differential C^p -> C^{p+1} for cochains with values in a module.
 
@@ -312,10 +304,11 @@ class CochainComplexSlice:
     (I, v) likewise.  Index tuples are listed lexicographically.
     """
 
-    degree: int
-    rows: tuple
-    domain_basis: list
-    codomain_basis: list
+    def __init__(self, degree: int, rows: tuple, domain_basis: list, codomain_basis: list):
+        self.degree = degree
+        self.rows = rows
+        self.domain_basis = domain_basis
+        self.codomain_basis = codomain_basis
 
     @cached_property
     def matrix(self) -> list:
@@ -334,9 +327,9 @@ def ce_differential(L: LieAlgebra, M: LieModule, p: int) -> CochainComplexSlice:
     """
     if not 0 <= p <= L.dim:
         raise ValueError(f"degree {p} out of range 0..{L.dim}")
-    axiom = M.check_axiom()
-    if not axiom.ok:
-        raise ValueError(f"invalid module: axiom fails on pairs {axiom.failing_pairs}")
+    failing = M.check_axiom()
+    if failing:
+        raise ValueError(f"invalid module: axiom fails on pairs {failing}")
     return _differential(L, M, p)
 
 

@@ -17,7 +17,6 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
@@ -556,9 +555,9 @@ def pairing_identity_check(pi: PolyBivector, V: PolyVectorField, alpha: PolyOneF
 def rank_at(pi: PolyBivector, point) -> int:
     """Exact rank of the evaluated skew matrix at a rational point: the
     integer rows of :meth:`PolyBivector._int_matrix`, eliminated by
-    :func:`linalg._rank_rows`."""
+    :func:`linalg.rank`."""
     p, q, _ = pi._int_matrix(point)
-    return linalg._rank_rows(p, q)
+    return linalg.rank(p, q)
 
 
 def r_k(pi: PolyBivector, point, k: int) -> Fraction:
@@ -600,13 +599,14 @@ def sample_points(variables, count: int, seed: int, scale: int, denom_power: int
     return rows
 
 
-@dataclass
 class StratifyConfig:
-    count: int = 100
-    seed: int = 0
-    scale: int = 8           # lattice numerators drawn from [-scale, scale]
-    denom_power: int = 3     # denominators are 2^j, j in [0, denom_power]
-    include_points: list = field(default_factory=list)
+    def __init__(self, count: int = 100, seed: int = 0, scale: int = 8, denom_power: int = 3,
+                 include_points: list | None = None):
+        self.count = count
+        self.seed = seed
+        self.scale = scale                  # lattice numerators drawn from [-scale, scale]
+        self.denom_power = denom_power      # denominators are 2^j, j in [0, denom_power]
+        self.include_points = [] if include_points is None else include_points
 
 
 def stratify_sample(pi: PolyBivector, config: StratifyConfig) -> dict:
@@ -622,7 +622,7 @@ def stratify_sample(pi: PolyBivector, config: StratifyConfig) -> dict:
     minor sum (:func:`linalg._elementary_sums`, by Cauchy-Binet).  Each
     point is evaluated once, to integer rows over one denominator
     (:meth:`PolyBivector._int_matrix_at`), and the elimination
-    :func:`linalg._rank_rows` and the cross-check both read those rows, with
+    :func:`linalg.rank` and the cross-check both read those rows, with
     no scalar built in between.  A drawn point is not reduced, and a denominator that
     is not the least one scales every entry by one constant, which changes
     neither the rank nor which minors vanish.  Only a witness is printed.
@@ -641,7 +641,7 @@ def stratify_sample(pi: PolyBivector, config: StratifyConfig) -> dict:
             return _largest_even_nonzero(linalg._elementary_sums(p, q))
     for pt in points:
         p, q, _ = pi._int_matrix_at(pt)
-        r = linalg._rank_rows(p, q)
+        r = linalg.rank(p, q)
         if r % 2:
             raise AssertionError("skew matrix produced an odd rank")
         if cross_check(p, q) != r:
@@ -810,16 +810,17 @@ def _column_text(col):
     return map(repr, col)
 
 
-@dataclass
 class Trajectory:
-    times: list
-    coordinates: list   # one column of floats per coordinate, one entry per time
-    f_values: list
-    casimir_values: dict
-    ranks: list
-    f_drift: float
-    casimir_drift: dict
-    truncated: bool
+    def __init__(self, times: list, coordinates: list, f_values: list, casimir_values: dict,
+                 ranks: list, f_drift: float, casimir_drift: dict, truncated: bool):
+        self.times = times
+        self.coordinates = coordinates  # one column of floats per coordinate, one entry per time
+        self.f_values = f_values
+        self.casimir_values = casimir_values
+        self.ranks = ranks
+        self.f_drift = f_drift
+        self.casimir_drift = casimir_drift
+        self.truncated = truncated
 
     @functools.cached_property
     def points(self) -> list:

@@ -155,10 +155,10 @@ class MultiPoly:
         clean = {}
         for exp, coeff in (terms or {}).items():
             c = GaussianRational.coerce(coeff)
-            if c.is_zero():
-                continue
             exp = tuple(int(e) for e in exp)
             _check_exponent(self.vars, exp)
+            if c.is_zero():
+                continue
             if exp in clean:  # an exponent given twice, e.g. as 1 and "1"
                 c = clean[exp] + c
                 if c.is_zero():
@@ -514,8 +514,8 @@ class MultiPoly:
         """The polynomial :meth:`to_json` writes.  Each term is read and
         checked once: first its exponents, degree bound, repetition and
         coefficient, over all terms in order; then the chart; then each
-        nonzero term by :func:`_check_exponent`, as the constructor checks
-        it, while a zero term is dropped unchecked as there."""
+        term, a zero one included, by :func:`_check_exponent`, as the
+        constructor checks it, and a zero term is dropped after that check."""
         variables = [(v["name"], v.get("kind", AFFINE)) for v in d["vars"]]
         terms = {}
         for t in d["terms"]:
@@ -531,8 +531,8 @@ class MultiPoly:
         chart = _as_vars(variables)
         clean = {}
         for exp, c in terms.items():
+            _check_exponent(chart, exp)
             if c:
-                _check_exponent(chart, exp)
                 clean[exp] = c
         return MultiPoly._clean(chart, clean)
 

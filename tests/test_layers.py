@@ -66,12 +66,12 @@ EXPORTS = {
     "bialgebra": ["AbelianPLStructure", "LieBialgebra", "RMatrix", "abelian_pl_check",
                   "check_log_coordinate_identity", "delta_from_r", "dual_algebra_from_r",
                   "dual_bracket_from_r", "schouten_wedge_bracket", "validate_bialgebra"],
-    "action": ["GammaCochain", "LinearPoissonAction", "MomentumMap",
-               "check_action_bracket_identity", "check_commutator_inclusion",
-               "check_poisson_action", "check_structure_preserved", "gamma", "gamma_checks",
-               "identity_momentum_map", "isotropy_and_annihilator", "momentum_check",
-               "momentum_kernel_image", "psi_cocycle_check", "sigma", "solve_h_certificate",
-               "tangential_check", "tangential_coefficient_predicate", "xi_f"],
+    "action": ["LinearPoissonAction", "MomentumMap", "check_action_bracket_identity",
+               "check_commutator_inclusion", "check_poisson_action", "check_structure_preserved",
+               "gamma", "gamma_checks", "identity_momentum_map", "isotropy_and_annihilator",
+               "momentum_check", "momentum_kernel_image", "psi_cocycle_check", "sigma",
+               "solve_h_certificate", "tangential_check", "tangential_coefficient_predicate",
+               "xi_f"],
 }
 ALL = sorted([*EXPORTS, *(name for names in EXPORTS.values() for name in names)])
 
@@ -80,15 +80,20 @@ LOADED = ("import json, sys; print(json.dumps(sorted(m.split('.', 1)[1] for m in
           "if m.startswith('poissonkit.'))))")
 
 
-def loaded_after(code: str) -> list:
-    """The ``poissonkit`` submodules a fresh interpreter has loaded after ``code``."""
+def in_fresh_interpreter(code: str):
+    """The JSON value of the last line that ``code`` prints in a fresh interpreter."""
     path = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     proc = subprocess.run(
-        [sys.executable, "-c", f"{code}\n{LOADED}"], capture_output=True, text=True,
+        [sys.executable, "-c", code], capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def loaded_after(code: str) -> list:
+    """The ``poissonkit`` submodules a fresh interpreter has loaded after ``code``."""
+    return in_fresh_interpreter(f"{code}\n{LOADED}")
 
 
 def bivector_bundle() -> dict:
@@ -135,11 +140,22 @@ def test_check_lie_on_algebras_alone_loads_no_poly_or_poisson_layer(tmp_path):
     assert loaded_after(code) == ["bundles", "cli", "lie", "linalg", "scalars"]
 
 
+def test_no_layer_and_no_check_loads_dataclasses_or_inspect():
+    # pytest imports inspect itself, so only a fresh interpreter can tell
+    code = (f"import contextlib, io, json, sys\n"
+            f"import {', '.join(f'poissonkit.{name}' for name in BUILDS_ON)}\n"
+            f"from poissonkit import cli\n"
+            f"with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = cli.main(['check-action', '--bundle', {str(SAMPLE)!r}])\n"
+            f"print(json.dumps([code, sorted({{'dataclasses', 'inspect'}} & set(sys.modules))]))")
+    assert in_fresh_interpreter(code) == [1, []]     # check-action's golden exit code
+
+
 # -- the public names --------------------------------------------------------------
 
 
-def test_all_is_the_pinned_list_of_75_names():
-    assert len(ALL) == 75
+def test_all_is_the_pinned_list_of_74_names():
+    assert len(ALL) == 74
     assert poissonkit.__all__ == ALL
     assert set(ALL) <= set(dir(poissonkit))
 
@@ -253,6 +269,33 @@ def test_the_lint_sees_module_level_imports_only():
                                              "scalars", "bialgebra"}
 
 
+def imported_modules(source: str) -> set:
+    """The top-level names of every module that ``source`` imports, anywhere."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+def test_no_module_imports_dataclasses():
+    found = {p.stem for p in PACKAGE.glob("*.py") if "dataclasses" in imported_modules(p.read_text())}
+    assert found == set()
+
+
+def test_the_dataclasses_lint_sees_every_import():
+    source = (
+        "from . import dataclasses\n"
+        "import json, dataclasses as dc\n"
+        "def f():\n"
+        "    from dataclasses import dataclass\n"
+        "    import inspect.x\n"
+    )
+    assert imported_modules(source) == {"json", "dataclasses", "inspect"}
+
+
 # -- the scalar matrix helpers are test and demo surface ----------------------------
 
 # public in ``linalg`` for the test oracles and the demos; the package itself
@@ -290,8 +333,8 @@ def test_the_helper_lint_sees_calls_only():
 
 # -- a check returns the JSON payload it reports ------------------------------------
 
-# the two report classes left in the package: the benchmark reads check_jacobi().ok
-KEPT_REPORTS = {("lie", "JacobiReport"), ("lie", "ModuleReport")}
+# the one report class left in the package: the benchmark reads check_jacobi().ok
+KEPT_REPORTS = {("lie", "JacobiReport")}
 
 
 def report_classes(source: str) -> set:
@@ -313,7 +356,7 @@ def to_json_receivers(source: str) -> list:
     return out
 
 
-def test_no_report_class_but_the_two_in_lie():
+def test_no_report_class_but_jacobi_report():
     found = {(p.stem, name) for p in PACKAGE.glob("*.py") for name in report_classes(p.read_text())}
     assert found == KEPT_REPORTS
 

@@ -224,15 +224,13 @@ def _terms(*pairs):
     ([{"name": "x", "kind": "polar"}], _terms(([1], 1)), "unknown variable kind 'polar'"),
     ([{"name": "x"}, {"name": "x"}], _terms(([1, 0], 1)), "duplicate variable names"),
     # precedence: every term's exponents, degree, repetition and coefficient,
-    # then the chart, then each nonzero term's length and signs in order
+    # then the chart, then each term's length and signs in order
     (_X_TH, _terms(([-1, 0], 1), ([1.0, 0], 1)), "1.0 is not an exact integer"),
     (_X_TH, _terms(([-1, 0], 1), ([1, 0], 1.5)), "not an exact rational"),
     (_X_TH, _terms(([1, 0], 1), ([0, 0], {"num": 1, "den": 0})), "zero denominator"),
-    # a zero term is dropped before its exponent is checked, so these two
-    # read a wrong length or a negative affine exponent silently: an open
-    # defect of the constructor, pinned here until both routes check first
-    (_X_TH, _terms(([1], 0), ([2, 0], 1)), None),
-    (_X_TH, _terms(([-1, 0], 0), ([1], 1)), "length does not match"),
+    # a zero term's exponent is checked too, before the term is dropped
+    (_X_TH, _terms(([1], 0), ([2, 0], 1)), "length does not match"),
+    (_X_TH, _terms(([-1, 0], 0), ([1], 1)), "negative exponent on affine variable x"),
     (_X_TH, _terms(([40], 0)), "total degree bound"),
     (_X_TH, _terms(([1], 1), ([-1, 0], 1)), "length does not match"),
     (_X_TH, _terms(([-1, 0], 1), ([1], 1)), "negative exponent"),
