@@ -209,9 +209,6 @@ class LinearPoissonAction:
             if any(len(m) != size or any(len(row) != size for row in m) for m in mats):
                 raise ValueError(f"action matrices must be {size}x{size}")
         self.sl2 = spans_sl2(self.defining_mats)
-        self._fields = None
-        self._coad = None
-        self._generator_rows = None
 
     def _int_lift(self, g) -> tuple:
         """The n x n matrix by which the group element g acts on the target, on
@@ -223,20 +220,23 @@ class LinearPoissonAction:
         return self._int_coad(g) if self.coadjoint else g
 
     def _int_coad(self, g) -> tuple:
-        """Coad_g of :func:`coadjoint_table` on integer matrices; the table is
-        built on the first call."""
-        if self._coad is None:
-            self._coad = coadjoint_table(self.defining_mats)
+        """Coad_g of :func:`coadjoint_table` on integer matrices."""
         return self._coad(g)
+
+    @functools.cached_property
+    def _coad(self):
+        return coadjoint_table(self.defining_mats)
 
     @property
     def target_dim(self) -> int:
         return self.bivector.n
 
     def fields(self) -> list:
-        if self._fields is None:
-            self._fields = linear_action_fields(self.rep_mats, self.bivector.vars)
         return self._fields
+
+    @functools.cached_property
+    def _fields(self) -> list:
+        return linear_action_fields(self.rep_mats, self.bivector.vars)
 
     def homomorphism_sign(self):
         """The global sign eps with lam([X,Y]) = eps [lam(X), lam(Y)], or None.
@@ -270,10 +270,12 @@ class LinearPoissonAction:
         return [flat[a:a + n] for a in range(0, len(flat), n)]
 
     def _int_field_values(self, x) -> tuple:
-        """:meth:`field_values` at an integer x, flattened (rows built once)."""
-        if self._generator_rows is None:
-            self._generator_rows = linalg._int_mat([row for m in self.rep_mats for row in m])
+        """:meth:`field_values` at an integer x, flattened."""
         return linalg._int_mat_vec(self._generator_rows, x)
+
+    @functools.cached_property
+    def _generator_rows(self) -> tuple:
+        return linalg._int_mat([row for m in self.rep_mats for row in m])
 
 
 # -- worked bundles ---------------------------------------------------------------------
@@ -812,18 +814,8 @@ def momentum_kernel_image(a: LinearPoissonAction, m: MomentumMap, point) -> dict
     image = [list(col) for col in zip(*jac)]  # columns of the jacobian span im m_*
 
     # symplectic orthogonal of the orbit: v with omega(lam(e_i)(p), v) = 0,
-    # expressed through covectors beta_i solving pi^T beta = lam(e_i)(p)
-    orbit = a.field_values(point)
-    piT = linalg.transpose(M)
-    covs = []
-    for v in orbit:
-        if all(x.is_zero() for x in v):
-            continue
-        beta = linalg.solve(piT, v)
-        if beta is None:
-            raise AssertionError("nondegenerate matrix failed to solve")
-        covs.append(beta)
-    orthogonal = linalg.nullspace(covs) if covs else [list(r) for r in linalg.identity(pi.n)]
+    # which is pi applied to the annihilator of the orbit directions
+    orthogonal = [linalg.mat_vec(M, beta) for beta in linalg.nullspace(a.field_values(point))]
 
     ann = linalg.annihilator(linear_isotropy(a.rep_mats, point), a.algebra.dim)
 

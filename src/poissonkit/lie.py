@@ -52,7 +52,6 @@ class LieAlgebra:
                 table[i][j][k] = v[k]
                 table[j][i][k] = -v[k]
         self._table = table
-        self._ints = None
 
     # -- inspection ------------------------------------------------------
 
@@ -63,14 +62,12 @@ class LieAlgebra:
     def basis_bracket(self, i: int, j: int) -> list:
         return list(self._table[i][j])
 
+    @cached_property
     def _int_brackets(self) -> tuple:
         """The structure constants as :func:`_int_table` writes them:
-        ``re[i][j]`` lists the nonzero ``(k, numerator of C^k_ij)``; built on
-        the first call, like :meth:`LieModule._int_entries`."""
-        if self._ints is None:
-            self._ints = _int_table([c for row in self._table for vec in row for c in vec],
-                                    self.dim, self.dim)
-        return self._ints
+        ``re[i][j]`` lists the nonzero ``(k, numerator of C^k_ij)``."""
+        return _int_table([c for row in self._table for vec in row for c in vec],
+                          self.dim, self.dim)
 
     def bracket(self, X, Y) -> list:
         """[X, Y] for coefficient vectors X, Y."""
@@ -108,9 +105,9 @@ class LieAlgebra:
     def check_jacobi(self) -> "JacobiReport":
         """The jacobiator [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]
         of each triple i < j < k, on the integer table of
-        :meth:`_int_brackets`; scalars are built only for a violation's
+        :attr:`_int_brackets`; scalars are built only for a violation's
         residual."""
-        table = self._int_brackets()
+        table = self._int_brackets
         violations = []
         for ijk in itertools.combinations(range(self.dim), 3):
             res = linalg._bilinear(lambda s, t: _jacobiator(s, t, *ijk), table, table)
@@ -239,17 +236,12 @@ class LieModule:
             if len(m) != self.dim or any(len(r) != self.dim for r in m):
                 raise ValueError("action matrices must be square of equal size")
         self.kind = kind
-        self._failing_pairs = None
-        self._ints = None
 
+    @cached_property
     def _int_entries(self) -> tuple:
         """The action matrices as :func:`_int_table` writes them: ``re[i][r]``
-        lists the nonzero ``(column, numerator)`` of row r of rho(e_i); built
-        on the first call, like :meth:`check_axiom`."""
-        if self._ints is None:
-            self._ints = _int_table([x for m in self.mats for r in m for x in r],
-                                    len(self.mats), self.dim)
-        return self._ints
+        lists the nonzero ``(column, numerator)`` of row r of rho(e_i)."""
+        return _int_table([x for m in self.mats for r in m for x in r], len(self.mats), self.dim)
 
     def check_axiom(self) -> list:
         """The basis pairs (i, j), i < j, on which rho([e_i, e_j]) =
@@ -258,17 +250,18 @@ class LieModule:
         of the Chevalley-Eilenberg differentials is rho_i rho_j - rho_j rho_i
         - sum_k C^k_ij rho_k.
 
-        Evaluated on the first call only: the matrices are not mutated after
-        construction, so later calls return the same list.
+        The matrices are not mutated after construction, so every call
+        returns the one list :attr:`_failing_pairs`.
         """
-        if self._failing_pairs is not None:
-            return self._failing_pairs
+        return self._failing_pairs
+
+    @cached_property
+    def _failing_pairs(self) -> list:
         d0, d1 = (_differential(self.algebra, self, p) for p in (0, 1))
         p, q, _ = linalg._int_mul(d1.rows, d0.rows)
         rows, m = p if q is None else [u + v for u, v in zip(p, q)], self.dim
-        self._failing_pairs = [ij for r, ij in enumerate(d1.codomain_basis)
-                               if any(map(any, rows[r * m:(r + 1) * m]))]
-        return self._failing_pairs
+        return [ij for r, ij in enumerate(d1.codomain_basis)
+                if any(map(any, rows[r * m:(r + 1) * m]))]
 
 
 def representation(L: LieAlgebra, kind: str, dim: int = 1) -> LieModule:
@@ -322,8 +315,8 @@ def ce_differential(L: LieAlgebra, M: LieModule, p: int) -> CochainComplexSlice:
     ``(dc)(e_J) = sum_a (-1)^a rho(e_{J_a}) c(e_{J-a})
     + sum_{a<b} (-1)^{a+b} c([e_{J_a}, e_{J_b}] ^ e_{J-a-b})``
     is written into the column block of the p-set that ``c`` is evaluated on,
-    as integers over one denominator (:meth:`LieModule._int_entries`,
-    :meth:`LieAlgebra._int_brackets`).
+    as integers over one denominator (:attr:`LieModule._int_entries`,
+    :attr:`LieAlgebra._int_brackets`).
     """
     if not 0 <= p <= L.dim:
         raise ValueError(f"degree {p} out of range 0..{L.dim}")
@@ -338,7 +331,7 @@ def _differential(L: LieAlgebra, M: LieModule, p: int) -> CochainComplexSlice:
     n = L.dim
     dom = list(itertools.combinations(range(n), p))
     cod = list(itertools.combinations(range(n), p + 1))
-    action, brackets = M._int_entries(), L._int_brackets()
+    action, brackets = M._int_entries, L._int_brackets
     d = math.lcm(action[2], brackets[2])
     fill = lambda part: _ce_rows(  # noqa: E731
         M.dim, p, dom, cod, _scaled(action[part], d // action[2]),

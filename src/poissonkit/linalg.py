@@ -1,12 +1,14 @@
 """Exact linear algebra over Gaussian rationals.
 
 Matrices are lists of lists of :class:`GaussianRational` (ints, Fractions
-and rational strings are coerced).  One Gauss-Jordan elimination,
-:func:`rref`, answers rank, kernel, solve, inverse and span questions;
-:func:`det` keeps a separate fraction-free (Bareiss) elimination, and
-:func:`minor_sums` reads every sum of squared minors from the power sums
-``tr(H^k)`` of one Hermitian integer matrix ``H`` through Newton's
-identities, with none of :func:`rank`, :func:`rref` and :func:`det`.
+and rational strings are coerced).  One elimination, :func:`_eliminate`,
+answers rank and span questions (:func:`_rank_rows`), inverses
+(:func:`_int_inverse`), and kernels and solves through the Gauss-Jordan
+form :func:`rref`; :func:`det` keeps a separate fraction-free (Bareiss)
+elimination, and :func:`minor_sums` reads every sum of squared minors from
+the power sums ``tr(H^k)`` of one Hermitian integer matrix ``H`` through
+Newton's identities, with none of :func:`rank`, :func:`rref` and
+:func:`det`.
 
 Elimination and products run on integers: :func:`_int_row` writes a vector
 and :func:`_int_mat` a matrix as ints ``P + iQ`` over one denominator;
@@ -233,8 +235,8 @@ _SCALARS = object()     # rank's default: coerce the rows of ``matrix``
 
 
 def rank(matrix, imag=_SCALARS) -> int:
-    """Exact rank: the number of pivots of the elimination :func:`rref` runs,
-    without its back substitution and without building any scalar.
+    """Exact rank: the number of pivots of :func:`_eliminate`, without back
+    substitution and without building any scalar.
 
     ``rank(matrix)`` reads rows of scalars (ints, Fractions, rational strings
     and :class:`GaussianRational`), and ragged rows raise ``ValueError``.

@@ -34,8 +34,6 @@ two things:
 
 from __future__ import annotations
 
-import copy
-
 from .linalg import sort_with_sign
 from .poly import MultiPoly, _as_vars
 
@@ -81,8 +79,13 @@ class PolyMultiVector:
         return clean
 
     def _like(self, comps):
-        """A tensor of this type, space and degree with components ``comps``."""
-        out = copy.copy(self)
+        """A tensor of this type, space and degree with components ``comps``,
+        built from the public attributes of this one: nothing cached on it
+        carries over."""
+        out = object.__new__(type(self))
+        for name in ("vars", "algebra", "n", "degree"):
+            if hasattr(self, name):
+                setattr(out, name, getattr(self, name))
         out.comps = self._collect(comps)
         return out
 

@@ -184,9 +184,7 @@ def _gaussian_power(a: int, b: int, e: int) -> tuple:
     return x, y
 
 
-_PFAFFIAN_PLANS: dict = {}
-
-
+@functools.cache
 def _pfaffian_plan(n: int) -> list:
     """The principal Pfaffians of an n x n skew matrix m as one expansion per
     even subset S of {0, ..., n-1}, independent of the ring of m.
@@ -198,19 +196,16 @@ def _pfaffian_plan(n: int) -> list:
     Pf(S - {i, s_t}), s_t the t-th index of S after i, and ``plus`` (t even)
     and ``minus`` (t odd) list each ``(s_t, number of S - {i, s_t})``.
     There are 2^(n-1) subsets, so the plan is built once per n."""
-    plan = _PFAFFIAN_PLANS.get(n)
-    if plan is None:
-        number = {(): 0}
-        plan = []
-        for size in range(2, n + 1, 2):
-            level = []
-            for s in itertools.combinations(range(n), size):
-                rest = s[1:]
-                terms = [(j, number[rest[:t] + rest[t + 1:]]) for t, j in enumerate(rest)]
-                level.append((s[0], terms[::2], terms[1::2]))
-                number[s] = len(number)
-            plan.append(level)
-        _PFAFFIAN_PLANS[n] = plan
+    number = {(): 0}
+    plan = []
+    for size in range(2, n + 1, 2):
+        level = []
+        for s in itertools.combinations(range(n), size):
+            rest = s[1:]
+            terms = [(j, number[rest[:t] + rest[t + 1:]]) for t, j in enumerate(rest)]
+            level.append((s[0], terms[::2], terms[1::2]))
+            number[s] = len(number)
+        plan.append(level)
     return plan
 
 
@@ -318,15 +313,17 @@ class PolyBivector(PolyMultiVector):
         return self._int_matrix_at(linalg._int_row(point))
 
     def _int_matrix_at(self, x) -> tuple:
-        """:meth:`_int_matrix` at an integer point; one evaluator per ``comps``."""
-        built = self.__dict__.get("_evaluator")
-        if built is None or built[0] is not self.comps:
-            keys = sorted(self.comps)
-            built = self._evaluator = (self.comps, keys,
-                                       _int_evaluator(self.vars, [self.comps[k] for k in keys]))
-        _, keys, values = built
+        """:meth:`_int_matrix` at an integer point, by :attr:`_evaluator`."""
+        keys, values = self._evaluator
         a, b, d = values(x)
         return _skew(self.n, keys, a), b and _skew(self.n, keys, b), d
+
+    @functools.cached_property
+    def _evaluator(self) -> tuple:
+        """The sorted component keys and :func:`_int_evaluator` of their
+        components."""
+        keys = sorted(self.comps)
+        return keys, _int_evaluator(self.vars, [self.comps[k] for k in keys])
 
     # -- core maps -------------------------------------------------------------
 

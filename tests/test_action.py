@@ -134,6 +134,9 @@ def test_action_bracket_identity(rng):
     # zero dual bracket degenerates to the derivation identity (trivial structure)
     act0 = A.sl2_plane_action(0, 0, 0, 1)
     assert A.check_action_bracket_identity(act0, lie.abelian(3), x1, x2)["passed"]
+    # the dual bracket of another r-matrix leaves a residual
+    wrong = dual_algebra_from_r(RMatrix.sl2_family(lie.sl2(), 1, 0, 0))
+    assert not A.check_action_bracket_identity(act, wrong, x1, x2)["passed"]
 
 
 def test_xi_f():
@@ -271,6 +274,13 @@ def test_gamma_checks(rng):
     m_h = A.identity_momentum_map(H, bunH.bivector, shift=[Q(0), Q(0), Q(5)])
     repH2 = A.gamma_checks(bunH, A.gamma(bunH, m_h), m_h)
     assert repH2["correction_solvable"]
+    # a non-constant entry that is no Casimir: no correction is attempted
+    mu1 = A.identity_momentum_map(L, bun.bivector).components[0]
+    vs = bun.bivector.vars
+    zero = MultiPoly.zero(vs)
+    rep_nc = A.gamma_checks(bun, {(0, 1): mu1, (0, 2): zero, (1, 2): zero})
+    assert rep_nc["casimir_failures"] == [[0, 1]] and not rep_nc["passed"]
+    assert rep_nc["correction_solvable"] is None
 
 
 def test_sigma_psi(rng):
@@ -322,6 +332,11 @@ def test_check_commutator_inclusion():
     assert rep["passed"]
     rep2 = A.check_commutator_inclusion(bun, m_id, [1, 0, 0])
     assert rep2["passed"] and rep2["dim_isotropy_at_value"] == 1
+    # u = m(p) = 0: g_u is all of sl2, whose commutator is not in g_p
+    m_zero = A.identity_momentum_map(L, bun.bivector, shift=[-1, -2, -3])
+    rep3 = A.check_commutator_inclusion(bun, m_zero, [1, 2, 3])
+    assert not rep3["passed"] and rep3["dim_isotropy_at_value"] == 3
+    assert rep3["local_minimality_warning"]
 
 
 def test_consistent_single_action_variant():

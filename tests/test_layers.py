@@ -296,6 +296,47 @@ def test_the_dataclasses_lint_sees_every_import():
     assert imported_modules(source) == {"json", "dataclasses", "inspect"}
 
 
+# -- state built once per object is a cached_property --------------------------------
+
+
+def hand_rolled_caches(source: str) -> list:
+    """The lines of ``source`` that compare a private ``self._x`` with None or
+    read ``self.__dict__``: the marks of a cache kept by hand."""
+    def is_self(node):
+        return isinstance(node, ast.Name) and node.id == "self"
+
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if (any(isinstance(x, ast.Constant) and x.value is None for x in operands)
+                    and any(isinstance(x, ast.Attribute) and is_self(x.value)
+                            and x.attr.startswith("_") for x in operands)):
+                out.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == "__dict__" and is_self(node.value):
+            out.append(node.lineno)
+    return sorted(out)
+
+
+def test_no_module_keeps_a_cache_by_hand():
+    found = {p.stem: hand_rolled_caches(p.read_text()) for p in PACKAGE.glob("*.py")}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_the_cache_lint_sees_private_none_tests_and_dict_reads():
+    source = (
+        "def f(self, other):\n"
+        "    if self._x is None:\n"
+        "        pass\n"
+        "    if None is not self._y:\n"
+        "        pass\n"
+        "    built = self.__dict__.get('_z')\n"
+        "    return (self.x is None, other._x is None, self._x == 0, other.__dict__,\n"
+        "            self._w == None)\n"
+    )
+    assert hand_rolled_caches(source) == [2, 4, 6, 8]
+
+
 # -- the scalar matrix helpers are test and demo surface ----------------------------
 
 # public in ``linalg`` for the test oracles and the demos; the package itself

@@ -170,6 +170,12 @@ def test_invalid_module_rejected(sl2):
     assert bad.check_axiom() == [(0, 1), (0, 2), (1, 2)]
 
 
+def test_check_axiom_returns_one_list_on_every_call(sl2):
+    for M in (representation(sl2, "adjoint"),
+              lie.LieModule(sl2, [linalg.identity(2) for _ in range(3)])):
+        assert M.check_axiom() is M.check_axiom()
+
+
 def test_ce_differential_examples(sl2):
     ab = abelian(2)
     triv2 = representation(ab, "trivial")

@@ -580,6 +580,18 @@ def test_the_integer_evaluator_is_built_once_per_bivector(monkeypatch, sl2_lp):
     assert [sl2_lp.eval_matrix(pt) for pt in pts] == first and len(built) == 2
 
 
+def test_a_derived_bivector_evaluates_its_own_components(sl2_lp):
+    """A bivector made by +, - or scale from one whose evaluator is built
+    inherits none of it: each evaluates to the values of its own entries."""
+    pts = [[1, 2, 3], [Fraction(1, 2), 0, -1]]
+    sl2_lp.eval_matrix(pts[0])
+    other = PolyBivector(sl2_lp.vars, {(0, 1): sl2_lp.component(1, 2)})
+    for derived in (sl2_lp + other, -sl2_lp, sl2_lp.scale(3), sl2_lp - other):
+        for pt in pts:
+            assert derived.eval_matrix(pt) == \
+                evaluation_oracles.eval_matrix_per_entry(derived, pt)
+
+
 def test_jacobi_check_differentiates_each_component_once(monkeypatch):
     # a 6-variable quadratic bivector: both routes run, and no polynomial is
     # differentiated twice by the same variable

@@ -100,6 +100,13 @@ def test_affine_negative_exponent_rejected():
         MultiPoly(("x",), {(-1,): Q(1)})
 
 
+def test_an_exponent_given_twice_sums_its_coefficients():
+    (x,) = generators("x")
+    assert MultiPoly(("x",), {(1,): 1, ("1",): -1}).is_zero()
+    twice = MultiPoly(("x",), {(1,): 1, ("1",): 1})
+    assert twice == x + x and twice.terms == {(1,): Q(2)}
+
+
 @settings(max_examples=60)
 @given(poly_strategy(), poly_strategy(), poly_strategy())
 def test_ring_axioms(p, q, r):
