@@ -19,6 +19,22 @@ class SchemaError(Exception):
     pass
 
 
+# the largest size a bundle or a CLI option may ask for, each well above every
+# golden, demo and benchmark input (sample counts 8-100, 10^4 flow steps); an
+# input past one is a schema error, where running it would exhaust memory or
+# time.  At the bounds the sample bundle's flow takes about 4 s and 100 MB,
+# and each of its sampled suites under 2 s, on a 2-core virtual machine.
+SIZE_BOUNDS = {"steps": 10 ** 6, "count": 10 ** 4, "scale": 10 ** 6, "denom_power": 64}
+
+
+def bounded(key: str, value: int, what: str) -> int:
+    """``value``, or a :class:`SchemaError` naming the bound of ``key`` that
+    it exceeds; ``what`` names the value in the message."""
+    if value > SIZE_BOUNDS[key]:
+        raise SchemaError(f"{what} must be <= {SIZE_BOUNDS[key]}, got {value}")
+    return value
+
+
 # what a malformed entry raises while it is parsed: a missing key, a bad value,
 # a value of the wrong JSON type, a list of the wrong length or a number too
 # large for a float
@@ -97,6 +113,9 @@ def parse_bundle(raw: dict) -> ProblemBundle:
         raise SchemaError(f"sampler: {e}") from e
     if any(b.sampler.get(k, 0) < 0 for k in ("scale", "denom_power")):
         raise SchemaError("sampler: scale and denom_power must be >= 0")
+    for k in ("count", "scale", "denom_power"):
+        if k in b.sampler:
+            bounded(k, b.sampler[k], f"sampler {k}")
 
     # every layer above the scalars is imported by the first entry that needs
     # it, so a bundle without such sections loads none of them
@@ -182,7 +201,7 @@ def _parse_flow(b: ProblemBundle, entry: dict) -> dict:
         "casimirs": casimirs,
         "x0": [float(c.re) for c in x0],
         "dt": _finite(entry, "dt", 1e-3),
-        "steps": json_int(entry.get("steps", 1000)),
+        "steps": bounded("steps", json_int(entry.get("steps", 1000)), "flow steps"),
         "divergence_bound": _finite(entry, "divergence_bound", 1e9),
         "drift_tolerance": _finite(entry, "drift_tolerance", 1e-8),
     }

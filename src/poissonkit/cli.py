@@ -23,7 +23,7 @@ import time
 from fractions import Fraction
 
 from . import linalg
-from .bundles import ProblemBundle, SchemaError, load_bundle
+from .bundles import ProblemBundle, SchemaError, bounded, load_bundle
 
 
 def _emit(checks, stream, suite: str | None = None, timings: bool = False) -> int:
@@ -73,11 +73,12 @@ def _emit(checks, stream, suite: str | None = None, timings: bool = False) -> in
 
 
 def _sample_count(args, default: int) -> int:
-    """``--samples``, or ``default`` when it is not given; at least 1."""
+    """``--samples``, or ``default`` when it is not given; at least 1 and at
+    most its bound in :data:`bundles.SIZE_BOUNDS`."""
     count = default if args.samples is None else args.samples
     if count < 1:
         raise SchemaError(f"sample count must be >= 1, got {count}")
-    return count
+    return bounded("count", count, "sample count")
 
 
 def _fraction(text: str, option: str) -> Fraction:
@@ -170,6 +171,7 @@ def run_flow(bundle: ProblemBundle, args):
         raise SchemaError(f"dt must be positive and finite, got {dt}")
     if steps < 1:
         raise SchemaError(f"steps must be >= 1, got {steps}")
+    bounded("steps", steps, "steps")
     try:
         traj = P.hamiltonian_flow(bundle.bivectors[flow["bivector"]], flow["hamiltonian"],
                                   flow["x0"], dt, steps, casimirs=flow["casimirs"],

@@ -733,10 +733,12 @@ def _flow_run(components, polys, names, dt: float, bound):
     """``run(x0, ..., x{n-1}, steps)``: the whole RK4 loop of the field with
     float ``components``, generated and compiled once per flow.
 
-    It returns ``(times, coordinates, values, truncated)``: one list per
-    coordinate and one per polynomial of ``polys``, a point and its values
-    appended after each step whose every coordinate passes
-    ``bound >= abs(x)`` (a NaN fails it, and the loop stops, ``truncated``).
+    It returns ``(times, coordinates, values, truncated)``: one packed
+    float64 column, an ``array('d')``, per coordinate and one per polynomial
+    of ``polys``, a point and its values appended after each step whose
+    every coordinate passes ``bound >= abs(x)`` (a NaN fails it, and the
+    loop stops, ``truncated``).  A stored double has the bits of the float
+    it came from.
     Per coordinate a step is the float64 operations, in their order, of the
     array expressions x + (0.5*dt)*k, x + dt*k and
     x + (dt/6)*(((k1 + 2*k2) + 2*k3) + k4), so a trajectory is bit for bit
@@ -745,7 +747,11 @@ def _flow_run(components, polys, names, dt: float, bound):
     A component that is the zero polynomial has no ``k`` lines, and each of
     its updates is ``x + 0.0``: its every k is +0.0, and for finite positive
     dt so are half*0.0, dt*0.0 and sixth*(0.0 + 2.0*0.0 + 2.0*0.0 + 0.0).
+    A stage point ``y`` is stored only for a variable that some component
+    reads.
     """
+    from array import array
+
     n = len(names)
     xs = [f"x{i}" for i in range(n)]
     ys = [f"y{i}" for i in range(n)]
@@ -753,6 +759,7 @@ def _flow_run(components, polys, names, dt: float, bound):
     vs = [f"v{j}" for j in range(len(polys))]
     cols = [f"c{i}" for i in range(n)] + [f"w{j}" for j in range(len(polys))]
     moving = [not c.is_zero() for c in components]
+    read = [any(exp[i] for c in components for exp in c.over(names).terms) for i in range(n)]
 
     def stages(power):
         lines, point = [], xs
@@ -762,7 +769,7 @@ def _flow_run(components, polys, names, dt: float, bound):
             if s < 3:
                 step = "dt" if s == 2 else "half"
                 lines += [f"{ys[i]} = {xs[i]} + " + (f"{step} * {k[i]}" if moving[i] else "0.0")
-                          for i in range(n)]
+                          for i in range(n) if read[i]]
                 point = ys
         return lines
 
@@ -770,7 +777,7 @@ def _flow_run(components, polys, names, dt: float, bound):
         return [f"{v} = {_compile_float(p, names, xs, power)}" for v, p in zip(vs, polys)]
 
     source = [f"def run({', '.join(xs)}, steps):", *_guarded(values, "    ")]
-    source += [f"    {c} = [{v}]" for c, v in zip(cols, xs + vs)]
+    source += [f"    {c} = array('d', ({v},))" for c, v in zip(cols, xs + vs)]
     source += [f"    {c}_append = {c}.append" for c in cols]
     source += ["    truncated = False", "    for _ in range(steps):", *_guarded(stages, "        ")]
     source += [f"        {x} = {x} + " + (f"sixth * ({a} + 2.0 * {b} + 2.0 * {c} + {d})" if m
@@ -781,9 +788,10 @@ def _flow_run(components, polys, names, dt: float, bound):
                "            break",
                *_guarded(values, "        ")]
     source += [f"        {c}_append({v})" for c, v in zip(cols, xs + vs)]
-    source += [f"    return ([s * dt for s in range(len(c0))], [{', '.join(cols[:n])}], "
-               f"[{', '.join(cols[n:])}], truncated)"]
-    return _exec_flow("\n".join(source) + "\n", half=0.5 * dt, dt=dt, sixth=dt / 6.0, bound=bound)
+    times = "array('d', [s * dt for s in range(len(c0))])"
+    source += [f"    return ({times}, [{', '.join(cols[:n])}], [{', '.join(cols[n:])}], truncated)"]
+    return _exec_flow("\n".join(source) + "\n", array=array, half=0.5 * dt, dt=dt, sixth=dt / 6.0,
+                      bound=bound)
 
 
 def _column_text(col):
@@ -792,17 +800,18 @@ def _column_text(col):
 
     Every ``CSV_PROBE_STRIDE``-th value is probed; with no repeat among them
     the column is mapped through ``repr``.  Otherwise, when at most half of
-    the column's values are distinct and none is a zero, each distinct value
-    is formatted once and the column is mapped through that table.  Equal
-    nonzero floats are bitwise equal, so their ``repr`` is the same; 0.0 and
-    -0.0 are equal with different ``repr``, so a column holding a zero keeps
-    ``repr``.  A NaN is found by identity, because the table is built from
-    the column's own objects.
+    the column's values are distinct and none is a zero or a NaN, each
+    distinct value is formatted once and the column is mapped through that
+    table.  Equal nonzero floats are bitwise equal, so their ``repr`` is the
+    same; 0.0 and -0.0 are equal with different ``repr``, and a NaN equals
+    nothing, not even the fresh float with its bits that an ``array('d')``
+    returns on every read, so a column holding either keeps ``repr``.
     """
     probe = col[::CSV_PROBE_STRIDE]
     if len(set(probe)) < len(probe):
         distinct = set(col)
-        if 2 * len(distinct) <= len(col) and 0.0 not in distinct:
+        if (2 * len(distinct) <= len(col) and 0.0 not in distinct
+                and all(x == x for x in distinct)):
             return map({x: repr(x) for x in distinct}.__getitem__, col)
     return map(repr, col)
 
@@ -811,7 +820,9 @@ class Trajectory:
     def __init__(self, times: list, coordinates: list, f_values: list, casimir_values: dict,
                  ranks: list, f_drift: float, casimir_drift: dict, truncated: bool):
         self.times = times
-        self.coordinates = coordinates  # one column of floats per coordinate, one entry per time
+        # one column of floats per coordinate (from hamiltonian_flow, a packed
+        # float64 array), one entry per time
+        self.coordinates = coordinates
         self.f_values = f_values
         self.casimir_values = casimir_values
         self.ranks = ranks

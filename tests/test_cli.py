@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from poissonkit.bundles import SchemaError, parse_bundle
+from poissonkit.bundles import SIZE_BOUNDS, SchemaError, parse_bundle
 from poissonkit import cli
 
 
@@ -357,6 +357,37 @@ def test_invalid_arguments_exit_2(argv, capsys):
     if argv[0] != "example51":
         argv = argv + ["--bundle", str(SAMPLE)]
     _assert_schema_error(argv, capsys)
+
+
+# each size is rejected before any work: no test here allocates or runs a flow
+@pytest.mark.parametrize("section, key", [
+    ("flow", "steps"), ("sampler", "count"), ("sampler", "scale"), ("sampler", "denom_power"),
+])
+def test_a_bundle_size_past_its_bound_is_a_schema_error(section, key, tmp_path, capsys):
+    raw = json.loads(SAMPLE.read_text())
+    raw[section][key] = SIZE_BOUNDS[key] + 1
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(raw))
+    err = _assert_schema_error(["check-lie", "--bundle", str(path)], capsys)
+    assert f"{section} {key} must be <= {SIZE_BOUNDS[key]}, got {SIZE_BOUNDS[key] + 1}" in err
+    raw[section][key] = SIZE_BOUNDS[key]
+    bundle = parse_bundle(raw)
+    assert (bundle.flow if section == "flow" else bundle.sampler)[key] == SIZE_BOUNDS[key]
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["flow", "--steps"], "steps"),
+    (["stratify", "--samples"], "count"),
+    (["check-action", "--samples"], "count"),
+    (["momentum", "--samples"], "count"),
+    (["example51", "--lambda", "0,2,0", "--samples"], "count"),
+])
+def test_an_option_past_its_size_bound_is_a_schema_error(argv, key, capsys):
+    argv = argv + [str(SIZE_BOUNDS[key] + 1)]
+    if argv[0] != "example51":
+        argv += ["--bundle", str(SAMPLE)]
+    err = _assert_schema_error(argv, capsys)
+    assert f"must be <= {SIZE_BOUNDS[key]}, got {SIZE_BOUNDS[key] + 1}" in err
 
 
 def _float_rmatrix_entry(raw):

@@ -10,6 +10,7 @@ import re
 import struct
 import tokenize
 import warnings
+from array import array
 from fractions import Fraction
 
 import numpy as np
@@ -956,11 +957,11 @@ def test_the_sample_flow_code_has_no_identity_operation(monkeypatch):
     start = lines.index("    for _ in range(steps):") + 1
     stages = lines[start:next(i for i, ln in enumerate(lines) if ln.lstrip().startswith("if not"))]
     assert not any("try:" in ln or "_pow" in ln for ln in stages)
-    # its zero component, index 1 (CSV column x2), has no k lines and moves by + 0.0
+    # its zero component, index 1 (CSV column x2), has no k lines and moves by + 0.0;
+    # no component reads x2, so it has no stage point
     assert not re.search(r"\bk\d_1\b", source)
     assert sum(re.fullmatch(r"\s*k\d_\d = .*", ln) is not None for ln in lines) == 8
-    assert [ln.strip() for ln in stages if re.match(r"\s*[xy]1 =", ln)] == \
-        ["y1 = x1 + 0.0"] * 3 + ["x1 = x1 + 0.0"]
+    assert [ln.strip() for ln in stages if re.match(r"\s*[xy]1 =", ln)] == ["x1 = x1 + 0.0"]
     # f = x2 and the Casimir repeat themselves: each distinct value is formatted once
     columns = [traj.times, *traj.coordinates, traj.f_values, *traj.casimir_values.values()]
     distinct = [len(set(col)) for col in columns]
@@ -972,6 +973,26 @@ def test_the_sample_flow_code_has_no_identity_operation(monkeypatch):
     assert blocks[0] == "step,t,x1,x2,x3,f,quadratic,rank\n"
     assert [b.count("\n") for b in blocks[1:]] == [1024] * 9 + [10001 - 9 * 1024]
     assert "".join(blocks) == traj.to_csv() == flow_oracle.rowwise_csv(traj)
+
+
+def test_every_flow_column_is_a_packed_float64_array(sl2_lp):
+    path = os.path.join(os.path.dirname(__file__), "..", "demos", "bundles", "sample.json")
+    bundle = load_bundle(path)
+    flow = bundle.flow
+    sample = hamiltonian_flow(bundle.bivectors[flow["bivector"]], flow["hamiltonian"], flow["x0"],
+                              flow["dt"], flow["steps"], casimirs=flow["casimirs"])
+    mu1, mu2, mu3 = generators(*(v.name for v in sl2_lp.vars))
+    cut = hamiltonian_flow(sl2_lp, mu2 ** 3 + mu1 ** 2 * mu3, [1.0, 0.5, -0.25], 0.5, 200,
+                           casimirs={"K": mu1 * mu1 - mu2 * mu2}, divergence_bound=1e9)
+    assert not sample.truncated and len(sample.times) == flow["steps"] + 1
+    assert cut.truncated and 1 < len(cut.times) < 201
+    for traj in (sample, cut):
+        # t, three coordinates, f and one Casimir
+        columns = [traj.times, *traj.coordinates, traj.f_values, *traj.casimir_values.values()]
+        assert len(columns) == 6
+        assert all(type(col) is array and col.typecode == "d" for col in columns)
+        assert {len(col) for col in columns} == {traj.summary()["steps"] + 1}
+        assert all(type(p) is list for p in traj.points)
 
 
 _POOL = [0.0, -0.0, math.nan, float("nan"), -math.nan, math.inf, -math.inf, 5e-324, 0.1 + 0.2,
@@ -1001,6 +1022,19 @@ def _fresh(x: float) -> float:
 ))
 def test_a_column_is_formatted_as_the_repr_of_each_value(col):
     assert list(poisson._column_text(col)) == list(map(repr, col))
+
+
+def test_a_repeating_array_column_with_a_nan_is_formatted_as_its_repr():
+    # a Casimir whose value overflows can read inf - inf; an array('d') gives a
+    # fresh float on every read, so no table of its values can find a NaN
+    col = array("d", [1.5, math.nan, -2.25, 1.5, math.inf - math.inf, 1.5] * 100)
+    count = len(col)
+    traj = poisson.Trajectory(
+        times=array("d", [0.5 * s for s in range(count)]),
+        coordinates=[array("d", [1.0] * count)], f_values=col,
+        casimir_values={"c": array("d", [2.0, -math.nan, 2.0] * 200)},
+        ranks=[(0, 0)], f_drift=0.0, casimir_drift={"c": 0.0}, truncated=False)
+    assert traj.to_csv() == flow_oracle.rowwise_csv(traj)
 
 
 def _on_chart(p: MultiPoly, names) -> MultiPoly:
@@ -1042,7 +1076,7 @@ def test_variable_names_do_not_reach_the_generated_flow_code(monkeypatch):
     assert other <= {"def", "run", "steps", "try", "except", "OverflowError", "_pow", "for",
                      "_", "in", "range", "if", "not", "and", "abs", "bound", "truncated", "True",
                      "False", "break", "half", "dt", "sixth", "return", "s", "len",
-                     "append"}, other
+                     "append", "array"}, other
 
 
 def test_package_calls_of_a_flow_do_not_grow_with_steps():
