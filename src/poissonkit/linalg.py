@@ -16,8 +16,8 @@ and :func:`_int_mat` a matrix as ints ``P + iQ`` over one denominator;
 ``p*x - f*y`` on primitive integer rows, and the private helpers multiply,
 add and invert with no scalar in between, so callers (the sampled checks of
 ``action``, ``poisson.stratify_sample``, ``lie.cohomology_dim``) build
-scalars only to report, and :func:`mat_mul`, :func:`mat_vec` and
-:func:`inverse` wrap them.  Gaussian input is eliminated as its real form
+scalars only to report, and :func:`mat_mul` and :func:`mat_vec` wrap the
+products.  Gaussian input is eliminated as its real form
 :func:`_realified`.
 """
 
@@ -202,29 +202,10 @@ def _realified(p, q) -> list:
     return out
 
 
-def mat_add(a, b) -> list:
-    if _shape(a) != _shape(b):
-        raise ValueError(f"shape mismatch: {_shape(a)} plus {_shape(b)}")
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a, b) -> list:
-    if _shape(a) != _shape(b):
-        raise ValueError(f"shape mismatch: {_shape(a)} minus {_shape(b)}")
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def transpose(a) -> list:
     """Rows of ``a`` as columns; ragged rows raise ``ValueError``."""
     _shape(a)
     return [list(col) for col in zip(*a)]
-
-
-def mat_eq(a, b) -> bool:
-    """Entry for entry equality; False for matrices of different shapes."""
-    if len(a) != len(b) or any(len(ra) != len(rb) for ra, rb in zip(a, b)):
-        return False
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
 def is_zero_mat(a) -> bool:
@@ -383,17 +364,12 @@ def solve(matrix, rhs):
     return x
 
 
-def inverse(matrix):
-    """Exact inverse, or ``None`` if singular (:func:`_int_inverse`)."""
-    inv = _int_inverse(_int_mat(matrix))
-    return inv and _scalars(inv)
-
-
 def det(matrix) -> GaussianRational:
     """Exact determinant via fraction-free (Bareiss) elimination.
 
-    Public API, and deliberately not built on :func:`rref`, so the tests can
-    use it as a rank oracle independent of :func:`rank`.  ``poisson.r_k``
+    Public API, and deliberately not built on :func:`_eliminate`, so the
+    tests can use it as a rank oracle independent of :func:`rank`, and build
+    an inverse on it independent of :func:`_int_inverse`.  ``poisson.r_k``
     does not call it: the minor sums come from :func:`minor_sums`.
     """
     n = len(matrix)

@@ -17,15 +17,16 @@ from poissonkit import linalg
 from poissonkit.poisson import casimir_check
 from poissonkit.scalars import GaussianRational, ONE, Q, ZERO
 
-from evaluation_oracles import eval_matrix_per_entry
+from evaluation_oracles import eval_matrix_per_entry, inverse, mat_add, mat_sub
 
 
 def coadjoint_by_elimination(defining_mats, g) -> list:
-    """Coad_g with the n conjugates g^{-1} D_i g built by matrix products and
-    their coordinates read from one elimination of the basis system beside
-    them (free coordinates 0)."""
+    """Coad_g with the n conjugates g^{-1} D_i g built by matrix products, with
+    g^{-1} the adjugate over the determinant, and their coordinates read
+    from one elimination of the basis system beside them (free
+    coordinates 0)."""
     g = linalg.mat(g)
-    ginv = linalg.inverse(g)
+    ginv = inverse(g)
     if ginv is None:
         raise ValueError("group matrix is singular")
     basis = [linalg.mat(m) for m in defining_mats]
@@ -82,10 +83,10 @@ def poisson_action_residuals_pairwise(a, samples) -> list:
                 left_j = linalg.mat_vec(linalg.mat_mul(G, rho[j]), xv)
                 right_i = linalg.mat_vec(rho[i], gx)
                 right_j = linalg.mat_vec(rho[j], gx)
-                w = linalg.mat_sub(_wedge_matrix(left_i, left_j), _wedge_matrix(right_i, right_j))
-                acc = linalg.mat_add(acc, [[lam * t for t in row] for row in w])
-            rhs = linalg.mat_add(rhs, acc)
-        diff = linalg.mat_sub(lhs, rhs)
+                w = mat_sub(_wedge_matrix(left_i, left_j), _wedge_matrix(right_i, right_j))
+                acc = mat_add(acc, [[lam * t for t in row] for row in w])
+            rhs = mat_add(rhs, acc)
+        diff = mat_sub(lhs, rhs)
         if not linalg.is_zero_mat(diff):
             out.append([[str(t) for t in row] for row in diff])
     return out
@@ -121,12 +122,12 @@ def poisson_action_report(a, samples) -> dict:
             left = {k: linalg.mat_vec(G, linalg.mat_vec(rho[k], xv)) for k in ks}
             right = {k: linalg.mat_vec(rho[k], gx) for k in ks}
             for (i, j), lam in sorted(a.rmatrix.comps.items()):
-                w = linalg.mat_sub(
+                w = mat_sub(
                     _wedge_matrix(left[i], left[j]), _wedge_matrix(right[i], right[j])
                 )
-                acc = linalg.mat_add(acc, [[lam * t for t in row] for row in w])
-            rhs = linalg.mat_add(rhs, acc)
-        diff = linalg.mat_sub(lhs, rhs)
+                acc = mat_add(acc, [[lam * t for t in row] for row in w])
+            rhs = mat_add(rhs, acc)
+        diff = mat_sub(lhs, rhs)
         if not linalg.is_zero_mat(diff):
             failures.append(
                 {

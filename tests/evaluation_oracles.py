@@ -1,6 +1,6 @@
 """Test oracles: the evaluation routes of ``poissonkit`` before
-``stratify_sample`` read one integer matrix per point, and two functions
-that only tests called.
+``stratify_sample`` read one integer matrix per point, the functions that
+only tests called, and the scalar matrix helpers that only tests use.
 
 * ``faddeev_leverrier_minor_sums``: every sum of squared minors from the
   characteristic polynomial of ``H = M M^H``, by the Faddeev-LeVerrier
@@ -22,10 +22,18 @@ that only tests called.
   structure constants;
 * ``module_axiom_failures``: the basis pairs on which a module's axiom
   fails, by scalar matrix products, sums and comparisons, formerly the body
-  of ``LieModule.check_axiom``, which now reads the integer tables.
+  of ``LieModule.check_axiom``, which now reads the integer tables;
+* ``mat_add``, ``mat_sub`` and ``mat_eq``: entry for entry sums,
+  differences and comparisons of scalar matrices, formerly in
+  ``poissonkit.linalg``;
+* ``inverse``: the exact inverse by the adjugate, every determinant by
+  :func:`poissonkit.linalg.det` (Bareiss elimination), where the package
+  inverts with ``linalg._int_inverse`` on the elimination of ``rank`` and
+  ``rref``.
 
 The first two bodies are unchanged, apart from the names they import; the
-last four read the package through public names only.
+rest read the package through public names only, and ``mat_add`` and
+``mat_sub`` through ``linalg._shape`` as well.
 """
 
 from __future__ import annotations
@@ -120,7 +128,7 @@ def module_axiom_failures(M) -> list:
     L = M.algebra
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
-            comm = linalg.mat_sub(
+            comm = mat_sub(
                 linalg.mat_mul(M.mats[i], M.mats[j]),
                 linalg.mat_mul(M.mats[j], M.mats[i]),
             )
@@ -128,9 +136,43 @@ def module_axiom_failures(M) -> list:
             for k in range(L.dim):
                 c = L.structure_constant(i, j, k)
                 if not c.is_zero():
-                    expect = linalg.mat_add(
+                    expect = mat_add(
                         expect, [[c * x for x in row] for row in M.mats[k]]
                     )
-            if not linalg.mat_eq(comm, expect):
+            if not mat_eq(comm, expect):
                 bad.append((i, j))
     return bad
+
+
+def mat_add(a, b) -> list:
+    if linalg._shape(a) != linalg._shape(b):
+        raise ValueError(f"shape mismatch: {linalg._shape(a)} plus {linalg._shape(b)}")
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def mat_sub(a, b) -> list:
+    if linalg._shape(a) != linalg._shape(b):
+        raise ValueError(f"shape mismatch: {linalg._shape(a)} minus {linalg._shape(b)}")
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def mat_eq(a, b) -> bool:
+    """Entry for entry equality; False for matrices of different shapes."""
+    if len(a) != len(b) or any(len(ra) != len(rb) for ra, rb in zip(a, b)):
+        return False
+    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+
+
+def inverse(matrix):
+    """Exact inverse of a square matrix, or None if singular: entry (i, j)
+    is the cofactor (j, i) over the determinant."""
+    m = linalg.mat(matrix)
+    d = linalg.det(m)
+    if d.is_zero():
+        return None
+
+    def cofactor(i, j):
+        c = linalg.det([row[:j] + row[j + 1:] for k, row in enumerate(m) if k != i])
+        return c if (i + j) % 2 == 0 else -c
+
+    return [[cofactor(j, i) / d for j in range(len(m))] for i in range(len(m))]

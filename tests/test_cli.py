@@ -11,6 +11,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from poissonkit.bundles import SIZE_BOUNDS, SchemaError, parse_bundle
 from poissonkit import cli
@@ -796,6 +797,63 @@ def test_every_edit_of_the_sample_bundle_keeps_the_exit_code_contract(tmp_path):
     assert not truncated, truncated
     assert set(nan_codes.values()) == {2}, nan_codes
     assert runs > 300 and int_edits >= 12
+
+
+SAMPLE_RAW = json.loads(SAMPLE.read_text())
+SAMPLE_PATHS = list(_key_paths(SAMPLE_RAW, depth=float("inf")))
+LEAVES = [p for p in SAMPLE_PATHS
+          if not isinstance(functools.reduce(lambda node, key: node[key], p, SAMPLE_RAW), (dict, list))]
+KEYS = [p for p in SAMPLE_PATHS if isinstance(p[-1], str)]
+# small ints, so that no count, step number or exponent makes a long run
+REPLACEMENTS = st.one_of(
+    st.integers(-3, 12),
+    st.sampled_from([10 ** 30, -10 ** 30, 2 ** 63]),
+    st.floats(-1e3, 1e3) | st.sampled_from([1e-300, 1e300]),
+    st.sampled_from(["", "a", "1/0", "1/2", "-3", "x1", "det1"]),
+    st.none(),
+    st.lists(st.integers(-2, 2), max_size=3),
+    st.sampled_from([{}, {"num": "1", "den": "0"}, {"a": 1}]),
+)
+EDITS = (st.tuples(st.just("replace"), st.sampled_from(LEAVES), REPLACEMENTS)
+         | st.tuples(st.just("delete"), st.sampled_from(KEYS), st.none()))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(EDITS)
+def test_a_generated_edit_of_the_sample_bundle_keeps_the_exit_code_contract(tmp_path, edit):
+    kind, keys, value = edit
+    edited = copy.deepcopy(SAMPLE_RAW)
+    parent = functools.reduce(lambda node, key: node[key], keys[:-1], edited)
+    if kind == "delete":
+        del parent[keys[-1]]
+    else:
+        parent[keys[-1]] = value
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(edited))
+    argv = [SECTION_READERS[keys[0]], "--bundle", str(path)]
+    if argv[0] == "flow":       # the trajectory to a file, so stdout is the JSON lines
+        argv += ["--out", str(tmp_path / "trajectory.csv")]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2)
+    for line in out.getvalue().splitlines():
+        json.loads(line)
+    assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ["example51", "--lambda", "0,2,0", "--c", "1", "--seed", "0"],
+    ["flow", "--bundle", str(SAMPLE)],
+], ids=["example51", "flow"])
+def test_stdout_is_the_same_bytes_under_two_hash_seeds(argv):
+    path = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    outs = [subprocess.run([sys.executable, "-m", "poissonkit.cli", *argv], capture_output=True,
+                           env=dict(os.environ, PYTHONPATH=os.pathsep.join(path), PYTHONHASHSEED=seed),
+                           timeout=120).stdout
+            for seed in ("0", "12345")]
+    assert outs[0] and outs[0] == outs[1]
 
 
 NO_SL2 = {"skipped": True,

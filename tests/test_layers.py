@@ -340,8 +340,8 @@ def test_the_cache_lint_sees_private_none_tests_and_dict_reads():
 # -- the scalar matrix helpers are test and demo surface ----------------------------
 
 # public in ``linalg`` for the test oracles and the demos; the package itself
-# multiplies, adds, compares and inverts on integer matrices
-SCALAR_MATRIX_HELPERS = {"mat_add", "mat_sub", "mat_eq", "mat_mul", "is_zero_mat", "inverse"}
+# multiplies and compares on integer matrices
+SCALAR_MATRIX_HELPERS = {"mat_mul", "is_zero_mat"}
 
 
 def called_names(source: str) -> set:
@@ -362,14 +362,73 @@ def test_no_module_calls_a_scalar_matrix_helper():
 
 def test_the_helper_lint_sees_calls_only():
     source = (
-        "from .linalg import inverse\n"
+        "from .linalg import is_zero_mat\n"
         "x = linalg.mat_mul(a, b)\n"
-        "y = inverse(m)\n"
-        "f = linalg.mat_eq\n"
-        "def mat_add(a, b):\n"
+        "f = linalg.is_zero_mat\n"
+        "def is_zero_mat(a):\n"
         "    return g()(a)\n"
     )
-    assert called_names(source) & SCALAR_MATRIX_HELPERS == {"mat_mul", "inverse"}
+    assert called_names(source) & SCALAR_MATRIX_HELPERS == {"mat_mul"}
+    assert called_names("y = is_zero_mat(m)\n") & SCALAR_MATRIX_HELPERS == {"is_zero_mat"}
+
+
+# -- every public name of the package is reached -----------------------------------
+
+DEMOS = ROOT / "demos"
+# public module-level names that stay although no other module or demo names
+# them and the package does not export them: (module, name) -> why
+REACH_ALLOWLIST = {}
+
+
+def unreached_names(modules: dict, others: dict, exported=()) -> set:
+    """``(module, name)`` for each public module-level function or class of
+    ``modules`` (module -> source) that no other top-level statement of
+    ``modules`` or of ``others`` (file -> source) names, as a ``Name``, an
+    ``Attribute`` or an import alias, and that is not in ``exported``."""
+    defined, named = {}, []
+    for module, source in {**modules, **others}.items():
+        for i, node in enumerate(ast.parse(source).body):
+            if (module in modules and isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                defined[(module, node.name)] = (module, i)
+            names = {n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute)
+                     else n.name.rpartition(".")[2]
+                     for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute, ast.alias))}
+            named.append(((module, i), names))
+    return {key for key, at in defined.items() if key not in exported
+            and not any(key[1] in names for where, names in named if where != at)}
+
+
+def test_every_public_name_is_named_elsewhere_exported_or_allowed():
+    modules = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    demos = {p.name: p.read_text() for p in DEMOS.glob("*.py")}
+    exported = {(module, name) for module, names in poissonkit._EXPORTS.items()
+                for name in names}
+    assert unreached_names(modules, demos, exported) == set(REACH_ALLOWLIST)
+
+
+def test_the_reach_lint_sees_names_attributes_and_aliases_elsewhere():
+    modules = {
+        "a": ("def by_name(): pass\n"
+              "def by_attribute(): pass\n"
+              "def imported(): pass\n"
+              "def exported(): pass\n"
+              "def _private(): pass\n"
+              "def recursive():\n"
+              "    return recursive()\n"
+              "class AClass:\n"
+              "    def method(self): pass\n"
+              "def in_a_docstring(): pass\n"
+              "def in_a_demo(): pass\n"
+              "alias = by_name\n"),
+        "b": ("from .a import imported\n"
+              "def f(m):\n"
+              "    'in_a_docstring'\n"
+              "    return m.by_attribute, AClass.method\n"),
+    }
+    demo = {"demo.py": "from poissonkit.a import in_a_demo\n"}
+    assert unreached_names(modules, demo, {("a", "exported")}) == {
+        ("a", "recursive"), ("a", "in_a_docstring"), ("b", "f")}
 
 
 # -- a check returns the JSON payload it reports ------------------------------------
